@@ -267,6 +267,10 @@ type Client struct {
 	env middleware.Env
 	pmu sync.RWMutex
 	p   *middleware.Pipeline
+
+	// registry is ClientConfig.Registry, kept for the listeners a
+	// RecursiveServer puts in front of this client.
+	registry *Registry
 }
 
 // NewClient builds a Client.
@@ -302,7 +306,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		if err := f.SetPipeline(cfg.Pipeline); err != nil {
 			return nil, err
 		}
-		return &Client{f: f}, nil
+		return &Client{f: f, registry: cfg.Registry}, nil
 	}
 	r := resolver.New(netip.MustParseAddr("127.0.0.1"), cfg.Policy, cfg.Net, cfg.Clock, cfg.Roots, cfg.Seed)
 	if cfg.CacheCapacity > 0 || cfg.CacheBytes > 0 || cfg.Eviction != cache.EvictFIFO {
@@ -321,7 +325,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	r.Tracer = cfg.Tracer
 	r.QLog = cfg.QueryLog
-	c := &Client{r: r}
+	c := &Client{r: r, registry: cfg.Registry}
 	c.env = middleware.Env{Lookup: r.Resolve, Clock: cfg.Clock, Registry: cfg.Registry}
 	p, err := middleware.Build(cfg.Pipeline, c.env)
 	if err != nil {
@@ -336,7 +340,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // rate limiter) pass them untouched.
 func (c *Client) Lookup(name Name, qtype Type) (*Result, error) {
 	resp, err := c.resolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype})
-	if err != nil || resp == nil {
+	if err != nil {
 		return nil, err
 	}
 	return resp.Result, nil
@@ -347,7 +351,7 @@ func (c *Client) Lookup(name Name, qtype Type) (*Result, error) {
 // attribution apply as they would for a wire query.
 func (c *Client) LookupFrom(name Name, qtype Type, client netip.Addr) (*Result, error) {
 	resp, err := c.resolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype, Client: client})
-	if err != nil || resp == nil {
+	if err != nil {
 		return nil, err
 	}
 	return resp.Result, nil
@@ -356,7 +360,7 @@ func (c *Client) LookupFrom(name Name, qtype Type, client netip.Addr) (*Result, 
 // resolveQuery runs one query through the active pipeline, returning the
 // middleware response (verdict included) for callers — the recursive
 // server — that label outcomes or honor Drop.
-func (c *Client) resolveQuery(ctx context.Context, q *middleware.Query) (*middleware.Response, error) {
+func (c *Client) resolveQuery(ctx context.Context, q *middleware.Query) (middleware.Response, error) {
 	if c.f != nil {
 		return c.f.ResolveQuery(ctx, q)
 	}
@@ -435,6 +439,7 @@ func NewForwarder(addr netip.Addr, upstreams []netip.Addr, net Exchanger, clock 
 // real UDP, TCP, DoT, and DoH, or pluggable into a simulation.
 type Server struct {
 	s   *authoritative.Server
+	reg *Registry // from Instrument, for the UDP listener's gauges
 	u   *authoritative.UDPServer
 	t   *authoritative.TCPServer
 	dot *authoritative.TCPServer
@@ -462,7 +467,7 @@ func (s *Server) Handle(q *Message, from netip.Addr) *Message {
 // ListenUDP binds addr ("127.0.0.1:0" style) and serves until Close. It
 // returns the bound address.
 func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
-	s.u = &authoritative.UDPServer{Server: s.s}
+	s.u = &authoritative.UDPServer{Server: s.s, Registry: s.reg}
 	return s.u.Listen(addr)
 }
 
@@ -518,8 +523,12 @@ func (s *Server) EnableRRL(cfg RRLConfig) { s.s.EnableRRL(cfg) }
 func (s *Server) DisableRRL() { s.s.DisableRRL() }
 
 // Instrument mirrors the server's query counters into reg (auth.queries,
-// auth.referrals, auth.nxdomain, auth.refused); nil detaches.
-func (s *Server) Instrument(reg *Registry) { s.s.Instrument(reg) }
+// auth.referrals, auth.nxdomain, auth.refused); nil detaches. A ListenUDP
+// that follows also reports its serving loops there (listener.udp.*).
+func (s *Server) Instrument(reg *Registry) {
+	s.reg = reg
+	s.s.Instrument(reg)
+}
 
 // AttachQueryLog captures one structured response-out record per handled
 // query through tap — the paper's §3.4 authoritative-side capture. A nil

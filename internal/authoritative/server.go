@@ -146,21 +146,28 @@ func (s *Server) bestZone(name dnswire.Name) *zone.Zone {
 
 // ServeDNS implements simnet.Handler for the UDP transport: decode, handle,
 // encode, truncating to the client's advertised EDNS size — or the classic
-// 512 bytes when the query carried no OPT record (RFC 6891 §6.2.5).
+// 512 bytes when the query carried no OPT record (dnswire.ResponseLimit).
 // Malformed queries get FORMERR; encode failures drop the query (nil).
 func (s *Server) ServeDNS(wire []byte, from netip.Addr) []byte {
-	return s.serveWire(wire, from, 0)
+	return s.AppendServeDNS(nil, wire, from)
+}
+
+// AppendServeDNS implements simnet.AppendHandler: ServeDNS with the
+// response appended to dst, allocation-free when dst has the room.
+func (s *Server) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
+	return s.serveWire(dst, wire, from, false)
 }
 
 // ServeDNSTCP is the TCP-transport entry point: same handling, but the
 // 64 KiB frame limit applies instead of datagram truncation.
 func (s *Server) ServeDNSTCP(wire []byte, from netip.Addr) []byte {
-	return s.serveWire(wire, from, 0xFFFF)
+	return s.serveWire(nil, wire, from, true)
 }
 
-// serveWire handles one query. limit 0 means "derive from the query's EDNS
-// advertisement"; otherwise it is the response size bound.
-func (s *Server) serveWire(wire []byte, from netip.Addr, limit int) []byte {
+// serveWire handles one query, appending the response to dst; dst comes back
+// unextended when the query is dropped. stream selects the stream-transport
+// size limit and exempts the query from RRL.
+func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byte {
 	// The query message lives only for the duration of this call: Handle
 	// copies the question into the reply and retains nothing else, so both
 	// the decoder and the message go back to their pools on return.
@@ -171,21 +178,10 @@ func (s *Server) serveWire(wire []byte, from netip.Addr, limit int) []byte {
 		dnswire.ReleaseDecoder(d)
 	}()
 	if err := d.Decode(wire, q); err != nil {
-		// Can't even parse the ID reliably; drop.
-		if len(wire) < 12 {
-			return nil
-		}
-		resp := &dnswire.Message{Header: dnswire.Header{
-			ID: uint16(wire[0])<<8 | uint16(wire[1]), QR: true, RCode: dnswire.RCodeFormErr,
-		}}
-		out, err := dnswire.Encode(resp)
-		if err != nil {
-			return nil
-		}
-		return out
+		return dnswire.AppendFormErr(dst, wire)
 	}
 	resp := s.Handle(q, from)
-	if limit == 0 {
+	if !stream {
 		// RRL guards only the connectionless transport: a TCP client has
 		// already proved its source address, so limiting it would add
 		// collateral damage without reducing amplification.
@@ -196,7 +192,7 @@ func (s *Server) serveWire(wire []byte, from netip.Addr, limit int) []byte {
 				if m := s.Obs; m != nil {
 					m.RRLDropped.Inc()
 				}
-				return nil
+				return dst
 			case rrlSlip:
 				if m := s.Obs; m != nil {
 					m.RRLSlipped.Inc()
@@ -208,22 +204,10 @@ func (s *Server) serveWire(wire []byte, from netip.Addr, limit int) []byte {
 				}
 			}
 		}
-		limit = dnswire.MaxUDPSize
-		for _, rr := range q.Additional {
-			if opt, ok := rr.Data.(dnswire.OPT); ok {
-				limit = int(opt.UDPSize)
-				if limit < dnswire.MaxUDPSize {
-					limit = dnswire.MaxUDPSize
-				}
-				if limit > dnswire.MaxEDNSSize {
-					limit = dnswire.MaxEDNSSize
-				}
-			}
-		}
 	}
-	out, err := dnswire.EncodeWithLimit(resp, limit)
+	out, err := dnswire.AppendEncodeWithLimit(dst, resp, dnswire.ResponseLimit(q, stream))
 	if err != nil {
-		return nil
+		return dst
 	}
 	return out
 }

@@ -1,13 +1,33 @@
 package authoritative
 
 import (
-	"dnsttl/internal/simnet"
 	"errors"
 	"fmt"
 	"net"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
+	"dnsttl/internal/simnet"
+)
+
+// DefaultMaxInflight bounds concurrently served UDP queries per listener.
+const DefaultMaxInflight = 512
+
+// readErrorBackoff is how long a loop waits after a read error that is not
+// the listener closing, so a persistent error costs a counter tick per
+// interval instead of a spinning core.
+const readErrorBackoff = 5 * time.Millisecond
+
+// Metric names under which a UDPServer with a Registry reports (see
+// UDPStats for their meaning).
+const (
+	MetricUDPLoops      = "listener.udp.loops"
+	MetricUDPSaturated  = "listener.udp.saturated"
+	MetricUDPReadErrors = "listener.udp.read_errors"
 )
 
 // UDPServer serves a DNS handler over a real UDP socket; it exists so the
@@ -15,24 +35,63 @@ import (
 // recursive daemon front-end (cmd/resolverd), and so integration tests can
 // exercise the OS network path. Exactly one of Server or Handler must be
 // set; Server takes precedence.
+//
+// Serving is N identical loops sharing the socket, each reading a datagram
+// into its own buffer, calling the handler on its own goroutine and writing
+// the reply from its own buffer. Listen starts one loop; a loop that picks
+// up a datagram while no other loop is left waiting for the next one starts
+// another, up to MaxInflight. So a handler blocked on an upstream timeout
+// never leaves the socket without a reader, at most MaxInflight queries are
+// in service, and beyond that backpressure lands in the kernel socket
+// buffer. Loops are not retired: a listener that once served a burst of n
+// concurrent slow queries keeps n loops (a parked goroutine and a 64 KiB
+// read buffer each).
 type UDPServer struct {
 	Server *Server
 	// Handler serves queries when Server is nil — any simnet.Handler,
-	// e.g. a recursive front-end.
+	// e.g. a recursive front-end. One that also implements
+	// simnet.AppendHandler is served without a per-reply copy. The wire
+	// passed to it is the loop's read buffer: valid only until it returns.
 	Handler simnet.Handler
-	// MaxInflight bounds concurrently-served queries (default 512).
-	// Queries are dispatched to goroutines rather than served inline in
-	// the read loop: a recursive front-end's handler can block for a full
-	// upstream timeout (an RRL-dropped response, a dead authoritative),
-	// and serving serially would let one slow resolution head-of-line
-	// block every client behind it. When all slots are busy the loop
-	// blocks, so overload backpressure lands in the socket buffer.
+	// MaxInflight bounds concurrently-served queries, i.e. the number of
+	// loops (default DefaultMaxInflight).
 	MaxInflight int
+	// Registry, when non-nil at Listen, exposes Stats as the
+	// listener.udp.* gauges.
+	Registry *obs.Registry
 
 	mu     sync.Mutex
 	conn   *net.UDPConn
 	closed bool
 	wg     sync.WaitGroup
+
+	// idle counts loops waiting for a datagram; loops counts loops started.
+	idle       atomic.Int32
+	loops      atomic.Int32
+	saturated  atomic.Uint64
+	readErrors atomic.Uint64
+}
+
+// UDPStats is a snapshot of a UDPServer's serving-loop counters.
+type UDPStats struct {
+	// Loops is the number of serving loops started: the peak number of
+	// queries that were in service at once, plus one.
+	Loops int
+	// Saturated counts datagrams taken by the last idle loop when no
+	// further loop could be started: while that query was in service
+	// (and MaxInflight-1 others), nothing read the socket.
+	Saturated uint64
+	// ReadErrors counts socket read errors other than the listener closing.
+	ReadErrors uint64
+}
+
+// Stats reports the serving-loop counters.
+func (u *UDPServer) Stats() UDPStats {
+	return UDPStats{
+		Loops:      int(u.loops.Load()),
+		Saturated:  u.saturated.Load(),
+		ReadErrors: u.readErrors.Load(),
+	}
 }
 
 func (u *UDPServer) handler() simnet.Handler {
@@ -56,21 +115,47 @@ func (u *UDPServer) Listen(addr string) (netip.AddrPort, error) {
 	u.mu.Lock()
 	u.conn = conn
 	u.mu.Unlock()
-	u.wg.Add(1)
-	go u.serve(conn)
+	if reg := u.Registry; reg != nil {
+		reg.GaugeFunc(MetricUDPLoops, func() float64 { return float64(u.loops.Load()) })
+		reg.GaugeFunc(MetricUDPSaturated, func() float64 { return float64(u.saturated.Load()) })
+		reg.GaugeFunc(MetricUDPReadErrors, func() float64 { return float64(u.readErrors.Load()) })
+	}
+	maxLoops := int32(u.MaxInflight)
+	if maxLoops <= 0 {
+		maxLoops = DefaultMaxInflight
+	}
+	u.startLoop(conn, simnet.AsAppendHandler(u.handler()), maxLoops)
 	return conn.LocalAddr().(*net.UDPAddr).AddrPort(), nil
 }
 
-func (u *UDPServer) serve(conn *net.UDPConn) {
-	defer u.wg.Done()
-	inflight := u.MaxInflight
-	if inflight <= 0 {
-		inflight = 512
-	}
-	sem := make(chan struct{}, inflight)
-	buf := make([]byte, 65535)
+// startLoop starts one more serving loop, unless maxLoops are running. The
+// new loop counts as idle from this moment, not from when its goroutine
+// first runs, so that one missing reader starts exactly one loop.
+func (u *UDPServer) startLoop(conn *net.UDPConn, h simnet.AppendHandler, maxLoops int32) bool {
 	for {
-		n, raddr, err := conn.ReadFromUDP(buf)
+		n := u.loops.Load()
+		if n >= maxLoops {
+			return false
+		}
+		if u.loops.CompareAndSwap(n, n+1) {
+			break
+		}
+	}
+	u.idle.Add(1)
+	u.wg.Add(1)
+	go u.serve(conn, h, maxLoops)
+	return true
+}
+
+// serve is one serving loop: read, serve, write, on this goroutine and in
+// this loop's buffers. It is counted in u.idle whenever it is not between
+// a successful read and the end of that query's write.
+func (u *UDPServer) serve(conn *net.UDPConn, h simnet.AppendHandler, maxLoops int32) {
+	defer u.wg.Done()
+	in := make([]byte, 65535)
+	out := make([]byte, 0, dnswire.MaxUDPSize)
+	for {
+		n, raddr, err := conn.ReadFromUDPAddrPort(in)
 		if err != nil {
 			u.mu.Lock()
 			closed := u.closed
@@ -78,24 +163,27 @@ func (u *UDPServer) serve(conn *net.UDPConn) {
 			if closed || errors.Is(err, net.ErrClosed) {
 				return
 			}
+			u.readErrors.Add(1)
+			time.Sleep(readErrorBackoff)
 			continue
 		}
-		query := make([]byte, n)
-		copy(query, buf[:n])
-		from := raddr.AddrPort().Addr()
-		sem <- struct{}{}
-		u.wg.Add(1)
-		go func() {
-			defer func() { <-sem; u.wg.Done() }()
-			resp := u.handler().ServeDNS(query, from)
-			if resp != nil {
-				_, _ = conn.WriteToUDP(resp, raddr)
-			}
-		}()
+		// Nobody left to read the next datagram while this one is served?
+		// Start another loop, unless the cap is reached.
+		if u.idle.Add(-1) == 0 && !u.startLoop(conn, h, maxLoops) {
+			u.saturated.Add(1)
+		}
+		// A dual-stack socket reports IPv4 clients as IPv4-mapped IPv6;
+		// handlers (rate-limit prefixes, RRL bands) key on the plain form.
+		out = h.AppendServeDNS(out[:0], in[:n], raddr.Addr().Unmap())
+		if len(out) > 0 {
+			_, _ = conn.WriteToUDPAddrPort(out, raddr)
+		}
+		u.idle.Add(1)
 	}
 }
 
-// Close stops the server and releases the socket.
+// Close stops the server, releases the socket and waits for the queries in
+// service to finish.
 func (u *UDPServer) Close() error {
 	u.mu.Lock()
 	u.closed = true

@@ -102,9 +102,7 @@ func (e *encoder) insert(suffix Name, off uint16) {
 // Encode serializes m to wire format. It never truncates; callers enforcing
 // UDP size limits should use EncodeWithLimit.
 func Encode(m *Message) ([]byte, error) {
-	// Pre-size for a typical referral-sized message so the common case is a
-	// single allocation instead of a chain of append growths.
-	return AppendEncode(make([]byte, 0, 512), m)
+	return AppendEncode(nil, m)
 }
 
 // AppendEncode serializes m, appending to dst (which may be nil), and
@@ -112,41 +110,93 @@ func Encode(m *Message) ([]byte, error) {
 // is allocation-free; this is the hot-path entry point the server and
 // resolver query builders use with pooled buffers.
 func AppendEncode(dst []byte, m *Message) ([]byte, error) {
-	e := encoderPool.Get().(*encoder)
-	e.reset(dst)
-	out, err := e.encode(m)
-	e.buf = nil // do not retain the caller's buffer in the pool
-	encoderPool.Put(e)
-	return out, err
+	return AppendEncodeWithLimit(dst, m, 0)
 }
 
-// EncodeWithLimit serializes m, and if the result exceeds limit bytes it
-// returns a truncated message: header with TC set, question retained, all RR
+// EncodeWithLimit is AppendEncodeWithLimit into a fresh buffer.
+func EncodeWithLimit(m *Message, limit int) ([]byte, error) {
+	return AppendEncodeWithLimit(nil, m, limit)
+}
+
+// AppendEncodeWithLimit serializes m onto dst like AppendEncode, and if the
+// message exceeds limit bytes (limit <= 0 means no limit) it appends a
+// truncated message instead: header with TC set, question retained, all RR
 // sections dropped — the conservative behavior of most servers. Truncation
 // patches the already-encoded bytes in place rather than encoding twice.
-func EncodeWithLimit(m *Message, limit int) ([]byte, error) {
+func AppendEncodeWithLimit(dst []byte, m *Message, limit int) ([]byte, error) {
+	if cap(dst) == 0 {
+		// Pre-size for a typical referral-sized message so the common case
+		// is a single allocation instead of a chain of append growths.
+		dst = make([]byte, 0, 512)
+	}
 	e := encoderPool.Get().(*encoder)
-	e.reset(nil)
+	e.reset(dst)
 	wire, err := e.encode(m)
-	qEnd := e.qEnd
-	e.buf = nil
+	base, qEnd := e.base, e.qEnd
+	e.buf = nil // do not retain the caller's buffer in the pool
 	encoderPool.Put(e)
 	if err != nil {
 		return nil, err
 	}
-	if limit <= 0 || len(wire) <= limit {
+	if limit <= 0 || len(wire)-base <= limit {
 		return wire, nil
 	}
 	// Drop every RR section: cut at the end of the question, set TC
 	// (bit 9 of the flags word at bytes 2-3), zero AN/NS/AR counts.
 	// Question-name compression only ever points into the question itself,
 	// so the retained prefix stays self-contained.
-	wire = wire[:qEnd]
-	wire[2] |= 0x02
+	wire = wire[:base+qEnd]
+	msg := wire[base:]
+	msg[2] |= 0x02
 	for i := 6; i < 12; i++ {
-		wire[i] = 0
+		msg[i] = 0
 	}
 	return wire, nil
+}
+
+// StampReply overwrites the transaction ID and the RD flag in the header of
+// an encoded message. Serve paths encode a response that may be shared
+// between callers (coalesced resolutions) and then make it this client's
+// reply by patching the bytes, never the Message.
+func StampReply(msg []byte, id uint16, rd bool) {
+	binary.BigEndian.PutUint16(msg, id)
+	msg[2] &^= 0x01
+	if rd {
+		msg[2] |= 0x01
+	}
+}
+
+// AppendFormErr appends the header-only FORMERR reply to a query that could
+// not be parsed, echoing the transaction ID from its first two bytes. A
+// query too short to carry a header gets no reply: dst comes back unextended.
+func AppendFormErr(dst, query []byte) []byte {
+	if len(query) < 12 {
+		return dst
+	}
+	return append(dst, query[0], query[1], 0x80, byte(RCodeFormErr), 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// ResponseLimit is the size bound a server applies to the reply to q:
+// 65535, the frame limit, on stream transports (TCP, DoT, DoH); on UDP the
+// classic 512 bytes unless q carried an OPT record, in which case the
+// client's advertised size clamped to [512, MaxEDNSSize] (RFC 6891 §6.2.5).
+func ResponseLimit(q *Message, stream bool) int {
+	if stream {
+		return 0xFFFF
+	}
+	limit := MaxUDPSize
+	for _, rr := range q.Additional {
+		if opt, ok := rr.Data.(OPT); ok {
+			limit = int(opt.UDPSize)
+			if limit < MaxUDPSize {
+				limit = MaxUDPSize
+			}
+			if limit > MaxEDNSSize {
+				limit = MaxEDNSSize
+			}
+		}
+	}
+	return limit
 }
 
 func (e *encoder) encode(m *Message) ([]byte, error) {

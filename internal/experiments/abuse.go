@@ -223,7 +223,7 @@ func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 			c.AttackQueries++
 			resp, err := fm.ResolveQuery(ctx, &middleware.Query{Name: an, Type: dnswire.TypeA, Client: attacker})
 			switch {
-			case err != nil || resp == nil || resp.Result == nil:
+			case err != nil || resp.Result == nil:
 				c.AttackServFail++
 			case resp.Verdict == middleware.VerdictLimited:
 				c.AttackLimited++
@@ -235,7 +235,7 @@ func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 		}
 		c.HonestQueries++
 		resp, err := fm.ResolveQuery(ctx, &middleware.Query{Name: name, Type: dnswire.TypeA, Client: honest[q%len(honest)]})
-		if err == nil && resp != nil && resp.Result != nil {
+		if err == nil && resp.Result != nil {
 			res := resp.Result
 			if res.Msg.Header.RCode == dnswire.RCodeNoError && len(res.Msg.Answer) > 0 {
 				c.HonestAnswered++

@@ -104,7 +104,7 @@ func equivReplay(t *testing.T, sc ChaosScenario, probes int, seed int64, piped b
 		legs[i] = func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
 			resp, err := p.Resolve(context.Background(),
 				&middleware.Query{Name: name, Type: qtype, Client: client})
-			if err != nil || resp == nil {
+			if err != nil {
 				return nil, err
 			}
 			return resp.Result, nil

@@ -372,9 +372,9 @@ func PushExperiment(clients, workers int, seed int64) *Report {
 		m["auth_queries_"+res.Scenario.Name] = float64(res.Totals.AuthQueries)
 	}
 	return &Report{
-		ID:    "Push propagation",
-		Title: "NOTIFY/IXFR change feeds vs TTL polling",
-		Text:  string(rep.JSON()),
+		ID:      "Push propagation",
+		Title:   "NOTIFY/IXFR change feeds vs TTL polling",
+		Text:    string(rep.JSON()),
 		Metrics: m,
 	}
 }

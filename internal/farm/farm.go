@@ -233,9 +233,10 @@ func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
 			if res == nil {
 				return nil, err
 			}
-			// Followers get their own Result value (the message itself is
-			// shared, read-only by convention) marked as coalesced: they
-			// cost zero upstream queries.
+			// Followers get their own Result value marked as coalesced: they
+			// cost zero upstream queries. The message is the leader's,
+			// shared and never written — serve paths stamp each client's
+			// ID into the encoded bytes.
 			cp := *res
 			cp.CacheHit = false
 			cp.Coalesced = true
@@ -278,7 +279,7 @@ func (f *Farm) PipelineStages() []string {
 // ResolveQuery answers a client query through the frontend the placement
 // policy picks, running that frontend's middleware pipeline — the
 // datapath behind every farm resolution.
-func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (*middleware.Response, error) {
+func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (middleware.Response, error) {
 	idx := f.balancer.pick(q.Name)
 	f.pmu.RLock()
 	p := f.pipelines[idx]
@@ -298,7 +299,7 @@ func (f *Farm) Frontend(i int) *resolver.Resolver { return f.frontends[i] }
 // with no client address for client-keyed stages.
 func (f *Farm) Resolve(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
 	resp, err := f.ResolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype})
-	if err != nil || resp == nil {
+	if err != nil {
 		return nil, err
 	}
 	return resp.Result, nil

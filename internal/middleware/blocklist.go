@@ -73,7 +73,7 @@ func (s *blocklistStage) matches(name dnswire.Name) bool {
 	}
 }
 
-func (s *blocklistStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *blocklistStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	if !s.matches(q.Name) {
 		s.passed.Inc()
 		return s.next.Resolve(ctx, q)
@@ -84,5 +84,5 @@ func (s *blocklistStage) Resolve(ctx context.Context, q *Query) (*Response, erro
 		res.Msg.Header.RCode = dnswire.RCodeNXDomain
 	}
 	res.Trace.CacheHit = true // answered without upstream work
-	return &Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
+	return Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
 }

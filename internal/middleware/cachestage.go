@@ -35,7 +35,7 @@ type cacheStage struct {
 }
 
 type memoEntry struct {
-	resp    *Response
+	resp    Response
 	stored  time.Time
 	expires time.Time
 }
@@ -69,7 +69,7 @@ func init() {
 
 func (s *cacheStage) Name() string { return s.name }
 
-func (s *cacheStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *cacheStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	k := dedupKey{name: q.Name, qtype: q.Type}
 	now := s.clock.Now()
 
@@ -83,7 +83,7 @@ func (s *cacheStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
 
 	s.misses.Inc()
 	resp, err := s.next.Resolve(ctx, q)
-	if err != nil || resp == nil || resp.Result == nil || resp.Msg == nil || resp.Drop {
+	if err != nil || resp.Result == nil || resp.Msg == nil || resp.Drop {
 		return resp, err
 	}
 	ttl := s.negTTL
@@ -108,7 +108,7 @@ func (s *cacheStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
 
 // serveHit copies the memoized response with answer TTLs decayed by the
 // entry's age, marking the copy a cache hit that cost no upstream work.
-func (s *cacheStage) serveHit(e *memoEntry, now time.Time) *Response {
+func (s *cacheStage) serveHit(e *memoEntry, now time.Time) Response {
 	age := uint32(now.Sub(e.stored) / time.Second)
 	cp := *e.resp.Result
 	cp.Msg = copyMsg(e.resp.Msg)
@@ -130,6 +130,5 @@ func (s *cacheStage) serveHit(e *memoEntry, now time.Time) *Response {
 	if len(cp.Msg.Answer) > 0 {
 		cp.AnswerTTL = cp.Msg.Answer[0].TTL
 	}
-	out := Response{Result: &cp, Verdict: VerdictCached, Stage: s.name}
-	return &out
+	return Response{Result: &cp, Verdict: VerdictCached, Stage: s.name}
 }

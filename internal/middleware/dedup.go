@@ -33,7 +33,7 @@ type dedupKey struct {
 
 type dedupCall struct {
 	wg   sync.WaitGroup
-	resp *Response
+	resp Response
 	err  error
 	dups int
 }
@@ -61,7 +61,7 @@ func init() {
 
 func (s *dedupStage) Name() string { return s.name }
 
-func (s *dedupStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *dedupStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	k := dedupKey{name: q.Name, qtype: q.Type}
 	s.mu.Lock()
 	if c, ok := s.calls[k]; ok {
@@ -69,11 +69,13 @@ func (s *dedupStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
 		s.mu.Unlock()
 		s.coalesced.Inc()
 		c.wg.Wait()
-		if c.err != nil || c.resp == nil || c.resp.Result == nil {
+		if c.err != nil || c.resp.Result == nil {
 			return c.resp, c.err
 		}
-		// Followers get their own Result marked coalesced (the message is
-		// shared, read-only by convention): they cost zero upstream work.
+		// Followers get their own Result marked coalesced: they cost zero
+		// upstream work. The message is the leader's, shared and never
+		// written — serve paths stamp each client's ID into the encoded
+		// bytes.
 		cp := *c.resp.Result
 		cp.CacheHit = false
 		cp.Coalesced = true
@@ -81,9 +83,9 @@ func (s *dedupStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
 		cp.Timeouts = 0
 		cp.Retries = 0
 		cp.Hedges = 0
-		out := *c.resp
+		out := c.resp
 		out.Result = &cp
-		return &out, nil
+		return out, nil
 	}
 	c := &dedupCall{}
 	c.wg.Add(1)

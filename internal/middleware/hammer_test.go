@@ -82,7 +82,7 @@ type = "resolver"
 					t.Errorf("goroutine %d: %v", g, err)
 					return
 				}
-				if resp != nil && resp.Result != nil {
+				if resp.Result != nil {
 					served.Add(1)
 				}
 			}

@@ -96,8 +96,10 @@ type Stage interface {
 	// Name returns the instance name the spec assigned (metrics and span
 	// annotations use it).
 	Name() string
-	// Resolve answers the query or passes it down the chain.
-	Resolve(ctx context.Context, q *Query) (*Response, error)
+	// Resolve answers the query or passes it down the chain. An error
+	// comes with the zero Response (nil Result). q belongs to the caller,
+	// who reuses it once Resolve returns: stages must not retain it.
+	Resolve(ctx context.Context, q *Query) (Response, error)
 }
 
 // LookupFunc is the terminal resolution the pipeline wraps — a frontend's
@@ -139,7 +141,7 @@ type Pipeline struct {
 }
 
 // Resolve runs the query through the graph.
-func (p *Pipeline) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (p *Pipeline) Resolve(ctx context.Context, q *Query) (Response, error) {
 	return p.entry.Resolve(ctx, q)
 }
 

@@ -297,7 +297,7 @@ type = "resolver"
 	ctx := context.Background()
 	const followers = 4
 	var wg sync.WaitGroup
-	results := make([]*Response, followers+1)
+	results := make([]Response, followers+1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -324,7 +324,7 @@ type = "resolver"
 	}
 	coalesced := 0
 	for i, r := range results {
-		if r == nil || r.Result == nil {
+		if r.Result == nil {
 			t.Fatalf("result %d is nil", i)
 		}
 		if r.Coalesced {

@@ -129,7 +129,7 @@ func (s *rateLimitStage) admit(client netip.Addr) bool {
 	return true
 }
 
-func (s *rateLimitStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *rateLimitStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	// In-process lookups carry no client address; the limiter is a
 	// network-edge defense, so they pass untouched.
 	if !q.Client.IsValid() || s.admit(q.Client) {
@@ -138,5 +138,5 @@ func (s *rateLimitStage) Resolve(ctx context.Context, q *Query) (*Response, erro
 	}
 	s.limited.Inc()
 	res := refused(q)
-	return &Response{Result: res, Verdict: VerdictLimited, Stage: s.name, Drop: s.drop}, nil
+	return Response{Result: res, Verdict: VerdictLimited, Stage: s.name, Drop: s.drop}, nil
 }

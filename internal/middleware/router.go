@@ -84,7 +84,7 @@ func init() {
 
 func (s *routerStage) Name() string { return s.name }
 
-func (s *routerStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *routerStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	for _, r := range s.routes {
 		if q.Name == r.suffix || q.Name.IsSubdomainOf(r.suffix) {
 			s.routed.Inc()

@@ -35,16 +35,16 @@ func init() {
 
 func (s *resolverStage) Name() string { return s.name }
 
-func (s *resolverStage) Resolve(_ context.Context, q *Query) (*Response, error) {
+func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
 	s.queries.Inc()
 	if s.lookup == nil {
-		return nil, fmt.Errorf("middleware: stage %q has no lookup datapath", s.name)
+		return Response{}, fmt.Errorf("middleware: stage %q has no lookup datapath", s.name)
 	}
 	res, err := s.lookup(q.Name, q.Type)
 	if err != nil {
-		return nil, err
+		return Response{}, err
 	}
-	return &Response{Result: res, Verdict: VerdictResolved, Stage: s.name}, nil
+	return Response{Result: res, Verdict: VerdictResolved, Stage: s.name}, nil
 }
 
 // ttlmodStage clamps answer-section TTLs into [min, max] on the way back
@@ -93,9 +93,9 @@ func (s *ttlmodStage) clamp(ttl uint32) uint32 {
 	return ttl
 }
 
-func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	resp, err := s.next.Resolve(ctx, q)
-	if err != nil || resp == nil || resp.Result == nil || resp.Msg == nil {
+	if err != nil || resp.Result == nil || resp.Msg == nil {
 		return resp, err
 	}
 	changed := false
@@ -119,9 +119,8 @@ func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (*Response, error) 
 		cp.Trace.AnswerTTL = cp.Msg.Answer[0].TTL
 	}
 	s.rewritten.Inc()
-	out := *resp
-	out.Result = &cp
-	return &out, nil
+	resp.Result = &cp
+	return resp, nil
 }
 
 // collapseStage minimizes responses: it strips the authority and
@@ -156,9 +155,9 @@ func init() {
 
 func (s *collapseStage) Name() string { return s.name }
 
-func (s *collapseStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *collapseStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	resp, err := s.next.Resolve(ctx, q)
-	if err != nil || resp == nil || resp.Result == nil || resp.Msg == nil {
+	if err != nil || resp.Result == nil || resp.Msg == nil {
 		return resp, err
 	}
 	m := resp.Msg
@@ -174,20 +173,19 @@ func (s *collapseStage) Resolve(ctx context.Context, q *Query) (*Response, error
 		cp.Msg.Answer = cp.Msg.Answer[:s.maxAnswer]
 	}
 	s.collapsed.Inc()
-	out := *resp
-	out.Result = &cp
-	return &out, nil
+	resp.Result = &cp
+	return resp, nil
 }
 
 // staticStage answers an exact set of names locally with a fixed A record
 // — split-horizon overrides, sinkholes, and test fixtures. Non-matching
 // queries pass through.
 type staticStage struct {
-	name    string
-	next    Stage
-	names   map[dnswire.Name]bool
-	answer  dnswire.RR
-	served  *obs.Counter
+	name   string
+	next   Stage
+	names  map[dnswire.Name]bool
+	answer dnswire.RR
+	served *obs.Counter
 }
 
 func init() {
@@ -232,7 +230,7 @@ func init() {
 
 func (s *staticStage) Name() string { return s.name }
 
-func (s *staticStage) Resolve(ctx context.Context, q *Query) (*Response, error) {
+func (s *staticStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	if q.Type != dnswire.TypeA || !s.names[q.Name] {
 		return s.next.Resolve(ctx, q)
 	}
@@ -245,5 +243,5 @@ func (s *staticStage) Resolve(ctx context.Context, q *Query) (*Response, error) 
 	res.Msg.AddAnswer(rr)
 	res.Trace.CacheHit = true
 	res.Trace.AnswerTTL = rr.TTL
-	return &Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
+	return Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
 }

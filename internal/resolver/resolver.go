@@ -146,10 +146,22 @@ const maxSteps = 30
 // Resolve answers (name, qtype) for a client, from cache when possible and
 // by iterating from the roots otherwise.
 func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	res := &Result{Msg: &dnswire.Message{
-		Header:   dnswire.Header{QR: true, RA: true},
-		Question: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
-	}}
+	// One allocation holds the Result, its Message, the question and room
+	// for the usual one- or two-record answer; a longer answer section
+	// grows onto the heap like any append. The block is not pooled: caches,
+	// coalescers and callers retain and share Results.
+	b := &struct {
+		res      Result
+		msg      dnswire.Message
+		question [1]dnswire.Question
+		answer   [2]dnswire.RR
+	}{}
+	b.question[0] = dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassIN}
+	b.msg.Header = dnswire.Header{QR: true, RA: true}
+	b.msg.Question = b.question[:]
+	b.msg.Answer = b.answer[:0]
+	b.res.Msg = &b.msg
+	res := &b.res
 	if r.Tracer != nil {
 		res.Span = r.Tracer.Start("resolve " + string(name) + " " + qtype.String())
 	}

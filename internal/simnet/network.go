@@ -23,6 +23,33 @@ type HandlerFunc func(wire []byte, from netip.Addr) []byte
 // ServeDNS calls f.
 func (f HandlerFunc) ServeDNS(wire []byte, from netip.Addr) []byte { return f(wire, from) }
 
+// AppendHandler is the allocation-free form of Handler that a serving loop
+// with reusable buffers calls: the response is appended to dst and the
+// extended slice returned; returning dst unextended drops the query.
+//
+// wire is valid only for the duration of the call — the caller reuses its
+// buffer for the next datagram — so an implementation must copy whatever it
+// keeps (decoded names and records are copies already). The same holds for
+// the wire a UDP listener hands to a plain Handler.
+type AppendHandler interface {
+	AppendServeDNS(dst, wire []byte, from netip.Addr) []byte
+}
+
+// AsAppendHandler returns h itself when it implements AppendHandler, and
+// otherwise an adapter that copies each ServeDNS response onto dst.
+func AsAppendHandler(h Handler) AppendHandler {
+	if ah, ok := h.(AppendHandler); ok {
+		return ah
+	}
+	return copyingHandler{h}
+}
+
+type copyingHandler struct{ Handler }
+
+func (c copyingHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
+	return append(dst, c.ServeDNS(wire, from)...)
+}
+
 // Exchanger is the client side: send a query to dst, get the response and
 // the round-trip time. Both the in-memory Network and the real-UDP client in
 // the authoritative package implement this.

@@ -1,0 +1,5 @@
+//go:build race
+
+package dnsttl
+
+const raceEnabled = true

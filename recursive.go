@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"net/netip"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -39,41 +40,59 @@ type RecursiveServer struct {
 	doh *authoritative.DoHServer
 }
 
-// transportHandler binds one listener's queries to its qlog tap.
+// transportHandler binds one listener's queries to its qlog tap and to the
+// response size limit of its transport.
 type transportHandler struct {
 	rs  *RecursiveServer
 	tap *qlog.Tap
+	// stream is true for TCP, DoT and DoH, whose replies are bounded by the
+	// 64 KiB frame and never truncated to a datagram size.
+	stream bool
 }
 
 func (h transportHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
-	return h.rs.serveDNS(wire, from, h.tap)
+	return h.AppendServeDNS(nil, wire, from)
 }
 
 // ServeDNS answers one client query through the resolver: decode, resolve
-// (cache first), re-stamp the client's transaction ID, encode. Direct
-// calls (tests, embedding) log under the "direct" transport label.
+// (cache first), encode, stamp the client's transaction ID. Direct calls
+// (tests, embedding) log under the "direct" transport label and get the
+// UDP size limits.
 func (rs *RecursiveServer) ServeDNS(wire []byte, from netip.Addr) []byte {
-	return rs.serveDNS(wire, from, rs.QueryLog.Tap("direct"))
+	return transportHandler{rs: rs, tap: rs.QueryLog.Tap("direct")}.AppendServeDNS(nil, wire, from)
 }
 
-func (rs *RecursiveServer) serveDNS(wire []byte, from netip.Addr, tap *qlog.Tap) []byte {
-	q, err := dnswire.Decode(wire)
-	if err != nil || len(q.Question) == 0 {
-		if len(wire) < 12 {
-			return nil
-		}
-		resp := &Message{Header: Header{
-			ID: uint16(wire[0])<<8 | uint16(wire[1]), QR: true, RCode: dnswire.RCodeFormErr,
-		}}
-		out, err := Encode(resp)
-		if err != nil {
-			return nil
-		}
-		return out
+// serveScratch is the per-query state of the serve path that must live on
+// the heap (the pipeline takes the query by pointer) but dies with the
+// call, so it is pooled: no stage retains a *middleware.Query, and nothing
+// of the decoded query outlives the call except its immutable Name.
+type serveScratch struct {
+	query dnswire.Message
+	mq    middleware.Query
+}
+
+var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+// AppendServeDNS implements simnet.AppendHandler: the reply is appended to
+// dst, which comes back unextended when the query is dropped. The resolved
+// message may be shared with other clients (coalesced followers, response
+// memos), so it is only read: this client's transaction ID and RD flag go
+// into the encoded bytes.
+func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
+	rs, tap := h.rs, h.tap
+	d := dnswire.AcquireDecoder()
+	sc := serveScratchPool.Get().(*serveScratch)
+	defer func() {
+		serveScratchPool.Put(sc)
+		dnswire.ReleaseDecoder(d)
+	}()
+	q := &sc.query
+	if err := d.Decode(wire, q); err != nil || len(q.Question) == 0 {
+		return dnswire.AppendFormErr(dst, wire)
 	}
 	if q.Header.Opcode == dnswire.OpcodeNotify && !q.Header.QR {
 		if sub := rs.push.Load(); sub != nil {
-			return sub.HandleNotifyWire(wire, from)
+			return append(dst, sub.HandleNotifyWire(wire, from)...)
 		}
 	}
 	name, qtype := q.Q().Name, q.Q().Type
@@ -82,17 +101,16 @@ func (rs *RecursiveServer) serveDNS(wire []byte, from netip.Addr, tap *qlog.Tap)
 	if tap != nil {
 		start = time.Now()
 	}
-	pres, err := rs.Client.resolveQuery(context.Background(),
-		&middleware.Query{Name: name, Type: qtype, Client: from})
-	if err != nil || pres == nil || pres.Result == nil {
+	sc.mq = middleware.Query{Name: name, Type: qtype, Client: from}
+	pres, err := rs.Client.resolveQuery(context.Background(), &sc.mq)
+	if err != nil || pres.Result == nil {
 		if tap != nil {
 			tap.ResponseOut(from, name, qtype, RCodeServFail, 0, qlog.OutcomeError, time.Since(start))
 		}
 		resp := q.Reply()
 		resp.Header.RCode = RCodeServFail
 		resp.Header.RA = true
-		out, _ := Encode(resp)
-		return out
+		return appendReply(dst, resp, 0, q)
 	}
 	res := pres.Result
 	if tap != nil {
@@ -102,22 +120,26 @@ func (rs *RecursiveServer) serveDNS(wire []byte, from netip.Addr, tap *qlog.Tap)
 	if pres.Drop {
 		// The rate limiter asked for silence: the client sees a timeout,
 		// exactly what an attacker flooding a limited bucket deserves.
-		return nil
+		return dst
 	}
-	msg := res.Msg
-	msg.Header.ID = q.Header.ID
-	msg.Header.RD = q.Header.RD
-	out, err := dnswire.EncodeWithLimit(msg, dnswire.MaxEDNSSize)
+	return appendReply(dst, res.Msg, dnswire.ResponseLimit(q, h.stream), q)
+}
+
+// appendReply encodes m onto dst within limit as the reply to query q. An
+// encode failure drops the query.
+func appendReply(dst []byte, m *Message, limit int, q *Message) []byte {
+	out, err := dnswire.AppendEncodeWithLimit(dst, m, limit)
 	if err != nil {
-		return nil
+		return dst
 	}
+	dnswire.StampReply(out[len(dst):], q.Header.ID, q.Header.RD)
 	return out
 }
 
 // pipelineOutcome maps a pipeline response onto the qlog outcome
 // taxonomy: middleware verdicts first (blocked, limited), then the
 // resolution trace (coalesced, stale, hit, miss).
-func pipelineOutcome(resp *middleware.Response) qlog.Outcome {
+func pipelineOutcome(resp middleware.Response) qlog.Outcome {
 	switch resp.Verdict {
 	case middleware.VerdictBlocked:
 		return qlog.OutcomeBlocked
@@ -140,25 +162,28 @@ func pipelineOutcome(resp *middleware.Response) qlog.Outcome {
 
 // ListenUDP binds addr and serves client queries until Close.
 func (rs *RecursiveServer) ListenUDP(addr string) (netip.AddrPort, error) {
-	rs.u = &authoritative.UDPServer{Handler: transportHandler{rs, rs.QueryLog.Tap("udp")}}
+	rs.u = &authoritative.UDPServer{
+		Handler:  transportHandler{rs: rs, tap: rs.QueryLog.Tap("udp")},
+		Registry: rs.Client.registry,
+	}
 	return rs.u.Listen(addr)
 }
 
 // ListenTCP binds addr for persistent-TCP clients (RFC 7766) until Close.
 func (rs *RecursiveServer) ListenTCP(addr string) (netip.AddrPort, error) {
-	rs.t = &authoritative.TCPServer{Handler: transportHandler{rs, rs.QueryLog.Tap("tcp")}}
+	rs.t = &authoritative.TCPServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("tcp"), stream: true}}
 	return rs.t.Listen(addr)
 }
 
 // ListenDoT binds addr for DNS-over-TLS clients (RFC 7858) until Close.
 func (rs *RecursiveServer) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	rs.dot = &authoritative.TCPServer{Handler: transportHandler{rs, rs.QueryLog.Tap("dot")}, TLS: cfg}
+	rs.dot = &authoritative.TCPServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("dot"), stream: true}, TLS: cfg}
 	return rs.dot.Listen(addr)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS clients (RFC 8484) until Close.
 func (rs *RecursiveServer) ListenDoH(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	rs.doh = &authoritative.DoHServer{Handler: transportHandler{rs, rs.QueryLog.Tap("doh")}, TLS: cfg}
+	rs.doh = &authoritative.DoHServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("doh"), stream: true}, TLS: cfg}
 	return rs.doh.Listen(addr)
 }
 
