@@ -7,6 +7,7 @@ package authoritative
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnsttl/internal/dnswire"
@@ -59,9 +60,11 @@ type Server struct {
 	rotation uint64
 	// rrl, when non-nil, rate-limits UDP responses (see rrl.go).
 	rrl *rrlState
-	// logging controls whether entries are retained.
-	logging bool
-	queries uint64
+	// logging controls whether entries are retained. It and queries are
+	// atomic so that counting a query takes no lock: logQuery takes s.mu
+	// only to append to the log.
+	logging atomic.Bool
+	queries atomic.Uint64
 }
 
 // NewServer creates a server with no zones. If clock is nil the wall clock
@@ -100,11 +103,7 @@ func (s *Server) Zone(origin dnswire.Name) *zone.Zone {
 
 // EnableQueryLog turns on query logging (off by default to keep large
 // simulations lean).
-func (s *Server) EnableQueryLog() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logging = true
-}
+func (s *Server) EnableQueryLog() { s.logging.Store(true) }
 
 // QueryLog returns a copy of the retained log.
 func (s *Server) QueryLog() []QueryLogEntry {
@@ -118,15 +117,11 @@ func (s *Server) ResetQueryLog() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.log = nil
-	s.queries = 0
+	s.queries.Store(0)
 }
 
 // QueryCount returns the number of queries handled since the last reset.
-func (s *Server) QueryCount() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.queries
-}
+func (s *Server) QueryCount() uint64 { return s.queries.Load() }
 
 // bestZone returns the most specific zone enclosing name, found by walking
 // the name's ancestors so servers hosting many zones stay O(label count)
@@ -168,19 +163,22 @@ func (s *Server) ServeDNSTCP(wire []byte, from netip.Addr) []byte {
 // unextended when the query is dropped. stream selects the stream-transport
 // size limit and exempts the query from RRL.
 func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byte {
-	// The query message lives only for the duration of this call: Handle
-	// copies the question into the reply and retains nothing else, so both
-	// the decoder and the message go back to their pools on return.
+	// Query and reply live only for the duration of this call: the reply
+	// copies the question and the zone's records by value, and the encoder
+	// copies the reply into dst, so the decoder and both messages go back to
+	// their pools on return.
 	d := dnswire.AcquireDecoder()
 	q := dnswire.AcquireMessage()
+	reply := dnswire.AcquireMessage()
 	defer func() {
+		dnswire.ReleaseMessage(reply)
 		dnswire.ReleaseMessage(q)
 		dnswire.ReleaseDecoder(d)
 	}()
 	if err := d.Decode(wire, q); err != nil {
 		return dnswire.AppendFormErr(dst, wire)
 	}
-	resp := s.Handle(q, from)
+	resp := s.handleInto(reply, q, from)
 	if !stream {
 		// RRL guards only the connectionless transport: a TCP client has
 		// already proved its source address, so limiting it would add
@@ -220,16 +218,23 @@ type PushHook interface {
 	HandleQuery(q *dnswire.Message, from netip.Addr) (*dnswire.Message, bool)
 }
 
-// Handle answers one decoded query.
+// Handle answers one decoded query with a message the caller owns.
 func (s *Server) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Message {
+	return s.handleInto(new(dnswire.Message), q, from)
+}
+
+// handleInto answers q into resp, a reset Message, and returns the answer:
+// resp itself, or a message of their own when the push hook or AXFR builds
+// one. The wire path passes a pooled resp; Handle a fresh one.
+func (s *Server) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
 	question := q.Q()
 	if h := s.Push; h != nil {
-		if resp, ok := h.HandleQuery(q, from); ok {
-			s.logQuery(from, question, resp)
-			return resp
+		if claimed, ok := h.HandleQuery(q, from); ok {
+			s.logQuery(from, question, claimed)
+			return claimed
 		}
 	}
-	resp := q.Reply()
+	q.ReplyInto(resp)
 	if question.Name == "" || q.Header.Opcode != dnswire.OpcodeQuery {
 		resp.Header.RCode = dnswire.RCodeNotImp
 		s.logQuery(from, question, resp)
@@ -316,12 +321,12 @@ func (s *Server) logQuery(from netip.Addr, q dnswire.Question, resp *dnswire.Mes
 		}
 		t.ResponseOut(from, q.Name, q.Type, resp.Header.RCode, ttl, qlog.OutcomeNone, 0)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.queries++
-	if !s.logging {
+	s.queries.Add(1)
+	if !s.logging.Load() {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.log = append(s.log, QueryLogEntry{
 		Time:     s.Clock.Now(),
 		Client:   from,

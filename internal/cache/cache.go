@@ -14,7 +14,6 @@
 package cache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -91,16 +90,14 @@ type Entry struct {
 	// GlueOf, when set, names the delegation NS owner this entry arrived
 	// as glue for; resolver policy may couple its lifetime to that NS set.
 	GlueOf dnswire.Name
-	// Server is the authoritative address the data came from, for
-	// stickiness analysis.
-	Server string
 
 	// Eviction-plane bookkeeping, owned by the cache that stores the entry
-	// and guarded by its lock. el is the entry's handle in its evictor's
-	// order list, seg its SLRU segment tag, bytes its charged size.
-	el    *list.Element
-	seg   uint8
-	bytes int32
+	// and guarded by its lock. prev/next link the entry into its evictor's
+	// order list (intrusive: a stored RRset is one Entry allocation plus its
+	// records), seg is its SLRU segment tag, bytes its charged size.
+	prev, next *Entry
+	seg        uint8
+	bytes      int32
 }
 
 // expiresAt is when the entry stops being fresh.
@@ -122,7 +119,7 @@ func (e *Entry) Remaining(now time.Time) (uint32, bool) {
 }
 
 // entryIndexOverhead approximates the per-entry bookkeeping bytes beyond
-// the records themselves: the map slot, the order-list element, and the
+// the records themselves: the map slot, the order-list links, and the
 // Entry struct header. A flat constant keeps the accounting deterministic
 // across architectures.
 const entryIndexOverhead = 96
@@ -370,7 +367,7 @@ func (c *Cache) Put(e Entry) bool {
 	if e.TTL < c.cfg.MinTTL {
 		e.TTL = c.cfg.MinTTL
 	}
-	e.el, e.seg = nil, 0
+	e.prev, e.next, e.seg = nil, nil, 0
 	e.bytes = entryBytes(&e)
 	c.mu.Lock()
 	defer c.mu.Unlock()

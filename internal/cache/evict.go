@@ -1,9 +1,6 @@
 package cache
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // EvictionPolicy selects how the cache orders entries for eviction under
 // pressure (entry-count or byte bound). The zero value is FIFO, the legacy
@@ -81,34 +78,71 @@ type Evictor interface {
 func newEvictor(p EvictionPolicy, capacity int) Evictor {
 	switch p {
 	case EvictLRU:
-		return &lruEvictor{listEvictor{order: list.New()}}
+		return &lruEvictor{}
 	case EvictSLRU:
 		return newSLRUEvictor(capacity)
 	}
-	return &fifoEvictor{listEvictor{order: list.New()}}
+	return &fifoEvictor{}
+}
+
+// entryList is an intrusive doubly-linked order list, victim end first: the
+// links are the entries' own prev/next fields, so linking a stored entry
+// allocates nothing. An entry is on at most one list at a time.
+type entryList struct {
+	front, back *Entry
+	n           int
+}
+
+func (l *entryList) pushBack(e *Entry) {
+	e.prev, e.next = l.back, nil
+	if l.back != nil {
+		l.back.next = e
+	} else {
+		l.front = e
+	}
+	l.back = e
+	l.n++
+}
+
+func (l *entryList) remove(e *Entry) {
+	if e.prev != nil {
+		e.prev.next = e.next
+	} else {
+		l.front = e.next
+	}
+	if e.next != nil {
+		e.next.prev = e.prev
+	} else {
+		l.back = e.prev
+	}
+	e.prev, e.next = nil, nil
+	l.n--
+}
+
+func (l *entryList) moveToBack(e *Entry) {
+	if l.back != e {
+		l.remove(e)
+		l.pushBack(e)
+	}
+}
+
+func (l *entryList) walk(fn func(e *Entry)) {
+	for e := l.front; e != nil; e = e.next {
+		fn(e)
+	}
 }
 
 // listEvictor is the shared single-list machinery of FIFO and LRU: push to
 // back, evict from front. The two differ only in what a hit does.
-type listEvictor struct{ order *list.List }
+type listEvictor struct{ order entryList }
 
-func (l *listEvictor) Push(e *Entry)   { e.el = l.order.PushBack(e) }
-func (l *listEvictor) Record(Key)      {}
-func (l *listEvictor) Remove(e *Entry) { l.order.Remove(e.el); e.el = nil }
-func (l *listEvictor) Victim() *Entry {
-	front := l.order.Front()
-	if front == nil {
-		return nil
-	}
-	return front.Value.(*Entry)
-}
+func (l *listEvictor) Push(e *Entry)          { l.order.pushBack(e) }
+func (l *listEvictor) Record(Key)             {}
+func (l *listEvictor) Remove(e *Entry)        { l.order.remove(e) }
+func (l *listEvictor) Victim() *Entry         { return l.order.front }
 func (l *listEvictor) Admit(Key, *Entry) bool { return true }
-func (l *listEvictor) Reset()                 { l.order.Init() }
-func (l *listEvictor) Walk(fn func(e *Entry)) {
-	for el := l.order.Front(); el != nil; el = el.Next() {
-		fn(el.Value.(*Entry))
-	}
-}
+func (l *listEvictor) Reset()                 { l.order = entryList{} }
+func (l *listEvictor) Walk(fn func(e *Entry)) { l.order.walk(fn) }
 
 // fifoEvictor is the legacy order: insertion order, hits change nothing.
 type fifoEvictor struct{ listEvictor }
@@ -118,7 +152,7 @@ func (f *fifoEvictor) Touch(*Entry) {}
 // lruEvictor keeps one recency list: hits move to the back.
 type lruEvictor struct{ listEvictor }
 
-func (l *lruEvictor) Touch(e *Entry) { l.order.MoveToBack(e.el) }
+func (l *lruEvictor) Touch(e *Entry) { l.order.moveToBack(e) }
 
 // Segment tags for slruEvictor, stored on the entry so segment membership
 // is O(1) without a side map.
@@ -136,8 +170,8 @@ const (
 // come from probation's LRU end first, so a warm entry is never displaced
 // by a key that has not earned a second access.
 type slruEvictor struct {
-	probation *list.List
-	protected *list.List
+	probation entryList
+	protected entryList
 	protCap   int
 	sketch    *freqSketch
 }
@@ -152,35 +186,31 @@ func newSLRUEvictor(capacity int) *slruEvictor {
 		protCap = 1
 	}
 	return &slruEvictor{
-		probation: list.New(),
-		protected: list.New(),
-		protCap:   protCap,
-		sketch:    newFreqSketch(capacity),
+		protCap: protCap,
+		sketch:  newFreqSketch(capacity),
 	}
 }
 
 func (s *slruEvictor) Push(e *Entry) {
 	e.seg = segProbation
-	e.el = s.probation.PushBack(e)
+	s.probation.pushBack(e)
 }
 
 func (s *slruEvictor) Touch(e *Entry) {
 	if e.seg == segProtected {
-		s.protected.MoveToBack(e.el)
+		s.protected.moveToBack(e)
 		return
 	}
-	// Promote out of probation. Elements cannot migrate between lists, so
-	// re-insert and refresh the handle.
-	s.probation.Remove(e.el)
+	// Promote out of probation; an overflowing protected segment demotes
+	// its own LRU end back.
+	s.probation.remove(e)
 	e.seg = segProtected
-	e.el = s.protected.PushBack(e)
-	if s.protected.Len() > s.protCap {
-		if front := s.protected.Front(); front != nil {
-			de := front.Value.(*Entry)
-			s.protected.Remove(front)
-			de.seg = segProbation
-			de.el = s.probation.PushBack(de)
-		}
+	s.protected.pushBack(e)
+	if s.protected.n > s.protCap {
+		de := s.protected.front
+		s.protected.remove(de)
+		de.seg = segProbation
+		s.probation.pushBack(de)
 	}
 }
 
@@ -188,21 +218,18 @@ func (s *slruEvictor) Record(k Key) { s.sketch.record(keyHash64(k)) }
 
 func (s *slruEvictor) Remove(e *Entry) {
 	if e.seg == segProtected {
-		s.protected.Remove(e.el)
+		s.protected.remove(e)
 	} else {
-		s.probation.Remove(e.el)
+		s.probation.remove(e)
 	}
-	e.el, e.seg = nil, 0
+	e.seg = 0
 }
 
 func (s *slruEvictor) Victim() *Entry {
-	if front := s.probation.Front(); front != nil {
-		return front.Value.(*Entry)
+	if s.probation.front != nil {
+		return s.probation.front
 	}
-	if front := s.protected.Front(); front != nil {
-		return front.Value.(*Entry)
-	}
-	return nil
+	return s.protected.front
 }
 
 // Admit is the TinyLFU doorkeeper decision: the candidate must be strictly
@@ -213,17 +240,12 @@ func (s *slruEvictor) Admit(cand Key, victim *Entry) bool {
 }
 
 func (s *slruEvictor) Walk(fn func(e *Entry)) {
-	for el := s.probation.Front(); el != nil; el = el.Next() {
-		fn(el.Value.(*Entry))
-	}
-	for el := s.protected.Front(); el != nil; el = el.Next() {
-		fn(el.Value.(*Entry))
-	}
+	s.probation.walk(fn)
+	s.protected.walk(fn)
 }
 
 func (s *slruEvictor) Reset() {
-	s.probation.Init()
-	s.protected.Init()
+	s.probation, s.protected = entryList{}, entryList{}
 	s.sketch.reset()
 }
 

@@ -105,7 +105,10 @@ func (d *Decoder) Decode(wire []byte, m *Message) error {
 		}
 		m.Question = append(m.Question, q)
 	}
-	var opt *OPT
+	var (
+		opt    OPT // by value: a pointer to the asserted copy would escape
+		hasOPT bool
+	)
 	read := func(n int, dst *[]RR, sec string) error {
 		for i := 0; i < n; i++ {
 			rr, err := d.readRR()
@@ -114,7 +117,7 @@ func (d *Decoder) Decode(wire []byte, m *Message) error {
 			}
 			if rr.Type == TypeOPT {
 				if o, ok := rr.Data.(OPT); ok {
-					opt = &o
+					opt, hasOPT = o, true
 				}
 			}
 			*dst = append(*dst, rr)
@@ -130,7 +133,7 @@ func (d *Decoder) Decode(wire []byte, m *Message) error {
 	if err := read(ar, &m.Additional, "additional"); err != nil {
 		return err
 	}
-	if opt != nil {
+	if hasOPT {
 		// Fold the extended RCode bits in (RFC 6891 §6.1.3).
 		m.Header.RCode |= RCode(opt.ExtendedRCode) << 4
 	}
@@ -199,14 +202,16 @@ func (d *Decoder) readHeader(h *Header) (qd, an, ns, ar int, err error) {
 
 // internName canonicalizes the name assembled in d.scratch, reusing a
 // previously decoded Name when the same spelling has been seen. The map
-// lookup with a string([]byte) key compiles to a no-allocation access; only
-// first sightings pay for the string copies.
+// lookup with a string([]byte) key compiles to a no-allocation access; a
+// first sighting pays for one string, which an already-canonical spelling
+// shares between the key and the Name.
 func (d *Decoder) internName() Name {
 	if n, ok := d.names[string(d.scratch)]; ok {
 		return n
 	}
-	n := NewName(string(d.scratch))
-	d.names[string(d.scratch)] = n
+	spelling := string(d.scratch)
+	n := NewName(spelling)
+	d.names[spelling] = n
 	return n
 }
 

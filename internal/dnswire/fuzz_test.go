@@ -2,6 +2,7 @@ package dnswire
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -113,18 +114,37 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
+// concatParent is Name.Parent as it was before it returned a substring: trim
+// the dot, cut the first label, put the dot back. The reference the fuzzer
+// compares against.
+func concatParent(n Name) Name {
+	if n.IsRoot() {
+		return Root
+	}
+	s := strings.TrimSuffix(string(n), ".")
+	if i := strings.IndexByte(s, '.'); i >= 0 {
+		return Name(s[i+1:] + ".")
+	}
+	return Root
+}
+
 // FuzzNameRoundTrip checks name canonicalization stability: NewName is
-// idempotent and valid names survive a wire round trip.
+// idempotent, Parent (a substring) equals the concatenating form it
+// replaced, and valid names survive a wire round trip.
 func FuzzNameRoundTrip(f *testing.F) {
 	f.Add("example.org")
 	f.Add("EXAMPLE.ORG.")
 	f.Add(".")
 	f.Add("a.b.c.d.e.f")
 	f.Add("xn--nxasmq6b.example")
+	f.Add("org")
 	f.Fuzz(func(t *testing.T, s string) {
 		n := NewName(s)
 		if NewName(string(n)) != n {
 			t.Fatalf("NewName not idempotent for %q", s)
+		}
+		if got, want := n.Parent(), concatParent(n); got != want {
+			t.Fatalf("Parent(%q) = %q, want %q", n, got, want)
 		}
 		if n.Valid() != nil {
 			return

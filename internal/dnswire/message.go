@@ -61,15 +61,21 @@ func NewIterativeQuery(id uint16, name Name, t Type) *Message {
 // Reply builds a response skeleton for m: same ID and question, QR set, and
 // RD copied from the query per RFC 1035.
 func (m *Message) Reply() *Message {
-	return &Message{
-		Header: Header{
-			ID:     m.Header.ID,
-			QR:     true,
-			Opcode: m.Header.Opcode,
-			RD:     m.Header.RD,
-		},
-		Question: append([]Question(nil), m.Question...),
+	resp := new(Message)
+	m.ReplyInto(resp)
+	return resp
+}
+
+// ReplyInto is Reply into a reset Message, reusing its question slice — the
+// form for a pooled reply.
+func (m *Message) ReplyInto(resp *Message) {
+	resp.Header = Header{
+		ID:     m.Header.ID,
+		QR:     true,
+		Opcode: m.Header.Opcode,
+		RD:     m.Header.RD,
 	}
+	resp.Question = append(resp.Question[:0], m.Question...)
 }
 
 // Reset clears m for reuse, keeping the section slices' capacity so a

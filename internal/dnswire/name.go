@@ -130,13 +130,13 @@ func (n Name) CountLabels() int {
 
 // Parent returns the name with its leftmost label removed;
 // "www.example.org." → "example.org.". The parent of the root is the root.
+//
+// A canonical name already ends in the dot, so the parent is a substring of
+// n and costs no allocation. Kept as a map key it pins n's bytes, which is
+// still fewer bytes than a copy per ancestor.
 func (n Name) Parent() Name {
-	if n.IsRoot() {
-		return Root
-	}
-	s := strings.TrimSuffix(string(n), ".")
-	if i := strings.IndexByte(s, '.'); i >= 0 {
-		return Name(s[i+1:] + ".")
+	if i := strings.IndexByte(string(n), '.'); i >= 0 && i+1 < len(n) {
+		return n[i+1:]
 	}
 	return Root
 }

@@ -1,11 +1,24 @@
 package resolver
 
 import (
+	"fmt"
+	"net/netip"
 	"testing"
 	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/race"
 )
+
+// skipAllocPinUnderRace skips an allocation-count assertion in a -race build:
+// sync.Pool drops Puts at random there, so pooled paths allocate a different
+// number of times every run.
+func skipAllocPinUnderRace(t *testing.T) {
+	t.Helper()
+	if race.Enabled {
+		t.Skip("allocation counts of pooled paths are not stable under -race")
+	}
+}
 
 // BenchmarkResolveCacheHit measures a warm lookup through the resolver.
 func BenchmarkResolveCacheHit(b *testing.B) {
@@ -75,6 +88,7 @@ func BenchmarkResolveRetryColdWalk(b *testing.B) {
 // more than the legacy single-shot path, so arming retries fleet-wide is
 // free until a fault actually bites.
 func TestRetryPlaneAllocNeutral(t *testing.T) {
+	skipAllocPinUnderRace(t)
 	name := dnswire.NewName("www.cachetest.net")
 	coldAllocs := func(pol Policy) float64 {
 		tn := newTestNet(t)
@@ -98,5 +112,39 @@ func TestRetryPlaneAllocNeutral(t *testing.T) {
 	base, retry := coldAllocs(DefaultPolicy()), coldAllocs(retryPol)
 	if retry > base+0.5 {
 		t.Errorf("retry plane allocates on the healthy path: %.1f vs %.1f allocs/op", retry, base)
+	}
+}
+
+// TestResolveLeafMissAllocs pins the allocation budget of a leaf miss: a
+// never-seen name under a zone whose servers are cached, resolved over simnet
+// from the authoritative and back — one upstream exchange. What is left: the
+// Resolve block, the name string once in each of the two decoders and the
+// boxed A RData (a never-seen name and address intern on first sight), the
+// cache Entry and its one-record slice, and the authoritative's encode buffer
+// (simnet hands ServeDNS no buffer to append to).
+func TestResolveLeafMissAllocs(t *testing.T) {
+	skipAllocPinUnderRace(t)
+	const runs = 200
+	tn := newTestNet(t)
+	names := make([]dnswire.Name, runs+2)
+	for i := range names {
+		names[i] = dnswire.NewName(fmt.Sprintf("h%04d.cachetest.net", i))
+		tn.ct.MustAdd(dnswire.RR{Name: names[i], Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
+			Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{10, 1, byte(i >> 8), byte(i)})}})
+	}
+	r := tn.resolver(DefaultPolicy(), 1)
+	if _, err := r.Resolve(names[0], dnswire.TypeA); err != nil { // caches the delegation chain
+		t.Fatal(err)
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		res, err := r.Resolve(names[next], dnswire.TypeA)
+		if err != nil || res.Queries != 1 || len(res.Msg.Answer) != 1 {
+			t.Fatalf("leaf miss for %s: %+v, %v", names[next], res, err)
+		}
+		next++
+	})
+	if allocs > 7 {
+		t.Errorf("leaf miss costs %.1f allocs/op, budget 7", allocs)
 	}
 }

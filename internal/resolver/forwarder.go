@@ -214,12 +214,12 @@ func (f *Forwarder) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, err
 		res.Msg.Answer = resp.Answer
 		res.AnswerTTL = resp.Answer[0].TTL
 		for _, t := range answerableTypes {
-			for owner, rrs := range groupRRs(resp.Answer, t) {
+			eachRRSet(resp.Answer, t, func(set []dnswire.RR) {
 				f.Cache.Put(cache.Entry{
-					Key: cache.Key{Name: owner, Type: t}, RRs: rrs, TTL: rrs[0].TTL,
-					Stored: now, Cred: cache.CredAnswerNonAuth, Server: upstream.String(),
+					Key: cache.Key{Name: set[0].Name, Type: t}, RRs: set, TTL: set[0].TTL,
+					Stored: now, Cred: cache.CredAnswerNonAuth,
 				})
-			}
+			})
 		}
 	default:
 		f.Cache.Put(cache.Entry{

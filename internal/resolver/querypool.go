@@ -10,8 +10,8 @@ import (
 // query-build hot paths (Resolver.exchangeAny, Forwarder.Resolve) encode
 // into. Reuse after Exchange returns is safe because the simulated network
 // delivers synchronously: no handler retains the query bytes past the call.
-// Response messages are never pooled — they escape into Results and the
-// cache.
+// Upstream replies are pooled separately (see Resolver.attempt); the client
+// answer a Resolve builds is not — it escapes into Results and the cache.
 type queryScratch struct {
 	msg  dnswire.Message
 	wire []byte

@@ -323,6 +323,7 @@ func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, d
 		r.pinSticky(zoneName, server)
 
 		done, err := r.absorb(resp, server, zoneName, name, qtype, res, depth, ssp)
+		dnswire.ReleaseMessage(resp)
 		ssp.Finish()
 		if done || err != nil {
 			return err
@@ -355,7 +356,7 @@ func (r *Resolver) absorb(resp *dnswire.Message, server netip.Addr, zoneName, na
 		return true, r.fail(name, qtype, res, fmt.Errorf("resolver: upstream rcode %s", resp.Header.RCode))
 
 	case len(resp.Answer) > 0:
-		r.cacheAnswerSections(resp, server, now)
+		r.cacheAnswerSections(resp, now)
 		res.FinalServer = server
 		// Copy matching answers (and any CNAME chain present). Client
 		// answers carry the TTLs the cache will honor — capped and
@@ -477,6 +478,12 @@ func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err 
 	return err
 }
 
+// ednsOPT is the OPT pseudo-record every upstream query carries: it
+// advertises EDNS so referrals with glue fit in one datagram. One shared
+// value, because boxing the OPT RData per query allocates.
+var ednsOPT = dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
+	Data: dnswire.OPT{UDPSize: dnswire.MaxEDNSSize}}
+
 // exchangeAny tries the candidate servers (sticky resolvers always lead
 // with their pinned choice) until one responds. Each attempt becomes an
 // "exchange" child of sp, the current step's span. With the zero-value
@@ -484,7 +491,7 @@ func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err 
 // Policy.maxRetries distinct servers, back to back, no extra randomness.
 // An active Retry policy adds cycling attempts, backoff with deterministic
 // jitter, per-attempt and overall deadlines, and an optional hedged second
-// query on the first attempt.
+// query on the first attempt. The reply is pooled; see attempt.
 func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, error) {
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
@@ -507,9 +514,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 	qs.msg.Header = dnswire.Header{Opcode: dnswire.OpcodeQuery}
 	qs.msg.Question = append(qs.msg.Question,
 		dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassIN})
-	// Advertise EDNS so referrals with glue fit in one datagram.
-	qs.msg.AddAdditional(dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
-		Data: dnswire.OPT{UDPSize: dnswire.MaxEDNSSize}})
+	qs.msg.AddAdditional(ednsOPT)
 	wire, err := qs.encode()
 	if err != nil {
 		return nil, netip.Addr{}, err
@@ -577,6 +582,11 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 // earlier completion — the caller knows which. offset positions the fault
 // schedule at the virtual latency this resolution has already accumulated,
 // so a retry after backoff sees later fault-window state.
+//
+// The reply is decoded into a pooled Message whose lifetime the caller owns:
+// iterate releases it after absorb, which copies out every record it caches
+// or answers with, so nothing may keep the message or its section slices
+// past that point. A reply attempt rejects is released here.
 func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, rp RetryPolicy, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
 	esp := sp.Child("exchange")
 	if esp != nil {
@@ -624,36 +634,35 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 			esp.AnnotateUint("srtt_us", uint64(srtt/time.Microsecond))
 		}
 	}
-	resp, derr := dnswire.Decode(respWire)
-	if derr != nil {
-		esp.Annotate("error", "decode")
-		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeError, rtt)
-		return nil, cost, derr
+	resp := dnswire.AcquireMessage()
+	d := dnswire.AcquireDecoder()
+	derr := d.Decode(respWire, resp)
+	dnswire.ReleaseDecoder(d)
+	var (
+		reject error
+		label  string
+		rcode  dnswire.RCode // logged only for replies that parsed and matched
+	)
+	switch {
+	case derr != nil:
+		reject, label = derr, "decode"
+	case resp.Header.ID != qID:
+		reject, label = errIDMismatch, "id-mismatch"
+	// An active retry plane treats degraded replies as retryable: an empty
+	// truncated shell (anycast shedding load) and failure rcodes both mean
+	// "ask someone else", where the legacy path would hand them to absorb
+	// and fail the whole resolution.
+	case retrying && resp.Header.TC && len(resp.Answer) == 0 && len(resp.Authority) == 0:
+		reject, label, rcode = errTruncated, "truncated", resp.Header.RCode
+	case retrying && (resp.Header.RCode == dnswire.RCodeServFail || resp.Header.RCode == dnswire.RCodeRefused):
+		reject, label, rcode = errUpstreamFailed, "failure-rcode", resp.Header.RCode
 	}
-	if resp.Header.ID != qID {
-		esp.Annotate("error", "id-mismatch")
+	if reject != nil {
+		esp.Annotate("error", label)
 		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeError, rtt)
-		return nil, cost, errIDMismatch
-	}
-	if retrying {
-		// An active retry plane treats degraded replies as retryable: an
-		// empty truncated shell (anycast shedding load) and failure rcodes
-		// both mean "ask someone else", where the legacy path would hand
-		// them to absorb and fail the whole resolution.
-		if resp.Header.TC && len(resp.Answer) == 0 && len(resp.Authority) == 0 {
-			esp.Annotate("error", "truncated")
-			esp.Finish()
-			r.QLog.Upstream(server, name, qtype, resp.Header.RCode, 0, qlog.OutcomeError, rtt)
-			return nil, cost, errTruncated
-		}
-		if rc := resp.Header.RCode; rc == dnswire.RCodeServFail || rc == dnswire.RCodeRefused {
-			esp.Annotate("error", "failure-rcode")
-			esp.Finish()
-			r.QLog.Upstream(server, name, qtype, rc, 0, qlog.OutcomeError, rtt)
-			return nil, cost, errUpstreamFailed
-		}
+		r.QLog.Upstream(server, name, qtype, rcode, 0, qlog.OutcomeError, rtt)
+		dnswire.ReleaseMessage(resp)
+		return nil, cost, reject
 	}
 	esp.Finish()
 	var ttl uint32
@@ -688,8 +697,14 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 	completionH := rp.Hedge + costH
 	switch {
 	case errP == nil && (errH != nil || costP <= completionH):
+		if errH == nil {
+			dnswire.ReleaseMessage(respH)
+		}
 		return respP, primary, costP, nil
 	case errH == nil:
+		if errP == nil {
+			dnswire.ReleaseMessage(respP)
+		}
 		if m := r.Obs; m != nil {
 			m.HedgeWins.Inc()
 		}

@@ -2,6 +2,7 @@ package resolver
 
 import (
 	"net/netip"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -347,5 +348,35 @@ func TestQuickAnswerTTLBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReferralCachedInWireOrder pins the order a referral is cached in: NS
+// sets, then glue, each in wire order, the child being the first NS owner. It
+// used to be Go map-iteration order, so under a cache bound the eviction
+// victims — and with them the cache contents — differed from run to run.
+func TestReferralCachedInWireOrder(t *testing.T) {
+	referral := &dnswire.Message{Header: dnswire.Header{QR: true}}
+	for _, ns := range []string{"ns1", "ns2", "ns3", "ns4"} {
+		host := ns + ".example.net"
+		referral.AddAuthority(dnswire.NewNS("example.net", 3600, host))
+		referral.AddAdditional(dnswire.NewA(host, 3600, "192.0.2.1"))
+	}
+	referral.AddAuthority(dnswire.NewNS("stray.net", 3600, "ns1.example.net"))
+	want := []cache.Key{
+		{Name: dnswire.NewName("ns2.example.net"), Type: dnswire.TypeA},
+		{Name: dnswire.NewName("ns3.example.net"), Type: dnswire.TypeA},
+		{Name: dnswire.NewName("ns4.example.net"), Type: dnswire.TypeA},
+	}
+	clock := simnet.NewVirtualClock()
+	for run := 0; run < 100; run++ {
+		r := New(netip.MustParseAddr("10.0.0.2"), DefaultPolicy(), nil, clock, nil, 1)
+		r.Cache = cache.New(clock, cache.Config{Capacity: 3}) // FIFO: the last three Puts survive
+		if child := r.cacheReferral(referral, clock.Now()); child != dnswire.NewName("example.net") {
+			t.Fatalf("run %d: child = %q, want the first NS owner", run, child)
+		}
+		if got := r.Cache.Keys(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: cache holds %v, want %v", run, got, want)
+		}
 	}
 }

@@ -31,7 +31,9 @@ func (r *Resolver) bestServers(name dnswire.Name, res *Result, depth int) (dnswi
 			break
 		}
 	}
-	return dnswire.Root, append([]netip.Addr(nil), r.RootHints...)
+	// Shared, not copied: callers only read it (serverOrder copies before it
+	// shuffles or sorts).
+	return dnswire.Root, r.RootHints
 }
 
 // nsAddresses produces addresses for the NS hosts of zone z, using cached
@@ -116,30 +118,33 @@ func (r *Resolver) pinSticky(z dnswire.Name, server netip.Addr) {
 	}
 }
 
-// cacheReferral stores a referral's NS set and glue, returning the child
-// zone name the referral delegates to.
+// cacheReferral stores a referral's NS set and glue in wire order, returning
+// the child zone name the referral delegates to — the owner of the first NS
+// set, should a malformed referral carry several.
 func (r *Resolver) cacheReferral(resp *dnswire.Message, now time.Time) dnswire.Name {
 	var child dnswire.Name
-	nsByOwner := groupRRs(resp.Authority, dnswire.TypeNS)
-	for owner, rrs := range nsByOwner {
-		child = owner
+	eachRRSet(resp.Authority, dnswire.TypeNS, func(set []dnswire.RR) {
+		if child == "" {
+			child = set[0].Name
+		}
 		r.Cache.Put(cache.Entry{
-			Key:    cache.Key{Name: owner, Type: dnswire.TypeNS},
-			RRs:    rrs,
-			TTL:    rrs[0].TTL,
+			Key:    cache.Key{Name: set[0].Name, Type: dnswire.TypeNS},
+			RRs:    set,
+			TTL:    set[0].TTL,
 			Stored: now,
 			Cred:   cache.CredAuthorityReferral,
 		})
-	}
+	})
 	if child == "" {
 		return ""
 	}
 	for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-		for owner, rrs := range groupRRs(resp.Additional, t) {
+		eachRRSet(resp.Additional, t, func(set []dnswire.RR) {
+			owner := set[0].Name
 			if !r.Policy.RefreshGlueOnReferral {
 				// Keep a still-fresh cached address; only fill gaps.
 				if _, _, ok := r.Cache.Get(owner, t); ok {
-					continue
+					return
 				}
 			} else {
 				// The common behavior §4.2 measures: a re-fetched
@@ -149,42 +154,44 @@ func (r *Resolver) cacheReferral(resp *dnswire.Message, now time.Time) dnswire.N
 			}
 			r.Cache.Put(cache.Entry{
 				Key:    cache.Key{Name: owner, Type: t},
-				RRs:    rrs,
-				TTL:    rrs[0].TTL,
+				RRs:    set,
+				TTL:    set[0].TTL,
 				Stored: now,
 				Cred:   cache.CredAdditional,
 				GlueOf: child,
 			})
-		}
+		})
 	}
 	return child
 }
 
 // cacheAnswerSections stores every section of a (positive) answer with the
-// credibility its section and the AA bit earn it (RFC 2181 §5.4.1).
-func (r *Resolver) cacheAnswerSections(resp *dnswire.Message, server netip.Addr, now time.Time) {
+// credibility its section and the AA bit earn it (RFC 2181 §5.4.1). Puts go
+// type by type, within a type section by section, within a section in wire
+// order — the order fixes which entry a bounded cache evicts first.
+func (r *Resolver) cacheAnswerSections(resp *dnswire.Message, now time.Time) {
 	ansCred := cache.CredAnswerNonAuth
 	authCred := cache.CredAuthorityReferral
 	if resp.Header.AA {
 		ansCred = cache.CredAnswerAuth
 		authCred = cache.CredAuthorityAuth
 	}
-	put := func(rrs map[dnswire.Name][]dnswire.RR, t dnswire.Type, cred cache.Credibility) {
-		for owner, set := range rrs {
-			r.Cache.Put(cache.Entry{
-				Key:    cache.Key{Name: owner, Type: t},
-				RRs:    set,
-				TTL:    set[0].TTL,
-				Stored: now,
-				Cred:   cred,
-				Server: server.String(),
+	sections := [...]struct {
+		rrs  []dnswire.RR
+		cred cache.Credibility
+	}{{resp.Answer, ansCred}, {resp.Authority, authCred}, {resp.Additional, cache.CredAdditional}}
+	for _, t := range answerableTypes {
+		for _, sec := range sections {
+			eachRRSet(sec.rrs, t, func(set []dnswire.RR) {
+				r.Cache.Put(cache.Entry{
+					Key:    cache.Key{Name: set[0].Name, Type: t},
+					RRs:    set,
+					TTL:    set[0].TTL,
+					Stored: now,
+					Cred:   sec.cred,
+				})
 			})
 		}
-	}
-	for _, t := range answerableTypes {
-		put(groupRRs(resp.Answer, t), t, ansCred)
-		put(groupRRs(resp.Authority, t), t, authCred)
-		put(groupRRs(resp.Additional, t), t, cache.CredAdditional)
 	}
 }
 
@@ -260,17 +267,33 @@ type errLocalRoot struct{}
 
 func (errLocalRoot) Error() string { return "resolver: local root mirror cannot serve query" }
 
-// groupRRs collects the records of type t in rrs by owner name.
-func groupRRs(rrs []dnswire.RR, t dnswire.Type) map[dnswire.Name][]dnswire.RR {
-	var out map[dnswire.Name][]dnswire.RR
-	for _, rr := range rrs {
-		if rr.Type != t {
-			continue
+// eachRRSet calls fn once for every RRset of type t in rrs — the records of
+// that type sharing an owner — in wire order of each owner's first record.
+// Every set is an exact-size slice of its own, so fn may keep it while rrs
+// (a section of a pooled reply) goes back to its pool.
+func eachRRSet(rrs []dnswire.RR, t dnswire.Type, fn func(set []dnswire.RR)) {
+	for i := range rrs {
+		owner := rrs[i].Name
+		if rrs[i].Type != t || countRRs(rrs[:i], owner, t) > 0 {
+			continue // another type, or emitted at its owner's first record
 		}
-		if out == nil {
-			out = make(map[dnswire.Name][]dnswire.RR)
+		set := make([]dnswire.RR, 0, 1+countRRs(rrs[i+1:], owner, t))
+		for _, rr := range rrs[i:] {
+			if rr.Type == t && rr.Name == owner {
+				set = append(set, rr)
+			}
 		}
-		out[rr.Name] = append(out[rr.Name], rr)
+		fn(set)
 	}
-	return out
+}
+
+// countRRs counts the records of (owner, t) in rrs.
+func countRRs(rrs []dnswire.RR, owner dnswire.Name, t dnswire.Type) int {
+	n := 0
+	for i := range rrs {
+		if rrs[i].Type == t && rrs[i].Name == owner {
+			n++
+		}
+	}
+	return n
 }

@@ -45,6 +45,7 @@ func (r *Resolver) fetchRRSIG(server netip.Addr, name dnswire.Name, qtype dnswir
 	if err != nil {
 		return dnswire.RR{}, false, err
 	}
+	defer dnswire.ReleaseMessage(resp)
 	for _, rr := range resp.AnswersFor(name, dnswire.TypeRRSIG) {
 		if sig, ok := rr.Data.(dnswire.RRSIG); ok && sig.TypeCovered == qtype {
 			return rr, true, nil

@@ -42,7 +42,10 @@ func (k AnswerKind) String() string {
 	return "unknown"
 }
 
-// LookupResult is the outcome of Zone.Lookup.
+// LookupResult is the outcome of Zone.Lookup. Its sets are the zone's stored
+// sets, shared with every other reader and immutable by the rule on RRSet:
+// read them, copy out of them, never write through them. A later mutation of
+// the zone leaves a held result unchanged.
 type LookupResult struct {
 	Kind AnswerKind
 	// Answer holds the matching RRset (or the CNAME for CNAMEAnswer).
@@ -56,61 +59,57 @@ type LookupResult struct {
 
 // Lookup runs the authoritative-side resolution algorithm of RFC 1034
 // §4.3.2 against this zone: delegation beats data, CNAME beats other types,
-// and negative answers carry the SOA.
+// and negative answers carry the SOA. The whole lookup runs under one read
+// lock and clones nothing (see LookupResult).
 func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 	if !name.IsSubdomainOf(z.Origin) {
 		return LookupResult{Kind: NotInZone}
 	}
+	z.mu.RLock()
+	defer z.mu.RUnlock()
 
 	// Zone cut between origin and name? Return a referral. A query *for*
 	// the NS set at the cut itself is also a referral (the child zone is
 	// authoritative for it, we only hold a copy).
-	if cut := z.delegationFor(name); cut != nil {
+	if cut := z.delegationForLocked(name); cut != nil {
 		return LookupResult{
 			Kind:      Delegation,
 			Authority: cut,
-			Glue:      z.glueFor(cut),
+			Glue:      z.glueForLocked(cut),
 		}
 	}
 
-	z.mu.RLock()
-	byType := z.sets[name]
-	z.mu.RUnlock()
-
-	if byType != nil {
-		if set := z.Get(name, t); set != nil {
+	if byType := z.sets[name]; byType != nil {
+		if set := byType[t]; set != nil {
 			return LookupResult{Kind: Answer, Answer: set}
 		}
 		// CNAME matches any type except its own (and except at names that
 		// actually hold the queried type, handled above).
-		if t != dnswire.TypeCNAME {
-			if cname := z.Get(name, dnswire.TypeCNAME); cname != nil {
-				return LookupResult{Kind: CNAMEAnswer, Answer: cname}
-			}
+		if cname := byType[dnswire.TypeCNAME]; cname != nil && t != dnswire.TypeCNAME {
+			return LookupResult{Kind: CNAMEAnswer, Answer: cname}
 		}
-		return LookupResult{Kind: NoData, Authority: z.soaSet()}
+		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
 	}
 
 	// Wildcard match (RFC 1034 §4.3.3): the closest-encloser's "*" child.
-	if res, ok := z.wildcardLookup(name, t); ok {
+	if res, ok := z.wildcardLookupLocked(name, t); ok {
 		return res
 	}
 
-	if z.NameExists(name) {
+	if z.ancestors[name] > 0 {
 		// Empty non-terminal: NODATA, not NXDOMAIN.
-		return LookupResult{Kind: NoData, Authority: z.soaSet()}
+		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
 	}
-	return LookupResult{Kind: NXDomain, Authority: z.soaSet()}
+	return LookupResult{Kind: NXDomain, Authority: z.soaLocked()}
 }
 
-func (z *Zone) wildcardLookup(name dnswire.Name, t dnswire.Type) (LookupResult, bool) {
+func (z *Zone) wildcardLookupLocked(name dnswire.Name, t dnswire.Type) (LookupResult, bool) {
 	for n := name.Parent(); ; n = n.Parent() {
 		if !n.IsSubdomainOf(z.Origin) && n != z.Origin {
 			break
 		}
-		wc := n.Child("*")
-		if set := z.Get(wc, t); set != nil {
-			// Synthesize the answer at the query name.
+		if set := z.lookupSetLocked(n.Child("*"), t); set != nil {
+			// Synthesize the answer at the query name, in a copy.
 			syn := set.Clone()
 			syn.Name = name
 			for i := range syn.RRs {
@@ -125,10 +124,11 @@ func (z *Zone) wildcardLookup(name dnswire.Name, t dnswire.Type) (LookupResult, 
 	return LookupResult{}, false
 }
 
-// glueFor collects A/AAAA records present in the zone for the delegation's
-// nameservers. Only in-bailiwick glue (hosts under the delegated name or
-// elsewhere within this zone) can exist here by construction.
-func (z *Zone) glueFor(cut *RRSet) []dnswire.RR {
+// glueForLocked collects A/AAAA records present in the zone for the
+// delegation's nameservers. Only in-bailiwick glue (hosts under the
+// delegated name or elsewhere within this zone) can exist here by
+// construction.
+func (z *Zone) glueForLocked(cut *RRSet) []dnswire.RR {
 	var glue []dnswire.RR
 	for _, rr := range cut.RRs {
 		ns, ok := rr.Data.(dnswire.NS)
@@ -136,7 +136,7 @@ func (z *Zone) glueFor(cut *RRSet) []dnswire.RR {
 			continue
 		}
 		for _, t := range []dnswire.Type{dnswire.TypeA, dnswire.TypeAAAA} {
-			if set := z.Get(ns.Host, t); set != nil {
+			if set := z.lookupSetLocked(ns.Host, t); set != nil {
 				glue = append(glue, set.RRs...)
 			}
 		}
@@ -144,6 +144,8 @@ func (z *Zone) glueFor(cut *RRSet) []dnswire.RR {
 	return glue
 }
 
-func (z *Zone) soaSet() *RRSet {
-	return z.Get(z.Origin, dnswire.TypeSOA)
+// soaLocked returns the stored apex SOA set, the authority of a negative
+// answer, under z.mu.
+func (z *Zone) soaLocked() *RRSet {
+	return z.lookupSetLocked(z.Origin, dnswire.TypeSOA)
 }

@@ -15,6 +15,13 @@ import (
 // RRSet is the unit of DNS data: all records sharing (name, type, class).
 // RFC 2181 §5.2 requires all members to share one TTL; Add enforces this by
 // clamping new members to the set's existing TTL.
+//
+// A set stored in a Zone is immutable: every mutator (Add, Replace, SetTTL,
+// SetSerial, Remove) installs a new set in its place and never edits the old
+// one. That is what lets Lookup hand out the stored set itself, uncloned, to
+// any number of concurrent readers, none of which can observe a half-applied
+// change. The other half of the rule is the reader's: a set that came from
+// Lookup is read-only — Clone it (or take it from Get) before editing.
 type RRSet struct {
 	Name dnswire.Name
 	Type dnswire.Type
@@ -89,9 +96,9 @@ func (z *Zone) notify(ch Change) {
 	}
 }
 
-// SetSerial rewrites the SOA serial in place, reporting whether the zone has
-// an SOA. It deliberately does not fire the watcher: the push feed calls it
-// from inside its own change handler to stamp the serial it just allocated.
+// SetSerial rewrites the SOA serial, reporting whether the zone has an SOA.
+// It deliberately does not fire the watcher: the push feed calls it from
+// inside its own change handler to stamp the serial it just allocated.
 func (z *Zone) SetSerial(serial uint32) bool {
 	z.mu.Lock()
 	defer z.mu.Unlock()
@@ -99,14 +106,16 @@ func (z *Zone) SetSerial(serial uint32) bool {
 	if set == nil || len(set.RRs) == 0 {
 		return false
 	}
-	for i := range set.RRs {
-		soa, ok := set.RRs[i].Data.(dnswire.SOA)
+	next := set.Clone()
+	for i := range next.RRs {
+		soa, ok := next.RRs[i].Data.(dnswire.SOA)
 		if !ok {
 			return false
 		}
 		soa.Serial = serial
-		set.RRs[i].Data = soa
+		next.RRs[i].Data = soa
 	}
+	z.sets[z.Origin][dnswire.TypeSOA] = next
 	return true
 }
 
@@ -175,16 +184,20 @@ func (z *Zone) addLocked(rr dnswire.RR) bool {
 	}
 	set := byType[rr.Type]
 	if set == nil {
-		set = &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL}
-		byType[rr.Type] = set
+		byType[rr.Type] = &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, RRs: []dnswire.RR{rr}}
+		return true
 	}
 	for _, have := range set.RRs {
 		if have.Equal(rr) {
 			return false
 		}
 	}
+	// The stored set may be in a reader's hands: the record joins a copy.
 	rr.TTL = set.TTL
-	set.RRs = append(set.RRs, rr)
+	next := *set
+	next.RRs = append(make([]dnswire.RR, 0, len(set.RRs)+1), set.RRs...)
+	next.RRs = append(next.RRs, rr)
+	byType[rr.Type] = &next
 	return true
 }
 
@@ -278,17 +291,20 @@ func (z *Zone) SetTTL(name dnswire.Name, t dnswire.Type, ttl uint32) bool {
 		z.mu.Unlock()
 		return false
 	}
-	old := append([]dnswire.RR(nil), set.RRs...)
-	changed := set.TTL != ttl
-	set.TTL = ttl
-	for i := range set.RRs {
-		set.RRs[i].TTL = ttl
+	if set.TTL == ttl {
+		z.mu.Unlock()
+		return true
 	}
-	next := append([]dnswire.RR(nil), set.RRs...)
+	old := z.snapshotLocked(name, t)
+	retimed := set.Clone()
+	retimed.TTL = ttl
+	for i := range retimed.RRs {
+		retimed.RRs[i].TTL = ttl
+	}
+	z.sets[name][t] = retimed
+	next := z.snapshotLocked(name, t)
 	z.mu.Unlock()
-	if changed {
-		z.notify(Change{Name: name, Type: t, Old: old, New: next})
-	}
+	z.notify(Change{Name: name, Type: t, Old: old, New: next})
 	return true
 }
 
@@ -361,14 +377,13 @@ func (z *Zone) AllSets() []*RRSet {
 	return out
 }
 
-// delegationFor walks from name up toward the origin looking for an NS set
-// owned strictly below the origin — a zone cut.
-func (z *Zone) delegationFor(name dnswire.Name) *RRSet {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
+// delegationForLocked walks from name up toward the origin looking for an NS
+// set owned strictly below the origin — a zone cut. It returns the stored
+// set, under z.mu.
+func (z *Zone) delegationForLocked(name dnswire.Name) *RRSet {
 	for n := name; n != z.Origin && !n.IsRoot(); n = n.Parent() {
 		if set := z.lookupSetLocked(n, dnswire.TypeNS); set != nil {
-			return set.Clone()
+			return set
 		}
 	}
 	return nil
@@ -376,7 +391,9 @@ func (z *Zone) delegationFor(name dnswire.Name) *RRSet {
 
 // IsDelegated reports whether name falls under a zone cut in z.
 func (z *Zone) IsDelegated(name dnswire.Name) bool {
-	return z.delegationFor(name) != nil
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.delegationForLocked(name) != nil
 }
 
 // RecordCount returns the total number of records in the zone.

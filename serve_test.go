@@ -12,6 +12,7 @@ import (
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/race"
 )
 
 // upstreamNet is an in-process Exchanger onto one authoritative server,
@@ -284,7 +285,7 @@ func TestRecursiveResponseLimit(t *testing.T) {
 // warm cache hit through the default pipeline, into a caller-owned buffer:
 // the resolver's Result block and nothing else.
 func TestAppendServeDNSHitAllocs(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under -race, so pooled paths allocate")
 	}
 	loopback := netip.MustParseAddr("127.0.0.1")
