@@ -86,11 +86,19 @@ type Solution struct {
 //     budget is spent; rejected lines never cache. The admission filter's
 //     imperfection shows up as the boundary band's partial admission.
 func SolveCache(lines []Line, spec CacheSpec) Solution {
+	return solveCacheInto(make([]LineRates, len(lines)), lines, spec)
+}
+
+// solveCacheInto is SolveCache with the caller's buffer: rates (one entry
+// per line, every entry overwritten) is the solver's only working storage
+// and backs the returned Solution's PerLine, so an engine that solves
+// hundreds of states per run can recycle the buffers.
+func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 	budget := spec.MaxBytes - spec.BaseBytes
 	unbounded := spec.MaxBytes <= 0
 
 	if spec.Policy == "slru" && !unbounded {
-		return solveKnapsack(lines, spec, budget)
+		return solveKnapsack(rates, lines, spec, budget)
 	}
 
 	maxTTL := 0.0
@@ -99,24 +107,19 @@ func SolveCache(lines []Line, spec CacheSpec) Solution {
 			maxTTL = l.TTL
 		}
 	}
-	eval := func(c float64, grid int) []LineRates {
-		out := make([]LineRates, len(lines))
-		for i, l := range lines {
-			out[i] = lineRates(l, c, spec, grid)
-		}
-		return out
-	}
-	occBytes := func(rates []LineRates) float64 {
+	// eval overwrites rates with every line's rates at characteristic time
+	// c and returns the resident workload bytes they imply.
+	eval := func(c float64, grid int) float64 {
 		b := 0.0
 		for i, l := range lines {
+			rates[i] = lineRates(l, c, spec, grid)
 			b += l.count() * l.Bytes * rates[i].Hit
 		}
 		return b
 	}
 
-	full := eval(math.Inf(1), spec.Grid)
-	if unbounded || occBytes(full) <= budget {
-		return summarize(lines, full, math.Inf(1))
+	if full := eval(math.Inf(1), spec.Grid); unbounded || full <= budget {
+		return summarize(lines, rates, math.Inf(1))
 	}
 	// Bisect C on the coarse grid, then re-evaluate the root finely.
 	coarse := spec.Grid
@@ -126,7 +129,7 @@ func SolveCache(lines []Line, spec CacheSpec) Solution {
 	lo, hi := 0.0, maxTTL
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2
-		if occBytes(eval(mid, coarse)) > budget {
+		if eval(mid, coarse) > budget {
 			hi = mid
 		} else {
 			lo = mid
@@ -136,7 +139,8 @@ func SolveCache(lines []Line, spec CacheSpec) Solution {
 		}
 	}
 	c := (lo + hi) / 2
-	return summarize(lines, eval(c, spec.Grid), c)
+	eval(c, spec.Grid)
+	return summarize(lines, rates, c)
 }
 
 // lineRates evaluates one line at characteristic time c under the spec's
@@ -192,13 +196,14 @@ func lineRates(l Line, c float64, spec CacheSpec, grid int) LineRates {
 // solveKnapsack is the SLRU/TinyLFU model: admit whole lines in input
 // order (callers supply lines most-popular first, which Zipf banding
 // guarantees) until the byte budget is exhausted; the boundary line is
-// admitted fractionally, everything after never caches.
-func solveKnapsack(lines []Line, spec CacheSpec, budget float64) Solution {
-	rates := make([]LineRates, len(lines))
+// admitted fractionally, everything after never caches. Every entry of
+// rates is overwritten.
+func solveKnapsack(rates []LineRates, lines []Line, spec CacheSpec, budget float64) Solution {
+	unpressured := CacheSpec{Policy: "lru", PrefetchFrac: spec.PrefetchFrac, Exact: spec.Exact, Grid: spec.Grid}
 	spent := 0.0
 	cut := math.Inf(1)
 	for i, l := range lines {
-		full := lineRates(l, math.Inf(1), CacheSpec{Policy: "lru", PrefetchFrac: spec.PrefetchFrac, Exact: spec.Exact, Grid: spec.Grid}, spec.Grid)
+		full := lineRates(l, math.Inf(1), unpressured, spec.Grid)
 		need := l.count() * l.Bytes * full.Hit
 		switch {
 		case spent+need <= budget:

@@ -50,8 +50,15 @@ func (r *Result) Amplification() float64 {
 }
 
 // memoKey identifies one steady-state cache solve: cohorts with the same
-// policy shape and (quantized) cell rate share the solution, which is
-// what keeps a 100M-user run at the cost of a few dozen solves.
+// policy shape and (quantized) cell rate share the solution. The rate is
+// quantized to 1e-6 queries/s, and the first (segment, group) to ask for a
+// key decides the exact rate that is solved for it.
+//
+// Sharing is real but partial. The planet cells make 378 / 714 / 839
+// distinct solves (100m / 10m / 1m users) for their 1008 (segment, group)
+// uses — regions on shifted clocks meet the same rate at different hours —
+// so 38–83 % of the solutions are used exactly once. The memo therefore
+// counts uses instead of keeping everything: see steadyMemo.
 type memoKey struct {
 	policy      string
 	prefetch    float64
@@ -61,109 +68,182 @@ type memoKey struct {
 	microLambda int64
 }
 
+// keyOf is the key of one of the group's cells at the given client rate.
+func keyOf(g *Group, lambdaCell float64) memoKey {
+	return memoKey{
+		policy: g.Cache.Policy, prefetch: g.Cache.PrefetchFrac,
+		lifetime: g.Lifetime, maxBytes: g.Cache.MaxBytes, baseBytes: g.Cache.BaseBytes,
+		microLambda: int64(lambdaCell * 1e6),
+	}
+}
+
+// steadyState is one memo entry: a solved steady state and the number of
+// uses it still has to serve.
+type steadyState struct {
+	// rates is the per-band solution; nil before the first use and again
+	// after the last, when the buffer has gone back to the free list.
+	rates []LineRates
+	// left counts the (segment, group) uses still to come.
+	left int
+}
+
+// steadyMemo is the run's use-counted memo. A pre-pass over the schedule
+// counts how often each key will be asked for; a solution is computed at
+// its first use, lives until its last, and its buffer then serves a later
+// solve. A day's run so holds the solutions that are between two of their
+// uses — not one per distinct key — and allocates a buffer only when the
+// free list is empty.
+type steadyMemo struct {
+	states map[memoKey]*steadyState
+	free   [][]LineRates
+	// solves counts steady states computed.
+	solves int
+}
+
+// cellRate is one of the group's cells' client rate during the segment:
+// the base rate under the diurnal multiplier of the region's local hour.
+func (p *Program) cellRate(seg *Segment, g *Group) float64 {
+	return g.BaseLambda * p.Diurnal[((seg.Hour+g.PhaseHours)%24+24)%24]
+}
+
 // Run advances the program through its segments. Within a segment every
 // line moves by closed-form occupancy arithmetic toward the segment's
-// steady state (solved once per distinct (cohort-class, rate) and
-// memoized); purge and outage events — where that aggregation is
+// steady state (solved once per distinct (cohort-class, rate), see
+// steadyMemo); purge and outage events — where that aggregation is
 // unsound — are handled by explicit state resets and refill-free decay.
 func Run(p *Program) (*Result, error) {
+	res, _ := run(p)
+	return res, nil
+}
+
+// run is Run, also handing back the memo so tests can audit its counts.
+func run(p *Program) (*Result, *steadyMemo) {
 	spec := p.Spec
 	res := &Result{Users: spec.Users, Lines: p.Lines()}
-	occ := make([][]float64, len(p.Groups))
+	nb := len(p.Bands)
+	occ := make([]float64, len(p.Groups)*nb) // group-major
+	res.Groups = make([]GroupResult, len(p.Groups))
 	for gi := range p.Groups {
-		occ[gi] = make([]float64, len(p.Bands))
 		res.Resolvers += p.Groups[gi].Resolvers
-		res.Groups = append(res.Groups, GroupResult{
-			Profile: p.Groups[gi].Profile, Region: p.Groups[gi].Region,
-		})
+		res.Groups[gi] = GroupResult{Profile: p.Groups[gi].Profile, Region: p.Groups[gi].Region}
 	}
-	memo := map[memoKey]*Solution{}
-	solve := func(g *Group, lambdaCell float64) *Solution {
-		key := memoKey{
-			policy: g.Cache.Policy, prefetch: g.Cache.PrefetchFrac,
-			lifetime: g.Lifetime, maxBytes: g.Cache.MaxBytes, baseBytes: g.Cache.BaseBytes,
-			microLambda: int64(lambdaCell * 1e6),
-		}
-		if s, ok := memo[key]; ok {
-			return s
-		}
-		lines := make([]Line, len(p.Bands))
-		for i, b := range p.Bands {
-			lines[i] = Line{
-				Lambda: lambdaCell * b.PerName(),
-				TTL:    g.Lifetime,
-				Bytes:  spec.RecordBytes,
-				Count:  float64(b.Count()),
-			}
-		}
-		s := SolveCache(lines, g.Cache)
-		memo[key] = &s
-		return &s
+	// Per-band constants of the inner loops.
+	perName := make([]float64, nb)
+	count := make([]float64, nb)
+	for bi, b := range p.Bands {
+		perName[bi] = b.PerName()
+		count[bi] = float64(b.Count())
 	}
 
-	for _, seg := range p.Segments {
-		if seg.PurgeAtStart {
-			for gi := range occ {
-				for bi := range occ[gi] {
-					occ[gi][bi] = 0
-				}
+	// Pre-pass: count the uses of every key. Outage segments solve nothing.
+	memo := &steadyMemo{states: map[memoKey]*steadyState{}}
+	for si := range p.Segments {
+		seg := &p.Segments[si]
+		if seg.Outage {
+			continue
+		}
+		for gi := range p.Groups {
+			g := &p.Groups[gi]
+			key := keyOf(g, p.cellRate(seg, g))
+			st := memo.states[key]
+			if st == nil {
+				st = &steadyState{}
+				memo.states[key] = st
 			}
+			st.left++
+		}
+	}
+	lines := make([]Line, nb) // the solver's input, refilled in place per solve
+	solve := func(g *Group, lambdaCell float64) *steadyState {
+		st := memo.states[keyOf(g, lambdaCell)]
+		if st.rates != nil {
+			return st
+		}
+		if n := len(memo.free); n > 0 {
+			st.rates, memo.free = memo.free[n-1], memo.free[:n-1]
+		} else {
+			st.rates = make([]LineRates, nb)
+		}
+		for i := range lines {
+			lines[i] = Line{
+				Lambda: lambdaCell * perName[i],
+				TTL:    g.Lifetime,
+				Bytes:  spec.RecordBytes,
+				Count:  count[i],
+			}
+		}
+		solveCacheInto(st.rates, lines, g.Cache)
+		memo.solves++
+		return st
+	}
+
+	for si := range p.Segments {
+		seg := &p.Segments[si]
+		if seg.PurgeAtStart {
+			clear(occ)
 		}
 		segUpstream := 0.0
 		for gi := range p.Groups {
 			g := &p.Groups[gi]
-			mult := p.Diurnal[((seg.Hour+g.PhaseHours)%24+24)%24]
-			lambdaCell := g.BaseLambda * mult
+			lambdaCell := p.cellRate(seg, g)
 			scale := g.Resolvers // cells are identical; totals scale linearly
+			gocc, gres := occ[gi*nb:(gi+1)*nb], &res.Groups[gi]
 
 			if seg.Outage {
 				// Upstream dark: hits drain the decaying cache, misses fail.
-				for bi, b := range p.Bands {
-					li := lambdaCell * b.PerName()
-					n := float64(b.Count()) * scale
+				for bi := range gocc {
+					li := lambdaCell * perName[bi]
+					n := count[bi] * scale
 					queries := li * seg.Dur * n
 					var hits float64
 					if g.Lifetime > 0 {
 						decay := math.Exp(-seg.Dur / g.Lifetime)
-						intOcc := occ[gi][bi] * g.Lifetime * (1 - decay)
+						intOcc := gocc[bi] * g.Lifetime * (1 - decay)
 						hits = li * intOcc * n
-						occ[gi][bi] *= decay
+						gocc[bi] *= decay
 					} else {
-						occ[gi][bi] = 0
+						gocc[bi] = 0
 					}
 					res.Queries += queries
 					res.Hits += hits
 					res.Failed += queries - hits
-					res.Groups[gi].Queries += queries
-					res.Groups[gi].Hits += hits
+					gres.Queries += queries
+					gres.Hits += hits
 				}
 				continue
 			}
 
-			sol := solve(g, lambdaCell)
-			for bi, b := range p.Bands {
-				li := lambdaCell * b.PerName()
-				n := float64(b.Count()) * scale
-				ss := sol.PerLine[bi].Hit
+			st := solve(g, lambdaCell)
+			for bi, lr := range st.rates {
+				li := lambdaCell * perName[bi]
+				n := count[bi] * scale
+				ss := lr.Hit
 				eff := EffectiveLifetime(ss, li)
-				end, hits, misses := OccupancyStep(occ[gi][bi], li, eff, seg.Dur)
-				occ[gi][bi] = end
+				end, hits, misses := OccupancyStep(gocc[bi], li, eff, seg.Dur)
+				gocc[bi] = end
 				res.Queries += li * seg.Dur * n
 				res.Hits += hits * n
 				res.Misses += misses * n
 				segUpstream += misses * n
-				res.Groups[gi].Queries += li * seg.Dur * n
-				res.Groups[gi].Hits += hits * n
+				gres.Queries += li * seg.Dur * n
+				gres.Hits += hits * n
 				// Prefetch and eviction flow with occupancy: scale the
 				// steady rates by the segment's occupancy-to-steady ratio.
 				if ss > 0 {
 					avgOcc := hits / (li * seg.Dur)
-					ratio := math.Min(avgOcc/ss, 1)
-					pf := sol.PerLine[bi].Prefetch * seg.Dur * ratio * n
+					ratio := avgOcc / ss
+					if ratio > 1 { // math.Min(ratio, 1) bit for bit, NaN included, inlined
+						ratio = 1
+					}
+					pf := lr.Prefetch * seg.Dur * ratio * n
 					res.Prefetches += pf
 					segUpstream += pf
-					res.Evictions += sol.PerLine[bi].Evict * seg.Dur * ratio * n
+					res.Evictions += lr.Evict * seg.Dur * ratio * n
 				}
+			}
+			if st.left--; st.left == 0 {
+				memo.free = append(memo.free, st.rates)
+				st.rates = nil
 			}
 		}
 		res.Upstream += segUpstream
@@ -174,7 +254,7 @@ func Run(p *Program) (*Result, error) {
 		}
 		res.VirtualSeconds += seg.Dur
 	}
-	return res, nil
+	return res, memo
 }
 
 // CompileAndRun is the one-call form: lower the spec, run the program.

@@ -225,3 +225,198 @@ func TestDefaultDiurnalMeanOne(t *testing.T) {
 		t.Errorf("diurnal mean %v, want 1", sum/24)
 	}
 }
+
+// referenceRun is the engine without a memo: every (segment, group) use
+// solves its steady state afresh with SolveCache, and the arithmetic is
+// written out as the model states it (Band methods, math.Min). Run must
+// match it bit for bit, so it is also the check that recycling a solution
+// buffer never hands a group another key's rates.
+func referenceRun(p *Program) *Result {
+	res := &Result{Users: p.Spec.Users, Lines: p.Lines()}
+	occ := make([][]float64, len(p.Groups))
+	for gi, g := range p.Groups {
+		occ[gi] = make([]float64, len(p.Bands))
+		res.Resolvers += g.Resolvers
+		res.Groups = append(res.Groups, GroupResult{Profile: g.Profile, Region: g.Region})
+	}
+	for _, seg := range p.Segments {
+		if seg.PurgeAtStart {
+			for gi := range occ {
+				clear(occ[gi])
+			}
+		}
+		segUpstream := 0.0
+		for gi := range p.Groups {
+			g := &p.Groups[gi]
+			lambdaCell := g.BaseLambda * p.Diurnal[((seg.Hour+g.PhaseHours)%24+24)%24]
+			var sol Solution
+			if !seg.Outage {
+				lines := make([]Line, len(p.Bands))
+				for i, b := range p.Bands {
+					lines[i] = Line{Lambda: lambdaCell * b.PerName(), TTL: g.Lifetime,
+						Bytes: p.Spec.RecordBytes, Count: float64(b.Count())}
+				}
+				sol = SolveCache(lines, g.Cache)
+			}
+			for bi, b := range p.Bands {
+				li := lambdaCell * b.PerName()
+				n := float64(b.Count()) * g.Resolvers
+				queries := li * seg.Dur * n
+				res.Queries += queries
+				res.Groups[gi].Queries += queries
+				if seg.Outage {
+					var hits float64
+					if g.Lifetime > 0 {
+						decay := math.Exp(-seg.Dur / g.Lifetime)
+						hits = li * (occ[gi][bi] * g.Lifetime * (1 - decay)) * n
+						occ[gi][bi] *= decay
+					} else {
+						occ[gi][bi] = 0
+					}
+					res.Hits += hits
+					res.Failed += queries - hits
+					res.Groups[gi].Hits += hits
+					continue
+				}
+				lr := sol.PerLine[bi]
+				end, hits, misses := OccupancyStep(occ[gi][bi], li, EffectiveLifetime(lr.Hit, li), seg.Dur)
+				occ[gi][bi] = end
+				res.Hits += hits * n
+				res.Misses += misses * n
+				segUpstream += misses * n
+				res.Groups[gi].Hits += hits * n
+				if lr.Hit > 0 {
+					ratio := math.Min(hits/(li*seg.Dur)/lr.Hit, 1)
+					pf := lr.Prefetch * seg.Dur * ratio * n
+					res.Prefetches += pf
+					segUpstream += pf
+					res.Evictions += lr.Evict * seg.Dur * ratio * n
+				}
+			}
+		}
+		res.Upstream += segUpstream
+		if qps := segUpstream / seg.Dur; qps > res.PeakUpstreamQPS {
+			res.PeakUpstreamQPS = qps
+		}
+		res.VirtualSeconds += seg.Dur
+	}
+	return res
+}
+
+// sameBits fails the test for every field of got that is not want's
+// float64 bit for bit.
+func sameBits(t *testing.T, got, want *Result) {
+	t.Helper()
+	eq := func(name string, g, w float64) {
+		if math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("%s: got %v (%#x), want %v (%#x)", name, g, math.Float64bits(g), w, math.Float64bits(w))
+		}
+	}
+	eq("VirtualSeconds", got.VirtualSeconds, want.VirtualSeconds)
+	eq("Users", got.Users, want.Users)
+	eq("Queries", got.Queries, want.Queries)
+	eq("Hits", got.Hits, want.Hits)
+	eq("Misses", got.Misses, want.Misses)
+	eq("Failed", got.Failed, want.Failed)
+	eq("Upstream", got.Upstream, want.Upstream)
+	eq("Prefetches", got.Prefetches, want.Prefetches)
+	eq("Evictions", got.Evictions, want.Evictions)
+	eq("PeakUpstreamQPS", got.PeakUpstreamQPS, want.PeakUpstreamQPS)
+	eq("Resolvers", got.Resolvers, want.Resolvers)
+	if got.Lines != want.Lines || len(got.Groups) != len(want.Groups) {
+		t.Fatalf("shape: %d lines / %d groups, want %d / %d", got.Lines, len(got.Groups), want.Lines, len(want.Groups))
+	}
+	for i, g := range got.Groups {
+		w := want.Groups[i]
+		if g.Profile != w.Profile || g.Region != w.Region {
+			t.Errorf("group %d is %s/%s, want %s/%s", i, g.Profile, g.Region, w.Profile, w.Region)
+		}
+		eq(g.Profile+"/"+g.Region+" Queries", g.Queries, w.Queries)
+		eq(g.Profile+"/"+g.Region+" Hits", g.Hits, w.Hits)
+	}
+}
+
+// TestRunUseCountedMemo drives the memo's lifetime rule on a program small
+// enough to count by hand. Groups "a" and "b" are the same cohort class an
+// hour apart, so b asks in segment h for the key a asks for in segment
+// h+1 — shared keys whose two uses lie in different segments — while the
+// first and last rate of the window, and everything group "c" (another
+// lifetime) asks for, is used once.
+func TestRunUseCountedMemo(t *testing.T) {
+	diurnal := make([]float64, 24)
+	for h := range diurnal {
+		diurnal[h] = 0.5 + 0.07*float64(h) // all distinct
+	}
+	cache := CacheSpec{MaxBytes: 40_000, BaseBytes: 4_000, Policy: "slru", PrefetchFrac: 0.1}
+	group := func(name string, phase int, lifetime float64) Group {
+		return Group{Profile: name, Region: "r", Users: 30_000, Resolvers: 3,
+			BaseLambda: 12, Lifetime: lifetime, PhaseHours: phase, Cache: cache}
+	}
+	program := func(policy string, segs []Segment) *Program {
+		p := &Program{
+			Spec:     Spec{Users: 90_000, RecordBytes: 150},
+			Groups:   []Group{group("a", 0, 300), group("b", 1, 300), group("c", 0, 60)},
+			Bands:    ZipfBands(5000, 1.0, 16),
+			Segments: segs,
+			Diurnal:  diurnal,
+		}
+		for gi := range p.Groups {
+			p.Groups[gi].Cache.Policy = policy
+		}
+		return p
+	}
+	hourly := func(n int) []Segment {
+		segs := make([]Segment, n)
+		for h := range segs {
+			segs[h] = Segment{Start: float64(h) * 3600, Dur: 3600, Hour: h}
+		}
+		return segs
+	}
+	// Outage over segments 2–3 and a purge at 4: a's use of hour 2's rate
+	// and b's use of hour 4's are skipped, so those two keys, shared in the
+	// plain schedule, are single-use here.
+	chaos := hourly(6)
+	chaos[2].Outage, chaos[3].Outage = true, true
+	chaos[4].PurgeAtStart = true
+
+	for _, tc := range []struct {
+		name       string
+		policy     string
+		segs       []Segment
+		wantSolves int // distinct keys among the uses outside outages
+	}{
+		// a: hours 0–5, b: hours 1–6 → 7 keys, 5 of them shared; c: 6.
+		{"plain/slru", "slru", hourly(6), 13},
+		{"plain/lru", "lru", hourly(6), 13},
+		// a: 0,1,4,5; b: 1,2,5,6 → 6 keys, 2 of them shared; c: 4.
+		{"chaos/slru", "slru", chaos, 10},
+		{"chaos/fifo", "fifo", chaos, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := program(tc.policy, tc.segs)
+			got, memo := run(p)
+			sameBits(t, got, referenceRun(p))
+			if tc.segs[2].Outage && got.Failed <= 0 {
+				t.Error("outage segments failed no queries")
+			}
+			if memo.solves != tc.wantSolves || len(memo.states) != tc.wantSolves {
+				t.Errorf("%d solves for %d keys, want %d each: a solution was freed early or solved twice",
+					memo.solves, len(memo.states), tc.wantSolves)
+			}
+			for key, st := range memo.states {
+				if st.left != 0 || st.rates != nil {
+					t.Errorf("key %+v ends with %d uses left, buffer held %v: a count leaked",
+						key, st.left, st.rates != nil)
+				}
+			}
+			// Two solutions are live at most — the one b holds over for a's
+			// next segment and the one in use — so two buffers serve the run.
+			if len(memo.free) != 2 {
+				t.Errorf("%d buffers allocated for %d solves, want 2", len(memo.free), tc.wantSolves)
+			}
+			if got.Evictions <= 0 {
+				t.Error("the byte bound never bound: the pressured solver paths went unexercised")
+			}
+		})
+	}
+}

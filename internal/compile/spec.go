@@ -127,8 +127,9 @@ type Segment struct {
 // Program is a compiled spec: cohorts sharing one banded name universe,
 // and the segment schedule to advance them through.
 type Program struct {
-	Spec     Spec
-	Groups   []Group
+	Spec   Spec
+	Groups []Group
+	// Bands is ZipfBands' shared partition: read-only.
 	Bands    []Band
 	Segments []Segment
 	Diurnal  []float64

@@ -3,6 +3,7 @@ package compile
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -132,6 +133,47 @@ func TestZipfBands(t *testing.T) {
 			t.Fatalf("per-name mass increases at band [%d,%d)", b.Lo, b.Hi)
 		}
 		prev = pn
+	}
+}
+
+// TestZipfBandsShared: a partition is computed once per distinct argument
+// triple and every caller — concurrent ones included, which is how the
+// planet cells ask — gets that one slice; the table it lives in is bounded.
+func TestZipfBandsShared(t *testing.T) {
+	const n, head = 30000, 64
+	want := zipfBands(n, 1.0, head)
+	got := make([][]Band, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = ZipfBands(n, 1.0, head)
+		}()
+	}
+	wg.Wait()
+	for i, b := range got {
+		if &b[0] != &got[0][0] || len(b) != len(want) || cap(b) != len(b) {
+			t.Fatalf("caller %d got its own slice (len %d cap %d, want one shared, clipped, len %d)", i, len(b), cap(b), len(want))
+		}
+	}
+	for i, b := range got[0] {
+		if b != want[i] {
+			t.Fatalf("band %d is %+v, computed afresh %+v", i, b, want[i])
+		}
+	}
+	// Out-of-range arguments clamp before they key the table.
+	if a, b := ZipfBands(100, 1.0, 0), ZipfBands(100, 1.0, 1); &a[0] != &b[0] {
+		t.Error("headExact 0 and 1 are the same partition but were computed separately")
+	}
+	for i := 0; i < 2*bandTableMax; i++ {
+		ZipfBands(10+i, 1.0, 4)
+	}
+	bandTable.Lock()
+	size := len(bandTable.m)
+	bandTable.Unlock()
+	if size > bandTableMax {
+		t.Errorf("band table holds %d partitions, bound %d", size, bandTableMax)
 	}
 }
 

@@ -75,11 +75,42 @@ var planetTiers = []struct {
 // planetTTLs spans the paper's short/medium/long regimes.
 var planetTTLs = []uint32{30, 300, 3600}
 
+// planetCell is one row of the tier: a population, a TTL, and for the
+// chaos row an event schedule.
+type planetCell struct {
+	Tier  string
+	Chaos bool
+	Spec  compile.Spec
+}
+
+// planetCells lists the tier in row order: per population the three TTLs,
+// then the chaos cell — the event-driven path: a 2h authoritative outage
+// at noon (hits drain the decaying caches, misses fail) and a full cache
+// purge at 18:00.
+func planetCells() []planetCell {
+	var cells []planetCell
+	for _, tier := range planetTiers {
+		for _, ttl := range planetTTLs {
+			cells = append(cells, planetCell{Tier: tier.Label, Spec: planetSpec(tier.Users, ttl)})
+		}
+		chaos := planetSpec(tier.Users, 300)
+		chaos.Events = []compile.Event{
+			{AtHours: 12, Kind: "outage", DurHours: 2},
+			{AtHours: 18, Kind: "purge"},
+		}
+		cells = append(cells, planetCell{Tier: tier.Label, Chaos: true, Spec: chaos})
+	}
+	return cells
+}
+
 // PlanetScale runs the compiled tier: one simulated day per (population,
 // TTL) cell plus a chaos cell per tier (outage 12:00–14:00, purge at
-// 18:00). Everything is closed-form and deterministic — no seed. The
-// report's throughput metric is the compiler's reason to exist:
-// simulated user-seconds delivered per wall-clock second.
+// 18:00). Everything is closed-form and deterministic — no seed. The cells
+// are independent (each compiles its own program; the band table they
+// share is read-only), so they fan out through Sweep and the rows are
+// rendered in index order. The report's throughput metric is the
+// compiler's reason to exist: simulated user-seconds delivered per
+// wall-clock second.
 func PlanetScale() *Report {
 	tbl := &stats.Table{
 		Title: "Planet-scale compiled tier: one day, DefaultMix × atlas regions",
@@ -88,44 +119,30 @@ func PlanetScale() *Report {
 	}
 	m := map[string]float64{}
 	start := time.Now()
+	cells := planetCells()
+	results := Sweep(len(cells), 0, func(i int) *compile.Result {
+		res, err := compile.CompileAndRun(cells[i].Spec)
+		if err != nil {
+			panic(err) // static specs; any error is a programming bug
+		}
+		return res
+	})
 	userSeconds := 0.0
-	for _, tier := range planetTiers {
-		for _, ttl := range planetTTLs {
-			spec := planetSpec(tier.Users, ttl)
-			res, err := compile.CompileAndRun(spec)
-			if err != nil {
-				panic(err) // static specs; any error is a programming bug
-			}
-			userSeconds += res.Users * res.VirtualSeconds
-			key := fmt.Sprintf("%s_ttl%d", tier.Label, ttl)
+	for i, res := range results {
+		cell := cells[i]
+		userSeconds += res.Users * res.VirtualSeconds
+		ttl := fmt.Sprintf("%d", cell.Spec.TTL)
+		if cell.Chaos {
+			ttl += "*"
+			m["hit_"+cell.Tier+"_chaos"] = res.HitRate()
+			m["failed_"+cell.Tier+"_chaos"] = res.Failed
+		} else {
+			key := cell.Tier + "_ttl" + ttl
 			m["hit_"+key] = res.HitRate()
 			m["amp_"+key] = res.Amplification()
 			m["peak_qps_"+key] = res.PeakUpstreamQPS
-			tbl.AddRow(tier.Label, fmt.Sprintf("%d", ttl),
-				fmt.Sprintf("%.4f", res.HitRate()),
-				fmt.Sprintf("%.4f", res.Amplification()),
-				fmt.Sprintf("%.0f", res.PeakUpstreamQPS),
-				fmt.Sprintf("%.0f", res.Evictions),
-				fmt.Sprintf("%.0f", res.Prefetches),
-				fmt.Sprintf("%.0f", res.Failed),
-				fmt.Sprintf("%d", res.Lines))
 		}
-		// Chaos cell: the event-driven path. A 2h authoritative outage at
-		// noon (hits drain the decaying caches, misses fail) and a full
-		// cache purge at 18:00.
-		spec := planetSpec(tier.Users, 300)
-		spec.Events = []compile.Event{
-			{AtHours: 12, Kind: "outage", DurHours: 2},
-			{AtHours: 18, Kind: "purge"},
-		}
-		res, err := compile.CompileAndRun(spec)
-		if err != nil {
-			panic(err)
-		}
-		userSeconds += res.Users * res.VirtualSeconds
-		m["hit_"+tier.Label+"_chaos"] = res.HitRate()
-		m["failed_"+tier.Label+"_chaos"] = res.Failed
-		tbl.AddRow(tier.Label, "300*",
+		tbl.AddRow(cell.Tier, ttl,
 			fmt.Sprintf("%.4f", res.HitRate()),
 			fmt.Sprintf("%.4f", res.Amplification()),
 			fmt.Sprintf("%.0f", res.PeakUpstreamQPS),

@@ -1,16 +1,113 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"dnsttl/internal/compile"
+	"dnsttl/internal/race"
 )
+
+func planetGoldenPath() string {
+	return filepath.Join("testdata", "planet_golden.json")
+}
+
+// planetWallMetric reports the two metrics that carry wall-clock time and
+// so cannot be pinned.
+func planetWallMetric(k string) bool {
+	return k == "wall_seconds" || k == "throughput_user_seconds_per_wall_second"
+}
+
+// planetGoldenJSON renders everything of a planet report that is a function
+// of the model alone: every metric but the wall-clock pair, at full
+// precision (shortest decimal that round-trips the float64, so equal text
+// means equal bits), and the table text up to the wall-clock clause.
+func planetGoldenJSON(t *testing.T, r *Report) []byte {
+	t.Helper()
+	type metric struct {
+		Name  string `json:"name"`
+		Value string `json:"value"`
+	}
+	g := struct {
+		Metrics []metric `json:"metrics"`
+		Text    []string `json:"text"`
+	}{}
+	for k, v := range r.Metrics {
+		if !planetWallMetric(k) {
+			g.Metrics = append(g.Metrics, metric{k, strconv.FormatFloat(v, 'g', -1, 64)})
+		}
+	}
+	sort.Slice(g.Metrics, func(i, j int) bool { return g.Metrics[i].Name < g.Metrics[j].Name })
+	text, _, ok := strings.Cut(r.Text, "; total wall")
+	if !ok {
+		t.Fatalf("report text has no wall-clock clause to cut:\n%s", r.Text)
+	}
+	g.Text = strings.Split(text, "\n")
+	out, err := json.MarshalIndent(g, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, '\n')
+}
+
+// checkPlanetGolden compares one PlanetScale() against the golden.
+func checkPlanetGolden(t *testing.T) {
+	t.Helper()
+	got := planetGoldenJSON(t, PlanetScale())
+	want, err := os.ReadFile(planetGoldenPath())
+	if err != nil {
+		t.Fatalf("missing golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("planet tier drifted from golden %s at GOMAXPROCS %d.\nRegenerate with -update if the change is intentional.\ngot:\n%s",
+			planetGoldenPath(), runtime.GOMAXPROCS(0), got)
+	}
+}
+
+// TestPlanetScaleGolden pins the compiled tier's numbers: the closed-form
+// engine has no seed, so any change in a metric's bits or a table cell is a
+// change in the model (or in the order its sums associate). Regenerate with
+// -update.
+func TestPlanetScaleGolden(t *testing.T) {
+	if *update {
+		got := planetGoldenJSON(t, PlanetScale())
+		if err := os.WriteFile(planetGoldenPath(), got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d bytes)", planetGoldenPath(), len(got))
+		return
+	}
+	checkPlanetGolden(t)
+}
+
+// TestPlanetScaleWorkerInvariant holds the golden at one core and at four:
+// the cells fan out through Sweep, each owns its program and engine state,
+// and the band table they share is read-only, so the worker count cannot
+// reach the results. Tier-1 runs it under -race as well.
+func TestPlanetScaleWorkerInvariant(t *testing.T) {
+	if *update {
+		t.Skip("golden is being rewritten")
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		checkPlanetGolden(t)
+		runtime.GOMAXPROCS(prev)
+	}
+}
 
 // TestPlanetScaleTier runs the full compiled tier — including the
 // 100M-user day — and checks the physics the cells must show. The
 // acceptance budget is a 10M-user day under 30 s wall; the whole
-// 12-cell tier typically compiles and runs in ~1 s.
+// 12-cell tier compiles and runs in ~0.35 s on two cores (2-vCPU Xeon,
+// 2.1 GHz) and ~0.7 s on one.
 func TestPlanetScaleTier(t *testing.T) {
 	start := time.Now()
 	r := PlanetScale()
@@ -53,7 +150,7 @@ func TestPlanetScaleTier(t *testing.T) {
 func TestPlanetScaleDeterministic(t *testing.T) {
 	a, b := PlanetScale(), PlanetScale()
 	for k, av := range a.Metrics {
-		if k == "wall_seconds" || k == "throughput_user_seconds_per_wall_second" {
+		if planetWallMetric(k) {
 			continue
 		}
 		if bv := b.Metrics[k]; av != bv {
@@ -82,4 +179,48 @@ func TestPlanetScale10MUnder30s(t *testing.T) {
 	}
 	t.Logf("10M-user day: %v wall, hit=%.4f amp=%.4f lines=%d",
 		wall, res.HitRate(), res.Amplification(), res.Lines)
+}
+
+// allocatedMB runs fn once and returns the megabytes it allocated
+// (process-wide, so the caller must not run in parallel with other tests).
+func allocatedMB(fn func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+}
+
+// TestRunAllocBudget pins what a simulated day costs in memory. The engine
+// recycles steady-state buffers once their last use is past and the cells
+// share one band table, so a cell allocates a few MB (≈ 58 MB when every
+// solution was kept to the end) and the twelve-cell tier ≈ 70 MB (691 MB).
+// Reproduce with: go test ./internal/experiments -run '^$' -bench PlanetScale -benchmem
+func TestRunAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("byte budgets are pinned on the plain build, like the other allocation pins")
+	}
+	PlanetScale() // fill the band table: the budgets are for a warm process
+	cell := allocatedMB(func() {
+		if _, err := compile.CompileAndRun(planetSpec(1e6, 300)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if cell > 10 {
+		t.Errorf("1m / TTL 300 cell allocated %.1f MB, budget 10 MB", cell)
+	}
+	tier := allocatedMB(func() { PlanetScale() })
+	if tier > 100 {
+		t.Errorf("PlanetScale() allocated %.1f MB, budget 100 MB", tier)
+	}
+	t.Logf("cell %.1f MB, tier %.1f MB", cell, tier)
+}
+
+// BenchmarkPlanetScale is the one-line reproduction of the tier's time and
+// memory (-benchmem): twelve simulated days per iteration.
+func BenchmarkPlanetScale(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		PlanetScale()
+	}
 }
