@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 	"time"
 
 	"dnsttl/internal/authoritative"
@@ -87,19 +86,20 @@ type ClientConfig struct {
 	Clock Clock
 	// LocalRoot is the RFC 7706 mirror for policies that use one.
 	LocalRoot *Zone
-	// Frontends > 1 runs the client as a resolver farm of that many
-	// recursive frontends behind one balancer (the paper's §4.4 public
-	// resolver shape); 0 or 1 keeps the classic single resolver.
+	// Frontends is the number of recursive frontends behind the client's
+	// one balancer (the paper's §4.4 public resolver shape). 0 or 1 is the
+	// classic lone resolver — the farm of one.
 	Frontends int
 	// Topology selects how much cache the farm frontends share
-	// (FarmPrivate, FarmShared, FarmSharded). Ignored for a single
-	// resolver.
+	// (FarmPrivate, FarmShared, FarmSharded); with one frontend every
+	// topology is one cache.
 	Topology FarmTopology
 	// Placement picks the frontend for each query (FarmPlaceRandom,
 	// FarmPlaceRoundRobin, FarmPlaceHashQName).
 	Placement FarmPlacement
-	// Coalesce enables farm-wide singleflight on identical in-flight
-	// queries.
+	// Coalesce makes identical queries that miss the cache together, on
+	// whichever frontends, wait for one upstream iteration and share its
+	// answer.
 	Coalesce bool
 	// CacheCapacity bounds the cache entry count (per frontend for
 	// FarmPrivate, per shard for FarmSharded, total otherwise); 0 keeps the
@@ -115,8 +115,8 @@ type ClientConfig struct {
 	// Seed makes server selection and query IDs deterministic; 0 uses 1.
 	Seed int64
 	// Registry, when non-nil, collects the client's telemetry — resolution
-	// counters, latency/TTL histograms, cache gauges, and (for farms) the
-	// per-frontend fleet counters — for /metrics-style introspection.
+	// counters, latency/TTL histograms, cache gauges, and the per-frontend
+	// fleet counters (farm.fe<i>.*) — for /metrics-style introspection.
 	Registry *Registry
 	// Tracer, when non-nil, records each resolution's lifecycle as a span
 	// tree retrievable by name (the /trace endpoint, dnsq -trace).
@@ -254,19 +254,13 @@ const (
 func ParseEvictionPolicy(s string) (EvictionPolicy, error) { return cache.ParseEvictionPolicy(s) }
 
 // Client is an iterative caching DNS resolver — the library's front door
-// for resolution. With ClientConfig.Frontends > 1 it is a whole resolver
-// farm behind one Lookup. Every resolution runs through a middleware
-// pipeline (internal/middleware); the zero-config default pipeline is a
-// bare wrapper over the legacy datapath.
+// for resolution. It is always a resolver farm behind one Lookup
+// (internal/farm): ClientConfig.Frontends recursive frontends, one for the
+// classic lone resolver. Every resolution runs through the placed
+// frontend's middleware pipeline (internal/middleware); the zero-config
+// default pipeline is a bare wrapper over the resolver datapath.
 type Client struct {
-	r *resolver.Resolver // single-resolver mode; nil when farmed
-	f *farm.Farm         // farm mode; nil for a single resolver
-
-	// Single-resolver pipeline state; farm mode keeps per-frontend
-	// pipelines inside the farm.
-	env middleware.Env
-	pmu sync.RWMutex
-	p   *middleware.Pipeline
+	f *farm.Farm
 
 	// registry is ClientConfig.Registry, kept for the listeners a
 	// RecursiveServer puts in front of this client.
@@ -287,135 +281,67 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.Frontends > 1 {
-		f := farm.New(farm.Config{
-			Frontends:     cfg.Frontends,
-			Topology:      cfg.Topology,
-			Placement:     cfg.Placement,
-			Coalesce:      cfg.Coalesce,
-			Policy:        cfg.Policy,
-			CacheCapacity: cfg.CacheCapacity,
-			CacheBytes:    cfg.CacheBytes,
-			Eviction:      cfg.Eviction,
-			LocalRoot:     cfg.LocalRoot,
-			Seed:          cfg.Seed,
-			Registry:      cfg.Registry,
-			Tracer:        cfg.Tracer,
-			QueryLog:      cfg.QueryLog,
-		}, netip.MustParseAddr("127.0.0.1"), cfg.Net, cfg.Clock, cfg.Roots)
-		if err := f.SetPipeline(cfg.Pipeline); err != nil {
-			return nil, err
-		}
-		return &Client{f: f, registry: cfg.Registry}, nil
-	}
-	r := resolver.New(netip.MustParseAddr("127.0.0.1"), cfg.Policy, cfg.Net, cfg.Clock, cfg.Roots, cfg.Seed)
-	if cfg.CacheCapacity > 0 || cfg.CacheBytes > 0 || cfg.Eviction != cache.EvictFIFO {
-		ccfg := cfg.Policy.CacheConfig()
-		ccfg.Capacity = cfg.CacheCapacity
-		ccfg.MaxBytes = cfg.CacheBytes
-		ccfg.Eviction = cfg.Eviction
-		r.Cache = cache.New(cfg.Clock, ccfg)
-	}
-	if cfg.LocalRoot != nil {
-		r.LocalRootZone = cfg.LocalRoot
-	}
-	if cfg.Registry != nil {
-		r.Obs = resolver.NewMetrics(cfg.Registry)
-		cache.Instrument(cfg.Registry, "cache", r.Cache.Stats)
-	}
-	r.Tracer = cfg.Tracer
-	r.QLog = cfg.QueryLog
-	c := &Client{r: r, registry: cfg.Registry}
-	c.env = middleware.Env{Lookup: r.Resolve, Clock: cfg.Clock, Registry: cfg.Registry}
-	p, err := middleware.Build(cfg.Pipeline, c.env)
-	if err != nil {
+	f := farm.New(farm.Config{
+		Frontends:     cfg.Frontends,
+		Topology:      cfg.Topology,
+		Placement:     cfg.Placement,
+		Coalesce:      cfg.Coalesce,
+		Policy:        cfg.Policy,
+		CacheCapacity: cfg.CacheCapacity,
+		CacheBytes:    cfg.CacheBytes,
+		Eviction:      cfg.Eviction,
+		LocalRoot:     cfg.LocalRoot,
+		Seed:          cfg.Seed,
+		Registry:      cfg.Registry,
+		Tracer:        cfg.Tracer,
+		QueryLog:      cfg.QueryLog,
+	}, netip.MustParseAddr("127.0.0.1"), cfg.Net, cfg.Clock, cfg.Roots)
+	if err := f.SetPipeline(cfg.Pipeline); err != nil {
 		return nil, err
 	}
-	c.p = p
-	return c, nil
+	return &Client{f: f, registry: cfg.Registry}, nil
 }
 
 // Lookup resolves (name, qtype), from cache when possible. In-process
 // lookups carry no client address, so client-keyed pipeline stages (the
 // rate limiter) pass them untouched.
 func (c *Client) Lookup(name Name, qtype Type) (*Result, error) {
-	resp, err := c.resolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
+	return c.LookupFrom(name, qtype, netip.Addr{})
 }
 
 // LookupFrom is Lookup on behalf of a network client: the pipeline sees
 // the client address, so blocklists, per-client rate limits, and qlog
 // attribution apply as they would for a wire query.
 func (c *Client) LookupFrom(name Name, qtype Type, client netip.Addr) (*Result, error) {
-	resp, err := c.resolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype, Client: client})
+	resp, err := c.f.ResolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype, Client: client})
 	if err != nil {
 		return nil, err
 	}
 	return resp.Result, nil
 }
 
-// resolveQuery runs one query through the active pipeline, returning the
-// middleware response (verdict included) for callers — the recursive
-// server — that label outcomes or honor Drop.
-func (c *Client) resolveQuery(ctx context.Context, q *middleware.Query) (middleware.Response, error) {
-	if c.f != nil {
-		return c.f.ResolveQuery(ctx, q)
-	}
-	c.pmu.RLock()
-	p := c.p
-	c.pmu.RUnlock()
-	return p.Resolve(ctx, q)
-}
-
 // SetPipeline compiles spec and swaps the client onto it atomically; an
 // invalid spec is rejected with the active pipeline untouched (the
 // resolverd SIGHUP-reload contract). The empty spec restores the default
 // pass-through pipeline.
-func (c *Client) SetPipeline(spec string) error {
-	if c.f != nil {
-		return c.f.SetPipeline(spec)
-	}
-	p, err := middleware.Build(spec, c.env)
-	if err != nil {
-		return err
-	}
-	c.pmu.Lock()
-	c.p = p
-	c.pmu.Unlock()
-	return nil
-}
+func (c *Client) SetPipeline(spec string) error { return c.f.SetPipeline(spec) }
 
 // PipelineStages lists the active pipeline's stage names in spec order —
 // ["resolver"] for the default pipeline.
-func (c *Client) PipelineStages() []string {
-	if c.f != nil {
-		return c.f.PipelineStages()
-	}
-	c.pmu.RLock()
-	defer c.pmu.RUnlock()
-	return c.p.Stages()
-}
+func (c *Client) PipelineStages() []string { return c.f.PipelineStages() }
 
 // CheckPipeline validates a middleware graph spec without building a
 // client — daemons use it to vet a -pipeline file before (re)loading.
 func CheckPipeline(spec string) error { return middleware.Check(spec) }
 
-// CacheStats reports the client's cache counters — aggregated over the
-// whole fleet when the client is a farm.
-func (c *Client) CacheStats() CacheStats {
-	if c.f != nil {
-		return c.f.CacheStats()
-	}
-	return c.r.Cache.Stats()
-}
+// CacheStats reports the client's cache counters, aggregated over every
+// frontend.
+func (c *Client) CacheStats() CacheStats { return c.f.CacheStats() }
 
-// FarmStats reports fleet telemetry. ok is false for a single-resolver
-// client, which has no farm counters.
+// FarmStats reports fleet telemetry. ok is false for a lone resolver (one
+// frontend), whose fleet table would only repeat CacheStats.
 func (c *Client) FarmStats() (st FarmStats, ok bool) {
-	if c.f == nil {
+	if c.f.Frontends() < 2 {
 		return FarmStats{}, false
 	}
 	return c.f.Stats(), true

@@ -5,11 +5,9 @@ import (
 	"net/netip"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
+	"dnsttl/internal/bucket"
 	"dnsttl/internal/dnswire"
-	"dnsttl/internal/simnet"
 )
 
 // Response Rate Limiting (RRL), the BIND/NSD defense against authoritative
@@ -106,24 +104,10 @@ type rrlKey struct {
 	client netip.Addr
 }
 
-type rrlBucket struct {
-	tokens  float64
-	last    time.Time
-	limited int // responses limited since the bucket last passed one, drives slip cadence
-}
-
-// maxRRLBuckets bounds limiter state the same way the middleware
-// per-client limiter does: reset wholesale at the cap rather than LRU
-// bookkeeping per response.
-const maxRRLBuckets = 1 << 16
-
 // rrlState is the limiter attached to a Server by EnableRRL.
 type rrlState struct {
-	cfg   RRLConfig
-	clock simnet.Clock
-
-	mu      sync.Mutex
-	buckets map[rrlKey]*rrlBucket
+	cfg     RRLConfig
+	buckets *bucket.Table[rrlKey]
 }
 
 // EnableRRL turns on response rate limiting for UDP responses. Passing a
@@ -134,7 +118,7 @@ func (s *Server) EnableRRL(cfg RRLConfig) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rrl = &rrlState{cfg: cfg, clock: s.Clock, buckets: map[rrlKey]*rrlBucket{}}
+	s.rrl = &rrlState{cfg: cfg, buckets: bucket.NewTable[rrlKey](cfg.RPS, cfg.Burst, s.Clock)}
 }
 
 // DisableRRL removes the limiter.
@@ -162,50 +146,17 @@ func (s *Server) band(q dnswire.Question, resp *dnswire.Message) dnswire.Name {
 	return q.Name
 }
 
-// check books one would-be UDP response against its bucket.
-func (r *rrlState) check(key rrlKey) rrlVerdict {
-	now := r.clock.Now()
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bk := r.buckets[key]
-	if bk == nil {
-		if len(r.buckets) >= maxRRLBuckets {
-			r.buckets = map[rrlKey]*rrlBucket{}
-		}
-		bk = &rrlBucket{tokens: r.cfg.Burst, last: now}
-		r.buckets[key] = bk
-	} else {
-		if dt := now.Sub(bk.last); dt > 0 {
-			bk.tokens += dt.Seconds() * r.cfg.RPS
-			if bk.tokens > r.cfg.Burst {
-				bk.tokens = r.cfg.Burst
-			}
-		}
-		bk.last = now
-	}
-	if bk.tokens >= 1 {
-		bk.tokens--
-		bk.limited = 0
+// check books one would-be UDP response from the (unmasked) client
+// against its ⟨band, client prefix⟩ bucket.
+func (r *rrlState) check(band dnswire.Name, client netip.Addr) rrlVerdict {
+	ok, denied := r.buckets.Take(rrlKey{band: band, client: bucket.MaskClient(client, r.cfg.Prefix4, r.cfg.Prefix6)})
+	switch {
+	case ok:
 		return rrlSend
-	}
-	bk.limited++
-	if r.cfg.Slip > 0 && bk.limited%r.cfg.Slip == 0 {
+	case r.cfg.Slip > 0 && denied%r.cfg.Slip == 0:
 		return rrlSlip
 	}
 	return rrlDrop
-}
-
-// maskClient aggregates a client address into its RRL network prefix.
-func (r *rrlState) maskClient(client netip.Addr) netip.Addr {
-	bits := r.cfg.Prefix6
-	if client.Is4() || client.Is4In6() {
-		bits = r.cfg.Prefix4
-	}
-	p, err := client.Unmap().Prefix(bits)
-	if err != nil {
-		return client
-	}
-	return p.Addr()
 }
 
 // slipReply builds the truncated stand-in for a limited response: header

@@ -184,8 +184,7 @@ func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byt
 		// already proved its source address, so limiting it would add
 		// collateral damage without reducing amplification.
 		if r := s.limiter(); r != nil {
-			key := rrlKey{band: s.band(q.Q(), resp), client: r.maskClient(from)}
-			switch r.check(key) {
+			switch r.check(s.band(q.Q(), resp), from) {
 			case rrlDrop:
 				if m := s.Obs; m != nil {
 					m.RRLDropped.Inc()

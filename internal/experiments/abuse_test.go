@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -12,33 +9,6 @@ const (
 	abuseQueries = 800
 	abuseSeed    = 42
 )
-
-func abuseGoldenPath() string {
-	return filepath.Join("testdata", "abuse_golden.json")
-}
-
-// TestAbuseGolden replays the water-torture grid and compares every cell —
-// attack outcomes, authoritative rx/full/slip/drop, honest hit rates, RRL
-// and edge counters — byte for byte against the golden. Any drift in the
-// middleware pipeline, the farm's per-frontend pipelines, or the RRL
-// limiter's bucket arithmetic fails here first.
-func TestAbuseGolden(t *testing.T) {
-	got := WaterTortureRun(abuseQueries, 0, abuseSeed).JSON()
-	if *update {
-		if err := os.WriteFile(abuseGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", abuseGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(abuseGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("water-torture replay drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", abuseGoldenPath(), got)
-	}
-}
 
 // TestAbuseOutcomes pins the story the golden bytes must tell, so a
 // legitimate -update can't silently regress the protections:
@@ -122,21 +92,6 @@ func TestAbuseOutcomes(t *testing.T) {
 			}
 			if d >= 10 {
 				t.Errorf("%s %s: honest hit rate moved %d milli (open %d‰ vs %d‰), want <10", sh, p, d, open.HonestHitMilli, c.HonestHitMilli)
-			}
-		}
-	}
-}
-
-// TestAbuseDeterministic proves the tier — and through it the per-frontend
-// pipeline state, the RRL buckets, and the mixed workload interleave — is
-// byte-identical across worker counts and repeated runs.
-func TestAbuseDeterministic(t *testing.T) {
-	serial := WaterTortureRun(abuseQueries, 1, abuseSeed).JSON()
-	for run := 0; run < 2; run++ {
-		for _, workers := range []int{1, 4, 8} {
-			got := WaterTortureRun(abuseQueries, workers, abuseSeed).JSON()
-			if !bytes.Equal(got, serial) {
-				t.Fatalf("run %d with %d workers diverged from serial output", run, workers)
 			}
 		}
 	}

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -15,10 +12,6 @@ import (
 	"dnsttl/internal/compile"
 	"dnsttl/internal/race"
 )
-
-func planetGoldenPath() string {
-	return filepath.Join("testdata", "planet_golden.json")
-}
 
 // planetWallMetric reports the two metrics that carry wall-clock time and
 // so cannot be pinned.
@@ -56,51 +49,6 @@ func planetGoldenJSON(t *testing.T, r *Report) []byte {
 		t.Fatal(err)
 	}
 	return append(out, '\n')
-}
-
-// checkPlanetGolden compares one PlanetScale() against the golden.
-func checkPlanetGolden(t *testing.T) {
-	t.Helper()
-	got := planetGoldenJSON(t, PlanetScale())
-	want, err := os.ReadFile(planetGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("planet tier drifted from golden %s at GOMAXPROCS %d.\nRegenerate with -update if the change is intentional.\ngot:\n%s",
-			planetGoldenPath(), runtime.GOMAXPROCS(0), got)
-	}
-}
-
-// TestPlanetScaleGolden pins the compiled tier's numbers: the closed-form
-// engine has no seed, so any change in a metric's bits or a table cell is a
-// change in the model (or in the order its sums associate). Regenerate with
-// -update.
-func TestPlanetScaleGolden(t *testing.T) {
-	if *update {
-		got := planetGoldenJSON(t, PlanetScale())
-		if err := os.WriteFile(planetGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", planetGoldenPath(), len(got))
-		return
-	}
-	checkPlanetGolden(t)
-}
-
-// TestPlanetScaleWorkerInvariant holds the golden at one core and at four:
-// the cells fan out through Sweep, each owns its program and engine state,
-// and the band table they share is read-only, so the worker count cannot
-// reach the results. Tier-1 runs it under -race as well.
-func TestPlanetScaleWorkerInvariant(t *testing.T) {
-	if *update {
-		t.Skip("golden is being rewritten")
-	}
-	for _, procs := range []int{1, 4} {
-		prev := runtime.GOMAXPROCS(procs)
-		checkPlanetGolden(t)
-		runtime.GOMAXPROCS(prev)
-	}
 }
 
 // TestPlanetScaleTier runs the full compiled tier — including the

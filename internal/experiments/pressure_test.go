@@ -1,54 +1,11 @@
 package experiments
 
-import (
-	"bytes"
-	"os"
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
 const (
 	pressureTestQueries = 4000
 	pressureTestSeed    = 44
 )
-
-func pressureGoldenPath() string {
-	return filepath.Join("testdata", "pressure_golden.json")
-}
-
-// TestPressureGolden replays the cache-pressure grid and compares the full
-// per-cell outcome — hits, evictions, admission rejects, prefetches,
-// authoritative queries, resident bytes — byte for byte against the golden.
-// Any drift in byte accounting, eviction order, admission, or refresh-ahead
-// semantics fails here first. Regenerate with -update.
-func TestPressureGolden(t *testing.T) {
-	got := PressureRun(pressureTestQueries, 0, pressureTestSeed).JSON()
-	if *update {
-		if err := os.WriteFile(pressureGoldenPath(), got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", pressureGoldenPath(), len(got))
-		return
-	}
-	want, err := os.ReadFile(pressureGoldenPath())
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("pressure sweep drifted from golden %s.\nRegenerate with -update if the change is intentional.\ngot:\n%s", pressureGoldenPath(), got)
-	}
-}
-
-// TestPressureDeterministic proves the sweep is identical at any worker
-// count: each cell owns its world, so fan-out order cannot leak into
-// results.
-func TestPressureDeterministic(t *testing.T) {
-	serial := PressureRun(1000, 1, pressureTestSeed).JSON()
-	fanned := PressureRun(1000, 8, pressureTestSeed).JSON()
-	if !bytes.Equal(serial, fanned) {
-		t.Error("pressure sweep differs between 1 and 8 workers")
-	}
-}
 
 // TestPressureOutcomes pins the semantic shape the golden bytes must tell:
 // recency-aware eviction beats FIFO at every grid cell, refresh-ahead lifts

@@ -58,15 +58,23 @@ type balancer interface {
 }
 
 func newBalancer(p Placement, frontends int, seed int64) balancer {
-	switch p {
-	case PlaceRoundRobin:
+	switch {
+	case frontends == 1:
+		return lone{}
+	case p == PlaceRoundRobin:
 		return &rrBalancer{n: uint64(frontends)}
-	case PlaceHashQName:
+	case p == PlaceHashQName:
 		return newRing(frontends)
 	default:
 		return &randomBalancer{n: frontends, rng: rand.New(rand.NewSource(seed))}
 	}
 }
+
+// lone is the farm of one: every placement policy picks frontend 0, so it
+// takes no lock and draws nothing.
+type lone struct{}
+
+func (lone) pick(dnswire.Name) int { return 0 }
 
 // randomBalancer picks uniformly with a deterministic seeded RNG.
 type randomBalancer struct {

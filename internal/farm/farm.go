@@ -11,18 +11,23 @@
 // authoritative load by the farm size; with a shared or consistent-hash
 // sharded cache the fleet behaves like one big resolver and authoritative
 // load is flat in the frontend count. In-flight query coalescing
-// (singleflight) closes the remaining gap: concurrent identical misses
+// (internal/flight) closes the remaining gap: concurrent identical misses
 // trigger one upstream iteration instead of N.
+//
+// A lone recursive resolver is the farm of one: the facade's Client always
+// resolves through a Farm, and with a single frontend placement is the
+// constant 0.
 package farm
 
 import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
+	"sync/atomic"
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/middleware"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/qlog"
@@ -79,8 +84,9 @@ type Config struct {
 	Shards int
 	// Placement decides which frontend serves a query; see Placement.
 	Placement Placement
-	// Coalesce enables farm-wide singleflight: identical queries arriving
-	// while one is in flight wait for its answer instead of iterating.
+	// Coalesce enables farm-wide in-flight coalescing: identical queries
+	// that miss the cache while one is already iterating wait for its
+	// answer instead of iterating themselves.
 	Coalesce bool
 	// Policy configures every frontend identically.
 	Policy resolver.Policy
@@ -133,18 +139,24 @@ type Farm struct {
 	cfg       Config
 	frontends []*resolver.Resolver
 	balancer  balancer
-	flight    *flightGroup
 	store     cache.Store // nil for Private topology
 	telemetry *telemetry
 	clock     simnet.Clock
 
+	// flight coalesces identical in-flight cache misses when cfg.Coalesce
+	// is set (every frontend's resolver.Coalesce enters it). It is keyed
+	// across frontends on purpose: N concurrent clients asking for one cold
+	// name cost the authoritatives one iteration, whichever frontends the
+	// balancer spread them over.
+	flight flight.Group[cache.Key, *resolver.Result]
+
 	// Every query flows through a middleware pipeline, one instance per
 	// frontend (each frontend is its own process in the deployment the
 	// farm models, so stage state — rate-limit buckets, memo caches — is
-	// per-frontend). The default pipeline is a single terminal stage
-	// wrapping resolveLeg, adding no behavior to the legacy datapath.
-	pmu       sync.RWMutex
-	pipelines []*middleware.Pipeline
+	// per-frontend), swapped as one slice by SetPipeline. The default
+	// pipeline is a single terminal stage wrapping resolveLeg, adding no
+	// behavior to the bare resolver datapath.
+	pipelines atomic.Pointer[[]*middleware.Pipeline]
 }
 
 // New builds a farm. Frontend i sources its queries from addr+i, so taps
@@ -159,7 +171,6 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 		cfg:       cfg,
 		frontends: make([]*resolver.Resolver, n),
 		balancer:  newBalancer(cfg.Placement, n, cfg.Seed),
-		flight:    newFlightGroup(),
 		telemetry: newTelemetry(n, cfg.Registry),
 		clock:     clock,
 	}
@@ -195,20 +206,26 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 		} else if cfg.CacheCapacity > 0 || cfg.CacheBytes > 0 || cfg.Eviction != cache.EvictFIFO {
 			r.Cache = cache.New(clock, ccfg)
 		}
+		if cfg.Coalesce {
+			onJoin := func() { f.telemetry.coalesced(i) }
+			r.Coalesce = func(k cache.Key, lead func() (*resolver.Result, error)) (*resolver.Result, error, bool) {
+				return f.flight.Do(k, onJoin, lead)
+			}
+		}
 		f.frontends[i] = r
 		addr = addr.Next()
 	}
-	f.pipelines = make([]*middleware.Pipeline, n)
-	for i := range f.pipelines {
-		f.pipelines[i] = middleware.Default(f.env(i))
+	pipelines := make([]*middleware.Pipeline, n)
+	for i := range pipelines {
+		pipelines[i] = middleware.Default(f.env(i))
 	}
+	f.pipelines.Store(&pipelines)
 	cache.Instrument(cfg.Registry, "cache", f.CacheStats)
 	return f
 }
 
 // env is the middleware environment for frontend idx's pipeline: the
-// terminal stage resolves through the frontend's legacy datapath
-// (balancer already ran — resolveLeg is post-placement).
+// terminal stage resolves through resolveLeg (the balancer already ran).
 func (f *Farm) env(idx int) middleware.Env {
 	return middleware.Env{
 		Lookup:   f.resolveLeg(idx),
@@ -217,36 +234,17 @@ func (f *Farm) env(idx int) middleware.Env {
 	}
 }
 
-// resolveLeg is frontend idx's raw resolution path — the pre-middleware
-// Resolve body: farm-wide singleflight when coalescing is on, then the
-// frontend's iterative resolver, then fleet accounting.
+// resolveLeg is frontend idx's raw resolution path — its iterative
+// resolver (which enters the flight group on a cache miss when coalescing
+// is on), then fleet accounting; a follower was booked when it joined.
 func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
+	fe := f.frontends[idx]
 	return func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
-		if !f.cfg.Coalesce {
-			res, err := f.frontends[idx].Resolve(name, qtype)
-			return f.account(idx, res, err)
+		res, err := fe.Resolve(name, qtype)
+		if res != nil && !res.Coalesced {
+			f.telemetry.served(idx, &res.Trace)
 		}
-		res, err, joined := f.flight.do(flightKey{name: name, qtype: qtype},
-			func() { f.telemetry.coalesced(idx) },
-			func() (*resolver.Result, error) { return f.frontends[idx].Resolve(name, qtype) })
-		if joined {
-			if res == nil {
-				return nil, err
-			}
-			// Followers get their own Result value marked as coalesced: they
-			// cost zero upstream queries. The message is the leader's,
-			// shared and never written — serve paths stamp each client's
-			// ID into the encoded bytes.
-			cp := *res
-			cp.CacheHit = false
-			cp.Coalesced = true
-			cp.Queries = 0
-			cp.Timeouts = 0
-			cp.Retries = 0
-			cp.Hedges = 0
-			return &cp, err
-		}
-		return f.account(idx, res, err)
+		return res, err
 	}
 }
 
@@ -263,28 +261,20 @@ func (f *Farm) SetPipeline(spec string) error {
 		}
 		fresh[i] = p
 	}
-	f.pmu.Lock()
-	f.pipelines = fresh
-	f.pmu.Unlock()
+	f.pipelines.Store(&fresh)
 	return nil
 }
 
 // PipelineStages lists the stage names of the active pipeline.
 func (f *Farm) PipelineStages() []string {
-	f.pmu.RLock()
-	defer f.pmu.RUnlock()
-	return f.pipelines[0].Stages()
+	return (*f.pipelines.Load())[0].Stages()
 }
 
 // ResolveQuery answers a client query through the frontend the placement
 // policy picks, running that frontend's middleware pipeline — the
 // datapath behind every farm resolution.
 func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (middleware.Response, error) {
-	idx := f.balancer.pick(q.Name)
-	f.pmu.RLock()
-	p := f.pipelines[idx]
-	f.pmu.RUnlock()
-	return p.Resolve(ctx, q)
+	return (*f.pipelines.Load())[f.balancer.pick(q.Name)].Resolve(ctx, q)
 }
 
 // Frontends returns the farm size.
@@ -305,14 +295,6 @@ func (f *Farm) Resolve(name dnswire.Name, qtype dnswire.Type) (*resolver.Result,
 	return resp.Result, nil
 }
 
-// account books one completed (non-coalesced) resolution to frontend idx.
-func (f *Farm) account(idx int, res *resolver.Result, err error) (*resolver.Result, error) {
-	if res != nil {
-		f.telemetry.served(idx, &res.Trace)
-	}
-	return res, err
-}
-
 // Stores returns the fleet's cache stores — the single shared (or sharded)
 // store, or one store per frontend for the Private topology. A push
 // subscriber purging through exactly this set invalidates the whole fleet,
@@ -330,9 +312,10 @@ func (f *Farm) Stores() []cache.Store {
 
 // SetStaleGate installs g on every frontend, so fleet-wide serve-stale
 // decisions consult the push plane's subscription health and purge record.
+// Safe while queries are being served.
 func (f *Farm) SetStaleGate(g resolver.StaleGate) {
 	for _, fe := range f.frontends {
-		fe.StaleGate = g
+		fe.SetStaleGate(g)
 	}
 }
 

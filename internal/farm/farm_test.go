@@ -180,11 +180,11 @@ func TestCoalescingCollapsesConcurrentMisses(t *testing.T) {
 
 	// Wait until the leader is blocked upstream and all K-1 followers have
 	// joined the flight, then let the single iteration finish.
-	key := flightKey{name: qname, qtype: dnswire.TypeA}
+	key := cache.Key{Name: qname, Type: dnswire.TypeA}
 	deadline := time.Now().Add(10 * time.Second)
-	for f.flight.inFlight(key) < clients-1 {
+	for f.flight.InFlight(key) < clients-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d followers joined the flight", f.flight.inFlight(key), clients-1)
+			t.Fatalf("only %d/%d followers joined the flight", f.flight.InFlight(key), clients-1)
 		}
 		time.Sleep(time.Millisecond)
 	}

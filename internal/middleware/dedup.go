@@ -2,40 +2,31 @@ package middleware
 
 import (
 	"context"
-	"sync"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/obs"
 )
 
 // dedupStage coalesces identical in-flight questions: the first query for
 // a ⟨name, type⟩ becomes the leader and runs the rest of the chain;
-// queries arriving before it finishes wait and share its answer. This is
-// the farm's cross-frontend singleflight expressed as a pipeline stage,
-// so a single-resolver deployment — or a sub-chain behind a router — can
-// opt into coalescing too. Deduplication is name-keyed, never
-// client-keyed: placing it after a rate limiter keeps per-client
+// queries arriving before it finishes wait and share its answer. It is the
+// farm's Coalesce mechanism (one internal/flight group, one follower copy)
+// placed by the spec instead of around every frontend, so a sub-chain
+// behind a router can coalesce on its own. Deduplication is name-keyed,
+// never client-keyed: placing it after a rate limiter keeps per-client
 // accounting exact.
 type dedupStage struct {
 	name      string
 	next      Stage
 	leaders   *obs.Counter
 	coalesced *obs.Counter
-
-	mu    sync.Mutex
-	calls map[dedupKey]*dedupCall
+	flight    flight.Group[dedupKey, Response]
 }
 
 type dedupKey struct {
 	name  dnswire.Name
 	qtype dnswire.Type
-}
-
-type dedupCall struct {
-	wg   sync.WaitGroup
-	resp Response
-	err  error
-	dups int
 }
 
 func init() {
@@ -45,7 +36,6 @@ func init() {
 			name:      sp.name,
 			leaders:   b.env.counter(sp.name, "leaders"),
 			coalesced: b.env.counter(sp.name, "coalesced"),
-			calls:     map[dedupKey]*dedupCall{},
 		}
 		next, err := b.next(&o)
 		if err != nil {
@@ -62,53 +52,13 @@ func init() {
 func (s *dedupStage) Name() string { return s.name }
 
 func (s *dedupStage) Resolve(ctx context.Context, q *Query) (Response, error) {
-	k := dedupKey{name: q.Name, qtype: q.Type}
-	s.mu.Lock()
-	if c, ok := s.calls[k]; ok {
-		c.dups++
-		s.mu.Unlock()
-		s.coalesced.Inc()
-		c.wg.Wait()
-		if c.err != nil || c.resp.Result == nil {
-			return c.resp, c.err
-		}
-		// Followers get their own Result marked coalesced: they cost zero
-		// upstream work. The message is the leader's, shared and never
-		// written — serve paths stamp each client's ID into the encoded
-		// bytes.
-		cp := *c.resp.Result
-		cp.CacheHit = false
-		cp.Coalesced = true
-		cp.Queries = 0
-		cp.Timeouts = 0
-		cp.Retries = 0
-		cp.Hedges = 0
-		out := c.resp
-		out.Result = &cp
-		return out, nil
+	resp, err, joined := s.flight.Do(dedupKey{name: q.Name, qtype: q.Type}, s.coalesced.Inc,
+		func() (Response, error) {
+			s.leaders.Inc()
+			return s.next.Resolve(ctx, q)
+		})
+	if joined && err == nil {
+		resp.Result = resp.Result.Follower()
 	}
-	c := &dedupCall{}
-	c.wg.Add(1)
-	s.calls[k] = c
-	s.mu.Unlock()
-
-	s.leaders.Inc()
-	c.resp, c.err = s.next.Resolve(ctx, q)
-
-	s.mu.Lock()
-	delete(s.calls, k)
-	s.mu.Unlock()
-	c.wg.Done()
-	return c.resp, c.err
-}
-
-// inFlight reports how many followers are waiting on k — tests use it to
-// stage deterministic coalescing.
-func (s *dedupStage) inFlight(k dedupKey) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.calls[k]; ok {
-		return c.dups
-	}
-	return 0
+	return resp, err
 }

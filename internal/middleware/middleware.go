@@ -102,8 +102,8 @@ type Stage interface {
 	Resolve(ctx context.Context, q *Query) (Response, error)
 }
 
-// LookupFunc is the terminal resolution the pipeline wraps — a frontend's
-// (or single resolver's) existing datapath.
+// LookupFunc is the terminal resolution the pipeline wraps — a farm
+// frontend's resolve leg, or a bare resolver's Resolve in tests.
 type LookupFunc func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
 
 // Env is everything the graph builder hands to stage constructors.

@@ -313,7 +313,7 @@ type = "resolver"
 			results[i], _ = p.Resolve(ctx, query("cold.example", "10.0.0.2"))
 		}(i)
 	}
-	for sf.inFlight(k) < followers {
+	for sf.flight.InFlight(k) < followers {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"sync"
-	"time"
 
+	"dnsttl/internal/bucket"
 	"dnsttl/internal/obs"
-	"dnsttl/internal/simnet"
 )
 
 // rateLimitStage is a per-client token bucket: each masked client address
@@ -21,43 +19,25 @@ import (
 type rateLimitStage struct {
 	name             string
 	next             Stage
-	qps              float64
-	burst            float64
 	prefix4, prefix6 int
 	drop             bool
-	clock            simnet.Clock
+	buckets          *bucket.Table[netip.Addr]
 
 	limited *obs.Counter
 	passed  *obs.Counter
-
-	mu      sync.Mutex
-	buckets map[netip.Addr]*bucket
 }
-
-type bucket struct {
-	tokens float64
-	last   time.Time
-}
-
-// maxBuckets bounds limiter state against source-address floods: at the
-// cap the table is reset wholesale, which briefly re-admits everyone —
-// strictly safer than unbounded growth, and cheaper than LRU bookkeeping
-// on the per-query hot path.
-const maxBuckets = 1 << 16
 
 func init() {
 	register("ratelimit", func(b *builder, sp *stageSpec) (Stage, error) {
 		o := options{sp: sp, seen: map[string]bool{"type": true}}
+		qps, burst := o.num("qps", 10), o.num("burst", 20)
 		st := &rateLimitStage{
 			name:    sp.name,
-			qps:     o.num("qps", 10),
-			burst:   o.num("burst", 20),
 			prefix4: o.integer("prefix4", 32),
 			prefix6: o.integer("prefix6", 64),
-			clock:   b.env.clock(),
+			buckets: bucket.NewTable[netip.Addr](qps, burst, b.env.clock()),
 			limited: b.env.counter(sp.name, "limited"),
 			passed:  b.env.counter(sp.name, "passed"),
-			buckets: map[netip.Addr]*bucket{},
 		}
 		switch action := o.str("action", "refuse"); action {
 		case "refuse":
@@ -74,7 +54,7 @@ func init() {
 		if err := o.finish(); err != nil {
 			return nil, err
 		}
-		if st.qps <= 0 || st.burst < 1 {
+		if qps <= 0 || burst < 1 {
 			return nil, fmt.Errorf("middleware: stage %q: need qps > 0 and burst >= 1", sp.name)
 		}
 		if st.prefix4 < 0 || st.prefix4 > 32 || st.prefix6 < 0 || st.prefix6 > 128 {
@@ -86,47 +66,11 @@ func init() {
 
 func (s *rateLimitStage) Name() string { return s.name }
 
-// key masks the client to the configured prefix.
-func (s *rateLimitStage) key(client netip.Addr) netip.Addr {
-	bits := s.prefix6
-	if client.Is4() || client.Is4In6() {
-		bits = s.prefix4
-	}
-	p, err := client.Unmap().Prefix(bits)
-	if err != nil {
-		return client
-	}
-	return p.Addr()
-}
-
-// admit spends one token from the client's bucket, reporting whether the
-// query may proceed.
+// admit spends one token from the masked client's bucket, reporting
+// whether the query may proceed.
 func (s *rateLimitStage) admit(client netip.Addr) bool {
-	now := s.clock.Now()
-	key := s.key(client)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	bk := s.buckets[key]
-	if bk == nil {
-		if len(s.buckets) >= maxBuckets {
-			s.buckets = map[netip.Addr]*bucket{}
-		}
-		bk = &bucket{tokens: s.burst, last: now}
-		s.buckets[key] = bk
-	} else {
-		if dt := now.Sub(bk.last); dt > 0 {
-			bk.tokens += dt.Seconds() * s.qps
-			if bk.tokens > s.burst {
-				bk.tokens = s.burst
-			}
-		}
-		bk.last = now
-	}
-	if bk.tokens < 1 {
-		return false
-	}
-	bk.tokens--
-	return true
+	ok, _ := s.buckets.Take(bucket.MaskClient(client, s.prefix4, s.prefix6))
+	return ok
 }
 
 func (s *rateLimitStage) Resolve(ctx context.Context, q *Query) (Response, error) {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/netip"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dnsttl/internal/cache"
@@ -24,8 +25,8 @@ type Trace struct {
 	// Stale is true when the answer was served past its TTL (RFC 8767).
 	Stale bool
 	// Coalesced is true when the resolution was answered by joining an
-	// identical query already in flight (farm singleflight) instead of by
-	// the cache or an upstream iteration of its own.
+	// identical query already in flight (farm Coalesce, dedup stage)
+	// instead of by the cache or an upstream iteration of its own.
 	Coalesced bool
 	// Latency is the summed upstream RTT the resolution cost the client.
 	Latency time.Duration
@@ -56,6 +57,25 @@ type Trace struct {
 type Result struct {
 	Msg *dnswire.Message
 	Trace
+}
+
+// Follower is the Result a caller that joined r's in-flight resolution
+// (internal/flight) gets: its own copy marked Coalesced, charged none of
+// the leader's upstream cost. The message is the leader's, shared and
+// never written — serve paths stamp each client's ID into the encoded
+// bytes. A nil r (the leader failed) stays nil.
+func (r *Result) Follower() *Result {
+	if r == nil {
+		return nil
+	}
+	cp := *r
+	cp.CacheHit = false
+	cp.Coalesced = true
+	cp.Queries = 0
+	cp.Timeouts = 0
+	cp.Retries = 0
+	cp.Hedges = 0
+	return &cp
 }
 
 // Resolver is an iterative caching resolver.
@@ -91,11 +111,17 @@ type Resolver struct {
 	// attempt (server, question, rcode, TTL, RTT, timeout/error outcome).
 	// Nil costs one pointer check per attempt.
 	QLog *qlog.Tap
-	// StaleGate, when non-nil, is consulted before serving a stale answer
-	// (Policy.ServeStale). The push plane installs its subscriber here so a
-	// name purged by NOTIFY — or covered by an unhealthy subscription that
-	// may have missed purges — is never served stale from a pre-purge entry.
-	StaleGate StaleGate
+
+	// Coalesce, when non-nil, is entered on a top-level cache miss: it runs
+	// lead for the first caller of a key and hands later callers that
+	// leader's Result (joined=true) — a farm's flight group. Hits never
+	// reach it: a warm name takes no shared lock and is never a follower.
+	Coalesce func(k cache.Key, lead func() (*Result, error)) (res *Result, err error, joined bool)
+
+	// staleGate is consulted before serving a stale answer; see
+	// SetStaleGate. Atomic because the push plane installs it while
+	// listeners are already resolving.
+	staleGate atomic.Pointer[StaleGate]
 
 	mu     sync.Mutex
 	rng    *rand.Rand
@@ -165,7 +191,25 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 	if r.Tracer != nil {
 		res.Span = r.Tracer.Start("resolve " + string(name) + " " + qtype.String())
 	}
-	err := r.resolveInto(name, qtype, res, 0)
+	e, rem, _ := r.answerFromCache(name, qtype)
+	if e != nil || r.Coalesce == nil {
+		return r.finish(res, r.resolveFrom(e, rem, name, qtype, res, 0)), nil
+	}
+	// A caller that missed just before the previous leader left the group
+	// leads a second iteration; re-probing the cache here would count the
+	// miss twice for every leader to close that window.
+	lead, _, joined := r.Coalesce(cache.Key{Name: name, Type: qtype}, func() (*Result, error) {
+		return r.finish(res, r.resolveFrom(nil, 0, name, qtype, res, 0)), nil
+	})
+	if joined {
+		return lead.Follower(), nil
+	}
+	return lead, nil
+}
+
+// finish completes a top-level resolution: SERVFAIL on error, the answer
+// TTL, the root span's summary, and the resolver metrics.
+func (r *Resolver) finish(res *Result, err error) *Result {
 	if err != nil {
 		res.Msg.Header.RCode = dnswire.RCodeServFail
 	}
@@ -187,7 +231,7 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 	if m := r.Obs; m != nil {
 		m.observeResolution(res)
 	}
-	return res, nil
+	return res
 }
 
 // resolveInto resolves (name, qtype), appending answers to res.Msg and
@@ -196,9 +240,15 @@ func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Resul
 	if depth > maxDepth {
 		return fmt.Errorf("resolver: depth limit at %s", name)
 	}
+	e, rem, _ := r.answerFromCache(name, qtype)
+	return r.resolveFrom(e, rem, name, qtype, res, depth)
+}
 
+// resolveFrom continues a resolution from its cache probe: the cached
+// answer e (rem seconds left) when there is one, an iteration when e is nil.
+func (r *Resolver) resolveFrom(e *cache.Entry, rem uint32, name dnswire.Name, qtype dnswire.Type, res *Result, depth int) error {
 	// 1. Cache.
-	if e, rem, ok := r.answerFromCache(name, qtype); ok {
+	if e != nil {
 		if depth == 0 {
 			res.CacheHit = res.Queries == 0
 		}
@@ -458,11 +508,24 @@ type StaleGate interface {
 	AllowStale(name dnswire.Name, qtype dnswire.Type, storedAt time.Time) bool
 }
 
+// SetStaleGate installs g (nil removes it) as the veto consulted before
+// every stale answer (Policy.ServeStale). The push plane installs its
+// subscriber here so a name purged by NOTIFY — or covered by an unhealthy
+// subscription that may have missed purges — is never served stale from a
+// pre-purge entry. Safe to call while resolutions are running.
+func (r *Resolver) SetStaleGate(g StaleGate) {
+	if g == nil {
+		r.staleGate.Store(nil)
+		return
+	}
+	r.staleGate.Store(&g)
+}
+
 // fail is the terminal error path: serve stale if allowed, else SERVFAIL.
 func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err error) error {
 	if r.Policy.ServeStale {
 		if e, rem, ok := r.Cache.GetStale(name, qtype); ok && e.Negative == cache.NotNegative {
-			if g := r.StaleGate; g != nil && !g.AllowStale(name, qtype, e.Stored) {
+			if g := r.staleGate.Load(); g != nil && !(*g).AllowStale(name, qtype, e.Stored) {
 				res.Span.Annotate("serve_stale_denied", string(name))
 				return err
 			}

@@ -504,6 +504,41 @@ func TestSharedCache(t *testing.T) {
 	}
 }
 
+// TestCoalesceOnlyOnMiss: the Coalesce hook is entered for a top-level
+// cache miss and never for a hit, so a warm name takes no shared lock and
+// is never answered as a follower; a joined caller gets the leader's
+// Result as a Follower copy.
+func TestCoalesceOnlyOnMiss(t *testing.T) {
+	tn := newTestNet(t)
+	r := tn.resolver(DefaultPolicy(), 1)
+	var entered []cache.Key
+	r.Coalesce = func(k cache.Key, lead func() (*Result, error)) (*Result, error, bool) {
+		entered = append(entered, k)
+		res, err := lead()
+		return res, err, false
+	}
+	www := cache.Key{Name: dnswire.NewName("www.cachetest.net"), Type: dnswire.TypeA}
+	cold := mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
+	if cold.CacheHit || cold.Coalesced || cold.Queries == 0 || cold.AnswerTTL != 300 {
+		t.Errorf("leader: hit=%v coalesced=%v queries=%d ttl=%d", cold.CacheHit, cold.Coalesced, cold.Queries, cold.AnswerTTL)
+	}
+	warm := mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
+	if !warm.CacheHit || warm.Coalesced {
+		t.Errorf("warm: hit=%v coalesced=%v, want a plain hit", warm.CacheHit, warm.Coalesced)
+	}
+	if len(entered) != 1 || entered[0] != www {
+		t.Errorf("Coalesce entered for %v, want once, for the cold lookup only", entered)
+	}
+
+	// A caller told it joined answers with the leader's Result, not its own.
+	r.Coalesce = func(cache.Key, func() (*Result, error)) (*Result, error, bool) { return cold, nil, true }
+	tn.clock.Advance(400 * time.Second)
+	got := mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
+	if !got.Coalesced || got.CacheHit || got.Queries != 0 || got.Msg != cold.Msg {
+		t.Errorf("follower: coalesced=%v hit=%v queries=%d sameMsg=%v", got.Coalesced, got.CacheHit, got.Queries, got.Msg == cold.Msg)
+	}
+}
+
 func TestAnswersHaveRAFlag(t *testing.T) {
 	tn := newTestNet(t)
 	r := tn.resolver(DefaultPolicy(), 1)
@@ -539,7 +574,7 @@ func TestServeStaleGate(t *testing.T) {
 	r := tn.resolver(pol, 1)
 	www := dnswire.NewName("www.cachetest.net")
 	gate := &denyGate{deny: map[cache.Key]bool{{Name: www, Type: dnswire.TypeA}: true}}
-	r.StaleGate = gate
+	r.SetStaleGate(gate)
 
 	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
 	mustResolve(t, r, "alias.cachetest.net", dnswire.TypeA)

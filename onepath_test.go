@@ -1,0 +1,283 @@
+package dnsttl
+
+import (
+	"bytes"
+	"context"
+	"net/netip"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dnsttl/internal/middleware"
+	"dnsttl/internal/resolver"
+	"dnsttl/internal/simnet"
+)
+
+const onePathOrgZoneText = orgZoneText + `
+alias 120 IN CNAME hop.example.org.
+hop   120 IN CNAME www.example.org.
+`
+
+// onePathWorld is a virtual-clock network with one authoritative server for
+// the root and example.org (www, plus a two-link CNAME chain onto it).
+func onePathWorld(t *testing.T) (*simnet.Network, *VirtualClock, netip.Addr) {
+	t.Helper()
+	clock := NewVirtualClock()
+	net := simnet.NewNetwork(1)
+	srv := NewServer(NewName("a.root-servers.net"), clock)
+	for origin, text := range map[string]string{".": rootZoneText, "example.org": onePathOrgZoneText} {
+		z, err := ParseZone(text, NewName(origin))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.AddZone(z)
+	}
+	addr := netip.MustParseAddr("127.0.0.1")
+	net.Attach(addr, srv.s)
+	return net, clock, addr
+}
+
+// TestLoneClientMatchesBareResolver holds the farm of one to the reference
+// the deleted single-resolver mode was: a bare resolver.New behind
+// middleware.Default, built here without the facade. Over one scripted
+// schedule — misses, hits, NXDOMAIN, a CNAME chain, then an outage with
+// serve-stale — a Client with Frontends 0 and with Frontends 1 must return
+// the same wire bytes and the same Trace as the reference, query by query.
+func TestLoneClientMatchesBareResolver(t *testing.T) {
+	type step struct {
+		name    string
+		advance time.Duration
+		down    bool
+	}
+	schedule := []step{
+		{name: "www.example.org"},                                        // cold miss: root referral, then answer
+		{name: "www.example.org"},                                        // hit
+		{name: "nope.example.org"},                                       // NXDOMAIN
+		{name: "nope.example.org"},                                       // negative hit
+		{name: "alias.example.org"},                                      // CNAME chain onto the cached www
+		{name: "alias.example.org", advance: time.Minute},                // hit, TTLs decayed
+		{name: "www.example.org", advance: 10 * time.Minute, down: true}, // expired + timeout ⇒ stale
+		{name: "fresh.example.org", down: true},                          // nothing to serve ⇒ SERVFAIL
+	}
+	pol := DefaultPolicy()
+	pol.ServeStale = true
+
+	type outcome struct {
+		wire  []byte
+		trace resolver.Trace
+		err   string
+	}
+	replay := func(t *testing.T, build func(*simnet.Network, *VirtualClock, netip.Addr) middleware.LookupFunc) []outcome {
+		net, clock, addr := onePathWorld(t)
+		lookup := build(net, clock, addr)
+		var out []outcome
+		for _, s := range schedule {
+			clock.Advance(s.advance)
+			if err := net.SetDown(addr, s.down); err != nil {
+				t.Fatal(err)
+			}
+			var o outcome
+			res, err := lookup(NewName(s.name), TypeA)
+			if err != nil {
+				o.err = err.Error()
+			}
+			if res != nil {
+				o.wire, o.trace = mustEncode(t, res.Msg), res.Trace
+				o.trace.Span = nil
+			}
+			out = append(out, o)
+		}
+		return out
+	}
+
+	want := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) middleware.LookupFunc {
+		r := resolver.New(addr, pol, net, clock, []netip.Addr{addr}, 1)
+		p := middleware.Default(middleware.Env{Lookup: r.Resolve, Clock: clock})
+		return func(name Name, qtype Type) (*Result, error) {
+			resp, err := p.Resolve(context.Background(), &middleware.Query{Name: name, Type: qtype})
+			return resp.Result, err
+		}
+	})
+	if !want[1].trace.CacheHit || !want[5].trace.CacheHit || !want[6].trace.Stale ||
+		want[7].trace.Stale || want[7].trace.Timeouts != 1 {
+		t.Fatalf("schedule lost its shape: %+v", want)
+	}
+	for _, frontends := range []int{0, 1} {
+		got := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) middleware.LookupFunc {
+			c, err := NewClient(ClientConfig{Policy: pol, Roots: []netip.Addr{addr}, Net: net, Clock: clock, Frontends: frontends})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Lookup
+		})
+		for i := range want {
+			if !bytes.Equal(got[i].wire, want[i].wire) || got[i].err != want[i].err {
+				t.Errorf("Frontends %d, step %d (%s): wire %x err %q, reference %x err %q",
+					frontends, i, schedule[i].name, got[i].wire, got[i].err, want[i].wire, want[i].err)
+			}
+			if !reflect.DeepEqual(got[i].trace, want[i].trace) {
+				t.Errorf("Frontends %d, step %d (%s): trace %+v, reference %+v",
+					frontends, i, schedule[i].name, got[i].trace, want[i].trace)
+			}
+		}
+	}
+}
+
+// gatedNet holds every exchange until release is closed, counting them.
+type gatedNet struct {
+	upstreamNet
+	exchanges atomic.Int64
+	release   chan struct{}
+}
+
+func (n *gatedNet) Exchange(src, dst netip.Addr, query []byte) ([]byte, time.Duration, error) {
+	n.exchanges.Add(1)
+	<-n.release
+	return n.upstreamNet.Exchange(src, dst, query)
+}
+
+// TestLoneClientCoalesces: ClientConfig.Coalesce on a one-frontend client —
+// which the single-resolver mode ignored — makes N concurrent cold lookups
+// cost the one upstream iteration of their leader. Only misses coalesce:
+// once the name is warm, concurrent lookups are all plain cache hits.
+func TestLoneClientCoalesces(t *testing.T) {
+	const clients = 8
+	reg := NewRegistry(nil)
+	net := &gatedNet{upstreamNet: upstreamNet{srv: serveFixture(t, 0)}, release: make(chan struct{})}
+	c, err := NewClient(ClientConfig{
+		Roots:    []netip.Addr{netip.MustParseAddr("127.0.0.1")},
+		Net:      net,
+		Coalesce: true,
+		Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]*Result, clients)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := c.Lookup(NewName("www.example.org"), TypeA)
+			if err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+			results[i] = res
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Snapshot().Counters["farm.fe0.coalesced"] < clients-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d followers joined", reg.Snapshot().Counters["farm.fe0.coalesced"], clients-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(net.release)
+	wg.Wait()
+
+	leaders, upstream := 0, 0
+	for i, res := range results {
+		if res == nil || len(res.Msg.Answer) != 1 {
+			t.Fatalf("client %d: %+v", i, res)
+		}
+		if !res.Coalesced {
+			leaders++
+		}
+		upstream += res.Queries
+	}
+	if leaders != 1 || int64(upstream) != net.exchanges.Load() {
+		t.Errorf("%d leaders charged %d upstream queries; the network saw %d exchanges, want one leader owning all of them",
+			leaders, upstream, net.exchanges.Load())
+	}
+	if _, ok := c.FarmStats(); ok {
+		t.Errorf("a one-frontend client reports FarmStats ok=true")
+	}
+
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < 200; j++ {
+				res, err := c.Lookup(NewName("www.example.org"), TypeA)
+				if err != nil || !res.CacheHit || res.Coalesced {
+					t.Errorf("warm lookup: %+v, %v; want a plain cache hit", res, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := reg.Snapshot().Counters["farm.fe0.coalesced"]; got != clients-1 {
+		t.Errorf("farm.fe0.coalesced = %d after warm lookups, want %d (hits never join a flight)", got, clients-1)
+	}
+}
+
+// TestEnablePushWhileServingStale pins the stale gate's installation
+// against the reads of running listeners: lookups keep failing upstream and
+// falling back to serve-stale — each consulting the gate — while EnablePush
+// installs the subscriber as that gate. Under -race a plain write of the
+// gate fails here.
+func TestEnablePushWhileServingStale(t *testing.T) {
+	net, clock, addr := onePathWorld(t)
+	pol := DefaultPolicy()
+	pol.ServeStale = true
+	for _, frontends := range []int{1, 3} {
+		c, err := NewClient(ClientConfig{Policy: pol, Roots: []netip.Addr{addr}, Net: net, Clock: clock, Frontends: frontends})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := net.SetDown(addr, false); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4*frontends; i++ { // warm every frontend's cache
+			if _, err := c.Lookup(NewName("www.example.org"), TypeA); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clock.Advance(10 * time.Minute)
+		if err := net.SetDown(addr, true); err != nil {
+			t.Fatal(err)
+		}
+
+		rs := &RecursiveServer{Client: c}
+		stop := make(chan struct{})
+		var served atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if res, err := c.Lookup(NewName("www.example.org"), TypeA); err == nil && res.Stale {
+						served.Add(1)
+					}
+				}
+			}()
+		}
+		// Stale answers flow before the gate exists and keep flowing after:
+		// it allows names outside any subscription.
+		waitPast := func(n int64) {
+			t.Helper()
+			for deadline := time.Now().Add(10 * time.Second); served.Load() <= n; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					close(stop)
+					wg.Wait()
+					t.Fatalf("%d frontend(s): stale answers stopped at %d", frontends, n)
+				}
+			}
+		}
+		waitPast(0)
+		rs.EnablePush(PushConfig{Net: net, Clock: clock})
+		waitPast(served.Load())
+		close(stop)
+		wg.Wait()
+	}
+}

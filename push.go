@@ -5,9 +5,7 @@ import (
 	"net/netip"
 	"time"
 
-	"dnsttl/internal/cache"
 	"dnsttl/internal/push"
-	"dnsttl/internal/resolver"
 )
 
 // PushAuthority is the authoritative half of the push-based invalidation
@@ -115,7 +113,7 @@ func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
 		Net:         pnet,
 		Clock:       cfg.Clock,
 		Retry:       cfg.Retry,
-		Stores:      rs.Client.stores(),
+		Stores:      rs.Client.f.Stores(),
 		PollEvery:   cfg.PollEvery,
 		HealthAfter: cfg.HealthAfter,
 		QLog:        cfg.QueryLog,
@@ -129,26 +127,7 @@ func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
 		}
 	}
 	sub := push.NewSubscriber(pcfg)
-	rs.Client.setStaleGate(sub)
+	rs.Client.f.SetStaleGate(sub)
 	rs.push.Store(sub)
 	return sub
-}
-
-// stores returns the client's cache stores — one per farm frontend for
-// private topologies, a single store otherwise — the set a push subscriber
-// must purge through to invalidate the whole fleet.
-func (c *Client) stores() []cache.Store {
-	if c.f != nil {
-		return c.f.Stores()
-	}
-	return []cache.Store{c.r.Cache}
-}
-
-// setStaleGate installs g on every frontend (or the lone resolver).
-func (c *Client) setStaleGate(g resolver.StaleGate) {
-	if c.f != nil {
-		c.f.SetStaleGate(g)
-		return
-	}
-	c.r.StaleGate = g
 }

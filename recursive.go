@@ -102,7 +102,7 @@ func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []by
 		start = time.Now()
 	}
 	sc.mq = middleware.Query{Name: name, Type: qtype, Client: from}
-	pres, err := rs.Client.resolveQuery(context.Background(), &sc.mq)
+	pres, err := rs.Client.f.ResolveQuery(context.Background(), &sc.mq)
 	if err != nil || pres.Result == nil {
 		if tap != nil {
 			tap.ResponseOut(from, name, qtype, RCodeServFail, 0, qlog.OutcomeError, time.Since(start))

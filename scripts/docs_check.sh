@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # docs_check.sh — keep the docs honest.
 #
-# Two invariants, checked mechanically so flag or metric additions cannot
-# silently outrun the documentation:
+# Four invariants, checked mechanically so flag, metric or experiment
+# changes cannot silently outrun the documentation:
 #
 #  1. Every flag defined in cmd/*/main.go appears (as -flagname) somewhere
 #     in docs/.
@@ -12,8 +12,10 @@
 #  3. Every middleware stage kind registered in internal/middleware (the
 #     register("kind", ...) table) has an entry in docs/middleware.md, and
 #     every per-stage counter suffix is documented as mw.<stage>.<suffix>.
+#  4. docs/sample-output.txt is what its documented command (EXPERIMENTS.md)
+#     prints today, wall-clock figures aside.
 #
-# Exits non-zero listing every undocumented name.
+# Exits non-zero listing every undocumented name and the sample's diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -72,8 +74,20 @@ for s in $suffixes; do
     fi
 done
 
+# --- 4. Sample output ------------------------------------------------------
+# The run is deterministic except for three wall-clock figures (the planet
+# tier's "total wall", wall_seconds and the throughput derived from it).
+mask_wall() {
+    sed -E 's/total wall [0-9.]+s/total wall Ns/; s/^(  (wall_seconds|throughput_user_seconds_per_wall_second) +)[0-9.]+$/\1N/' "$@"
+}
+if ! diff <(mask_wall docs/sample-output.txt) \
+    <(go run ./cmd/ttlrepro -experiment all -probes 800 -crawlscale 0.3 | mask_wall) >&2; then
+    echo "docs_check: docs/sample-output.txt is stale — regenerate it with the command in EXPERIMENTS.md" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "docs_check: FAILED — update docs/operations.md / docs/architecture.md / docs/middleware.md" >&2
     exit 1
 fi
-echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented)"
+echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented; sample output current)"

@@ -9,7 +9,7 @@
 set -euo pipefail
 
 workdir=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$workdir"' EXIT
+trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 cat > "$workdir/root.zone" <<'EOF'
 $ORIGIN .
@@ -40,10 +40,11 @@ resolver_pid=$!
 sleep 0.5
 
 # One warming query first: without it the eight workers' first queries all
-# miss together (a single resolver does not coalesce client queries), and
-# each miss makes infrastructure lookups that the cache counters see and the
-# client-facing log does not — enough to push the two hit rates compared at
-# the end more than a point apart.
+# miss together (one leader, seven coalesced followers the log counts as
+# non-hits and the cache never sees), and a miss makes infrastructure
+# lookups that the cache counters see and the client-facing log does not —
+# enough to push the two hit rates compared at the end more than a point
+# apart.
 "$workdir/dnsload" -server 127.0.0.1 -port 5376 -workers 1 -count 1 \
     -workload www.example.test:A -fail-on-error > /dev/null
 
