@@ -366,10 +366,7 @@ func NewForwarder(addr netip.Addr, upstreams []netip.Addr, net Exchanger, clock 
 type Server struct {
 	s   *authoritative.Server
 	reg *Registry // from Instrument, for the UDP listener's gauges
-	u   *authoritative.UDPServer
-	t   *authoritative.TCPServer
-	dot *authoritative.TCPServer
-	doh *authoritative.DoHServer
+	ls  authoritative.Listeners
 }
 
 // NewServer creates a server named after its primary nameserver host.
@@ -393,29 +390,25 @@ func (s *Server) Handle(q *Message, from netip.Addr) *Message {
 // ListenUDP binds addr ("127.0.0.1:0" style) and serves until Close. It
 // returns the bound address.
 func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
-	s.u = &authoritative.UDPServer{Server: s.s, Registry: s.reg}
-	return s.u.Listen(addr)
+	return s.ls.UDP(addr, s.s, s.reg)
 }
 
 // ListenTCP binds addr for the TCP transport (truncation fallback) and
 // serves until Close, returning the bound address.
 func (s *Server) ListenTCP(addr string) (netip.AddrPort, error) {
-	s.t = &authoritative.TCPServer{Server: s.s}
-	return s.t.Listen(addr)
+	return s.ls.TCP(addr, s.s.Stream(), nil)
 }
 
 // ListenDoT binds addr for DNS-over-TLS service (RFC 7858) with the given
 // TLS config, serving until Close.
 func (s *Server) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	s.dot = &authoritative.TCPServer{Server: s.s, TLS: cfg}
-	return s.dot.Listen(addr)
+	return s.ls.TCP(addr, s.s.Stream(), cfg)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS service (RFC 8484) with the
 // given TLS config, serving until Close.
 func (s *Server) ListenDoH(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	s.doh = &authoritative.DoHServer{Server: s.s, TLS: cfg}
-	return s.doh.Listen(addr)
+	return s.ls.DoH(addr, s.s.Stream(), cfg)
 }
 
 // SelfSignedTLS mints an ephemeral server certificate for the given hosts
@@ -461,26 +454,7 @@ func (s *Server) Instrument(reg *Registry) {
 // tap detaches.
 func (s *Server) AttachQueryLog(tap *QueryLogTap) { s.s.QLog = tap }
 
-// Close stops all listening transports.
-func (s *Server) Close() error {
-	var err error
-	if s.u != nil {
-		err = s.u.Close()
-	}
-	if s.t != nil {
-		if e := s.t.Close(); err == nil {
-			err = e
-		}
-	}
-	if s.dot != nil {
-		if e := s.dot.Close(); err == nil {
-			err = e
-		}
-	}
-	if s.doh != nil {
-		if e := s.doh.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
-}
+// Close drains every listener: each stops accepting, queries already in
+// service are answered, idle connections are closed at once. It returns nil
+// after a clean drain, also when nothing was listening.
+func (s *Server) Close() error { return s.ls.Close() }

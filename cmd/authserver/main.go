@@ -1,5 +1,5 @@
 // Command authserver serves one or more zone files authoritatively over
-// UDP, using the library's server.
+// UDP and TCP on one address, using the library's server.
 //
 // Usage:
 //
@@ -94,7 +94,7 @@ func applyZoneDiff(live, fresh *dnsttl.Zone) int {
 
 func main() {
 	var (
-		listen       = flag.String("listen", "127.0.0.1:5353", "UDP listen address")
+		listen       = flag.String("listen", "127.0.0.1:5353", "UDP and TCP listen address")
 		name         = flag.String("name", "ns1.example.org", "server's own name")
 		metrics      = flag.String("metrics", "", "HTTP address for /metrics introspection (empty = off)")
 		qlogPath     = flag.String("qlog", "", "structured query-log file; rotations shift to FILE.1.. (empty = off)")
@@ -219,7 +219,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "authserver:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("serving on udp://%s\n", addr)
+	// TCP on the port UDP got (port-53 practice): zone transfers, and the
+	// retry a truncated or rate-limited UDP answer asks for.
+	if _, err := srv.ListenTCP(addr.String()); err != nil {
+		fmt.Fprintln(os.Stderr, "authserver:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("serving on udp://%s and tcp://%s\n", addr, addr)
 	if *metrics != "" {
 		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, reg, nil)
 		if err != nil {
@@ -233,11 +239,15 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	// Drain before summarising, so the count includes the queries that were
+	// in service when the signal came.
+	if err := srv.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "authserver:", err)
+	}
 	fmt.Printf("\n%d queries served\n", srv.QueryCount())
 	if pa != nil {
 		st := pa.Stats()
 		fmt.Printf("push: %d change(s), %d notify(s) to %d subscriber(s), %d ixfr, %d axfr\n",
 			st.Changes, st.Notifies, st.Subscribers, st.IXFRServed, st.AXFRServed)
 	}
-	_ = srv.Close()
 }

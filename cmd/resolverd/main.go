@@ -378,11 +378,15 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
+	// Drain before summarising, so the summary counts the queries that were
+	// in service when the signal came.
+	if err := rs.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "resolverd:", err)
+	}
 	st := client.CacheStats()
 	fmt.Printf("\ncache: %d entries (%d bytes), %d hits, %d misses, %d evictions, %d prefetches\n",
 		st.Entries, st.Bytes, st.Hits, st.Misses, st.Evictions, st.Prefetches)
 	if fs, ok := client.FarmStats(); ok {
 		fmt.Print(fs.String())
 	}
-	_ = rs.Close()
 }

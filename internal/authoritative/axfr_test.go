@@ -9,7 +9,7 @@ import (
 
 func TestAXFRRoundTrip(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Server: s}
+	ts := &TCPServer{Handler: s.Stream()}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestAXFRRoundTrip(t *testing.T) {
 
 func TestAXFRRefusedForUnknownZone(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Server: s}
+	ts := &TCPServer{Handler: s.Stream()}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

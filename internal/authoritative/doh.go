@@ -1,6 +1,7 @@
 package authoritative
 
 import (
+	"context"
 	"crypto/tls"
 	"encoding/base64"
 	"io"
@@ -18,20 +19,17 @@ const DoHPath = "/dns-query"
 
 // DoHServer serves DNS over HTTPS (RFC 8484): wire-format queries arrive
 // as POST bodies or base64url ?dns= GET parameters on /dns-query, and
-// wire-format answers go back as application/dns-message. Exactly one of
-// Server or Handler must be set; Server takes precedence and applies the
-// TCP-sized response limit (no datagram truncation over HTTP).
+// wire-format answers go back as application/dns-message.
 type DoHServer struct {
-	Server *Server
-	// Handler serves queries when Server is nil — any simnet.Handler,
-	// e.g. a recursive front-end.
+	// Handler serves the queries; as on TCP, a Server's flavour without
+	// datagram truncation is Server.Stream.
 	Handler simnet.Handler
 	// TLS must be set for RFC 8484 semantics; nil serves plain HTTP,
 	// which is only useful behind a terminating proxy or in tests.
 	TLS *tls.Config
 
-	srv *http.Server
-	ln  net.Listener
+	srv    *http.Server
+	served chan struct{} // closed when the serve goroutine has returned
 }
 
 // Listen binds addr and serves until Close, returning the bound address.
@@ -43,18 +41,19 @@ func (d *DoHServer) Listen(addr string) (netip.AddrPort, error) {
 	bound := ln.Addr().(*net.TCPAddr).AddrPort()
 	mux := http.NewServeMux()
 	mux.Handle(DoHPath, d)
-	d.ln = ln
-	d.srv = &http.Server{
+	srv := &http.Server{
 		Handler:           mux,
 		TLSConfig:         d.TLS,
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       DefaultTCPIdleTimeout,
 	}
+	d.srv, d.served = srv, make(chan struct{})
 	go func() {
+		defer close(d.served)
 		if d.TLS != nil {
-			_ = d.srv.ServeTLS(ln, "", "")
+			_ = srv.ServeTLS(ln, "", "")
 		} else {
-			_ = d.srv.Serve(ln)
+			_ = srv.Serve(ln)
 		}
 	}()
 	return bound, nil
@@ -81,12 +80,7 @@ func (d *DoHServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if ap, perr := netip.ParseAddrPort(r.RemoteAddr); perr == nil {
 		from = ap.Addr()
 	}
-	var resp []byte
-	if d.Server != nil {
-		resp = d.Server.ServeDNSTCP(query, from)
-	} else if d.Handler != nil {
-		resp = d.Handler.ServeDNS(query, from)
-	}
+	resp := d.Handler.ServeDNS(query, from)
 	if resp == nil {
 		w.WriteHeader(http.StatusInternalServerError)
 		return
@@ -96,10 +90,18 @@ func (d *DoHServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(resp)
 }
 
-// Close stops the listener and in-flight requests.
-func (d *DoHServer) Close() error {
+// Close drains the listener (see drain); http.Server.Shutdown is that
+// ladder for HTTP.
+func (d *DoHServer) Close() error { return drain(d) }
+
+func (d *DoHServer) shutdown(ctx context.Context) error {
 	if d.srv == nil {
 		return nil
 	}
-	return d.srv.Close()
+	err := d.srv.Shutdown(ctx)
+	if err != nil {
+		_ = d.srv.Close() // the bound passed: cut what is left
+	}
+	<-d.served
+	return err
 }

@@ -153,10 +153,19 @@ func (s *Server) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
 	return s.serveWire(dst, wire, from, false)
 }
 
-// ServeDNSTCP is the TCP-transport entry point: same handling, but the
-// 64 KiB frame limit applies instead of datagram truncation.
-func (s *Server) ServeDNSTCP(wire []byte, from netip.Addr) []byte {
-	return s.serveWire(nil, wire, from, true)
+// Stream returns the server's handler for the stream transports (TCP, DoT,
+// DoH): same handling, but the 64 KiB frame limit applies instead of
+// datagram truncation, and RRL does not.
+func (s *Server) Stream() simnet.Handler { return streamHandler{s} }
+
+type streamHandler struct{ s *Server }
+
+func (h streamHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
+	return h.s.serveWire(nil, wire, from, true)
+}
+
+func (h streamHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
+	return h.s.serveWire(dst, wire, from, true)
 }
 
 // serveWire handles one query, appending the response to dst; dst comes back

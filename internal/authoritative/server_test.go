@@ -229,7 +229,7 @@ func TestZoneAccessor(t *testing.T) {
 
 func TestUDPServerIntegration(t *testing.T) {
 	s := testServer(t)
-	u := &UDPServer{Server: s}
+	u := &UDPServer{Handler: s}
 	addr, err := u.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

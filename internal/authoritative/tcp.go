@@ -1,6 +1,7 @@
 package authoritative
 
 import (
+	"context"
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
@@ -28,13 +29,12 @@ const (
 
 // TCPServer serves DNS over TCP with RFC 1035 §4.2.2 two-byte length
 // framing — the fallback transport clients use when a UDP response arrives
-// truncated, and the base layer for DoT when TLS is set. Exactly one of
-// Server or Handler must be set; Server takes precedence and applies the
-// 64 KiB TCP response limit instead of datagram truncation.
+// truncated, and the base layer for DoT when TLS is set.
 type TCPServer struct {
-	Server *Server
-	// Handler serves queries when Server is nil — any simnet.Handler,
-	// e.g. a recursive front-end.
+	// Handler serves the queries, under the contract a UDPServer's does:
+	// the wire it is handed is the connection's read buffer, valid only
+	// until it returns. Whether replies are cut to a datagram size is the
+	// handler's business; a Server's stream flavour is Server.Stream.
 	Handler simnet.Handler
 	// TLS, when non-nil, wraps every accepted connection (DNS over TLS,
 	// RFC 7858).
@@ -50,12 +50,14 @@ type TCPServer struct {
 
 	// rejected counts connections refused by the MaxConns cap.
 	rejected atomic.Uint64
+	closed   atomic.Bool
 
-	mu     sync.Mutex
-	ln     net.Listener
-	closed bool
-	wg     sync.WaitGroup
-	sem    chan struct{}
+	mu sync.Mutex
+	ln net.Listener
+	// conns is the connections being served: what MaxConns caps and what
+	// Close wakes.
+	conns map[net.Conn]struct{}
+	wg    sync.WaitGroup
 }
 
 func (t *TCPServer) idleTimeout() time.Duration {
@@ -84,96 +86,122 @@ func (t *TCPServer) Listen(addr string) (netip.AddrPort, error) {
 	}
 	t.mu.Lock()
 	t.ln = ln
-	if maxConns > 0 {
-		t.sem = make(chan struct{}, maxConns)
-	}
+	t.conns = make(map[net.Conn]struct{})
 	t.mu.Unlock()
 	t.wg.Add(1)
-	go t.serve(ln)
+	go t.serve(ln, simnet.AsAppendHandler(t.Handler), maxConns)
 	return bound, nil
 }
 
-func (t *TCPServer) serve(ln net.Listener) {
+func (t *TCPServer) serve(ln net.Listener, h simnet.AppendHandler, maxConns int) {
 	defer t.wg.Done()
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
-			t.mu.Lock()
-			closed := t.closed
-			t.mu.Unlock()
-			if closed || errors.Is(err, net.ErrClosed) {
+			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			continue
 		}
-		if t.sem != nil {
-			select {
-			case t.sem <- struct{}{}:
-			default:
-				// At the connection cap: shed the newcomer instead of
-				// queueing it behind goroutines a slow client may be
-				// pinning.
-				t.rejected.Add(1)
-				_ = conn.Close()
-				continue
-			}
+		t.mu.Lock()
+		full := maxConns > 0 && len(t.conns) >= maxConns
+		if !full {
+			t.conns[conn] = struct{}{}
+		}
+		t.mu.Unlock()
+		if full {
+			// At the connection cap: shed the newcomer instead of queueing
+			// it behind goroutines a slow client may be pinning.
+			t.rejected.Add(1)
+			_ = conn.Close()
+			continue
 		}
 		t.wg.Add(1)
 		go func() {
 			defer t.wg.Done()
-			if t.sem != nil {
-				defer func() { <-t.sem }()
-			}
-			t.handleConn(conn)
+			t.handleConn(conn, h)
 		}()
 	}
 }
 
-// handleConn serves queries on one connection until EOF, error, or an idle
-// timeout. Multiple queries per connection are allowed, as the RFC permits.
-func (t *TCPServer) handleConn(conn net.Conn) {
-	defer conn.Close()
+// handleConn serves queries on one connection until EOF, error, an idle
+// timeout or Close. Multiple queries per connection are allowed, as the RFC
+// permits. It is the UDP loop's shape on a stream: one read buffer and one
+// reply buffer per connection, the reply appended behind its length prefix
+// and handed to the socket in one Write (RFC 7766 §8: one segment, one TLS
+// record).
+func (t *TCPServer) handleConn(conn net.Conn, h simnet.AppendHandler) {
+	defer func() {
+		_ = conn.Close()
+		t.mu.Lock()
+		delete(t.conns, conn)
+		t.mu.Unlock()
+	}()
 	idle := t.idleTimeout()
 	from := netip.Addr{}
 	if ta, ok := conn.RemoteAddr().(*net.TCPAddr); ok {
 		from = ta.AddrPort().Addr()
 	}
+	in := make([]byte, 512)
+	out := make([]byte, 2, 2+512)
 	for {
 		// One deadline per query: a client may hold the connection open
 		// indefinitely as long as it keeps sending, but each silence is
 		// bounded.
 		_ = conn.SetReadDeadline(time.Now().Add(idle))
-		query, err := readFrame(conn)
-		if err != nil {
+		// Checked after the deadline is set: either this sees Close, or
+		// Close's expired deadline lands after ours and fails the read.
+		if t.closed.Load() {
 			return
 		}
-		var resp []byte
-		if t.Server != nil {
-			resp = t.Server.ServeDNSTCP(query, from)
-		} else if t.Handler != nil {
-			resp = t.Handler.ServeDNS(query, from)
-		}
-		if resp == nil {
+		if _, err := io.ReadFull(conn, in[:2]); err != nil {
 			return
 		}
+		n := int(binary.BigEndian.Uint16(in))
+		if n == 0 {
+			return
+		}
+		if n > len(in) {
+			in = make([]byte, n)
+		}
+		if _, err := io.ReadFull(conn, in[:n]); err != nil {
+			return
+		}
+		out = h.AppendServeDNS(out[:2], in[:n], from)
+		if len(out) == 2 || len(out)-2 > 0xFFFF {
+			return
+		}
+		binary.BigEndian.PutUint16(out, uint16(len(out)-2))
 		_ = conn.SetWriteDeadline(time.Now().Add(idle))
-		if err := writeFrame(conn, resp); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-// Close stops the listener and waits for in-flight connections.
-func (t *TCPServer) Close() error {
+// Close drains the listener (see drain).
+func (t *TCPServer) Close() error { return drain(t) }
+
+func (t *TCPServer) shutdown(ctx context.Context) error {
+	t.closed.Store(true)
 	t.mu.Lock()
-	t.closed = true
 	ln := t.ln
-	t.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
+	t.ln = nil
+	for conn := range t.conns {
+		// Fails the read a connection between queries is parked in; one with
+		// a query in service finds closed set once its reply is written.
+		_ = conn.SetReadDeadline(time.Now())
 	}
-	t.wg.Wait()
+	t.mu.Unlock()
+	if ln == nil {
+		return nil
+	}
+	err := errors.Join(ln.Close(), inService(ctx, &t.wg))
+	t.mu.Lock()
+	for conn := range t.conns { // only what the bound cut short
+		_ = conn.Close()
+	}
+	t.mu.Unlock()
 	return err
 }
 

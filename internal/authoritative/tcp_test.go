@@ -12,7 +12,7 @@ import (
 
 func TestTCPServerIntegration(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Server: s}
+	ts := &TCPServer{Handler: s.Stream()}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestTCPServerIntegration(t *testing.T) {
 
 func TestTCPExchangeConnRefused(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Server: s}
+	ts := &TCPServer{Handler: s.Stream()}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

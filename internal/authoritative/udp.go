@@ -1,6 +1,7 @@
 package authoritative
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -33,8 +34,7 @@ const (
 // UDPServer serves a DNS handler over a real UDP socket; it exists so the
 // library is usable as an actual nameserver (cmd/authserver), as a
 // recursive daemon front-end (cmd/resolverd), and so integration tests can
-// exercise the OS network path. Exactly one of Server or Handler must be
-// set; Server takes precedence.
+// exercise the OS network path.
 //
 // Serving is N identical loops sharing the socket, each reading a datagram
 // into its own buffer, calling the handler on its own goroutine and writing
@@ -47,9 +47,8 @@ const (
 // concurrent slow queries keeps n loops (a parked goroutine and a 64 KiB
 // read buffer each).
 type UDPServer struct {
-	Server *Server
-	// Handler serves queries when Server is nil — any simnet.Handler,
-	// e.g. a recursive front-end. One that also implements
+	// Handler serves the queries — an authoritative Server, a recursive
+	// front-end, any simnet.Handler. One that also implements
 	// simnet.AppendHandler is served without a per-reply copy. The wire
 	// passed to it is the loop's read buffer: valid only until it returns.
 	Handler simnet.Handler
@@ -94,13 +93,6 @@ func (u *UDPServer) Stats() UDPStats {
 	}
 }
 
-func (u *UDPServer) handler() simnet.Handler {
-	if u.Server != nil {
-		return u.Server
-	}
-	return u.Handler
-}
-
 // Listen binds addr ("127.0.0.1:0" style) and starts serving until Close.
 // It returns the bound address.
 func (u *UDPServer) Listen(addr string) (netip.AddrPort, error) {
@@ -124,7 +116,7 @@ func (u *UDPServer) Listen(addr string) (netip.AddrPort, error) {
 	if maxLoops <= 0 {
 		maxLoops = DefaultMaxInflight
 	}
-	u.startLoop(conn, simnet.AsAppendHandler(u.handler()), maxLoops)
+	u.startLoop(conn, simnet.AsAppendHandler(u.Handler), maxLoops)
 	return conn.LocalAddr().(*net.UDPAddr).AddrPort(), nil
 }
 
@@ -182,19 +174,23 @@ func (u *UDPServer) serve(conn *net.UDPConn, h simnet.AppendHandler, maxLoops in
 	}
 }
 
-// Close stops the server, releases the socket and waits for the queries in
-// service to finish.
-func (u *UDPServer) Close() error {
+// Close drains the listener (see drain).
+func (u *UDPServer) Close() error { return drain(u) }
+
+func (u *UDPServer) shutdown(ctx context.Context) error {
 	u.mu.Lock()
 	u.closed = true
 	conn := u.conn
+	u.conn = nil
 	u.mu.Unlock()
-	var err error
-	if conn != nil {
-		err = conn.Close()
+	if conn == nil {
+		return nil
 	}
-	u.wg.Wait()
-	return err
+	// An expired read deadline fails the read every idle loop is parked in
+	// and the read a loop in service comes back to, while the socket stays
+	// open for that loop's reply.
+	err := conn.SetReadDeadline(time.Now())
+	return errors.Join(err, inService(ctx, &u.wg), conn.Close())
 }
 
 // UDPExchange sends a single wire-format query to addr over real UDP and

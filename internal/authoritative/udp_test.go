@@ -245,7 +245,7 @@ func (cannedAppend) ServeDNS(wire []byte, from netip.Addr) []byte { return echoQ
 
 func (cannedAppend) AppendServeDNS(dst, wire []byte, _ netip.Addr) []byte {
 	dst = append(dst, wire...)
-	dst[2] |= 0x80
+	dst[len(dst)-len(wire)+2] |= 0x80
 	return dst
 }
 

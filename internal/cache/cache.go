@@ -301,6 +301,18 @@ type Stats struct {
 	AdmissionRejects uint64
 }
 
+// Add accumulates o into s — how a pool of stores reports as one.
+func (s *Stats) Add(o Stats) {
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.StaleHits += o.StaleHits
+	s.Entries += o.Entries
+	s.Bytes += o.Bytes
+	s.Prefetches += o.Prefetches
+	s.AdmissionRejects += o.AdmissionRejects
+}
+
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

@@ -109,15 +109,7 @@ func (s *Sharded) Len() int {
 func (s *Sharded) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
-		st := sh.Stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Evictions += st.Evictions
-		out.StaleHits += st.StaleHits
-		out.Entries += st.Entries
-		out.Bytes += st.Bytes
-		out.Prefetches += st.Prefetches
-		out.AdmissionRejects += st.AdmissionRejects
+		out.Add(sh.Stats())
 	}
 	out.Prefetches += s.prefetches.Load()
 	return out

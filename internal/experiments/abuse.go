@@ -158,7 +158,7 @@ func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 	// Same world as the fragmentation tier: 150 names at TTL 300 keeps the
 	// honest stream mostly cache-served, so collateral shows up as lost
 	// hit-points rather than noise.
-	w := newFarmWorld(150, 300, 8.0, seed)
+	w := newZipfWorld(farmPlan, 150, 300, 8.0, seed, seed)
 	reg := obs.NewRegistry(w.clock)
 	w.orgSrv.Instrument(reg)
 	if cfg.protection == "rrl" || cfg.protection == "full" {

@@ -4,76 +4,16 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/farm"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
-	"dnsttl/internal/workload"
-	"dnsttl/internal/zone"
 )
 
-// farmWorld is one fragmentation cell's testbed: a root, one authoritative
-// zone holding the workload's names at a fixed TTL, and counters on both
-// servers so authoritative query volume can be attributed.
-type farmWorld struct {
-	clock             *simnet.VirtualClock
-	net               *simnet.Network
-	rootAddr, orgAddr netip.Addr
-	rootSrv, orgSrv   *authoritative.Server
-	gen               *workload.Generator
-	// hotQueries counts authoritative fetches of the most popular name —
-	// the record whose per-farm fetch rate the paper's fragmentation
-	// argument predicts scales linearly with the frontend count.
-	hotQueries uint64
-}
-
-func newFarmWorld(names int, ttl uint32, qps float64, seed int64) *farmWorld {
-	w := &farmWorld{
-		clock:    simnet.NewVirtualClock(),
-		net:      simnet.NewNetwork(seed),
-		rootAddr: netip.MustParseAddr("192.88.40.1"),
-		orgAddr:  netip.MustParseAddr("192.88.40.2"),
-	}
-	orgAddr := w.orgAddr
-	root := zone.New(dnswire.Root)
-	root.MustAdd(
-		dnswire.NewSOA(".", 86400, "a.root-servers.net.", "x.example.", 1, 1, 1, 1, 86400),
-		dnswire.NewNS(".", 518400, "a.root-servers.net"),
-		dnswire.NewA("a.root-servers.net", 518400, w.rootAddr.String()),
-		dnswire.NewNS("example.org", 172800, "ns1.example.org"),
-		dnswire.NewA("ns1.example.org", 172800, orgAddr.String()),
-	)
-	org := zone.New(dnswire.NewName("example.org"))
-	org.MustAdd(
-		dnswire.NewSOA("example.org", 3600, "ns1.example.org", "x.example.org", 1, 1, 1, 1, 60),
-		dnswire.NewNS("example.org", 86400, "ns1.example.org"),
-		dnswire.NewA("ns1.example.org", 86400, orgAddr.String()),
-	)
-	w.gen = workload.New(dnswire.NewName("example.org"), names, 1.0, qps, seed)
-	for j, n := range w.gen.Names {
-		org.MustAdd(dnswire.RR{Name: n, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL: ttl, Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{198, 18, byte(j >> 8), byte(j)})}})
-	}
-	w.rootSrv = authoritative.NewServer(dnswire.NewName("a.root-servers.net"), w.clock)
-	w.rootSrv.AddZone(root)
-	w.net.Attach(w.rootAddr, w.rootSrv)
-	w.orgSrv = authoritative.NewServer(dnswire.NewName("ns1.example.org"), w.clock)
-	w.orgSrv.AddZone(org)
-	w.net.Attach(orgAddr, w.orgSrv)
-	hot := w.gen.Names[0]
-	w.net.Tap = func(ev simnet.TapEvent) {
-		if ev.Dst != orgAddr {
-			return
-		}
-		if q, err := dnswire.Decode(ev.Query); err == nil && len(q.Question) > 0 && q.Q().Name == hot {
-			w.hotQueries++
-		}
-	}
-	return w
-}
+// farmPlan is the address plan of the farm experiments' worlds.
+var farmPlan = zipfPlan{subnet: 40, recordNet: 18}
 
 // FarmFragmentation reproduces the paper's §4.4 operational finding as a
 // controlled sweep: a fixed Zipf/Poisson client stream is served by a
@@ -124,7 +64,20 @@ func FarmFragmentation(queries, workers int, seed int64) *Report {
 		cfg := grid[i]
 		// Every cell replays the identical arrival stream: the world (and
 		// its generator) is rebuilt from the same seed.
-		w := newFarmWorld(names, cfg.ttl, qps, seed)
+		w := newZipfWorld(farmPlan, names, cfg.ttl, qps, seed, seed)
+		// hot counts authoritative fetches of the most popular name — the
+		// record whose per-farm fetch rate the paper's fragmentation
+		// argument predicts scales linearly with the frontend count.
+		var hot uint64
+		hotName := w.gen.Names[0]
+		w.net.Tap = func(ev simnet.TapEvent) {
+			if ev.Dst != w.orgAddr {
+				return
+			}
+			if q, err := dnswire.Decode(ev.Query); err == nil && len(q.Question) > 0 && q.Q().Name == hotName {
+				hot++
+			}
+		}
 		// The cell's fleet reports through its own registry, so the hit
 		// rates and client-latency quantiles below are the same numbers a
 		// resolverd built on this farm would serve at /metrics.
@@ -139,14 +92,10 @@ func FarmFragmentation(queries, workers int, seed int64) *Report {
 			Registry:  reg,
 		}, netip.MustParseAddr("10.40.0.1"), w.net, w.clock, []netip.Addr{w.rootAddr})
 
-		for q := 0; q < queries; q++ {
-			gap, name := w.gen.Next()
-			w.clock.Advance(gap)
-			_, _ = fm.Resolve(name, dnswire.TypeA)
-		}
+		w.replay(fm, queries)
 		return cell{
 			auth:    w.rootSrv.QueryCount() + w.orgSrv.QueryCount(),
-			hot:     w.hotQueries,
+			hot:     hot,
 			rates:   fm.Stats().Rates(),
 			latency: reg.Histogram(resolver.MetricLatency).Snapshot(),
 		}

@@ -4,14 +4,9 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dnsttl/internal/authoritative"
-	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/resolver"
-	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
-	"dnsttl/internal/workload"
-	"dnsttl/internal/zone"
 )
 
 // HitRateVsTTL validates the analytical cache model against the real cache
@@ -35,61 +30,19 @@ func HitRateVsTTL(queries, workers int, seed int64) *Report {
 	}
 	pts := Sweep(len(ttls), workers, func(i int) point {
 		ttl := ttls[i]
-		clock := simnet.NewVirtualClock()
-		net := simnet.NewNetwork(seed)
-
-		rootAddr := netip.MustParseAddr("192.88.30.1")
-		orgAddr := netip.MustParseAddr("192.88.30.2")
-		root := zone.New(dnswire.Root)
-		root.MustAdd(
-			dnswire.NewSOA(".", 86400, "a.root-servers.net.", "x.example.", 1, 1, 1, 1, 86400),
-			dnswire.NewNS(".", 518400, "a.root-servers.net"),
-			dnswire.NewA("a.root-servers.net", 518400, rootAddr.String()),
-			dnswire.NewNS("example.org", 172800, "ns1.example.org"),
-			dnswire.NewA("ns1.example.org", 172800, orgAddr.String()),
-		)
-		org := zone.New(dnswire.NewName("example.org"))
-		org.MustAdd(
-			dnswire.NewSOA("example.org", 3600, "ns1.example.org", "x.example.org", 1, 1, 1, 1, 60),
-			dnswire.NewNS("example.org", 86400, "ns1.example.org"),
-			dnswire.NewA("ns1.example.org", 86400, orgAddr.String()),
-		)
-		gen := workload.New(dnswire.NewName("example.org"), names, 1.0, qps, seed+int64(i))
-		for j, n := range gen.Names {
-			org.MustAdd(dnswire.RR{Name: n, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-				TTL: ttl, Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{198, 18, byte(j >> 8), byte(j)})}})
-		}
-		rootSrv := authoritative.NewServer(dnswire.NewName("a.root-servers.net"), clock)
-		rootSrv.AddZone(root)
-		net.Attach(rootAddr, rootSrv)
-		orgSrv := authoritative.NewServer(dnswire.NewName("ns1.example.org"), clock)
-		orgSrv.AddZone(org)
-		net.Attach(orgAddr, orgSrv)
-
+		w := newZipfWorld(zipfPlan{subnet: 30, recordNet: 18}, names, ttl, qps, seed, seed+int64(i))
 		res := resolver.New(netip.MustParseAddr("10.30.0.1"), resolver.DefaultPolicy(),
-			net, clock, []netip.Addr{rootAddr}, seed)
+			w.net, w.clock, []netip.Addr{w.rootAddr}, seed)
 		// Each point carries its own registry: the latency and answer-TTL
 		// distributions come from the telemetry plane, not ad-hoc slices,
 		// so a live /metrics scrape of the same setup shows these numbers.
-		reg := obs.NewRegistry(clock)
+		reg := obs.NewRegistry(w.clock)
 		res.Obs = resolver.NewMetrics(reg)
 
-		hits, total := 0, 0
-		for q := 0; q < queries; q++ {
-			gap, name := gen.Next()
-			clock.Advance(gap)
-			out, err := res.Resolve(name, dnswire.TypeA)
-			if err != nil || out.Msg.Header.RCode != dnswire.RCodeNoError {
-				continue
-			}
-			total++
-			if out.CacheHit {
-				hits++
-			}
-		}
+		hits, total := w.replay(res, queries)
 		return point{
 			measured:  frac(hits, total),
-			predicted: gen.ExpectedHitRate(ttl),
+			predicted: w.gen.ExpectedHitRate(ttl),
 			latency:   reg.Histogram(resolver.MetricLatency).Snapshot(),
 			answerTTL: reg.Histogram(resolver.MetricAnswerTTL).Snapshot(),
 		}

@@ -5,14 +5,9 @@ import (
 	"fmt"
 	"net/netip"
 
-	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
-	"dnsttl/internal/dnswire"
 	"dnsttl/internal/resolver"
-	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
-	"dnsttl/internal/workload"
-	"dnsttl/internal/zone"
 )
 
 // The cache-pressure sweep extends the paper's hit-rate-vs-TTL analysis
@@ -120,96 +115,33 @@ func pressureSpecs() []pressureSpec {
 	return specs
 }
 
-// pressureWorld is one cell's testbed: clock, network, the two
-// authoritative servers, and the workload generator. The model-validation
-// probe (validate.go) builds the identical world to measure byte
-// overheads, which is why construction is factored out of pressureCell.
-type pressureWorld struct {
-	clock           *simnet.VirtualClock
-	net             *simnet.Network
-	rootAddr        netip.Addr
-	rootSrv, orgSrv *authoritative.Server
-	gen             *workload.Generator
-}
-
-// pressureRecord is the workload A record for name j, as served by the
-// zone — also what the model charges per cache entry (cache.EntryCharge
-// of its wire size).
-func pressureRecord(n dnswire.Name, j int, ttl uint32) dnswire.RR {
-	return dnswire.RR{Name: n, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-		TTL: ttl, Data: dnswire.A{Addr: netip.AddrFrom4([4]byte{198, 19, byte(j >> 8), byte(j)})}}
-}
-
-func newPressureWorld(ttl uint32, seed int64) *pressureWorld {
-	w := &pressureWorld{
-		clock:    simnet.NewVirtualClock(),
-		net:      simnet.NewNetwork(seed),
-		rootAddr: netip.MustParseAddr("192.88.31.1"),
-	}
-	orgAddr := netip.MustParseAddr("192.88.31.2")
-	root := zone.New(dnswire.Root)
-	root.MustAdd(
-		dnswire.NewSOA(".", 86400, "a.root-servers.net.", "x.example.", 1, 1, 1, 1, 86400),
-		dnswire.NewNS(".", 518400, "a.root-servers.net"),
-		dnswire.NewA("a.root-servers.net", 518400, w.rootAddr.String()),
-		dnswire.NewNS("example.org", 172800, "ns1.example.org"),
-		dnswire.NewA("ns1.example.org", 172800, orgAddr.String()),
-	)
-	org := zone.New(dnswire.NewName("example.org"))
-	org.MustAdd(
-		dnswire.NewSOA("example.org", 3600, "ns1.example.org", "x.example.org", 1, 1, 1, 1, 60),
-		dnswire.NewNS("example.org", 86400, "ns1.example.org"),
-		dnswire.NewA("ns1.example.org", 86400, orgAddr.String()),
-	)
-	w.gen = workload.New(dnswire.NewName("example.org"), pressureNames, 1.0, pressureQPS, seed)
-	for j, n := range w.gen.Names {
-		org.MustAdd(pressureRecord(n, j, ttl))
-	}
-	w.rootSrv = authoritative.NewServer(dnswire.NewName("a.root-servers.net"), w.clock)
-	w.rootSrv.AddZone(root)
-	w.net.Attach(w.rootAddr, w.rootSrv)
-	w.orgSrv = authoritative.NewServer(dnswire.NewName("ns1.example.org"), w.clock)
-	w.orgSrv.AddZone(org)
-	w.net.Attach(orgAddr, w.orgSrv)
-	return w
-}
+// pressurePlan is the address plan of a pressure cell's world. The
+// model-validation probe (validate.go) builds the identical world to
+// measure byte overheads, and charges per cache entry what pressurePlan's
+// record costs on the wire (cache.EntryCharge).
+var pressurePlan = zipfPlan{subnet: 31, recordNet: 19}
 
 // pressureCell replays the workload against one grid point. Every cell uses
 // the same workload seed, so all cells face the identical query stream and
 // differ only in cache configuration.
 func pressureCell(spec pressureSpec, queries int, seed int64) PressureCell {
-	w := newPressureWorld(spec.ttl, seed)
-	clock, gen := w.clock, w.gen
-	rootSrv, orgSrv := w.rootSrv, w.orgSrv
-
+	w := newZipfWorld(pressurePlan, pressureNames, spec.ttl, pressureQPS, seed, seed)
 	pol := resolver.DefaultPolicy()
 	if spec.prefetch {
 		pol.Prefetch = true
 		pol.PrefetchFraction = 0.5
 	}
 	res := resolver.New(netip.MustParseAddr("10.31.0.1"), pol,
-		w.net, clock, []netip.Addr{w.rootAddr}, seed)
+		w.net, w.clock, []netip.Addr{w.rootAddr}, seed)
 	ccfg := pol.CacheConfig()
 	ccfg.MaxBytes = spec.maxBytes
 	// An entry costs at least ~130 bytes here, so bytes bind well before
 	// this count bound; it only sizes the SLRU segments and sketch.
 	ccfg.Capacity = int(spec.maxBytes / 100)
 	ccfg.Eviction = spec.policy
-	res.Cache = cache.New(clock, ccfg)
+	res.Cache = cache.New(w.clock, ccfg)
 
-	hits, answered := 0, 0
-	for q := 0; q < queries; q++ {
-		gap, name := gen.Next()
-		clock.Advance(gap)
-		out, err := res.Resolve(name, dnswire.TypeA)
-		if err != nil || out.Msg.Header.RCode != dnswire.RCodeNoError {
-			continue
-		}
-		answered++
-		if out.CacheHit {
-			hits++
-		}
-	}
+	hits, answered := w.replay(res, queries)
 
 	st := res.Cache.Stats()
 	cell := PressureCell{
@@ -222,7 +154,7 @@ func pressureCell(spec pressureSpec, queries int, seed int64) PressureCell {
 		Evictions:        int(st.Evictions),
 		AdmissionRejects: int(st.AdmissionRejects),
 		Prefetches:       int(st.Prefetches),
-		AuthQueries:      int(rootSrv.QueryCount() + orgSrv.QueryCount()),
+		AuthQueries:      int(w.rootSrv.QueryCount() + w.orgSrv.QueryCount()),
 		FinalEntries:     st.Entries,
 		FinalBytes:       int(st.Bytes),
 	}

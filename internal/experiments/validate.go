@@ -151,14 +151,14 @@ func ValidateFragmentationModel(queries, workers int, seed int64) *ModelValidati
 // referral records) a warmed resolver carries before any workload entry —
 // the BaseBytes the byte fixed point must reserve.
 func pressureOverheads(seed int64) (perEntry, baseBytes float64) {
-	w := newPressureWorld(pressureTTLs[0], seed)
+	w := newZipfWorld(pressurePlan, pressureNames, pressureTTLs[0], pressureQPS, seed, seed)
 	res := resolver.New(netip.MustParseAddr("10.31.0.9"), resolver.DefaultPolicy(),
 		w.net, w.clock, []netip.Addr{w.rootAddr}, seed)
 	name := w.gen.Names[0]
 	if _, err := res.Resolve(name, dnswire.TypeA); err != nil {
 		panic(err)
 	}
-	rr := pressureRecord(name, 0, pressureTTLs[0])
+	rr := pressurePlan.record(name, 0, pressureTTLs[0])
 	perEntry = float64(cache.EntryCharge(len(name), rr.WireSize()))
 	baseBytes = float64(res.Cache.Stats().Bytes) - perEntry
 	return perEntry, baseBytes

@@ -326,15 +326,7 @@ func (f *Farm) CacheStats() cache.Stats {
 	}
 	var out cache.Stats
 	for _, fe := range f.frontends {
-		st := fe.Cache.Stats()
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Evictions += st.Evictions
-		out.StaleHits += st.StaleHits
-		out.Entries += st.Entries
-		out.Bytes += st.Bytes
-		out.Prefetches += st.Prefetches
-		out.AdmissionRejects += st.AdmissionRejects
+		out.Add(fe.Cache.Stats())
 	}
 	return out
 }

@@ -138,10 +138,7 @@ type telemetry struct {
 func newTelemetry(n int, reg *obs.Registry) *telemetry {
 	t := &telemetry{fe: make([]feCounters, n)}
 	counter := func(i int, name string) *obs.Counter {
-		if reg == nil {
-			return &obs.Counter{}
-		}
-		return reg.Counter(fmt.Sprintf("farm.fe%d.%s", i, name))
+		return reg.OwnedCounter(fmt.Sprintf("farm.fe%d.%s", i, name))
 	}
 	for i := range t.fe {
 		t.fe[i] = feCounters{

@@ -98,34 +98,27 @@ func (r *Result) String() string {
 		r.LatencyMsP50, r.LatencyMsP90, r.LatencyMsP99, r.LatencyMsMax)
 }
 
-// taxonomy is the run's counter set: local atomics for the Result plus
-// optional obs mirrors for live /metrics scraping.
+// taxonomy is the run's counter set: the Result reads the very counters a
+// registry exports for live /metrics scraping (standalone ones without a
+// registry), so a registry serves one run.
 type taxonomy struct {
-	sent, noerror, nxdomain, servfail, refused, other atomic.Uint64
-	truncated, timeouts, neterrs, badmsg              atomic.Uint64
-	m                                                 map[*atomic.Uint64]*obs.Counter
+	sent, noerror, nxdomain, servfail, refused, other *obs.Counter
+	truncated, timeouts, neterrs, badmsg              *obs.Counter
 }
 
 func newTaxonomy(reg *obs.Registry) *taxonomy {
-	t := &taxonomy{}
-	t.m = map[*atomic.Uint64]*obs.Counter{
-		&t.sent:      reg.Counter(MetricSent),
-		&t.noerror:   reg.Counter(MetricNoError),
-		&t.nxdomain:  reg.Counter(MetricNXDomain),
-		&t.servfail:  reg.Counter(MetricServFail),
-		&t.refused:   reg.Counter(MetricRefused),
-		&t.other:     reg.Counter(MetricOtherRCode),
-		&t.truncated: reg.Counter(MetricTruncated),
-		&t.timeouts:  reg.Counter(MetricTimeouts),
-		&t.neterrs:   reg.Counter(MetricNetErrors),
-		&t.badmsg:    reg.Counter(MetricBadMessages),
+	return &taxonomy{
+		sent:      reg.OwnedCounter(MetricSent),
+		noerror:   reg.OwnedCounter(MetricNoError),
+		nxdomain:  reg.OwnedCounter(MetricNXDomain),
+		servfail:  reg.OwnedCounter(MetricServFail),
+		refused:   reg.OwnedCounter(MetricRefused),
+		other:     reg.OwnedCounter(MetricOtherRCode),
+		truncated: reg.OwnedCounter(MetricTruncated),
+		timeouts:  reg.OwnedCounter(MetricTimeouts),
+		neterrs:   reg.OwnedCounter(MetricNetErrors),
+		badmsg:    reg.OwnedCounter(MetricBadMessages),
 	}
-	return t
-}
-
-func (t *taxonomy) inc(c *atomic.Uint64) {
-	c.Add(1)
-	t.m[c].Inc() // nil-safe when no registry was given
 }
 
 // Run drives the configured load and blocks until it completes.
@@ -197,40 +190,40 @@ func Run(cfg Config) (*Result, error) {
 					dnswire.Question{Name: q.Name, Type: q.Type, Class: dnswire.ClassIN})
 				wire, err := dnswire.AppendEncode(scratch[:0], &qmsg)
 				if err != nil {
-					tax.inc(&tax.badmsg)
+					tax.badmsg.Inc()
 					continue
 				}
 				scratch = wire[:0]
-				tax.inc(&tax.sent)
+				tax.sent.Inc()
 				resp, rtt, err := cfg.Transport.Exchange(cfg.Target, wire)
 				if err != nil {
 					if errors.Is(err, transport.ErrTimeout) {
-						tax.inc(&tax.timeouts)
+						tax.timeouts.Inc()
 					} else {
-						tax.inc(&tax.neterrs)
+						tax.neterrs.Inc()
 					}
 					continue
 				}
 				hist.ObserveDuration(rtt)
 				if derr := dec.Decode(resp, &rmsg); derr != nil ||
 					rmsg.Header.ID != qmsg.Header.ID || !rmsg.Header.QR {
-					tax.inc(&tax.badmsg)
+					tax.badmsg.Inc()
 					continue
 				}
 				if rmsg.Header.TC {
-					tax.inc(&tax.truncated)
+					tax.truncated.Inc()
 				}
 				switch rmsg.Header.RCode {
 				case dnswire.RCodeNoError:
-					tax.inc(&tax.noerror)
+					tax.noerror.Inc()
 				case dnswire.RCodeNXDomain:
-					tax.inc(&tax.nxdomain)
+					tax.nxdomain.Inc()
 				case dnswire.RCodeServFail:
-					tax.inc(&tax.servfail)
+					tax.servfail.Inc()
 				case dnswire.RCodeRefused:
-					tax.inc(&tax.refused)
+					tax.refused.Inc()
 				default:
-					tax.inc(&tax.other)
+					tax.other.Inc()
 				}
 			}
 		}()
@@ -245,17 +238,17 @@ func Run(cfg Config) (*Result, error) {
 		Workers:   workers,
 		Seconds:   elapsed.Seconds(),
 
-		Sent:       tax.sent.Load(),
-		NoError:    tax.noerror.Load(),
-		NXDomain:   tax.nxdomain.Load(),
-		ServFail:   tax.servfail.Load(),
-		Refused:    tax.refused.Load(),
-		OtherRCode: tax.other.Load(),
-		Truncated:  tax.truncated.Load(),
+		Sent:       tax.sent.Value(),
+		NoError:    tax.noerror.Value(),
+		NXDomain:   tax.nxdomain.Value(),
+		ServFail:   tax.servfail.Value(),
+		Refused:    tax.refused.Value(),
+		OtherRCode: tax.other.Value(),
+		Truncated:  tax.truncated.Value(),
 
-		Timeouts:    tax.timeouts.Load(),
-		NetErrors:   tax.neterrs.Load(),
-		BadMessages: tax.badmsg.Load(),
+		Timeouts:    tax.timeouts.Value(),
+		NetErrors:   tax.neterrs.Value(),
+		BadMessages: tax.badmsg.Value(),
 
 		LatencyMsP50: snap.P50,
 		LatencyMsP90: snap.P90,

@@ -389,6 +389,16 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
+// OwnedCounter is Counter for an owner whose own statistics read the
+// counters it exports, so that an event is counted once: without a registry
+// it returns a standalone counter instead of a no-op handle.
+func (r *Registry) OwnedCounter(name string) *Counter {
+	if r == nil {
+		return &Counter{}
+	}
+	return r.Counter(name)
+}
+
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {

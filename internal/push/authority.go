@@ -37,7 +37,8 @@ type Authority struct {
 	// sends a UDP datagram. A nil Send disables fan-out (feeds still
 	// version their zones).
 	Send func(dst netip.AddrPort, wire []byte) error
-	// Obs, when non-nil, mirrors the authority counters into a registry.
+	// Obs holds the authority's counters; Instrument moves them into a
+	// registry.
 	Obs *AuthorityMetrics
 
 	mu    sync.Mutex
@@ -45,16 +46,12 @@ type Authority struct {
 	subs  map[dnswire.Name]map[netip.AddrPort]struct{}
 
 	msgID atomic.Uint32
-
-	changes    atomic.Uint64
-	notifies   atomic.Uint64
-	ixfrServed atomic.Uint64
-	axfrServed atomic.Uint64
 }
 
 // NewAuthority creates an authority with no feeds.
 func NewAuthority() *Authority {
 	return &Authority{
+		Obs:   NewAuthorityMetrics(nil),
 		feeds: make(map[dnswire.Name]*Feed),
 		subs:  make(map[dnswire.Name]map[netip.AddrPort]struct{}),
 	}
@@ -69,10 +66,17 @@ func (a *Authority) AddFeed(f *Feed) {
 	f.setOnChange(a.broadcast)
 }
 
-// Instrument mirrors the authority's counters into reg under the
-// push.feed_* names, including a live subscriber-count gauge.
+// Instrument moves the authority's counters into reg under the push.feed_*
+// names, carrying over what they have counted, and adds a live
+// subscriber-count gauge. Call it before the authority serves: events
+// counted while it runs may be lost.
 func (a *Authority) Instrument(reg *obs.Registry) {
+	old := a.Obs
 	a.Obs = NewAuthorityMetrics(reg)
+	a.Obs.Changes.Add(old.Changes.Value())
+	a.Obs.Notifies.Add(old.Notifies.Value())
+	a.Obs.IXFRServed.Add(old.IXFRServed.Value())
+	a.Obs.AXFRServed.Add(old.AXFRServed.Value())
 	reg.GaugeFunc(MetricFeedSubscribers, func() float64 {
 		return float64(a.Stats().Subscribers)
 	})
@@ -96,10 +100,10 @@ func (a *Authority) Stats() AuthorityStats {
 	}
 	a.mu.Unlock()
 	return AuthorityStats{
-		Changes:     a.changes.Load(),
-		Notifies:    a.notifies.Load(),
-		IXFRServed:  a.ixfrServed.Load(),
-		AXFRServed:  a.axfrServed.Load(),
+		Changes:     a.Obs.Changes.Value(),
+		Notifies:    a.Obs.Notifies.Value(),
+		IXFRServed:  a.Obs.IXFRServed.Value(),
+		AXFRServed:  a.Obs.AXFRServed.Value(),
 		Subscribers: n,
 	}
 }
@@ -107,8 +111,7 @@ func (a *Authority) Stats() AuthorityStats {
 // broadcast is a feed's onChange hook: one NOTIFY per subscriber, in
 // deterministic (sorted) order.
 func (a *Authority) broadcast(origin dnswire.Name, serial uint32) {
-	a.changes.Add(1)
-	a.Obs.changesInc()
+	a.Obs.Changes.Inc()
 	send := a.Send
 	if send == nil {
 		return
@@ -147,8 +150,7 @@ func (a *Authority) broadcast(origin dnswire.Name, serial uint32) {
 		return
 	}
 	for _, dst := range dsts {
-		a.notifies.Add(1)
-		a.Obs.notifiesInc()
+		a.Obs.Notifies.Inc()
 		_ = send(dst, wire) // fire-and-forget: polling is the safety net
 	}
 }
@@ -235,8 +237,7 @@ func (a *Authority) handleIXFR(q *dnswire.Message) *dnswire.Message {
 			}
 			resp.AddAnswer(soa)
 		}
-		a.ixfrServed.Add(1)
-		a.Obs.ixfrInc()
+		a.Obs.IXFRServed.Inc()
 		return resp
 	}
 	// Full-zone fallback, AXFR-framed: SOA, everything else, SOA.
@@ -250,29 +251,6 @@ func (a *Authority) handleIXFR(q *dnswire.Message) *dnswire.Message {
 		}
 	}
 	resp.AddAnswer(soa)
-	a.axfrServed.Add(1)
-	a.Obs.axfrInc()
+	a.Obs.AXFRServed.Inc()
 	return resp
-}
-
-// Nil-safe increment helpers so the hot paths need no Obs branches.
-func (m *AuthorityMetrics) changesInc() {
-	if m != nil {
-		m.Changes.Inc()
-	}
-}
-func (m *AuthorityMetrics) notifiesInc() {
-	if m != nil {
-		m.Notifies.Inc()
-	}
-}
-func (m *AuthorityMetrics) ixfrInc() {
-	if m != nil {
-		m.IXFRServed.Inc()
-	}
-}
-func (m *AuthorityMetrics) axfrInc() {
-	if m != nil {
-		m.AXFRServed.Inc()
-	}
 }

@@ -45,8 +45,8 @@ const (
 	MetricFeedAXFRServed = "push.feed_axfr_served"
 )
 
-// Metrics is the subscriber-side counter bundle. All handles are nil-safe,
-// so a Subscriber without a registry pays one pointer check per event.
+// Metrics is the subscriber's counter bundle: the counters Stats reads are
+// the ones /metrics exports.
 type Metrics struct {
 	Notifies         *obs.Counter
 	NotifyDups       *obs.Counter
@@ -61,25 +61,28 @@ type Metrics struct {
 	StaleDenied      *obs.Counter
 }
 
-// NewMetrics resolves the subscriber bundle against reg (nil reg yields
-// nil-safe no-op handles).
+// NewMetrics resolves the subscriber bundle against reg; a nil reg yields
+// standalone counters. The names carry no subscriber label, so a registry
+// serves one subscriber — the only configuration that exists: one per
+// daemon.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Notifies:         reg.Counter(MetricNotifies),
-		NotifyDups:       reg.Counter(MetricNotifyDups),
-		IXFR:             reg.Counter(MetricIXFR),
-		AXFRFallback:     reg.Counter(MetricAXFRFallback),
-		Purged:           reg.Counter(MetricPurged),
-		Refetches:        reg.Counter(MetricRefetches),
-		Subscribes:       reg.Counter(MetricSubscribes),
-		SubscribeRetries: reg.Counter(MetricSubscribeRetries),
-		Polls:            reg.Counter(MetricPolls),
-		PollRecoveries:   reg.Counter(MetricPollRecoveries),
-		StaleDenied:      reg.Counter(MetricStaleDenied),
+		Notifies:         reg.OwnedCounter(MetricNotifies),
+		NotifyDups:       reg.OwnedCounter(MetricNotifyDups),
+		IXFR:             reg.OwnedCounter(MetricIXFR),
+		AXFRFallback:     reg.OwnedCounter(MetricAXFRFallback),
+		Purged:           reg.OwnedCounter(MetricPurged),
+		Refetches:        reg.OwnedCounter(MetricRefetches),
+		Subscribes:       reg.OwnedCounter(MetricSubscribes),
+		SubscribeRetries: reg.OwnedCounter(MetricSubscribeRetries),
+		Polls:            reg.OwnedCounter(MetricPolls),
+		PollRecoveries:   reg.OwnedCounter(MetricPollRecoveries),
+		StaleDenied:      reg.OwnedCounter(MetricStaleDenied),
 	}
 }
 
-// AuthorityMetrics is the authority-side counter bundle.
+// AuthorityMetrics is the authority's counter bundle, likewise read by
+// its Stats.
 type AuthorityMetrics struct {
 	Changes    *obs.Counter
 	Notifies   *obs.Counter
@@ -87,12 +90,13 @@ type AuthorityMetrics struct {
 	AXFRServed *obs.Counter
 }
 
-// NewAuthorityMetrics resolves the authority bundle against reg.
+// NewAuthorityMetrics resolves the authority bundle against reg; a nil reg
+// yields standalone counters.
 func NewAuthorityMetrics(reg *obs.Registry) *AuthorityMetrics {
 	return &AuthorityMetrics{
-		Changes:    reg.Counter(MetricFeedChanges),
-		Notifies:   reg.Counter(MetricFeedNotifies),
-		IXFRServed: reg.Counter(MetricFeedIXFRServed),
-		AXFRServed: reg.Counter(MetricFeedAXFRServed),
+		Changes:    reg.OwnedCounter(MetricFeedChanges),
+		Notifies:   reg.OwnedCounter(MetricFeedNotifies),
+		IXFRServed: reg.OwnedCounter(MetricFeedIXFRServed),
+		AXFRServed: reg.OwnedCounter(MetricFeedAXFRServed),
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/zone"
@@ -304,6 +305,20 @@ func TestPushPurgeOnNotify(t *testing.T) {
 	as := w.auth.Stats()
 	if as.Changes != 1 || as.Notifies != 1 || as.IXFRServed != 1 || as.Subscribers != 1 {
 		t.Fatalf("authority stats = %+v", as)
+	}
+
+	// Instrument moves the counters into a registry with what they have
+	// counted; from then on Stats reads what the registry exports.
+	reg := obs.NewRegistry(w.clock)
+	w.auth.Instrument(reg)
+	if got := w.auth.Stats(); got != as {
+		t.Fatalf("authority stats after Instrument = %+v, want %+v", got, as)
+	}
+	if err := w.zone.Replace(www, dnswire.TypeA, dnswire.NewA("www.example.org", 300, "192.0.2.82")); err != nil {
+		t.Fatal(err)
+	}
+	if got, exported := w.auth.Stats().Notifies, reg.Counter(MetricFeedNotifies).Value(); got != 2 || exported != 2 {
+		t.Fatalf("after a second change: Stats().Notifies = %d, %s = %d, want 2 and 2", got, MetricFeedNotifies, exported)
 	}
 }
 

@@ -42,7 +42,8 @@ type Config struct {
 	// mode): re-resolve immediately so the next client query is fresh and
 	// never charged the upstream round trip.
 	Refetch func(name dnswire.Name, qtype dnswire.Type)
-	// Metrics, when non-nil, mirrors the subscriber counters (NewMetrics).
+	// Metrics holds the subscriber's counters; nil means standalone ones
+	// (NewMetrics(nil)), pass NewMetrics(reg) to export them.
 	Metrics *Metrics
 	// QLog, when non-nil, emits one notify-in record per NOTIFY received.
 	QLog *qlog.Tap
@@ -84,18 +85,6 @@ type Subscriber struct {
 	purged map[cache.Key]time.Time
 
 	msgID atomic.Uint32
-
-	notifies         atomic.Uint64
-	notifyDups       atomic.Uint64
-	ixfr             atomic.Uint64
-	axfrFallback     atomic.Uint64
-	purgedN          atomic.Uint64
-	refetches        atomic.Uint64
-	subscribes       atomic.Uint64
-	subscribeRetries atomic.Uint64
-	polls            atomic.Uint64
-	pollRecoveries   atomic.Uint64
-	staleDenied      atomic.Uint64
 }
 
 // NewSubscriber builds a subscriber; call Subscribe per zone, then drive it
@@ -109,6 +98,9 @@ func NewSubscriber(cfg Config) *Subscriber {
 	}
 	if cfg.HealthAfter <= 0 {
 		cfg.HealthAfter = 2 * cfg.PollEvery
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(nil)
 	}
 	return &Subscriber{
 		cfg:    cfg,
@@ -135,18 +127,19 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Subscriber) Stats() Stats {
+	m := s.cfg.Metrics
 	return Stats{
-		Notifies:         s.notifies.Load(),
-		NotifyDups:       s.notifyDups.Load(),
-		IXFR:             s.ixfr.Load(),
-		AXFRFallback:     s.axfrFallback.Load(),
-		Purged:           s.purgedN.Load(),
-		Refetches:        s.refetches.Load(),
-		Subscribes:       s.subscribes.Load(),
-		SubscribeRetries: s.subscribeRetries.Load(),
-		Polls:            s.polls.Load(),
-		PollRecoveries:   s.pollRecoveries.Load(),
-		StaleDenied:      s.staleDenied.Load(),
+		Notifies:         m.Notifies.Value(),
+		NotifyDups:       m.NotifyDups.Value(),
+		IXFR:             m.IXFR.Value(),
+		AXFRFallback:     m.AXFRFallback.Value(),
+		Purged:           m.Purged.Value(),
+		Refetches:        m.Refetches.Value(),
+		Subscribes:       m.Subscribes.Value(),
+		SubscribeRetries: m.SubscribeRetries.Value(),
+		Polls:            m.Polls.Value(),
+		PollRecoveries:   m.PollRecoveries.Value(),
+		StaleDenied:      m.StaleDenied.Value(),
 	}
 }
 
@@ -243,8 +236,7 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 		zs.failures++
 		zs.nextAttempt = now.Add(s.cfg.Retry.BackoffFor(zs.failures))
 		s.mu.Unlock()
-		s.subscribeRetries.Add(1)
-		s.cfg.Metrics.subscribeRetriesInc()
+		s.cfg.Metrics.SubscribeRetries.Inc()
 		return
 	}
 	s.mu.Lock()
@@ -259,8 +251,7 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 		zs.serial = serial
 	}
 	s.mu.Unlock()
-	s.subscribes.Add(1)
-	s.cfg.Metrics.subscribesInc()
+	s.cfg.Metrics.Subscribes.Inc()
 	if !firstContact && serial > prev {
 		s.pull(zs)
 	}
@@ -276,8 +267,7 @@ func (s *Subscriber) poll(zs *zoneSub) {
 		return
 	}
 	s.mu.Unlock()
-	s.polls.Add(1)
-	s.cfg.Metrics.pollsInc()
+	s.cfg.Metrics.Polls.Inc()
 	req := dnswire.NewIterativeQuery(uint16(s.msgID.Add(1)), zs.origin, dnswire.TypeSOA)
 	serial, err := s.exchangeForSOA(zs.server, req)
 	now := s.clock.Now()
@@ -294,8 +284,7 @@ func (s *Subscriber) poll(zs *zoneSub) {
 	behind := serial > zs.serial
 	s.mu.Unlock()
 	if behind {
-		s.pollRecoveries.Add(1)
-		s.cfg.Metrics.pollRecoveriesInc()
+		s.cfg.Metrics.PollRecoveries.Inc()
 		s.pull(zs)
 	}
 }
@@ -365,8 +354,7 @@ func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 			serial = soa.Serial
 		}
 	}
-	s.notifies.Add(1)
-	s.cfg.Metrics.notifiesInc()
+	s.cfg.Metrics.Notifies.Inc()
 	if t := s.cfg.QLog; t != nil {
 		t.NotifyIn(from, origin, serial)
 	}
@@ -379,8 +367,7 @@ func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 	zs.lastSeen = s.clock.Now()
 	if serial != 0 && serial <= zs.serial {
 		s.mu.Unlock()
-		s.notifyDups.Add(1)
-		s.cfg.Metrics.notifyDupsInc()
+		s.cfg.Metrics.NotifyDups.Inc()
 		return
 	}
 	if zs.pulling {
@@ -435,12 +422,10 @@ func (s *Subscriber) pull(zs *zoneSub) {
 	case upToDate || cur <= fromSerial:
 		// Nothing to apply.
 	case full != nil:
-		s.axfrFallback.Add(1)
-		s.cfg.Metrics.axfrFallbackInc()
+		s.cfg.Metrics.AXFRFallback.Inc()
 		s.applyFull(zs.origin, now)
 	default:
-		s.ixfr.Add(1)
-		s.cfg.Metrics.ixfrInc()
+		s.cfg.Metrics.IXFR.Inc()
 		s.applyChanges(zs.origin, changes, now)
 	}
 	s.mu.Lock()
@@ -507,14 +492,12 @@ func (s *Subscriber) purgeKeys(keys []cache.Key, now time.Time) {
 		for _, store := range s.cfg.Stores {
 			if store.Remove(k.Name, k.Type) {
 				removed = true
-				s.purgedN.Add(1)
-				s.cfg.Metrics.purgedInc()
+				s.cfg.Metrics.Purged.Inc()
 			}
 			if k.Type == dnswire.TypeNS {
 				n := store.PurgeGlueOf(k.Name)
 				if n > 0 {
-					s.purgedN.Add(uint64(n))
-					s.cfg.Metrics.purgedAdd(uint64(n))
+					s.cfg.Metrics.Purged.Add(uint64(n))
 				}
 			}
 		}
@@ -530,8 +513,7 @@ func (s *Subscriber) purgeKeys(keys []cache.Key, now time.Time) {
 	s.mu.Unlock()
 	if fn := s.cfg.Refetch; fn != nil {
 		for _, k := range refetch {
-			s.refetches.Add(1)
-			s.cfg.Metrics.refetchesInc()
+			s.cfg.Metrics.Refetches.Inc()
 			fn(k.Name, k.Type)
 		}
 	}
@@ -574,13 +556,11 @@ func (s *Subscriber) AllowStale(name dnswire.Name, qtype dnswire.Type, storedAt 
 		return true
 	}
 	if !s.healthyLocked(zs, now) {
-		s.staleDenied.Add(1)
-		s.cfg.Metrics.staleDeniedInc()
+		s.cfg.Metrics.StaleDenied.Inc()
 		return false
 	}
 	if t, ok := s.purged[cache.Key{Name: name, Type: qtype}]; ok && !storedAt.After(t) {
-		s.staleDenied.Add(1)
-		s.cfg.Metrics.staleDeniedInc()
+		s.cfg.Metrics.StaleDenied.Inc()
 		return false
 	}
 	return true
@@ -645,66 +625,4 @@ func parseIXFR(ans []dnswire.RR) (cur uint32, changes []ChangeSet, full []dnswir
 		return cur, nil, nil, true, nil
 	}
 	return cur, changes, nil, false, nil
-}
-
-// Nil-safe increment helpers mirroring into the registry bundle.
-func (m *Metrics) notifiesInc() {
-	if m != nil {
-		m.Notifies.Inc()
-	}
-}
-func (m *Metrics) notifyDupsInc() {
-	if m != nil {
-		m.NotifyDups.Inc()
-	}
-}
-func (m *Metrics) ixfrInc() {
-	if m != nil {
-		m.IXFR.Inc()
-	}
-}
-func (m *Metrics) axfrFallbackInc() {
-	if m != nil {
-		m.AXFRFallback.Inc()
-	}
-}
-func (m *Metrics) purgedInc() {
-	if m != nil {
-		m.Purged.Inc()
-	}
-}
-func (m *Metrics) purgedAdd(n uint64) {
-	if m != nil {
-		m.Purged.Add(n)
-	}
-}
-func (m *Metrics) refetchesInc() {
-	if m != nil {
-		m.Refetches.Inc()
-	}
-}
-func (m *Metrics) subscribesInc() {
-	if m != nil {
-		m.Subscribes.Inc()
-	}
-}
-func (m *Metrics) subscribeRetriesInc() {
-	if m != nil {
-		m.SubscribeRetries.Inc()
-	}
-}
-func (m *Metrics) pollsInc() {
-	if m != nil {
-		m.Polls.Inc()
-	}
-}
-func (m *Metrics) pollRecoveriesInc() {
-	if m != nil {
-		m.PollRecoveries.Inc()
-	}
-}
-func (m *Metrics) staleDeniedInc() {
-	if m != nil {
-		m.StaleDenied.Inc()
-	}
 }

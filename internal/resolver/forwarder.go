@@ -40,13 +40,13 @@ func (h Handler) ServeDNS(wire []byte, from netip.Addr) []byte {
 		out, _ := dnswire.Encode(resp)
 		return out
 	}
-	msg := res.Msg
-	msg.Header.ID = q.Header.ID
-	msg.Header.RD = q.Header.RD
-	out, err := dnswire.Encode(msg)
+	// res.Msg may be shared (a coalesced follower's, a cached memo's): it
+	// is only read, and this client's ID and RD go into the encoded bytes.
+	out, err := dnswire.Encode(res.Msg)
 	if err != nil {
 		return nil
 	}
+	dnswire.StampReply(out, q.Header.ID, q.Header.RD)
 	return out
 }
 

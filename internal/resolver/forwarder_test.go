@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
 )
 
@@ -182,5 +183,42 @@ func TestForwarderNegTTLPolicy(t *testing.T) {
 	}
 	if _, rem, ok := fw3.Cache.Get(missing, dnswire.TypeA); !ok || rem != 30 {
 		t.Errorf("floored negative TTL = %d (ok=%v), want 30", rem, ok)
+	}
+}
+
+// TestHandlerStampsSharedMessage: a resolved message may be shared between
+// clients (here every query joins one coalesced result), so the handler puts
+// each client's ID and RD into the encoded bytes and never into the message.
+func TestHandlerStampsSharedMessage(t *testing.T) {
+	tn := newTestNet(t)
+	name := dnswire.NewName("www.cachetest.net")
+	shared, err := New(netip.MustParseAddr("172.30.0.2"), DefaultPolicy(), tn.net, tn.clock,
+		[]netip.Addr{tn.rootAddr}, 1).Resolve(name, dnswire.TypeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header := shared.Msg.Header
+	r := New(netip.MustParseAddr("172.30.0.1"), DefaultPolicy(), tn.net, tn.clock, []netip.Addr{tn.rootAddr}, 1)
+	r.Coalesce = func(cache.Key, func() (*Result, error)) (*Result, error, bool) { return shared, nil, true }
+	for _, c := range []struct {
+		id uint16
+		rd bool
+	}{{0x1111, true}, {0x2222, false}} {
+		q := dnswire.NewQuery(c.id, name, dnswire.TypeA)
+		q.Header.RD = c.rd
+		wire, err := dnswire.Encode(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := dnswire.Decode(Handler{R: r}.ServeDNS(wire, netip.MustParseAddr("192.168.1.1")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.ID != c.id || resp.Header.RD != c.rd || len(resp.Answer) != 1 {
+			t.Errorf("reply to %#04x/RD=%v: %s", c.id, c.rd, resp)
+		}
+		if shared.Msg.Header != header {
+			t.Fatalf("shared message header written: %+v, was %+v", shared.Msg.Header, header)
+		}
 	}
 }

@@ -28,9 +28,9 @@ func (f HandlerFunc) ServeDNS(wire []byte, from netip.Addr) []byte { return f(wi
 // extended slice returned; returning dst unextended drops the query.
 //
 // wire is valid only for the duration of the call — the caller reuses its
-// buffer for the next datagram — so an implementation must copy whatever it
+// buffer for the next query — so an implementation must copy whatever it
 // keeps (decoded names and records are copies already). The same holds for
-// the wire a UDP listener hands to a plain Handler.
+// the wire a UDP, TCP or DoT listener hands to a plain Handler.
 type AppendHandler interface {
 	AppendServeDNS(dst, wire []byte, from netip.Addr) []byte
 }

@@ -86,7 +86,8 @@ type PushConfig struct {
 	// Prefetch re-resolves purged names immediately, so the next client
 	// query after an update is already a cache hit.
 	Prefetch bool
-	// Registry, when non-nil, mirrors the push.* counters.
+	// Registry, when non-nil, exports the push.* counters (one subscriber
+	// per registry: the names carry no subscriber label).
 	Registry *Registry
 	// QueryLog, when non-nil, captures one notify-in record per NOTIFY.
 	QueryLog *QueryLogTap
@@ -117,9 +118,7 @@ func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
 		PollEvery:   cfg.PollEvery,
 		HealthAfter: cfg.HealthAfter,
 		QLog:        cfg.QueryLog,
-	}
-	if cfg.Registry != nil {
-		pcfg.Metrics = push.NewMetrics(cfg.Registry)
+		Metrics:     push.NewMetrics(cfg.Registry),
 	}
 	if cfg.Prefetch {
 		pcfg.Refetch = func(name Name, qtype Type) {

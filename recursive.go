@@ -34,10 +34,7 @@ type RecursiveServer struct {
 	// EnablePush may race with already-running listeners.
 	push atomic.Pointer[push.Subscriber]
 
-	u   *authoritative.UDPServer
-	t   *authoritative.TCPServer
-	dot *authoritative.TCPServer
-	doh *authoritative.DoHServer
+	ls authoritative.Listeners
 }
 
 // transportHandler binds one listener's queries to its qlog tap and to the
@@ -59,7 +56,7 @@ func (h transportHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
 // (tests, embedding) log under the "direct" transport label and get the
 // UDP size limits.
 func (rs *RecursiveServer) ServeDNS(wire []byte, from netip.Addr) []byte {
-	return transportHandler{rs: rs, tap: rs.QueryLog.Tap("direct")}.AppendServeDNS(nil, wire, from)
+	return rs.handler("direct", false).AppendServeDNS(nil, wire, from)
 }
 
 // serveScratch is the per-query state of the serve path that must live on
@@ -160,53 +157,33 @@ func pipelineOutcome(resp middleware.Response) qlog.Outcome {
 	return qlog.OutcomeMiss
 }
 
+// handler is the handler of one listener: its qlog tap carries the
+// transport label, stream its response size limit.
+func (rs *RecursiveServer) handler(transport string, stream bool) transportHandler {
+	return transportHandler{rs: rs, tap: rs.QueryLog.Tap(transport), stream: stream}
+}
+
 // ListenUDP binds addr and serves client queries until Close.
 func (rs *RecursiveServer) ListenUDP(addr string) (netip.AddrPort, error) {
-	rs.u = &authoritative.UDPServer{
-		Handler:  transportHandler{rs: rs, tap: rs.QueryLog.Tap("udp")},
-		Registry: rs.Client.registry,
-	}
-	return rs.u.Listen(addr)
+	return rs.ls.UDP(addr, rs.handler("udp", false), rs.Client.registry)
 }
 
 // ListenTCP binds addr for persistent-TCP clients (RFC 7766) until Close.
 func (rs *RecursiveServer) ListenTCP(addr string) (netip.AddrPort, error) {
-	rs.t = &authoritative.TCPServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("tcp"), stream: true}}
-	return rs.t.Listen(addr)
+	return rs.ls.TCP(addr, rs.handler("tcp", true), nil)
 }
 
 // ListenDoT binds addr for DNS-over-TLS clients (RFC 7858) until Close.
 func (rs *RecursiveServer) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	rs.dot = &authoritative.TCPServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("dot"), stream: true}, TLS: cfg}
-	return rs.dot.Listen(addr)
+	return rs.ls.TCP(addr, rs.handler("dot", true), cfg)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS clients (RFC 8484) until Close.
 func (rs *RecursiveServer) ListenDoH(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	rs.doh = &authoritative.DoHServer{Handler: transportHandler{rs: rs, tap: rs.QueryLog.Tap("doh"), stream: true}, TLS: cfg}
-	return rs.doh.Listen(addr)
+	return rs.ls.DoH(addr, rs.handler("doh", true), cfg)
 }
 
-// Close stops every active listener.
-func (rs *RecursiveServer) Close() error {
-	var err error
-	if rs.u != nil {
-		err = rs.u.Close()
-	}
-	if rs.t != nil {
-		if e := rs.t.Close(); err == nil {
-			err = e
-		}
-	}
-	if rs.dot != nil {
-		if e := rs.dot.Close(); err == nil {
-			err = e
-		}
-	}
-	if rs.doh != nil {
-		if e := rs.doh.Close(); err == nil {
-			err = e
-		}
-	}
-	return err
-}
+// Close drains every listener: each stops accepting, queries already in
+// service are answered, idle connections are closed at once. It returns nil
+// after a clean drain, also when nothing was listening.
+func (rs *RecursiveServer) Close() error { return rs.ls.Close() }
