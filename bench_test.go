@@ -96,7 +96,7 @@ func BenchmarkFigure6InBailiwick(b *testing.B) {
 	sc := benchScale()
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.BailiwickPair(sc.Probes/2, sc.Seed)
+		r = experiments.BailiwickPair(sc.Probes/2, sc.Workers, sc.Seed)
 	}
 	reportMetrics(b, r,
 		"in_frac_new_after_ns_expiry", "out_frac_new_after_ns_expiry",
@@ -107,7 +107,7 @@ func BenchmarkFigure6InBailiwick(b *testing.B) {
 func BenchmarkFigure7OutOfBailiwick(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.BailiwickPair(150, 44)
+		r = experiments.BailiwickPair(150, 0, 44)
 	}
 	reportMetrics(b, r, "out_frac_new_after_ns_expiry", "out_frac_new_after_both_expiry")
 }
@@ -116,7 +116,7 @@ func BenchmarkFigure7OutOfBailiwick(b *testing.B) {
 func BenchmarkFigure8StickyMatchedVPs(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.BailiwickPair(250, 45)
+		r = experiments.BailiwickPair(250, 0, 45)
 	}
 	reportMetrics(b, r, "f8_matched_frac_switchers", "f8_matched_mean_new_ratio", "out_sticky_vps")
 }
@@ -188,7 +188,7 @@ func BenchmarkFigure10UyBeforeAfter(b *testing.B) {
 	sc := benchScale()
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Figure10(sc.Probes, sc.Seed)
+		r = experiments.Figure10(sc.Probes, sc.Workers, sc.Seed)
 	}
 	reportMetrics(b, r,
 		"median_ms_before", "median_ms_after",
@@ -203,7 +203,7 @@ func BenchmarkTable10ControlledTTL(b *testing.B) {
 	sc := benchScale()
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Table10Figure11(sc.Probes/2, sc.Seed)
+		r = experiments.Table10Figure11(sc.Probes/2, sc.Workers, sc.Seed)
 	}
 	reportMetrics(b, r, "load_reduction_unique", "load_reduction_shared",
 		"auth_queries_TTL60-u", "auth_queries_TTL86400-u")
@@ -215,7 +215,7 @@ func BenchmarkFigure11LatencyCDF(b *testing.B) {
 	sc := benchScale()
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Table10Figure11(sc.Probes/2, sc.Seed+1)
+		r = experiments.Table10Figure11(sc.Probes/2, sc.Workers, sc.Seed+1)
 	}
 	reportMetrics(b, r,
 		"median_ms_TTL60-u", "median_ms_TTL86400-u",
@@ -228,7 +228,7 @@ func BenchmarkFigure11LatencyCDF(b *testing.B) {
 func BenchmarkAblationGlueCoupling(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.AblationGlueCoupling(150, 42)
+		r = experiments.AblationGlueCoupling(150, 0, 42)
 	}
 	reportMetrics(b, r, "coupled_frac_new_after_ns_expiry", "decoupled_frac_new_after_ns_expiry")
 }
@@ -237,7 +237,7 @@ func BenchmarkAblationGlueCoupling(b *testing.B) {
 func BenchmarkAblationServeStale(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.AblationServeStale(150, 42)
+		r = experiments.AblationServeStale(150, 0, 42)
 	}
 	reportMetrics(b, r, "valid_frac_serve_stale", "valid_frac_strict")
 }
@@ -246,7 +246,7 @@ func BenchmarkAblationServeStale(b *testing.B) {
 func BenchmarkAblationPrefetch(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.AblationPrefetch(100, 42)
+		r = experiments.AblationPrefetch(100, 0, 42)
 	}
 	reportMetrics(b, r, "hit_frac_prefetch", "hit_frac_plain",
 		"auth_queries_prefetch", "auth_queries_plain")
@@ -256,7 +256,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 func BenchmarkAblationCapStyle(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.AblationCapStyle(42)
+		r = experiments.AblationCapStyle(0, 42)
 	}
 	reportMetrics(b, r, "at_cap_frac_serve", "at_cap_frac_store")
 }
@@ -266,7 +266,7 @@ func BenchmarkAblationCapStyle(b *testing.B) {
 func BenchmarkDNSSECValidationCentricity(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.ValidationCentricity(300, 42)
+		r = experiments.ValidationCentricity(300, 0, 42)
 	}
 	reportMetrics(b, r, "frac_parent_plain", "frac_parent_validating", "frac_child_validating")
 }
@@ -307,7 +307,7 @@ func BenchmarkPropagationSweep(b *testing.B) {
 func BenchmarkTable2Campaigns(b *testing.B) {
 	var r *Report
 	for i := 0; i < b.N; i++ {
-		r = experiments.Table2(200, 42)
+		r = experiments.Table2(200, 0, 42)
 	}
 	reportMetrics(b, r, "valid_.uy-NS", "valid_ratio_.uy-NS", "vps_.uy-NS")
 }

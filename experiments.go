@@ -24,10 +24,12 @@ type ExperimentScale struct {
 	Resolvers int
 	// Seed drives all randomness.
 	Seed int64
-	// Workers bounds the worker pool for experiments whose configuration
-	// grids fan out in parallel (TTL points, outage steps, farm sizes).
-	// 0 means GOMAXPROCS; 1 forces the serial path. Results are identical
-	// at any setting.
+	// Workers bounds the worker pool of every experiment made of
+	// independent cells: configuration grids (TTL points, outage steps,
+	// farm sizes, planet-scale cells) and campaigns that each build their
+	// own testbed (table2, figures6-8, figure10, table10, the ablations,
+	// dnssec). 0 means GOMAXPROCS; 1 is serial — the cells run inline, one
+	// at a time. Results are identical at any setting.
 	Workers int
 	// Chaos optionally replaces the canned chaos-harness scenarios with one
 	// custom fault schedule in the ParseFaultSchedule grammar, e.g.
@@ -67,7 +69,7 @@ func RunExperiment(id string, sc ExperimentScale) (*Report, error) {
 	case "table1":
 		return experiments.Table1(experiments.NewTestbed(sc.Seed)), nil
 	case "table2":
-		return experiments.Table2(sc.Probes/2, sc.Seed), nil
+		return experiments.Table2(sc.Probes/2, sc.Workers, sc.Seed), nil
 	case "figure1a":
 		return experiments.Figure1UyNS(sc.Probes, sc.Seed), nil
 	case "figure1b":
@@ -79,7 +81,7 @@ func RunExperiment(id string, sc ExperimentScale) (*Report, error) {
 			Resolvers: sc.Resolvers, Days: 2, Seed: sc.Seed,
 		}), nil
 	case "figures6-8":
-		return experiments.BailiwickPair(sc.Probes, sc.Seed), nil
+		return experiments.BailiwickPair(sc.Probes, sc.Workers, sc.Seed), nil
 	case "offline":
 		return experiments.OfflineChild(sc.Probes, sc.Seed), nil
 	case "table5", "figure9", "table8", "table9", "tables6-7", "parent-child":
@@ -99,19 +101,19 @@ func RunExperiment(id string, sc ExperimentScale) (*Report, error) {
 			return experiments.Tables6And7(w, sc.Seed), nil
 		}
 	case "figure10":
-		return experiments.Figure10(sc.Probes, sc.Seed), nil
+		return experiments.Figure10(sc.Probes, sc.Workers, sc.Seed), nil
 	case "table10":
-		return experiments.Table10Figure11(sc.Probes, sc.Seed), nil
+		return experiments.Table10Figure11(sc.Probes, sc.Workers, sc.Seed), nil
 	case "ablation-glue":
-		return experiments.AblationGlueCoupling(sc.Probes/2, sc.Seed), nil
+		return experiments.AblationGlueCoupling(sc.Probes/2, sc.Workers, sc.Seed), nil
 	case "ablation-stale":
-		return experiments.AblationServeStale(sc.Probes/2, sc.Seed), nil
+		return experiments.AblationServeStale(sc.Probes/2, sc.Workers, sc.Seed), nil
 	case "ablation-prefetch":
-		return experiments.AblationPrefetch(sc.Probes/2, sc.Seed), nil
+		return experiments.AblationPrefetch(sc.Probes/2, sc.Workers, sc.Seed), nil
 	case "ablation-cap":
-		return experiments.AblationCapStyle(sc.Seed), nil
+		return experiments.AblationCapStyle(sc.Workers, sc.Seed), nil
 	case "dnssec":
-		return experiments.ValidationCentricity(sc.Probes/2, sc.Seed), nil
+		return experiments.ValidationCentricity(sc.Probes/2, sc.Workers, sc.Seed), nil
 	case "hitrate":
 		return experiments.HitRateVsTTL(sc.Probes*40, sc.Workers, sc.Seed), nil
 	case "outage-sweep":
@@ -125,9 +127,9 @@ func RunExperiment(id string, sc ExperimentScale) (*Report, error) {
 	case "cache-pressure":
 		return experiments.CachePressure(sc.Probes*16, sc.Workers, sc.Seed), nil
 	case "planet-scale":
-		// Fully closed-form: scale knobs don't apply, and there is no
+		// Fully closed-form: the size knobs don't apply, and there is no
 		// randomness to seed.
-		return experiments.PlanetScale(), nil
+		return experiments.PlanetScale(sc.Workers), nil
 	case "push-propagation":
 		return experiments.PushExperiment(max(sc.Probes/80, 2), sc.Workers, sc.Seed), nil
 	case "water-torture":

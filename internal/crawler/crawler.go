@@ -84,12 +84,16 @@ type Result struct {
 	Content map[zonegen.ContentClass][]dnswire.Name
 }
 
-// Crawler runs crawls against a generated world.
+// Crawler runs crawls against a generated world. One Crawler is one
+// vantage: it is not safe for concurrent use, but any number of Crawlers may
+// run at once.
 type Crawler struct {
 	World *zonegen.World
 	// Addr is the crawler's source address (the paper crawled from one
 	// EC2 vantage).
 	Addr netip.Addr
+
+	queryID uint16 // last transaction ID sent
 }
 
 // New creates a crawler for w.
@@ -97,11 +101,9 @@ func New(w *zonegen.World) *Crawler {
 	return &Crawler{World: w, Addr: netip.MustParseAddr("10.200.0.1")}
 }
 
-var queryID uint16
-
 func (c *Crawler) exchange(dst netip.Addr, name dnswire.Name, t dnswire.Type) (*dnswire.Message, error) {
-	queryID++
-	q := dnswire.NewIterativeQuery(queryID, name, t)
+	c.queryID++
+	q := dnswire.NewIterativeQuery(c.queryID, name, t)
 	wire, err := dnswire.Encode(q)
 	if err != nil {
 		return nil, err

@@ -23,13 +23,16 @@ func singleProfileMix(name string, pol resolver.Policy) population.Mix {
 // AblationGlueCoupling toggles RefreshGlueOnReferral: with it (the §4.2
 // majority behavior) the in-bailiwick switch happens at the NS TTL; without
 // it, at the address TTL — a full hour later.
-func AblationGlueCoupling(probes int, seed int64) *Report {
+func AblationGlueCoupling(probes, workers int, seed int64) *Report {
 	coupled := resolver.DefaultPolicy()
 	decoupled := resolver.DefaultPolicy()
 	decoupled.RefreshGlueOnReferral = false
 
-	on := runBailiwickMix(true, probes, seed, singleProfileMix("coupled", coupled))
-	off := runBailiwickMix(true, probes, seed, singleProfileMix("decoupled", decoupled))
+	mixes := []population.Mix{singleProfileMix("coupled", coupled), singleProfileMix("decoupled", decoupled)}
+	runs := Sweep(len(mixes), workers, func(i int) *BailiwickResult {
+		return runBailiwickMix(true, probes, seed, mixes[i])
+	})
+	on, off := runs[0], runs[1]
 
 	tbl := &stats.Table{Title: "Glue-refresh ablation (in-bailiwick renumber; fraction on new server)",
 		Header: []string{"window", "coupled (refresh)", "decoupled (keep)"}}
@@ -55,13 +58,17 @@ func AblationGlueCoupling(probes int, seed int64) *Report {
 // AblationServeStale toggles RFC 8767 serve-stale during an authoritative
 // outage: stale answers replace SERVFAILs for anything cached before the
 // outage — the paper's §6.1 DDoS-resilience argument.
-func AblationServeStale(probes int, seed int64) *Report {
+func AblationServeStale(probes, workers int, seed int64) *Report {
 	stale := resolver.DefaultPolicy()
 	stale.ServeStale = true
-	fresh := resolver.DefaultPolicy()
-	run := func(pol resolver.Policy, label string) (validDuringOutage float64, staleAnswers int) {
+	mixes := []population.Mix{singleProfileMix("serve-stale", stale), singleProfileMix("strict", resolver.DefaultPolicy())}
+	type outcome struct {
+		validDuringOutage float64
+		staleAnswers      int
+	}
+	runs := Sweep(len(mixes), workers, func(i int) outcome {
 		tb := NewTestbed(seed)
-		fleet := tb.Fleet(probes, singleProfileMix(label, pol), seed)
+		fleet := tb.Fleet(probes, mixes[i], seed)
 		const outageRound = 3
 		resps := fleet.Run(tb.Clock, atlas.Schedule{
 			Name: dnswire.NewName("www.cachetest.net"), Type: dnswire.TypeA,
@@ -74,7 +81,7 @@ func AblationServeStale(probes int, seed int64) *Report {
 				}
 			},
 		})
-		valid, total := 0, 0
+		valid, total, staleAnswers := 0, 0, 0
 		for _, r := range resps {
 			if r.Round < outageRound {
 				continue
@@ -87,10 +94,10 @@ func AblationServeStale(probes int, seed int64) *Report {
 				staleAnswers++
 			}
 		}
-		return frac(valid, total), staleAnswers
-	}
-	vOn, staleN := run(stale, "serve-stale")
-	vOff, _ := run(fresh, "strict")
+		return outcome{frac(valid, total), staleAnswers}
+	})
+	vOn, staleN := runs[0].validDuringOutage, runs[0].staleAnswers
+	vOff := runs[1].validDuringOutage
 
 	tbl := &stats.Table{Title: "Serve-stale ablation: answer availability during a full outage",
 		Header: []string{"policy", "valid answers during outage", "stale answers"}}
@@ -112,15 +119,18 @@ func AblationServeStale(probes int, seed int64) *Report {
 // AblationPrefetch toggles renew-before-expiry (the Pappas et al. proposal
 // from §7): prefetch converts post-expiry misses into hits, paying with
 // authoritative queries.
-func AblationPrefetch(probes int, seed int64) *Report {
+func AblationPrefetch(probes, workers int, seed int64) *Report {
 	pre := resolver.DefaultPolicy()
 	pre.Prefetch = true
 	pre.PrefetchThreshold = 120
-	plain := resolver.DefaultPolicy()
-
-	run := func(pol resolver.Policy, label string) (hitFrac float64, authQueries uint64) {
+	mixes := []population.Mix{singleProfileMix("prefetch", pre), singleProfileMix("plain", resolver.DefaultPolicy())}
+	type outcome struct {
+		hitFrac     float64
+		authQueries uint64
+	}
+	runs := Sweep(len(mixes), workers, func(i int) outcome {
 		tb := NewTestbed(seed)
-		fleet := tb.Fleet(probes, singleProfileMix(label, pol), seed)
+		fleet := tb.Fleet(probes, mixes[i], seed)
 		srv := tb.Servers[tb.CtAddr]
 		// www.cachetest.net has TTL 300; probing every 240 s keeps
 		// remaining TTLs inside the prefetch threshold window.
@@ -138,10 +148,10 @@ func AblationPrefetch(probes int, seed int64) *Report {
 				hits++
 			}
 		}
-		return frac(hits, total), srv.QueryCount()
-	}
-	hOn, qOn := run(pre, "prefetch")
-	hOff, qOff := run(plain, "plain")
+		return outcome{frac(hits, total), srv.QueryCount()}
+	})
+	hOn, qOn := runs[0].hitFrac, runs[0].authQueries
+	hOff, qOff := runs[1].hitFrac, runs[1].authQueries
 
 	tbl := &stats.Table{Title: "Prefetch ablation (TTL 300, probes every 240 s)",
 		Header: []string{"policy", "cache-hit fraction", "authoritative queries"}}
@@ -163,33 +173,35 @@ func AblationPrefetch(probes int, seed int64) *Report {
 
 // AblationCapStyle contrasts storage-time caps (BIND max-cache-ttl) with
 // serve-time caps (the Google signature of §3.3) on a 345600 s record.
-func AblationCapStyle(seed int64) *Report {
+func AblationCapStyle(workers int, seed int64) *Report {
 	serveCap := resolver.DefaultPolicy()
 	serveCap.TTLCap = 21599
 	serveCap.CapAtServe = true
 	storeCap := resolver.DefaultPolicy()
 	storeCap.TTLCap = 21599
-
-	run := func(pol resolver.Policy, label string) (atCap, total int) {
+	mixes := []population.Mix{singleProfileMix("serve-cap", serveCap), singleProfileMix("store-cap", storeCap)}
+	type outcome struct{ atCap, total int }
+	runs := Sweep(len(mixes), workers, func(i int) outcome {
 		tb := NewTestbed(seed)
-		fleet := tb.Fleet(40, singleProfileMix(label, pol), seed)
+		fleet := tb.Fleet(40, mixes[i], seed)
 		resps := fleet.Run(tb.Clock, atlas.Schedule{
 			Name: dnswire.NewName("google.co"), Type: dnswire.TypeNS,
 			Interval: 3600 * time.Second, Rounds: 8, // two cap lifetimes
 		})
+		var o outcome
 		for _, r := range resps {
 			if !r.Valid() {
 				continue
 			}
-			total++
+			o.total++
 			if r.TTL == 21599 {
-				atCap++
+				o.atCap++
 			}
 		}
-		return
-	}
-	serveAt, serveTotal := run(serveCap, "serve-cap")
-	storeAt, storeTotal := run(storeCap, "store-cap")
+		return o
+	})
+	serveAt, serveTotal := runs[0].atCap, runs[0].total
+	storeAt, storeTotal := runs[1].atCap, runs[1].total
 
 	tbl := &stats.Table{Title: "Cap-placement ablation (google.co NS, child TTL 345600, cap 21599)",
 		Header: []string{"cap style", "answers exactly 21599", "share"}}

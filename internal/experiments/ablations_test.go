@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationGlueCoupling(t *testing.T) {
-	r := AblationGlueCoupling(80, 11)
+	r := AblationGlueCoupling(80, 0, 11)
 	on := r.Metric("coupled_frac_new_after_ns_expiry")
 	off := r.Metric("decoupled_frac_new_after_ns_expiry")
 	if on < 0.9 {
@@ -18,7 +18,7 @@ func TestAblationGlueCoupling(t *testing.T) {
 }
 
 func TestAblationServeStale(t *testing.T) {
-	r := AblationServeStale(80, 12)
+	r := AblationServeStale(80, 0, 12)
 	on := r.Metric("valid_frac_serve_stale")
 	off := r.Metric("valid_frac_strict")
 	if on < 0.8 {
@@ -33,7 +33,7 @@ func TestAblationServeStale(t *testing.T) {
 }
 
 func TestAblationPrefetch(t *testing.T) {
-	r := AblationPrefetch(60, 13)
+	r := AblationPrefetch(60, 0, 13)
 	if r.Metric("hit_frac_prefetch") <= r.Metric("hit_frac_plain") {
 		t.Errorf("prefetch should raise hit rate: %.2f vs %.2f",
 			r.Metric("hit_frac_prefetch"), r.Metric("hit_frac_plain"))
@@ -45,7 +45,7 @@ func TestAblationPrefetch(t *testing.T) {
 }
 
 func TestAblationCapStyle(t *testing.T) {
-	r := AblationCapStyle(14)
+	r := AblationCapStyle(0, 14)
 	serve := r.Metric("at_cap_frac_serve")
 	store := r.Metric("at_cap_frac_store")
 	if serve < 0.95 {

@@ -15,17 +15,19 @@ import (
 // verification requires evaluation of queries from the child zone". The
 // same population mix probes a signed .uy-style zone twice — once as-is,
 // once with every resolver validating — and the parent-TTL share collapses.
-func ValidationCentricity(probes int, seed int64) *Report {
-	run := func(validate bool) (fChild, fParent float64, validated int) {
+func ValidationCentricity(probes, workers int, seed int64) *Report {
+	type shares struct{ child, parent float64 }
+	validating := []bool{false, true}
+	runs := Sweep(len(validating), workers, func(i int) shares {
 		tb := NewTestbed(seed)
 		key := dnssec.NewKey(dnswire.NewName("uy"), seed)
 		if _, err := dnssec.SignZone(tb.Uy, key, tb.Clock.Now()); err != nil {
 			panic(err)
 		}
 		mix := population.DefaultMix()
-		if validate {
-			for i := range mix {
-				mix[i].Policy.Validate = true
+		if validating[i] {
+			for j := range mix {
+				mix[j].Policy.Validate = true
 			}
 		}
 		fleet := tb.Fleet(probes, mix, seed)
@@ -45,11 +47,10 @@ func ValidationCentricity(probes int, seed int64) *Report {
 				parent++
 			}
 		}
-		return frac(child, valid), frac(parent, valid), valid
-	}
-
-	cPlain, pPlain, _ := run(false)
-	cVal, pVal, _ := run(true)
+		return shares{frac(child, valid), frac(parent, valid)}
+	})
+	cPlain, pPlain := runs[0].child, runs[0].parent
+	cVal, pVal := runs[1].child, runs[1].parent
 
 	tbl := &stats.Table{Title: "DNSSEC validation and centricity (.uy NS, child 300 s vs parent 172800 s)",
 		Header: []string{"population", "child-TTL answers", "parent-TTL answers"}}

@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestValidationCentricity(t *testing.T) {
-	r := ValidationCentricity(150, 21)
+	r := ValidationCentricity(150, 0, 21)
 	plain := r.Metric("frac_parent_plain")
 	validating := r.Metric("frac_parent_validating")
 	if plain < 0.03 {

@@ -10,9 +10,16 @@ import (
 	"dnsttl/internal/stats"
 )
 
+// uyLatency is the valid-answer RTTs of one .uy campaign, overall and per
+// region.
+type uyLatency struct {
+	all      *stats.Sample
+	byRegion map[latency.Region]*stats.Sample
+}
+
 // uyCampaign measures .uy NS query latency from a fresh fleet with the
 // given child NS TTL.
-func uyCampaign(childTTL uint32, probes int, seed int64) ([]atlas.Response, *stats.Sample, map[latency.Region]*stats.Sample) {
+func uyCampaign(childTTL uint32, probes int, seed int64) uyLatency {
 	tb := NewTestbed(seed)
 	if !tb.Uy.SetTTL(dnswire.NewName("uy"), dnswire.TypeNS, childTTL) {
 		panic("uy NS set missing")
@@ -22,27 +29,30 @@ func uyCampaign(childTTL uint32, probes int, seed int64) ([]atlas.Response, *sta
 		Name: dnswire.NewName("uy"), Type: dnswire.TypeNS,
 		Interval: 600 * time.Second, Rounds: 12, Jitter: true,
 	})
-	all := stats.NewSample()
-	byRegion := make(map[latency.Region]*stats.Sample)
+	out := uyLatency{stats.NewSample(), make(map[latency.Region]*stats.Sample)}
 	for _, r := range resps {
 		if !r.Valid() {
 			continue
 		}
-		all.AddDuration(r.RTT)
-		if byRegion[r.Region] == nil {
-			byRegion[r.Region] = stats.NewSample()
+		out.all.AddDuration(r.RTT)
+		if out.byRegion[r.Region] == nil {
+			out.byRegion[r.Region] = stats.NewSample()
 		}
-		byRegion[r.Region].AddDuration(r.RTT)
+		out.byRegion[r.Region].AddDuration(r.RTT)
 	}
-	return resps, all, byRegion
+	return out
 }
 
 // Figure10 reproduces the .uy natural experiment (§5.3): the same NS .uy
 // probing before (child NS TTL 300 s) and after (86400 s) the operator's
-// change, as latency CDFs overall and per region.
-func Figure10(probes int, seed int64) *Report {
-	_, before, beforeRegion := uyCampaign(300, probes, seed)
-	_, after, afterRegion := uyCampaign(86400, probes, seed+1)
+// change — two Sweep cells — as latency CDFs overall and per region.
+func Figure10(probes, workers int, seed int64) *Report {
+	childTTLs := []uint32{300, 86400}
+	runs := Sweep(len(childTTLs), workers, func(i int) uyLatency {
+		return uyCampaign(childTTLs[i], probes, seed+int64(i))
+	})
+	before, beforeRegion := runs[0].all, runs[0].byRegion
+	after, afterRegion := runs[1].all, runs[1].byRegion
 
 	fig10a := stats.RenderCDF("Figure 10a: RTT for NS .uy queries, before (TTL 300) vs after (TTL 86400)",
 		"RTT (ms)", map[string]*stats.Sample{"TTL 300 (before)": before, "TTL 86400 (after)": after}, 64, true)

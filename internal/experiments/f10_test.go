@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestFigure10(t *testing.T) {
-	r := Figure10(200, 8)
+	r := Figure10(200, 0, 8)
 	mb, ma := r.Metric("median_ms_before"), r.Metric("median_ms_after")
 	if ma >= mb {
 		t.Fatalf("median after (%.1f) must beat before (%.1f)", ma, mb)
@@ -29,7 +29,7 @@ func TestFigure10(t *testing.T) {
 }
 
 func TestTable10Figure11(t *testing.T) {
-	r := Table10Figure11(150, 9)
+	r := Table10Figure11(150, 0, 9)
 
 	m60u := r.Metric("median_ms_TTL60-u")
 	m86u := r.Metric("median_ms_TTL86400-u")

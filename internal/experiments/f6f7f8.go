@@ -136,10 +136,14 @@ func renderTimeseries(title string, b *BailiwickResult) string {
 }
 
 // BailiwickPair runs the in- and out-of-bailiwick campaigns with matched
-// fleets and produces Figures 6, 7 and 8 plus Tables 3 and 4.
-func BailiwickPair(probes int, seed int64) *Report {
-	in := runBailiwick(true, probes, seed)
-	out := runBailiwick(false, probes, seed)
+// fleets, as two Sweep cells, and produces Figures 6, 7 and 8 plus Tables 3
+// and 4.
+func BailiwickPair(probes, workers int, seed int64) *Report {
+	inBailiwick := []bool{true, false}
+	runs := Sweep(len(inBailiwick), workers, func(i int) *BailiwickResult {
+		return runBailiwick(inBailiwick[i], probes, seed)
+	})
+	in, out := runs[0], runs[1]
 
 	t3 := &stats.Table{Title: "Table 3: bailiwick experiments",
 		Header: []string{"quantity", "in-bailiwick", "out-of-bailiwick"}}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestBailiwickPair(t *testing.T) {
-	r := BailiwickPair(150, 5)
+	r := BailiwickPair(150, 0, 5)
 
 	// §4.2: before the NS expires, (almost) everyone keeps the old server.
 	if f := r.Metric("in_frac_new_before_ns_expiry"); f > 0.15 {

@@ -5,7 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 )
 
@@ -45,13 +44,9 @@ var goldenTiers = map[string]func(t *testing.T, workers int) []byte{
 	},
 	// The compiled tier's metrics at full precision plus its table text.
 	// The closed-form engine has no seed, so a drift is a change in the
-	// model or in the order its sums associate. Its cells fan out through
-	// Sweep at GOMAXPROCS, which is therefore its worker count.
+	// model or in the order its sums associate.
 	"planet": func(t *testing.T, workers int) []byte {
-		if workers > 0 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
-		}
-		return planetGoldenJSON(t, PlanetScale())
+		return planetGoldenJSON(t, PlanetScale(workers))
 	},
 }
 

@@ -107,11 +107,11 @@ func planetCells() []planetCell {
 // TTL) cell plus a chaos cell per tier (outage 12:00–14:00, purge at
 // 18:00). Everything is closed-form and deterministic — no seed. The cells
 // are independent (each compiles its own program; the band table they
-// share is read-only), so they fan out through Sweep and the rows are
-// rendered in index order. The report's throughput metric is the
-// compiler's reason to exist: simulated user-seconds delivered per
-// wall-clock second.
-func PlanetScale() *Report {
+// share is read-only), so they fan out through Sweep over workers (0 means
+// GOMAXPROCS, 1 serial) and the rows are rendered in index order. The
+// report's throughput metric is the compiler's reason to exist: simulated
+// user-seconds delivered per wall-clock second.
+func PlanetScale(workers int) *Report {
 	tbl := &stats.Table{
 		Title: "Planet-scale compiled tier: one day, DefaultMix × atlas regions",
 		Header: []string{"users", "ttl", "hit_rate", "amplification",
@@ -120,7 +120,7 @@ func PlanetScale() *Report {
 	m := map[string]float64{}
 	start := time.Now()
 	cells := planetCells()
-	results := Sweep(len(cells), 0, func(i int) *compile.Result {
+	results := Sweep(len(cells), workers, func(i int) *compile.Result {
 		res, err := compile.CompileAndRun(cells[i].Spec)
 		if err != nil {
 			panic(err) // static specs; any error is a programming bug

@@ -58,7 +58,7 @@ func planetGoldenJSON(t *testing.T, r *Report) []byte {
 // 2.1 GHz) and ~0.7 s on one.
 func TestPlanetScaleTier(t *testing.T) {
 	start := time.Now()
-	r := PlanetScale()
+	r := PlanetScale(0)
 	wall := time.Since(start)
 	if wall > 60*time.Second {
 		t.Fatalf("tier took %v, want well under a minute", wall)
@@ -96,7 +96,7 @@ func TestPlanetScaleTier(t *testing.T) {
 // TestPlanetScaleDeterministic pins the closed-form engine: two runs
 // must agree bit-for-bit on every metric except the wall-clock ones.
 func TestPlanetScaleDeterministic(t *testing.T) {
-	a, b := PlanetScale(), PlanetScale()
+	a, b := PlanetScale(0), PlanetScale(0)
 	for k, av := range a.Metrics {
 		if planetWallMetric(k) {
 			continue
@@ -148,7 +148,7 @@ func TestRunAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("byte budgets are pinned on the plain build, like the other allocation pins")
 	}
-	PlanetScale() // fill the band table: the budgets are for a warm process
+	PlanetScale(0) // fill the band table: the budgets are for a warm process
 	cell := allocatedMB(func() {
 		if _, err := compile.CompileAndRun(planetSpec(1e6, 300)); err != nil {
 			t.Fatal(err)
@@ -157,9 +157,9 @@ func TestRunAllocBudget(t *testing.T) {
 	if cell > 10 {
 		t.Errorf("1m / TTL 300 cell allocated %.1f MB, budget 10 MB", cell)
 	}
-	tier := allocatedMB(func() { PlanetScale() })
+	tier := allocatedMB(func() { PlanetScale(0) })
 	if tier > 100 {
-		t.Errorf("PlanetScale() allocated %.1f MB, budget 100 MB", tier)
+		t.Errorf("PlanetScale(0) allocated %.1f MB, budget 100 MB", tier)
 	}
 	t.Logf("cell %.1f MB, tier %.1f MB", cell, tier)
 }
@@ -169,6 +169,6 @@ func TestRunAllocBudget(t *testing.T) {
 func BenchmarkPlanetScale(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PlanetScale()
+		PlanetScale(0)
 	}
 }

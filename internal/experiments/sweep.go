@@ -7,14 +7,14 @@ import (
 )
 
 // Sweep runs fn(0..n-1) across a pool of workers and returns the results in
-// index order. It is the fan-out engine for experiment sweeps: each index is
-// an independent configuration (a TTL point, an outage step, a farm size)
-// that builds its own seeded Network and Clock, so configurations share no
+// index order. It is the fan-out engine for experiments: each index is an
+// independent cell (a TTL point, an outage step, a farm size, one campaign of
+// a set) that builds its own seeded Network and Clock, so cells share no
 // state and the output is identical whatever the worker count.
 //
 // workers <= 0 selects GOMAXPROCS. With one worker (or n == 1) the calls run
-// inline on the calling goroutine, so serial sweeps have zero scheduling
-// overhead and an identical call graph to the pre-parallel code.
+// inline on the calling goroutine, in index order: that is the serial path,
+// with zero scheduling overhead and one cell alive at a time.
 func Sweep[T any](n, workers int, fn func(i int) T) []T {
 	if n <= 0 {
 		return nil

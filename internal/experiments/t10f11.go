@@ -74,13 +74,12 @@ func runTTLCampaign(c ttlCampaign, probes int, seed int64) ttlCampaignResult {
 	return out
 }
 
-// Table10Figure11 runs the five §6.2 campaigns and reports the query-volume
-// table and the latency CDFs.
-func Table10Figure11(probes int, seed int64) *Report {
-	results := make([]ttlCampaignResult, 0, len(table10Campaigns))
-	for i, c := range table10Campaigns {
-		results = append(results, runTTLCampaign(c, probes, seed+int64(i)))
-	}
+// Table10Figure11 runs the five §6.2 campaigns, one Sweep cell each, and
+// reports the query-volume table and the latency CDFs.
+func Table10Figure11(probes, workers int, seed int64) *Report {
+	results := Sweep(len(table10Campaigns), workers, func(i int) ttlCampaignResult {
+		return runTTLCampaign(table10Campaigns[i], probes, seed+int64(i))
+	})
 
 	tbl := &stats.Table{Title: "Table 10: controlled TTL experiments",
 		Header: []string{"", "TTL60-u", "TTL86400-u", "TTL60-s", "TTL86400-s", "TTL60-s-anycast"}}

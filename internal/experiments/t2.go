@@ -33,17 +33,18 @@ var table2Campaigns = []table2Campaign{
 		ParentTTL: 172800, ChildTTL: 86400, Hours: 2, NewUyTTL: 86400},
 }
 
-// Table2 reruns the four centricity campaigns and reports their metadata
-// and outcome counts in the paper's Table 2 layout.
-func Table2(probes int, seed int64) *Report {
+// Table2 reruns the four centricity campaigns — independent testbeds, fanned
+// out through Sweep — and reports their metadata and outcome counts in the
+// paper's Table 2 layout.
+func Table2(probes, workers int, seed int64) *Report {
 	type colResult struct {
 		c                  table2Campaign
 		vps                int
 		queries, responses int
 		valid, disc        int
 	}
-	var cols []colResult
-	for i, c := range table2Campaigns {
+	cols := Sweep(len(table2Campaigns), workers, func(i int) colResult {
+		c := table2Campaigns[i]
 		tb := NewTestbed(seed + int64(i))
 		if c.NewUyTTL != 0 {
 			if !tb.Uy.SetTTL(dnswire.NewName("uy"), dnswire.TypeNS, c.NewUyTTL) {
@@ -67,8 +68,8 @@ func Table2(probes int, seed int64) *Report {
 				col.disc++
 			}
 		}
-		cols = append(cols, col)
-	}
+		return col
+	})
 
 	tbl := &stats.Table{Title: "Table 2: resolver-centricity experiments",
 		Header: []string{"", ".uy-NS", "a.nic.uy-A", "google.co-NS", ".uy-NS-new"}}

@@ -6,7 +6,7 @@ import (
 )
 
 func TestTable2(t *testing.T) {
-	r := Table2(60, 23)
+	r := Table2(60, 0, 23)
 	for _, label := range []string{".uy-NS", "a.nic.uy-A", "google.co-NS", ".uy-NS-new"} {
 		if r.Metric("valid_"+label) == 0 {
 			t.Errorf("campaign %s produced no valid responses", label)

@@ -9,6 +9,7 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 )
 
 // Placement is the load-balancing policy deciding which frontend serves a
@@ -66,7 +67,7 @@ func newBalancer(p Placement, frontends int, seed int64) balancer {
 	case p == PlaceHashQName:
 		return newRing(frontends)
 	default:
-		return &randomBalancer{n: frontends, rng: rand.New(rand.NewSource(seed))}
+		return &randomBalancer{n: frontends, rng: rand.New(simnet.NewSource(seed))}
 	}
 }
 

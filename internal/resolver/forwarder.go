@@ -90,7 +90,7 @@ func NewForwarder(addr netip.Addr, upstreams []netip.Addr, net simnet.Exchanger,
 		Net:       net,
 		Clock:     clock,
 		Cache:     cache.New(clock, cache.Config{}),
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(simnet.NewSource(seed)),
 	}
 }
 

@@ -156,7 +156,7 @@ func New(addr netip.Addr, pol Policy, net simnet.Exchanger, clock simnet.Clock, 
 		Clock:     clock,
 		Cache:     c,
 		RootHints: roots,
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       rand.New(simnet.NewSource(seed)),
 		sticky:    make(map[dnswire.Name]netip.Addr),
 		srtt:      newSRTTTable(),
 	}
