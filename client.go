@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"time"
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
@@ -27,51 +26,8 @@ import (
 type Result = resolver.Result
 
 // Exchanger moves one wire-format query to a server and returns the reply;
-// both the in-memory simulation network and UDPNet implement it.
+// both the in-memory simulation network and TransportNet implement it.
 type Exchanger = simnet.Exchanger
-
-// UDPNet is an Exchanger over real UDP sockets, so the Client can resolve
-// against actual nameservers (or the package's own Server instances bound
-// to localhost). Truncated UDP responses are retried over TCP
-// automatically, per RFC 1035 §4.2.2.
-type UDPNet struct {
-	// Port is the destination port; 0 means 53.
-	Port uint16
-	// TCPPort is the fallback port for truncated responses; 0 means Port.
-	TCPPort uint16
-	// Timeout per exchange; 0 means 5 s.
-	Timeout time.Duration
-	// DisableTCPFallback turns off the truncation retry.
-	DisableTCPFallback bool
-}
-
-// Exchange implements Exchanger.
-func (u UDPNet) Exchange(src, dst netip.Addr, query []byte) ([]byte, time.Duration, error) {
-	port := u.Port
-	if port == 0 {
-		port = 53
-	}
-	timeout := u.Timeout
-	if timeout == 0 {
-		timeout = 5 * time.Second
-	}
-	resp, rtt, err := authoritative.UDPExchange(netip.AddrPortFrom(dst, port), query, timeout)
-	if err != nil {
-		return resp, rtt, err
-	}
-	// TC bit set? Retry over TCP for the full answer.
-	if !u.DisableTCPFallback && len(resp) >= 4 && resp[2]&0x02 != 0 {
-		tcpPort := u.TCPPort
-		if tcpPort == 0 {
-			tcpPort = port
-		}
-		tcpResp, tcpRTT, tcpErr := authoritative.TCPExchange(netip.AddrPortFrom(dst, tcpPort), query, timeout)
-		if tcpErr == nil {
-			return tcpResp, rtt + tcpRTT, nil
-		}
-	}
-	return resp, rtt, nil
-}
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
@@ -80,7 +36,8 @@ type ClientConfig struct {
 	Policy Policy
 	// Roots are the root server addresses to iterate from.
 	Roots []netip.Addr
-	// Net carries queries; nil means real UDP on port 53.
+	// Net carries queries; nil means real UDP on port 53, over a pooled
+	// TransportUDP net the client builds and its Close releases.
 	Net Exchanger
 	// Clock drives TTL decay; nil means wall clock.
 	Clock Clock
@@ -262,6 +219,11 @@ func ParseEvictionPolicy(s string) (EvictionPolicy, error) { return cache.ParseE
 type Client struct {
 	f *farm.Farm
 
+	// net carries every upstream exchange. owned is that same net when
+	// NewClient built it (ClientConfig.Net was nil), for Close to release.
+	net   Exchanger
+	owned *TransportNet
+
 	// registry is ClientConfig.Registry, kept for the listeners a
 	// RecursiveServer puts in front of this client.
 	registry *Registry
@@ -272,8 +234,13 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Roots) == 0 {
 		return nil, fmt.Errorf("dnsttl: NewClient requires at least one root address")
 	}
+	var owned *TransportNet
 	if cfg.Net == nil {
-		cfg.Net = UDPNet{}
+		n, err := NewTransportNet(TransportUDP, TransportOptions{})
+		if err != nil {
+			return nil, err
+		}
+		owned, cfg.Net = n, n
 	}
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy()
@@ -296,10 +263,23 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		Tracer:        cfg.Tracer,
 		QueryLog:      cfg.QueryLog,
 	}, netip.MustParseAddr("127.0.0.1"), cfg.Net, cfg.Clock, cfg.Roots)
+	c := &Client{f: f, net: cfg.Net, owned: owned, registry: cfg.Registry}
 	if err := f.SetPipeline(cfg.Pipeline); err != nil {
+		_ = c.Close() // no socket is open yet
 		return nil, err
 	}
-	return &Client{f: f, registry: cfg.Registry}, nil
+	return c, nil
+}
+
+// Close releases the pooled sockets of the net NewClient built because
+// ClientConfig.Net was nil; lookups that miss the cache fail from then on. A
+// caller-supplied Net is left open: whoever built it closes it. Close is
+// idempotent.
+func (c *Client) Close() error {
+	if c.owned == nil {
+		return nil
+	}
+	return c.owned.Close()
 }
 
 // Lookup resolves (name, qtype), from cache when possible. In-process
@@ -393,8 +373,10 @@ func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
 	return s.ls.UDP(addr, s.s, s.reg)
 }
 
-// ListenTCP binds addr for the TCP transport (truncation fallback) and
-// serves until Close, returning the bound address.
+// ListenTCP binds addr for the TCP transport and serves until Close,
+// returning the bound address. Clients retry a truncated UDP answer over TCP
+// on the same port, so the fallback is served only from the UDP listener's
+// port.
 func (s *Server) ListenTCP(addr string) (netip.AddrPort, error) {
 	return s.ls.TCP(addr, s.s.Stream(), nil)
 }

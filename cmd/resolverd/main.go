@@ -35,14 +35,15 @@ func (p *pushFlags) Set(v string) error {
 	return nil
 }
 
-// pushNet routes the push subscriber's subscribe/poll/IXFR exchanges over
-// real UDP to each authority's own port.
+// pushNet routes the push subscriber's subscribe/poll/IXFR exchanges to
+// each authority's own port, all through one pooled UDP transport.
 type pushNet struct {
+	t     dnsttl.Transport
 	ports map[netip.Addr]uint16
 }
 
 func (p pushNet) Exchange(src, dst netip.Addr, query []byte) ([]byte, time.Duration, error) {
-	return dnsttl.UDPNet{Port: p.ports[dst], Timeout: 2 * time.Second}.Exchange(src, dst, query)
+	return p.t.Exchange(netip.AddrPortFrom(dst, p.ports[dst]), query)
 }
 
 func main() {
@@ -210,8 +211,14 @@ func main() {
 		cfg.Placement = place
 	}
 	if *localRoot {
-		z, err := authoritative.FetchZone(netip.AddrPortFrom(rootAddrs[0], uint16(*rootPort)),
-			dnsttl.NewName("."), 5*time.Second)
+		axfr, err := dnsttl.NewTransportNet(dnsttl.TransportTCP, dnsttl.TransportOptions{})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "resolverd:", err)
+			os.Exit(2)
+		}
+		z, err := authoritative.FetchZone(axfr.T.Exchange,
+			netip.AddrPortFrom(rootAddrs[0], uint16(*rootPort)), dnsttl.NewName("."))
+		axfr.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "resolverd: local root AXFR:", err)
 			os.Exit(1)
@@ -314,7 +321,13 @@ func main() {
 		}
 	}
 	if len(pushSubs) > 0 {
-		net := pushNet{ports: map[netip.Addr]uint16{}}
+		pushUDP, err := dnsttl.NewTransportNet(dnsttl.TransportUDP, dnsttl.TransportOptions{Timeout: 2 * time.Second})
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "resolverd:", err)
+			os.Exit(2)
+		}
+		defer pushUDP.Close()
+		net := pushNet{t: pushUDP.T, ports: map[netip.Addr]uint16{}}
 		type subscription struct {
 			origin dnsttl.Name
 			server netip.Addr

@@ -4,7 +4,6 @@ import (
 	"net/netip"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestConcurrentLookups hammers one Client from many goroutines over real
@@ -30,7 +29,7 @@ func TestConcurrentLookups(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{addr.Addr()},
-		Net:   UDPNet{Port: addr.Port(), Timeout: 2 * time.Second},
+		Net:   loopbackNet(t, addr.Port()),
 	})
 	if err != nil {
 		t.Fatal(err)

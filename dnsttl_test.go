@@ -49,7 +49,7 @@ func TestEndToEndUDP(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{addr.Addr()},
-		Net:   UDPNet{Port: addr.Port(), Timeout: 2 * time.Second},
+		Net:   loopbackNet(t, addr.Port()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,4 +182,22 @@ func TestVirtualClockFacade(t *testing.T) {
 	}
 	var _ Clock = c
 	var _ Clock = simnet.WallClock{}
+}
+
+// stubTransport is a pooled real-socket client of the given kind for tests
+// that play the stub resolver: 2 s timeout, closed with the test.
+func stubTransport(t testing.TB, kind TransportKind) Transport {
+	t.Helper()
+	n, err := NewTransportNet(kind, TransportOptions{Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n.T
+}
+
+// loopbackNet is stubTransport's UDP as a ClientConfig.Net toward servers
+// listening on port.
+func loopbackNet(t testing.TB, port uint16) *TransportNet {
+	return &TransportNet{T: stubTransport(t, TransportUDP), Port: port}
 }

@@ -47,9 +47,17 @@ func main() {
 	defer srv.Close()
 	fmt.Printf("authoritative server on %s\n\n", addr)
 
+	// The library default is real UDP on port 53; the loopback server sits
+	// on an ephemeral port, so build the pooled net for that port.
+	udp, err := dnsttl.NewTransportNet(dnsttl.TransportUDP,
+		dnsttl.TransportOptions{Port: addr.Port(), Timeout: 2 * time.Second})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer udp.Close()
 	client, err := dnsttl.NewClient(dnsttl.ClientConfig{
 		Roots: []netip.Addr{addr.Addr()},
-		Net:   dnsttl.UDPNet{Port: addr.Port(), Timeout: 2 * time.Second},
+		Net:   udp,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"dnsttl/internal/crawler"
 	"dnsttl/internal/experiments"
 	"dnsttl/internal/zonegen"
 )
@@ -48,16 +49,128 @@ func FullScale() ExperimentScale {
 	return ExperimentScale{Probes: 2000, CrawlScale: 1.0, Resolvers: 1500, Seed: 42}
 }
 
-// ExperimentIDs lists the runnable reproductions in paper order.
-var ExperimentIDs = []string{
-	"table1", "table2", "figure1a", "figure1b", "figure2", "figures3-4",
-	"figures6-8", "offline", "table5", "figure9", "tables6-7",
-	"table8", "table9", "figure10", "table10",
-	"ablation-glue", "ablation-stale", "ablation-prefetch", "ablation-cap",
-	"dnssec", "hitrate", "outage-sweep", "propagation", "parent-child",
-	"farm-fragmentation", "chaos", "cache-pressure", "planet-scale",
-	"push-propagation", "water-torture",
+// crawl is one crawl of the synthetic Internet (experiments.CrawlWorld),
+// which the §5 experiments read and RunAllExperiments shares among them.
+type crawl struct {
+	world   *zonegen.World
+	results map[zonegen.List]*crawler.Result
 }
+
+func newCrawl(sc ExperimentScale) *crawl {
+	w, results := experiments.CrawlWorld(sc.CrawlScale, sc.Seed)
+	return &crawl{w, results}
+}
+
+// experimentTable is every runnable reproduction in paper order, each with
+// its mapping from ExperimentScale onto the experiment's own size knobs.
+// needsCrawl marks the readers of the shared crawl; the rest get nil.
+var experimentTable = []struct {
+	id         string
+	needsCrawl bool
+	run        func(sc ExperimentScale, c *crawl) *Report
+}{
+	{"table1", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Table1(experiments.NewTestbed(sc.Seed))
+	}},
+	{"table2", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Table2(sc.Probes/2, sc.Workers, sc.Seed)
+	}},
+	{"figure1a", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Figure1UyNS(sc.Probes, sc.Seed)
+	}},
+	{"figure1b", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Figure1UyA(sc.Probes, sc.Seed)
+	}},
+	{"figure2", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Figure2GoogleCo(sc.Probes, sc.Seed)
+	}},
+	{"figures3-4", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.NlPassive(experiments.NlPassiveConfig{Resolvers: sc.Resolvers, Days: 2, Seed: sc.Seed})
+	}},
+	{"figures6-8", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.BailiwickPair(sc.Probes, sc.Workers, sc.Seed)
+	}},
+	{"offline", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.OfflineChild(sc.Probes, sc.Seed)
+	}},
+	{"table5", true, func(_ ExperimentScale, c *crawl) *Report {
+		return experiments.Table5(c.results)
+	}},
+	{"figure9", true, func(_ ExperimentScale, c *crawl) *Report {
+		return experiments.Figure9(c.results)
+	}},
+	{"tables6-7", true, func(sc ExperimentScale, c *crawl) *Report {
+		return experiments.Tables6And7(c.world, sc.Seed)
+	}},
+	{"table8", true, func(_ ExperimentScale, c *crawl) *Report {
+		return experiments.Table8(c.results)
+	}},
+	{"table9", true, func(_ ExperimentScale, c *crawl) *Report {
+		return experiments.Table9(c.results)
+	}},
+	{"figure10", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Figure10(sc.Probes, sc.Workers, sc.Seed)
+	}},
+	{"table10", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.Table10Figure11(sc.Probes, sc.Workers, sc.Seed)
+	}},
+	{"ablation-glue", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.AblationGlueCoupling(sc.Probes/2, sc.Workers, sc.Seed)
+	}},
+	{"ablation-stale", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.AblationServeStale(sc.Probes/2, sc.Workers, sc.Seed)
+	}},
+	{"ablation-prefetch", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.AblationPrefetch(sc.Probes/2, sc.Workers, sc.Seed)
+	}},
+	{"ablation-cap", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.AblationCapStyle(sc.Workers, sc.Seed)
+	}},
+	{"dnssec", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.ValidationCentricity(sc.Probes/2, sc.Workers, sc.Seed)
+	}},
+	{"hitrate", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.HitRateVsTTL(sc.Probes*40, sc.Workers, sc.Seed)
+	}},
+	{"outage-sweep", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.OutageSweep(sc.Probes/3, sc.Workers, sc.Seed)
+	}},
+	{"propagation", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.PropagationSweep(sc.Probes/3, sc.Workers, sc.Seed)
+	}},
+	{"parent-child", true, func(_ ExperimentScale, c *crawl) *Report {
+		return experiments.ParentChildComparison(c.results)
+	}},
+	{"farm-fragmentation", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.FarmFragmentation(sc.Probes*20, sc.Workers, sc.Seed)
+	}},
+	{"chaos", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.ChaosExperiment(max(sc.Probes/40, 2), sc.Workers, sc.Seed, sc.Chaos)
+	}},
+	{"cache-pressure", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.CachePressure(sc.Probes*16, sc.Workers, sc.Seed)
+	}},
+	// Fully closed-form: the size knobs don't apply, and there is no
+	// randomness to seed.
+	{"planet-scale", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.PlanetScale(sc.Workers)
+	}},
+	{"push-propagation", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.PushExperiment(max(sc.Probes/80, 2), sc.Workers, sc.Seed)
+	}},
+	{"water-torture", false, func(sc ExperimentScale, _ *crawl) *Report {
+		return experiments.WaterTorture(sc.Probes*4, sc.Workers, sc.Seed)
+	}},
+}
+
+// ExperimentIDs lists the runnable reproductions in paper order.
+var ExperimentIDs = func() []string {
+	ids := make([]string, len(experimentTable))
+	for i, e := range experimentTable {
+		ids[i] = e.id
+	}
+	return ids
+}()
 
 // RunExperiment regenerates one paper artifact. IDs are listed in
 // ExperimentIDs; unknown IDs return an error.
@@ -65,113 +178,31 @@ func RunExperiment(id string, sc ExperimentScale) (*Report, error) {
 	if sc.Probes <= 0 {
 		sc = QuickScale()
 	}
-	switch id {
-	case "table1":
-		return experiments.Table1(experiments.NewTestbed(sc.Seed)), nil
-	case "table2":
-		return experiments.Table2(sc.Probes/2, sc.Workers, sc.Seed), nil
-	case "figure1a":
-		return experiments.Figure1UyNS(sc.Probes, sc.Seed), nil
-	case "figure1b":
-		return experiments.Figure1UyA(sc.Probes, sc.Seed), nil
-	case "figure2":
-		return experiments.Figure2GoogleCo(sc.Probes, sc.Seed), nil
-	case "figures3-4":
-		return experiments.NlPassive(experiments.NlPassiveConfig{
-			Resolvers: sc.Resolvers, Days: 2, Seed: sc.Seed,
-		}), nil
-	case "figures6-8":
-		return experiments.BailiwickPair(sc.Probes, sc.Workers, sc.Seed), nil
-	case "offline":
-		return experiments.OfflineChild(sc.Probes, sc.Seed), nil
-	case "table5", "figure9", "table8", "table9", "tables6-7", "parent-child":
-		w, results := experiments.CrawlWorld(sc.CrawlScale, sc.Seed)
-		switch id {
-		case "table5":
-			return experiments.Table5(results), nil
-		case "figure9":
-			return experiments.Figure9(results), nil
-		case "table8":
-			return experiments.Table8(results), nil
-		case "table9":
-			return experiments.Table9(results), nil
-		case "parent-child":
-			return experiments.ParentChildComparison(results), nil
-		default:
-			return experiments.Tables6And7(w, sc.Seed), nil
+	for _, e := range experimentTable {
+		if e.id == id {
+			var c *crawl
+			if e.needsCrawl {
+				c = newCrawl(sc)
+			}
+			return e.run(sc, c), nil
 		}
-	case "figure10":
-		return experiments.Figure10(sc.Probes, sc.Workers, sc.Seed), nil
-	case "table10":
-		return experiments.Table10Figure11(sc.Probes, sc.Workers, sc.Seed), nil
-	case "ablation-glue":
-		return experiments.AblationGlueCoupling(sc.Probes/2, sc.Workers, sc.Seed), nil
-	case "ablation-stale":
-		return experiments.AblationServeStale(sc.Probes/2, sc.Workers, sc.Seed), nil
-	case "ablation-prefetch":
-		return experiments.AblationPrefetch(sc.Probes/2, sc.Workers, sc.Seed), nil
-	case "ablation-cap":
-		return experiments.AblationCapStyle(sc.Workers, sc.Seed), nil
-	case "dnssec":
-		return experiments.ValidationCentricity(sc.Probes/2, sc.Workers, sc.Seed), nil
-	case "hitrate":
-		return experiments.HitRateVsTTL(sc.Probes*40, sc.Workers, sc.Seed), nil
-	case "outage-sweep":
-		return experiments.OutageSweep(sc.Probes/3, sc.Workers, sc.Seed), nil
-	case "propagation":
-		return experiments.PropagationSweep(sc.Probes/3, sc.Workers, sc.Seed), nil
-	case "farm-fragmentation":
-		return experiments.FarmFragmentation(sc.Probes*20, sc.Workers, sc.Seed), nil
-	case "chaos":
-		return experiments.ChaosExperiment(max(sc.Probes/40, 2), sc.Workers, sc.Seed, sc.Chaos), nil
-	case "cache-pressure":
-		return experiments.CachePressure(sc.Probes*16, sc.Workers, sc.Seed), nil
-	case "planet-scale":
-		// Fully closed-form: the size knobs don't apply, and there is no
-		// randomness to seed.
-		return experiments.PlanetScale(sc.Workers), nil
-	case "push-propagation":
-		return experiments.PushExperiment(max(sc.Probes/80, 2), sc.Workers, sc.Seed), nil
-	case "water-torture":
-		return experiments.WaterTorture(sc.Probes*4, sc.Workers, sc.Seed), nil
 	}
 	return nil, fmt.Errorf("dnsttl: unknown experiment %q (known: %v)", id, ExperimentIDs)
 }
 
-// RunAllExperiments regenerates every artifact, sharing one crawl.
+// RunAllExperiments regenerates every artifact in ExperimentIDs order,
+// sharing one crawl.
 func RunAllExperiments(sc ExperimentScale) ([]*Report, error) {
 	if sc.Probes <= 0 {
 		sc = QuickScale()
 	}
-	var out []*Report
-	for _, id := range []string{"table1", "table2", "figure1a", "figure1b", "figure2", "figures3-4", "figures6-8", "offline"} {
-		r, err := RunExperiment(id, sc)
-		if err != nil {
-			return nil, err
+	var c *crawl
+	out := make([]*Report, 0, len(experimentTable))
+	for _, e := range experimentTable {
+		if e.needsCrawl && c == nil {
+			c = newCrawl(sc)
 		}
-		out = append(out, r)
-	}
-	w, results := experiments.CrawlWorld(sc.CrawlScale, sc.Seed)
-	out = append(out,
-		experiments.Table5(results),
-		experiments.Tables6And7(w, sc.Seed),
-		experiments.Table8(results),
-		experiments.Table9(results),
-		experiments.Figure9(results),
-		experiments.ParentChildComparison(results),
-	)
-	for _, id := range []string{
-		"figure10", "table10",
-		"ablation-glue", "ablation-stale", "ablation-prefetch", "ablation-cap",
-		"dnssec", "hitrate", "outage-sweep", "propagation",
-		"farm-fragmentation", "chaos", "cache-pressure", "planet-scale",
-		"push-propagation", "water-torture",
-	} {
-		r, err := RunExperiment(id, sc)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
+		out = append(out, e.run(sc, c))
 	}
 	return out, nil
 }

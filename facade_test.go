@@ -1,11 +1,15 @@
 package dnsttl
 
 import (
+	"io/fs"
 	"net/netip"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
-	"time"
 
+	"dnsttl/internal/dnswire"
 	"dnsttl/internal/simnet"
 )
 
@@ -58,7 +62,7 @@ func TestFacadeForwarder(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{authAddr.Addr()},
-		Net:   UDPNet{Port: authAddr.Port(), Timeout: 2 * time.Second},
+		Net:   loopbackNet(t, authAddr.Port()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +76,7 @@ func TestFacadeForwarder(t *testing.T) {
 
 	fw := NewForwarder(netip.MustParseAddr("127.0.0.1"),
 		[]netip.Addr{rdAddr.Addr()},
-		UDPNet{Port: rdAddr.Port(), Timeout: 2 * time.Second}, nil, 3)
+		loopbackNet(t, rdAddr.Port()), nil, 3)
 	res, err := fw.Resolve(NewName("www.example.org"), TypeA)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +127,7 @@ func TestRecursiveServerErrorPaths(t *testing.T) {
 	// daemon surfaces that rather than dropping.
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{netip.MustParseAddr("127.0.0.1")},
-		Net:   UDPNet{Port: 1, Timeout: 50 * time.Millisecond}, // nothing listens
+		Net:   loopbackNet(t, 1), // nothing listens
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,5 +227,88 @@ func TestFacadeFarmClient(t *testing.T) {
 	}
 	if _, ok := single.FarmStats(); ok {
 		t.Errorf("single-resolver client should report ok=false from FarmStats")
+	}
+}
+
+// TestOnlyTransportOpensClientSockets holds the one-exchange invariant at
+// the source level: outside bench/ and tests, only internal/transport dials
+// — plus push.go's sendNotifyUDP, a one-way datagram with no reply to match.
+func TestOnlyTransportOpensClientSockets(t *testing.T) {
+	dial := regexp.MustCompile(`\b(net|tls)\.Dial\w*\(`)
+	allowed := map[string]int{"push.go": 1}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || path == filepath.Join("internal", "transport") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if n, want := len(dial.FindAll(src, -1)), allowed[filepath.ToSlash(path)]; n != want {
+			t.Errorf("%s dials %d time(s), want %d: a DNS exchange on a real socket belongs to internal/transport", path, n, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestClientOwnsDefaultNet pins who closes the client's net. NewClient builds
+// the nil-Net default (pooled UDP toward port 53) and Client.Close releases
+// it; a net the caller supplied is the caller's to close.
+func TestClientOwnsDefaultNet(t *testing.T) {
+	www := mustEncode(t, dnswire.NewQuery(1, NewName("www.example.org"), TypeA))
+
+	// No server is involved: the owned net only ever exchanges once closed.
+	local := netip.MustParseAddr("127.0.0.1")
+	c, err := NewClient(ClientConfig{Roots: []netip.Addr{local}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	closed := loopbackNet(t, 53)
+	closed.Close()
+	_, _, want := closed.Exchange(netip.Addr{}, local, www)
+	if _, _, got := c.net.Exchange(netip.Addr{}, local, www); got == nil || got != want {
+		t.Errorf("exchange on the closed default net: %v, want the transport's %v with no dial", got, want)
+	}
+	res, err := c.Lookup(NewName("www.example.org"), TypeA)
+	if err != nil || res.Msg.Header.RCode != RCodeServFail || res.Timeouts == 0 {
+		t.Errorf("lookup after Close: err=%v %+v, want SERVFAIL from failed exchanges", err, res)
+	}
+
+	srv := &Server{s: serveFixture(t, 0)}
+	addr, err := srv.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	shared := loopbackNet(t, addr.Port())
+	for i := 0; i < 2; i++ {
+		c, err := NewClient(ClientConfig{Roots: []netip.Addr{addr.Addr()}, Net: shared})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Lookup(NewName("www.example.org"), TypeA)
+		if err != nil || res.Msg.Header.RCode != RCodeNoError || res.Queries == 0 {
+			t.Fatalf("client %d through the shared net: err=%v %+v", i+1, err, res)
+		}
+		if err := c.Close(); err != nil {
+			t.Errorf("client %d Close: %v", i+1, err)
+		}
 	}
 }

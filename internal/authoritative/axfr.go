@@ -46,15 +46,16 @@ func (s *Server) handleAXFR(q *dnswire.Message, from netip.Addr) *dnswire.Messag
 	return resp
 }
 
-// FetchZone performs an AXFR against addr over TCP and reconstructs the
-// zone — how an RFC 7706 mirror obtains the root zone.
-func FetchZone(addr netip.AddrPort, origin dnswire.Name, timeout time.Duration) (*zone.Zone, error) {
+// FetchZone performs an AXFR against addr and reconstructs the zone — how
+// an RFC 7706 mirror obtains the root zone. exchange carries the query: a
+// TCP transport's Exchange method, since a transfer does not fit a datagram.
+func FetchZone(exchange func(netip.AddrPort, []byte) ([]byte, time.Duration, error), addr netip.AddrPort, origin dnswire.Name) (*zone.Zone, error) {
 	q := dnswire.NewIterativeQuery(uint16(time.Now().UnixNano()), origin, TypeAXFR)
 	wire, err := dnswire.Encode(q)
 	if err != nil {
 		return nil, err
 	}
-	respWire, _, err := TCPExchange(addr, wire, timeout)
+	respWire, _, err := exchange(addr, wire)
 	if err != nil {
 		return nil, err
 	}

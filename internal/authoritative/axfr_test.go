@@ -2,9 +2,9 @@ package authoritative
 
 import (
 	"testing"
-	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/transport"
 )
 
 func TestAXFRRoundTrip(t *testing.T) {
@@ -16,7 +16,7 @@ func TestAXFRRoundTrip(t *testing.T) {
 	}
 	defer ts.Close()
 
-	z, err := FetchZone(addr, dnswire.NewName("example.org"), 2*time.Second)
+	z, err := FetchZone(testClient(t, transport.TCP).Exchange, addr, dnswire.NewName("example.org"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAXFRRefusedForUnknownZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	if _, err := FetchZone(addr, dnswire.NewName("other.org"), 2*time.Second); err == nil {
+	if _, err := FetchZone(testClient(t, transport.TCP).Exchange, addr, dnswire.NewName("other.org")); err == nil {
 		t.Errorf("AXFR of unserved zone must fail")
 	}
 }

@@ -3,6 +3,7 @@ package authoritative
 import (
 	"bytes"
 	"crypto/tls"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -41,14 +42,34 @@ func (c udpLadderClient) exchange(query []byte) ([]byte, error) {
 }
 func (c udpLadderClient) close() { c.conn.Close() }
 
+// testClient is a pooled transport of the given kind, closed with the test.
+func testClient(t testing.TB, kind transport.Kind) transport.Transport {
+	t.Helper()
+	tr, err := transport.New(transport.Config{Kind: kind, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// streamLadderClient frames by hand: the drain tests watch what happens to
+// one connection they hold, which a pooled transport would redial.
 type streamLadderClient struct{ conn net.Conn }
 
 func (c streamLadderClient) exchange(query []byte) ([]byte, error) {
 	_ = c.conn.SetDeadline(time.Now().Add(2 * time.Second))
-	if err := writeFrame(c.conn, query); err != nil {
+	frame := binary.BigEndian.AppendUint16(nil, uint16(len(query)))
+	if _, err := c.conn.Write(append(frame, query...)); err != nil {
 		return nil, err
 	}
-	return readFrame(c.conn)
+	var hdr [2]byte
+	if _, err := io.ReadFull(c.conn, hdr[:]); err != nil {
+		return nil, err
+	}
+	resp := make([]byte, binary.BigEndian.Uint16(hdr[:]))
+	_, err := io.ReadFull(c.conn, resp)
+	return resp, err
 }
 func (c streamLadderClient) close() { c.conn.Close() }
 
@@ -237,6 +258,7 @@ func TestListenersCloseAll(t *testing.T) {
 		t.Errorf("Close of the empty set: %v", err)
 	}
 	var bound []netip.AddrPort
+	udpClient, tcpClient := testClient(t, transport.UDP), testClient(t, transport.TCP)
 	for i := 0; i < 2; i++ {
 		u, err := ls.UDP("127.0.0.1:0", echoQR, nil)
 		if err != nil {
@@ -250,10 +272,10 @@ func TestListenersCloseAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := TCPExchange(tc, headerQuery(1), time.Second); err != nil {
+		if _, _, err := tcpClient.Exchange(tc, headerQuery(1)); err != nil {
 			t.Errorf("tcp listener %d: %v", i, err)
 		}
-		if _, _, err := UDPExchange(u, headerQuery(1), time.Second); err != nil {
+		if _, _, err := udpClient.Exchange(u, headerQuery(1)); err != nil {
 			t.Errorf("udp listener %d: %v", i, err)
 		}
 		bound = append(bound, tc, d)

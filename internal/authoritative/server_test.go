@@ -3,10 +3,10 @@ package authoritative
 import (
 	"net/netip"
 	"testing"
-	"time"
 
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/simnet"
+	"dnsttl/internal/transport"
 	"dnsttl/internal/zone"
 )
 
@@ -241,7 +241,7 @@ func TestUDPServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, rtt, err := UDPExchange(addr, wire, 2*time.Second)
+	respWire, rtt, err := testClient(t, transport.UDP).Exchange(addr, wire)
 	if err != nil {
 		t.Fatal(err)
 	}

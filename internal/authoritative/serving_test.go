@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"dnsttl/internal/simnet"
+	"dnsttl/internal/transport"
 )
 
 // echoQR answers any query by echoing it with the QR bit set.
@@ -34,7 +35,7 @@ func TestTCPServerHandlerDispatch(t *testing.T) {
 
 	query := make([]byte, 12)
 	query[0], query[1] = 0x12, 0x34
-	resp, _, err := TCPExchange(addr, query, 2*time.Second)
+	resp, _, err := testClient(t, transport.TCP).Exchange(addr, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,10 +90,7 @@ func TestTCPServerMaxConns(t *testing.T) {
 	defer hold.Close()
 	query := make([]byte, 12)
 	query[0] = 1
-	if err := writeFrame(hold, query); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrame(hold); err != nil {
+	if _, err := (streamLadderClient{hold}).exchange(query); err != nil {
 		t.Fatalf("query on the held connection: %v", err)
 	}
 
@@ -102,9 +100,7 @@ func TestTCPServerMaxConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shed.Close()
-	_ = shed.SetDeadline(time.Now().Add(2 * time.Second))
-	_ = writeFrame(shed, query)
-	if _, err := readFrame(shed); err == nil {
+	if _, err := (streamLadderClient{shed}).exchange(query); err == nil {
 		t.Fatalf("connection over the cap should be closed, not served")
 	}
 	if got := ts.Rejected(); got == 0 {
@@ -114,8 +110,9 @@ func TestTCPServerMaxConns(t *testing.T) {
 	// Releasing the held connection frees the slot.
 	hold.Close()
 	deadline := time.Now().Add(2 * time.Second)
+	client := testClient(t, transport.TCP)
 	for {
-		resp, _, err := TCPExchange(addr, query, 500*time.Millisecond)
+		resp, _, err := client.Exchange(addr, query)
 		if err == nil && len(resp) >= 12 {
 			break
 		}

@@ -5,7 +5,6 @@ import (
 	"crypto/tls"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -203,57 +202,4 @@ func (t *TCPServer) shutdown(ctx context.Context) error {
 	}
 	t.mu.Unlock()
 	return err
-}
-
-// readFrame reads one length-prefixed DNS message.
-func readFrame(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(lenBuf[:])
-	if n == 0 {
-		return nil, fmt.Errorf("authoritative: zero-length TCP frame")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeFrame writes one length-prefixed DNS message.
-func writeFrame(w io.Writer, msg []byte) error {
-	if len(msg) > 0xFFFF {
-		return fmt.Errorf("authoritative: message exceeds TCP frame limit")
-	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
-}
-
-// TCPExchange sends one query over TCP and reads the reply.
-func TCPExchange(addr netip.AddrPort, query []byte, timeout time.Duration) ([]byte, time.Duration, error) {
-	start := time.Now()
-	conn, err := net.DialTimeout("tcp", addr.String(), timeout)
-	if err != nil {
-		return nil, time.Since(start), err
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
-		return nil, time.Since(start), err
-	}
-	if err := writeFrame(conn, query); err != nil {
-		return nil, time.Since(start), err
-	}
-	resp, err := readFrame(conn)
-	rtt := time.Since(start)
-	if err != nil {
-		return nil, rtt, fmt.Errorf("authoritative: tcp exchange: %w", err)
-	}
-	return resp, rtt, nil
 }

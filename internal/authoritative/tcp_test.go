@@ -1,13 +1,12 @@
 package authoritative
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/transport"
 )
 
 func TestTCPServerIntegration(t *testing.T) {
@@ -24,7 +23,7 @@ func TestTCPServerIntegration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, rtt, err := TCPExchange(addr, wire, 2*time.Second)
+	respWire, rtt, err := testClient(t, transport.TCP).Exchange(addr, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,50 +39,6 @@ func TestTCPServerIntegration(t *testing.T) {
 	}
 	if err := ts.Close(); err != nil {
 		t.Errorf("Close: %v", err)
-	}
-}
-
-func TestTCPExchangeConnRefused(t *testing.T) {
-	s := testServer(t)
-	ts := &TCPServer{Handler: s.Stream()}
-	addr, err := ts.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts.Close()
-	if _, _, err := TCPExchange(addr, []byte{0}, 500*time.Millisecond); err == nil {
-		t.Errorf("exchange against closed server should fail")
-	}
-}
-
-func TestFrameCodec(t *testing.T) {
-	var buf bytes.Buffer
-	msg := []byte{1, 2, 3, 4, 5}
-	if err := writeFrame(&buf, msg); err != nil {
-		t.Fatal(err)
-	}
-	got, err := readFrame(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Errorf("frame = %v", got)
-	}
-	// Zero-length frames rejected.
-	buf.Reset()
-	buf.Write([]byte{0, 0})
-	if _, err := readFrame(&buf); err == nil {
-		t.Errorf("zero-length frame should error")
-	}
-	// Short frames rejected.
-	buf.Reset()
-	buf.Write([]byte{0, 10, 1, 2})
-	if _, err := readFrame(&buf); err == nil {
-		t.Errorf("short frame should error")
-	}
-	// Oversize messages rejected on write.
-	if err := writeFrame(&buf, make([]byte, 70000)); err == nil {
-		t.Errorf("oversize frame should error")
 	}
 }
 

@@ -3,7 +3,6 @@ package authoritative
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"sync"
@@ -191,29 +190,4 @@ func (u *UDPServer) shutdown(ctx context.Context) error {
 	// open for that loop's reply.
 	err := conn.SetReadDeadline(time.Now())
 	return errors.Join(err, inService(ctx, &u.wg), conn.Close())
-}
-
-// UDPExchange sends a single wire-format query to addr over real UDP and
-// waits up to timeout for a reply. It returns the reply bytes and the
-// measured RTT.
-func UDPExchange(addr netip.AddrPort, query []byte, timeout time.Duration) ([]byte, time.Duration, error) {
-	conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addr))
-	if err != nil {
-		return nil, 0, err
-	}
-	defer conn.Close()
-	start := time.Now()
-	if err := conn.SetDeadline(start.Add(timeout)); err != nil {
-		return nil, 0, err
-	}
-	if _, err := conn.Write(query); err != nil {
-		return nil, 0, err
-	}
-	buf := make([]byte, 65535)
-	n, err := conn.Read(buf)
-	rtt := time.Since(start)
-	if err != nil {
-		return nil, rtt, fmt.Errorf("authoritative: udp exchange: %w", err)
-	}
-	return buf[:n], rtt, nil
 }

@@ -55,9 +55,6 @@ type TransientResult struct {
 	BoundAt float64
 }
 
-// Upstream is the total upstream fetch count over the horizon.
-func (t *TransientResult) Upstream() float64 { return t.Misses + t.Prefetches }
-
 // transientProtectedMinLookups is the promotion plausibility bar: a line
 // needs a second lookup for SLRU to move it to the protected segment.
 const transientProtectedMinLookups = 2

@@ -183,11 +183,3 @@ func (n Name) String() string {
 	}
 	return string(n)
 }
-
-// wireLen returns the uncompressed wire length of the name.
-func (n Name) wireLen() int {
-	if n.IsRoot() {
-		return 1
-	}
-	return len(n) + 1
-}

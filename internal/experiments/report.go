@@ -12,7 +12,6 @@ import (
 	"sort"
 	"strings"
 
-	"dnsttl/internal/obs"
 	"dnsttl/internal/stats"
 )
 
@@ -64,27 +63,6 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// AddHistograms copies every histogram in the registry into the report's
-// metrics as <prefix><name>.{count,p50,p90,p99}, so experiment output and a
-// live /metrics scrape of the same run agree by construction. Registered
-// names are walked in sorted order; a nil registry adds nothing.
-func (r *Report) AddHistograms(reg *obs.Registry, prefix string) {
-	snap := reg.Snapshot()
-	if len(snap.Histograms) == 0 {
-		return
-	}
-	if r.Metrics == nil {
-		r.Metrics = make(map[string]float64)
-	}
-	for _, name := range reg.HistogramNames() {
-		h := snap.Histograms[name]
-		r.Metrics[prefix+name+".count"] = float64(h.Count)
-		r.Metrics[prefix+name+".p50"] = h.P50
-		r.Metrics[prefix+name+".p90"] = h.P90
-		r.Metrics[prefix+name+".p99"] = h.P99
-	}
 }
 
 // Metric fetches a named metric (NaN-safe zero when missing).

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"net/netip"
-	"time"
 
 	"dnsttl/internal/atlas"
 	"dnsttl/internal/authoritative"
@@ -364,9 +363,4 @@ func (tb *Testbed) Fleet(probes int, mix population.Mix, seed int64) *atlas.Flee
 		Mix:         mix,
 		Seed:        seed,
 	}, tb.Builder(), tb.Topo)
-}
-
-// RoundsFor converts a duration into 600 s rounds.
-func RoundsFor(d time.Duration) int {
-	return int(d / (600 * time.Second))
 }

@@ -280,9 +280,6 @@ func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (middlewar
 // Frontends returns the farm size.
 func (f *Farm) Frontends() int { return len(f.frontends) }
 
-// Frontend exposes frontend i, for tests and telemetry.
-func (f *Farm) Frontend(i int) *resolver.Resolver { return f.frontends[i] }
-
 // Resolve answers (name, qtype) through the frontend the placement policy
 // picks, running its middleware pipeline (by default a bare wrapper over
 // the coalescing resolve path) — resolver.Lookuper for in-process use,

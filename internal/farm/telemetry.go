@@ -68,26 +68,6 @@ func ratio(num, den uint64) float64 {
 // HitRate is the effective fleet cache-hit rate; see Rates.Hit.
 func (s Stats) HitRate() float64 { return s.Rates().Hit }
 
-// ModelStats builds a Stats snapshot from analytically computed totals —
-// client resolutions, cache hits, and upstream exchanges — so the workload
-// compiler's closed-form output reports through the same Rates arithmetic
-// (and the same zero-denominator guard) as a simulated farm. Counts are
-// rounded to the nearest whole query.
-func ModelStats(client, hits, upstream float64) Stats {
-	round := func(x float64) uint64 {
-		if x <= 0 {
-			return 0
-		}
-		return uint64(x + 0.5)
-	}
-	total := FrontendStats{
-		Client:   round(client),
-		Hits:     round(hits),
-		Upstream: round(upstream),
-	}
-	return Stats{PerFrontend: []FrontendStats{total}, Total: total}
-}
-
 // String renders the fleet table.
 func (s Stats) String() string {
 	var b strings.Builder

@@ -223,7 +223,7 @@ func TestRunConfigValidation(t *testing.T) {
 // TestRunAgainstDeadServer classifies unanswered queries as timeouts, which
 // count toward Errors.
 func TestRunAgainstDeadServer(t *testing.T) {
-	tr, err := transport.New(transport.Config{Kind: transport.UDP, Timeout: 100 * time.Millisecond, DisableTCPFallback: true})
+	tr, err := transport.New(transport.Config{Kind: transport.UDP, Timeout: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,10 @@ import (
 // is routedns's "cache" element, a message-level memo that shields
 // whatever sits behind it — a ttl-modifying sub-chain, a blocklist
 // verdict, a remote forwarder — from repeat questions. Entries live for
-// the response's answer TTL (negttl for answerless responses) and hits
-// serve a copy with decayed TTLs, exactly what a downstream cache would
-// see on the wire.
+// the smallest TTL in the response's answer section (negttl for answerless
+// responses), so no record of a CNAME chain is served past its own TTL, and
+// hits serve a copy with decayed TTLs, exactly what a downstream cache
+// would see on the wire.
 type cacheStage struct {
 	name    string
 	next    Stage
@@ -87,8 +88,12 @@ func (s *cacheStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 		return resp, err
 	}
 	ttl := s.negTTL
-	if len(resp.Msg.Answer) > 0 {
-		ttl = time.Duration(resp.Msg.Answer[0].TTL) * time.Second
+	if ans := resp.Msg.Answer; len(ans) > 0 {
+		least := ans[0].TTL
+		for _, rr := range ans[1:] {
+			least = min(least, rr.TTL)
+		}
+		ttl = time.Duration(least) * time.Second
 	}
 	if ttl <= 0 {
 		return resp, nil

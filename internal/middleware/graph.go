@@ -160,9 +160,7 @@ func Build(spec string, env Env) (*Pipeline, error) {
 		return nil, err
 	}
 	if len(p.stages) == 0 {
-		pl := Default(env)
-		pl.spec = spec
-		return pl, nil
+		return Default(env), nil
 	}
 	b := &builder{
 		env:      env,
@@ -177,7 +175,7 @@ func Build(spec string, env Env) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := &Pipeline{entry: entry, spec: spec}
+	pl := &Pipeline{entry: entry}
 	for _, sp := range p.stages {
 		st, err := b.stage(sp.name) // builds any stage entry doesn't reach
 		if err != nil {

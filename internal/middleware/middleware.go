@@ -137,7 +137,6 @@ func (e Env) counter(stage, what string) *obs.Counter {
 type Pipeline struct {
 	entry  Stage
 	stages []Stage // every stage, in spec order (entry may be any of them)
-	spec   string  // the source text, for introspection and reload diffing
 }
 
 // Resolve runs the query through the graph.
@@ -154,10 +153,6 @@ func (p *Pipeline) Stages() []string {
 	}
 	return out
 }
-
-// Spec returns the source text the pipeline was built from ("" for the
-// default pipeline).
-func (p *Pipeline) Spec() string { return p.spec }
 
 // Default builds the zero-config pipeline: one terminal resolver stage.
 // It adds two pointer hops and no behavior to the wrapped datapath.

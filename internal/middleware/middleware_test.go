@@ -20,7 +20,10 @@ import (
 type fakeLookup struct {
 	calls atomic.Int64
 	ttl   uint32
-	delay func() // optional hook run inside the lookup, for coalescing tests
+	// cnameTTL, when set, answers with the CDN shape: a CNAME of that TTL
+	// onto edge.example, whose A record carries ttl.
+	cnameTTL uint32
+	delay    func() // optional hook run inside the lookup, for coalescing tests
 }
 
 func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
@@ -36,12 +39,17 @@ func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Re
 		Header:   dnswire.Header{QR: true, RA: true},
 		Question: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
 	}
+	owner := name
+	if f.cnameTTL > 0 {
+		msg.AddAnswer(dnswire.NewCNAME(string(name), f.cnameTTL, "edge.example"))
+		owner = dnswire.MustName("edge.example")
+	}
 	msg.AddAnswer(dnswire.RR{
-		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
+		Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
 		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")},
 	})
 	msg.AddAuthority(dnswire.NewNS("example.org", 3600, "ns1.example.org"))
-	return &resolver.Result{Msg: msg, Trace: resolver.Trace{Queries: 1, AnswerTTL: ttl}}, nil
+	return &resolver.Result{Msg: msg, Trace: resolver.Trace{Queries: 1, AnswerTTL: msg.Answer[0].TTL}}, nil
 }
 
 func query(name string, client string) *Query {
@@ -376,6 +384,21 @@ type = "resolver"
 	}
 	if fl.calls.Load() != 2 {
 		t.Fatalf("lookup calls = %d, want 2", fl.calls.Load())
+	}
+
+	// A CNAME chain lives for its shortest link (CNAME 300 -> A 20): a hit
+	// before 20 s decays both TTLs, and past it the whole response is gone.
+	fl.cnameTTL, fl.ttl = 300, 20
+	p.Resolve(ctx, query("www.cdn.example", ""))
+	clk.Advance(15 * time.Second)
+	resp, _ = p.Resolve(ctx, query("www.cdn.example", ""))
+	if resp.Verdict != VerdictCached || len(resp.Msg.Answer) != 2 ||
+		resp.Msg.Answer[0].TTL != 285 || resp.Msg.Answer[1].TTL != 5 {
+		t.Fatalf("chain hit at 15 s: verdict %v, answers %v; want cached CNAME 285 + A 5", resp.Verdict, resp.Msg.Answer)
+	}
+	clk.Advance(5 * time.Second)
+	if resp, _ := p.Resolve(ctx, query("www.cdn.example", "")); resp.Verdict != VerdictResolved {
+		t.Fatalf("chain at 20 s: verdict %v, want a miss — the A record has expired", resp.Verdict)
 	}
 }
 

@@ -262,18 +262,6 @@ func OpenFile(path string) (*Reader, error) {
 	return rd, nil
 }
 
-// NewReader reads records from an in-memory stream (tests, pipes).
-func NewReader(src io.Reader) *Reader {
-	r := bufio.NewReaderSize(src, 1<<16)
-	head, _ := r.Peek(len(binaryMagic))
-	rd := &Reader{r: r}
-	if bytes.Equal(head, binaryMagic) {
-		rd.binary = true
-		_, _ = r.Discard(len(binaryMagic))
-	}
-	return rd
-}
-
 // Next fills rec with the next record. It returns io.EOF at the end of
 // the file; decode errors are counted (see DecodeErrors) and skipped when
 // possible.

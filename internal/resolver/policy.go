@@ -7,11 +7,7 @@
 // serve-stale.
 package resolver
 
-import (
-	"time"
-
-	"dnsttl/internal/cache"
-)
+import "dnsttl/internal/cache"
 
 // Centricity says which zone's TTL a resolver effectively honors for
 // records that are duplicated at a delegation (NS sets and glue addresses).
@@ -106,8 +102,6 @@ type Policy struct {
 	// implementation-defined). Zero means 60 s. Like every other TTL it is
 	// subject to TTLCap and TTLFloor.
 	NegTTLFallback uint32
-	// Timeout for one upstream exchange; zero means 5 s.
-	Timeout time.Duration
 	// MaxRetries is how many distinct servers are tried per step before
 	// giving up; zero means 3. Superseded by Retry.Attempts when set.
 	MaxRetries int

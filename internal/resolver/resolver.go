@@ -287,9 +287,14 @@ func cacheOutcome(e *cache.Entry) string {
 }
 
 // applyCached copies a cache entry into the client answer with decayed TTLs.
+// Only the cap applies on the way out: the floor lengthened the stored
+// lifetime at Put (cache.Config.MinTTL), so rem already carries it, and
+// flooring the display too would report a TTL the entry no longer has.
 func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qtype dnswire.Type, res *Result, depth int) {
-	if sp := res.Span; sp != nil {
-		if out := r.clampTTL(rem); out != rem {
+	out := rem
+	if limit := r.Policy.TTLCap; limit > 0 && out > limit {
+		out = limit
+		if sp := res.Span; sp != nil {
 			sp.Annotate("ttl_clamp", clampLabel(rem, out))
 		}
 	}
@@ -301,7 +306,7 @@ func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qt
 		return
 	}
 	for _, rr := range e.RRs {
-		rr.TTL = r.clampTTL(rem)
+		rr.TTL = out
 		res.Msg.AddAnswer(rr)
 	}
 	// Chase a cached CNAME.
@@ -786,8 +791,8 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 
 // exchangeWire sends one wire query, positioning the fault schedule at the
 // given virtual-time offset when the network supports it (the in-memory
-// simnet does; the real-UDP exchanger ignores offsets by not implementing
-// the interface).
+// simnet does; the real-socket transport.Net ignores offsets by not
+// implementing the interface).
 func (r *Resolver) exchangeWire(server netip.Addr, wire []byte, offset time.Duration) ([]byte, time.Duration, error) {
 	if oe, ok := r.Net.(simnet.OffsetExchanger); ok {
 		return oe.ExchangeAt(r.Addr, server, wire, offset)

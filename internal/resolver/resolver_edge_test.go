@@ -49,6 +49,34 @@ func TestTTLFloorOnAnswers(t *testing.T) {
 	}
 }
 
+// TestTTLFloorNeverExceedsRemaining: a floor lengthens the stored lifetime,
+// and hits decay from it — the TTL shown never exceeds what the entry has
+// left, never rises between refreshes, and the refetch comes at expiry.
+func TestTTLFloorNeverExceedsRemaining(t *testing.T) {
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.TTLFloor = 600
+	r := tn.resolver(pol, 1)
+	if res := mustResolve(t, r, "a.nic.uy", dnswire.TypeA); res.CacheHit || res.AnswerTTL != 600 {
+		t.Fatalf("miss: hit=%v TTL=%d, want the floored 600", res.CacheHit, res.AnswerTTL)
+	}
+	elapsed, prev := uint32(0), uint32(600)
+	for _, at := range []uint32{1, 300, 590, 599} { // seconds since the miss
+		tn.clock.Advance(time.Duration(at-elapsed) * time.Second)
+		elapsed = at
+		res := mustResolve(t, r, "a.nic.uy", dnswire.TypeA)
+		if !res.CacheHit || res.AnswerTTL > 600-at || res.AnswerTTL > prev {
+			t.Errorf("t=%ds: hit=%v TTL=%d, want a hit with at most %d s left (previous answer %d)",
+				at, res.CacheHit, res.AnswerTTL, 600-at, prev)
+		}
+		prev = res.AnswerTTL
+	}
+	tn.clock.Advance(time.Duration(610-elapsed) * time.Second)
+	if res := mustResolve(t, r, "a.nic.uy", dnswire.TypeA); res.CacheHit || res.AnswerTTL != 600 {
+		t.Errorf("after expiry: hit=%v TTL=%d, want a refetch showing 600", res.CacheHit, res.AnswerTTL)
+	}
+}
+
 // TestServerRotation: resolvers rotate between a zone's authoritative
 // servers (the Müller et al. behavior the paper cites as [37]).
 func TestServerRotation(t *testing.T) {

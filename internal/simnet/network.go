@@ -51,8 +51,8 @@ func (c copyingHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte
 }
 
 // Exchanger is the client side: send a query to dst, get the response and
-// the round-trip time. Both the in-memory Network and the real-UDP client in
-// the authoritative package implement this.
+// the round-trip time. Both the in-memory Network and the real-socket
+// adapter transport.Net implement this.
 type Exchanger interface {
 	Exchange(src, dst netip.Addr, query []byte) (resp []byte, rtt time.Duration, err error)
 }
@@ -113,11 +113,6 @@ type Network struct {
 	nodes map[netip.Addr]*node
 	flows map[flowKey]*flow
 
-	derive struct { // state for Rand(), isolated from flow streams
-		sync.Mutex
-		rng *rand.Rand
-	}
-
 	// LatencyFor returns the RTT model for a src→dst exchange. If nil, a
 	// constant 20 ms is used.
 	LatencyFor func(src, dst netip.Addr) LatencyModel
@@ -158,13 +153,11 @@ type TapEvent struct {
 // NewNetwork creates a network with deterministic randomness derived from
 // seed. Random draws are sharded per (src, dst) flow; see flow.
 func NewNetwork(seed int64) *Network {
-	n := &Network{
+	return &Network{
 		seed:  seed,
 		nodes: make(map[netip.Addr]*node),
 		flows: make(map[flowKey]*flow),
 	}
-	n.derive.rng = rand.New(NewSource(seed))
-	return n
 }
 
 // flowSeed mixes the network seed with both endpoint addresses (FNV-1a over
@@ -378,13 +371,4 @@ func synthReply(query []byte, servfail, truncate bool) []byte {
 // Stats returns the number of exchanges attempted and the number lost.
 func (n *Network) Stats() (queries, losses uint64) {
 	return n.queries.Load(), n.losses.Load()
-}
-
-// Rand derives an independent deterministic RNG from the network's seed
-// stream, for callers that need their own randomness. Derivation draws from
-// a dedicated stream, so it never perturbs flow sampling.
-func (n *Network) Rand() *rand.Rand {
-	n.derive.Lock()
-	defer n.derive.Unlock()
-	return rand.New(NewSource(n.derive.rng.Int63()))
 }

@@ -278,3 +278,37 @@ func TestPipelineTimeoutThenLateAnswer(t *testing.T) {
 		t.Errorf("IDMismatches = %d, want 1 (the late answer must be dropped)", got)
 	}
 }
+
+// TestPipelineFrameLimits checks both ends of the 2-byte length prefix: a
+// query that cannot be framed is refused before anything is written, and a
+// response frame too short to hold a DNS header fails the exchange instead
+// of being delivered.
+func TestPipelineFrameLimits(t *testing.T) {
+	served := make(chan []byte, 1)
+	addr := scriptedServer(t, func(conn net.Conn) {
+		f := readTestFrame(conn)
+		select {
+		case served <- f:
+		default: // the pool's one redial after the failed frame
+		}
+		if f != nil {
+			writeTestFrame(conn, []byte{f[0], f[1], 0x80, 0, 0})
+		}
+	})
+	tr, err := New(Config{Kind: TCP, PoolSize: 1, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+
+	if _, _, err := tr.Exchange(addr, make([]byte, 0x10000)); err == nil {
+		t.Errorf("a query over 65,535 bytes should be refused")
+	}
+	resp, _, err := tr.Exchange(addr, testQuery(0x3333, 1))
+	if err == nil {
+		t.Errorf("a 5-byte response frame was delivered: %v", resp)
+	}
+	if f := <-served; len(f) != 13 {
+		t.Errorf("server's first frame is %d bytes, want the 13-byte query (the oversize one must never be written)", len(f))
+	}
+}

@@ -125,8 +125,6 @@ type Config struct {
 	// Insecure skips TLS certificate verification (self-signed test
 	// servers).
 	Insecure bool
-	// DisableTCPFallback turns off the UDP transport's truncation retry.
-	DisableTCPFallback bool
 	// Metrics, when non-nil, records pool and exchange telemetry.
 	Metrics *Metrics
 }

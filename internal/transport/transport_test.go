@@ -144,7 +144,9 @@ func TestExchangeAllKinds(t *testing.T) {
 
 // TestUDPTruncationFallsBackToTCP serves TC-bit answers over UDP and full
 // answers over TCP on the same port; the UDP transport must retry over TCP
-// and return the untruncated response.
+// and return the untruncated response. While nothing listens on the TCP
+// port the dial is refused: a TCP exchange fails, and the UDP transport
+// serves the truncated answer it has.
 func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	truncating := simnet.HandlerFunc(func(wire []byte, _ netip.Addr) []byte {
 		resp := make([]byte, len(wire))
@@ -158,11 +160,6 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer us.Close()
-	ts := &authoritative.TCPServer{Handler: echoHandler}
-	if _, err := ts.Listen(fmt.Sprintf("127.0.0.1:%d", addr.Port())); err != nil {
-		t.Fatalf("binding TCP on the UDP port: %v", err)
-	}
-	defer ts.Close()
 
 	reg := obs.NewRegistry(nil)
 	m := NewMetrics(reg)
@@ -172,7 +169,32 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	}
 	defer tr.Close()
 
-	resp, _, err := tr.Exchange(addr, encodedQuery(t, 0x0777))
+	tcp, err := New(Config{Kind: TCP, Timeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	if _, _, err := tcp.Exchange(addr, encodedQuery(t, 0x0776)); err == nil {
+		t.Errorf("TCP exchange with nothing listening should fail")
+	}
+	resp, _, err := tr.Exchange(addr, encodedQuery(t, 0x0778))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg, err := dnswire.Decode(resp); err != nil || !msg.Header.TC {
+		t.Errorf("a refused fallback should return the truncated UDP answer (err=%v)", err)
+	}
+	if got := m.DialErrors.Value(); got != 1 {
+		t.Errorf("DialErrors = %d, want 1 (the refused TCP dial)", got)
+	}
+
+	ts := &authoritative.TCPServer{Handler: echoHandler}
+	if _, err := ts.Listen(fmt.Sprintf("127.0.0.1:%d", addr.Port())); err != nil {
+		t.Fatalf("binding TCP on the UDP port: %v", err)
+	}
+	defer ts.Close()
+
+	resp, _, err = tr.Exchange(addr, encodedQuery(t, 0x0777))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,22 +208,8 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	if msg.Header.ID != 0x0777 {
 		t.Errorf("ID = %d, want %d", msg.Header.ID, 0x0777)
 	}
-	if got := m.TCPFallbacks.Value(); got != 1 {
-		t.Errorf("TCPFallbacks = %d, want 1", got)
-	}
-
-	// With fallback disabled the truncated answer is returned as is.
-	tr2, err := New(Config{Kind: UDP, Timeout: 3 * time.Second, DisableTCPFallback: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	resp, _, err = tr2.Exchange(addr, encodedQuery(t, 0x0778))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := dnswire.Decode(resp); err != nil || !msg.Header.TC {
-		t.Errorf("DisableTCPFallback should return the truncated UDP answer (err=%v)", err)
+	if got := m.TCPFallbacks.Value(); got != 2 {
+		t.Errorf("TCPFallbacks = %d, want 2", got)
 	}
 }
 

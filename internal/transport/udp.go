@@ -25,7 +25,7 @@ type udpConn struct {
 type udpTransport struct {
 	cfg Config
 	m   *Metrics
-	tcp *streamTransport // truncation fallback; nil when disabled
+	tcp *streamTransport // truncation fallback
 
 	mu     sync.Mutex
 	idle   map[netip.AddrPort][]*udpConn
@@ -33,15 +33,12 @@ type udpTransport struct {
 }
 
 func newUDPTransport(cfg Config) *udpTransport {
-	u := &udpTransport{
+	return &udpTransport{
 		cfg:  cfg,
 		m:    cfg.Metrics.orNil(),
+		tcp:  newTCPTransport(cfg),
 		idle: make(map[netip.AddrPort][]*udpConn),
 	}
-	if !cfg.DisableTCPFallback {
-		u.tcp = newTCPTransport(cfg)
-	}
-	return u
 }
 
 // get pops a pooled socket for server or dials a new one.
@@ -98,7 +95,7 @@ func (u *udpTransport) Exchange(server netip.AddrPort, query []byte) ([]byte, ti
 		u.m.Errors.Inc()
 		return nil, rtt, err
 	}
-	if resp[2]&0x02 != 0 && u.tcp != nil { // TC bit: retry over TCP
+	if resp[2]&0x02 != 0 { // TC bit: retry over TCP
 		u.m.TCPFallbacks.Inc()
 		tcpResp, tcpRTT, tcpErr := u.tcp.Exchange(server, query)
 		if tcpErr == nil {
@@ -162,8 +159,5 @@ func (u *udpTransport) Close() error {
 			_ = uc.c.Close()
 		}
 	}
-	if u.tcp != nil {
-		return u.tcp.Close()
-	}
-	return nil
+	return u.tcp.Close()
 }

@@ -70,7 +70,8 @@ type PushConfig struct {
 	// port of the daemon's UDP listener, whose NOTIFY-opcode datagrams are
 	// routed to the subscriber.
 	Port uint16
-	// Net carries the subscriber's exchanges; nil means real UDP on port 53.
+	// Net carries the subscriber's exchanges; nil means the client's own
+	// net (ClientConfig.Net).
 	Net Exchanger
 	// Clock drives polling, health, and purge timestamps; nil means wall.
 	Clock Clock
@@ -106,7 +107,7 @@ func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
 	}
 	pnet := cfg.Net
 	if pnet == nil {
-		pnet = UDPNet{}
+		pnet = rs.Client.net
 	}
 	pcfg := push.Config{
 		Addr:        addr,

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/push"
 	"dnsttl/internal/qlog"
@@ -21,7 +20,7 @@ func queryA(t *testing.T, rd netip.AddrPort, name string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, _, err := authoritative.UDPExchange(rd, wire, 2*time.Second)
+	respWire, _, err := stubTransport(t, TransportUDP).Exchange(rd, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +71,7 @@ func TestPushEndToEnd(t *testing.T) {
 	}
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{authAddr.Addr()},
-		Net:   UDPNet{Port: authAddr.Port(), Timeout: 2 * time.Second},
+		Net:   loopbackNet(t, authAddr.Port()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestPushEndToEnd(t *testing.T) {
 
 	sub := rd.EnablePush(PushConfig{
 		Port:     rdAddr.Port(),
-		Net:      UDPNet{Port: authAddr.Port(), Timeout: 2 * time.Second},
+		Net:      loopbackNet(t, authAddr.Port()),
 		Registry: reg,
 		QueryLog: qlogger.Tap("push"),
 	})

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/entrada"
 	"dnsttl/internal/qlog"
@@ -42,7 +41,7 @@ func TestQueryLogEndToEnd(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Roots:    []netip.Addr{authAddr.Addr()},
-		Net:      UDPNet{Port: authAddr.Port(), Timeout: 2 * time.Second},
+		Net:      loopbackNet(t, authAddr.Port()),
 		Registry: reg,
 		QueryLog: qlogger.Tap("udp"),
 	})
@@ -62,8 +61,9 @@ func TestQueryLogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stub := stubTransport(t, TransportUDP)
 	for i := 0; i < total; i++ {
-		if _, _, err := authoritative.UDPExchange(rdAddr, wire, 2*time.Second); err != nil {
+		if _, _, err := stub.Exchange(rdAddr, wire); err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
 	}

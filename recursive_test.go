@@ -3,7 +3,6 @@ package dnsttl
 import (
 	"net/netip"
 	"testing"
-	"time"
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
@@ -31,7 +30,7 @@ func TestRecursiveDaemon(t *testing.T) {
 
 	client, err := NewClient(ClientConfig{
 		Roots: []netip.Addr{authAddr.Addr()},
-		Net:   UDPNet{Port: authAddr.Port(), Timeout: 2 * time.Second},
+		Net:   loopbackNet(t, authAddr.Port()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +48,8 @@ func TestRecursiveDaemon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respWire, _, err := authoritative.UDPExchange(rdAddr, wire, 2*time.Second)
+	stub := stubTransport(t, TransportUDP)
+	respWire, _, err := stub.Exchange(rdAddr, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRecursiveDaemon(t *testing.T) {
 	}
 
 	// Second stub query: served from the daemon's cache.
-	respWire, _, err = authoritative.UDPExchange(rdAddr, wire, 2*time.Second)
+	respWire, _, err = stub.Exchange(rdAddr, wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestAXFRLocalRootIntegration(t *testing.T) {
 	}
 	defer auth.Close()
 
-	mirror, err := authoritative.FetchZone(tcpAddr, NewName("."), 2*time.Second)
+	mirror, err := authoritative.FetchZone(stubTransport(t, TransportTCP).Exchange, tcpAddr, NewName("."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestAXFRLocalRootIntegration(t *testing.T) {
 	client, err := NewClient(ClientConfig{
 		Policy:    pol,
 		Roots:     []netip.Addr{udpAddr.Addr()},
-		Net:       UDPNet{Port: udpAddr.Port(), Timeout: 2 * time.Second},
+		Net:       loopbackNet(t, udpAddr.Port()),
 		LocalRoot: mirror,
 	})
 	if err != nil {

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # docs_check.sh — keep the docs honest.
 #
-# Four invariants, checked mechanically so flag, metric or experiment
+# Five invariants, checked mechanically so flag, metric, experiment or API
 # changes cannot silently outrun the documentation:
 #
 #  1. Every flag defined in cmd/*/main.go appears (as -flagname) somewhere
@@ -14,8 +14,11 @@
 #     every per-stage counter suffix is documented as mw.<stage>.<suffix>.
 #  4. docs/sample-output.txt is what its documented command (EXPERIMENTS.md)
 #     prints today, wall-clock figures aside.
+#  5. Every dnsttl.<Exported> identifier named in README.md, docs/*.md or
+#     EXPERIMENTS.md is declared in the root package.
 #
-# Exits non-zero listing every undocumented name and the sample's diff.
+# Exits non-zero listing every undocumented or undeclared name and the
+# sample's diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,8 +89,22 @@ if ! diff <(mask_wall docs/sample-output.txt) \
     fail=1
 fi
 
+# --- 5. Facade identifiers -------------------------------------------------
+# A snippet may only name what the root package declares: a top-level func,
+# type, var or const, or a member of a grouped declaration (NAME = ...).
+idents=$(grep -ohE 'dnsttl\.[A-Z][A-Za-z0-9]*' README.md docs/*.md EXPERIMENTS.md | sort -u)
+root_go=$(ls ./*.go | grep -v '_test\.go$')
+for i in $idents; do
+    id=${i#dnsttl.}
+    # shellcheck disable=SC2086
+    if ! grep -qE "^(func|type|var|const) $id\b|^[[:space:]]+$id +=" $root_go; then
+        echo "docs_check: $i is named in the docs but not declared in the root package" >&2
+        fail=1
+    fi
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "docs_check: FAILED — update docs/operations.md / docs/architecture.md / docs/middleware.md" >&2
     exit 1
 fi
-echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented; sample output current)"
+echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented; sample output current; $(wc -w <<<"$idents") dnsttl.* names declared)"

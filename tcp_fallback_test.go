@@ -5,14 +5,14 @@ import (
 	"net/netip"
 	"strings"
 	"testing"
-	"time"
 
 	"dnsttl/internal/dnswire"
 )
 
 // TestTCPFallback drives the full truncation path over the OS network: a
 // plain (non-EDNS) UDP query to a response bigger than 512 bytes comes back
-// truncated, and UDPNet retries it over TCP transparently.
+// truncated, and the UDP transport retries it over TCP on the same port —
+// where authserver binds its TCP listener — transparently.
 func TestTCPFallback(t *testing.T) {
 	z := NewZone(NewName("example.org"))
 	z.MustAdd(dnswire.NewSOA("example.org", 3600, "ns1.example.org", "x.example.org", 1, 1, 1, 1, 60))
@@ -21,11 +21,7 @@ func TestTCPFallback(t *testing.T) {
 	}
 	srv := NewServer(NewName("ns1.example.org"), nil)
 	srv.AddZone(z)
-	udpAddr, err := srv.ListenUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcpAddr, err := srv.ListenTCP("127.0.0.1:0")
+	addr, err := srv.ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +33,10 @@ func TestTCPFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	udp := loopbackNet(t, addr.Port())
 
-	// Without fallback: truncated, empty.
-	plain := UDPNet{Port: udpAddr.Port(), Timeout: 2 * time.Second, DisableTCPFallback: true}
-	respWire, _, err := plain.Exchange(netip.Addr{}, udpAddr.Addr(), wire)
+	// No TCP listener yet, so the retry is refused: truncated, empty.
+	respWire, _, err := udp.Exchange(netip.Addr{}, addr.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +45,14 @@ func TestTCPFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !resp.Header.TC || len(resp.Answer) != 0 {
-		t.Fatalf("expected truncation without fallback: TC=%v answers=%d", resp.Header.TC, len(resp.Answer))
+		t.Fatalf("expected truncation without a TCP listener: TC=%v answers=%d", resp.Header.TC, len(resp.Answer))
 	}
 
-	// With fallback: the TCP retry returns the full answer.
-	fb := UDPNet{Port: udpAddr.Port(), TCPPort: tcpAddr.Port(), Timeout: 2 * time.Second}
-	respWire, rtt, err := fb.Exchange(netip.Addr{}, udpAddr.Addr(), wire)
+	// With TCP bound on the UDP port the retry returns the full answer.
+	if _, err := srv.ListenTCP(addr.String()); err != nil {
+		t.Fatalf("binding TCP on the UDP port: %v", err)
+	}
+	respWire, rtt, err := udp.Exchange(netip.Addr{}, addr.Addr(), wire)
 	if err != nil {
 		t.Fatal(err)
 	}
