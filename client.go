@@ -330,17 +330,6 @@ func (c *Client) FarmStats() (st FarmStats, ok bool) {
 // CacheStats is the cache counter snapshot.
 type CacheStats = cache.Stats
 
-// Forwarder is a stub/forwarding resolver: it relays queries to one or
-// more full recursives and (optionally) caches the answers — the second
-// resolver species of the paper's §4.4 infrastructure analysis.
-type Forwarder = resolver.Forwarder
-
-// NewForwarder builds a forwarder with its own cache; set Passthrough for
-// a pure load-balancing frontend.
-func NewForwarder(addr netip.Addr, upstreams []netip.Addr, net Exchanger, clock Clock, seed int64) *Forwarder {
-	return resolver.NewForwarder(addr, upstreams, net, clock, seed)
-}
-
 // Server is an authoritative DNS server for a set of zones, servable over
 // real UDP, TCP, DoT, and DoH, or pluggable into a simulation.
 type Server struct {

@@ -43,9 +43,9 @@ func TestFacadeDNSSEC(t *testing.T) {
 	}
 }
 
-// TestFacadeForwarder exercises the public Forwarder against a loopback
-// recursive daemon over real UDP.
-func TestFacadeForwarder(t *testing.T) {
+// TestFacadeStubThroughDaemon sends a stub's RD=1 query through the public
+// TransportNet to a loopback recursive daemon over real UDP.
+func TestFacadeStubThroughDaemon(t *testing.T) {
 	srv := NewServer(NewName("a.root-servers.net"), nil)
 	for origin, text := range map[string]string{".": rootZoneText, "example.org": orgZoneText} {
 		z, err := ParseZone(text, NewName(origin))
@@ -74,20 +74,27 @@ func TestFacadeForwarder(t *testing.T) {
 	}
 	defer rd.Close()
 
-	fw := NewForwarder(netip.MustParseAddr("127.0.0.1"),
-		[]netip.Addr{rdAddr.Addr()},
-		loopbackNet(t, rdAddr.Port()), nil, 3)
-	res, err := fw.Resolve(NewName("www.example.org"), TypeA)
+	wire, err := Encode(dnswire.NewQuery(7, NewName("www.example.org"), TypeA))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Msg.Header.RCode != RCodeNoError || len(res.Msg.Answer) == 0 {
-		t.Fatalf("forwarder over UDP: %s", res.Msg.Header.RCode)
-	}
-	// Forwarder's own cache serves the repeat.
-	res, err = fw.Resolve(NewName("www.example.org"), TypeA)
-	if err != nil || !res.CacheHit {
-		t.Errorf("repeat should hit the forwarder cache: %v hit=%v", err, res.CacheHit)
+	stub := loopbackNet(t, rdAddr.Port())
+	for i, wantHits := range []uint64{0, 1} {
+		respWire, _, err := stub.Exchange(netip.Addr{}, rdAddr.Addr(), wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := Decode(respWire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Header.RCode != RCodeNoError || len(resp.Answer) == 0 {
+			t.Fatalf("query %d over UDP: %s", i, resp.Header.RCode)
+		}
+		// The daemon's cache serves the repeat.
+		if st := client.CacheStats(); st.Hits != wantHits {
+			t.Errorf("query %d: cache hits = %d, want %d", i, st.Hits, wantHits)
+		}
 	}
 }
 

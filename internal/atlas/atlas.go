@@ -2,7 +2,9 @@
 // of probes spread unevenly over world regions (the real platform skews
 // European), each probing through one or more recursive resolvers. A
 // (probe, resolver) pair is a vantage point (VP), the paper's unit of
-// observation (§3.2).
+// observation (§3.2). Most VPs own a private resolver; VPs of a public
+// service share one farm.Farm per (profile, region) and call it in-process,
+// so a probe measures the answering frontend's own Result.
 package atlas
 
 import (
@@ -14,6 +16,7 @@ import (
 	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/farm"
 	"dnsttl/internal/latency"
 	"dnsttl/internal/population"
 	"dnsttl/internal/resolver"
@@ -26,7 +29,7 @@ type VP struct {
 	ProbeID int
 	Region  latency.Region
 	// Resolver is the recursive this VP queries — a full iterative
-	// resolver, or a farm frontend shared with other VPs (public
+	// resolver of its own, or a farm shared with other VPs (public
 	// resolver services).
 	Resolver resolver.Lookuper
 	// Profile names the resolver's behavioral family.
@@ -115,12 +118,6 @@ type FleetConfig struct {
 	// service (google-like, opendns-like) uses the shared regional
 	// instance rather than a private resolver.
 	SharedFrac float64
-	// FarmBackends sizes shared public-resolver farms: the frontend
-	// spreads queries over this many backend recursives with independent
-	// caches (the §4.4 fragmentation). 0 means 4; 1 collapses the farm
-	// to a single shared cache. Farms require the builder to expose its
-	// Network; otherwise shared instances are plain resolvers.
-	FarmBackends int
 	// Mix is the resolver population; nil means population.DefaultMix.
 	Mix population.Mix
 	// Seed drives all fleet randomness.
@@ -134,6 +131,9 @@ type Fleet struct {
 	rng   *rand.Rand
 	clock simnet.Clock
 }
+
+// farmFrontends sizes every shared public-resolver instance.
+const farmFrontends = 4
 
 type sharedKey struct {
 	profile string
@@ -166,28 +166,23 @@ func NewFleet(cfg FleetConfig, b *population.Builder, topo *latency.Topology) *F
 	newResolver := func(p population.Profile, region latency.Region) *resolver.Resolver {
 		return b.Build(p, allocAddr(region), rng.Int63())
 	}
-	// newFarm builds a public service: a forwarder frontend spreading
-	// queries over backend recursives with independent caches, linked by
-	// fast intra-site hops.
+	// newFarm builds a public service the way §4.4 found them deployed:
+	// frontends with independent caches behind one service address, a
+	// random one answering each query (farm.Private and farm.PlaceRandom,
+	// the zero values). farm.New sources frontend i from base+i, and
+	// allocAddr hands out consecutive addresses, so every frontend is
+	// placed in the VPs' region.
 	newFarm := func(p population.Profile, region latency.Region) resolver.Lookuper {
-		backends := cfg.FarmBackends
-		if backends <= 0 {
-			backends = 4
+		base := allocAddr(region)
+		for i := 1; i < farmFrontends; i++ {
+			allocAddr(region)
 		}
-		if b.Network == nil || backends == 1 {
-			return newResolver(p, region)
-		}
-		front := allocAddr(region)
-		ups := make([]netip.Addr, backends)
-		for i := range ups {
-			r := newResolver(p, region)
-			b.Network.Attach(r.Addr, resolver.Handler{R: r})
-			ups[i] = r.Addr
-			topo.SetLink(front, r.Addr, simnet.Constant(500*time.Microsecond))
-		}
-		fw := resolver.NewForwarder(front, ups, b.Net, b.Clock, rng.Int63())
-		fw.Passthrough = true // public front doors balance, they don't cache
-		return fw
+		return farm.New(farm.Config{
+			Frontends: farmFrontends,
+			Policy:    p.Policy,
+			LocalRoot: b.LocalRootZone,
+			Seed:      rng.Int63(),
+		}, base, b.Net, b.Clock, b.RootHints)
 	}
 
 	for probe := 0; probe < cfg.Probes; probe++ {

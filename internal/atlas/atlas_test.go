@@ -9,7 +9,9 @@ import (
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/latency"
 	"dnsttl/internal/population"
+	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
+	"dnsttl/internal/stats"
 	"dnsttl/internal/zone"
 )
 
@@ -49,7 +51,7 @@ func miniWorld(t *testing.T) (*simnet.Network, *simnet.VirtualClock, *latency.To
 	orgSrv.AddZone(org)
 	net.Attach(orgAddr, orgSrv)
 
-	b := &population.Builder{Net: net, Clock: clock, RootHints: []netip.Addr{rootAddr}, LocalRootZone: root, Network: net}
+	b := &population.Builder{Net: net, Clock: clock, RootHints: []netip.Addr{rootAddr}, LocalRootZone: root}
 	return net, clock, topo, b, orgSrv
 }
 
@@ -237,8 +239,8 @@ func TestJitterSpreadsProbes(t *testing.T) {
 }
 
 func TestFarmSharedVPs(t *testing.T) {
-	_, clock, topo, b, orgSrv := miniWorld(t)
-	f := NewFleet(FleetConfig{Probes: 300, SharedFrac: 1.0, FarmBackends: 3, Seed: 12}, b, topo)
+	net, clock, topo, b, orgSrv := miniWorld(t)
+	f := NewFleet(FleetConfig{Probes: 300, SharedFrac: 1.0, Seed: 12}, b, topo)
 	sharedVPs := 0
 	for _, vp := range f.VPs {
 		if vp.Shared {
@@ -263,5 +265,94 @@ func TestFarmSharedVPs(t *testing.T) {
 	}
 	if orgSrv.QueryCount() == 0 {
 		t.Errorf("no authoritative queries")
+	}
+
+	// Placement: every frontend of a shared instance sits in its VPs'
+	// region. An unplaced address falls to Topology.Default, so point that
+	// somewhere else and watch who sources the upstream queries of
+	// uncacheable per-probe names.
+	recursives := netip.MustParsePrefix("172.16.0.0/12") // where NewFleet numbers resolvers
+	var cur *VP
+	misplaced := map[netip.Addr]latency.Region{}
+	net.Tap = func(ev simnet.TapEvent) {
+		if recursives.Contains(ev.Src) && topo.RegionOf(ev.Src) != cur.Region {
+			misplaced[ev.Src] = cur.Region
+		}
+	}
+	uniq := Schedule{Name: dnswire.NewName("PROBEID.u.example.org"), Type: dnswire.TypeA, PerProbe: true}
+	for round := 0; round < 8; round++ {
+		for _, vp := range f.VPs {
+			if !vp.Shared {
+				continue
+			}
+			cur = vp
+			topo.Default = (vp.Region + 1) % latency.Region(len(latency.AllRegions))
+			if r := f.probeOnce(clock, vp, round, uniq); !r.Valid() {
+				t.Fatalf("VP %d: %v", vp.ID, r.Err)
+			}
+		}
+		clock.Advance(61 * time.Second) // the wildcard's TTL is 60 s
+	}
+	if len(misplaced) > 0 {
+		t.Errorf("shared-resolver frontends outside their VPs' region (addr → VP region): %v", misplaced)
+	}
+}
+
+// TestSharedVPsReportResolverWork pins what a probe behind a shared public
+// resolver measures: the answering frontend's own Result — cache hits, the
+// upstream latency of a miss, the authoritative that answered, staleness —
+// and not just the hop to the service.
+func TestSharedVPsReportResolverWork(t *testing.T) {
+	_, clock, topo, b, _ := miniWorld(t)
+	orgAddr := netip.MustParseAddr("192.0.2.10")
+	f := NewFleet(FleetConfig{Probes: 300, SharedFrac: 1, Seed: 12}, b, topo)
+	// Three rounds a minute apart: all inside the record's 600 s TTL.
+	var hits, misses stats.Sample
+	for _, r := range f.Run(clock, Schedule{
+		Name: dnswire.NewName("www.example.org"), Type: dnswire.TypeA,
+		Interval: 60 * time.Second, Rounds: 3, Jitter: true,
+	}) {
+		if !f.VPs[r.VPID].Shared || !r.Valid() {
+			continue
+		}
+		want := orgAddr
+		if r.CacheHit {
+			want = netip.Addr{}
+			hits.AddDuration(r.RTT)
+		} else {
+			misses.AddDuration(r.RTT)
+		}
+		if r.FinalServer != want {
+			t.Errorf("VP %d hit=%v: FinalServer = %v, want %v", r.VPID, r.CacheHit, r.FinalServer, want)
+		}
+	}
+	if hits.Len() == 0 || misses.Len() == 0 {
+		t.Errorf("shared VPs inside the TTL: %d hits, %d misses, want both", hits.Len(), misses.Len())
+	} else if misses.Median() <= hits.Median() {
+		t.Errorf("median RTT: misses %.1f ms <= hits %.1f ms; a miss carries the resolver's upstream work",
+			misses.Median(), hits.Median())
+	}
+
+	// Serve-stale crosses too: warm a stale-serving public service, take
+	// the authoritative away, let the record expire.
+	net, clock, topo, b, _ := miniWorld(t)
+	pol := resolver.DefaultPolicy()
+	pol.ServeStale = true
+	f = NewFleet(FleetConfig{Probes: 40, SharedFrac: 1, Seed: 12,
+		Mix: population.Mix{{Name: "google-like", Weight: 1, Policy: pol}}}, b, topo)
+	sched := Schedule{Name: dnswire.NewName("www.example.org"), Type: dnswire.TypeA,
+		Interval: 601 * time.Second, Rounds: 1}
+	f.Run(clock, sched)
+	if err := net.SetDown(orgAddr, true); err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, r := range f.Run(clock, sched) {
+		if r.Stale {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Errorf("no stale answers from %d shared VPs during the outage", len(f.VPs))
 	}
 }

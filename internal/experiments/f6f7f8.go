@@ -202,6 +202,7 @@ func BailiwickPair(probes, workers int, seed int64) *Report {
 			"in_sticky_vps":                  float64(len(inSticky)),
 			"out_sticky_vps":                 float64(len(outSticky)),
 			"out_sticky_frac":                frac(len(outSticky), out.VPs),
+			"f8_matched_vps":                 float64(f8.Len()),
 			"f8_matched_mean_new_ratio":      f8.Mean(),
 			"f8_matched_frac_switchers":      frac(switchers, f8.Len()),
 		},

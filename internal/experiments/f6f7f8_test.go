@@ -39,9 +39,19 @@ func TestBailiwickPair(t *testing.T) {
 	}
 	// Figure 8: a solid share of the matched sticky VPs switch
 	// in-bailiwick — their out-of-bailiwick stickiness was
-	// parent-centricity, not true stickiness (§4.4/§4.5).
-	if m := r.Metric("f8_matched_frac_switchers"); m < 0.3 {
-		t.Errorf("matched sticky VPs switching in-bailiwick = %.3f, want ≥0.3", m)
+	// parent-centricity, not true stickiness (§4.4/§4.5). One run matches
+	// about ten VPs, so pool five fleets.
+	var switchers, matched float64
+	for seed := int64(1); seed <= 5; seed++ {
+		p := r
+		if seed != 5 {
+			p = BailiwickPair(150, 0, seed)
+		}
+		switchers += p.Metric("f8_matched_frac_switchers") * p.Metric("f8_matched_vps")
+		matched += p.Metric("f8_matched_vps")
+	}
+	if m := switchers / matched; m < 0.3 {
+		t.Errorf("matched sticky VPs switching in-bailiwick = %.0f of %.0f = %.3f, want ≥0.3", switchers, matched, m)
 	}
 	for _, want := range []string{"Figure 6", "Figure 7", "Figure 8", "Table 3", "Table 4"} {
 		if !strings.Contains(r.Text, want) {

@@ -350,7 +350,6 @@ func (tb *Testbed) Builder() *population.Builder {
 		Clock:         tb.Clock,
 		RootHints:     []netip.Addr{tb.RootAddr},
 		LocalRootZone: tb.Root,
-		Network:       tb.Net,
 	}
 }
 

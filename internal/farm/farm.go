@@ -16,7 +16,8 @@
 //
 // A lone recursive resolver is the farm of one: the facade's Client always
 // resolves through a Farm, and with a single frontend placement is the
-// constant 0.
+// constant 0. The measurement fleet's shared public resolvers
+// (atlas.NewFleet) are Farms too — this is the repo's only farm model.
 package farm
 
 import (
@@ -47,7 +48,8 @@ const (
 	// acts as a single resolver, at the cost of hot-path contention.
 	Shared
 	// Sharded backs the fleet with a consistent-hash cache pool
-	// (cache.Sharded): shared capacity and hit rate, per-shard locking.
+	// (cache.Sharded) of one shard per frontend: shared capacity and hit
+	// rate, per-shard locking.
 	Sharded
 )
 
@@ -80,8 +82,6 @@ type Config struct {
 	Frontends int
 	// Topology selects the cache design; see the constants.
 	Topology Topology
-	// Shards sizes the Sharded pool; 0 means one shard per frontend.
-	Shards int
 	// Placement decides which frontend serves a query; see Placement.
 	Placement Placement
 	// Coalesce enables farm-wide in-flight coalescing: identical queries
@@ -125,16 +125,9 @@ func (c Config) frontends() int {
 	return c.Frontends
 }
 
-func (c Config) shards() int {
-	if c.Shards < 1 {
-		return c.frontends()
-	}
-	return c.Shards
-}
-
 // Farm is a fleet of recursive frontends behind one load balancer,
-// implementing resolver.Lookuper so it drops in anywhere a single
-// Resolver or Forwarder does.
+// implementing resolver.Lookuper so it drops in anywhere a single Resolver
+// does.
 type Farm struct {
 	cfg       Config
 	frontends []*resolver.Resolver
@@ -185,7 +178,7 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 	case Shared:
 		f.store = cache.New(clock, ccfg)
 	case Sharded:
-		f.store = cache.NewSharded(clock, ccfg, cfg.shards())
+		f.store = cache.NewSharded(clock, ccfg, n)
 	}
 
 	// All frontends share one resolver metric set: the fleet is one service,

@@ -128,7 +128,6 @@ type Topology struct {
 	mu      sync.RWMutex
 	regions map[netip.Addr]Region
 	anycast map[netip.Addr]*AnycastCatalog
-	links   map[[2]netip.Addr]simnet.LatencyModel
 	// Sigma is the log-normal jitter parameter for all paths.
 	Sigma float64
 	// Default is the region assumed for unplaced addresses.
@@ -141,18 +140,8 @@ func NewTopology() *Topology {
 	return &Topology{
 		regions: make(map[netip.Addr]Region),
 		anycast: make(map[netip.Addr]*AnycastCatalog),
-		links:   make(map[[2]netip.Addr]simnet.LatencyModel),
 		Default: EU,
 	}
-}
-
-// SetLink overrides the latency model for one directed (src, dst) pair —
-// used for intra-site hops like a resolver farm's frontend→backend links,
-// which are orders of magnitude faster than wide-area paths.
-func (t *Topology) SetLink(src, dst netip.Addr, m simnet.LatencyModel) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.links[[2]netip.Addr{src, dst}] = m
 }
 
 // Place pins addr to a region.
@@ -183,10 +172,6 @@ func (t *Topology) RegionOf(addr netip.Addr) Region {
 func (t *Topology) LatencyFor(src, dst netip.Addr) simnet.LatencyModel {
 	srcR := t.RegionOf(src)
 	t.mu.RLock()
-	if m, ok := t.links[[2]netip.Addr{src, dst}]; ok {
-		t.mu.RUnlock()
-		return m
-	}
 	cat := t.anycast[dst]
 	t.mu.RUnlock()
 	if cat != nil {

@@ -15,11 +15,10 @@ import (
 // pressure, serve-stale, and prefetch — see internal/cache): this stage
 // is routedns's "cache" element, a message-level memo that shields
 // whatever sits behind it — a ttl-modifying sub-chain, a blocklist
-// verdict, a remote forwarder — from repeat questions. Entries live for
-// the smallest TTL in the response's answer section (negttl for answerless
-// responses), so no record of a CNAME chain is served past its own TTL, and
-// hits serve a copy with decayed TTLs, exactly what a downstream cache
-// would see on the wire.
+// verdict — from repeat questions. Entries live for the smallest TTL in the
+// response's answer section (negttl for answerless responses), so no record
+// of a CNAME chain is served past its own TTL, and hits serve a copy with
+// decayed TTLs, exactly what a downstream cache would see on the wire.
 type cacheStage struct {
 	name    string
 	next    Stage

@@ -9,10 +9,10 @@
 // The graph is config-driven: Build compiles a TOML-shaped text spec (see
 // the graph.go grammar) into a Pipeline whose terminal "resolver" stage
 // calls whatever Lookup function the host provides — a single iterative
-// resolver, a whole farm frontend, or a forwarder. The zero-config
-// Default pipeline is exactly one terminal stage, so a Client built
-// without a spec resolves byte-for-byte as the pre-middleware facade did
-// (pinned by the chaos-scenario equivalence tests).
+// resolver or a whole farm frontend. The zero-config Default pipeline is
+// exactly one terminal stage, so a Client built without a spec resolves
+// byte-for-byte as the pre-middleware facade did (pinned by the
+// chaos-scenario equivalence tests).
 //
 // Every stage reports under "mw.<stage-name>.*" in the shared obs
 // registry, and stages annotate the resolution's span tree so /trace and

@@ -149,17 +149,15 @@ func (m Mix) FractionChildCentric() float64 {
 	return child / m.totalWeight()
 }
 
-// Builder constructs resolvers for a simulation from profiles.
+// Builder constructs resolvers for a simulation from profiles: Build makes
+// one private resolver, and atlas.NewFleet hands the same fields to farm.New
+// for a shared public service.
 type Builder struct {
 	Net       simnet.Exchanger
 	Clock     simnet.Clock
 	RootHints []netip.Addr
 	// LocalRootZone is handed to RFC 7706 profiles.
 	LocalRootZone *zone.Zone
-	// Network, when set, lets callers attach recursives to the simulated
-	// plane as servers — needed to build resolver farms whose frontends
-	// reach their backends over the wire.
-	Network *simnet.Network
 }
 
 // Build instantiates a resolver at addr running the profile's policy.

@@ -7,9 +7,9 @@ import (
 )
 
 // queryScratch bundles the reusable query Message and wire buffer the
-// query-build hot paths (Resolver.exchangeAny, Forwarder.Resolve) encode
-// into. Reuse after Exchange returns is safe because the simulated network
-// delivers synchronously: no handler retains the query bytes past the call.
+// query-build hot path (Resolver.exchangeAny) encodes into. Reuse after
+// Exchange returns is safe because the simulated network delivers
+// synchronously: no handler retains the query bytes past the call.
 // Upstream replies are pooled separately (see Resolver.attempt); the client
 // answer a Resolve builds is not — it escapes into Results and the cache.
 type queryScratch struct {

@@ -78,6 +78,16 @@ func (r *Result) Follower() *Result {
 	return &cp
 }
 
+// Lookuper is anything that can answer a client resolution — a full
+// iterative Resolver or a farm of them. Vantage points hold a Lookuper,
+// matching the paper's observation (§4.4) that clients sit behind
+// "multiple levels of resolvers".
+type Lookuper interface {
+	Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, error)
+}
+
+var _ Lookuper = (*Resolver)(nil)
+
 // Resolver is an iterative caching resolver.
 type Resolver struct {
 	// Addr is the resolver's own address, used as the query source.

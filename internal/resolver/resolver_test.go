@@ -139,6 +139,18 @@ func (tn *testNet) renumberSub(t *testing.T) {
 	}
 }
 
+// RenumberWorld hands farm_test.go the testNet pieces its scenario needs: a
+// farm can only be built from the external test package (farm imports this
+// one), which cannot see testNet. renumber is renumberSub with the old
+// server left answering at the old address, as the paper's old VM was.
+func RenumberWorld(t *testing.T) (net *simnet.Network, clock *simnet.VirtualClock, root netip.Addr, renumber func()) {
+	tn := newTestNet(t)
+	return tn.net, tn.clock, tn.rootAddr, func() {
+		tn.renumberSub(t)
+		tn.net.Attach(tn.subAddr, tn.subSrv)
+	}
+}
+
 func mustResolve(t *testing.T, r *Resolver, name string, qt dnswire.Type) *Result {
 	t.Helper()
 	res, err := r.Resolve(dnswire.NewName(name), qt)

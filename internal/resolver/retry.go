@@ -8,12 +8,11 @@ import (
 	"time"
 )
 
-// RetryPolicy configures how a resolver (or forwarder) behaves when an
-// upstream exchange fails or stalls — the knobs that decide user-visible
-// availability when authoritatives degrade (§5 of the paper, RFC 8767's
-// motivating regime). The zero value preserves the legacy behavior: up to
-// Policy.MaxRetries distinct servers per step, no backoff, no hedging,
-// shuffled server order.
+// RetryPolicy configures how a resolver behaves when an upstream exchange
+// fails or stalls — the knobs that decide user-visible availability when
+// authoritatives degrade (§5 of the paper, RFC 8767's motivating regime).
+// The zero value preserves the legacy behavior: up to Policy.MaxRetries
+// distinct servers per step, no backoff, no hedging, shuffled server order.
 type RetryPolicy struct {
 	// Attempts is the maximum upstream attempts per iteration step,
 	// counting the first. When positive, attempts cycle over the candidate

@@ -304,43 +304,3 @@ func TestRetryDeterministic(t *testing.T) {
 		t.Errorf("same seed diverged: (%d,%d,%v) vs (%d,%d,%v)", q1, r1, l1, q2, r2, l2)
 	}
 }
-
-// TestForwarderRetriesFlappingUpstream is the regression test for the
-// forwarder's instant-SERVFAIL bug: with the retry plane armed it rides out
-// a flapping upstream instead of failing the client on the first timeout.
-func TestForwarderRetriesFlappingUpstream(t *testing.T) {
-	tn := newTestNet(t)
-	tn.net.Clock = tn.clock
-
-	// A recursive backend the forwarder relays to.
-	recAddr := netip.MustParseAddr("10.0.0.53")
-	attachRecursive(tn, recAddr, DefaultPolicy(), 2)
-	// The upstream flaps: down the first 5 s of every 10 s.
-	tn.net.Faults = simnet.NewFaultSchedule(
-		simnet.Flap(recAddr, 0, 0, 10*time.Second, 0.5))
-
-	// Legacy forwarder: first timeout → instant SERVFAIL.
-	fLegacy := NewForwarder(netip.MustParseAddr("10.0.0.99"), []netip.Addr{recAddr}, tn.net, tn.clock, 4)
-	res, err := fLegacy.Resolve(dnswire.NewName("www.cachetest.net"), dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Msg.Header.RCode != dnswire.RCodeServFail || res.Timeouts != 1 {
-		t.Fatalf("legacy forwarder: rcode %s timeouts %d, want instant SERVFAIL", res.Msg.Header.RCode, res.Timeouts)
-	}
-
-	// Retrying forwarder: backoff carries the next attempt into the
-	// upstream's up-phase.
-	f := NewForwarder(netip.MustParseAddr("10.0.0.98"), []netip.Addr{recAddr}, tn.net, tn.clock, 4)
-	f.Policy.Retry = RetryPolicy{Attempts: 3, Backoff: 6 * time.Second}
-	res, err = f.Resolve(dnswire.NewName("www.cachetest.net"), dnswire.TypeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Msg.Header.RCode != dnswire.RCodeNoError || len(res.Msg.Answer) == 0 {
-		t.Fatalf("retrying forwarder failed: rcode %s answers %d", res.Msg.Header.RCode, len(res.Msg.Answer))
-	}
-	if res.Retries == 0 || res.Timeouts == 0 {
-		t.Errorf("retries=%d timeouts=%d, want evidence the flap bit first", res.Retries, res.Timeouts)
-	}
-}
