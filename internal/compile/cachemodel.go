@@ -35,15 +35,21 @@ type CacheSpec struct {
 	Policy string
 	// PrefetchFrac enables refresh-ahead at this fraction of the TTL.
 	PrefetchFrac float64
-	// MaxEntries is the cache's entry-count capacity (cache.Config
-	// Capacity). The transient model sizes the SLRU protected segment
-	// from it; 0 leaves the segment bounded by bytes alone.
-	MaxEntries float64
-	// Exact selects the quadrature-grade composite solver (validation
-	// fidelity); false uses closed-form approximations (planet fidelity).
-	Exact bool
-	// Grid is the Volterra grid for Exact mode; 0 picks a default.
-	Grid int
+}
+
+// LineRates is the steady-state outcome of one cache line.
+type LineRates struct {
+	// Hit is the client hit rate; by PASTA it equals the line's
+	// time-average occupancy, which is what the byte fixed point charges.
+	Hit float64
+	// Upstream is the total upstream fetch rate (miss fetches plus
+	// refresh-ahead fetches), queries/s.
+	Upstream float64
+	// Prefetch is the refresh-ahead fetch rate alone, queries/s.
+	Prefetch float64
+	// Evict is the eviction rate, events/s: cycles that end with the line
+	// pushed out by the byte bound rather than expiring or refreshing.
+	Evict float64
 }
 
 // Solution is the solved steady state of a line set in a shared cache.
@@ -75,11 +81,11 @@ type Solution struct {
 // the bound does not bind. hit(C) is monotone in C, so bisection
 // converges unconditionally.
 //
-// Policy fidelity:
+// Policy fidelity (internal/experiments' validate.go measures each against
+// the packet-level cache):
 //   - "fifo": residency ends at age min(TTL, C) regardless of access —
 //     exact closed form.
-//   - "lru": idle gaps beyond C evict. Exact mode solves the composite
-//     Volterra equation per line; fast mode uses the Che product form
+//   - "lru": idle gaps beyond C evict, by the Che product form
 //     hit ≈ λT/(1+λT)·(1−e^{−λC}).
 //   - "slru" (TinyLFU-admitted segmented LRU): modeled as a perfect-LFU
 //     byte knapsack — lines are admitted in popularity order until the
@@ -109,27 +115,23 @@ func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 	}
 	// eval overwrites rates with every line's rates at characteristic time
 	// c and returns the resident workload bytes they imply.
-	eval := func(c float64, grid int) float64 {
+	eval := func(c float64) float64 {
 		b := 0.0
 		for i, l := range lines {
-			rates[i] = lineRates(l, c, spec, grid)
+			rates[i] = lineRates(l, c, spec)
 			b += l.count() * l.Bytes * rates[i].Hit
 		}
 		return b
 	}
 
-	if full := eval(math.Inf(1), spec.Grid); unbounded || full <= budget {
+	if full := eval(math.Inf(1)); unbounded || full <= budget {
 		return summarize(lines, rates, math.Inf(1))
 	}
-	// Bisect C on the coarse grid, then re-evaluate the root finely.
-	coarse := spec.Grid
-	if spec.Exact {
-		coarse = 64
-	}
+	// Bisect C, then evaluate the rates at the root.
 	lo, hi := 0.0, maxTTL
 	for iter := 0; iter < 40; iter++ {
 		mid := (lo + hi) / 2
-		if eval(mid, coarse) > budget {
+		if eval(mid) > budget {
 			hi = mid
 		} else {
 			lo = mid
@@ -139,13 +141,13 @@ func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 		}
 	}
 	c := (lo + hi) / 2
-	eval(c, spec.Grid)
+	eval(c)
 	return summarize(lines, rates, c)
 }
 
 // lineRates evaluates one line at characteristic time c under the spec's
-// policy and fidelity.
-func lineRates(l Line, c float64, spec CacheSpec, grid int) LineRates {
+// policy.
+func lineRates(l Line, c float64, spec CacheSpec) LineRates {
 	switch spec.Policy {
 	case "fifo":
 		// Residency is an age bound: the line behaves as a pure-TTL line
@@ -158,18 +160,12 @@ func lineRates(l Line, c float64, spec CacheSpec, grid int) LineRates {
 		} else {
 			r = LineRates{Hit: SteadyHit(l.Lambda, ttl), Upstream: SteadyUpstream(l.Lambda, ttl)}
 		}
-		if r.Upstream > 0 {
-			r.Cycle = 1 / r.Upstream
-			if c < l.TTL {
-				// Every cycle ends in an age-out eviction rather than expiry.
-				r.Evict = r.Upstream
-			}
+		if c < l.TTL {
+			// Every cycle ends in an age-out eviction rather than expiry.
+			r.Evict = r.Upstream
 		}
 		return r
 	default: // "", "lru"
-		if spec.Exact {
-			return CompositeLine(l.Lambda, l.TTL, c, spec.PrefetchFrac, grid)
-		}
 		var r LineRates
 		if spec.PrefetchFrac > 0 {
 			p := PrefetchSteady(l.Lambda, l.TTL, spec.PrefetchFrac)
@@ -186,9 +182,6 @@ func lineRates(l Line, c float64, spec CacheSpec, grid int) LineRates {
 			r.Upstream += lost * l.Lambda
 			r.Evict = lost * l.Lambda
 		}
-		if r.Upstream > 0 {
-			r.Cycle = 1 / r.Upstream
-		}
 		return r
 	}
 }
@@ -199,11 +192,11 @@ func lineRates(l Line, c float64, spec CacheSpec, grid int) LineRates {
 // admitted fractionally, everything after never caches. Every entry of
 // rates is overwritten.
 func solveKnapsack(rates []LineRates, lines []Line, spec CacheSpec, budget float64) Solution {
-	unpressured := CacheSpec{Policy: "lru", PrefetchFrac: spec.PrefetchFrac, Exact: spec.Exact, Grid: spec.Grid}
+	unpressured := CacheSpec{Policy: "lru", PrefetchFrac: spec.PrefetchFrac}
 	spent := 0.0
 	cut := math.Inf(1)
 	for i, l := range lines {
-		full := lineRates(l, math.Inf(1), unpressured, spec.Grid)
+		full := lineRates(l, math.Inf(1), unpressured)
 		need := l.count() * l.Bytes * full.Hit
 		switch {
 		case spent+need <= budget:

@@ -36,6 +36,16 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		func(s *Spec) { s.Diurnal = []float64{1, 2, 3} },
 		func(s *Spec) { s.Events = []Event{{AtHours: 99, Kind: "purge"}} },
 		func(s *Spec) { s.Events = []Event{{AtHours: 1, Kind: "meteor"}} },
+		func(s *Spec) { s.Events = []Event{{AtHours: 1, Kind: "outage", DurHours: -2}} },
+		func(s *Spec) { s.Policy = "SLRU" },
+		func(s *Spec) { s.Policy = "tinylfu" },
+		func(s *Spec) { s.PrefetchFrac = 1.7 },
+		func(s *Spec) { s.PrefetchFrac = -0.1 },
+		func(s *Spec) { s.PrefetchFrac = math.NaN() },
+		func(s *Spec) { s.MaxBytes, s.BaseBytes = 1000, 64<<10 },
+		func(s *Spec) { s.MaxBytes, s.BaseBytes = 64<<10, 64<<10 },
+		func(s *Spec) { s.ZipfS = -1 },
+		func(s *Spec) { s.ZipfS = math.NaN() },
 	}
 	for i, mut := range bad {
 		s := base

@@ -9,10 +9,13 @@
 // and outage windows, where occupancy is advanced by an explicit
 // relaxation step between closed-form segments.
 //
-// The arithmetic here is validated against the repo's own packet-level
-// simulations: internal/experiments' validation harness requires the
-// compiled hit rates to land within 0.5 hit-points of the simulated
-// hitrate, fragmentation, and pressure experiments.
+// The arithmetic here is measured against the repo's own packet-level
+// simulations: internal/experiments' validate.go lowers each simulated
+// hitrate, fragmentation and pressure cell to a Spec, runs it through
+// CompileAndRun — the same engine the planet tier runs — and pins the
+// error by regime: half a hit-point where the cache is unpressured and the
+// run is long against the TTL, the measured ceiling where it is not
+// (EXPERIMENTS.md "Tolerance methodology").
 package compile
 
 import "math"
@@ -79,98 +82,10 @@ func PrefetchSteady(lambda, ttl, frac float64) PrefetchRates {
 	}
 }
 
-// ColdMisses is the exact expected number of misses one line suffers over
-// a finite horizon starting from a cold cache. The k-th miss happens at
-// S_k = (k−1)T + Gamma(k, λ) — k−1 full TTL windows, each ended by a
-// memoryless wait for the next arrival — so
-//
-//	E[misses(D)] = Σ_{k≥1} P(Gamma(k,λ) ≤ D − (k−1)T).
-//
-// The regularized incomplete gamma terms are ≈1 deep below the renewal
-// front and ≈0 deep above it, so only O(√(D/T)) terms near the front
-// need real evaluation; the horizon-long sums stay cheap. This is what
-// makes short validation runs (where the cold-start transient is a large
-// fraction of the horizon) comparable to simulation at all.
-func ColdMisses(lambda, ttl, horizon float64) float64 {
-	if lambda <= 0 || horizon <= 0 {
-		return 0
-	}
-	if ttl <= 0 {
-		// No caching: every arrival misses.
-		return lambda * horizon
-	}
-	if ttl >= horizon {
-		// Nothing expires inside the window (this also covers ttl = +Inf,
-		// where the k−1 = 0 term below would compute 0·∞): the only
-		// possible miss is the first arrival, if it lands at all.
-		return gammaP(1, lambda*horizon)
-	}
-	total := 0.0
-	for k := 1.0; ; k++ {
-		x := horizon - (k-1)*ttl
-		if x <= 0 {
-			break
-		}
-		lx := lambda * x
-		// Gamma(k,λ) has mean k/λ, sd √k/λ. 12σ+30 past the mean the
-		// term is 1 to ~1e-14; the same margin below, it is ~0 and every
-		// later term is smaller still.
-		margin := 12*math.Sqrt(k) + 30
-		switch {
-		case lx >= k+margin:
-			total++
-		case lx <= k-margin:
-			return total
-		default:
-			t := gammaP(k, lx)
-			total += t
-			if t < 1e-13 {
-				return total
-			}
-		}
-	}
-	return total
-}
-
-// PrefetchColdMisses is the exact expected client-miss count of one
-// refresh-ahead line over a finite horizon from a cold cache. Upstream
-// events (store or refresh) renew at cycle = (1−f)T + Exp(λ) — the
-// ColdMisses structure with ttl = (1−f)T — and a post-first event is a
-// client miss iff its closing wait exceeded fT (probability e^{−λfT}).
-// Conditioning on the event landing inside the horizon shortens that
-// wait, so the miss indicator and the horizon indicator are negatively
-// correlated; integrating the joint law gives
-//
-//	E[misses] = first + e^{−λfT}·(ColdMisses(λ,(1−f)T, D−fT) − P(Exp(λ) ≤ D−fT))
-//
-// with first = P(Exp(λ) ≤ D) the certain cold-start miss.
-func PrefetchColdMisses(lambda, ttl, frac, horizon float64) float64 {
-	if lambda <= 0 || horizon <= 0 {
-		return 0
-	}
-	if ttl <= 0 {
-		return lambda * horizon
-	}
-	if frac <= 0 {
-		return ColdMisses(lambda, ttl, horizon)
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	first := -math.Expm1(-lambda * horizon)
-	dp := horizon - frac*ttl
-	if dp <= 0 {
-		return first
-	}
-	q := math.Exp(-lambda * frac * ttl)
-	n := ColdMisses(lambda, (1-frac)*ttl, dp)
-	return first + q*(n+math.Expm1(-lambda*dp))
-}
-
 // EffectiveLifetime inverts SteadyHit: the TTL at which a pure-TTL line
-// would show the given steady hit rate. The pressure model uses it to
-// fold eviction losses into an effective lifetime so the exact
-// finite-horizon ColdMisses arithmetic applies unchanged.
+// would show the given steady hit rate. The engine uses it to fold
+// eviction losses into an effective lifetime, so OccupancyStep relaxes a
+// pressured line toward its solved steady state like any other.
 func EffectiveLifetime(hit, lambda float64) float64 {
 	if hit <= 0 || lambda <= 0 {
 		return 0
@@ -189,7 +104,9 @@ func EffectiveLifetime(hit, lambda float64) float64 {
 // over the segment. This is the event-driven path the engine uses where
 // rates change (diurnal slices) or state is perturbed (purges, outages);
 // it reproduces the renewal steady state but smooths the cold-start
-// front (ColdMisses is the exact alternative for constant-rate runs).
+// front: a real line misses once and then hits for a whole TTL, so a run
+// short against the TTL reads low (validate.go's cold regime, up to 0.8
+// hit-points at its horizons).
 // With lambda = 0 the line only decays: occ·e^{−dur/T}, no traffic.
 func OccupancyStep(occ, lambda, ttl, dur float64) (end, hits, misses float64) {
 	if dur <= 0 {
@@ -218,56 +135,4 @@ func OccupancyStep(occ, lambda, ttl, dur float64) (end, hits, misses float64) {
 	hits = lambda * intOcc
 	misses = lambda*dur - hits
 	return end, hits, misses
-}
-
-// gammaP is the regularized lower incomplete gamma function P(a, x) =
-// γ(a,x)/Γ(a), via the standard series (x < a+1) and continued-fraction
-// (x ≥ a+1) expansions with log-gamma normalization.
-func gammaP(a, x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	if x < a+1 {
-		// Series: P(a,x) = e^{−x+a·ln x−lnΓ(a)} Σ x^n / (a(a+1)…(a+n)).
-		ap := a
-		sum := 1 / a
-		del := sum
-		for i := 0; i < 500; i++ {
-			ap++
-			del *= x / ap
-			sum += del
-			if math.Abs(del) < math.Abs(sum)*1e-15 {
-				break
-			}
-		}
-		lg, _ := math.Lgamma(a)
-		return sum * math.Exp(-x+a*math.Log(x)-lg)
-	}
-	// Continued fraction for Q(a,x) by modified Lentz.
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	lg, _ := math.Lgamma(a)
-	q := math.Exp(-x+a*math.Log(x)-lg) * h
-	return 1 - q
 }

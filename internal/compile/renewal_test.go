@@ -7,22 +7,18 @@ import (
 )
 
 // simLine brute-forces one cache line: Poisson arrivals at lambda against
-// TTL ttl, optional idle-eviction bound c and refresh-ahead fraction f,
-// over the horizon. Returns hits, misses, upstream fetches, prefetches.
-func simLine(rng *rand.Rand, lambda, ttl, c, f, horizon float64) (hits, misses, upstream, prefetch float64) {
-	var now, expiry, lastAccess float64
+// TTL ttl and optional refresh-ahead fraction f, over the horizon. Returns
+// hits, misses, upstream fetches, prefetches.
+func simLine(rng *rand.Rand, lambda, ttl, f, horizon float64) (hits, misses, upstream, prefetch float64) {
+	var now, expiry float64
 	cached := false
 	for {
 		now += rng.ExpFloat64() / lambda
 		if now > horizon {
 			return
 		}
-		if cached && now-lastAccess > c {
-			cached = false // idle eviction
-		}
 		if cached && now < expiry {
 			hits++
-			lastAccess = now
 			if f > 0 && expiry-now <= f*ttl {
 				expiry = now + ttl // refresh-ahead
 				prefetch++
@@ -33,7 +29,6 @@ func simLine(rng *rand.Rand, lambda, ttl, c, f, horizon float64) (hits, misses, 
 			upstream++
 			cached = true
 			expiry = now + ttl
-			lastAccess = now
 		}
 	}
 }
@@ -44,7 +39,7 @@ func TestSteadyHitAgainstSimulation(t *testing.T) {
 		{0.5, 60}, {0.01, 300}, {3, 30}, {0.002, 3600},
 	} {
 		const horizon = 2e6
-		hits, misses, _, _ := simLine(rng, c.lambda, c.ttl, math.Inf(1), 0, horizon)
+		hits, misses, _, _ := simLine(rng, c.lambda, c.ttl, 0, horizon)
 		got := hits / (hits + misses)
 		want := SteadyHit(c.lambda, c.ttl)
 		if math.Abs(got-want) > 0.004 {
@@ -63,7 +58,7 @@ func TestPrefetchSteadyAgainstSimulation(t *testing.T) {
 		{0.5, 60, 0.5}, {0.05, 60, 0.5}, {2, 300, 0.1}, {0.01, 300, 0.9},
 	} {
 		const horizon = 3e6
-		hits, misses, upstream, prefetch := simLine(rng, c.lambda, c.ttl, math.Inf(1), c.f, horizon)
+		hits, misses, upstream, prefetch := simLine(rng, c.lambda, c.ttl, c.f, horizon)
 		p := PrefetchSteady(c.lambda, c.ttl, c.f)
 		if got := hits / (hits + misses); math.Abs(got-p.Hit) > 0.004 {
 			t.Errorf("λ=%v T=%v f=%v: hit %.4f vs %.4f", c.lambda, c.ttl, c.f, got, p.Hit)
@@ -73,73 +68,6 @@ func TestPrefetchSteadyAgainstSimulation(t *testing.T) {
 		}
 		if got := prefetch / horizon; math.Abs(got-p.Prefetch) > 0.03*p.Prefetch+1e-6 {
 			t.Errorf("λ=%v T=%v f=%v: prefetch %.6f vs %.6f", c.lambda, c.ttl, c.f, got, p.Prefetch)
-		}
-	}
-}
-
-func TestColdMissesAgainstSimulation(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, c := range []struct{ lambda, ttl, horizon float64 }{
-		{0.5, 60, 200},    // a few renewal cycles
-		{0.01, 300, 900},  // sparse arrivals
-		{2, 30, 5000},     // many cycles: asymptotic regime
-		{0.3, 86400, 900}, // TTL beyond horizon: only the first miss
-	} {
-		const runs = 4000
-		total := 0.0
-		for r := 0; r < runs; r++ {
-			_, m, _, _ := simLine(rng, c.lambda, c.ttl, math.Inf(1), 0, c.horizon)
-			total += m
-		}
-		got := total / runs
-		want := ColdMisses(c.lambda, c.ttl, c.horizon)
-		tol := 0.02*want + 0.05
-		if math.Abs(got-want) > tol {
-			t.Errorf("λ=%v T=%v D=%v: simulated %.3f misses vs exact %.3f", c.lambda, c.ttl, c.horizon, got, want)
-		}
-	}
-}
-
-func TestColdMissesProperties(t *testing.T) {
-	// Monotone in horizon, approaches steady slope D/(T+1/λ).
-	prev := 0.0
-	for _, d := range []float64{10, 100, 1000, 10000} {
-		m := ColdMisses(0.2, 60, d)
-		if m < prev {
-			t.Fatalf("ColdMisses not monotone at D=%v", d)
-		}
-		prev = m
-	}
-	lambda, ttl := 0.5, 120.0
-	slope := (ColdMisses(lambda, ttl, 2e5) - ColdMisses(lambda, ttl, 1e5)) / 1e5
-	want := 1 / (ttl + 1/lambda)
-	if math.Abs(slope-want) > 1e-4 {
-		t.Errorf("steady miss slope %.6f, want %.6f", slope, want)
-	}
-	if got := ColdMisses(2, 0, 50); got != 100 {
-		t.Errorf("zero TTL should miss every arrival: %v", got)
-	}
-}
-
-func TestGammaP(t *testing.T) {
-	// For integer shape a, P(a,x) = 1 − e^{−x} Σ_{k<a} x^k/k! (Erlang CDF)
-	// — an independent reference covering the series branch, the
-	// continued-fraction branch, and large arguments.
-	for _, a := range []int{1, 2, 5, 50, 200, 900} {
-		for _, x := range []float64{0.5, float64(a) * 0.9, float64(a), float64(a) * 1.1, float64(a) + 40} {
-			want := 1.0
-			logTerm := -x // ln(e^{−x}·x⁰/0!)
-			sum := 0.0
-			for k := 0; k < a; k++ {
-				if k > 0 {
-					logTerm += math.Log(x) - math.Log(float64(k))
-				}
-				sum += math.Exp(logTerm)
-			}
-			want -= sum
-			if got := gammaP(float64(a), x); math.Abs(got-want) > 1e-9 {
-				t.Errorf("gammaP(%d,%g) = %.12f, want %.12f", a, x, got, want)
-			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dnsttl/internal/population"
 )
@@ -140,9 +141,11 @@ type Program struct {
 func (p *Program) Lines() int { return len(p.Groups) * len(p.Bands) }
 
 // Compile lowers a spec into a program. It rejects invalid mixes
-// (population.Mix.Validate), non-positive region shares, and empty
-// populations — the aggregation arithmetic would silently skew on any
-// of them.
+// (population.Mix.Validate), non-positive region shares, empty
+// populations, and cache settings the solver has no form for (an unknown
+// policy would run as LRU, a byte bound inside BaseBytes as a cache that
+// never hits) — the aggregation arithmetic would silently skew on any of
+// them.
 func Compile(spec Spec) (*Program, error) {
 	if spec.Users <= 0 {
 		return nil, fmt.Errorf("compile: Users must be positive, got %v", spec.Users)
@@ -152,6 +155,20 @@ func Compile(spec Spec) (*Program, error) {
 	}
 	if spec.Names < 1 {
 		return nil, fmt.Errorf("compile: Names must be ≥1, got %d", spec.Names)
+	}
+	if !(spec.ZipfS >= 0) {
+		return nil, fmt.Errorf("compile: ZipfS must be ≥0, got %v", spec.ZipfS)
+	}
+	switch spec.Policy {
+	case "", "fifo", "lru", "slru":
+	default:
+		return nil, fmt.Errorf("compile: unknown eviction policy %q", spec.Policy)
+	}
+	if !(spec.PrefetchFrac >= 0 && spec.PrefetchFrac <= 1) {
+		return nil, fmt.Errorf("compile: PrefetchFrac must be in [0, 1], got %v", spec.PrefetchFrac)
+	}
+	if spec.MaxBytes > 0 && spec.MaxBytes <= spec.BaseBytes {
+		return nil, fmt.Errorf("compile: MaxBytes %v leaves no room beside BaseBytes %v", spec.MaxBytes, spec.BaseBytes)
 	}
 	mix := spec.Mix
 	if mix == nil {
@@ -251,6 +268,9 @@ func buildSegments(spec Spec, diurnal []float64) ([]Segment, error) {
 			cuts[at] = true
 			purges[at] = true
 		case "outage":
+			if ev.DurHours < 0 {
+				return nil, fmt.Errorf("compile: outage at %.1fh has negative duration %v", ev.AtHours, ev.DurHours)
+			}
 			end := math.Min(at+ev.DurHours*3600, horizon)
 			cuts[at], cuts[end] = true, true
 			outages = append(outages, window{at, end})
@@ -262,7 +282,7 @@ func buildSegments(spec Spec, diurnal []float64) ([]Segment, error) {
 	for t := range cuts {
 		times = append(times, t)
 	}
-	sortFloats(times)
+	slices.Sort(times)
 	var segs []Segment
 	for i := 0; i+1 < len(times); i++ {
 		start, end := times[i], times[i+1]
@@ -283,12 +303,4 @@ func buildSegments(spec Spec, diurnal []float64) ([]Segment, error) {
 		segs = append(segs, seg)
 	}
 	return segs, nil
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }

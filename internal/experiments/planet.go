@@ -17,9 +17,12 @@ import (
 // renewal lines and advances them a full simulated day by closed-form
 // arithmetic. A chaos cell per tier adds a midday authoritative outage
 // and an evening cache purge, exercising the engine's event-driven
-// path where aggregation is unsound. The compiled model itself is held
-// to the simulated planes by the validate.go harness (≤ 0.5 hit-points
-// on the hitrate, fragmentation, and pressure experiments).
+// path where aggregation is unsound. validate.go runs the same engine
+// (compile.CompileAndRun) against the simulated hitrate, fragmentation
+// and pressure planes and pins its error by regime: half a hit-point
+// where the cache is unpressured, but the TTL 300 and 3600 cells here run
+// slru under a binding bound, where the engine reads 3–6 hit-points above
+// the simulator on the 1,200-name pressure grid.
 
 // planetPhases shifts each atlas region's diurnal curve to its rough
 // local time (hours relative to the curve's reference day).

@@ -72,8 +72,10 @@ func (r *PressureReport) Cell(policy string, maxKB, ttl int, prefetch bool) *Pre
 
 // The sweep grid. Sizes are chosen against the workload's ~1200-name
 // working set (roughly 190 KB of A records at pressureNames): 32 KB holds
-// ~15 % of it, 96 KB ~45 %, so eviction is the binding constraint
-// everywhere while TTL expiry still matters at the short end.
+// ~15 % of it and eviction binds at every TTL; 96 KB holds ~45 % and binds
+// only at TTL 300 — at TTL 30 and 60 the fresh entries fit, evictions
+// reclaim expired ones, and the three policies read alike (the cells
+// validate.go classes as unpressured).
 var (
 	pressureTTLs     = []uint32{30, 60, 300}
 	pressureSizes    = []int64{32 << 10, 96 << 10}

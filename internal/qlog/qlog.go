@@ -319,17 +319,14 @@ type Logger struct {
 	enq  atomic.Uint64 // next sequence producers claim
 	deq  uint64        // next sequence the consumer reads (consumer-only)
 
-	// Accounting, mirrored into the registry when configured.
-	records     atomic.Uint64
-	dropped     atomic.Uint64
-	sampledOut  atomic.Uint64
-	writeErrors atomic.Uint64
-	sampleSeq   atomic.Uint64 // 1-in-N position counter
+	sampleSeq atomic.Uint64 // 1-in-N position counter
 
-	mRecords    *obs.Counter
-	mDropped    *obs.Counter
-	mSampledOut *obs.Counter
-	mWriteErr   *obs.Counter
+	// Accounting: the registry's counters when one is configured, the
+	// logger's own otherwise — Stats reads them, so each event counts once.
+	records     *obs.Counter
+	dropped     *obs.Counter
+	sampledOut  *obs.Counter
+	writeErrors *obs.Counter
 
 	notify chan struct{} // kicked (non-blocking) on enqueue to wake the consumer
 	stop   chan struct{}
@@ -382,10 +379,10 @@ func New(cfg Config) (*Logger, error) {
 		done:   make(chan struct{}),
 		w:      w,
 
-		mRecords:    cfg.Registry.Counter(MetricRecords),
-		mDropped:    cfg.Registry.Counter(MetricDropped),
-		mSampledOut: cfg.Registry.Counter(MetricSampledOut),
-		mWriteErr:   cfg.Registry.Counter(MetricWriteErrors),
+		records:     cfg.Registry.OwnedCounter(MetricRecords),
+		dropped:     cfg.Registry.OwnedCounter(MetricDropped),
+		sampledOut:  cfg.Registry.OwnedCounter(MetricSampledOut),
+		writeErrors: cfg.Registry.OwnedCounter(MetricWriteErrors),
 	}
 	for i := range l.ring {
 		l.ring[i].seq.Store(uint64(i))
@@ -429,12 +426,12 @@ func (l *Logger) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Records:     l.records.Load(),
-		Dropped:     l.dropped.Load(),
-		SampledOut:  l.sampledOut.Load(),
-		WriteErrors: l.writeErrors.Load(),
-		Rotations:   l.w.rotations.Load(),
-		Bytes:       l.w.bytes.Load(),
+		Records:     l.records.Value(),
+		Dropped:     l.dropped.Value(),
+		SampledOut:  l.sampledOut.Value(),
+		WriteErrors: l.writeErrors.Value(),
+		Rotations:   l.w.rotations.Value(),
+		Bytes:       l.w.bytes.Value(),
 	}
 }
 
@@ -449,13 +446,11 @@ func (l *Logger) Emit(rec *Record) {
 		return
 	}
 	if m := l.cfg.PerClientMod; m > 1 && int(clientHash(rec.Client)%uint64(m)) != 0 {
-		l.sampledOut.Add(1)
-		l.mSampledOut.Inc()
+		l.sampledOut.Inc()
 		return
 	}
 	if n := l.cfg.SampleN; n > 1 && l.sampleSeq.Add(1)%uint64(n) != 0 {
-		l.sampledOut.Add(1)
-		l.mSampledOut.Inc()
+		l.sampledOut.Inc()
 		return
 	}
 	for {
@@ -467,8 +462,7 @@ func (l *Logger) Emit(rec *Record) {
 			if l.enq.CompareAndSwap(pos, pos+1) {
 				s.rec = *rec
 				s.seq.Store(pos + 1)
-				l.records.Add(1)
-				l.mRecords.Inc()
+				l.records.Inc()
 				select {
 				case l.notify <- struct{}{}:
 				default:
@@ -477,8 +471,7 @@ func (l *Logger) Emit(rec *Record) {
 			}
 		case seq < pos:
 			// The consumer has not freed this slot: the ring is full.
-			l.dropped.Add(1)
-			l.mDropped.Inc()
+			l.dropped.Inc()
 			return
 		default:
 			// Another producer claimed pos; reload and retry.
@@ -530,16 +523,14 @@ func (l *Logger) drain() int {
 		l.deq++
 		n++
 		if err := l.enc.encode(l.w, &rec); err != nil {
-			l.writeErrors.Add(1)
-			l.mWriteErr.Inc()
+			l.writeErrors.Inc()
 		}
 	}
 }
 
 func (l *Logger) flushWrite() {
 	if err := l.w.Flush(); err != nil {
-		l.writeErrors.Add(1)
-		l.mWriteErr.Inc()
+		l.writeErrors.Inc()
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"dnsttl/internal/obs"
 )
@@ -19,15 +18,13 @@ type rotatingWriter struct {
 	maxBytes int64
 	maxFiles int
 
-	f       *os.File
-	bw      *bufio.Writer
-	size    int64
-	header  []byte // re-written at the top of every rotated-in file
-	byteCtr *obs.Counter
-	rotCtr  *obs.Counter
+	f      *os.File
+	bw     *bufio.Writer
+	size   int64
+	header []byte // re-written at the top of every rotated-in file
 
-	bytes     atomic.Uint64
-	rotations atomic.Uint64
+	bytes     *obs.Counter // MetricBytes; Logger.Stats reads both
+	rotations *obs.Counter // MetricRotations
 }
 
 func newRotatingWriter(path string, maxBytes int64, maxFiles int, reg *obs.Registry) (*rotatingWriter, error) {
@@ -36,13 +33,13 @@ func newRotatingWriter(path string, maxBytes int64, maxFiles int, reg *obs.Regis
 		return nil, err
 	}
 	return &rotatingWriter{
-		path:     path,
-		maxBytes: maxBytes,
-		maxFiles: maxFiles,
-		f:        f,
-		bw:       bufio.NewWriterSize(f, 1<<16),
-		byteCtr:  reg.Counter(MetricBytes),
-		rotCtr:   reg.Counter(MetricRotations),
+		path:      path,
+		maxBytes:  maxBytes,
+		maxFiles:  maxFiles,
+		f:         f,
+		bw:        bufio.NewWriterSize(f, 1<<16),
+		bytes:     reg.OwnedCounter(MetricBytes),
+		rotations: reg.OwnedCounter(MetricRotations),
 	}, nil
 }
 
@@ -60,7 +57,6 @@ func (w *rotatingWriter) Write(p []byte) (int, error) {
 	n, err := w.bw.Write(p)
 	w.size += int64(n)
 	w.bytes.Add(uint64(n))
-	w.byteCtr.Add(uint64(n))
 	if err != nil {
 		return n, err
 	}
@@ -101,8 +97,7 @@ func (w *rotatingWriter) rotate() error {
 	w.f = f
 	w.bw = bufio.NewWriterSize(f, 1<<16)
 	w.size = 0
-	w.rotations.Add(1)
-	w.rotCtr.Inc()
+	w.rotations.Inc()
 	if len(w.header) > 0 {
 		if _, err := w.Write(w.header); err != nil {
 			return err

@@ -54,11 +54,6 @@ func (g *Generator) Popularity(i int) float64 {
 	return g.masses[i]
 }
 
-// Masses returns the per-name popularity vector, most popular first. The
-// workload compiler reads it to build per-name arrival rates; callers must
-// not mutate it.
-func (g *Generator) Masses() []float64 { return g.masses }
-
 // Next returns the interarrival gap to the next query and its name.
 // Gaps are exponential (Poisson process); names follow the Zipf weights via
 // an O(1) alias-table draw. Each call consumes exactly one ExpFloat64 and
