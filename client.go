@@ -47,30 +47,28 @@ type ClientConfig struct {
 	// one balancer (the paper's §4.4 public resolver shape). 0 or 1 is the
 	// classic lone resolver — the farm of one.
 	Frontends int
-	// Topology selects how much cache the farm frontends share
-	// (FarmPrivate, FarmShared, FarmSharded); with one frontend every
-	// topology is one cache.
+	// Topology selects how much cache the farm frontends share (private —
+	// the zero value — shared, or FarmSharded; see ParseFarmTopology); with
+	// one frontend every topology is one cache.
 	Topology FarmTopology
 	// Placement picks the frontend for each query (FarmPlaceRandom,
-	// FarmPlaceRoundRobin, FarmPlaceHashQName).
+	// FarmPlaceRoundRobin, or by qname hash; see ParseFarmPlacement).
 	Placement FarmPlacement
 	// Coalesce makes identical queries that miss the cache together, on
 	// whichever frontends, wait for one upstream iteration and share its
 	// answer.
 	Coalesce bool
-	// CacheCapacity bounds the cache entry count (per frontend for
-	// FarmPrivate, per shard for FarmSharded, total otherwise); 0 keeps the
-	// cache default.
+	// CacheCapacity bounds the cache entry count (per frontend for a
+	// private topology, per shard for FarmSharded, total otherwise); 0 keeps
+	// the cache default.
 	CacheCapacity int
 	// CacheBytes bounds the cache memory charge (wire-format record bytes
 	// plus index overhead), with the same per-frontend/per-shard/total
 	// semantics as CacheCapacity; 0 means unbounded.
 	CacheBytes int64
-	// Eviction selects the cache eviction policy (EvictFIFO, EvictLRU,
-	// EvictSLRU); the zero value is the legacy FIFO.
+	// Eviction selects the cache eviction policy (EvictLRU, EvictSLRU);
+	// the zero value is the legacy FIFO.
 	Eviction EvictionPolicy
-	// Seed makes server selection and query IDs deterministic; 0 uses 1.
-	Seed int64
 	// Registry, when non-nil, collects the client's telemetry — resolution
 	// counters, latency/TTL histograms, cache gauges, and the per-frontend
 	// fleet counters (farm.fe<i>.*) — for /metrics-style introspection.
@@ -97,9 +95,6 @@ type Registry = obs.Registry
 
 // Tracer records query lifecycles as span trees.
 type Tracer = obs.Tracer
-
-// MetricsSnapshot is a deterministic point-in-time copy of a Registry.
-type MetricsSnapshot = obs.Snapshot
 
 // NewRegistry builds a metrics registry; a nil clock means wall time.
 func NewRegistry(clock Clock) *Registry { return obs.NewRegistry(clock) }
@@ -153,9 +148,6 @@ func NewQueryLog(cfg QueryLogConfig) (*QueryLog, error) { return qlog.New(cfg) }
 // undecodable entries.
 func ReadQueryLog(paths ...string) ([]QueryLogRecord, int, error) { return qlog.ReadAll(paths...) }
 
-// QueryLogFiles lists a rotated query-log set oldest-first: base.N … base.
-func QueryLogFiles(base string) ([]string, error) { return qlog.RotatedSet(base) }
-
 // QueryLogFormat selects the query-log on-disk encoding.
 type QueryLogFormat = qlog.Format
 
@@ -178,13 +170,10 @@ type FarmPlacement = farm.Placement
 // Farm cache topologies and placement policies, re-exported for
 // ClientConfig.
 const (
-	FarmPrivate = farm.Private
-	FarmShared  = farm.Shared
 	FarmSharded = farm.Sharded
 
 	FarmPlaceRandom     = farm.PlaceRandom
 	FarmPlaceRoundRobin = farm.PlaceRoundRobin
-	FarmPlaceHashQName  = farm.PlaceHashQName
 )
 
 // ParseFarmTopology maps "private", "shared", or "sharded" to a topology.
@@ -202,7 +191,6 @@ type EvictionPolicy = cache.EvictionPolicy
 
 // Cache eviction policies, re-exported for ClientConfig.
 const (
-	EvictFIFO = cache.EvictFIFO
 	EvictLRU  = cache.EvictLRU
 	EvictSLRU = cache.EvictSLRU
 )
@@ -223,6 +211,9 @@ type Client struct {
 	// NewClient built it (ClientConfig.Net was nil), for Close to release.
 	net   Exchanger
 	owned *TransportNet
+	// clock is ClientConfig.Clock, which a push subscriber attached by
+	// EnablePush shares.
+	clock Clock
 
 	// registry is ClientConfig.Registry, kept for the listeners a
 	// RecursiveServer puts in front of this client.
@@ -245,9 +236,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy()
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	f := farm.New(farm.Config{
 		Frontends:     cfg.Frontends,
 		Topology:      cfg.Topology,
@@ -258,12 +246,12 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		CacheBytes:    cfg.CacheBytes,
 		Eviction:      cfg.Eviction,
 		LocalRoot:     cfg.LocalRoot,
-		Seed:          cfg.Seed,
+		Seed:          1, // server selection and query IDs replay run to run
 		Registry:      cfg.Registry,
 		Tracer:        cfg.Tracer,
 		QueryLog:      cfg.QueryLog,
 	}, netip.MustParseAddr("127.0.0.1"), cfg.Net, cfg.Clock, cfg.Roots)
-	c := &Client{f: f, net: cfg.Net, owned: owned, registry: cfg.Registry}
+	c := &Client{f: f, net: cfg.Net, owned: owned, clock: cfg.Clock, registry: cfg.Registry}
 	if err := f.SetPipeline(cfg.Pipeline); err != nil {
 		_ = c.Close() // no socket is open yet
 		return nil, err
@@ -351,11 +339,6 @@ func ParseZone(text string, origin Name) (*Zone, error) {
 	return zone.Parse(strings.NewReader(text), origin)
 }
 
-// Handle answers one decoded query (for in-process use).
-func (s *Server) Handle(q *Message, from netip.Addr) *Message {
-	return s.s.Handle(q, from)
-}
-
 // ListenUDP binds addr ("127.0.0.1:0" style) and serves until Close. It
 // returns the bound address.
 func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
@@ -396,10 +379,6 @@ func (s *Server) QueryCount() uint64 { return s.s.QueryCount() }
 // internal/authoritative's rrl.go for band semantics.
 type RRLConfig = authoritative.RRLConfig
 
-// DefaultRRLConfig is the BIND-flavored RRL starting point (5 rps, burst
-// 15, slip 2, /24 and /56 client aggregation).
-func DefaultRRLConfig() RRLConfig { return authoritative.DefaultRRLConfig() }
-
 // ParseRRLConfig parses "rps=5,burst=15,slip=2,prefix4=24,prefix6=56"
 // flag syntax ("default" or "" for the defaults).
 func ParseRRLConfig(s string) (RRLConfig, error) { return authoritative.ParseRRLConfig(s) }
@@ -408,9 +387,6 @@ func ParseRRLConfig(s string) (RRLConfig, error) { return authoritative.ParseRRL
 // responses are dropped, except every slip-th which goes out truncated so
 // honest clients can fall back to TCP (TCP is never limited).
 func (s *Server) EnableRRL(cfg RRLConfig) { s.s.EnableRRL(cfg) }
-
-// DisableRRL removes the response rate limiter.
-func (s *Server) DisableRRL() { s.s.DisableRRL() }
 
 // Instrument mirrors the server's query counters into reg (auth.queries,
 // auth.referrals, auth.nxdomain, auth.refused); nil detaches. A ListenUDP

@@ -20,7 +20,6 @@
 package dnsttl
 
 import (
-	"dnsttl/internal/cache"
 	"dnsttl/internal/core"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/resolver"
@@ -42,23 +41,14 @@ type (
 	Header = dnswire.Header
 	// Question is a query tuple.
 	Question = dnswire.Question
-	// RCode is a response code.
-	RCode = dnswire.RCode
 )
 
 // Common RR types and rcodes.
 const (
-	TypeA      = dnswire.TypeA
-	TypeAAAA   = dnswire.TypeAAAA
-	TypeNS     = dnswire.TypeNS
-	TypeCNAME  = dnswire.TypeCNAME
-	TypeSOA    = dnswire.TypeSOA
-	TypeMX     = dnswire.TypeMX
-	TypeTXT    = dnswire.TypeTXT
-	TypeDNSKEY = dnswire.TypeDNSKEY
+	TypeA   = dnswire.TypeA
+	TypeTXT = dnswire.TypeTXT
 
 	RCodeNoError  = dnswire.RCodeNoError
-	RCodeNXDomain = dnswire.RCodeNXDomain
 	RCodeServFail = dnswire.RCodeServFail
 )
 
@@ -70,17 +60,6 @@ func Encode(m *Message) ([]byte, error) { return dnswire.Encode(m) }
 
 // Decode parses a wire-format message.
 func Decode(wire []byte) (*Message, error) { return dnswire.Decode(wire) }
-
-// AppendEncode serializes a message, appending to dst; with a dst of
-// sufficient capacity the encode is allocation-free.
-func AppendEncode(dst []byte, m *Message) ([]byte, error) { return dnswire.AppendEncode(dst, m) }
-
-// Decoder is a reusable wire-format decoder that fills caller-owned
-// Messages without allocating in steady state.
-type Decoder = dnswire.Decoder
-
-// NewDecoder returns a ready Decoder.
-func NewDecoder() *Decoder { return dnswire.NewDecoder() }
 
 // Zone model.
 type (
@@ -104,22 +83,16 @@ func NewZone(origin Name) *Zone { return zone.New(origin) }
 type (
 	// Policy configures a resolver's behavioral family.
 	Policy = resolver.Policy
-	// Centricity selects parent- vs child-centric TTL preference.
-	Centricity = resolver.Centricity
-	// Credibility ranks cached data per RFC 2181 §5.4.1.
-	Credibility = cache.Credibility
 	// RetryPolicy configures the resolver's failure handling: attempts,
-	// exponential backoff with deterministic jitter, per-attempt and overall
-	// deadlines, hedged queries, and SRTT-based server ordering. The zero
-	// value preserves legacy single-shot semantics.
+	// exponential backoff with deterministic jitter, hedged queries, and
+	// SRTT-based server ordering. The zero value preserves legacy
+	// single-shot semantics.
 	RetryPolicy = resolver.RetryPolicy
 )
 
-// Centricities.
-const (
-	ChildCentric  = resolver.ChildCentric
-	ParentCentric = resolver.ParentCentric
-)
+// ParentCentric makes a Policy prefer the parent zone's TTLs; the zero
+// value of Policy.Centricity is child-centric.
+const ParentCentric = resolver.ParentCentric
 
 // DefaultPolicy is a mainstream child-centric resolver configuration.
 func DefaultPolicy() Policy { return resolver.DefaultPolicy() }
@@ -135,18 +108,10 @@ type (
 // NewVirtualClock returns a virtual clock at the simulation epoch.
 func NewVirtualClock() *VirtualClock { return simnet.NewVirtualClock() }
 
-// Fault injection (the chaos plane).
-type (
-	// Fault is one scripted fault window (outage, loss burst, latency
-	// spike, SERVFAIL storm, truncation, flapping).
-	Fault = simnet.Fault
-	// FaultSchedule is a deterministic, clock-driven script of fault
-	// windows, installable on a simnet.Network's Faults field.
-	FaultSchedule = simnet.FaultSchedule
-)
-
-// NewFaultSchedule builds a schedule from fault windows.
-func NewFaultSchedule(faults ...Fault) *FaultSchedule { return simnet.NewFaultSchedule(faults...) }
+// FaultSchedule is a deterministic, clock-driven script of fault windows
+// (outage, loss burst, latency spike, SERVFAIL storm, truncation,
+// flapping) — the chaos plane.
+type FaultSchedule = simnet.FaultSchedule
 
 // ParseFaultSchedule parses the textual schedule grammar, e.g.
 // "outage:192.88.0.7:1200s+2400s;loss:*:0s+600s:0.5". See the simnet

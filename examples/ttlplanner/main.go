@@ -7,6 +7,7 @@
 //
 //	ttlplanner -loadbalancing        # CDN-style steering
 //	ttlplanner -scrubbing -metered   # DDoS redirection on a metered service
+//	ttlplanner -planned              # every change is scheduled ahead
 package main
 
 import (
@@ -23,6 +24,7 @@ func main() {
 		scrub    = flag.Bool("scrubbing", false, "zone must redirect through a DDoS scrubber on demand")
 		metered  = flag.Bool("metered", false, "DNS service bills per query")
 		registry = flag.Bool("registry", false, "zone hosts public delegations")
+		planned  = flag.Bool("planned", false, "changes are scheduled: TTLs can drop just before one and rise after")
 		qps      = flag.Float64("qps", 0.02, "client demand per resolver (queries/second)")
 	)
 	flag.Parse()
@@ -41,10 +43,11 @@ func main() {
 	}
 
 	scenario := dnsttl.Scenario{
-		DNSLoadBalancing: *lb,
-		DDoSScrubbing:    *scrub,
-		MeteredDNS:       *metered,
-		RegistryOperator: *registry,
+		DNSLoadBalancing:       *lb,
+		DDoSScrubbing:          *scrub,
+		MeteredDNS:             *metered,
+		RegistryOperator:       *registry,
+		PlannedMaintenanceOnly: *planned,
 	}
 	cfg := dnsttl.ZoneConfig{
 		Domain:      dnsttl.NewName("example.org"),

@@ -54,7 +54,7 @@ func TestAXFRFramingValidation(t *testing.T) {
 	s := testServer(t)
 	s.Zone(dnswire.NewName("example.org")).Remove(dnswire.NewName("example.org"), dnswire.TypeSOA)
 	q := dnswire.NewIterativeQuery(1, dnswire.NewName("example.org"), TypeAXFR)
-	resp := s.Handle(q, clientAddr)
+	resp := s.handleInto(new(dnswire.Message), q, clientAddr)
 	if resp.Header.RCode != dnswire.RCodeServFail {
 		t.Errorf("SOA-less AXFR should SERVFAIL, got %s", resp.Header.RCode)
 	}

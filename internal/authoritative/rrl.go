@@ -121,13 +121,6 @@ func (s *Server) EnableRRL(cfg RRLConfig) {
 	s.rrl = &rrlState{cfg: cfg, buckets: bucket.NewTable[rrlKey](cfg.RPS, cfg.Burst, s.Clock)}
 }
 
-// DisableRRL removes the limiter.
-func (s *Server) DisableRRL() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rrl = nil
-}
-
 // limiter returns the current rrl state (nil when disabled).
 func (s *Server) limiter() *rrlState {
 	s.mu.RLock()

@@ -158,19 +158,3 @@ func TestRRLPositiveBandIsPerQName(t *testing.T) {
 		t.Fatal("distinct positive qname should have its own bucket")
 	}
 }
-
-func TestDisableRRL(t *testing.T) {
-	s := testServer(t)
-	s.EnableRRL(RRLConfig{RPS: 1, Burst: 1, Slip: 0, Prefix4: 24, Prefix6: 56})
-	from := netip.MustParseAddr("198.51.100.9")
-	rawQuery(t, s, "y1.example.org", from)
-	if rawQuery(t, s, "y2.example.org", from) != nil {
-		t.Fatal("expected limiting before disable")
-	}
-	s.DisableRRL()
-	for i := 0; i < 5; i++ {
-		if rawQuery(t, s, fmt.Sprintf("z%d.example.org", i), from) == nil {
-			t.Fatal("disabled limiter still dropping")
-		}
-	}
-}

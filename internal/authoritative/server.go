@@ -37,10 +37,6 @@ type Server struct {
 	Name dnswire.Name
 	// Clock timestamps query-log entries.
 	Clock simnet.Clock
-	// RotateAnswers cycles multi-record answer sets round-robin per
-	// response — classic DNS load balancing (§6.1), where every arriving
-	// query is a chance to steer a client.
-	RotateAnswers bool
 	// Obs, when non-nil, mirrors the query counters into the telemetry
 	// plane (see Instrument); nil costs one pointer check per query.
 	Obs *Metrics
@@ -54,10 +50,9 @@ type Server struct {
 	// retain q: it returns to a pool when the query completes.
 	Push PushHook
 
-	mu       sync.RWMutex
-	zones    map[dnswire.Name]*zone.Zone
-	log      []QueryLogEntry
-	rotation uint64
+	mu    sync.RWMutex
+	zones map[dnswire.Name]*zone.Zone
+	log   []QueryLogEntry
 	// rrl, when non-nil, rate-limits UDP responses (see rrl.go).
 	rrl *rrlState
 	// logging controls whether entries are retained. It and queries are
@@ -85,13 +80,6 @@ func (s *Server) AddZone(z *zone.Zone) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[z.Origin] = z
-}
-
-// RemoveZone drops authority for origin.
-func (s *Server) RemoveZone(origin dnswire.Name) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.zones, origin)
 }
 
 // Zone returns the zone with the given origin, or nil.
@@ -226,14 +214,9 @@ type PushHook interface {
 	HandleQuery(q *dnswire.Message, from netip.Addr) (*dnswire.Message, bool)
 }
 
-// Handle answers one decoded query with a message the caller owns.
-func (s *Server) Handle(q *dnswire.Message, from netip.Addr) *dnswire.Message {
-	return s.handleInto(new(dnswire.Message), q, from)
-}
-
 // handleInto answers q into resp, a reset Message, and returns the answer:
 // resp itself, or a message of their own when the push hook or AXFR builds
-// one. The wire path passes a pooled resp; Handle a fresh one.
+// one. The wire path passes a pooled resp.
 func (s *Server) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
 	question := q.Q()
 	if h := s.Push; h != nil {
@@ -271,7 +254,7 @@ func (s *Server) answerFromZone(z *zone.Zone, name dnswire.Name, t dnswire.Type,
 	switch res.Kind {
 	case zone.Answer:
 		resp.Header.AA = true
-		resp.AddAnswer(s.maybeRotate(res.Answer.RRs)...)
+		resp.AddAnswer(res.Answer.RRs...)
 	case zone.CNAMEAnswer:
 		resp.Header.AA = true
 		resp.AddAnswer(res.Answer.RRs...)
@@ -300,22 +283,6 @@ func (s *Server) answerFromZone(z *zone.Zone, name dnswire.Name, t dnswire.Type,
 	case zone.NotInZone:
 		resp.Header.RCode = dnswire.RCodeRefused
 	}
-}
-
-// maybeRotate returns rrs rotated by the server's response counter when
-// RotateAnswers is on, so successive clients see different first records.
-func (s *Server) maybeRotate(rrs []dnswire.RR) []dnswire.RR {
-	if !s.RotateAnswers || len(rrs) < 2 {
-		return rrs
-	}
-	s.mu.Lock()
-	off := int(s.rotation) % len(rrs)
-	s.rotation++
-	s.mu.Unlock()
-	out := make([]dnswire.RR, 0, len(rrs))
-	out = append(out, rrs[off:]...)
-	out = append(out, rrs[:off]...)
-	return out
 }
 
 func (s *Server) logQuery(from netip.Addr, q dnswire.Question, resp *dnswire.Message) {

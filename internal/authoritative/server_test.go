@@ -158,7 +158,7 @@ func TestNotImpForNonQuery(t *testing.T) {
 	s := testServer(t)
 	q := dnswire.NewIterativeQuery(1, dnswire.NewName("www.example.org"), dnswire.TypeA)
 	q.Header.Opcode = dnswire.OpcodeUpdate
-	resp := s.Handle(q, clientAddr)
+	resp := s.handleInto(new(dnswire.Message), q, clientAddr)
 	if resp.Header.RCode != dnswire.RCodeNotImp {
 		t.Errorf("rcode = %s", resp.Header.RCode)
 	}
@@ -166,6 +166,9 @@ func TestNotImpForNonQuery(t *testing.T) {
 
 func TestMostSpecificZoneWins(t *testing.T) {
 	s := testServer(t)
+	if resp := query(t, s, "host.sub.example.org", dnswire.TypeA); !resp.IsReferral() {
+		t.Fatalf("parent alone should refer: %s", resp)
+	}
 	// Also serve the child zone on the same server: child data must win.
 	child := zone.New(dnswire.NewName("sub.example.org"))
 	child.MustAdd(
@@ -182,11 +185,6 @@ func TestMostSpecificZoneWins(t *testing.T) {
 	resp = query(t, s, "sub.example.org", dnswire.TypeNS)
 	if !resp.Header.AA || len(resp.Answer) != 1 || resp.Answer[0].TTL != 900 {
 		t.Errorf("NS at cut = %v", resp.Answer)
-	}
-	s.RemoveZone(dnswire.NewName("sub.example.org"))
-	resp = query(t, s, "host.sub.example.org", dnswire.TypeA)
-	if !resp.IsReferral() {
-		t.Errorf("after RemoveZone expected referral again")
 	}
 }
 
@@ -257,43 +255,5 @@ func TestUDPServerIntegration(t *testing.T) {
 	}
 	if err := u.Close(); err != nil {
 		t.Errorf("Close: %v", err)
-	}
-}
-
-func TestRotateAnswers(t *testing.T) {
-	z := zone.New(dnswire.NewName("lb.org"))
-	z.MustAdd(
-		dnswire.NewSOA("lb.org", 60, "ns1.lb.org", "x.lb.org", 1, 1, 1, 1, 60),
-		dnswire.NewA("www.lb.org", 30, "192.0.2.1"),
-		dnswire.NewA("www.lb.org", 30, "192.0.2.2"),
-		dnswire.NewA("www.lb.org", 30, "192.0.2.3"),
-	)
-	s := NewServer(dnswire.NewName("ns1.lb.org"), nil)
-	s.AddZone(z)
-	s.RotateAnswers = true
-
-	firsts := map[string]int{}
-	for i := 0; i < 9; i++ {
-		resp := query(t, s, "www.lb.org", dnswire.TypeA)
-		if len(resp.Answer) != 3 {
-			t.Fatalf("answers = %d", len(resp.Answer))
-		}
-		firsts[resp.Answer[0].Data.String()]++
-	}
-	// Round-robin: each address leads exactly a third of the time.
-	if len(firsts) != 3 {
-		t.Fatalf("first-record distribution = %v, want all three", firsts)
-	}
-	for addr, n := range firsts {
-		if n != 3 {
-			t.Errorf("address %s led %d times, want 3", addr, n)
-		}
-	}
-	// Without rotation the order is fixed.
-	s.RotateAnswers = false
-	a := query(t, s, "www.lb.org", dnswire.TypeA).Answer[0].Data.String()
-	b := query(t, s, "www.lb.org", dnswire.TypeA).Answer[0].Data.String()
-	if a != b {
-		t.Errorf("rotation off but first record changed")
 	}
 }

@@ -66,9 +66,6 @@ func (t *TCPServer) idleTimeout() time.Duration {
 	return DefaultTCPIdleTimeout
 }
 
-// Rejected reports connections refused by the MaxConns cap.
-func (t *TCPServer) Rejected() uint64 { return t.rejected.Load() }
-
 // Listen binds addr and serves until Close, returning the bound address.
 func (t *TCPServer) Listen(addr string) (netip.AddrPort, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -22,11 +22,18 @@ const DefaultMaxInflight = 512
 // interval instead of a spinning core.
 const readErrorBackoff = 5 * time.Millisecond
 
-// Metric names under which a UDPServer with a Registry reports (see
-// UDPStats for their meaning).
+// Metric names under which a UDPServer with a Registry reports its
+// serving-loop counters.
 const (
-	MetricUDPLoops      = "listener.udp.loops"
-	MetricUDPSaturated  = "listener.udp.saturated"
+	// MetricUDPLoops is the number of serving loops started: the peak
+	// number of queries that were in service at once, plus one.
+	MetricUDPLoops = "listener.udp.loops"
+	// MetricUDPSaturated counts datagrams taken by the last idle loop when
+	// no further loop could be started: while that query was in service
+	// (and MaxInflight-1 others), nothing read the socket.
+	MetricUDPSaturated = "listener.udp.saturated"
+	// MetricUDPReadErrors counts socket read errors other than the
+	// listener closing.
 	MetricUDPReadErrors = "listener.udp.read_errors"
 )
 
@@ -54,8 +61,8 @@ type UDPServer struct {
 	// MaxInflight bounds concurrently-served queries, i.e. the number of
 	// loops (default DefaultMaxInflight).
 	MaxInflight int
-	// Registry, when non-nil at Listen, exposes Stats as the
-	// listener.udp.* gauges.
+	// Registry, when non-nil at Listen, exposes the serving-loop counters
+	// as the listener.udp.* gauges.
 	Registry *obs.Registry
 
 	mu     sync.Mutex
@@ -68,28 +75,6 @@ type UDPServer struct {
 	loops      atomic.Int32
 	saturated  atomic.Uint64
 	readErrors atomic.Uint64
-}
-
-// UDPStats is a snapshot of a UDPServer's serving-loop counters.
-type UDPStats struct {
-	// Loops is the number of serving loops started: the peak number of
-	// queries that were in service at once, plus one.
-	Loops int
-	// Saturated counts datagrams taken by the last idle loop when no
-	// further loop could be started: while that query was in service
-	// (and MaxInflight-1 others), nothing read the socket.
-	Saturated uint64
-	// ReadErrors counts socket read errors other than the listener closing.
-	ReadErrors uint64
-}
-
-// Stats reports the serving-loop counters.
-func (u *UDPServer) Stats() UDPStats {
-	return UDPStats{
-		Loops:      int(u.loops.Load()),
-		Saturated:  u.saturated.Load(),
-		ReadErrors: u.readErrors.Load(),
-	}
 }
 
 // Listen binds addr ("127.0.0.1:0" style) and starts serving until Close.

@@ -93,8 +93,8 @@ func TestUDPLoopGrowth(t *testing.T) {
 	if id := <-g.entered; id != 2 {
 		t.Fatalf("second query in service = %d", id)
 	}
-	if st := u.Stats(); st.Loops != 2 || st.Saturated != 1 {
-		t.Errorf("with both loops busy: %+v, want 2 loops, saturated once", st)
+	if loops, sat := u.loops.Load(), u.saturated.Load(); loops != 2 || sat != 1 {
+		t.Errorf("with both loops busy: %d loops, saturated %d, want 2 loops, saturated once", loops, sat)
 	}
 
 	// Both loops are busy: query 3 waits in the socket buffer.
@@ -171,12 +171,12 @@ func TestUDPLoopsServeConcurrently(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	st := u.Stats()
-	if st.Loops < 1 || st.Loops > 2*clients+1 || st.Saturated != 0 || st.ReadErrors != 0 {
-		t.Errorf("stats after %d closed-loop clients: %+v", clients, st)
+	loops, sat, errs := u.loops.Load(), u.saturated.Load(), u.readErrors.Load()
+	if loops < 1 || loops > 2*clients+1 || sat != 0 || errs != 0 {
+		t.Errorf("after %d closed-loop clients: %d loops, saturated %d, %d read errors", clients, loops, sat, errs)
 	}
-	if got := reg.Snapshot().Gauges[MetricUDPLoops]; got != float64(st.Loops) {
-		t.Errorf("%s gauge = %v, Stats().Loops = %d", MetricUDPLoops, got, st.Loops)
+	if got := reg.Snapshot().Gauges[MetricUDPLoops]; got != float64(loops) {
+		t.Errorf("%s gauge = %v, the listener started %d loops", MetricUDPLoops, got, loops)
 	}
 }
 
@@ -225,7 +225,7 @@ func TestUDPReadErrorBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing := time.Since(start)
-	errs := u.Stats().ReadErrors
+	errs := u.readErrors.Load()
 	if limit := uint64(failing/readErrorBackoff) + 2; errs == 0 || errs > limit {
 		t.Errorf("%d read errors in %v, want between 1 and %d", errs, failing, limit)
 	}

@@ -157,11 +157,8 @@ type Config struct {
 	// tens of seconds to bound load.
 	MinTTL uint32
 	// ServeStale, when set, lets GetStale return expired entries for up to
-	// StaleFor after expiry (RFC 8767), used when authoritatives are down.
+	// staleFor after expiry (RFC 8767), used when authoritatives are down.
 	ServeStale bool
-	// StaleFor bounds how long past expiry stale data may be served.
-	// Zero means 1 day, the RFC 8767 suggestion.
-	StaleFor time.Duration
 	// Capacity bounds the entry count; 0 means 1<<20. When the bound is
 	// reached, the Eviction policy picks the victim (the zero-value policy
 	// is FIFO: oldest-stored first).
@@ -184,12 +181,9 @@ func (c Config) capacity() int {
 	return c.Capacity
 }
 
-func (c Config) staleFor() time.Duration {
-	if c.StaleFor <= 0 {
-		return 24 * time.Hour
-	}
-	return c.StaleFor
-}
+// staleFor bounds how long past expiry stale data may be served: one day,
+// the RFC 8767 suggestion.
+const staleFor = 24 * time.Hour
 
 // Store is the cache surface the resolver (and the farm topologies built
 // on top of it) depend on. *Cache is the single-lock implementation;
@@ -356,13 +350,6 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns the resident memory charge.
-func (c *Cache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
 // Put stores e, applying TTL cap/floor, and returns whether the entry was
 // stored. An unexpired existing entry with higher credibility wins over the
 // new data (RFC 2181 §5.4.1); equal or higher credibility replaces. Under a
@@ -461,7 +448,7 @@ func (c *Cache) getLocked(k Key, now time.Time) (*Entry, uint32, bool) {
 }
 
 // GetStale returns the entry even if expired, provided serve-stale is on
-// and the entry expired no more than StaleFor ago. The returned TTL for a
+// and the entry expired no more than staleFor ago. The returned TTL for a
 // stale entry is the RFC 8767 recommendation of 30 s.
 func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) (*Entry, uint32, bool) {
 	now := c.clock.Now()
@@ -478,7 +465,7 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) (*Entry, uint32, boo
 	if !ok {
 		return nil, 0, false
 	}
-	if now.Sub(e.expiresAt()) > c.cfg.staleFor() {
+	if now.Sub(e.expiresAt()) > staleFor {
 		return nil, 0, false
 	}
 	c.staleHits.Add(1)

@@ -123,7 +123,7 @@ func TestNegativeEntries(t *testing.T) {
 
 func TestServeStale(t *testing.T) {
 	clk := simnet.NewVirtualClock()
-	c := New(clk, Config{ServeStale: true, StaleFor: time.Hour})
+	c := New(clk, Config{ServeStale: true})
 	c.Put(entry("stale.org", dnswire.TypeA, 60, CredAnswerAuth))
 	clk.Advance(120 * time.Second)
 	if _, _, ok := c.Get(dnswire.NewName("stale.org"), dnswire.TypeA); ok {
@@ -136,7 +136,7 @@ func TestServeStale(t *testing.T) {
 	if e.Key.Name != dnswire.NewName("stale.org") {
 		t.Errorf("wrong entry")
 	}
-	clk.Advance(2 * time.Hour)
+	clk.Advance(staleFor)
 	if _, _, ok := c.GetStale(dnswire.NewName("stale.org"), dnswire.TypeA); ok {
 		t.Errorf("stale window exceeded, must miss")
 	}
@@ -309,16 +309,15 @@ func TestQuickCredibilityInvariant(t *testing.T) {
 
 // TestGetStaleBoundaries pins the RFC 8767 window semantics at its exact
 // edges: an entry is stale (not fresh) from the moment elapsed == TTL,
-// servable as stale through expiry+StaleFor inclusive, and gone one tick
+// servable as stale through expiry+staleFor inclusive, and gone one tick
 // later.
 func TestGetStaleBoundaries(t *testing.T) {
 	const ttl = 100
-	const staleFor = time.Hour
 	name := dnswire.NewName("edge.org")
 
 	fresh := func(elapsed time.Duration) (*Entry, uint32, bool, *Cache) {
 		clk := simnet.NewVirtualClock()
-		c := New(clk, Config{ServeStale: true, StaleFor: staleFor})
+		c := New(clk, Config{ServeStale: true})
 		c.Put(entry("edge.org", dnswire.TypeA, ttl, CredAnswerAuth))
 		clk.Advance(elapsed)
 		e, rem, ok := c.GetStale(name, dnswire.TypeA)
@@ -345,16 +344,16 @@ func TestGetStaleBoundaries(t *testing.T) {
 		}
 	}
 
-	// Exactly at expiry+StaleFor: the window is inclusive (now-expiry must
-	// EXCEED StaleFor to reject), so this still serves.
+	// Exactly at expiry+staleFor: the window is inclusive (now-expiry must
+	// EXCEED staleFor to reject), so this still serves.
 	if _, rem, ok, _ := fresh(ttl*time.Second + staleFor); !ok || rem != 30 {
-		t.Errorf("t=TTL+StaleFor: rem=%d ok=%v, want stale serve at window edge", rem, ok)
+		t.Errorf("t=TTL+staleFor: rem=%d ok=%v, want stale serve at window edge", rem, ok)
 	}
 
 	// One tick past the window: gone.
 	if _, _, ok, c := fresh(ttl*time.Second + staleFor + time.Second); ok {
-		t.Errorf("t=TTL+StaleFor+1: served beyond the stale window")
+		t.Errorf("t=TTL+staleFor+1: served beyond the stale window")
 	} else if st := c.Stats(); st.StaleHits != 0 {
-		t.Errorf("t=TTL+StaleFor+1: StaleHits=%d, want 0", st.StaleHits)
+		t.Errorf("t=TTL+staleFor+1: StaleHits=%d, want 0", st.StaleHits)
 	}
 }

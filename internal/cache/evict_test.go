@@ -92,7 +92,7 @@ func TestByteBoundNeverExceeded(t *testing.T) {
 				if rng.Intn(16) == 0 {
 					clk.Advance(time.Duration(rng.Intn(30)) * time.Second)
 				}
-				if got := c.Bytes(); got > bound {
+				if got := c.Stats().Bytes; got > bound {
 					t.Fatalf("op %d: resident bytes %d exceed bound %d", i, got, bound)
 				}
 			}
@@ -103,7 +103,7 @@ func TestByteBoundNeverExceeded(t *testing.T) {
 				sum += int64(e.bytes)
 			}
 			c.mu.Unlock()
-			if got := c.Bytes(); got != sum {
+			if got := c.Stats().Bytes; got != sum {
 				t.Errorf("tracked bytes %d != per-entry sum %d", got, sum)
 			}
 		})
@@ -244,12 +244,12 @@ func TestPressureHammer(t *testing.T) {
 				}(g)
 			}
 			wg.Wait()
-			if got := c.Bytes(); got > 16<<10 {
+			if got := c.Stats().Bytes; got > 16<<10 {
 				t.Errorf("resident bytes %d exceed bound after hammer", got)
 			}
 			c.Flush()
-			if c.Len() != 0 || c.Bytes() != 0 {
-				t.Errorf("after flush: %d entries, %d bytes", c.Len(), c.Bytes())
+			if c.Len() != 0 || c.Stats().Bytes != 0 {
+				t.Errorf("after flush: %d entries, %d bytes", c.Len(), c.Stats().Bytes)
 			}
 		})
 	}

@@ -74,7 +74,7 @@ type Solution struct {
 	OccBytes float64
 }
 
-// SolveCache finds the steady state of lines sharing one byte-bounded
+// solveCacheInto finds the steady state of lines sharing one byte-bounded
 // cache. Occupancy equals hit rate per line (PASTA), so the Che-style
 // fixed point is: find the characteristic time C at which
 // Σ count·bytes·hit(C) + BaseBytes = MaxBytes; if even C = max TTL fits,
@@ -91,14 +91,10 @@ type Solution struct {
 //     byte knapsack — lines are admitted in popularity order until the
 //     budget is spent; rejected lines never cache. The admission filter's
 //     imperfection shows up as the boundary band's partial admission.
-func SolveCache(lines []Line, spec CacheSpec) Solution {
-	return solveCacheInto(make([]LineRates, len(lines)), lines, spec)
-}
-
-// solveCacheInto is SolveCache with the caller's buffer: rates (one entry
-// per line, every entry overwritten) is the solver's only working storage
-// and backs the returned Solution's PerLine, so an engine that solves
-// hundreds of states per run can recycle the buffers.
+//
+// rates (one entry per line, every entry overwritten) is the solver's only
+// working storage and backs the returned Solution's PerLine, so an engine
+// that solves hundreds of states per run can recycle the buffers.
 func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 	budget := spec.MaxBytes - spec.BaseBytes
 	unbounded := spec.MaxBytes <= 0

@@ -5,19 +5,24 @@ import (
 	"testing"
 )
 
+// solveCache is solveCacheInto with a fresh buffer.
+func solveCache(lines []Line, spec CacheSpec) Solution {
+	return solveCacheInto(make([]LineRates, len(lines)), lines, spec)
+}
+
 func TestSolveCacheFixedPoint(t *testing.T) {
 	// 60 lines with Zipf-ish rates; bytes chosen so the bound binds.
 	var lines []Line
 	for i := 0; i < 60; i++ {
 		lines = append(lines, Line{Lambda: 2 / float64(i+1), TTL: 300, Bytes: 100})
 	}
-	unbounded := SolveCache(lines, CacheSpec{Policy: "lru"})
+	unbounded := solveCache(lines, CacheSpec{Policy: "lru"})
 	if !math.IsInf(unbounded.CharTime, 1) {
 		t.Fatalf("unbounded solve should not bind: charTime %v", unbounded.CharTime)
 	}
 	budget := unbounded.OccBytes * 0.5
 	for _, policy := range []string{"fifo", "lru", "slru"} {
-		sol := SolveCache(lines, CacheSpec{MaxBytes: budget, Policy: policy})
+		sol := solveCache(lines, CacheSpec{MaxBytes: budget, Policy: policy})
 		if sol.OccBytes > budget*1.02 {
 			t.Errorf("%s: occupancy bytes %.0f exceed budget %.0f", policy, sol.OccBytes, budget)
 		}
@@ -34,8 +39,8 @@ func TestSolveCacheFixedPoint(t *testing.T) {
 	}
 	// SLRU's knapsack favors the head: its aggregate hit rate should beat
 	// FIFO's under the same budget (the retention-dominated regime).
-	slru := SolveCache(lines, CacheSpec{MaxBytes: budget, Policy: "slru"})
-	fifo := SolveCache(lines, CacheSpec{MaxBytes: budget, Policy: "fifo"})
+	slru := solveCache(lines, CacheSpec{MaxBytes: budget, Policy: "slru"})
+	fifo := solveCache(lines, CacheSpec{MaxBytes: budget, Policy: "fifo"})
 	if slru.Hit <= fifo.Hit {
 		t.Errorf("slru hit %.4f should beat fifo %.4f under pressure", slru.Hit, fifo.Hit)
 	}

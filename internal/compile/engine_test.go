@@ -237,7 +237,7 @@ func TestDefaultDiurnalMeanOne(t *testing.T) {
 }
 
 // referenceRun is the engine without a memo: every (segment, group) use
-// solves its steady state afresh with SolveCache, and the arithmetic is
+// solves its steady state afresh with solveCache, and the arithmetic is
 // written out as the model states it (Band methods, math.Min). Run must
 // match it bit for bit, so it is also the check that recycling a solution
 // buffer never hands a group another key's rates.
@@ -266,7 +266,7 @@ func referenceRun(p *Program) *Result {
 					lines[i] = Line{Lambda: lambdaCell * b.PerName(), TTL: g.Lifetime,
 						Bytes: p.Spec.RecordBytes, Count: float64(b.Count())}
 				}
-				sol = SolveCache(lines, g.Cache)
+				sol = solveCache(lines, g.Cache)
 			}
 			for bi, b := range p.Bands {
 				li := lambdaCell * b.PerName()

@@ -63,15 +63,6 @@ func (k *Key) KeyTag() uint16 {
 	return uint16(acc)
 }
 
-// DS returns the delegation-signer digest for publishing in the parent.
-func (k *Key) DS(ttl uint32) dnswire.RR {
-	sum := sha256.Sum256(append([]byte(k.Zone), k.Secret...))
-	return dnswire.RR{
-		Name: k.Zone, Type: dnswire.TypeDS, Class: dnswire.ClassIN, TTL: ttl,
-		Data: dnswire.DS{KeyTag: k.KeyTag(), Algorithm: algHMACLab, DigestType: 2, Digest: sum[:]},
-	}
-}
-
 // signedData serializes what the signature covers: owner, class, type,
 // OriginalTTL, validity window and the canonically-ordered RDATA set
 // (RFC 4034 §3.1.8.1, simplified).

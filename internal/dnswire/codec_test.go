@@ -46,7 +46,8 @@ func TestRoundTripAllRRTypes(t *testing.T) {
 		NewMX("example.org", 900, 10, "mail.example.org"),
 		NewTXT("example.org", 60, "v=spf1 -all", "second string"),
 		NewSOA("example.org", 86400, "ns1.example.org", "hostmaster.example.org", 2019021301, 7200, 3600, 1209600, 3600),
-		NewDNSKEY("example.org", 3600, 257, []byte{1, 2, 3, 4}),
+		RR{Name: NewName("example.org"), Type: TypeDNSKEY, Class: ClassIN, TTL: 3600,
+			Data: DNSKEY{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}},
 		RR{Name: NewName("example.org"), Type: TypeDS, Class: ClassIN, TTL: 3600,
 			Data: DS{KeyTag: 12345, Algorithm: 8, DigestType: 2, Digest: []byte{0xde, 0xad}}},
 		RR{Name: NewName("example.org"), Type: TypeRRSIG, Class: ClassIN, TTL: 3600,

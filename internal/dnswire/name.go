@@ -163,19 +163,6 @@ func (n Name) IsSubdomainOf(ancestor Name) bool {
 	return strings.HasSuffix(string(n), "."+string(ancestor))
 }
 
-// CommonAncestor returns the deepest name that is an ancestor of both names.
-func CommonAncestor(a, b Name) Name {
-	al, bl := a.Labels(), b.Labels()
-	n := 0
-	for n < len(al) && n < len(bl) && al[len(al)-1-n] == bl[len(bl)-1-n] {
-		n++
-	}
-	if n == 0 {
-		return Root
-	}
-	return Name(strings.Join(al[len(al)-n:], ".") + ".")
-}
-
 // String returns the presentation form.
 func (n Name) String() string {
 	if n.IsRoot() {

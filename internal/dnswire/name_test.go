@@ -110,21 +110,6 @@ func TestIsSubdomainOf(t *testing.T) {
 	}
 }
 
-func TestCommonAncestor(t *testing.T) {
-	cases := []struct{ a, b, want string }{
-		{"www.example.org", "mail.example.org", "example.org"},
-		{"example.org", "example.com", "."},
-		{"a.b.c.org", "b.c.org", "b.c.org"},
-		{"x.org", "x.org", "x.org"},
-	}
-	for _, c := range cases {
-		got := CommonAncestor(NewName(c.a), NewName(c.b))
-		if got != NewName(c.want) {
-			t.Errorf("CommonAncestor(%q, %q) = %q, want %q", c.a, c.b, got, c.want)
-		}
-	}
-}
-
 func TestMustNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

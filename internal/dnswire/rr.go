@@ -230,10 +230,3 @@ func NewSOA(name string, ttl uint32, mname, rname string, serial, refresh, retry
 		Serial: serial, Refresh: refresh, Retry: retry, Expire: expire, Minimum: minimum,
 	}}
 }
-
-// NewDNSKEY builds a DNSKEY record with opaque key material.
-func NewDNSKEY(name string, ttl uint32, flags uint16, key []byte) RR {
-	return RR{Name: MustName(name), Type: TypeDNSKEY, Class: ClassIN, TTL: ttl, Data: DNSKEY{
-		Flags: flags, Protocol: 3, Algorithm: 8, PublicKey: key,
-	}}
-}

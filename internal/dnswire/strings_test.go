@@ -13,7 +13,7 @@ func TestRDataTypesSealed(t *testing.T) {
 		NewMX("a.org", 1, 5, "mx.a.org"),
 		NewTXT("a.org", 1, "x"),
 		NewSOA("a.org", 1, "ns.a.org", "h.a.org", 1, 2, 3, 4, 5),
-		NewDNSKEY("a.org", 1, 257, []byte{1}),
+		{Name: NewName("a.org"), Type: TypeDNSKEY, Data: DNSKEY{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1}}},
 		{Name: NewName("a.org"), Type: TypeDS, Data: DS{KeyTag: 1, Algorithm: 8, DigestType: 2, Digest: []byte{1}}},
 		{Name: NewName("a.org"), Type: TypeRRSIG, Data: RRSIG{TypeCovered: TypeA, SignerName: NewName("a.org")}},
 		{Name: NewName("1.2.0.192.in-addr.arpa"), Type: TypePTR, Data: PTR{Target: NewName("a.org")}},

@@ -9,7 +9,6 @@ import (
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/population"
 	"dnsttl/internal/resolver"
-	"dnsttl/internal/stats"
 )
 
 // validate.go closes the loop between the two execution planes: the
@@ -63,40 +62,6 @@ func (r ModelRow) ceiling() float64 {
 type ModelValidation struct {
 	Name string
 	Rows []ModelRow
-}
-
-// MaxDelta is the worst absolute model error across the grid.
-func (v *ModelValidation) MaxDelta() float64 {
-	worst := 0.0
-	for _, r := range v.Rows {
-		if d := r.Delta(); d > worst {
-			worst = d
-		} else if -d > worst {
-			worst = -d
-		}
-	}
-	return worst
-}
-
-// Report renders the comparison as a standard experiment report.
-func (v *ModelValidation) Report() *Report {
-	tbl := &stats.Table{
-		Title:  fmt.Sprintf("Compiled model vs simulated %s (max |Δ| = %.4f)", v.Name, v.MaxDelta()),
-		Header: []string{"cell", "simulated", "compiled", "Δ"},
-	}
-	m := map[string]float64{}
-	for _, r := range v.Rows {
-		tbl.AddRow(r.Key, fmt.Sprintf("%.4f", r.Simulated),
-			fmt.Sprintf("%.4f", r.Compiled), fmt.Sprintf("%+.4f", r.Delta()))
-		m["delta_"+r.Key] = r.Delta()
-	}
-	m["max_delta"] = v.MaxDelta()
-	return &Report{
-		ID:      "Model validation: " + v.Name,
-		Title:   fmt.Sprintf("Workload-compiler hit rates track the simulated %s experiment", v.Name),
-		Text:    tbl.String(),
-		Metrics: m,
-	}
 }
 
 // cellSpec lowers one simulated Zipf-world cell to the spec that describes

@@ -65,9 +65,6 @@ func ratio(num, den uint64) float64 {
 	return float64(num) / float64(den)
 }
 
-// HitRate is the effective fleet cache-hit rate; see Rates.Hit.
-func (s Stats) HitRate() float64 { return s.Rates().Hit }
-
 // String renders the fleet table.
 func (s Stats) String() string {
 	var b strings.Builder

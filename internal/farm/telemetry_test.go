@@ -17,9 +17,6 @@ func TestStatsRates(t *testing.T) {
 	if r := empty.Rates(); r.Hit != 0 || r.Stale != 0 || r.Timeout != 0 {
 		t.Fatalf("zero-traffic rates = %+v, want all 0", r)
 	}
-	if empty.HitRate() != 0 {
-		t.Fatal("zero-traffic HitRate must be 0")
-	}
 
 	s := Stats{Total: FrontendStats{
 		Client: 80, Hits: 50, Stale: 8, Coalesced: 20, Upstream: 200, Timeouts: 10,
@@ -33,9 +30,6 @@ func TestStatsRates(t *testing.T) {
 	}
 	if want := 10.0 / 200.0; r.Timeout != want {
 		t.Fatalf("Timeout = %v, want %v", r.Timeout, want)
-	}
-	if s.HitRate() != r.Hit {
-		t.Fatal("HitRate must delegate to Rates().Hit")
 	}
 	if out := s.String(); !strings.Contains(out, "hit=0.700") {
 		t.Fatalf("fleet table missing rate footer:\n%s", out)

@@ -97,14 +97,19 @@ func (s *cacheStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	if ttl <= 0 {
 		return resp, nil
 	}
+	fresh := &memoEntry{resp: resp, stored: now, expires: now.Add(ttl)}
 	s.mu.Lock()
-	if _, ok := s.memo[k]; !ok {
+	if e, ok := s.memo[k]; !ok {
 		for len(s.memo) >= s.entries && len(s.order) > 0 {
 			delete(s.memo, s.order[0])
 			s.order = s.order[1:]
 		}
-		s.memo[k] = &memoEntry{resp: resp, stored: now, expires: now.Add(ttl)}
+		s.memo[k] = fresh
 		s.order = append(s.order, k)
+	} else if !now.Before(e.expires) {
+		// The expired entry this miss refetched: the key keeps its slot in
+		// order. An unexpired one was filled by a concurrent miss and stays.
+		s.memo[k] = fresh
 	}
 	s.mu.Unlock()
 	return resp, nil

@@ -186,15 +186,6 @@ func Build(spec string, env Env) (*Pipeline, error) {
 	return pl, nil
 }
 
-// MustBuild is Build for canned specs in tests and experiments.
-func MustBuild(spec string, env Env) *Pipeline {
-	p, err := Build(spec, env)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // Check parses and type-checks a spec without an environment — the
 // daemons validate a -pipeline file (and a SIGHUP replacement) with it
 // before committing.

@@ -52,6 +52,15 @@ func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Re
 	return &resolver.Result{Msg: msg, Trace: resolver.Trace{Queries: 1, AnswerTTL: msg.Answer[0].TTL}}, nil
 }
 
+// mustBuild is Build for the canned specs below.
+func mustBuild(spec string, env Env) *Pipeline {
+	p, err := Build(spec, env)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func query(name string, client string) *Query {
 	q := &Query{Name: dnswire.MustName(name), Type: dnswire.TypeA}
 	if client != "" {
@@ -130,7 +139,7 @@ func TestCheckNeedsNoEnv(t *testing.T) {
 func TestBlocklistStage(t *testing.T) {
 	fl := &fakeLookup{}
 	reg := obs.NewRegistry(nil)
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "bl"
 [stage.bl]
 type   = "blocklist"
@@ -168,7 +177,7 @@ type = "resolver"
 
 func TestStaticStage(t *testing.T) {
 	fl := &fakeLookup{}
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "pin"
 [stage.pin]
 type   = "static"
@@ -208,7 +217,7 @@ func TestRateLimitStage(t *testing.T) {
 	fl := &fakeLookup{}
 	clk := simnet.NewVirtualClock()
 	reg := obs.NewRegistry(clk)
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "shield"
 [stage.shield]
 type  = "ratelimit"
@@ -257,7 +266,7 @@ type = "resolver"
 func TestRateLimitPrefixAggregation(t *testing.T) {
 	fl := &fakeLookup{}
 	clk := simnet.NewVirtualClock()
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "shield"
 [stage.shield]
 type    = "ratelimit"
@@ -293,7 +302,7 @@ func TestDedupStageCoalesces(t *testing.T) {
 		once.Do(func() { close(entered) })
 		<-release
 	}}
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "sf"
 [stage.sf]
 type = "dedup"
@@ -350,7 +359,7 @@ type = "resolver"
 func TestCacheStage(t *testing.T) {
 	fl := &fakeLookup{ttl: 100}
 	clk := simnet.NewVirtualClock()
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "memo"
 [stage.memo]
 type = "cache"
@@ -385,6 +394,10 @@ type = "resolver"
 	if fl.calls.Load() != 2 {
 		t.Fatalf("lookup calls = %d, want 2", fl.calls.Load())
 	}
+	clk.Advance(time.Second)
+	if resp, _ := p.Resolve(ctx, query("hot.example", "10.0.0.1")); resp.Verdict != VerdictCached || fl.calls.Load() != 2 {
+		t.Fatalf("after the refetch: verdict %v, %d lookups; want the refetched answer memoized (cached, 2)", resp.Verdict, fl.calls.Load())
+	}
 
 	// A CNAME chain lives for its shortest link (CNAME 300 -> A 20): a hit
 	// before 20 s decays both TTLs, and past it the whole response is gone.
@@ -405,7 +418,7 @@ type = "resolver"
 func TestCacheStageEviction(t *testing.T) {
 	fl := &fakeLookup{ttl: 1000}
 	clk := simnet.NewVirtualClock()
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "memo"
 [stage.memo]
 type    = "cache"
@@ -434,7 +447,7 @@ type = "resolver"
 
 func TestTTLModStage(t *testing.T) {
 	fl := &fakeLookup{ttl: 86400}
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "clamp"
 [stage.clamp]
 type = "ttlmod"
@@ -459,7 +472,7 @@ type = "resolver"
 
 func TestCollapseStage(t *testing.T) {
 	fl := &fakeLookup{}
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "min"
 [stage.min]
 type = "collapse"
@@ -482,7 +495,7 @@ type = "resolver"
 
 func TestRouterStage(t *testing.T) {
 	fl := &fakeLookup{}
-	p := MustBuild(`
+	p := mustBuild(`
 entry = "split"
 [stage.split]
 type    = "router"

@@ -21,7 +21,6 @@ import (
 	"io"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,41 +51,6 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// Gauge is an atomic instantaneous value. The nil *Gauge is a valid no-op.
-type Gauge struct {
-	bits atomic.Uint64 // math.Float64bits encoding
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value (0 for a nil gauge).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
 }
 
 // numBuckets is the fixed histogram shape: bucket 0 holds values below 1,
@@ -283,19 +247,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile interpolates the q-th quantile from the snapshot's buckets,
-// clamped to the observed [Min, Max]. It returns 0 for an empty snapshot.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	var counts [numBuckets]uint64
-	for _, b := range s.Buckets {
-		counts[bucketOf(b.Lo)] = b.Count
-	}
-	return quantileFromBuckets(counts[:], s.Count, q, s.Min, s.Max)
-}
-
 // quantileFromBuckets finds the bucket holding rank q·total and linearly
 // interpolates within it, clamping to the observed extremes so a
 // single-bucket histogram reports exact-ish values.
@@ -348,7 +299,6 @@ type Registry struct {
 
 	mu         sync.RWMutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() float64
 	hists      map[string]*Histogram
 }
@@ -363,7 +313,6 @@ func NewRegistry(clock simnet.Clock) *Registry {
 	return &Registry{
 		clock:      clock,
 		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
 		gaugeFuncs: make(map[string]func() float64),
 		hists:      make(map[string]*Histogram),
 	}
@@ -399,29 +348,10 @@ func (r *Registry) OwnedCounter(name string) *Counter {
 	return r.Counter(name)
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// GaugeFunc registers fn to be evaluated at snapshot time under name —
-// the bridge for subsystems that already keep their own counters (the
-// cache's Stats, the authoritative query log). Re-registering replaces.
+// GaugeFunc registers fn to be evaluated at snapshot time under name — the
+// only kind of gauge: every subsystem that reports one already keeps the
+// value (the cache's Stats, the listeners' loop counters). Re-registering
+// replaces.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return
@@ -474,11 +404,8 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[n] = c.Value()
 		}
 	}
-	if len(r.gauges)+len(r.gaugeFuncs) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges)+len(r.gaugeFuncs))
-		for n, g := range r.gauges {
-			s.Gauges[n] = g.Value()
-		}
+	if len(r.gaugeFuncs) > 0 {
+		s.Gauges = make(map[string]float64, len(r.gaugeFuncs))
 		for n, fn := range r.gaugeFuncs {
 			s.Gauges[n] = fn()
 		}
@@ -499,19 +426,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// HistogramNames lists the registered histograms in sorted order.
-func (r *Registry) HistogramNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.hists))
-	for n := range r.hists {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

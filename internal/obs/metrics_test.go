@@ -21,29 +21,26 @@ func TestCounterGaugeBasics(t *testing.T) {
 	if reg.Counter("a.count") != c {
 		t.Fatal("second lookup returned a different handle")
 	}
-	g := reg.Gauge("a.gauge")
-	g.Set(2.5)
-	g.Add(-1)
-	if got := g.Value(); got != 1.5 {
-		t.Fatalf("gauge = %v, want 1.5", got)
+	v := 2.5
+	reg.GaugeFunc("a.gauge", func() float64 { return v })
+	v = 1.5
+	if got := reg.Snapshot().Gauges["a.gauge"]; got != 1.5 {
+		t.Fatalf("gauge = %v, want 1.5 (read at snapshot time)", got)
 	}
 }
 
 func TestNilHandlesAreSafe(t *testing.T) {
 	var c *Counter
-	var g *Gauge
 	var h *Histogram
 	var reg *Registry
 	c.Inc()
 	c.Add(3)
-	g.Set(1)
-	g.Add(1)
 	h.Observe(1)
 	h.ObserveDuration(time.Second)
-	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
+	if c.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil handles must read as zero")
 	}
-	if reg.Counter("x") != nil || reg.Gauge("x") != nil || reg.Histogram("x") != nil {
+	if reg.Counter("x") != nil || reg.Histogram("x") != nil {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	reg.GaugeFunc("x", func() float64 { return 1 })
@@ -59,9 +56,6 @@ func TestHistogramZeroObservations(t *testing.T) {
 	s := h.Snapshot()
 	if s.Count != 0 || s.P50 != 0 || s.P99 != 0 || len(s.Buckets) != 0 {
 		t.Fatalf("empty histogram snapshot not zero: %+v", s)
-	}
-	if q := s.Quantile(0.5); q != 0 {
-		t.Fatalf("empty Quantile = %v, want 0", q)
 	}
 }
 
@@ -79,13 +73,8 @@ func TestHistogramSingleBucket(t *testing.T) {
 	if s.Min != 10 || s.Max != 10 {
 		t.Fatalf("extremes = [%v, %v], want [10, 10]", s.Min, s.Max)
 	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if got := s.Quantile(q); got != 10 {
-			t.Fatalf("Quantile(%v) = %v, want clamp to 10", q, got)
-		}
-	}
 	if s.P50 != 10 || s.P90 != 10 || s.P99 != 10 {
-		t.Fatalf("snapshot percentiles %v/%v/%v, want all 10", s.P50, s.P90, s.P99)
+		t.Fatalf("snapshot percentiles %v/%v/%v, want all clamped to 10", s.P50, s.P90, s.P99)
 	}
 }
 
@@ -109,7 +98,7 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	if s.Max != huge {
 		t.Fatalf("max = %g, want %g", s.Max, huge)
 	}
-	if q := s.Quantile(0.99); q > huge || q < 1e30 {
+	if q := s.P99; q > huge || q < 1e30 {
 		t.Fatalf("overflow quantile %g outside [1e30, max]", q)
 	}
 	// Negative and sub-1 values take the low bucket, never panic.
@@ -185,7 +174,7 @@ func TestSnapshotDeterministicUnderVirtualClock(t *testing.T) {
 	clock := simnet.NewVirtualClock()
 	reg := NewRegistry(clock)
 	reg.Counter("resolver.resolutions").Add(7)
-	reg.Gauge("cache.entries").Set(3)
+	reg.GaugeFunc("cache.entries", func() float64 { return 3 })
 	reg.GaugeFunc("cache.hits", func() float64 { return 12 })
 	h := reg.Histogram("resolver.latency_ms")
 	for i := 0; i < 50; i++ {
@@ -213,17 +202,13 @@ func TestSnapshotDeterministicUnderVirtualClock(t *testing.T) {
 }
 
 // TestCounterIncrementAllocFree pins the metric hot paths to zero
-// allocations: counter increments, gauge sets, and histogram observes.
+// allocations: counter increments and histogram observes.
 func TestCounterIncrementAllocFree(t *testing.T) {
 	reg := NewRegistry(nil)
 	c := reg.Counter("hot.counter")
-	g := reg.Gauge("hot.gauge")
 	h := reg.Histogram("hot.hist")
 	if allocs := testing.AllocsPerRun(200, func() { c.Inc() }); allocs >= 0.5 {
 		t.Errorf("Counter.Inc: %.2f allocs/op, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(200, func() { g.Set(4) }); allocs >= 0.5 {
-		t.Errorf("Gauge.Set: %.2f allocs/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { h.Observe(12.5) }); allocs >= 0.5 {
 		t.Errorf("Histogram.Observe: %.2f allocs/op, want 0", allocs)
@@ -233,15 +218,5 @@ func TestCounterIncrementAllocFree(t *testing.T) {
 	var nh *Histogram
 	if allocs := testing.AllocsPerRun(200, func() { nc.Inc(); nh.Observe(1) }); allocs >= 0.5 {
 		t.Errorf("nil handles: %.2f allocs/op, want 0", allocs)
-	}
-}
-
-func TestRegistryHistogramNames(t *testing.T) {
-	reg := NewRegistry(nil)
-	reg.Histogram("b")
-	reg.Histogram("a")
-	names := reg.HistogramNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("names = %v, want sorted [a b]", names)
 	}
 }

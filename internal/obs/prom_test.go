@@ -23,7 +23,7 @@ func TestPromName(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry(simnet.NewVirtualClock())
 	reg.Counter("resolver.resolutions").Add(7)
-	reg.Gauge("cache.bytes").Set(1234.5)
+	reg.GaugeFunc("cache.bytes", func() float64 { return 1234.5 })
 	reg.GaugeFunc("cache.entries", func() float64 { return 3 })
 	h := reg.Histogram("resolver.latency_ms")
 	for _, v := range []float64{0.5, 3, 3, 10, 200} {

@@ -86,16 +86,6 @@ func (h *History) Stop() {
 	h.stopOnce.Do(func() { close(h.stop) })
 }
 
-// Len reports how many snapshots the ring currently holds.
-func (h *History) Len() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
 // snapshotAt returns the i-th oldest retained snapshot (0 = oldest).
 // Caller holds h.mu.
 func (h *History) snapshotAt(i int) Snapshot {

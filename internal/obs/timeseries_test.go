@@ -67,6 +67,16 @@ func TestHistoryWindow(t *testing.T) {
 	}
 }
 
+// len reports how many snapshots the ring currently holds.
+func (h *History) len() int {
+	if h == nil {
+		return 0
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.count
+}
+
 // TestHistoryRingEviction fills the ring past capacity and checks the
 // oldest snapshots are evicted.
 func TestHistoryRingEviction(t *testing.T) {
@@ -79,8 +89,8 @@ func TestHistoryRingEviction(t *testing.T) {
 		hist.Sample()
 		clock.Advance(time.Second)
 	}
-	if hist.Len() != 4 {
-		t.Fatalf("ring holds %d snapshots, want 4", hist.Len())
+	if hist.len() != 4 {
+		t.Fatalf("ring holds %d snapshots, want 4", hist.len())
 	}
 	// The oldest retained snapshot is from iteration 6 (counter=7).
 	d, ok := hist.Window(time.Hour)
@@ -97,7 +107,7 @@ func TestHistoryNilAndEmpty(t *testing.T) {
 	var h *History
 	h.Sample()
 	h.Stop()
-	if h.Len() != 0 {
+	if h.len() != 0 {
 		t.Fatal("nil history has nonzero length")
 	}
 	if _, ok := h.Window(time.Second); ok {
@@ -118,11 +128,11 @@ func TestHistoryStartStop(t *testing.T) {
 	h := NewHistory(reg, 16)
 	h.Start(time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
-	for h.Len() < 3 && time.Now().Before(deadline) {
+	for h.len() < 3 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	h.Stop()
-	if h.Len() < 3 {
-		t.Fatalf("sampler collected %d snapshots, want >= 3", h.Len())
+	if h.len() < 3 {
+		t.Fatalf("sampler collected %d snapshots, want >= 3", h.len())
 	}
 }

@@ -79,19 +79,6 @@ func (s *Span) Duration() time.Duration {
 	return s.End.Sub(s.Start)
 }
 
-// Attr returns the value of the named annotation ("" when absent).
-func (s *Span) Attr(key string) string {
-	if s == nil {
-		return ""
-	}
-	for _, a := range s.Attrs {
-		if a.Key == key {
-			return a.Val
-		}
-	}
-	return ""
-}
-
 // Walk visits the span and every descendant depth-first.
 func (s *Span) Walk(fn func(depth int, sp *Span)) {
 	if s == nil {

@@ -28,12 +28,6 @@ func TestSpanTree(t *testing.T) {
 	if root.Duration() != 10*time.Millisecond {
 		t.Fatalf("root duration = %v, want 10ms", root.Duration())
 	}
-	if got := ex.Attr("server"); got != "198.41.0.4" {
-		t.Fatalf("Attr(server) = %q", got)
-	}
-	if got := ex.Attr("absent"); got != "" {
-		t.Fatalf("Attr(absent) = %q, want empty", got)
-	}
 
 	out := root.String()
 	for _, want := range []string{"resolve www.example.org. A", "cache lookup", "outcome=miss",
@@ -100,7 +94,7 @@ func TestNilSpanCallsAllocFree(t *testing.T) {
 	if allocs >= 0.5 {
 		t.Errorf("nil span/tracer calls: %.2f allocs/op, want 0", allocs)
 	}
-	if sp.String() != "" || sp.Attr("x") != "" {
+	if sp.String() != "" {
 		t.Fatal("nil span readers must return zero values")
 	}
 }

@@ -135,20 +135,6 @@ func (m Mix) Pick(r *rand.Rand) Profile {
 	return m[len(m)-1]
 }
 
-// FractionChildCentric returns the weight share of child-centric profiles.
-func (m Mix) FractionChildCentric() float64 {
-	if len(m) == 0 {
-		return 1
-	}
-	child := 0.0
-	for _, p := range m {
-		if p.Policy.Centricity == resolver.ChildCentric && !p.Policy.LocalRoot {
-			child += p.Weight
-		}
-	}
-	return child / m.totalWeight()
-}
-
 // Builder constructs resolvers for a simulation from profiles: Build makes
 // one private resolver, and atlas.NewFleet hands the same fields to farm.New
 // for a shared public service.

@@ -12,13 +12,28 @@ import (
 	"dnsttl/internal/zone"
 )
 
+// fractionChildCentric returns the weight share of child-centric profiles, to
+// check the default mix against the paper's ~90 %.
+func (m Mix) fractionChildCentric() float64 {
+	if len(m) == 0 {
+		return 1
+	}
+	child := 0.0
+	for _, p := range m {
+		if p.Policy.Centricity == resolver.ChildCentric && !p.Policy.LocalRoot {
+			child += p.Weight
+		}
+	}
+	return child / m.totalWeight()
+}
+
 func TestDefaultMixWeights(t *testing.T) {
 	m := DefaultMix()
 	if got := m.totalWeight(); math.Abs(got-1) > 1e-9 {
 		t.Errorf("total weight = %v, want 1", got)
 	}
 	// The paper's headline: ~90 % child-centric.
-	frac := m.FractionChildCentric()
+	frac := m.fractionChildCentric()
 	if frac < 0.85 || frac > 0.95 {
 		t.Errorf("child-centric fraction = %.3f, want ≈0.9", frac)
 	}
@@ -63,10 +78,10 @@ func TestPickEdgeCases(t *testing.T) {
 	if got := single.Pick(r); got.Name != "bind-like" {
 		t.Errorf("single mix pick = %+v", got)
 	}
-	if single.FractionChildCentric() != 1 {
-		t.Errorf("AllChildCentric fraction = %v", single.FractionChildCentric())
+	if single.fractionChildCentric() != 1 {
+		t.Errorf("AllChildCentric fraction = %v", single.fractionChildCentric())
 	}
-	if (Mix{}).FractionChildCentric() != 1 {
+	if (Mix{}).fractionChildCentric() != 1 {
 		t.Errorf("empty mix child fraction should default to 1")
 	}
 }

@@ -64,13 +64,6 @@ func (f *Feed) Origin() dnswire.Name { return f.zone.Origin }
 // Zone returns the zone this feed versions.
 func (f *Feed) Zone() *zone.Zone { return f.zone }
 
-// Serial returns the feed's current serial.
-func (f *Feed) Serial() uint32 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.serial
-}
-
 // setOnChange installs the post-commit callback (Authority.AddFeed).
 func (f *Feed) setOnChange(fn func(origin dnswire.Name, serial uint32)) {
 	f.mu.Lock()

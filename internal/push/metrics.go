@@ -22,7 +22,7 @@ const (
 	// MetricSubscribes counts successful zone subscriptions.
 	MetricSubscribes = "push.subscribes"
 	// MetricSubscribeRetries counts failed subscription attempts (retried
-	// under the resolver's RetryPolicy backoff).
+	// on the next Tick).
 	MetricSubscribeRetries = "push.subscribe_retries"
 	// MetricPolls counts SOA fallback polls sent when notifies go quiet.
 	MetricPolls = "push.polls"

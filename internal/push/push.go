@@ -14,8 +14,8 @@
 // subscription requests (a NOTIFY-opcode query for type IXFR), NOTIFY
 // fan-out to subscribers on every change, and SOA-framed IXFR responses
 // with an AXFR-shaped full-zone fallback when the history no longer covers
-// a client's serial. Subscriber is the resolver side: it subscribes with
-// resubscribe backoff under the resolver's RetryPolicy, applies deltas as
+// a client's serial. Subscriber is the resolver side: it subscribes,
+// resubscribing on every Tick after a failure, applies deltas as
 // cache purges across one or many stores (a farm's frontends), falls back
 // to SOA polling when notifies stop arriving, and vetoes RFC 8767
 // serve-stale for names it knows to be superseded (resolver.StaleGate).

@@ -14,7 +14,6 @@ import (
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
-	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/zone"
 )
@@ -23,6 +22,23 @@ var (
 	authAddr = netip.MustParseAddr("192.0.2.53")
 	subAddr  = netip.MustParseAddr("192.0.2.10")
 )
+
+// healthy reports whether origin's subscription is inside its health
+// window.
+func (s *Subscriber) healthy(origin dnswire.Name) bool {
+	now := s.clock.Now()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	zs := s.zones[origin]
+	return zs != nil && s.healthyLocked(zs, now)
+}
+
+// currentSerial returns the feed's current serial.
+func (f *Feed) currentSerial() uint32 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.serial
+}
 
 func testZone() *zone.Zone {
 	z := zone.New(dnswire.NewName("example.org"))
@@ -133,7 +149,7 @@ func TestFeedSerialMonotonic(t *testing.T) {
 		uniq := 0
 		for i := 0; i < 300; i++ {
 			randomMutate(z, rng, &uniq)
-			if got, want := z.Serial(), f.Serial(); got != want {
+			if got, want := z.Serial(), f.currentSerial(); got != want {
 				t.Fatalf("seed %d: zone serial %d != feed serial %d", seed, got, want)
 			}
 		}
@@ -148,8 +164,8 @@ func TestFeedSerialMonotonic(t *testing.T) {
 			}
 			want++
 		}
-		if want != f.Serial() {
-			t.Fatalf("seed %d: chain ends at %d, feed serial %d", seed, want, f.Serial())
+		if want != f.currentSerial() {
+			t.Fatalf("seed %d: chain ends at %d, feed serial %d", seed, want, f.currentSerial())
 		}
 	}
 }
@@ -280,7 +296,7 @@ func TestPushPurgeOnNotify(t *testing.T) {
 	if got := w.sub.Stats().Subscribes; got != 1 {
 		t.Fatalf("Subscribes = %d", got)
 	}
-	if !w.sub.Healthy(w.zone.Origin) {
+	if !w.sub.healthy(w.zone.Origin) {
 		t.Fatal("fresh subscription not healthy")
 	}
 
@@ -363,7 +379,7 @@ func TestNotifyAtMostOnce(t *testing.T) {
 
 	// Duplicate the current-serial notify three times, then replay the
 	// pre-change serial (a reordered stale notify).
-	cur := w.feed.Serial()
+	cur := w.feed.currentSerial()
 	for i := 0; i < 3; i++ {
 		ack := w.sub.ServeDNS(notifyAt(cur), authAddr)
 		resp, err := dnswire.Decode(ack)
@@ -448,8 +464,8 @@ func TestAXFRFallback(t *testing.T) {
 	}
 }
 
-// TestSubscribeRetryBackoff pins the resubscribe lifecycle under the
-// resolver's RetryPolicy: failures back off exponentially, success restores
+// TestSubscribeRetryBackoff pins the resubscribe lifecycle: every Tick
+// retries a failed subscription (there is no backoff), success restores
 // health, and a zone the authority does not feed is refused.
 func TestSubscribeRetryBackoff(t *testing.T) {
 	net := simnet.NewNetwork(1)
@@ -458,7 +474,6 @@ func TestSubscribeRetryBackoff(t *testing.T) {
 		Addr:  subAddr,
 		Net:   net,
 		Clock: clock,
-		Retry: resolver.RetryPolicy{Backoff: 10 * time.Second},
 	})
 	origin := dnswire.NewName("example.org")
 
@@ -467,23 +482,18 @@ func TestSubscribeRetryBackoff(t *testing.T) {
 	if got := sub.Stats().SubscribeRetries; got != 1 {
 		t.Fatalf("SubscribeRetries = %d", got)
 	}
-	if sub.Healthy(origin) {
+	if sub.healthy(origin) {
 		t.Fatal("failed subscription reported healthy")
 	}
 
-	// Before the 10 s backoff elapses, Tick must not retry.
-	sub.Tick(clock.Now())
-	if got := sub.Stats().SubscribeRetries; got != 1 {
-		t.Fatalf("Tick retried inside the backoff window: %d", got)
-	}
-	clock.Advance(10 * time.Second)
+	// Every Tick retries a failed subscription.
 	sub.Tick(clock.Now())
 	if got := sub.Stats().SubscribeRetries; got != 2 {
-		t.Fatalf("SubscribeRetries after backoff = %d", got)
+		t.Fatalf("SubscribeRetries after a Tick = %d", got)
 	}
 
-	// The authority comes up; the next due attempt (backoff now 20 s)
-	// succeeds and the subscription is healthy again.
+	// The authority comes up; the next Tick's attempt succeeds and the
+	// subscription is healthy again.
 	z := testZone()
 	f, err := NewFeed(z, 0)
 	if err != nil {
@@ -502,7 +512,7 @@ func TestSubscribeRetryBackoff(t *testing.T) {
 	if st.Subscribes != 1 || st.SubscribeRetries != 2 {
 		t.Fatalf("stats after recovery = %+v", st)
 	}
-	if !sub.Healthy(origin) {
+	if !sub.healthy(origin) {
 		t.Fatal("recovered subscription not healthy")
 	}
 
@@ -545,7 +555,7 @@ func TestAllowStale(t *testing.T) {
 		t.Fatalf("StaleDenied = %d", got)
 	}
 
-	// No contact for HealthAfter (2 x PollEvery): the subscription goes
+	// No contact for 2 x PollEvery: the subscription goes
 	// unhealthy and every covered name is vetoed, purged or not.
 	w.clock.Advance(3 * time.Minute)
 	if w.sub.AllowStale(dnswire.NewName("other.example.org"), dnswire.TypeA, w.clock.Now()) {
@@ -597,7 +607,7 @@ func TestPushRaceHammer(t *testing.T) {
 				name := dnswire.NewName(fmt.Sprintf("host%d.example.org", i%8))
 				stores[(g*200+i)%len(stores)].Get(name, dnswire.TypeA)
 				w.sub.AllowStale(name, dnswire.TypeA, clock.Now())
-				w.sub.Healthy(w.zone.Origin)
+				w.sub.healthy(w.zone.Origin)
 			}
 		}(g)
 	}
@@ -612,7 +622,7 @@ func TestPushRaceHammer(t *testing.T) {
 	}
 	wg.Wait()
 
-	if got, want := w.zone.Serial(), w.feed.Serial(); got != want {
+	if got, want := w.zone.Serial(), w.feed.currentSerial(); got != want {
 		t.Fatalf("zone serial %d != feed serial %d after hammer", got, want)
 	}
 	if w.sub.Stats().Notifies == 0 {
@@ -622,7 +632,7 @@ func TestPushRaceHammer(t *testing.T) {
 	// (a trailing notify may have been suppressed by an in-flight pull).
 	w.clock.Advance(time.Minute)
 	w.sub.Tick(w.clock.Now())
-	if !w.sub.Healthy(w.zone.Origin) {
+	if !w.sub.healthy(w.zone.Origin) {
 		t.Fatal("subscription unhealthy after hammer")
 	}
 }

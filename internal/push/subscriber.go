@@ -11,7 +11,6 @@ import (
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/qlog"
-	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 )
 
@@ -32,9 +31,6 @@ type Config struct {
 	Net simnet.Exchanger
 	// Clock drives polling, health, and purge timestamps; nil means wall.
 	Clock simnet.Clock
-	// Retry paces resubscribe attempts after failures: attempt n waits
-	// Retry.BackoffFor(n). The zero value retries on every Tick.
-	Retry resolver.RetryPolicy
 	// Stores are the caches purges apply to — one per farm frontend for
 	// private topologies, a single shared store otherwise.
 	Stores []cache.Store
@@ -49,25 +45,21 @@ type Config struct {
 	QLog *qlog.Tap
 	// PollEvery is the SOA polling fallback period; 0 means
 	// DefaultPollEvery. Polling also resynchronizes the serial after missed
-	// notifies, so it bounds the stale window under push-channel faults.
+	// notifies, so it bounds the stale window under push-channel faults. A
+	// subscription that has not heard from its authority (subscribe ack,
+	// notify, or poll reply) for 2×PollEvery is unhealthy, and serve-stale
+	// is vetoed for the names it covers.
 	PollEvery time.Duration
-	// HealthAfter is how long a subscription may go without hearing from
-	// its authority (subscribe ack, notify, or poll reply) before it is
-	// unhealthy and serve-stale is vetoed for the names it covers; 0 means
-	// 2×PollEvery.
-	HealthAfter time.Duration
 }
 
 // zoneSub is one zone subscription's state.
 type zoneSub struct {
-	origin      dnswire.Name
-	server      netip.Addr
-	serial      uint32
-	subscribed  bool
-	failures    int
-	nextAttempt time.Time
-	lastSeen    time.Time
-	pulling     bool
+	origin     dnswire.Name
+	server     netip.Addr
+	serial     uint32
+	subscribed bool
+	lastSeen   time.Time
+	pulling    bool
 }
 
 // Subscriber is the resolver half of the push plane: it subscribes to zone
@@ -95,9 +87,6 @@ func NewSubscriber(cfg Config) *Subscriber {
 	}
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = DefaultPollEvery
-	}
-	if cfg.HealthAfter <= 0 {
-		cfg.HealthAfter = 2 * cfg.PollEvery
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = NewMetrics(nil)
@@ -147,8 +136,7 @@ func (s *Subscriber) Stats() Stats {
 func (s *Subscriber) PollEvery() time.Duration { return s.cfg.PollEvery }
 
 // Subscribe registers interest in origin served at server and attempts the
-// subscription immediately; failures are retried from Tick under the
-// configured RetryPolicy backoff.
+// subscription immediately; failures are retried on every Tick.
 func (s *Subscriber) Subscribe(origin dnswire.Name, server netip.Addr) {
 	s.mu.Lock()
 	zs := s.zones[origin]
@@ -162,29 +150,15 @@ func (s *Subscriber) Subscribe(origin dnswire.Name, server netip.Addr) {
 	s.trySubscribe(zs)
 }
 
-// Healthy reports whether origin's subscription has heard from its
-// authority within the health window.
-func (s *Subscriber) Healthy(origin dnswire.Name) bool {
-	s.mu.Lock()
-	zs := s.zones[origin]
-	s.mu.Unlock()
-	if zs == nil {
-		return false
-	}
-	now := s.clock.Now()
-	s.mu.Lock()
-	ok := s.healthyLocked(zs, now)
-	s.mu.Unlock()
-	return ok
-}
-
+// healthyLocked reports whether zs has heard from its authority within the
+// health window, two polling periods.
 func (s *Subscriber) healthyLocked(zs *zoneSub, now time.Time) bool {
 	return zs.subscribed && !zs.lastSeen.IsZero() &&
-		now.Sub(zs.lastSeen) < s.cfg.HealthAfter
+		now.Sub(zs.lastSeen) < 2*s.cfg.PollEvery
 }
 
-// Tick advances the subscription manager to now: resubscribe attempts come
-// due under the RetryPolicy backoff, and zones that have not heard from
+// Tick advances the subscription manager to now: unsubscribed zones retry
+// their subscription, and zones that have not heard from
 // their authority for PollEvery get an SOA poll — the fallback that bounds
 // staleness when the push channel drops notifies. Zones are visited in
 // sorted order so simulated runs are deterministic.
@@ -202,7 +176,7 @@ func (s *Subscriber) Tick(now time.Time) {
 	s.mu.Unlock()
 	for _, zs := range subs {
 		s.mu.Lock()
-		needSub := !zs.subscribed && !now.Before(zs.nextAttempt)
+		needSub := !zs.subscribed
 		needPoll := zs.subscribed && (zs.lastSeen.IsZero() || now.Sub(zs.lastSeen) >= s.cfg.PollEvery)
 		s.mu.Unlock()
 		if needSub {
@@ -232,16 +206,11 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 	serial, err := s.exchangeForSOA(zs.server, req)
 	now := s.clock.Now()
 	if err != nil {
-		s.mu.Lock()
-		zs.failures++
-		zs.nextAttempt = now.Add(s.cfg.Retry.BackoffFor(zs.failures))
-		s.mu.Unlock()
 		s.cfg.Metrics.SubscribeRetries.Inc()
 		return
 	}
 	s.mu.Lock()
 	zs.subscribed = true
-	zs.failures = 0
 	zs.lastSeen = now
 	prev := zs.serial
 	firstContact := prev == 0
@@ -259,7 +228,7 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 
 // poll sends one SOA query; an advanced serial means notifies were lost and
 // is recovered with a pull, a failed poll drops the subscription back into
-// resubscribe/backoff.
+// resubscribing.
 func (s *Subscriber) poll(zs *zoneSub) {
 	s.mu.Lock()
 	if zs.pulling {
@@ -274,8 +243,6 @@ func (s *Subscriber) poll(zs *zoneSub) {
 	if err != nil {
 		s.mu.Lock()
 		zs.subscribed = false
-		zs.failures++
-		zs.nextAttempt = now.Add(s.cfg.Retry.BackoffFor(zs.failures))
 		s.mu.Unlock()
 		return
 	}

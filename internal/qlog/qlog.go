@@ -263,10 +263,10 @@ type Config struct {
 	Registry *obs.Registry
 	// Clock stamps records; nil means wall clock.
 	Clock simnet.Clock
-	// FlushEvery bounds how long a record may sit in the write buffer;
-	// 0 means 250 ms.
-	FlushEvery time.Duration
 }
+
+// flushEvery bounds how long a record may sit in the write buffer.
+const flushEvery = 250 * time.Millisecond
 
 // PointMask selects which capture points a Logger retains.
 type PointMask uint8
@@ -354,9 +354,6 @@ func New(cfg Config) (*Logger, error) {
 	}
 	if cfg.MaxFiles <= 0 {
 		cfg.MaxFiles = 4
-	}
-	if cfg.FlushEvery <= 0 {
-		cfg.FlushEvery = 250 * time.Millisecond
 	}
 	if cfg.Points == 0 {
 		cfg.Points = MaskAll
@@ -493,7 +490,7 @@ func clientHash(a netip.Addr) uint64 {
 // consume drains the ring, encodes, and writes until Close.
 func (l *Logger) consume() {
 	defer close(l.done)
-	flush := time.NewTicker(l.cfg.FlushEvery)
+	flush := time.NewTicker(flushEvery)
 	defer flush.Stop()
 	for {
 		if l.drain() == 0 {

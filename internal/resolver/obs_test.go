@@ -138,11 +138,11 @@ func TestCacheNegativeTTLDecision(t *testing.T) {
 		t.Fatalf("SOA negative: ttl=%d fromSOA=%v, want 60 true", ttl, fromSOA)
 	}
 
-	// No SOA: policy fallback (default 60), still clamped.
+	// No SOA: the fixed fallback, still clamped.
 	ttl, fromSOA = r.cacheNegative(&dnswire.Message{}, dnswire.NewName("gone2.cachetest.net"),
 		dnswire.TypeA, 1, now)
-	if fromSOA || ttl != r.Policy.negTTLFallback() {
-		t.Fatalf("fallback negative: ttl=%d fromSOA=%v, want %d false", ttl, fromSOA, r.Policy.negTTLFallback())
+	if fromSOA || ttl != negTTLFallback {
+		t.Fatalf("fallback negative: ttl=%d fromSOA=%v, want %d false", ttl, fromSOA, negTTLFallback)
 	}
 
 	// The floor lifts an aggressive SOA minimum like any other TTL.

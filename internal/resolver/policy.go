@@ -97,20 +97,22 @@ type Policy struct {
 	// (coalesced and denied triggers are observable via Metrics). Zero
 	// means unlimited.
 	PrefetchBudget int
-	// NegTTLFallback is the negative-cache TTL used when a negative
-	// response carries no SOA to derive one from (RFC 2308 §5 leaves this
-	// implementation-defined). Zero means 60 s. Like every other TTL it is
-	// subject to TTLCap and TTLFloor.
-	NegTTLFallback uint32
-	// MaxRetries is how many distinct servers are tried per step before
-	// giving up; zero means 3. Superseded by Retry.Attempts when set.
-	MaxRetries int
 	// Retry configures the retry/backoff/hedging plane: per-step attempt
-	// budgets, exponential backoff with deterministic jitter, per-attempt
-	// and overall deadlines, hedged second queries, and SRTT-based server
-	// ordering. The zero value keeps the legacy behavior.
+	// budgets, exponential backoff with deterministic jitter, hedged second
+	// queries, and SRTT-based server ordering. The zero value keeps the
+	// legacy behavior.
 	Retry RetryPolicy
 }
+
+// negTTLFallback is the negative-cache TTL, in seconds, used when a
+// negative response carries no SOA to derive one from (RFC 2308 §5 leaves
+// this implementation-defined). Like every other TTL it is subject to
+// TTLCap and TTLFloor.
+const negTTLFallback uint32 = 60
+
+// legacyAttempts is how many distinct servers are tried per step before
+// giving up when Retry.Attempts is unset.
+const legacyAttempts = 3
 
 func (p Policy) prefetchThreshold() uint32 {
 	if p.PrefetchThreshold == 0 {
@@ -129,13 +131,6 @@ func (p Policy) prefetchTriggered(rem, ttl uint32) bool {
 		return float64(rem) <= p.PrefetchFraction*float64(ttl)
 	}
 	return rem <= p.prefetchThreshold()
-}
-
-func (p Policy) negTTLFallback() uint32 {
-	if p.NegTTLFallback == 0 {
-		return 60
-	}
-	return p.NegTTLFallback
 }
 
 // CacheConfig derives the cache configuration this policy implies: the TTL
@@ -184,13 +179,6 @@ func (p Policy) CacheLifetime(ttl uint32) uint32 {
 		return ttl
 	}
 	return p.ClampTTL(ttl)
-}
-
-func (p Policy) maxRetries() int {
-	if p.MaxRetries <= 0 {
-		return 3
-	}
-	return p.MaxRetries
 }
 
 // DefaultPolicy is a mainstream child-centric resolver: BIND-like one-week

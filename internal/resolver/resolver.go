@@ -566,10 +566,10 @@ var ednsOPT = dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
 // with their pinned choice) until one responds. Each attempt becomes an
 // "exchange" child of sp, the current step's span. With the zero-value
 // RetryPolicy this behaves exactly as the legacy resolver did: up to
-// Policy.maxRetries distinct servers, back to back, no extra randomness.
+// legacyAttempts distinct servers, back to back, no extra randomness.
 // An active Retry policy adds cycling attempts, backoff with deterministic
-// jitter, per-attempt and overall deadlines, and an optional hedged second
-// query on the first attempt. The reply is pooled; see attempt.
+// jitter, and an optional hedged second query on the first attempt. The
+// reply is pooled; see attempt.
 func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, error) {
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
@@ -578,10 +578,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 	if attempts <= 0 {
 		// Legacy semantics: distinct servers only, never more than the
 		// candidate list offers.
-		attempts = r.Policy.maxRetries()
-		if attempts > len(order) {
-			attempts = len(order)
-		}
+		attempts = min(legacyAttempts, len(order))
 	}
 
 	// The query is encoded once; each attempt stamps a fresh transaction ID
@@ -598,15 +595,11 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 		return nil, netip.Addr{}, err
 	}
 
-	var (
-		spent   time.Duration // virtual cost of this step's attempts
-		lastErr error
-	)
+	var lastErr error
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			if b := rp.backoffFor(i); b > 0 {
 				d := b + r.drawJitter(rp, b)
-				spent += d
 				res.Latency += d
 				if m := r.Obs; m != nil {
 					m.Backoff.Observe(float64(d) / float64(time.Millisecond))
@@ -615,10 +608,6 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 					sp.AnnotateUint("backoff_us", uint64(d/time.Microsecond))
 				}
 			}
-			if rp.Deadline > 0 && spent >= rp.Deadline {
-				sp.Annotate("retry", "deadline-exhausted")
-				break
-			}
 			res.Retries++
 			if m := r.Obs; m != nil {
 				m.Retries.Inc()
@@ -626,7 +615,6 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 		}
 		if i == 0 && rp.Hedge > 0 && len(order) > 1 {
 			resp, server, cost, err := r.hedgedAttempt(order, name, qtype, wire, rp, res, sp)
-			spent += cost
 			res.Latency += cost
 			if err == nil {
 				return resp, server, nil
@@ -635,17 +623,12 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 			continue
 		}
 		server := order[i%len(order)]
-		resp, cost, err := r.attempt(server, name, qtype, wire, rp, retrying, res, sp, res.Latency)
-		spent += cost
+		resp, cost, err := r.attempt(server, name, qtype, wire, retrying, res, sp, res.Latency)
 		res.Latency += cost
 		if err == nil {
 			return resp, server, nil
 		}
 		lastErr = err
-		if rp.Deadline > 0 && spent >= rp.Deadline {
-			sp.Annotate("retry", "deadline-exhausted")
-			break
-		}
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("resolver: no servers answered for %s", name)
@@ -665,7 +648,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 // iterate releases it after absorb, which copies out every record it caches
 // or answers with, so nothing may keep the message or its section slices
 // past that point. A reply attempt rejects is released here.
-func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, rp RetryPolicy, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
+func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
 	esp := sp.Child("exchange")
 	if esp != nil {
 		esp.Annotate("server", server.String())
@@ -680,29 +663,13 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 	if esp != nil {
 		esp.AnnotateUint("rtt_us", uint64(rtt/time.Microsecond))
 	}
-	cost := rtt
 	if err != nil {
-		if rp.AttemptTimeout > 0 && cost > rp.AttemptTimeout {
-			cost = rp.AttemptTimeout
-		}
 		res.Timeouts++
-		r.srttPenalize(server, cost)
+		r.srttPenalize(server, rtt)
 		esp.Annotate("error", "timeout")
 		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeTimeout, cost)
-		return nil, cost, err
-	}
-	if rp.AttemptTimeout > 0 && rtt > rp.AttemptTimeout {
-		// The reply exists but arrived past the per-attempt deadline: the
-		// client has moved on, so charge exactly the deadline and book a
-		// timeout.
-		cost = rp.AttemptTimeout
-		res.Timeouts++
-		r.srttPenalize(server, cost)
-		esp.Annotate("error", "attempt-timeout")
-		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeTimeout, cost)
-		return nil, cost, errAttemptSlow
+		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeTimeout, rtt)
+		return nil, rtt, err
 	}
 	if srtt := r.srttObserve(server, rtt); srtt > 0 {
 		if m := r.Obs; m != nil {
@@ -740,7 +707,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		esp.Finish()
 		r.QLog.Upstream(server, name, qtype, rcode, 0, qlog.OutcomeError, rtt)
 		dnswire.ReleaseMessage(resp)
-		return nil, cost, reject
+		return nil, rtt, reject
 	}
 	esp.Finish()
 	var ttl uint32
@@ -748,7 +715,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		ttl = resp.Answer[0].TTL
 	}
 	r.QLog.Upstream(server, name, qtype, resp.Header.RCode, ttl, qlog.OutcomeNone, rtt)
-	return resp, cost, nil
+	return resp, rtt, nil
 }
 
 // hedgedAttempt races the two best candidates: the primary goes first and,
@@ -759,7 +726,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, rp RetryPolicy, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, time.Duration, error) {
 	base := res.Latency
 	primary, backup := order[0], order[1]
-	respP, costP, errP := r.attempt(primary, name, qtype, wire, rp, true, res, sp, base)
+	respP, costP, errP := r.attempt(primary, name, qtype, wire, true, res, sp, base)
 	if errP == nil && costP <= rp.Hedge {
 		return respP, primary, costP, nil
 	}
@@ -771,7 +738,7 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 	if sp != nil {
 		sp.Annotate("hedge", backup.String())
 	}
-	respH, costH, errH := r.attempt(backup, name, qtype, wire, rp, true, res, sp, base+rp.Hedge)
+	respH, costH, errH := r.attempt(backup, name, qtype, wire, true, res, sp, base+rp.Hedge)
 	completionH := rp.Hedge + costH
 	switch {
 	case errP == nil && (errH != nil || costP <= completionH):

@@ -29,12 +29,6 @@ func TestPolicyDefaults(t *testing.T) {
 	if p.prefetchThreshold() != 77 {
 		t.Errorf("explicit threshold ignored")
 	}
-	if (Policy{}).maxRetries() != 3 {
-		t.Errorf("default retries = %d", (Policy{}).maxRetries())
-	}
-	if (Policy{MaxRetries: 5}).maxRetries() != 5 {
-		t.Errorf("explicit retries ignored")
-	}
 }
 
 func TestTTLFloorOnAnswers(t *testing.T) {

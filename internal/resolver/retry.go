@@ -11,13 +11,13 @@ import (
 // RetryPolicy configures how a resolver behaves when an upstream exchange
 // fails or stalls — the knobs that decide user-visible availability when
 // authoritatives degrade (§5 of the paper, RFC 8767's motivating regime).
-// The zero value preserves the legacy behavior: up to Policy.MaxRetries
-// distinct servers per step, no backoff, no hedging, shuffled server order.
+// The zero value preserves the legacy behavior: up to three distinct
+// servers per step, no backoff, no hedging, shuffled server order.
 type RetryPolicy struct {
 	// Attempts is the maximum upstream attempts per iteration step,
 	// counting the first. When positive, attempts cycle over the candidate
-	// servers, so even a single-server zone gets retried. Zero falls back
-	// to Policy.MaxRetries semantics (distinct servers only).
+	// servers, so even a single-server zone gets retried. Zero tries up to
+	// three distinct servers, once each.
 	Attempts int
 	// Backoff is the delay inserted before the first retry; each further
 	// retry multiplies it by Factor, capped at MaxBackoff. Zero disables
@@ -31,14 +31,6 @@ type RetryPolicy struct {
 	// the resolver's seeded RNG so runs stay deterministic. Values are
 	// clamped to [0, 1].
 	Jitter float64
-	// AttemptTimeout caps what one exchange may cost: slower replies are
-	// treated as timeouts and charged exactly AttemptTimeout. Zero leaves
-	// only the network's own timeout.
-	AttemptTimeout time.Duration
-	// Deadline bounds the summed virtual cost (RTTs + backoffs) of one
-	// step's attempts; once exceeded, no further attempt starts. Zero
-	// means no overall deadline.
-	Deadline time.Duration
 	// Hedge, when positive, launches a second identical query to the
 	// next-best server once the first has been outstanding this long, and
 	// the client pays only the earlier completion — tail-latency
@@ -53,8 +45,7 @@ type RetryPolicy struct {
 
 // enabled reports whether any retry-plane behavior deviates from legacy.
 func (rp RetryPolicy) enabled() bool {
-	return rp.Attempts > 0 || rp.Backoff > 0 || rp.AttemptTimeout > 0 ||
-		rp.Deadline > 0 || rp.Hedge > 0 || rp.OrderBySRTT
+	return rp.Attempts > 0 || rp.Backoff > 0 || rp.Hedge > 0 || rp.OrderBySRTT
 }
 
 func (rp RetryPolicy) factor() float64 {
@@ -102,11 +93,6 @@ func (rp RetryPolicy) backoffFor(n int) time.Duration {
 	return time.Duration(b)
 }
 
-// BackoffFor exposes the pre-jitter retry delay sequence (retry number
-// n >= 1) for other planes that schedule retries under this policy — the
-// push subscriber paces resubscribe attempts with it.
-func (rp RetryPolicy) BackoffFor(n int) time.Duration { return rp.backoffFor(n) }
-
 // jitterFor draws the randomized addition for a backoff b from rng. The
 // result is always in [0, Jitter·b).
 func (rp RetryPolicy) jitterFor(b time.Duration, rng *rand.Rand) time.Duration {
@@ -124,8 +110,6 @@ func (rp RetryPolicy) jitterFor(b time.Duration, rng *rand.Rand) time.Duration {
 // Attempt-failure sentinels. Allocation-free so the retry loop stays clean
 // on the happy path.
 var (
-	// errAttemptSlow marks a reply that arrived past AttemptTimeout.
-	errAttemptSlow = errors.New("resolver: reply slower than attempt timeout")
 	// errTruncated marks an empty TC=1 reply (no TCP in the simulated
 	// plane, so truncation means "try another server").
 	errTruncated = errors.New("resolver: truncated reply")
@@ -185,14 +169,6 @@ func (t *srttTable) penalize(server netip.Addr, cost time.Duration) time.Duratio
 	}
 	t.m[server] = next
 	return next
-}
-
-// estimate returns the current smoothed RTT for server.
-func (t *srttTable) estimate(server netip.Addr) (time.Duration, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d, ok := t.m[server]
-	return d, ok
 }
 
 // sortBySRTT orders servers in place: unknown servers first (in their given

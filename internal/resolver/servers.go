@@ -203,11 +203,11 @@ var answerableTypes = []dnswire.Type{
 }
 
 // cacheNegative stores an RFC 2308 negative answer; the TTL is the SOA
-// minimum bounded by the SOA record's own TTL, or the policy fallback when
+// minimum bounded by the SOA record's own TTL, or negTTLFallback when
 // the response carries no SOA, clamped like any other TTL. It reports the
 // TTL stored and whether it was SOA-derived, for the lifecycle trace.
 func (r *Resolver) cacheNegative(resp *dnswire.Message, name dnswire.Name, qtype dnswire.Type, kind cache.NegativeKind, now time.Time) (uint32, bool) {
-	ttl := r.Policy.negTTLFallback()
+	ttl := negTTLFallback
 	fromSOA := false
 	for _, rr := range resp.Authority {
 		if soa, ok := rr.Data.(dnswire.SOA); ok {

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -19,8 +18,7 @@ const (
 	// FaultOutage makes the matched servers hard-down for the window:
 	// queries cost the full timeout and get no reply.
 	FaultOutage FaultKind = iota + 1
-	// FaultLoss adds packet loss with probability LossP for the window,
-	// composed with the link's base LossFor probability.
+	// FaultLoss adds packet loss with probability LossP for the window.
 	FaultLoss
 	// FaultLatency multiplies sampled RTTs by Factor for the window.
 	FaultLatency
@@ -59,9 +57,6 @@ type Fault struct {
 	// Server is the affected destination; the zero Addr matches every
 	// server.
 	Server netip.Addr
-	// Client restricts the fault to queries from one source (a per-flow
-	// fault); the zero Addr matches every client.
-	Client netip.Addr
 	// Start and End bound the window, measured from the schedule origin.
 	// End <= Start means an unbounded window.
 	Start, End time.Duration
@@ -75,27 +70,20 @@ type Fault struct {
 	Duty   float64
 }
 
-// matches reports whether the fault applies to the (src, dst) flow at
+// matches reports whether the fault applies to queries toward dst at
 // schedule-relative time el.
-func (f Fault) matches(src, dst netip.Addr, el time.Duration) bool {
+func (f Fault) matches(dst netip.Addr, el time.Duration) bool {
 	if el < f.Start || (f.End > f.Start && el >= f.End) {
 		return false
 	}
-	if f.Server.IsValid() && f.Server != dst {
-		return false
-	}
-	if f.Client.IsValid() && f.Client != src {
-		return false
-	}
-	return true
+	return !f.Server.IsValid() || f.Server == dst
 }
 
-// FaultEffects is the composed failure state of one flow at one instant.
+// FaultEffects is the composed failure state of one server at one instant.
 type FaultEffects struct {
 	// Down means the query is swallowed: full-timeout, no reply.
 	Down bool
-	// LossP is extra loss probability, composed with the link's base loss
-	// as 1-(1-a)(1-b).
+	// LossP is the probability that the query or its reply is lost.
 	LossP float64
 	// Factor multiplies the sampled RTT; 0 means no change.
 	Factor float64
@@ -105,22 +93,14 @@ type FaultEffects struct {
 	Truncate bool
 }
 
-// Any reports whether any fault is active.
-func (e FaultEffects) Any() bool {
-	return e.Down || e.LossP > 0 || e.Factor > 0 || e.ServFail || e.Truncate
-}
-
 // FaultSchedule is a deterministic, clock-driven script of fault windows.
 // It is immutable once runs begin: EffectsAt only reads, so concurrent
 // exchanges never contend, and the same (schedule, clock, seed) triple
 // replays byte-identically at any concurrency.
 type FaultSchedule struct {
-	// Start anchors the windows in absolute time; the zero value means
-	// Epoch, where every VirtualClock starts.
-	Start time.Time
 	// Seed offsets each flapping server's phase deterministically, so a
 	// fleet of flapping servers doesn't blink in lockstep. Zero keeps all
-	// phases aligned at Start.
+	// phases aligned at Epoch, where the windows are anchored.
 	Seed int64
 
 	faults []Fault
@@ -138,13 +118,6 @@ func (s *FaultSchedule) Add(faults ...Fault) {
 	s.faults = append(s.faults, faults...)
 }
 
-// Faults returns a copy of the scripted windows, sorted by start time.
-func (s *FaultSchedule) Faults() []Fault {
-	out := append([]Fault(nil), s.faults...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
-}
-
 // Len reports the number of scripted windows.
 func (s *FaultSchedule) Len() int {
 	if s == nil {
@@ -153,21 +126,17 @@ func (s *FaultSchedule) Len() int {
 	return len(s.faults)
 }
 
-// EffectsAt composes every fault matching the (src, dst) flow at absolute
+// EffectsAt composes every fault matching queries toward dst at absolute
 // time t. Loss probabilities compose as independent events; latency factors
 // multiply; any matching outage or down flap phase wins over reply faults.
-func (s *FaultSchedule) EffectsAt(src, dst netip.Addr, t time.Time) FaultEffects {
+func (s *FaultSchedule) EffectsAt(dst netip.Addr, t time.Time) FaultEffects {
 	var e FaultEffects
 	if s == nil || len(s.faults) == 0 {
 		return e
 	}
-	start := s.Start
-	if start.IsZero() {
-		start = Epoch
-	}
-	el := t.Sub(start)
+	el := t.Sub(Epoch)
 	for _, f := range s.faults {
-		if !f.matches(src, dst, el) {
+		if !f.matches(dst, el) {
 			continue
 		}
 		switch f.Kind {
@@ -337,13 +306,8 @@ func parseFault(entry string) (Fault, error) {
 
 // Convenience constructors for the common windows.
 
-// Outage scripts a hard outage of server (zero Addr = all) in
+// LossBurst scripts loss probability p toward server (zero Addr = all) in
 // [start, start+dur).
-func Outage(server netip.Addr, start, dur time.Duration) Fault {
-	return Fault{Kind: FaultOutage, Server: server, Start: start, End: start + dur}
-}
-
-// LossBurst scripts added loss probability p in the window.
 func LossBurst(server netip.Addr, start, dur time.Duration, p float64) Fault {
 	return Fault{Kind: FaultLoss, Server: server, Start: start, End: start + dur, LossP: p}
 }
@@ -351,16 +315,6 @@ func LossBurst(server netip.Addr, start, dur time.Duration, p float64) Fault {
 // LatencySpike scripts RTTs multiplied by factor in the window.
 func LatencySpike(server netip.Addr, start, dur time.Duration, factor float64) Fault {
 	return Fault{Kind: FaultLatency, Server: server, Start: start, End: start + dur, Factor: factor}
-}
-
-// ServFailStorm scripts instant SERVFAIL replies in the window.
-func ServFailStorm(server netip.Addr, start, dur time.Duration) Fault {
-	return Fault{Kind: FaultServFail, Server: server, Start: start, End: start + dur}
-}
-
-// TruncateAll scripts empty TC=1 replies in the window.
-func TruncateAll(server netip.Addr, start, dur time.Duration) Fault {
-	return Fault{Kind: FaultTruncate, Server: server, Start: start, End: start + dur}
 }
 
 // Flap scripts down/up flapping with the given period and down duty cycle.

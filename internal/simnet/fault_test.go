@@ -11,14 +11,20 @@ var (
 	faultCli = netip.MustParseAddr("10.0.0.1")
 )
 
+// window scripts a parameterless fault (outage, servfail, truncate) of
+// server in [start, start+dur).
+func window(kind FaultKind, server netip.Addr, start, dur time.Duration) Fault {
+	return Fault{Kind: kind, Server: server, Start: start, End: start + dur}
+}
+
 func TestFaultScheduleWindows(t *testing.T) {
 	s := NewFaultSchedule(
-		Outage(faultSrv, 10*time.Minute, 20*time.Minute),
+		window(FaultOutage, faultSrv, 10*time.Minute, 20*time.Minute),
 		LossBurst(netip.Addr{}, 0, time.Hour, 0.25),
 		LatencySpike(faultSrv, 0, time.Hour, 4),
 	)
 	at := func(d time.Duration) FaultEffects {
-		return s.EffectsAt(faultCli, faultSrv, Epoch.Add(d))
+		return s.EffectsAt(faultSrv, Epoch.Add(d))
 	}
 	if e := at(5 * time.Minute); e.Down {
 		t.Errorf("down before the outage window: %+v", e)
@@ -34,11 +40,11 @@ func TestFaultScheduleWindows(t *testing.T) {
 	}
 	// The wildcard loss matches other servers; the targeted spike does not.
 	other := netip.MustParseAddr("192.0.2.9")
-	if e := s.EffectsAt(faultCli, other, Epoch.Add(15*time.Minute)); e.LossP != 0.25 || e.Factor != 0 {
+	if e := s.EffectsAt(other, Epoch.Add(15*time.Minute)); e.LossP != 0.25 || e.Factor != 0 {
 		t.Errorf("wildcard/targeted matching wrong for other server: %+v", e)
 	}
 	// Past every window: nothing.
-	if e := at(2 * time.Hour); e.Any() {
+	if e := at(2 * time.Hour); e != (FaultEffects{}) {
 		t.Errorf("effects active past all windows: %+v", e)
 	}
 }
@@ -48,7 +54,7 @@ func TestFaultLossComposition(t *testing.T) {
 		LossBurst(faultSrv, 0, time.Hour, 0.5),
 		LossBurst(faultSrv, 0, time.Hour, 0.5),
 	)
-	e := s.EffectsAt(faultCli, faultSrv, Epoch)
+	e := s.EffectsAt(faultSrv, Epoch)
 	if e.LossP != 0.75 {
 		t.Errorf("independent composition of two 0.5 losses = %v, want 0.75", e.LossP)
 	}
@@ -58,7 +64,7 @@ func TestFaultFlap(t *testing.T) {
 	s := NewFaultSchedule(Flap(faultSrv, 0, time.Hour, 10*time.Minute, 0.5))
 	down := 0
 	for m := 0; m < 60; m++ {
-		if s.EffectsAt(faultCli, faultSrv, Epoch.Add(time.Duration(m)*time.Minute)).Down {
+		if s.EffectsAt(faultSrv, Epoch.Add(time.Duration(m)*time.Minute)).Down {
 			down++
 		}
 	}
@@ -66,10 +72,10 @@ func TestFaultFlap(t *testing.T) {
 		t.Errorf("flap with duty 0.5 down %d/60 minutes, want 30", down)
 	}
 	// Phase: down during the first half of each period when Seed is 0.
-	if !s.EffectsAt(faultCli, faultSrv, Epoch.Add(2*time.Minute)).Down {
+	if !s.EffectsAt(faultSrv, Epoch.Add(2*time.Minute)).Down {
 		t.Error("expected down in first half-period")
 	}
-	if s.EffectsAt(faultCli, faultSrv, Epoch.Add(7*time.Minute)).Down {
+	if s.EffectsAt(faultSrv, Epoch.Add(7*time.Minute)).Down {
 		t.Error("expected up in second half-period")
 	}
 	// Seeded schedules shift the phase deterministically per server.
@@ -79,20 +85,9 @@ func TestFaultFlap(t *testing.T) {
 	s3.Seed = 7
 	for m := 0; m < 60; m++ {
 		at := Epoch.Add(time.Duration(m) * time.Minute)
-		if s2.EffectsAt(faultCli, faultSrv, at).Down != s3.EffectsAt(faultCli, faultSrv, at).Down {
+		if s2.EffectsAt(faultSrv, at).Down != s3.EffectsAt(faultSrv, at).Down {
 			t.Fatal("same-seed flap schedules disagree")
 		}
-	}
-}
-
-func TestFaultPerFlow(t *testing.T) {
-	other := netip.MustParseAddr("10.0.0.2")
-	s := NewFaultSchedule(Fault{Kind: FaultOutage, Client: faultCli, Start: 0, End: time.Hour})
-	if !s.EffectsAt(faultCli, faultSrv, Epoch).Down {
-		t.Error("per-flow fault missed its client")
-	}
-	if s.EffectsAt(other, faultSrv, Epoch).Down {
-		t.Error("per-flow fault leaked to another client")
 	}
 }
 
@@ -101,20 +96,18 @@ func TestParseFaultSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := s.Faults()
-	if len(fs) != 6 {
-		t.Fatalf("parsed %d faults, want 6", len(fs))
+	if s.Len() != 6 {
+		t.Fatalf("parsed %d faults, want 6", s.Len())
 	}
-	// Faults() sorts by start: latency(0) truncate(0) loss(0) servfail(10m) outage(30m) flap(1h).
-	if fs[len(fs)-1].Kind != FaultFlap || fs[len(fs)-1].Period != time.Minute || fs[len(fs)-1].Duty != 0.25 {
-		t.Errorf("flap entry parsed wrong: %+v", fs[len(fs)-1])
+	if flap := s.faults[3]; flap.Kind != FaultFlap || flap.Period != time.Minute || flap.Duty != 0.25 {
+		t.Errorf("flap entry parsed wrong: %+v", flap)
 	}
-	e := s.EffectsAt(faultCli, netip.MustParseAddr("192.0.2.1"), Epoch.Add(45*time.Minute))
+	e := s.EffectsAt(netip.MustParseAddr("192.0.2.1"), Epoch.Add(45*time.Minute))
 	if !e.Down || e.LossP < 0.299 || e.LossP > 0.301 || e.Factor != 10 || !e.Truncate {
 		t.Errorf("composed parse effects wrong: %+v", e)
 	}
 	// Unbounded window (duration 0) stays active forever.
-	if got := s.EffectsAt(faultCli, faultSrv, Epoch.Add(1000*time.Hour)).Factor; got != 10 {
+	if got := s.EffectsAt(faultSrv, Epoch.Add(1000*time.Hour)).Factor; got != 10 {
 		t.Errorf("unbounded latency window factor = %v, want 10", got)
 	}
 
@@ -147,9 +140,9 @@ func TestNetworkFaultInjection(t *testing.T) {
 	query[0], query[1] = 0xab, 0xcd
 
 	n.Faults = NewFaultSchedule(
-		Outage(faultSrv, 0, 10*time.Minute),
-		ServFailStorm(faultSrv, 10*time.Minute, 10*time.Minute),
-		TruncateAll(faultSrv, 20*time.Minute, 10*time.Minute),
+		window(FaultOutage, faultSrv, 0, 10*time.Minute),
+		window(FaultServFail, faultSrv, 10*time.Minute, 10*time.Minute),
+		window(FaultTruncate, faultSrv, 20*time.Minute, 10*time.Minute),
 		LatencySpike(faultSrv, 30*time.Minute, 10*time.Minute, 5),
 	)
 
@@ -209,7 +202,7 @@ func TestNetworkFaultOffset(t *testing.T) {
 		resp[2] |= 0x80
 		return resp
 	}))
-	n.Faults = NewFaultSchedule(Outage(faultSrv, 0, time.Minute))
+	n.Faults = NewFaultSchedule(window(FaultOutage, faultSrv, 0, time.Minute))
 	query := make([]byte, 12)
 	if _, _, err := n.ExchangeAt(faultCli, faultSrv, query, 0); err != ErrTimeout {
 		t.Errorf("offset 0 inside outage: err=%v, want timeout", err)

@@ -19,19 +19,6 @@ type Constant time.Duration
 // Sample returns the constant RTT.
 func (c Constant) Sample(*rand.Rand) time.Duration { return time.Duration(c) }
 
-// Uniform samples uniformly in [Min, Max].
-type Uniform struct {
-	Min, Max time.Duration
-}
-
-// Sample returns an RTT uniformly distributed in [Min, Max].
-func (u Uniform) Sample(r *rand.Rand) time.Duration {
-	if u.Max <= u.Min {
-		return u.Min
-	}
-	return u.Min + time.Duration(r.Int63n(int64(u.Max-u.Min)))
-}
-
 // LogNormal models Internet RTTs: a log-normal body parameterized by its
 // median, with an optional floor. Internet path RTT distributions are
 // right-skewed with heavy tails, which is what gives the paper's Figure 10
@@ -55,18 +42,6 @@ func (l LogNormal) Sample(r *rand.Rand) time.Duration {
 		d = l.Floor
 	}
 	return d
-}
-
-// Shifted adds a fixed Offset to samples from Base; useful to compose a
-// propagation floor with a jitter body.
-type Shifted struct {
-	Base   LatencyModel
-	Offset time.Duration
-}
-
-// Sample returns Base's sample plus Offset.
-func (s Shifted) Sample(r *rand.Rand) time.Duration {
-	return s.Base.Sample(r) + s.Offset
 }
 
 // CacheHitLatency is the RTT from a stub to its recursive resolver when the

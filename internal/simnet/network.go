@@ -105,7 +105,8 @@ func newFlow(seed int64) *flow {
 }
 
 // Network is the in-memory message plane. Latency is decided per
-// (src, dst) pair by the configured LatencyFor function; loss by LossFor.
+// (src, dst) pair by the configured LatencyFor function; loss by the fault
+// schedule.
 type Network struct {
 	seed int64
 
@@ -116,16 +117,10 @@ type Network struct {
 	// LatencyFor returns the RTT model for a src→dst exchange. If nil, a
 	// constant 20 ms is used.
 	LatencyFor func(src, dst netip.Addr) LatencyModel
-	// LossFor returns the probability in [0,1] that a query or its reply
-	// is lost. If nil, no loss.
-	LossFor func(src, dst netip.Addr) float64
-	// Timeout is what a lost query costs the client. Zero means
-	// DefaultTimeout.
-	Timeout time.Duration
 	// Clock positions exchanges in time for the fault schedule. Nil means
 	// faults are evaluated at Epoch (plus any per-exchange offset).
 	Clock Clock
-	// Faults, when non-nil, scripts per-server/per-flow fault windows —
+	// Faults, when non-nil, scripts per-server fault windows —
 	// outages, loss bursts, latency spikes, SERVFAIL storms, truncation,
 	// flapping — evaluated against Clock. The schedule must not be mutated
 	// while exchanges run.
@@ -268,42 +263,30 @@ func (n *Network) exchange(src, dst netip.Addr, query []byte, offset time.Durati
 	n.mu.RLock()
 	nd := n.nodes[dst]
 	n.mu.RUnlock()
-	timeout := n.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
-	}
 	var (
 		lost bool
 		rtt  time.Duration
 	)
 	n.queries.Add(1)
 
-	// Scripted faults compose over the link's base loss and latency: the
-	// schedule is immutable and the clock read is cheap, so this adds no
-	// contention to concurrent exchanges on different flows.
+	// Scripted faults compose over the link's latency: the schedule is
+	// immutable and the clock read is cheap, so this adds no contention to
+	// concurrent exchanges on different flows.
 	var eff FaultEffects
 	if n.Faults != nil {
-		eff = n.Faults.EffectsAt(src, dst, n.faultTime(offset))
+		eff = n.Faults.EffectsAt(dst, n.faultTime(offset))
 	}
 
 	// Sample loss and latency from the flow's private stream. The stream is
 	// consumed exactly as the single-RNG implementation did: a loss draw
 	// only when loss probability is positive, a latency draw only for
 	// delivered queries.
-	needLoss := false
-	var lossP float64
-	if n.LossFor != nil {
-		lossP = n.LossFor(src, dst)
-	}
-	if eff.LossP > 0 {
-		lossP = 1 - (1-lossP)*(1-eff.LossP)
-	}
-	needLoss = lossP > 0
+	needLoss := eff.LossP > 0
 	deliverable := nd != nil && !nd.down.Load() && !eff.Down
 	if needLoss || deliverable {
 		f := n.flowFor(src, dst)
 		f.mu.Lock()
-		if needLoss && f.rng.Float64() < lossP {
+		if needLoss && f.rng.Float64() < eff.LossP {
 			lost = true
 			n.losses.Add(1)
 		}
@@ -323,10 +306,10 @@ func (n *Network) exchange(src, dst netip.Addr, query []byte, offset time.Durati
 	}
 
 	if nd == nil {
-		return nil, timeout, ErrUnreachable
+		return nil, DefaultTimeout, ErrUnreachable
 	}
 	if lost || !deliverable {
-		return nil, timeout, ErrTimeout
+		return nil, DefaultTimeout, ErrTimeout
 	}
 	var resp []byte
 	switch {
@@ -338,10 +321,10 @@ func (n *Network) exchange(src, dst netip.Addr, query []byte, offset time.Durati
 		resp = nd.handler.ServeDNS(query, src)
 	}
 	if resp == nil {
-		return nil, timeout, ErrTimeout
+		return nil, DefaultTimeout, ErrTimeout
 	}
-	if rtt > timeout {
-		return nil, timeout, ErrTimeout
+	if rtt > DefaultTimeout {
+		return nil, DefaultTimeout, ErrTimeout
 	}
 	return resp, rtt, nil
 }

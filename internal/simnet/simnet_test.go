@@ -40,20 +40,6 @@ func TestLatencyModels(t *testing.T) {
 	if d := (Constant(5 * time.Millisecond)).Sample(r); d != 5*time.Millisecond {
 		t.Errorf("Constant = %v", d)
 	}
-	u := Uniform{Min: 10 * time.Millisecond, Max: 20 * time.Millisecond}
-	for i := 0; i < 100; i++ {
-		d := u.Sample(r)
-		if d < u.Min || d > u.Max {
-			t.Fatalf("Uniform sample %v out of range", d)
-		}
-	}
-	if d := (Uniform{Min: 7, Max: 7}).Sample(r); d != 7 {
-		t.Errorf("degenerate Uniform = %v", d)
-	}
-	s := Shifted{Base: Constant(time.Millisecond), Offset: 2 * time.Millisecond}
-	if d := s.Sample(r); d != 3*time.Millisecond {
-		t.Errorf("Shifted = %v", d)
-	}
 }
 
 func TestLogNormalShape(t *testing.T) {
@@ -143,16 +129,15 @@ func TestNetworkLoss(t *testing.T) {
 	n := NewNetwork(7)
 	a := netip.MustParseAddr("192.0.2.1")
 	n.Attach(a, echoHandler('x'))
-	n.LossFor = func(src, dst netip.Addr) float64 { return 0.5 }
-	n.Timeout = 100 * time.Millisecond
+	n.Faults = NewFaultSchedule(LossBurst(netip.Addr{}, 0, 0, 0.5))
 	lost := 0
 	total := 2000
 	for i := 0; i < total; i++ {
 		_, rtt, err := n.Exchange(netip.MustParseAddr("10.0.0.1"), a, nil)
 		if err == ErrTimeout {
 			lost++
-			if rtt != 100*time.Millisecond {
-				t.Fatalf("lost query rtt = %v, want configured timeout", rtt)
+			if rtt != DefaultTimeout {
+				t.Fatalf("lost query rtt = %v, want the timeout", rtt)
 			}
 		}
 	}
@@ -189,9 +174,8 @@ func TestNetworkRTTAboveTimeoutIsTimeout(t *testing.T) {
 	n := NewNetwork(1)
 	a := netip.MustParseAddr("192.0.2.1")
 	n.Attach(a, echoHandler('a'))
-	n.Timeout = 10 * time.Millisecond
 	n.LatencyFor = func(src, dst netip.Addr) LatencyModel { return Constant(time.Minute) }
-	if _, rtt, err := n.Exchange(netip.MustParseAddr("10.0.0.1"), a, nil); err != ErrTimeout || rtt != 10*time.Millisecond {
+	if _, rtt, err := n.Exchange(netip.MustParseAddr("10.0.0.1"), a, nil); err != ErrTimeout || rtt != DefaultTimeout {
 		t.Errorf("slow link should time out: rtt=%v err=%v", rtt, err)
 	}
 }

@@ -118,11 +118,6 @@ func (s *Sample) FractionAtMost(x float64) float64 {
 	return float64(i) / float64(len(s.xs))
 }
 
-// FractionEqual returns the fraction of observations exactly equal to x.
-func (s *Sample) FractionEqual(x float64) float64 {
-	return s.FractionAtMost(x) - s.FractionBelow(x)
-}
-
 // CDFPoint is one step of an empirical CDF.
 type CDFPoint struct {
 	X float64 // value
@@ -144,33 +139,6 @@ func (s *Sample) CDF() []CDFPoint {
 		out = append(out, CDFPoint{X: s.xs[i], F: float64(i+1) / n})
 	}
 	return out
-}
-
-// Summary captures the quantiles the paper reports in §5.3.
-type Summary struct {
-	N                     int
-	Median, P75, P95, P99 float64
-	Mean, MinVal, MaxVal  float64
-}
-
-// Summarize computes a Summary.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:      s.Len(),
-		Median: s.Quantile(0.5),
-		P75:    s.Quantile(0.75),
-		P95:    s.Quantile(0.95),
-		P99:    s.Quantile(0.99),
-		Mean:   s.Mean(),
-		MinVal: s.Min(),
-		MaxVal: s.Max(),
-	}
-}
-
-// String renders the summary on one line.
-func (su Summary) String() string {
-	return fmt.Sprintf("n=%d median=%.1f p75=%.1f p95=%.1f p99=%.1f mean=%.1f",
-		su.N, su.Median, su.P75, su.P95, su.P99, su.Mean)
 }
 
 // Histogram counts observations into caller-defined bins. Bin i covers
@@ -321,11 +289,6 @@ func (t *Table) String() string {
 		line(row)
 	}
 	return b.String()
-}
-
-// FormatDurationMs renders milliseconds with one decimal.
-func FormatDurationMs(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
 }
 
 // FormatCount renders n with thousands separators.

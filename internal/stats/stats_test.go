@@ -53,9 +53,6 @@ func TestFractions(t *testing.T) {
 	if got := s.FractionAtMost(2); got != 0.75 {
 		t.Errorf("FractionAtMost(2) = %v", got)
 	}
-	if got := s.FractionEqual(2); got != 0.5 {
-		t.Errorf("FractionEqual(2) = %v", got)
-	}
 	if got := s.FractionAtMost(0); got != 0 {
 		t.Errorf("FractionAtMost(0) = %v", got)
 	}
@@ -85,12 +82,8 @@ func TestAddDurationAndSummary(t *testing.T) {
 	s := NewSample()
 	s.AddDuration(30 * time.Millisecond)
 	s.AddDuration(50 * time.Millisecond)
-	su := s.Summarize()
-	if su.N != 2 || su.Median != 30 || su.MaxVal != 50 {
-		t.Errorf("summary = %+v", su)
-	}
-	if !strings.Contains(su.String(), "median=30.0") {
-		t.Errorf("summary string = %q", su.String())
+	if s.Len() != 2 || s.Quantile(0.5) != 30 || s.Max() != 50 {
+		t.Errorf("durations land as milliseconds: n=%d median=%v max=%v", s.Len(), s.Quantile(0.5), s.Max())
 	}
 }
 
@@ -134,9 +127,6 @@ func TestTable(t *testing.T) {
 }
 
 func TestFormatters(t *testing.T) {
-	if got := FormatDurationMs(28700 * time.Microsecond); got != "28.7" {
-		t.Errorf("FormatDurationMs = %q", got)
-	}
 	cases := map[int]string{0: "0", 999: "999", 1000: "1,000", 1234567: "1,234,567"}
 	for n, want := range cases {
 		if got := FormatCount(n); got != want {

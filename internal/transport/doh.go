@@ -36,7 +36,7 @@ func newDoHTransport(cfg Config) *dohTransport {
 		MaxIdleConns:        4 * cfg.PoolSize,
 		MaxIdleConnsPerHost: cfg.PoolSize,
 		MaxConnsPerHost:     cfg.PoolSize,
-		IdleConnTimeout:     cfg.IdleTimeout,
+		IdleConnTimeout:     idleTimeout,
 	}
 	return &dohTransport{
 		cfg:    cfg,

@@ -75,14 +75,14 @@ func (p *pipeConn) load() int {
 }
 
 // alive reports whether the connection can still carry queries, treating a
-// connection idle past the configured IdleTimeout as dead.
+// connection idle past idleTimeout as dead.
 func (p *pipeConn) alive() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.dead {
 		return false
 	}
-	if len(p.pending) == 0 && time.Since(p.lastUse) > p.cfg.IdleTimeout {
+	if len(p.pending) == 0 && time.Since(p.lastUse) > idleTimeout {
 		return false
 	}
 	return true
@@ -163,7 +163,7 @@ func (p *pipeConn) exchange(query []byte) ([]byte, time.Duration, error) {
 }
 
 // readLoop demultiplexes length-framed responses to their waiters until the
-// connection dies or sits idle past IdleTimeout with nothing in flight.
+// connection dies or sits idle past idleTimeout with nothing in flight.
 func (p *pipeConn) readLoop() {
 	br := bufio.NewReaderSize(p.c, 4096)
 	var hdr [2]byte
@@ -172,7 +172,7 @@ func (p *pipeConn) readLoop() {
 		// (nothing pending) and bounding reads when queries are in flight.
 		// Waiters carry their own timers, so the in-flight bound only has
 		// to be no tighter than theirs.
-		wait := p.cfg.IdleTimeout
+		wait := idleTimeout
 		if inflight := p.load(); inflight > 0 && p.cfg.Timeout+time.Second > wait {
 			wait = p.cfg.Timeout + time.Second
 		}

@@ -97,10 +97,12 @@ type Transport interface {
 
 // Defaults applied by New for zero Config fields.
 const (
-	DefaultPoolSize    = 4
-	DefaultTimeout     = 5 * time.Second
-	DefaultIdleTimeout = 30 * time.Second
+	DefaultPoolSize = 4
+	DefaultTimeout  = 5 * time.Second
 )
+
+// idleTimeout closes pooled connections unused this long.
+const idleTimeout = 30 * time.Second
 
 // Config parameterizes New.
 type Config struct {
@@ -112,9 +114,6 @@ type Config struct {
 	// Timeout bounds one exchange end to end, including any dial or TLS
 	// handshake it triggers. 0 means DefaultTimeout.
 	Timeout time.Duration
-	// IdleTimeout closes pooled connections unused this long. 0 means
-	// DefaultIdleTimeout.
-	IdleTimeout time.Duration
 	// TLS configures DoT/DoH. nil uses a default config; ServerName and
 	// Insecure below still apply on top of a caller-provided config when
 	// unset there.
@@ -136,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = DefaultIdleTimeout
 	}
 	return c
 }

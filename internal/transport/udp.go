@@ -53,7 +53,7 @@ func (u *udpTransport) get(server netip.AddrPort) (*udpConn, error) {
 		uc := list[len(list)-1]
 		list = list[:len(list)-1]
 		u.idle[server] = list
-		if time.Since(uc.last) > u.cfg.IdleTimeout {
+		if time.Since(uc.last) > idleTimeout {
 			_ = uc.c.Close()
 			continue
 		}

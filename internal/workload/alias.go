@@ -89,6 +89,3 @@ func (a *Alias) Draw(u float64) int {
 	}
 	return int(a.alias[i])
 }
-
-// Len returns the number of outcomes.
-func (a *Alias) Len() int { return len(a.prob) }

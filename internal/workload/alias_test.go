@@ -82,8 +82,8 @@ func TestAliasEdgeCases(t *testing.T) {
 		a := NewAlias(weights)
 		for _, u := range []float64{0, 0.5, math.Nextafter(1, 0)} {
 			i := a.Draw(u)
-			if i < 0 || i >= a.Len() {
-				t.Errorf("weights %v u=%v: draw %d out of range [0,%d)", weights, u, i, a.Len())
+			if i < 0 || i >= len(a.prob) {
+				t.Errorf("weights %v u=%v: draw %d out of range [0,%d)", weights, u, i, len(a.prob))
 			}
 		}
 	}

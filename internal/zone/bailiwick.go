@@ -60,17 +60,3 @@ func ClassifyBailiwick(domain dnswire.Name, hosts []dnswire.Name) BailiwickClass
 		return BailiwickOutOnly
 	}
 }
-
-// NSHosts extracts the NS target hostnames from an RRset.
-func NSHosts(set *RRSet) []dnswire.Name {
-	if set == nil {
-		return nil
-	}
-	var hosts []dnswire.Name
-	for _, rr := range set.RRs {
-		if ns, ok := rr.Data.(dnswire.NS); ok {
-			hosts = append(hosts, ns.Host)
-		}
-	}
-	return hosts
-}

@@ -253,22 +253,3 @@ func parseTTL(s string) (uint32, error) {
 	}
 	return uint32(v), nil
 }
-
-// Write serializes the zone in master-file form, sorted by owner name, with
-// the apex SOA first as convention requires.
-func Write(w io.Writer, z *Zone) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "$ORIGIN %s\n", z.Origin)
-	if soa, ok := z.SOA(); ok {
-		fmt.Fprintln(bw, soa.String())
-	}
-	for _, set := range z.AllSets() {
-		if set.Type == dnswire.TypeSOA && set.Name == z.Origin {
-			continue
-		}
-		for _, rr := range set.RRs {
-			fmt.Fprintln(bw, rr.String())
-		}
-	}
-	return bw.Flush()
-}

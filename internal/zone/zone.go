@@ -64,8 +64,7 @@ type Zone struct {
 	sets map[dnswire.Name]map[dnswire.Type]*RRSet
 	// ancestors counts, for every name on the path from an owner up to the
 	// origin, how many owner names sit at or below it — it makes empty
-	// non-terminal detection (NameExists) O(label count) instead of a
-	// full-zone scan.
+	// non-terminal detection O(label count) instead of a full-zone scan.
 	ancestors map[dnswire.Name]int
 }
 
@@ -336,15 +335,6 @@ func (z *Zone) SOA() (dnswire.RR, bool) {
 	return set.RRs[0], true
 }
 
-// NameExists reports whether any RRset is owned by name, or whether name is
-// an empty non-terminal (an ancestor of an existing name). Both exist for
-// NXDOMAIN purposes (RFC 8499).
-func (z *Zone) NameExists(name dnswire.Name) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.ancestors[name] > 0
-}
-
 // Names returns all owner names in the zone, sorted.
 func (z *Zone) Names() []dnswire.Name {
 	z.mu.RLock()
@@ -387,13 +377,6 @@ func (z *Zone) delegationForLocked(name dnswire.Name) *RRSet {
 		}
 	}
 	return nil
-}
-
-// IsDelegated reports whether name falls under a zone cut in z.
-func (z *Zone) IsDelegated(name dnswire.Name) bool {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.delegationForLocked(name) != nil
 }
 
 // RecordCount returns the total number of records in the zone.

@@ -261,19 +261,16 @@ func TestClassifyBailiwick(t *testing.T) {
 	}
 }
 
-func TestNSHosts(t *testing.T) {
-	z := newTestZone(t)
-	hosts := NSHosts(z.Get(dnswire.NewName("example.org"), dnswire.TypeNS))
-	if len(hosts) != 2 {
-		t.Fatalf("NSHosts = %v", hosts)
-	}
-	if NSHosts(nil) != nil {
-		t.Errorf("NSHosts(nil) should be nil")
-	}
+// nameExists reports whether any RRset is owned by name, or whether name is
+// an empty non-terminal: the ancestor index Lookup's NXDOMAIN decision reads.
+func (z *Zone) nameExists(name dnswire.Name) bool {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.ancestors[name] > 0
 }
 
 // TestQuickLookupTotal: Lookup must classify every possible name somewhere
-// under the origin without panicking, and NXDomain implies NameExists=false.
+// under the origin without panicking, and NXDomain implies nameExists=false.
 func TestQuickLookupTotal(t *testing.T) {
 	z := newTestZone(t)
 	f := func(seed int64) bool {
@@ -284,7 +281,7 @@ func TestQuickLookupTotal(t *testing.T) {
 			name = name.Child(labels[r.Intn(len(labels))])
 		}
 		res := z.Lookup(name, dnswire.TypeA)
-		if res.Kind == NXDomain && z.NameExists(name) {
+		if res.Kind == NXDomain && z.nameExists(name) {
 			t.Logf("NXDomain for existing name %s", name)
 			return false
 		}
@@ -301,10 +298,10 @@ func TestQuickLookupTotal(t *testing.T) {
 
 func TestIsDelegatedAndStrings(t *testing.T) {
 	z := newTestZone(t)
-	if !z.IsDelegated(dnswire.NewName("host.sub.example.org")) {
-		t.Errorf("name under cut should be delegated")
+	if k := z.Lookup(dnswire.NewName("host.sub.example.org"), dnswire.TypeA).Kind; k != Delegation {
+		t.Errorf("name under cut: %s, want delegation", k)
 	}
-	if z.IsDelegated(dnswire.NewName("www.example.org")) {
+	if k := z.Lookup(dnswire.NewName("www.example.org"), dnswire.TypeA).Kind; k == Delegation {
 		t.Errorf("in-zone name is not delegated")
 	}
 	for k, want := range map[AnswerKind]string{
@@ -336,7 +333,7 @@ func TestMustAddPanics(t *testing.T) {
 	z.MustAdd(dnswire.NewA("example.com", 1, "192.0.2.1"))
 }
 
-// TestQuickAncestorIndex: NameExists (backed by the incremental ancestor
+// TestQuickAncestorIndex: nameExists (backed by the incremental ancestor
 // index) always agrees with a brute-force scan, across random Add/Remove
 // sequences.
 func TestQuickAncestorIndex(t *testing.T) {
@@ -370,9 +367,9 @@ func TestQuickAncestorIndex(t *testing.T) {
 				n1 := dnswire.NewName("example.org").Child(l1)
 				n2 := n1.Child(l2)
 				for _, n := range []dnswire.Name{n1, n2, n2.Child(l1)} {
-					if z.NameExists(n) != check(n) {
-						t.Logf("NameExists(%s) = %v, brute force %v (owners %v)",
-							n, z.NameExists(n), check(n), owners)
+					if z.nameExists(n) != check(n) {
+						t.Logf("nameExists(%s) = %v, brute force %v (owners %v)",
+							n, z.nameExists(n), check(n), owners)
 						return false
 					}
 				}

@@ -156,12 +156,6 @@ var params = map[List]listParams{
 	},
 }
 
-// Params exposes a list's configured size for reporting.
-func Params(l List) (size int, responsive float64) {
-	p := params[l]
-	return p.size, p.responsive
-}
-
 // Config controls generation.
 type Config struct {
 	Seed int64
@@ -248,11 +242,6 @@ func (w *World) serverAt(addr netip.Addr, name string) *authoritative.Server {
 	w.servers[addr] = s
 	w.Net.Attach(addr, s)
 	return s
-}
-
-// Server returns the authoritative server at addr, or nil.
-func (w *World) Server(addr netip.Addr) *authoritative.Server {
-	return w.servers[addr]
 }
 
 func (w *World) buildTLD(tld string) {

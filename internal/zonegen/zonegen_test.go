@@ -46,6 +46,24 @@ func TestBuildPopulations(t *testing.T) {
 	}
 }
 
+// median returns the distribution's weighted median, to check calibration.
+func (d ttlDist) median() uint32 {
+	total := 0.0
+	for _, e := range d {
+		total += e.w
+	}
+	// Weighted median over the entries sorted by TTL. Entries are written
+	// in ascending order by convention; trust but accumulate in order.
+	acc := 0.0
+	for _, e := range d {
+		acc += e.w
+		if acc >= total/2 {
+			return e.ttl
+		}
+	}
+	return d[len(d)-1].ttl
+}
+
 func TestTTLDistMedians(t *testing.T) {
 	// Table 7 medians (hours → seconds) for class-conditioned .nl dists.
 	cases := []struct {
@@ -210,7 +228,7 @@ func TestHostDirectory(t *testing.T) {
 			t.Fatalf("host %s has invalid address", h)
 		}
 	}
-	if w.Server(w.RootAddr) == nil {
+	if w.servers[w.RootAddr] == nil {
 		t.Errorf("root server not registered")
 	}
 }
@@ -260,12 +278,5 @@ func TestDeterministicBuild(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("worlds differ at %d: %s vs %s", i, a[i], b[i])
 		}
-	}
-}
-
-func TestParamsAccessor(t *testing.T) {
-	size, resp := Params(Alexa)
-	if size != 10000 || resp != 0.99 {
-		t.Errorf("Params(Alexa) = %d, %f", size, resp)
 	}
 }

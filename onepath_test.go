@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"net/netip"
+	"os"
 	"reflect"
+	"regexp"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -121,6 +123,58 @@ func TestLoneClientMatchesBareResolver(t *testing.T) {
 				t.Errorf("Frontends %d, step %d (%s): trace %+v, reference %+v",
 					frontends, i, schedule[i].name, got[i].trace, want[i].trace)
 			}
+		}
+	}
+}
+
+// TestClientResultsCarryAnswersOnly pins what lets the message-level stages
+// treat a response as its answer section: the resolver copies only answers
+// into a client Result (applyCached and absorb add nothing else; the refused
+// and static builders make answer-only messages), so a cache stage hit that
+// decays Answer TTLs has decayed every TTL there is. Held for the default
+// pipeline and every worked configuration in docs/middleware.md, over a
+// miss, a hit, a CNAME chain, NXDOMAIN, NODATA, their negative hits, and the
+// names those configurations block or answer statically.
+func TestClientResultsCarryAnswersOnly(t *testing.T) {
+	doc, err := os.ReadFile("docs/middleware.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, worked, _ := bytes.Cut(doc, []byte("## Worked configurations"))
+	worked, _, _ = bytes.Cut(worked, []byte("\n## "))
+	specs := []string{""}
+	for _, m := range regexp.MustCompile("(?s)```toml\n(.*?)```").FindAllSubmatch(worked, -1) {
+		specs = append(specs, string(m[1]))
+	}
+	if len(specs) < 4 {
+		t.Fatalf("found %d worked configurations in docs/middleware.md, want at least 3", len(specs)-1)
+	}
+	questions := []struct {
+		name  string
+		qtype Type
+	}{
+		{"www.example.org", TypeA}, {"www.example.org", TypeA}, // miss, hit
+		{"alias.example.org", TypeA}, {"alias.example.org", TypeA}, // CNAME chain
+		{"nope.example.org", TypeA}, {"nope.example.org", TypeA}, // NXDOMAIN
+		{"www.example.org", TypeTXT}, {"www.example.org", TypeTXT}, // NODATA
+		{"ads.example.test", TypeA}, {"intranet.corp.example", TypeA}, // blocked, static
+	}
+	for i, spec := range specs {
+		net, clock, addr := onePathWorld(t)
+		c, err := NewClient(ClientConfig{Roots: []netip.Addr{addr}, Net: net, Clock: clock, Pipeline: spec})
+		if err != nil {
+			t.Fatalf("configuration %d: %v", i, err)
+		}
+		for _, q := range questions {
+			res, err := c.Lookup(NewName(q.name), q.qtype)
+			if err != nil {
+				t.Fatalf("configuration %d, %s %s: %v", i, q.name, q.qtype, err)
+			}
+			if len(res.Msg.Authority) != 0 || len(res.Msg.Additional) != 0 {
+				t.Errorf("configuration %d (stages %v), %s %s: authority %v, additional %v; want neither section",
+					i, c.PipelineStages(), q.name, q.qtype, res.Msg.Authority, res.Msg.Additional)
+			}
+			clock.Advance(time.Second)
 		}
 	}
 }
@@ -275,7 +329,7 @@ func TestEnablePushWhileServingStale(t *testing.T) {
 			}
 		}
 		waitPast(0)
-		rs.EnablePush(PushConfig{Net: net, Clock: clock})
+		rs.EnablePush(PushConfig{Net: net})
 		waitPast(served.Load())
 		close(stop)
 		wg.Wait()

@@ -14,9 +14,6 @@ import (
 // NOTIFYs trigger. Obtain one with Server.EnablePush.
 type PushAuthority = push.Authority
 
-// PushAuthorityStats snapshots a PushAuthority's counters.
-type PushAuthorityStats = push.AuthorityStats
-
 // PushSubscriber is the resolver half: it subscribes to zone change feeds,
 // turns NOTIFYs into targeted cache purges (optionally purge+prefetch),
 // falls back to SOA polling when the push channel goes quiet, and vetoes
@@ -24,9 +21,6 @@ type PushAuthorityStats = push.AuthorityStats
 // RecursiveServer.EnablePush, then call Subscribe per zone and drive it
 // with Tick.
 type PushSubscriber = push.Subscriber
-
-// PushStats snapshots a PushSubscriber's counters.
-type PushStats = push.Stats
 
 // EnablePush publishes the given zones' change feeds through this server:
 // mutating them (Add, Remove, Replace, SetTTL) bumps the zone serial,
@@ -63,9 +57,6 @@ func sendNotifyUDP(dst netip.AddrPort, wire []byte) error {
 
 // PushConfig configures RecursiveServer.EnablePush.
 type PushConfig struct {
-	// Addr is the subscriber's own address — the source of its subscribe,
-	// poll, and IXFR exchanges. Zero means 127.0.0.1.
-	Addr netip.Addr
 	// Port is the notify-back UDP port advertised when subscribing: the
 	// port of the daemon's UDP listener, whose NOTIFY-opcode datagrams are
 	// routed to the subscriber.
@@ -73,17 +64,11 @@ type PushConfig struct {
 	// Net carries the subscriber's exchanges; nil means the client's own
 	// net (ClientConfig.Net).
 	Net Exchanger
-	// Clock drives polling, health, and purge timestamps; nil means wall.
-	Clock Clock
-	// Retry paces resubscribe attempts after failures.
-	Retry RetryPolicy
 	// PollEvery is the SOA polling fallback period (the staleness bound
-	// accepted when the push channel drops every notify); 0 means 5 m.
+	// accepted when the push channel drops every notify); 0 means 5 m. A
+	// subscription silent for 2×PollEvery is unhealthy, and serve-stale is
+	// vetoed for the names it covers.
 	PollEvery time.Duration
-	// HealthAfter is how long a subscription may go silent before it is
-	// unhealthy and serve-stale is vetoed for the names it covers; 0 means
-	// 2×PollEvery.
-	HealthAfter time.Duration
 	// Prefetch re-resolves purged names immediately, so the next client
 	// query after an update is already a cache hit.
 	Prefetch bool
@@ -101,25 +86,19 @@ type PushConfig struct {
 // subscriber per upstream zone, and Tick it periodically (resubscribes and
 // the polling fallback come due there).
 func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
-	addr := cfg.Addr
-	if !addr.IsValid() {
-		addr = netip.MustParseAddr("127.0.0.1")
-	}
 	pnet := cfg.Net
 	if pnet == nil {
 		pnet = rs.Client.net
 	}
 	pcfg := push.Config{
-		Addr:        addr,
-		Port:        cfg.Port,
-		Net:         pnet,
-		Clock:       cfg.Clock,
-		Retry:       cfg.Retry,
-		Stores:      rs.Client.f.Stores(),
-		PollEvery:   cfg.PollEvery,
-		HealthAfter: cfg.HealthAfter,
-		QLog:        cfg.QueryLog,
-		Metrics:     push.NewMetrics(cfg.Registry),
+		Addr:      netip.MustParseAddr("127.0.0.1"),
+		Port:      cfg.Port,
+		Net:       pnet,
+		Clock:     rs.Client.clock,
+		Stores:    rs.Client.f.Stores(),
+		PollEvery: cfg.PollEvery,
+		QLog:      cfg.QueryLog,
+		Metrics:   push.NewMetrics(cfg.Registry),
 	}
 	if cfg.Prefetch {
 		pcfg.Refetch = func(name Name, qtype Type) {

@@ -36,9 +36,6 @@ type TransportOptions struct {
 	PoolSize int
 	// Timeout bounds one exchange end to end; 0 means the default (5 s).
 	Timeout time.Duration
-	// IdleTimeout closes pooled connections unused this long; 0 means the
-	// default (30 s).
-	IdleTimeout time.Duration
 	// TLS configures DoT/DoH upstream verification; nil uses defaults.
 	TLS *tls.Config
 	// ServerName overrides the TLS SNI / certificate host check.
@@ -60,14 +57,13 @@ type TransportNet = transport.Net
 // span tracing, and caching all work unchanged over it.
 func NewTransportNet(kind TransportKind, opts TransportOptions) (*TransportNet, error) {
 	t, err := transport.New(transport.Config{
-		Kind:        kind,
-		PoolSize:    opts.PoolSize,
-		Timeout:     opts.Timeout,
-		IdleTimeout: opts.IdleTimeout,
-		TLS:         opts.TLS,
-		ServerName:  opts.ServerName,
-		Insecure:    opts.Insecure,
-		Metrics:     transport.NewMetrics(opts.Registry),
+		Kind:       kind,
+		PoolSize:   opts.PoolSize,
+		Timeout:    opts.Timeout,
+		TLS:        opts.TLS,
+		ServerName: opts.ServerName,
+		Insecure:   opts.Insecure,
+		Metrics:    transport.NewMetrics(opts.Registry),
 	})
 	if err != nil {
 		return nil, err
