@@ -102,13 +102,6 @@ func NewRegistry(clock Clock) *Registry { return obs.NewRegistry(clock) }
 // NewTracer builds a lifecycle tracer; a nil clock means wall time.
 func NewTracer(clock Clock) *Tracer { return obs.NewTracer(clock) }
 
-// ServeMetrics starts an HTTP introspection listener on addr (":0" picks a
-// port) exposing /metrics from reg and /trace from tr (either may be nil).
-// It returns the bound address and a close function.
-func ServeMetrics(addr string, reg *Registry, tr *Tracer) (string, func() error, error) {
-	return obs.Serve(addr, reg, tr)
-}
-
 // MetricsHistory is a ring of timestamped registry snapshots backing
 // /metrics?window= rate queries (see internal/obs.History).
 type MetricsHistory = obs.History
@@ -119,10 +112,12 @@ func NewMetricsHistory(reg *Registry, capacity int) *MetricsHistory {
 	return obs.NewHistory(reg, capacity)
 }
 
-// ServeMetricsWith is ServeMetrics plus a MetricsHistory enabling windowed
-// /metrics?window= queries (hist may be nil).
-func ServeMetricsWith(addr string, reg *Registry, tr *Tracer, hist *MetricsHistory) (string, func() error, error) {
-	return obs.ServeWith(addr, reg, tr, hist)
+// ServeMetrics starts an HTTP introspection listener on addr (":0" picks a
+// port) exposing /metrics from reg, /trace from tr and windowed
+// /metrics?window= queries from hist (any may be nil). It returns the bound
+// address and a close function.
+func ServeMetrics(addr string, reg *Registry, tr *Tracer, hist *MetricsHistory) (string, func() error, error) {
+	return obs.Serve(addr, reg, tr, hist)
 }
 
 // QueryLog is the structured query-log pipeline: an async lock-free ring

@@ -127,7 +127,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "resolverd: -prefetch must be a fraction in (0,1]")
 			os.Exit(2)
 		}
-		pol.Prefetch = true
 		pol.PrefetchFraction = *prefetch
 		pol.PrefetchBudget = *prefetchBudg
 	}
@@ -372,7 +371,7 @@ func main() {
 		hist := dnsttl.NewMetricsHistory(cfg.Registry, 0)
 		hist.Start(*metricsEvery)
 		defer hist.Stop()
-		bound, closeMetrics, err := dnsttl.ServeMetricsWith(*metrics, cfg.Registry, cfg.Tracer, hist)
+		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, cfg.Registry, cfg.Tracer, hist)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "resolverd: metrics:", err)
 			os.Exit(1)

@@ -15,34 +15,22 @@ import (
 // module moves (the root zone for RFC 7706 mirrors).
 const TypeAXFR = dnswire.Type(252)
 
-// handleAXFR builds the transfer response for a zone this server is
-// authoritative for, or nil if it is not.
-func (s *Server) handleAXFR(q *dnswire.Message, from netip.Addr) *dnswire.Message {
-	origin := q.Q().Name
-	z := s.Zone(origin)
+// handleAXFR builds the transfer response: the whole zone when this server
+// holds it, REFUSED when it does not, SERVFAIL when it has no SOA to frame
+// the transfer with.
+func (s *Server) handleAXFR(q *dnswire.Message) *dnswire.Message {
 	resp := q.Reply()
+	z := s.Zone(q.Q().Name)
 	if z == nil {
 		resp.Header.RCode = dnswire.RCodeRefused
 		return resp
 	}
-	soa, ok := z.SOA()
-	if !ok {
+	var ok bool
+	if resp.Answer, ok = z.Transfer(); !ok {
 		resp.Header.RCode = dnswire.RCodeServFail
 		return resp
 	}
 	resp.Header.AA = true
-	// RFC 5936 framing: SOA, all other records, SOA again.
-	resp.AddAnswer(soa)
-	for _, set := range z.AllSets() {
-		for _, rr := range set.RRs {
-			if rr.Type == dnswire.TypeSOA && rr.Name == origin {
-				continue
-			}
-			resp.AddAnswer(rr)
-		}
-	}
-	resp.AddAnswer(soa)
-	s.logQuery(from, q.Q(), resp)
 	return resp
 }
 

@@ -37,21 +37,32 @@ const (
 	MetricRRLSlipped = "auth.rrl_slipped"
 )
 
-// Instrument attaches registry-backed metrics to the server. A nil registry
-// detaches (Obs reverts to nil, the zero-cost configuration).
-func (s *Server) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		s.Obs = nil
-		return
-	}
-	s.Obs = &Metrics{
-		Queries:    reg.Counter(MetricQueries),
+// newMetrics resolves the bundle against reg. Queries is an owned counter —
+// it counts with or without a registry, because QueryCount reads it — and
+// the rest are no-op handles until a registry backs them.
+func newMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		Queries:    reg.OwnedCounter(MetricQueries),
 		Referrals:  reg.Counter(MetricReferrals),
 		NXDomain:   reg.Counter(MetricNXDomain),
 		Refused:    reg.Counter(MetricRefused),
 		RRLPassed:  reg.Counter(MetricRRLPassed),
 		RRLDropped: reg.Counter(MetricRRLDropped),
 		RRLSlipped: reg.Counter(MetricRRLSlipped),
+	}
+}
+
+// Instrument moves the server's counters into reg, carrying over the
+// queries already counted so that auth.queries and QueryCount stay one
+// number. A nil registry detaches: the count moves back to a standalone
+// counter. Servers instrumented on one registry share its counters, so each
+// then reports their sum. Call it before the server serves: a query counted
+// while it runs may be lost.
+func (s *Server) Instrument(reg *obs.Registry) {
+	old := s.Obs
+	s.Obs = newMetrics(reg)
+	if s.Obs.Queries != old.Queries {
+		s.Obs.Queries.Add(old.Queries.Value())
 	}
 }
 

@@ -7,8 +7,6 @@ package authoritative
 
 import (
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/qlog"
@@ -18,27 +16,16 @@ import (
 	"net/netip"
 )
 
-// QueryLogEntry records one handled query, the raw material for the
-// paper's authoritative-side analyses (§3.4, §4.6, §6.2).
-type QueryLogEntry struct {
-	Time     time.Time
-	Client   netip.Addr
-	Name     dnswire.Name
-	Type     dnswire.Type
-	RCode    dnswire.RCode
-	Answers  int
-	Referral bool
-}
-
 // Server is an authoritative server for a set of zones.
 type Server struct {
 	// Name identifies the server in logs and experiment reports
 	// (e.g. "ns1.cachetest.net").
 	Name dnswire.Name
-	// Clock timestamps query-log entries.
+	// Clock refills the response rate limiter's buckets.
 	Clock simnet.Clock
-	// Obs, when non-nil, mirrors the query counters into the telemetry
-	// plane (see Instrument); nil costs one pointer check per query.
+	// Obs holds the server's counters. Queries is the one count of handled
+	// queries — QueryCount reads it — and Instrument moves it, with the
+	// answer-kind and RRL breakdown, into a registry.
 	Obs *Metrics
 	// QLog, when non-nil, emits one structured response-out record per
 	// handled query — the authoritative-side capture the paper's §3.4
@@ -52,14 +39,8 @@ type Server struct {
 
 	mu    sync.RWMutex
 	zones map[dnswire.Name]*zone.Zone
-	log   []QueryLogEntry
 	// rrl, when non-nil, rate-limits UDP responses (see rrl.go).
 	rrl *rrlState
-	// logging controls whether entries are retained. It and queries are
-	// atomic so that counting a query takes no lock: logQuery takes s.mu
-	// only to append to the log.
-	logging atomic.Bool
-	queries atomic.Uint64
 }
 
 // NewServer creates a server with no zones. If clock is nil the wall clock
@@ -71,6 +52,7 @@ func NewServer(name dnswire.Name, clock simnet.Clock) *Server {
 	return &Server{
 		Name:  name,
 		Clock: clock,
+		Obs:   newMetrics(nil),
 		zones: make(map[dnswire.Name]*zone.Zone),
 	}
 }
@@ -89,27 +71,9 @@ func (s *Server) Zone(origin dnswire.Name) *zone.Zone {
 	return s.zones[origin]
 }
 
-// EnableQueryLog turns on query logging (off by default to keep large
-// simulations lean).
-func (s *Server) EnableQueryLog() { s.logging.Store(true) }
-
-// QueryLog returns a copy of the retained log.
-func (s *Server) QueryLog() []QueryLogEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]QueryLogEntry(nil), s.log...)
-}
-
-// ResetQueryLog clears the log and query counter.
-func (s *Server) ResetQueryLog() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.log = nil
-	s.queries.Store(0)
-}
-
-// QueryCount returns the number of queries handled since the last reset.
-func (s *Server) QueryCount() uint64 { return s.queries.Load() }
+// QueryCount returns the number of queries handled: every reply the server
+// produced, whatever its kind.
+func (s *Server) QueryCount() uint64 { return s.Obs.Queries.Value() }
 
 // bestZone returns the most specific zone enclosing name, found by walking
 // the name's ancestors so servers hosting many zones stay O(label count)
@@ -183,19 +147,13 @@ func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byt
 		if r := s.limiter(); r != nil {
 			switch r.check(s.band(q.Q(), resp), from) {
 			case rrlDrop:
-				if m := s.Obs; m != nil {
-					m.RRLDropped.Inc()
-				}
+				s.Obs.RRLDropped.Inc()
 				return dst
 			case rrlSlip:
-				if m := s.Obs; m != nil {
-					m.RRLSlipped.Inc()
-				}
+				s.Obs.RRLSlipped.Inc()
 				resp = slipReply(resp)
 			default:
-				if m := s.Obs; m != nil {
-					m.RRLPassed.Inc()
-				}
+				s.Obs.RRLPassed.Inc()
 			}
 		}
 	}
@@ -216,33 +174,36 @@ type PushHook interface {
 
 // handleInto answers q into resp, a reset Message, and returns the answer:
 // resp itself, or a message of their own when the push hook or AXFR builds
-// one. The wire path passes a pooled resp.
+// one. The wire path passes a pooled resp. Every reply leaves through the
+// one logQuery, so a refusal is counted like an answer.
 func (s *Server) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
+	resp = s.reply(resp, q, from)
+	s.logQuery(from, q.Q(), resp)
+	return resp
+}
+
+// reply picks the answer: the push hook's, NOTIMP, a transfer, or the most
+// specific zone's — REFUSED when the server holds none for the name.
+func (s *Server) reply(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
 	question := q.Q()
 	if h := s.Push; h != nil {
 		if claimed, ok := h.HandleQuery(q, from); ok {
-			s.logQuery(from, question, claimed)
 			return claimed
 		}
 	}
 	q.ReplyInto(resp)
-	if question.Name == "" || q.Header.Opcode != dnswire.OpcodeQuery {
+	switch {
+	case question.Name == "" || q.Header.Opcode != dnswire.OpcodeQuery:
 		resp.Header.RCode = dnswire.RCodeNotImp
-		s.logQuery(from, question, resp)
-		return resp
+	case question.Type == TypeAXFR:
+		return s.handleAXFR(q)
+	default:
+		if z := s.bestZone(question.Name); z != nil {
+			s.answerFromZone(z, question.Name, question.Type, resp, 0)
+		} else {
+			resp.Header.RCode = dnswire.RCodeRefused
+		}
 	}
-	if question.Type == TypeAXFR {
-		return s.handleAXFR(q, from)
-	}
-
-	z := s.bestZone(question.Name)
-	if z == nil {
-		resp.Header.RCode = dnswire.RCodeRefused
-		s.logQuery(from, question, resp)
-		return resp
-	}
-	s.answerFromZone(z, question.Name, question.Type, resp, 0)
-	s.logQuery(from, question, resp)
 	return resp
 }
 
@@ -286,29 +247,8 @@ func (s *Server) answerFromZone(z *zone.Zone, name dnswire.Name, t dnswire.Type,
 }
 
 func (s *Server) logQuery(from netip.Addr, q dnswire.Question, resp *dnswire.Message) {
-	if m := s.Obs; m != nil {
-		m.observe(resp)
-	}
+	s.Obs.observe(resp)
 	if t := s.QLog; t != nil {
-		var ttl uint32
-		if len(resp.Answer) > 0 {
-			ttl = resp.Answer[0].TTL
-		}
-		t.ResponseOut(from, q.Name, q.Type, resp.Header.RCode, ttl, qlog.OutcomeNone, 0)
+		t.ResponseOut(from, q.Name, q.Type, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, 0)
 	}
-	s.queries.Add(1)
-	if !s.logging.Load() {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.log = append(s.log, QueryLogEntry{
-		Time:     s.Clock.Now(),
-		Client:   from,
-		Name:     q.Name,
-		Type:     q.Type,
-		RCode:    resp.Header.RCode,
-		Answers:  len(resp.Answer),
-		Referral: resp.IsReferral(),
-	})
 }

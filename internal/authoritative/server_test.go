@@ -2,9 +2,12 @@ package authoritative
 
 import (
 	"net/netip"
+	"path/filepath"
 	"testing"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
+	"dnsttl/internal/qlog"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/transport"
 	"dnsttl/internal/zone"
@@ -188,30 +191,83 @@ func TestMostSpecificZoneWins(t *testing.T) {
 	}
 }
 
+// claimHook is a PushHook claiming every query for one name.
+type claimHook struct{ name dnswire.Name }
+
+func (h claimHook) HandleQuery(q *dnswire.Message, _ netip.Addr) (*dnswire.Message, bool) {
+	if q.Q().Name != h.name {
+		return nil, false
+	}
+	return q.Reply(), true
+}
+
+// TestQueryLog pins the one exit every reply takes: whichever of its eight
+// paths handleInto answers on, the query adds exactly one to QueryCount and
+// one response-out record carrying the reply's rcode to the attached query
+// log — a transfer the server refuses included, which used to move neither.
+// The registry's auth.queries is that same count, also when Instrument
+// arrives after traffic has started.
 func TestQueryLog(t *testing.T) {
 	s := testServer(t)
-	s.EnableQueryLog()
-	query(t, s, "www.example.org", dnswire.TypeA)
-	query(t, s, "deep.sub.example.org", dnswire.TypeA)
-	log := s.QueryLog()
-	if len(log) != 2 {
-		t.Fatalf("log has %d entries", len(log))
+	s.Push = claimHook{dnswire.NewName("claimed.example.org")}
+	path := filepath.Join(t.TempDir(), "auth.jsonl")
+	ql, err := qlog.New(qlog.Config{Path: path})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if log[0].Name != dnswire.NewName("www.example.org") || log[0].Answers != 1 || log[0].Referral {
-		t.Errorf("entry 0 = %+v", log[0])
+	s.QLog = ql.Tap("udp")
+
+	update := dnswire.NewIterativeQuery(1, dnswire.NewName("www.example.org"), dnswire.TypeA)
+	update.Header.Opcode = dnswire.OpcodeUpdate
+	ask := func(name string, typ dnswire.Type) *dnswire.Message {
+		return dnswire.NewIterativeQuery(1, dnswire.NewName(name), typ)
 	}
-	if !log[1].Referral {
-		t.Errorf("entry 1 should be a referral: %+v", log[1])
+	cases := []struct {
+		path  string
+		q     *dnswire.Message
+		rcode dnswire.RCode
+	}{
+		{"answer", ask("www.example.org", dnswire.TypeA), dnswire.RCodeNoError},
+		{"nxdomain", ask("nope.example.org", dnswire.TypeA), dnswire.RCodeNXDomain},
+		{"referral", ask("deep.sub.example.org", dnswire.TypeA), dnswire.RCodeNoError},
+		{"refused, no zone", ask("www.other.org", dnswire.TypeA), dnswire.RCodeRefused},
+		{"notimp", update, dnswire.RCodeNotImp},
+		{"axfr served", ask("example.org", TypeAXFR), dnswire.RCodeNoError},
+		{"axfr refused", ask("other.org", TypeAXFR), dnswire.RCodeRefused},
+		{"push-claimed", ask("claimed.example.org", dnswire.TypeA), dnswire.RCodeNoError},
 	}
-	if log[0].Client != clientAddr {
-		t.Errorf("client = %v", log[0].Client)
+	for i, c := range cases {
+		resp := s.handleInto(new(dnswire.Message), c.q, clientAddr)
+		if resp.Header.RCode != c.rcode {
+			t.Errorf("%s: rcode = %s, want %s", c.path, resp.Header.RCode, c.rcode)
+		}
+		if got := s.QueryCount(); got != uint64(i+1) {
+			t.Fatalf("%s: QueryCount = %d, want %d", c.path, got, i+1)
+		}
 	}
-	if s.QueryCount() != 2 {
-		t.Errorf("QueryCount = %d", s.QueryCount())
+
+	reg := obs.NewRegistry(nil)
+	s.Instrument(reg)
+	s.handleInto(new(dnswire.Message), cases[0].q, clientAddr)
+	s.handleInto(new(dnswire.Message), cases[6].q, clientAddr)
+	if got, want := reg.Counter(MetricQueries).Value(), uint64(len(cases)+2); got != want || s.QueryCount() != want {
+		t.Errorf("after a mid-traffic Instrument: auth.queries = %d, QueryCount = %d, want both %d", got, s.QueryCount(), want)
 	}
-	s.ResetQueryLog()
-	if len(s.QueryLog()) != 0 || s.QueryCount() != 0 {
-		t.Errorf("reset did not clear")
+	if got := reg.Counter(MetricRefused).Value(); got != 1 {
+		t.Errorf("auth.refused = %d after one refused transfer, want 1", got)
+	}
+
+	if err := ql.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, bad, err := qlog.ReadAll(path)
+	if err != nil || bad != 0 || len(recs) != len(cases)+2 {
+		t.Fatalf("query log: %d records, %d undecodable, err %v; want %d records", len(recs), bad, err, len(cases)+2)
+	}
+	for i, c := range cases {
+		if r := recs[i]; r.RCode != c.rcode || r.Name != c.q.Q().Name || r.Client != clientAddr {
+			t.Errorf("%s: logged %+v", c.path, r)
+		}
 	}
 }
 

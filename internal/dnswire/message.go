@@ -109,6 +109,16 @@ func (m *Message) Q() Question {
 	return m.Question[0]
 }
 
+// AnswerTTL returns the TTL a response carries: its first answer record's,
+// or 0 for a response without answers. Query logs, traces and the answer-TTL
+// histogram all mean this one number.
+func (m *Message) AnswerTTL() uint32 {
+	if len(m.Answer) == 0 {
+		return 0
+	}
+	return m.Answer[0].TTL
+}
+
 // Section returns the records in the given message section.
 func (m *Message) Section(s Section) []RR {
 	switch s {

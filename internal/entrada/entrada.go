@@ -10,7 +10,6 @@ import (
 	"sort"
 	"time"
 
-	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/stats"
 )
@@ -89,17 +88,6 @@ func (w *Warehouse) Ingest(r Row) {
 	}
 	g.Times = append(g.Times, r.Time)
 	w.rows++
-}
-
-// IngestServerLog pulls an authoritative server's query log, keeping only
-// the given query names (nil means all).
-func (w *Warehouse) IngestServerLog(s *authoritative.Server, names map[dnswire.Name]bool) {
-	for _, e := range s.QueryLog() {
-		if names != nil && !names[e.Name] {
-			continue
-		}
-		w.Ingest(Row{Time: e.Time, Resolver: e.Client, Name: e.Name, Type: e.Type})
-	}
 }
 
 // Rows returns the ingested row count.

@@ -117,7 +117,10 @@ func TestMinInterarrivalSample(t *testing.T) {
 	}
 }
 
-func TestIngestServerLog(t *testing.T) {
+// TestIngestFromTap feeds the warehouse the way the .nl experiment does:
+// rows captured by the simulated network's tap on the way to an
+// authoritative server, stamped with the virtual clock.
+func TestIngestFromTap(t *testing.T) {
 	clock := simnet.NewVirtualClock()
 	z := zone.New(dnswire.NewName("dns.nl"))
 	z.MustAdd(
@@ -127,33 +130,38 @@ func TestIngestServerLog(t *testing.T) {
 	)
 	srv := authoritative.NewServer(n1, clock)
 	srv.AddZone(z)
-	srv.EnableQueryLog()
+	srvAddr := netip.MustParseAddr("192.0.2.1")
+	net := simnet.NewNetwork(1)
+	net.Attach(srvAddr, srv)
+	w := NewWarehouse()
+	net.Tap = func(ev simnet.TapEvent) {
+		q, err := dnswire.Decode(ev.Query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Ingest(Row{Time: clock.Now(), Resolver: ev.Src, Name: q.Q().Name, Type: q.Q().Type})
+	}
 
 	send := func(name dnswire.Name) {
 		q := dnswire.NewIterativeQuery(1, name, dnswire.TypeA)
 		wire, _ := dnswire.Encode(q)
-		srv.ServeDNS(wire, r1)
+		if _, _, err := net.Exchange(r1, srvAddr, wire); err != nil {
+			t.Fatal(err)
+		}
 	}
 	send(n1)
 	clock.Advance(time.Hour)
 	send(n1)
 	send(n2)
 
-	w := NewWarehouse()
-	w.IngestServerLog(srv, map[dnswire.Name]bool{n1: true})
-	if w.Rows() != 2 {
-		t.Fatalf("filtered ingest rows = %d, want 2", w.Rows())
+	if w.Rows() != 3 || srv.QueryCount() != 3 {
+		t.Fatalf("ingested %d rows of the %d queries the server counted, want 3 of 3", w.Rows(), srv.QueryCount())
 	}
-	w2 := NewWarehouse()
-	w2.IngestServerLog(srv, nil)
-	if w2.Rows() != 3 {
-		t.Fatalf("unfiltered ingest rows = %d", w2.Rows())
-	}
-	groups := w2.Groups()
+	groups := w.Groups()
 	if len(groups) != 2 {
 		t.Fatalf("groups = %d", len(groups))
 	}
 	if min, ok := groups[0].MinInterarrival(0); !ok || min != time.Hour {
-		t.Errorf("interarrival from server log = %v %v", min, ok)
+		t.Errorf("interarrival from the capture = %v %v", min, ok)
 	}
 }

@@ -121,8 +121,7 @@ func AblationServeStale(probes, workers int, seed int64) *Report {
 // authoritative queries.
 func AblationPrefetch(probes, workers int, seed int64) *Report {
 	pre := resolver.DefaultPolicy()
-	pre.Prefetch = true
-	pre.PrefetchThreshold = 120
+	pre.PrefetchFraction = 0.4 // the last 120 s of www.cachetest.net's 300
 	mixes := []population.Mix{singleProfileMix("prefetch", pre), singleProfileMix("plain", resolver.DefaultPolicy())}
 	type outcome struct {
 		hitFrac     float64

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"strings"
@@ -118,14 +117,8 @@ type AbuseReport struct {
 	Cells   []AbuseCell `json:"cells"`
 }
 
-// JSON renders the report deterministically for golden comparison.
-func (r *AbuseReport) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+// JSON renders the report in the golden format.
+func (r *AbuseReport) JSON() []byte { return goldenJSON(r) }
 
 // abuseGrid is the cell plan: every protection mode at every farm shape.
 type abuseConfig struct {

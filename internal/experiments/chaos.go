@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"time"
@@ -226,14 +225,8 @@ func ChaosRun(probes, workers int, seed int64) *ChaosReport {
 	return &ChaosReport{Seed: seed, Probes: probes, Results: results}
 }
 
-// JSON renders the report as stable, indented JSON — the golden format.
-func (r *ChaosReport) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+// JSON renders the report in the golden format.
+func (r *ChaosReport) JSON() []byte { return goldenJSON(r) }
 
 // ChaosExperiment wraps the harness into the standard Report shape for the
 // experiment runner: the JSON is the text artifact, and per-scenario answer

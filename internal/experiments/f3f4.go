@@ -85,13 +85,28 @@ func NlPassive(cfg NlPassiveConfig) *Report {
 	rootSrv := authoritative.NewServer(dnswire.NewName("a.root-servers.net"), clock)
 	rootSrv.AddZone(root)
 	net.Attach(rootAddr, rootSrv)
-	nlSrvs := make([]*authoritative.Server, nlServers)
 	for i, addr := range nlAddrs {
 		s := authoritative.NewServer(nsNames[i], clock)
 		s.AddZone(nl)
-		s.EnableQueryLog()
 		net.Attach(addr, s)
-		nlSrvs[i] = s
+	}
+
+	// ENTRADA view: a capture at the two observed servers, keeping only
+	// queries for the four NS-host names. The network tap is the capture,
+	// as it is for the other experiments that read traffic at a server.
+	observed := map[netip.Addr]bool{nlAddrs[0]: true, nlAddrs[2]: true}
+	names := map[dnswire.Name]bool{}
+	for _, n := range nsNames {
+		names[n] = true
+	}
+	wh := entrada.NewWarehouse()
+	net.Tap = func(ev simnet.TapEvent) {
+		if !observed[ev.Dst] || ev.Response == nil {
+			return
+		}
+		if q, err := dnswire.Decode(ev.Query); err == nil && names[q.Q().Name] {
+			wh.Ingest(entrada.Row{Time: clock.Now(), Resolver: ev.Src, Name: q.Q().Name, Type: q.Q().Type})
+		}
 	}
 
 	// Resolver population: mainstream child-centric software with glue
@@ -149,16 +164,6 @@ func NlPassive(cfg NlPassiveConfig) *Report {
 		}
 		nextC.next = nextC.next.Add(nextC.gap + time.Duration(rng.Int63n(int64(time.Minute))))
 	}
-
-	// ENTRADA view: ingest the two observed servers' logs, keeping only
-	// the four NS-host names.
-	names := map[dnswire.Name]bool{}
-	for _, n := range nsNames {
-		names[n] = true
-	}
-	wh := entrada.NewWarehouse()
-	wh.IngestServerLog(nlSrvs[0], names)
-	wh.IngestServerLog(nlSrvs[2], names)
 
 	census := wh.CentricityCensus()
 	counts := wh.QueryCountSample(0)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 
@@ -50,14 +49,8 @@ type PressureReport struct {
 	Cells   []PressureCell `json:"cells"`
 }
 
-// JSON renders the report as stable, indented JSON — the golden format.
-func (r *PressureReport) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+// JSON renders the report in the golden format.
+func (r *PressureReport) JSON() []byte { return goldenJSON(r) }
 
 // Cell finds a grid point by coordinates (nil if absent).
 func (r *PressureReport) Cell(policy string, maxKB, ttl int, prefetch bool) *PressureCell {
@@ -130,7 +123,6 @@ func pressureCell(spec pressureSpec, queries int, seed int64) PressureCell {
 	w := newZipfWorld(pressurePlan, pressureNames, spec.ttl, pressureQPS, seed, seed)
 	pol := resolver.DefaultPolicy()
 	if spec.prefetch {
-		pol.Prefetch = true
 		pol.PrefetchFraction = 0.5
 	}
 	res := resolver.New(netip.MustParseAddr("10.31.0.1"), pol,

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/netip"
 	"time"
@@ -352,14 +351,8 @@ func PushRun(clients, workers int, seed int64) *PushReport {
 	return &PushReport{Seed: seed, Clients: clients, Results: results}
 }
 
-// JSON renders the report as stable, indented JSON — the golden format.
-func (r *PushReport) JSON() []byte {
-	b, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		panic(err)
-	}
-	return append(b, '\n')
-}
+// JSON renders the report in the golden format.
+func (r *PushReport) JSON() []byte { return goldenJSON(r) }
 
 // PushExperiment wraps the harness into the standard Report shape: the JSON
 // is the text artifact, and each cell contributes its staleness and

@@ -81,6 +81,16 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 	}{r.ID, r.Title, r.Metrics, r.Text})
 }
 
+// goldenJSON renders a harness report as stable, indented JSON — the one
+// format the byte-pinned goldens under testdata/ are held in.
+func goldenJSON(report any) []byte {
+	b, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		panic(err)
+	}
+	return append(b, '\n')
+}
+
 // String renders the report.
 func (r *Report) String() string {
 	var b strings.Builder

@@ -3,7 +3,6 @@ package middleware
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
@@ -15,8 +14,7 @@ import (
 // resolver, so a blocklist early in the chain is also a cheap defense
 // against floods aimed at a known-bad domain.
 type blocklistStage struct {
-	name    string
-	next    Stage
+	base
 	roots   map[dnswire.Name]bool
 	action  string // "nxdomain" or "refused"
 	blocked *obs.Counter
@@ -24,41 +22,23 @@ type blocklistStage struct {
 }
 
 func init() {
-	register("blocklist", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
+	register("blocklist", chained, func(b base, o *options) (Stage, error) {
 		st := &blocklistStage{
-			name:    sp.name,
-			roots:   map[dnswire.Name]bool{},
+			base:    b,
+			roots:   o.names("block"),
 			action:  o.str("action", "nxdomain"),
-			blocked: b.env.counter(sp.name, "blocked"),
-			passed:  b.env.counter(sp.name, "passed"),
-		}
-		for _, n := range strings.Fields(o.str("block", "")) {
-			name := dnswire.NewName(n)
-			if err := name.Valid(); err != nil {
-				return nil, fmt.Errorf("middleware: stage %q: bad name %q: %v", sp.name, n, err)
-			}
-			st.roots[name] = true
-		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
+			blocked: o.counter("blocked"),
+			passed:  o.counter("passed"),
 		}
 		if len(st.roots) == 0 {
-			return nil, fmt.Errorf("middleware: stage %q needs block = \"bad.example ...\"", sp.name)
+			return nil, fmt.Errorf("middleware: stage %q needs block = \"bad.example ...\"", b.name)
 		}
 		if st.action != "nxdomain" && st.action != "refused" {
-			return nil, fmt.Errorf("middleware: stage %q: action must be nxdomain or refused, got %q", sp.name, st.action)
+			return nil, fmt.Errorf("middleware: stage %q: action must be nxdomain or refused, got %q", b.name, st.action)
 		}
 		return st, nil
 	})
 }
-
-func (s *blocklistStage) Name() string { return s.name }
 
 // matches walks the qname's ancestors against the block set, the same
 // O(label count) walk the authoritative server uses for zone cuts.

@@ -20,8 +20,7 @@ import (
 // of a CNAME chain is served past its own TTL, and hits serve a copy with
 // decayed TTLs, exactly what a downstream cache would see on the wire.
 type cacheStage struct {
-	name    string
-	next    Stage
+	base
 	entries int
 	negTTL  time.Duration
 	clock   simnet.Clock
@@ -41,33 +40,22 @@ type memoEntry struct {
 }
 
 func init() {
-	register("cache", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
+	register("cache", chained, func(b base, o *options) (Stage, error) {
 		st := &cacheStage{
-			name:    sp.name,
+			base:    b,
 			entries: o.integer("entries", 4096),
 			negTTL:  time.Duration(o.integer("negttl", 30)) * time.Second,
-			clock:   b.env.clock(),
-			hits:    b.env.counter(sp.name, "hits"),
-			misses:  b.env.counter(sp.name, "misses"),
+			clock:   o.b.env.clock(),
+			hits:    o.counter("hits"),
+			misses:  o.counter("misses"),
 			memo:    map[dedupKey]*memoEntry{},
 		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
 		if st.entries < 1 {
-			return nil, fmt.Errorf("middleware: stage %q: entries must be >= 1", sp.name)
+			return nil, fmt.Errorf("middleware: stage %q: entries must be >= 1", b.name)
 		}
 		return st, nil
 	})
 }
-
-func (s *cacheStage) Name() string { return s.name }
 
 func (s *cacheStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	k := dedupKey{name: q.Name, qtype: q.Type}
@@ -136,8 +124,6 @@ func (s *cacheStage) serveHit(e *memoEntry, now time.Time) Response {
 	cp.Timeouts = 0
 	cp.Retries = 0
 	cp.Hedges = 0
-	if len(cp.Msg.Answer) > 0 {
-		cp.AnswerTTL = cp.Msg.Answer[0].TTL
-	}
+	cp.AnswerTTL = cp.Msg.AnswerTTL()
 	return Response{Result: &cp, Verdict: VerdictCached, Stage: s.name}
 }

@@ -17,8 +17,7 @@ import (
 // never client-keyed: placing it after a rate limiter keeps per-client
 // accounting exact.
 type dedupStage struct {
-	name      string
-	next      Stage
+	base
 	leaders   *obs.Counter
 	coalesced *obs.Counter
 	flight    flight.Group[dedupKey, Response]
@@ -30,26 +29,10 @@ type dedupKey struct {
 }
 
 func init() {
-	register("dedup", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
-		st := &dedupStage{
-			name:      sp.name,
-			leaders:   b.env.counter(sp.name, "leaders"),
-			coalesced: b.env.counter(sp.name, "coalesced"),
-		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
-		return st, nil
+	register("dedup", chained, func(b base, o *options) (Stage, error) {
+		return &dedupStage{base: b, leaders: o.counter("leaders"), coalesced: o.counter("coalesced")}, nil
 	})
 }
-
-func (s *dedupStage) Name() string { return s.name }
 
 func (s *dedupStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	resp, err, joined := s.flight.Do(dedupKey{name: q.Name, qtype: q.Type}, s.coalesced.Inc,

@@ -5,6 +5,9 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 )
 
 // The spec grammar is a TOML subset shaped like a routedns config: named
@@ -122,15 +125,41 @@ func parseSpec(text string) (*parsed, error) {
 	return p, nil
 }
 
-// buildFunc constructs one stage kind. next is nil for terminal kinds.
-type buildFunc func(b *builder, sp *stageSpec) (Stage, error)
+// buildFunc constructs one stage kind: it reads its options and returns
+// the stage with b embedded. The builder does the rest — b arrives with the
+// instance name and, for a kind that takes one, its next stage already
+// built, and mistyped values and unknown keys are rejected once the
+// constructor returns.
+type buildFunc func(b base, o *options) (Stage, error)
+
+// A kind is registered chained — it hands what it does not answer to a next
+// stage, which the builder resolves — or terminal: it ends the chain
+// (resolver) or names its own targets (router).
+const (
+	chained  = true
+	terminal = false
+)
+
+type stageKind struct {
+	build   buildFunc
+	chained bool
+}
 
 // stageKinds registers every stage type the grammar accepts. Each stage
 // file adds its kind in init(); scripts/docs_check.sh requires every
 // registered kind to be documented in docs/middleware.md.
-var stageKinds = map[string]buildFunc{}
+var stageKinds = map[string]stageKind{}
 
-func register(kind string, fn buildFunc) { stageKinds[kind] = fn }
+func register(kind string, takesNext bool, fn buildFunc) { stageKinds[kind] = stageKind{fn, takesNext} }
+
+// base is what every stage kind embeds: the instance name the spec assigned
+// and, for chained kinds, the next stage.
+type base struct {
+	name string
+	next Stage
+}
+
+func (s *base) Name() string { return s.name }
 
 // StageKinds lists the registered stage type names, sorted.
 func StageKinds() []string {
@@ -209,40 +238,51 @@ func (b *builder) stage(name string) (Stage, error) {
 	b.building[name] = true
 	defer delete(b.building, name)
 
-	o := options{sp: sp, seen: map[string]bool{"type": true}}
-	kind := o.str("type", "")
-	if kind == "" {
-		return nil, fmt.Errorf("middleware: stage %q (line %d) has no type", sp.name, sp.line)
+	o := &options{b: b, sp: sp, seen: map[string]bool{}}
+	typ := o.str("type", "")
+	if typ == "" {
+		return nil, fmt.Errorf("middleware: stage %q (line %d) has no type", name, sp.line)
 	}
-	build, ok := stageKinds[kind]
+	kind, ok := stageKinds[typ]
 	if !ok {
 		return nil, fmt.Errorf("middleware: stage %q: unknown type %q (known: %s)",
-			sp.name, kind, strings.Join(StageKinds(), ", "))
+			name, typ, strings.Join(StageKinds(), ", "))
 	}
-	st, err := build(b, sp)
-	if err != nil {
+	self := base{name: name}
+	if kind.chained {
+		ref := o.str("next", "")
+		if ref == "" {
+			return nil, fmt.Errorf("middleware: stage %q needs next = \"stage\"", name)
+		}
+		next, err := b.stage(ref)
+		if err != nil {
+			return nil, err
+		}
+		self.next = next
+	}
+	st, err := kind.build(self, o)
+	if err = o.finish(err); err != nil {
 		return nil, err
 	}
 	b.built[name] = st
 	return st, nil
 }
 
-// next builds the stage's next reference — required for every
-// non-terminal stage kind.
-func (b *builder) next(o *options) (Stage, error) {
-	name := o.str("next", "")
-	if name == "" {
-		return nil, fmt.Errorf("middleware: stage %q needs next = \"stage\"", o.sp.name)
-	}
-	return b.stage(name)
-}
-
-// options wraps a stage's key/value table with typed, consumption-tracked
-// getters so finish() can reject misspelled keys.
+// options is what a stage constructor reads: its key/value table through
+// typed, consumption-tracked getters (so finish can reject misspelled
+// keys), the environment's clock and counters, and — for a kind that names
+// its own targets — the other stages of the graph.
 type options struct {
+	b    *builder
 	sp   *stageSpec
 	seen map[string]bool
 	err  error
+}
+
+// counter registers this stage's mw.<stage>.<what> counter — the nil-safe
+// no-op counter when no registry is attached.
+func (o *options) counter(what string) *obs.Counter {
+	return o.b.env.Registry.Counter("mw." + o.sp.name + "." + what)
 }
 
 func (o *options) str(key, def string) string {
@@ -279,11 +319,29 @@ func (o *options) integer(key string, def int) int {
 	return n
 }
 
-// finish reports the first typed-getter error, then any key the stage
-// never consumed — a typo, under the strict-reload contract.
-func (o *options) finish() error {
+// names reads a space-separated list of domain names as a set.
+func (o *options) names(key string) map[dnswire.Name]bool {
+	set := map[dnswire.Name]bool{}
+	for _, n := range strings.Fields(o.str(key, "")) {
+		name := dnswire.NewName(n)
+		if err := name.Valid(); err != nil && o.err == nil {
+			o.err = fmt.Errorf("middleware: stage %q: bad name %q: %v", o.sp.name, n, err)
+		}
+		set[name] = true
+	}
+	return set
+}
+
+// finish settles a constructor's outcome: the first typed-getter error wins
+// (the constructor saw a zero in its place, so whatever it concluded is
+// secondary), then the constructor's own error, then any key it never
+// consumed — a typo, under the strict-reload contract.
+func (o *options) finish(err error) error {
 	if o.err != nil {
 		return o.err
+	}
+	if err != nil {
+		return err
 	}
 	var unknown []string
 	for k := range o.sp.opts {

@@ -124,15 +124,6 @@ func (e Env) clock() simnet.Clock {
 	return e.Clock
 }
 
-// counter registers a mw.<stage>.<what> counter, or returns the nil-safe
-// no-op counter when no registry is attached.
-func (e Env) counter(stage, what string) *obs.Counter {
-	if e.Registry == nil {
-		return nil
-	}
-	return e.Registry.Counter("mw." + stage + "." + what)
-}
-
 // Pipeline is a compiled stage graph with a single entry point.
 type Pipeline struct {
 	entry  Stage
@@ -157,7 +148,7 @@ func (p *Pipeline) Stages() []string {
 // Default builds the zero-config pipeline: one terminal resolver stage.
 // It adds two pointer hops and no behavior to the wrapped datapath.
 func Default(env Env) *Pipeline {
-	t := &resolverStage{name: "resolver", lookup: env.Lookup}
+	t := &resolverStage{base: base{name: "resolver"}, lookup: env.Lookup}
 	return &Pipeline{entry: t, stages: []Stage{t}}
 }
 

@@ -98,26 +98,30 @@ func TestBuildEmptySpecIsDefault(t *testing.T) {
 	}
 }
 
+// rejectedSpecs is every spec Build must refuse, with a fragment of the
+// reason it gives. FuzzPipelineSpec seeds its corpus from it too.
+var rejectedSpecs = []struct{ name, spec, wantErr string }{
+	{"garbage line", "what even is this", "want key = value"},
+	{"bad header", "[stage.x\ntype = \"resolver\"", "unterminated"},
+	{"not a stage table", "[other.x]", "want [stage.NAME]"},
+	{"dup stage", "[stage.a]\ntype=\"resolver\"\n[stage.a]\ntype=\"resolver\"", "duplicate stage"},
+	{"dup key", "[stage.a]\ntype=\"resolver\"\ntype=\"resolver\"", "duplicate key"},
+	{"key before tables", "foo = 1\n[stage.a]\ntype=\"resolver\"", "outside a [stage.*] table"},
+	{"many stages no entry", "[stage.a]\ntype=\"resolver\"\n[stage.b]\ntype=\"resolver\"", "no entry"},
+	{"unknown type", "[stage.a]\ntype = \"warp\"", "unknown type"},
+	{"missing type", "[stage.a]\nnext = \"b\"", "has no type"},
+	{"unknown key", "[stage.a]\ntype = \"resolver\"\nwhat = 1", "unknown key"},
+	{"dangling next", "[stage.a]\ntype = \"dedup\"\nnext = \"ghost\"", "undefined stage"},
+	{"dangling entry", "entry = \"ghost\"\n[stage.a]\ntype = \"resolver\"", "undefined stage"},
+	{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"dedup\"\nnext=\"b\"\n[stage.b]\ntype=\"dedup\"\nnext=\"a\"", "cycle"},
+	{"bad number", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nqps=\"fast\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "not a number"},
+	{"nan burst", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nburst=\"NaN\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "need qps > 0"},
+	{"missing next", "[stage.a]\ntype = \"dedup\"", "needs next"},
+	{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
+}
+
 func TestSpecParseErrors(t *testing.T) {
-	cases := []struct{ name, spec, wantErr string }{
-		{"garbage line", "what even is this", "want key = value"},
-		{"bad header", "[stage.x\ntype = \"resolver\"", "unterminated"},
-		{"not a stage table", "[other.x]", "want [stage.NAME]"},
-		{"dup stage", "[stage.a]\ntype=\"resolver\"\n[stage.a]\ntype=\"resolver\"", "duplicate stage"},
-		{"dup key", "[stage.a]\ntype=\"resolver\"\ntype=\"resolver\"", "duplicate key"},
-		{"key before tables", "foo = 1\n[stage.a]\ntype=\"resolver\"", "outside a [stage.*] table"},
-		{"many stages no entry", "[stage.a]\ntype=\"resolver\"\n[stage.b]\ntype=\"resolver\"", "no entry"},
-		{"unknown type", "[stage.a]\ntype = \"warp\"", "unknown type"},
-		{"missing type", "[stage.a]\nnext = \"b\"", "has no type"},
-		{"unknown key", "[stage.a]\ntype = \"resolver\"\nwhat = 1", "unknown key"},
-		{"dangling next", "[stage.a]\ntype = \"dedup\"\nnext = \"ghost\"", "undefined stage"},
-		{"dangling entry", "entry = \"ghost\"\n[stage.a]\ntype = \"resolver\"", "undefined stage"},
-		{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"dedup\"\nnext=\"b\"\n[stage.b]\ntype=\"dedup\"\nnext=\"a\"", "cycle"},
-		{"bad number", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nqps=\"fast\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "not a number"},
-		{"missing next", "[stage.a]\ntype = \"dedup\"", "needs next"},
-		{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectedSpecs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Build(tc.spec, Env{Lookup: (&fakeLookup{}).lookup})
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -17,8 +17,7 @@ import (
 // shares a single budget, the same aggregation classic resolver ACL
 // limiters use.
 type rateLimitStage struct {
-	name             string
-	next             Stage
+	base
 	prefix4, prefix6 int
 	drop             bool
 	buckets          *bucket.Table[netip.Addr]
@@ -28,43 +27,32 @@ type rateLimitStage struct {
 }
 
 func init() {
-	register("ratelimit", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
+	register("ratelimit", chained, func(b base, o *options) (Stage, error) {
 		qps, burst := o.num("qps", 10), o.num("burst", 20)
 		st := &rateLimitStage{
-			name:    sp.name,
+			base:    b,
 			prefix4: o.integer("prefix4", 32),
 			prefix6: o.integer("prefix6", 64),
-			buckets: bucket.NewTable[netip.Addr](qps, burst, b.env.clock()),
-			limited: b.env.counter(sp.name, "limited"),
-			passed:  b.env.counter(sp.name, "passed"),
+			buckets: bucket.NewTable[netip.Addr](qps, burst, o.b.env.clock()),
+			limited: o.counter("limited"),
+			passed:  o.counter("passed"),
 		}
 		switch action := o.str("action", "refuse"); action {
 		case "refuse":
 		case "drop":
 			st.drop = true
 		default:
-			return nil, fmt.Errorf("middleware: stage %q: action must be refuse or drop, got %q", sp.name, action)
+			return nil, fmt.Errorf("middleware: stage %q: action must be refuse or drop, got %q", b.name, action)
 		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
-		if qps <= 0 || burst < 1 {
-			return nil, fmt.Errorf("middleware: stage %q: need qps > 0 and burst >= 1", sp.name)
+		if !(qps > 0 && burst >= 1) { // written so that NaN fails it too
+			return nil, fmt.Errorf("middleware: stage %q: need qps > 0 and burst >= 1", b.name)
 		}
 		if st.prefix4 < 0 || st.prefix4 > 32 || st.prefix6 < 0 || st.prefix6 > 128 {
-			return nil, fmt.Errorf("middleware: stage %q: prefix4/prefix6 out of range", sp.name)
+			return nil, fmt.Errorf("middleware: stage %q: prefix4/prefix6 out of range", b.name)
 		}
 		return st, nil
 	})
 }
-
-func (s *rateLimitStage) Name() string { return s.name }
 
 // admit spends one token from the masked client's bucket, reporting
 // whether the query may proceed.

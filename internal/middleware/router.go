@@ -23,7 +23,7 @@ import (
 // stage name; the router is how one listener hosts split-horizon,
 // per-zone hardening, or a quarantine chain.
 type routerStage struct {
-	name     string
+	base
 	routes   []route // longest suffix first
 	fallback Stage
 	routed   *obs.Counter
@@ -36,25 +36,17 @@ type route struct {
 }
 
 func init() {
-	register("router", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
-		st := &routerStage{
-			name:   sp.name,
-			routed: b.env.counter(sp.name, "routed"),
-		}
+	register("router", terminal, func(b base, o *options) (Stage, error) {
+		st := &routerStage{base: b, routed: o.counter("routed")}
 		spec := o.str("routes", "")
 		def := o.str("default", "")
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
 		if def == "" {
-			return nil, fmt.Errorf("middleware: stage %q needs default = \"stage\"", sp.name)
+			return nil, fmt.Errorf("middleware: stage %q needs default = \"stage\"", b.name)
 		}
-		fallback, err := b.stage(def)
-		if err != nil {
+		var err error
+		if st.fallback, err = o.b.stage(def); err != nil {
 			return nil, err
 		}
-		st.fallback = fallback
 		for _, part := range strings.Split(spec, ";") {
 			part = strings.TrimSpace(part)
 			if part == "" {
@@ -62,13 +54,13 @@ func init() {
 			}
 			sfx, target, ok := strings.Cut(part, "->")
 			if !ok {
-				return nil, fmt.Errorf("middleware: stage %q: route %q wants \"suffix -> stage\"", sp.name, part)
+				return nil, fmt.Errorf("middleware: stage %q: route %q wants \"suffix -> stage\"", b.name, part)
 			}
 			name := dnswire.NewName(strings.TrimSpace(sfx))
 			if err := name.Valid(); err != nil {
-				return nil, fmt.Errorf("middleware: stage %q: bad route suffix %q: %v", sp.name, sfx, err)
+				return nil, fmt.Errorf("middleware: stage %q: bad route suffix %q: %v", b.name, sfx, err)
 			}
-			to, err := b.stage(strings.TrimSpace(target))
+			to, err := o.b.stage(strings.TrimSpace(target))
 			if err != nil {
 				return nil, err
 			}
@@ -81,8 +73,6 @@ func init() {
 		return st, nil
 	})
 }
-
-func (s *routerStage) Name() string { return s.name }
 
 func (s *routerStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	for _, r := range s.routes {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
-	"strings"
 
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
@@ -14,26 +13,16 @@ import (
 // datapath (resolver or farm frontend). The zero-config default pipeline
 // is exactly one of these.
 type resolverStage struct {
-	name    string
+	base
 	lookup  LookupFunc
 	queries *obs.Counter
 }
 
 func init() {
-	register("resolver", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
-		return &resolverStage{
-			name:    sp.name,
-			lookup:  b.env.Lookup,
-			queries: b.env.counter(sp.name, "queries"),
-		}, nil
+	register("resolver", terminal, func(b base, o *options) (Stage, error) {
+		return &resolverStage{base: b, lookup: o.b.env.Lookup, queries: o.counter("queries")}, nil
 	})
 }
-
-func (s *resolverStage) Name() string { return s.name }
 
 func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
 	s.queries.Inc()
@@ -51,37 +40,25 @@ func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
 // to the client — the operator-facing knob for the paper's central
 // variable, applied after caching so the cache still honors origin TTLs.
 type ttlmodStage struct {
-	name      string
-	next      Stage
+	base
 	min, max  uint32
 	rewritten *obs.Counter
 }
 
 func init() {
-	register("ttlmod", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
+	register("ttlmod", chained, func(b base, o *options) (Stage, error) {
 		st := &ttlmodStage{
-			name:      sp.name,
+			base:      b,
 			min:       uint32(o.integer("min", 0)),
 			max:       uint32(o.integer("max", 0)),
-			rewritten: b.env.counter(sp.name, "rewritten"),
-		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
+			rewritten: o.counter("rewritten"),
 		}
 		if st.max != 0 && st.min > st.max {
-			return nil, fmt.Errorf("middleware: stage %q: min %d > max %d", sp.name, st.min, st.max)
+			return nil, fmt.Errorf("middleware: stage %q: min %d > max %d", b.name, st.min, st.max)
 		}
 		return st, nil
 	})
 }
-
-func (s *ttlmodStage) Name() string { return s.name }
 
 func (s *ttlmodStage) clamp(ttl uint32) uint32 {
 	if ttl < s.min {
@@ -115,9 +92,7 @@ func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	for i := range cp.Msg.Answer {
 		cp.Msg.Answer[i].TTL = s.clamp(cp.Msg.Answer[i].TTL)
 	}
-	if len(cp.Msg.Answer) > 0 {
-		cp.Trace.AnswerTTL = cp.Msg.Answer[0].TTL
-	}
+	cp.AnswerTTL = cp.Msg.AnswerTTL()
 	s.rewritten.Inc()
 	resp.Result = &cp
 	return resp, nil
@@ -127,33 +102,16 @@ func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 // additional sections and can cap the answer section, trading referral
 // context for datagram size (qname-minimization's response-side cousin).
 type collapseStage struct {
-	name      string
-	next      Stage
+	base
 	maxAnswer int // 0 = no cap
 	collapsed *obs.Counter
 }
 
 func init() {
-	register("collapse", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
-		st := &collapseStage{
-			name:      sp.name,
-			maxAnswer: o.integer("answers", 0),
-			collapsed: b.env.counter(sp.name, "collapsed"),
-		}
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
-		return st, nil
+	register("collapse", chained, func(b base, o *options) (Stage, error) {
+		return &collapseStage{base: b, maxAnswer: o.integer("answers", 0), collapsed: o.counter("collapsed")}, nil
 	})
 }
-
-func (s *collapseStage) Name() string { return s.name }
 
 func (s *collapseStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	resp, err := s.next.Resolve(ctx, q)
@@ -181,44 +139,22 @@ func (s *collapseStage) Resolve(ctx context.Context, q *Query) (Response, error)
 // — split-horizon overrides, sinkholes, and test fixtures. Non-matching
 // queries pass through.
 type staticStage struct {
-	name   string
-	next   Stage
+	base
 	names  map[dnswire.Name]bool
 	answer dnswire.RR
 	served *obs.Counter
 }
 
 func init() {
-	register("static", func(b *builder, sp *stageSpec) (Stage, error) {
-		o := options{sp: sp, seen: map[string]bool{"type": true}}
-		st := &staticStage{
-			name:   sp.name,
-			names:  map[dnswire.Name]bool{},
-			served: b.env.counter(sp.name, "served"),
-		}
-		for _, n := range strings.Fields(o.str("names", "")) {
-			name := dnswire.NewName(n)
-			if err := name.Valid(); err != nil {
-				return nil, fmt.Errorf("middleware: stage %q: bad name %q: %v", sp.name, n, err)
-			}
-			st.names[name] = true
-		}
-		addr := o.str("answer", "")
-		ttl := o.integer("ttl", 300)
-		next, err := b.next(&o)
-		if err != nil {
-			return nil, err
-		}
-		st.next = next
-		if err := o.finish(); err != nil {
-			return nil, err
-		}
+	register("static", chained, func(b base, o *options) (Stage, error) {
+		st := &staticStage{base: b, names: o.names("names"), served: o.counter("served")}
+		addr, ttl := o.str("answer", ""), o.integer("ttl", 300)
 		if len(st.names) == 0 {
-			return nil, fmt.Errorf("middleware: stage %q needs names = \"a.example b.example\"", sp.name)
+			return nil, fmt.Errorf("middleware: stage %q needs names = \"a.example b.example\"", b.name)
 		}
 		ip, err := netip.ParseAddr(addr)
 		if err != nil || !ip.Is4() {
-			return nil, fmt.Errorf("middleware: stage %q needs answer = \"ipv4\", got %q", sp.name, addr)
+			return nil, fmt.Errorf("middleware: stage %q needs answer = \"ipv4\", got %q", b.name, addr)
 		}
 		st.answer = dnswire.RR{
 			Type: dnswire.TypeA, Class: dnswire.ClassIN,
@@ -227,8 +163,6 @@ func init() {
 		return st, nil
 	})
 }
-
-func (s *staticStage) Name() string { return s.name }
 
 func (s *staticStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	if q.Type != dnswire.TypeA || !s.names[q.Name] {

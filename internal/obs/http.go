@@ -14,20 +14,14 @@ import (
 //	/metrics              expvar-style JSON snapshot of the registry
 //	/metrics?format=prom  Prometheus text exposition (also via Accept:
 //	                      text/plain); JSON stays the default
-//	/metrics?window=30s   windowed delta (rates, delta histograms) when a
-//	                      History is attached (NewHandlerWith)
+//	/metrics?window=30s   windowed delta (rates, delta histograms) when
+//	                      hist is attached
 //	/trace                list of retained trace names
 //	/trace?name=N         rendered span tree of the last resolution of N
 //
-// Either argument may be nil; the corresponding endpoint then reports that
+// Any argument may be nil; the corresponding endpoint then reports that
 // the facility is disabled.
-func NewHandler(reg *Registry, tr *Tracer) http.Handler {
-	return NewHandlerWith(reg, tr, nil)
-}
-
-// NewHandlerWith is NewHandler plus an optional History backing
-// /metrics?window= queries.
-func NewHandlerWith(reg *Registry, tr *Tracer, hist *History) http.Handler {
+func NewHandler(reg *Registry, tr *Tracer, hist *History) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, req *http.Request) {
 		if reg == nil {
@@ -121,17 +115,12 @@ func wantsPrometheus(req *http.Request) bool {
 // Serve binds addr and serves the introspection handler until the returned
 // close function is called. It returns the bound address, so addr may use
 // port 0 in tests.
-func Serve(addr string, reg *Registry, tr *Tracer) (bound string, closeFn func() error, err error) {
-	return ServeWith(addr, reg, tr, nil)
-}
-
-// ServeWith is Serve plus an optional History for /metrics?window=.
-func ServeWith(addr string, reg *Registry, tr *Tracer, hist *History) (bound string, closeFn func() error, err error) {
+func Serve(addr string, reg *Registry, tr *Tracer, hist *History) (bound string, closeFn func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: NewHandlerWith(reg, tr, hist)}
+	srv := &http.Server{Handler: NewHandler(reg, tr, hist)}
 	go func() {
 		if serveErr := srv.Serve(ln); serveErr != nil && !strings.Contains(serveErr.Error(), "closed") {
 			_ = serveErr

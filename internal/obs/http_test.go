@@ -19,7 +19,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	reg.Counter("cache.hits").Add(12)
 	reg.Histogram("resolver.latency_ms").Observe(42)
 
-	srv := httptest.NewServer(NewHandler(reg, nil))
+	srv := httptest.NewServer(NewHandler(reg, nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -60,7 +60,7 @@ func TestTraceEndpoint(t *testing.T) {
 	root.Child("cache lookup").Annotate("outcome", "miss")
 	tr.Keep(root)
 
-	srv := httptest.NewServer(NewHandler(nil, tr))
+	srv := httptest.NewServer(NewHandler(nil, tr, nil))
 	defer srv.Close()
 
 	get := func(path string) (int, string) {
@@ -100,7 +100,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	reg.Counter("resolver.resolutions").Inc()
 	reg.Histogram("latency_ms").Observe(5)
 
-	srv := httptest.NewServer(NewHandler(reg, nil))
+	srv := httptest.NewServer(NewHandler(reg, nil, nil))
 	defer srv.Close()
 
 	get := func(path, accept string) (string, string) {
@@ -168,7 +168,7 @@ func TestMetricsWindowEndpoint(t *testing.T) {
 	c.Add(30)
 	clock.Advance(10 * time.Second)
 
-	srv := httptest.NewServer(NewHandlerWith(reg, nil, hist))
+	srv := httptest.NewServer(NewHandler(reg, nil, hist))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/metrics?window=30s")
@@ -196,7 +196,7 @@ func TestMetricsWindowEndpoint(t *testing.T) {
 	}
 
 	// No history attached: 404.
-	srv2 := httptest.NewServer(NewHandler(reg, nil))
+	srv2 := httptest.NewServer(NewHandler(reg, nil, nil))
 	defer srv2.Close()
 	resp, _ = http.Get(srv2.URL + "/metrics?window=30s")
 	resp.Body.Close()
@@ -213,7 +213,7 @@ func TestConcurrentScrapeWhileObserve(t *testing.T) {
 	hist := NewHistory(reg, 8)
 	hist.Sample()
 	tr := NewTracer(nil)
-	srv := httptest.NewServer(NewHandlerWith(reg, tr, hist))
+	srv := httptest.NewServer(NewHandler(reg, tr, hist))
 	defer srv.Close()
 
 	stop := make(chan struct{})
@@ -283,7 +283,7 @@ func TestConcurrentScrapeWhileObserve(t *testing.T) {
 func TestServe(t *testing.T) {
 	reg := NewRegistry(nil)
 	reg.Counter("x").Inc()
-	addr, closeFn, err := Serve("127.0.0.1:0", reg, nil)
+	addr, closeFn, err := Serve("127.0.0.1:0", reg, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

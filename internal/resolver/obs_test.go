@@ -255,7 +255,7 @@ func TestRetryPlaneObservability(t *testing.T) {
 	// The live endpoint exposes the same names.
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
-	obs.NewHandler(reg, tr).ServeHTTP(rec, req)
+	obs.NewHandler(reg, tr, nil).ServeHTTP(rec, req)
 	body := rec.Body.String()
 	for _, want := range []string{MetricRetries, MetricHedges, MetricSRTT, MetricBackoff} {
 		if !strings.Contains(body, want) {

@@ -78,19 +78,13 @@ type Policy struct {
 	// answers are never synthesized from unsigned parent-side data — a
 	// validating resolver is structurally child-centric (§2, §6.3).
 	Validate bool
-	// Prefetch refreshes popular entries shortly before expiry instead of
-	// letting them lapse (the Pappas et al. proposal discussed in §7).
-	Prefetch bool
-	// PrefetchThreshold is the remaining TTL, in seconds, below which a
-	// cache hit triggers a refresh. Zero with Prefetch set means 10 s.
-	// Ignored when PrefetchFraction is set.
-	PrefetchThreshold uint32
-	// PrefetchFraction, when non-zero, scales the refresh trigger to the
-	// record's own TTL: a hit refreshes when the remaining TTL falls to
-	// this fraction of the stored TTL (0.1 = last 10 % of lifetime). A
-	// fractional trigger treats a 30 s and a 1-day record alike, where the
-	// fixed PrefetchThreshold window would refresh short records on nearly
-	// every hit.
+	// PrefetchFraction, when non-zero, turns on refresh-ahead (the Pappas
+	// et al. proposal discussed in §7): a cache hit refreshes the record
+	// when its remaining TTL has fallen to this fraction of the stored TTL
+	// (0.1 = last 10 % of lifetime), instead of letting it lapse. A
+	// fractional trigger treats a 30 s and a 1-day record alike, where a
+	// fixed window in seconds would refresh short records on nearly every
+	// hit.
 	PrefetchFraction float64
 	// PrefetchBudget bounds refresh-ahead load: at most this many
 	// prefetches are issued per 60 s window of the resolver's clock
@@ -114,23 +108,10 @@ const negTTLFallback uint32 = 60
 // giving up when Retry.Attempts is unset.
 const legacyAttempts = 3
 
-func (p Policy) prefetchThreshold() uint32 {
-	if p.PrefetchThreshold == 0 {
-		return 10
-	}
-	return p.PrefetchThreshold
-}
-
 // prefetchTriggered reports whether a cache hit with rem seconds left on a
 // record stored with ttl seconds should trigger a refresh-ahead.
 func (p Policy) prefetchTriggered(rem, ttl uint32) bool {
-	if !p.Prefetch {
-		return false
-	}
-	if p.PrefetchFraction > 0 {
-		return float64(rem) <= p.PrefetchFraction*float64(ttl)
-	}
-	return rem <= p.prefetchThreshold()
+	return p.PrefetchFraction > 0 && float64(rem) <= p.PrefetchFraction*float64(ttl)
 }
 
 // CacheConfig derives the cache configuration this policy implies: the TTL

@@ -10,13 +10,11 @@ import (
 
 // TestPrefetchFraction pins the fraction-of-TTL trigger: with
 // PrefetchFraction 0.5 a 300 s record refreshes on hits in its last 150 s —
-// and not before — regardless of the legacy fixed threshold.
+// and not before.
 func TestPrefetchFraction(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.Prefetch = true
 	pol.PrefetchFraction = 0.5
-	pol.PrefetchThreshold = 10 // must be ignored when the fraction is set
 	r := tn.resolver(pol, 1)
 	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
 
@@ -45,7 +43,6 @@ func TestPrefetchFraction(t *testing.T) {
 func TestPrefetchBudget(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.Prefetch = true
 	pol.PrefetchFraction = 0.9 // nearly every hit triggers
 	pol.PrefetchBudget = 1
 	r := tn.resolver(pol, 1)
@@ -82,7 +79,6 @@ func TestPrefetchBudget(t *testing.T) {
 func TestPrefetchDoesNotChargeClient(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.Prefetch = true
 	pol.PrefetchFraction = 0.5
 	r := tn.resolver(pol, 1)
 	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
@@ -105,7 +101,6 @@ func TestPrefetchDoesNotChargeClient(t *testing.T) {
 func TestPrefetchSkipsNegative(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.Prefetch = true
 	pol.PrefetchFraction = 0.99
 	r := tn.resolver(pol, 1)
 	reg := obs.NewRegistry(tn.clock)

@@ -223,9 +223,7 @@ func (r *Resolver) finish(res *Result, err error) *Result {
 	if err != nil {
 		res.Msg.Header.RCode = dnswire.RCodeServFail
 	}
-	if len(res.Msg.Answer) > 0 {
-		res.AnswerTTL = res.Msg.Answer[0].TTL
-	}
+	res.AnswerTTL = res.Msg.AnswerTTL()
 	if sp := res.Span; sp != nil {
 		sp.Annotate("rcode", res.Msg.Header.RCode.String())
 		sp.AnnotateUint("answer_ttl_s", uint64(res.AnswerTTL))
@@ -710,11 +708,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		return nil, rtt, reject
 	}
 	esp.Finish()
-	var ttl uint32
-	if len(resp.Answer) > 0 {
-		ttl = resp.Answer[0].TTL
-	}
-	r.QLog.Upstream(server, name, qtype, resp.Header.RCode, ttl, qlog.OutcomeNone, rtt)
+	r.QLog.Upstream(server, name, qtype, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, rtt)
 	return resp, rtt, nil
 }
 

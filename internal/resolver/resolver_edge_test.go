@@ -20,14 +20,17 @@ func TestCentricityString(t *testing.T) {
 	}
 }
 
+// TestPolicyDefaults: the zero policy never refreshes ahead, not even on a
+// record's last second, and the fraction alone turns it on — 0.4 of a 300 s
+// record is the 120 s window AblationPrefetch probes inside.
 func TestPolicyDefaults(t *testing.T) {
 	p := Policy{}
-	if p.prefetchThreshold() != 10 {
-		t.Errorf("default prefetch threshold = %d", p.prefetchThreshold())
+	if p.prefetchTriggered(0, 300) {
+		t.Errorf("zero policy triggered a refresh-ahead")
 	}
-	p.PrefetchThreshold = 77
-	if p.prefetchThreshold() != 77 {
-		t.Errorf("explicit threshold ignored")
+	p.PrefetchFraction = 0.4
+	if !p.prefetchTriggered(120, 300) || p.prefetchTriggered(121, 300) {
+		t.Errorf("fraction 0.4 of 300 s must trigger with 120 s left and not with 121")
 	}
 }
 

@@ -464,12 +464,11 @@ func TestTTLCap(t *testing.T) {
 func TestPrefetch(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.Prefetch = true
-	pol.PrefetchThreshold = 60
+	pol.PrefetchFraction = 0.2 // the last 60 s of the record's 300
 	r := tn.resolver(pol, 1)
 	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
 
-	// 250 s in: remaining 50 < threshold → hit served, then refreshed.
+	// 250 s in: remaining 50 is inside the window → hit served, then refreshed.
 	tn.clock.Advance(250 * time.Second)
 	res := mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
 	if !res.CacheHit || res.AnswerTTL != 50 {

@@ -367,6 +367,25 @@ func (z *Zone) AllSets() []*RRSet {
 	return out
 }
 
+// Transfer returns the whole zone in RFC 5936 framing — SOA, every other
+// record, SOA again — the answer section of an AXFR and of an IXFR that
+// falls back to one. It reports false for a zone without an SOA.
+func (z *Zone) Transfer() ([]dnswire.RR, bool) {
+	soa, ok := z.SOA()
+	if !ok {
+		return nil, false
+	}
+	out := []dnswire.RR{soa}
+	for _, set := range z.AllSets() {
+		for _, rr := range set.RRs {
+			if rr.Type != dnswire.TypeSOA || rr.Name != z.Origin {
+				out = append(out, rr)
+			}
+		}
+	}
+	return append(out, soa), true
+}
+
 // delegationForLocked walks from name up toward the origin looking for an NS
 // set owned strictly below the origin — a zone cut. It returns the stored
 // set, under z.mu.

@@ -68,8 +68,12 @@ for k in $kinds; do
         fail=1
     fi
 done
-suffixes=$(grep -rhoE 'counter\(sp\.name, "[a-z]+"\)' internal/middleware/*.go |
+suffixes=$(grep -rhoE 'o\.counter\("[a-z]+"\)' internal/middleware/*.go |
     grep -oE '"[a-z]+"' | tr -d '"' | sort -u)
+if [ -z "$suffixes" ]; then
+    echo "docs_check: found no o.counter(\"suffix\") call in internal/middleware — the pattern above has gone stale" >&2
+    fail=1
+fi
 for s in $suffixes; do
     if ! grep -qF -- "mw.<stage>.$s" <<<"$docs"; then
         echo "docs_check: middleware counter mw.<stage>.$s is not documented in docs/" >&2
