@@ -83,7 +83,7 @@ type ClientConfig struct {
 	QueryLog *QueryLogTap
 	// Pipeline is a middleware graph spec (see docs/middleware.md) run in
 	// front of the resolver datapath: blocklists, per-client rate limits,
-	// response memoization, TTL clamps. Empty keeps the default pipeline —
+	// static overrides, TTL clamps. Empty keeps the default pipeline —
 	// a bare pass-through that resolves byte-for-byte like a pipelineless
 	// client.
 	Pipeline string

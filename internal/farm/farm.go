@@ -145,10 +145,10 @@ type Farm struct {
 
 	// Every query flows through a middleware pipeline, one instance per
 	// frontend (each frontend is its own process in the deployment the
-	// farm models, so stage state — rate-limit buckets, memo caches — is
-	// per-frontend), swapped as one slice by SetPipeline. The default
-	// pipeline is a single terminal stage wrapping resolveLeg, adding no
-	// behavior to the bare resolver datapath.
+	// farm models, so stage state — rate-limit buckets — is per-frontend),
+	// swapped as one slice by SetPipeline. The default pipeline is a single
+	// terminal stage wrapping resolveLeg, adding no behavior to the bare
+	// resolver datapath.
 	pipelines atomic.Pointer[[]*middleware.Pipeline]
 }
 

@@ -1,7 +1,7 @@
 // Package flight coalesces identical in-flight calls: the one in-flight
-// group behind both the farm's cross-frontend Coalesce and the middleware
-// dedup stage, in the mold of golang.org/x/sync/singleflight but
-// stdlib-only, typed, and with a join hook.
+// group, behind the farm's cross-frontend Coalesce, in the mold of
+// golang.org/x/sync/singleflight but stdlib-only, typed, and with a join
+// hook.
 package flight
 
 import "sync"

@@ -64,5 +64,5 @@ func (s *blocklistStage) Resolve(ctx context.Context, q *Query) (Response, error
 		res.Msg.Header.RCode = dnswire.RCodeNXDomain
 	}
 	res.Trace.CacheHit = true // answered without upstream work
-	return Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
+	return Response{Result: res, Verdict: VerdictBlocked}, nil
 }

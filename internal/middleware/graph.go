@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -317,6 +318,16 @@ func (o *options) integer(key string, def int) int {
 		o.err = fmt.Errorf("middleware: stage %q: %s = %q is not an integer", o.sp.name, key, v)
 	}
 	return n
+}
+
+// ttl reads a TTL in seconds, which RFC 2181 §8 bounds to 31 bits: a
+// negative or larger value is an error, not a wrapped uint32.
+func (o *options) ttl(key string, def int) uint32 {
+	n := o.integer(key, def)
+	if (n < 0 || n > math.MaxInt32) && o.err == nil {
+		o.err = fmt.Errorf("middleware: stage %q: %s = %d is outside [0, %d] (RFC 2181 §8)", o.sp.name, key, n, math.MaxInt32)
+	}
+	return uint32(n)
 }
 
 // names reads a space-separated list of domain names as a set.

@@ -1,10 +1,12 @@
 // Package middleware turns the resolver datapath into a graph of small
 // composable stages, the way routedns builds resolvers from pipeline
 // elements: a query enters at one stage and flows stage to stage until a
-// terminal stage answers it. Each stage does one thing — route by qname,
-// answer from a blocklist, rate-limit a client, coalesce duplicate
-// in-flight questions, memoize whole responses, rewrite TTLs, strip
-// response sections — and hands everything else to its Next stage.
+// terminal stage answers it. Each stage is one policy — route by qname,
+// answer from a blocklist or a static override, rate-limit a client, clamp
+// TTLs — and hands everything else to its Next stage. Mechanism lives once,
+// beneath the terminal stage: responses are cached by internal/cache and
+// duplicate in-flight misses coalesced by the farm's flight.Group, which
+// see stored lifetimes where a stage up here sees only displayed TTLs.
 //
 // The graph is config-driven: Build compiles a TOML-shaped text spec (see
 // the graph.go grammar) into a Pipeline whose terminal "resolver" stage
@@ -53,9 +55,6 @@ const (
 	// VerdictLimited: the per-client rate limiter refused (or dropped)
 	// the query.
 	VerdictLimited
-	// VerdictCached: a middleware response cache answered from a
-	// memoized message.
-	VerdictCached
 )
 
 // String returns the verdict's qlog-friendly spelling.
@@ -65,8 +64,6 @@ func (v Verdict) String() string {
 		return "blocked"
 	case VerdictLimited:
 		return "limited"
-	case VerdictCached:
-		return "cached"
 	}
 	return "resolved"
 }
@@ -77,9 +74,6 @@ type Response struct {
 	*resolver.Result
 	// Verdict says how the pipeline produced this response.
 	Verdict Verdict
-	// Stage names the stage that terminated the query when Verdict is not
-	// VerdictResolved (e.g. "shield" for a rate limiter instance).
-	Stage string
 	// Drop asks the caller to send nothing at all — the rate limiter's
 	// "drop" action. Result still carries a REFUSED message for callers
 	// (tests, in-process lookups) that must return something.
@@ -110,8 +104,7 @@ type LookupFunc func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, e
 type Env struct {
 	// Lookup is the terminal datapath the "resolver" stage calls.
 	Lookup LookupFunc
-	// Clock drives rate-limiter refill and response-cache decay; nil
-	// means wall time.
+	// Clock drives rate-limiter refill; nil means wall time.
 	Clock simnet.Clock
 	// Registry, when non-nil, backs each stage's mw.<name>.* counters.
 	Registry *obs.Registry
@@ -160,14 +153,12 @@ func refused(q *Query) *resolver.Result {
 	}}
 }
 
-// copyMsg shallow-copies a message with fresh section slices, so stages
-// that rewrite a response (ttlmod, collapse) never mutate a message that
-// may be shared with a cache entry or a coalesced follower.
+// copyMsg copies a message with a fresh answer section — the one section a
+// stage rewrites (ttlmod), and the only one a client Result carries
+// (TestClientResultsCarryAnswersOnly) — so a rewrite never mutates a message
+// that may be shared with a cache entry or a coalesced follower.
 func copyMsg(m *dnswire.Message) *dnswire.Message {
-	cp := &dnswire.Message{Header: m.Header}
-	cp.Question = append([]dnswire.Question(nil), m.Question...)
+	cp := *m
 	cp.Answer = append([]dnswire.RR(nil), m.Answer...)
-	cp.Authority = append([]dnswire.RR(nil), m.Authority...)
-	cp.Additional = append([]dnswire.RR(nil), m.Additional...)
-	return cp
+	return &cp
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net/netip"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,17 +19,10 @@ import (
 type fakeLookup struct {
 	calls atomic.Int64
 	ttl   uint32
-	// cnameTTL, when set, answers with the CDN shape: a CNAME of that TTL
-	// onto edge.example, whose A record carries ttl.
-	cnameTTL uint32
-	delay    func() // optional hook run inside the lookup, for coalescing tests
 }
 
 func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
 	f.calls.Add(1)
-	if f.delay != nil {
-		f.delay()
-	}
 	ttl := f.ttl
 	if ttl == 0 {
 		ttl = 300
@@ -39,16 +31,10 @@ func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Re
 		Header:   dnswire.Header{QR: true, RA: true},
 		Question: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
 	}
-	owner := name
-	if f.cnameTTL > 0 {
-		msg.AddAnswer(dnswire.NewCNAME(string(name), f.cnameTTL, "edge.example"))
-		owner = dnswire.MustName("edge.example")
-	}
 	msg.AddAnswer(dnswire.RR{
-		Name: owner, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
+		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
 		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")},
 	})
-	msg.AddAuthority(dnswire.NewNS("example.org", 3600, "ns1.example.org"))
 	return &resolver.Result{Msg: msg, Trace: resolver.Trace{Queries: 1, AnswerTTL: msg.Answer[0].TTL}}, nil
 }
 
@@ -109,15 +95,23 @@ var rejectedSpecs = []struct{ name, spec, wantErr string }{
 	{"key before tables", "foo = 1\n[stage.a]\ntype=\"resolver\"", "outside a [stage.*] table"},
 	{"many stages no entry", "[stage.a]\ntype=\"resolver\"\n[stage.b]\ntype=\"resolver\"", "no entry"},
 	{"unknown type", "[stage.a]\ntype = \"warp\"", "unknown type"},
+	// Caching and coalescing happen once, beneath the pipeline: a spec that
+	// still names one of the retired kinds is a typo like any other.
+	{"retired cache", "entry=\"a\"\n[stage.a]\ntype=\"cache\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "unknown type \"cache\""},
+	{"retired dedup", "entry=\"a\"\n[stage.a]\ntype=\"dedup\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "unknown type \"dedup\""},
+	{"retired collapse", "entry=\"a\"\n[stage.a]\ntype=\"collapse\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "unknown type \"collapse\""},
 	{"missing type", "[stage.a]\nnext = \"b\"", "has no type"},
 	{"unknown key", "[stage.a]\ntype = \"resolver\"\nwhat = 1", "unknown key"},
-	{"dangling next", "[stage.a]\ntype = \"dedup\"\nnext = \"ghost\"", "undefined stage"},
+	{"dangling next", "[stage.a]\ntype = \"ttlmod\"\nnext = \"ghost\"", "undefined stage"},
 	{"dangling entry", "entry = \"ghost\"\n[stage.a]\ntype = \"resolver\"", "undefined stage"},
-	{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"dedup\"\nnext=\"b\"\n[stage.b]\ntype=\"dedup\"\nnext=\"a\"", "cycle"},
+	{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nnext=\"b\"\n[stage.b]\ntype=\"ttlmod\"\nnext=\"a\"", "cycle"},
 	{"bad number", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nqps=\"fast\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "not a number"},
 	{"nan burst", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nburst=\"NaN\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "need qps > 0"},
-	{"missing next", "[stage.a]\ntype = \"dedup\"", "needs next"},
+	{"missing next", "[stage.a]\ntype = \"ttlmod\"", "needs next"},
 	{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
+	{"negative ttlmod min", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nmin=-1\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "min = -1 is outside [0, 2147483647]"},
+	{"ttlmod max past 31 bits", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nmax=4294967296\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "max = 4294967296 is outside [0, 2147483647]"},
+	{"negative static ttl", "entry=\"a\"\n[stage.a]\ntype=\"static\"\nnames=\"x.example\"\nanswer=\"10.0.0.1\"\nttl=-1\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "ttl = -1 is outside [0, 2147483647]"},
 }
 
 func TestSpecParseErrors(t *testing.T) {
@@ -158,8 +152,8 @@ type = "resolver"
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Verdict != VerdictBlocked || resp.Stage != "bl" {
-		t.Fatalf("verdict = %v stage = %q", resp.Verdict, resp.Stage)
+	if resp.Verdict != VerdictBlocked {
+		t.Fatalf("verdict = %v", resp.Verdict)
 	}
 	if resp.Msg.Header.RCode != dnswire.RCodeNXDomain {
 		t.Fatalf("rcode = %v, want NXDomain", resp.Msg.Header.RCode)
@@ -206,14 +200,23 @@ type = "resolver"
 	if resp.Msg.Answer[0].Name != dnswire.MustName("intranet.corp") {
 		t.Fatalf("owner = %v", resp.Msg.Answer[0].Name)
 	}
-	// AAAA for the same name passes through.
+	// The stage owns its names: AAAA for one is NODATA, answered here — the
+	// resolver would say NXDOMAIN for a name that has an A answer.
 	qa := query("intranet.corp", "")
 	qa.Type = dnswire.TypeAAAA
-	if _, err := p.Resolve(context.Background(), qa); err != nil {
+	resp, err = p.Resolve(context.Background(), qa)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Verdict != VerdictBlocked || resp.Msg.Header.RCode != dnswire.RCodeNoError || len(resp.Msg.Answer) != 0 {
+		t.Fatalf("AAAA of a static name: verdict %v, %v; want a local NOERROR with no answer", resp.Verdict, resp.Msg)
+	}
+	// Any other name passes through.
+	if _, err := p.Resolve(context.Background(), query("www.corp", "")); err != nil {
 		t.Fatal(err)
 	}
 	if fl.calls.Load() != 1 {
-		t.Fatalf("resolver calls = %d, want 1", fl.calls.Load())
+		t.Fatalf("resolver calls = %d, want 1 (www.corp only)", fl.calls.Load())
 	}
 }
 
@@ -298,157 +301,6 @@ type = "resolver"
 	}
 }
 
-func TestDedupStageCoalesces(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	fl := &fakeLookup{delay: func() {
-		once.Do(func() { close(entered) })
-		<-release
-	}}
-	p := mustBuild(`
-entry = "sf"
-[stage.sf]
-type = "dedup"
-next = "r"
-[stage.r]
-type = "resolver"
-`, Env{Lookup: fl.lookup})
-
-	ctx := context.Background()
-	const followers = 4
-	var wg sync.WaitGroup
-	results := make([]Response, followers+1)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		results[0], _ = p.Resolve(ctx, query("cold.example", "10.0.0.1"))
-	}()
-	<-entered
-	sf := p.stages[0].(*dedupStage)
-	k := dedupKey{name: dnswire.MustName("cold.example"), qtype: dnswire.TypeA}
-	for i := 1; i <= followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], _ = p.Resolve(ctx, query("cold.example", "10.0.0.2"))
-		}(i)
-	}
-	for sf.flight.InFlight(k) < followers {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if fl.calls.Load() != 1 {
-		t.Fatalf("lookup calls = %d, want 1 (coalesced)", fl.calls.Load())
-	}
-	coalesced := 0
-	for i, r := range results {
-		if r.Result == nil {
-			t.Fatalf("result %d is nil", i)
-		}
-		if r.Coalesced {
-			coalesced++
-			if r.Queries != 0 {
-				t.Fatalf("follower %d charged %d queries", i, r.Queries)
-			}
-		}
-	}
-	if coalesced != followers {
-		t.Fatalf("coalesced = %d, want %d", coalesced, followers)
-	}
-}
-
-func TestCacheStage(t *testing.T) {
-	fl := &fakeLookup{ttl: 100}
-	clk := simnet.NewVirtualClock()
-	p := mustBuild(`
-entry = "memo"
-[stage.memo]
-type = "cache"
-next = "r"
-[stage.r]
-type = "resolver"
-`, Env{Lookup: fl.lookup, Clock: clk})
-
-	ctx := context.Background()
-	if resp, _ := p.Resolve(ctx, query("hot.example", "10.0.0.1")); resp.Verdict != VerdictResolved {
-		t.Fatal("first query should miss")
-	}
-	clk.Advance(40 * time.Second)
-	resp, err := p.Resolve(ctx, query("hot.example", "10.0.0.2"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Verdict != VerdictCached || !resp.CacheHit {
-		t.Fatalf("verdict = %v cachehit = %v", resp.Verdict, resp.CacheHit)
-	}
-	if got := resp.Msg.Answer[0].TTL; got != 60 {
-		t.Fatalf("decayed TTL = %d, want 60", got)
-	}
-	if fl.calls.Load() != 1 {
-		t.Fatalf("lookup calls = %d, want 1", fl.calls.Load())
-	}
-	// Expiry: past the TTL the entry is refetched.
-	clk.Advance(61 * time.Second)
-	if resp, _ := p.Resolve(ctx, query("hot.example", "10.0.0.1")); resp.Verdict != VerdictResolved {
-		t.Fatal("expired entry should miss")
-	}
-	if fl.calls.Load() != 2 {
-		t.Fatalf("lookup calls = %d, want 2", fl.calls.Load())
-	}
-	clk.Advance(time.Second)
-	if resp, _ := p.Resolve(ctx, query("hot.example", "10.0.0.1")); resp.Verdict != VerdictCached || fl.calls.Load() != 2 {
-		t.Fatalf("after the refetch: verdict %v, %d lookups; want the refetched answer memoized (cached, 2)", resp.Verdict, fl.calls.Load())
-	}
-
-	// A CNAME chain lives for its shortest link (CNAME 300 -> A 20): a hit
-	// before 20 s decays both TTLs, and past it the whole response is gone.
-	fl.cnameTTL, fl.ttl = 300, 20
-	p.Resolve(ctx, query("www.cdn.example", ""))
-	clk.Advance(15 * time.Second)
-	resp, _ = p.Resolve(ctx, query("www.cdn.example", ""))
-	if resp.Verdict != VerdictCached || len(resp.Msg.Answer) != 2 ||
-		resp.Msg.Answer[0].TTL != 285 || resp.Msg.Answer[1].TTL != 5 {
-		t.Fatalf("chain hit at 15 s: verdict %v, answers %v; want cached CNAME 285 + A 5", resp.Verdict, resp.Msg.Answer)
-	}
-	clk.Advance(5 * time.Second)
-	if resp, _ := p.Resolve(ctx, query("www.cdn.example", "")); resp.Verdict != VerdictResolved {
-		t.Fatalf("chain at 20 s: verdict %v, want a miss — the A record has expired", resp.Verdict)
-	}
-}
-
-func TestCacheStageEviction(t *testing.T) {
-	fl := &fakeLookup{ttl: 1000}
-	clk := simnet.NewVirtualClock()
-	p := mustBuild(`
-entry = "memo"
-[stage.memo]
-type    = "cache"
-entries = 2
-next    = "r"
-[stage.r]
-type = "resolver"
-`, Env{Lookup: fl.lookup, Clock: clk})
-
-	ctx := context.Background()
-	for _, n := range []string{"a.example", "b.example", "c.example"} {
-		if _, err := p.Resolve(ctx, query(n, "")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// a was evicted FIFO; c is memoized.
-	p.Resolve(ctx, query("c.example", ""))
-	if fl.calls.Load() != 3 {
-		t.Fatalf("calls after c re-query = %d, want 3", fl.calls.Load())
-	}
-	p.Resolve(ctx, query("a.example", ""))
-	if fl.calls.Load() != 4 {
-		t.Fatalf("calls after a re-query = %d, want 4 (a evicted)", fl.calls.Load())
-	}
-}
-
 func TestTTLModStage(t *testing.T) {
 	fl := &fakeLookup{ttl: 86400}
 	p := mustBuild(`
@@ -471,29 +323,6 @@ type = "resolver"
 	}
 	if resp.AnswerTTL != 3600 {
 		t.Fatalf("trace AnswerTTL = %d, want 3600", resp.AnswerTTL)
-	}
-}
-
-func TestCollapseStage(t *testing.T) {
-	fl := &fakeLookup{}
-	p := mustBuild(`
-entry = "min"
-[stage.min]
-type = "collapse"
-next = "r"
-[stage.r]
-type = "resolver"
-`, Env{Lookup: fl.lookup})
-
-	resp, err := p.Resolve(context.Background(), query("www.example.org", ""))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Msg.Authority) != 0 || len(resp.Msg.Additional) != 0 {
-		t.Fatalf("sections not stripped: %d/%d", len(resp.Msg.Authority), len(resp.Msg.Additional))
-	}
-	if len(resp.Msg.Answer) != 1 {
-		t.Fatalf("answer count = %d", len(resp.Msg.Answer))
 	}
 }
 
@@ -530,7 +359,7 @@ type = "resolver"
 }
 
 func TestStageKindsRegistered(t *testing.T) {
-	want := []string{"blocklist", "cache", "collapse", "dedup", "ratelimit", "resolver", "router", "static", "ttlmod"}
+	want := []string{"blocklist", "ratelimit", "resolver", "router", "static", "ttlmod"}
 	got := StageKinds()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("StageKinds() = %v, want %v", got, want)
@@ -539,8 +368,7 @@ func TestStageKindsRegistered(t *testing.T) {
 
 func TestVerdictStrings(t *testing.T) {
 	for v, want := range map[Verdict]string{
-		VerdictResolved: "resolved", VerdictBlocked: "blocked",
-		VerdictLimited: "limited", VerdictCached: "cached",
+		VerdictResolved: "resolved", VerdictBlocked: "blocked", VerdictLimited: "limited",
 	} {
 		if v.String() != want {
 			t.Fatalf("%d.String() = %q, want %q", v, v.String(), want)

@@ -70,5 +70,5 @@ func (s *rateLimitStage) Resolve(ctx context.Context, q *Query) (Response, error
 	}
 	s.limited.Inc()
 	res := refused(q)
-	return Response{Result: res, Verdict: VerdictLimited, Stage: s.name, Drop: s.drop}, nil
+	return Response{Result: res, Verdict: VerdictLimited, Drop: s.drop}, nil
 }

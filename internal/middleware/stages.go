@@ -33,7 +33,7 @@ func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{Result: res, Verdict: VerdictResolved, Stage: s.name}, nil
+	return Response{Result: res, Verdict: VerdictResolved}, nil
 }
 
 // ttlmodStage clamps answer-section TTLs into [min, max] on the way back
@@ -49,8 +49,8 @@ func init() {
 	register("ttlmod", chained, func(b base, o *options) (Stage, error) {
 		st := &ttlmodStage{
 			base:      b,
-			min:       uint32(o.integer("min", 0)),
-			max:       uint32(o.integer("max", 0)),
+			min:       o.ttl("min", 0),
+			max:       o.ttl("max", 0),
 			rewritten: o.counter("rewritten"),
 		}
 		if st.max != 0 && st.min > st.max {
@@ -98,46 +98,10 @@ func (s *ttlmodStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	return resp, nil
 }
 
-// collapseStage minimizes responses: it strips the authority and
-// additional sections and can cap the answer section, trading referral
-// context for datagram size (qname-minimization's response-side cousin).
-type collapseStage struct {
-	base
-	maxAnswer int // 0 = no cap
-	collapsed *obs.Counter
-}
-
-func init() {
-	register("collapse", chained, func(b base, o *options) (Stage, error) {
-		return &collapseStage{base: b, maxAnswer: o.integer("answers", 0), collapsed: o.counter("collapsed")}, nil
-	})
-}
-
-func (s *collapseStage) Resolve(ctx context.Context, q *Query) (Response, error) {
-	resp, err := s.next.Resolve(ctx, q)
-	if err != nil || resp.Result == nil || resp.Msg == nil {
-		return resp, err
-	}
-	m := resp.Msg
-	capped := s.maxAnswer > 0 && len(m.Answer) > s.maxAnswer
-	if len(m.Authority) == 0 && len(m.Additional) == 0 && !capped {
-		return resp, nil
-	}
-	cp := *resp.Result
-	cp.Msg = copyMsg(m)
-	cp.Msg.Authority = nil
-	cp.Msg.Additional = nil
-	if capped {
-		cp.Msg.Answer = cp.Msg.Answer[:s.maxAnswer]
-	}
-	s.collapsed.Inc()
-	resp.Result = &cp
-	return resp, nil
-}
-
 // staticStage answers an exact set of names locally with a fixed A record
-// — split-horizon overrides, sinkholes, and test fixtures. Non-matching
-// queries pass through.
+// — split-horizon overrides, sinkholes, and test fixtures. It owns its
+// names: any other query type for one of them is answered NOERROR/NODATA
+// rather than leaked to the next stage. Non-matching names pass through.
 type staticStage struct {
 	base
 	names  map[dnswire.Name]bool
@@ -148,7 +112,7 @@ type staticStage struct {
 func init() {
 	register("static", chained, func(b base, o *options) (Stage, error) {
 		st := &staticStage{base: b, names: o.names("names"), served: o.counter("served")}
-		addr, ttl := o.str("answer", ""), o.integer("ttl", 300)
+		addr, ttl := o.str("answer", ""), o.ttl("ttl", 300)
 		if len(st.names) == 0 {
 			return nil, fmt.Errorf("middleware: stage %q needs names = \"a.example b.example\"", b.name)
 		}
@@ -158,24 +122,25 @@ func init() {
 		}
 		st.answer = dnswire.RR{
 			Type: dnswire.TypeA, Class: dnswire.ClassIN,
-			TTL: uint32(ttl), Data: dnswire.A{Addr: ip},
+			TTL: ttl, Data: dnswire.A{Addr: ip},
 		}
 		return st, nil
 	})
 }
 
 func (s *staticStage) Resolve(ctx context.Context, q *Query) (Response, error) {
-	if q.Type != dnswire.TypeA || !s.names[q.Name] {
+	if !s.names[q.Name] {
 		return s.next.Resolve(ctx, q)
 	}
 	s.served.Inc()
-	rr := s.answer
-	rr.Name = q.Name
 	res := refused(q)
 	res.Msg.Header.RCode = dnswire.RCodeNoError
-	res.Msg.Header.AA = false
-	res.Msg.AddAnswer(rr)
 	res.Trace.CacheHit = true
-	res.Trace.AnswerTTL = rr.TTL
-	return Response{Result: res, Verdict: VerdictBlocked, Stage: s.name}, nil
+	if q.Type == dnswire.TypeA {
+		rr := s.answer
+		rr.Name = q.Name
+		res.Msg.AddAnswer(rr)
+		res.Trace.AnswerTTL = rr.TTL
+	}
+	return Response{Result: res, Verdict: VerdictBlocked}, nil
 }

@@ -25,8 +25,8 @@ type Trace struct {
 	// Stale is true when the answer was served past its TTL (RFC 8767).
 	Stale bool
 	// Coalesced is true when the resolution was answered by joining an
-	// identical query already in flight (farm Coalesce, dedup stage)
-	// instead of by the cache or an upstream iteration of its own.
+	// identical query already in flight (farm Coalesce) instead of by the
+	// cache or an upstream iteration of its own.
 	Coalesced bool
 	// Latency is the summed upstream RTT the resolution cost the client.
 	Latency time.Duration

@@ -7,11 +7,13 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"dnsttl/internal/dnswire"
 	"dnsttl/internal/middleware"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
@@ -25,20 +27,29 @@ hop   120 IN CNAME www.example.org.
 // onePathWorld is a virtual-clock network with one authoritative server for
 // the root and example.org (www, plus a two-link CNAME chain onto it).
 func onePathWorld(t *testing.T) (*simnet.Network, *VirtualClock, netip.Addr) {
+	net, clock, addr, _ := onePathWorldOrg(t)
+	return net, clock, addr
+}
+
+// onePathWorldOrg is onePathWorld for a test that edits example.org while
+// resolvers hold its records.
+func onePathWorldOrg(t *testing.T) (*simnet.Network, *VirtualClock, netip.Addr, *Zone) {
 	t.Helper()
 	clock := NewVirtualClock()
 	net := simnet.NewNetwork(1)
 	srv := NewServer(NewName("a.root-servers.net"), clock)
+	zones := map[string]*Zone{}
 	for origin, text := range map[string]string{".": rootZoneText, "example.org": onePathOrgZoneText} {
 		z, err := ParseZone(text, NewName(origin))
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.AddZone(z)
+		zones[origin] = z
 	}
 	addr := netip.MustParseAddr("127.0.0.1")
 	net.Attach(addr, srv.s)
-	return net, clock, addr
+	return net, clock, addr, zones["example.org"]
 }
 
 // TestLoneClientMatchesBareResolver holds the farm of one to the reference
@@ -127,15 +138,10 @@ func TestLoneClientMatchesBareResolver(t *testing.T) {
 	}
 }
 
-// TestClientResultsCarryAnswersOnly pins what lets the message-level stages
-// treat a response as its answer section: the resolver copies only answers
-// into a client Result (applyCached and absorb add nothing else; the refused
-// and static builders make answer-only messages), so a cache stage hit that
-// decays Answer TTLs has decayed every TTL there is. Held for the default
-// pipeline and every worked configuration in docs/middleware.md, over a
-// miss, a hit, a CNAME chain, NXDOMAIN, NODATA, their negative hits, and the
-// names those configurations block or answer statically.
-func TestClientResultsCarryAnswersOnly(t *testing.T) {
+// workedPipelines is the walk the two tests below share: the default
+// pipeline, then every worked configuration in docs/middleware.md.
+func workedPipelines(t *testing.T) []string {
+	t.Helper()
 	doc, err := os.ReadFile("docs/middleware.md")
 	if err != nil {
 		t.Fatal(err)
@@ -149,6 +155,18 @@ func TestClientResultsCarryAnswersOnly(t *testing.T) {
 	if len(specs) < 4 {
 		t.Fatalf("found %d worked configurations in docs/middleware.md, want at least 3", len(specs)-1)
 	}
+	return specs
+}
+
+// TestClientResultsCarryAnswersOnly pins what lets a rewriting stage treat a
+// response as its answer section (copyMsg gives ttlmod a fresh Answer slice
+// and nothing else): the resolver copies only answers into a client Result
+// (applyCached and absorb add nothing else; the refused and static builders
+// make answer-only messages). Held for the default pipeline and every worked
+// configuration in docs/middleware.md, over a miss, a hit, a CNAME chain,
+// NXDOMAIN, NODATA, their negative hits, and the names those configurations
+// block or answer statically.
+func TestClientResultsCarryAnswersOnly(t *testing.T) {
 	questions := []struct {
 		name  string
 		qtype Type
@@ -159,7 +177,7 @@ func TestClientResultsCarryAnswersOnly(t *testing.T) {
 		{"www.example.org", TypeTXT}, {"www.example.org", TypeTXT}, // NODATA
 		{"ads.example.test", TypeA}, {"intranet.corp.example", TypeA}, // blocked, static
 	}
-	for i, spec := range specs {
+	for i, spec := range workedPipelines(t) {
 		net, clock, addr := onePathWorld(t)
 		c, err := NewClient(ClientConfig{Roots: []netip.Addr{addr}, Net: net, Clock: clock, Pipeline: spec})
 		if err != nil {
@@ -175,6 +193,85 @@ func TestClientResultsCarryAnswersOnly(t *testing.T) {
 					i, c.PipelineStages(), q.name, q.qtype, res.Msg.Authority, res.Msg.Additional)
 			}
 			clock.Advance(time.Second)
+		}
+	}
+}
+
+// TestNoPipelineOutlivesTheResolver: the resolver's record cache is the only
+// place an answer is kept, so whatever policy a pipeline adds, a change at
+// the authoritative shows once the stored lifetime is over — and never later.
+// Over the same walk as above, plus one configuration of this test's with a
+// ttlmod floor above every TTL in the zone:
+//
+//	(i)   a name that did not exist is created: NXDOMAIN for the zone's
+//	      negative TTL (300 s, the SOA minimum), then the new record;
+//	(ii)  www's RDATA is replaced: the old address for what is left of its
+//	      300 s, then the new one;
+//	(iii) the TTL shown never exceeds what is left of the stored lifetime,
+//	      except up to a ttlmod min the configuration itself declares.
+func TestNoPipelineOutlivesTheResolver(t *testing.T) {
+	const floored = `
+entry = "floor"
+[stage.floor]
+type = "ttlmod"
+min  = 400
+next = "resolve"
+[stage.resolve]
+type = "resolver"
+`
+	const created, replaced, was, fresh = "192.0.2.81", "192.0.2.99", "192.0.2.80", "new.example.org"
+	steps := []struct {
+		edit    bool // the zone changes first: fresh is created, www renumbered
+		advance time.Duration
+		name    string
+		rcode   dnswire.RCode
+		addr    string // the A record expected; "" for none
+		left    uint32 // of that record's stored lifetime, seconds
+	}{
+		{false, 0, fresh, dnswire.RCodeNXDomain, "", 0},
+		{false, 0, "www.example.org", dnswire.RCodeNoError, was, 300},
+		{true, 298 * time.Second, fresh, dnswire.RCodeNXDomain, "", 0},
+		{false, 0, "www.example.org", dnswire.RCodeNoError, was, 2},
+		{false, 3 * time.Second, fresh, dnswire.RCodeNoError, created, 300},
+		{false, 0, "www.example.org", dnswire.RCodeNoError, replaced, 300},
+		{false, 100 * time.Second, "www.example.org", dnswire.RCodeNoError, replaced, 200},
+	}
+	minKey := regexp.MustCompile(`(?m)^min\s*=\s*(\d+)`)
+	for i, spec := range append(workedPipelines(t), floored) {
+		var floor uint32
+		if m := minKey.FindStringSubmatch(spec); m != nil {
+			n, _ := strconv.Atoi(m[1])
+			floor = uint32(n)
+		}
+		net, clock, addr, org := onePathWorldOrg(t)
+		c, err := NewClient(ClientConfig{Roots: []netip.Addr{addr}, Net: net, Clock: clock, Pipeline: spec})
+		if err != nil {
+			t.Fatalf("configuration %d: %v", i, err)
+		}
+		for j, s := range steps {
+			if s.edit {
+				org.MustAdd(dnswire.NewA(fresh, 300, created))
+				if err := org.Replace(NewName("www.example.org"), TypeA, dnswire.NewA("www.example.org", 300, replaced)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			clock.Advance(s.advance)
+			res, err := c.Lookup(NewName(s.name), TypeA)
+			if err != nil {
+				t.Fatalf("configuration %d, step %d (%s): %v", i, j, s.name, err)
+			}
+			got, ttl := "", uint32(0)
+			if len(res.Msg.Answer) == 1 {
+				got, ttl = res.Msg.Answer[0].Data.(dnswire.A).Addr.String(), res.Msg.Answer[0].TTL
+			}
+			if res.Msg.Header.RCode != s.rcode || got != s.addr {
+				t.Errorf("configuration %d (stages %v), step %d: %s is %v %q, want %v %q: the stored answer while it lives, the authoritative's once it is over",
+					i, c.PipelineStages(), j, s.name, res.Msg.Header.RCode, got, s.rcode, s.addr)
+			}
+			if ttl > max(s.left, floor) {
+				t.Errorf("configuration %d (stages %v), step %d: %s shown with TTL %d, %d s of its stored lifetime left (ttlmod min %d)",
+					i, c.PipelineStages(), j, s.name, ttl, s.left, floor)
+			}
 		}
 	}
 }

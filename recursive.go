@@ -72,8 +72,8 @@ var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
 
 // AppendServeDNS implements simnet.AppendHandler: the reply is appended to
 // dst, which comes back unextended when the query is dropped. The resolved
-// message may be shared with other clients (coalesced followers, response
-// memos), so it is only read: this client's transaction ID and RD flag go
+// message may be shared with other clients (coalesced followers, cache
+// entries), so it is only read: this client's transaction ID and RD flag go
 // into the encoded bytes.
 func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
 	rs, tap := h.rs, h.tap
@@ -142,8 +142,6 @@ func pipelineOutcome(resp middleware.Response) qlog.Outcome {
 		return qlog.OutcomeBlocked
 	case middleware.VerdictLimited:
 		return qlog.OutcomeLimited
-	case middleware.VerdictCached:
-		return qlog.OutcomeHit
 	}
 	res := resp.Result
 	switch {

@@ -10,7 +10,8 @@
 #     Metric* constants, the cache.Instrument gauge suffixes, and the
 #     farm.fe<i>.* counters — appears in docs/.
 #  3. Every middleware stage kind registered in internal/middleware (the
-#     register("kind", ...) table) has an entry in docs/middleware.md, and
+#     register("kind", ...) table) has an entry in docs/middleware.md, every
+#     catalog row and ### `kind` heading there names a registered kind, and
 #     every per-stage counter suffix is documented as mw.<stage>.<suffix>.
 #  4. docs/sample-output.txt is what its documented command (EXPERIMENTS.md)
 #     prints today, wall-clock figures aside.
@@ -57,14 +58,29 @@ done
 
 # --- 3. Middleware stage kinds --------------------------------------------
 # Every kind in the register("kind", ...) table must have a catalog entry in
-# docs/middleware.md; every per-stage counter suffix must be documented as
-# mw.<stage>.<suffix>.
+# docs/middleware.md, and every catalog entry a registered kind (a retired
+# stage must not stay documented); every per-stage counter suffix must be
+# documented as mw.<stage>.<suffix>.
 mwdocs=$(cat docs/middleware.md)
 kinds=$(grep -rhoE 'register\("[a-z]+"' internal/middleware/*.go |
     grep -oE '"[a-z]+"' | tr -d '"' | sort -u)
 for k in $kinds; do
     if ! grep -qE "^#+ .*\`$k\`|^\| *\`$k\`" <<<"$mwdocs"; then
         echo "docs_check: stage kind $k (internal/middleware) has no entry in docs/middleware.md" >&2
+        fail=1
+    fi
+done
+catalog=$({
+    sed -n '/^## Stage catalog/,/^### /p' docs/middleware.md | grep -oE '^\| *`[a-z]+`'
+    grep -oE '^### `[a-z]+`' docs/middleware.md
+} | grep -oE '[a-z]+' | sort -u || true)
+if [ -z "$catalog" ]; then
+    echo "docs_check: found no catalog row or ### \`kind\` heading in docs/middleware.md — the pattern above has gone stale" >&2
+    fail=1
+fi
+for k in $catalog; do
+    if ! grep -qx -- "$k" <<<"$kinds"; then
+        echo "docs_check: docs/middleware.md documents stage kind $k, which internal/middleware does not register" >&2
         fail=1
     fi
 done

@@ -73,107 +73,80 @@ func mustEncode(t *testing.T, m *Message) []byte {
 // shared message.
 func TestServeRaceHammer(t *testing.T) {
 	const sockets, rounds = 16, 24
-	for _, tc := range []struct {
-		name      string
-		cfg       ClientConfig
-		coalesced func(*Client, *Registry) uint64
-	}{
-		{
-			name: "farm coalesce",
-			cfg:  ClientConfig{Frontends: 4, Coalesce: true},
-			coalesced: func(c *Client, _ *Registry) uint64 {
-				st, _ := c.FarmStats()
-				return st.Total.Coalesced
-			},
-		},
-		{
-			name: "dedup stage",
-			cfg: ClientConfig{Pipeline: `
-entry = "dedup"
-[stage.dedup]
-type = "dedup"
-next = "resolver"
-[stage.resolver]
-type = "resolver"
-`},
-			coalesced: func(_ *Client, reg *Registry) uint64 {
-				return reg.Snapshot().Counters["mw.dedup.coalesced"]
-			},
-		},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			reg := NewRegistry(nil)
-			cfg := tc.cfg
-			cfg.Roots = []netip.Addr{netip.MustParseAddr("127.0.0.1")}
-			cfg.Net = upstreamNet{srv: serveFixture(t, rounds), delay: 2 * time.Millisecond}
-			cfg.Registry = reg
-			client, err := NewClient(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rd := &RecursiveServer{Client: client}
-			addr, err := rd.ListenUDP("127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rd.Close()
-
-			conns := make([]*net.UDPConn, sockets)
-			for i := range conns {
-				conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addr))
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer conn.Close()
-				conns[i] = conn
-			}
-			for round := 0; round < rounds; round++ {
-				name := NewName(fmt.Sprintf("h%d.example.org", round))
-				var wg sync.WaitGroup
-				for i, conn := range conns {
-					q := dnswire.NewQuery(uint16(round<<8|i+1), name, TypeA)
-					q.Header.RD = i%2 == 0
-					wire := mustEncode(t, q)
-					wg.Add(1)
-					go func(i int, conn *net.UDPConn) {
-						defer wg.Done()
-						_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-						if _, err := conn.Write(wire); err != nil {
-							t.Error(err)
-							return
-						}
-						buf := make([]byte, 512)
-						n, err := conn.Read(buf)
-						if err != nil {
-							t.Errorf("round %d socket %d: %v", round, i, err)
-							return
-						}
-						resp, err := Decode(buf[:n])
-						if err != nil {
-							t.Errorf("round %d socket %d: %v", round, i, err)
-							return
-						}
-						if resp.Header.ID != q.Header.ID || resp.Header.RD != q.Header.RD {
-							t.Errorf("round %d socket %d: reply ID %#04x RD %v, sent ID %#04x RD %v",
-								round, i, resp.Header.ID, resp.Header.RD, q.Header.ID, q.Header.RD)
-						}
-						if !resp.Header.QR || resp.Header.RCode != RCodeNoError ||
-							len(resp.Answer) != 1 || resp.Answer[0].Name != name {
-							t.Errorf("round %d socket %d: reply %v", round, i, resp)
-						}
-					}(i, conn)
-				}
-				wg.Wait()
-			}
-			if n := tc.coalesced(client, reg); n == 0 {
-				t.Errorf("no resolution coalesced: the hammer never shared a message")
-			}
-			if got := reg.Snapshot().Gauges[authoritative.MetricUDPLoops]; got < 2 {
-				t.Errorf("%s = %v in the client's registry: concurrent queries never ran on more than one loop",
-					authoritative.MetricUDPLoops, got)
-			}
+	t.Run("farm coalesce", func(t *testing.T) {
+		reg := NewRegistry(nil)
+		client, err := NewClient(ClientConfig{
+			Frontends: 4,
+			Coalesce:  true,
+			Roots:     []netip.Addr{netip.MustParseAddr("127.0.0.1")},
+			Net:       upstreamNet{srv: serveFixture(t, rounds), delay: 2 * time.Millisecond},
+			Registry:  reg,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := &RecursiveServer{Client: client}
+		addr, err := rd.ListenUDP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rd.Close()
+
+		conns := make([]*net.UDPConn, sockets)
+		for i := range conns {
+			conn, err := net.DialUDP("udp", nil, net.UDPAddrFromAddrPort(addr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conns[i] = conn
+		}
+		for round := 0; round < rounds; round++ {
+			name := NewName(fmt.Sprintf("h%d.example.org", round))
+			var wg sync.WaitGroup
+			for i, conn := range conns {
+				q := dnswire.NewQuery(uint16(round<<8|i+1), name, TypeA)
+				q.Header.RD = i%2 == 0
+				wire := mustEncode(t, q)
+				wg.Add(1)
+				go func(i int, conn *net.UDPConn) {
+					defer wg.Done()
+					_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+					if _, err := conn.Write(wire); err != nil {
+						t.Error(err)
+						return
+					}
+					buf := make([]byte, 512)
+					n, err := conn.Read(buf)
+					if err != nil {
+						t.Errorf("round %d socket %d: %v", round, i, err)
+						return
+					}
+					resp, err := Decode(buf[:n])
+					if err != nil {
+						t.Errorf("round %d socket %d: %v", round, i, err)
+						return
+					}
+					if resp.Header.ID != q.Header.ID || resp.Header.RD != q.Header.RD {
+						t.Errorf("round %d socket %d: reply ID %#04x RD %v, sent ID %#04x RD %v",
+							round, i, resp.Header.ID, resp.Header.RD, q.Header.ID, q.Header.RD)
+					}
+					if !resp.Header.QR || resp.Header.RCode != RCodeNoError ||
+						len(resp.Answer) != 1 || resp.Answer[0].Name != name {
+						t.Errorf("round %d socket %d: reply %v", round, i, resp)
+					}
+				}(i, conn)
+			}
+			wg.Wait()
+		}
+		if st, _ := client.FarmStats(); st.Total.Coalesced == 0 {
+			t.Errorf("no resolution coalesced: the hammer never shared a message")
+		}
+		if got := reg.Snapshot().Gauges[authoritative.MetricUDPLoops]; got < 2 {
+			t.Errorf("%s = %v in the client's registry: concurrent queries never ran on more than one loop",
+				authoritative.MetricUDPLoops, got)
+		}
+	})
 }
 
 // TestRecursiveResponseLimit: the daemon bounds a reply by what its
