@@ -48,11 +48,13 @@ type ClientConfig struct {
 	// classic lone resolver — the farm of one.
 	Frontends int
 	// Topology selects how much cache the farm frontends share (private —
-	// the zero value — shared, or FarmSharded; see ParseFarmTopology); with
-	// one frontend every topology is one cache.
+	// the zero value — shared, or FarmSharded; its text form is the
+	// -cache-topology spelling); with one frontend every topology is one
+	// cache.
 	Topology FarmTopology
 	// Placement picks the frontend for each query (FarmPlaceRandom,
-	// FarmPlaceRoundRobin, or by qname hash; see ParseFarmPlacement).
+	// FarmPlaceRoundRobin, or by qname hash; its text form is the
+	// -placement spelling).
 	Placement FarmPlacement
 	// Coalesce makes identical queries that miss the cache together, on
 	// whichever frontends, wait for one upstream iteration and share its
@@ -149,13 +151,6 @@ type QueryLogFormat = qlog.Format
 // QueryLogPointMask selects which capture points a query log records.
 type QueryLogPointMask = qlog.PointMask
 
-// ParseQueryLogFormat maps "jsonl" or "binary" to a QueryLogFormat.
-func ParseQueryLogFormat(s string) (QueryLogFormat, error) { return qlog.ParseFormat(s) }
-
-// ParseQueryLogPoints parses a comma list of capture points — "client",
-// "response", "upstream", or "all" — into a QueryLogPointMask.
-func ParseQueryLogPoints(s string) (QueryLogPointMask, error) { return qlog.ParsePointMask(s) }
-
 // FarmTopology selects the farm cache design; see the Farm* constants.
 type FarmTopology = farm.Topology
 
@@ -171,12 +166,6 @@ const (
 	FarmPlaceRoundRobin = farm.PlaceRoundRobin
 )
 
-// ParseFarmTopology maps "private", "shared", or "sharded" to a topology.
-func ParseFarmTopology(s string) (FarmTopology, error) { return farm.ParseTopology(s) }
-
-// ParseFarmPlacement maps "random", "roundrobin", or "hash" to a placement.
-func ParseFarmPlacement(s string) (FarmPlacement, error) { return farm.ParsePlacement(s) }
-
 // FarmStats is the fleet telemetry snapshot (per-frontend + aggregate).
 type FarmStats = farm.Stats
 
@@ -189,9 +178,6 @@ const (
 	EvictLRU  = cache.EvictLRU
 	EvictSLRU = cache.EvictSLRU
 )
-
-// ParseEvictionPolicy maps "fifo", "lru", or "slru" to a policy.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) { return cache.ParseEvictionPolicy(s) }
 
 // Client is an iterative caching DNS resolver — the library's front door
 // for resolution. It is always a resolver farm behind one Lookup

@@ -17,6 +17,7 @@ import (
 
 	"dnsttl"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/qlog"
 	"dnsttl/internal/zone"
 )
 
@@ -98,13 +99,14 @@ func main() {
 		name         = flag.String("name", "ns1.example.org", "server's own name")
 		metrics      = flag.String("metrics", "", "HTTP address for /metrics introspection (empty = off)")
 		qlogPath     = flag.String("qlog", "", "structured query-log file; rotations shift to FILE.1.. (empty = off)")
-		qlogFormat   = flag.String("qlog-format", "jsonl", "query-log encoding: jsonl or binary")
 		qlogMaxBytes = flag.Int64("qlog-max-bytes", 0, "rotate the query log past this size (0 = 64 MiB)")
 		qlogFiles    = flag.Int("qlog-files", 0, "rotated query-log files kept, active included (0 = 4)")
 		pushFeeds    = flag.Bool("push", false, "publish every zone as a change feed: accept subscriptions, NOTIFY subscribers on each change, serve IXFR pulls")
 		rrl          = flag.String("rrl", "", "response rate limiting for UDP: \"default\" or \"rps=5,burst=15,slip=2,prefix4=24,prefix6=56\" (empty = off)")
 		zones        zoneFlags
+		qlogFormat   dnsttl.QueryLogFormat
 	)
+	flag.TextVar(&qlogFormat, "qlog-format", qlog.FormatJSONL, "query-log encoding: jsonl or binary")
 	flag.Var(&zones, "zone", "origin=path to a master file (repeatable)")
 	flag.Parse()
 
@@ -194,14 +196,9 @@ func main() {
 		}
 	}()
 	if *qlogPath != "" {
-		format, err := dnsttl.ParseQueryLogFormat(*qlogFormat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "authserver:", err)
-			os.Exit(2)
-		}
 		qlogger, err := dnsttl.NewQueryLog(dnsttl.QueryLogConfig{
 			Path:     *qlogPath,
-			Format:   format,
+			Format:   qlogFormat,
 			MaxBytes: *qlogMaxBytes,
 			MaxFiles: *qlogFiles,
 			Registry: reg,
@@ -212,7 +209,7 @@ func main() {
 		}
 		defer qlogger.Close()
 		srv.AttachQueryLog(qlogger.Tap("udp"))
-		fmt.Printf("query log: %s (%s)\n", *qlogPath, format)
+		fmt.Printf("query log: %s (%s)\n", *qlogPath, qlogFormat)
 	}
 	addr, err := srv.ListenUDP(*listen)
 	if err != nil {

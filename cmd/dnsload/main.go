@@ -31,7 +31,6 @@ func main() {
 	var (
 		server      = flag.String("server", "127.0.0.1", "target server address")
 		port        = flag.Uint("port", 0, "target port (0 = transport default: 53/53/853/443)")
-		trans       = flag.String("transport", "udp", "transport: udp, tcp, dot, or doh")
 		poolSize    = flag.Int("pool-size", transport.DefaultPoolSize, "pooled connections per upstream")
 		workers     = flag.Int("workers", 16, "concurrent query workers")
 		count       = flag.Int("count", 0, "stop after this many queries (0 = use -duration)")
@@ -44,16 +43,14 @@ func main() {
 		out         = flag.String("out", "text", "stdout summary format: text or json (json implies -quiet)")
 		failOnError = flag.Bool("fail-on-error", false, "exit 1 if the run saw any protocol error")
 		quiet       = flag.Bool("quiet", false, "suppress the human-readable summary")
+		kind        transport.Kind
 	)
+	flag.TextVar(&kind, "transport", transport.UDP, "transport: udp, tcp, dot, or doh")
 	flag.Parse()
 	if *out != "text" && *out != "json" {
 		fatal(fmt.Errorf("-out must be text or json, not %q", *out))
 	}
 
-	kind, err := dnsttl.ParseTransportKind(*trans)
-	if err != nil {
-		fatal(err)
-	}
 	addr, err := netip.ParseAddr(*server)
 	if err != nil {
 		fatal(err)

@@ -30,12 +30,13 @@ func main() {
 		port     = flag.Uint("port", 0, "server port (0 = transport default: 53/53/853/443)")
 		timeout  = flag.Duration("timeout", 3*time.Second, "query timeout")
 		rd       = flag.Bool("rd", true, "set the recursion-desired flag")
-		trans    = flag.String("transport", "udp", "transport: udp, tcp, dot, or doh")
 		insecure = flag.Bool("insecure", false, "skip TLS verification for dot/doh (self-signed test certs)")
 		trace    = flag.Bool("trace", false, "iterate from -server like dig +trace and print the span tree")
 		retries  = flag.Int("retries", 0, "with -trace: upstream attempts per step (0 = single-shot)")
 		hedge    = flag.Duration("hedge", 0, "with -trace: hedge delay for a second query to the next-best server (0 = off)")
+		kind     dnsttl.TransportKind
 	)
+	flag.TextVar(&kind, "transport", dnsttl.TransportUDP, "transport: udp, tcp, dot, or doh")
 	flag.Parse()
 	if flag.NArg() < 1 {
 		fmt.Fprintln(os.Stderr, "usage: dnsq [flags] name [type]")
@@ -53,11 +54,6 @@ func main() {
 	}
 
 	addr, err := netip.ParseAddr(*server)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dnsq:", err)
-		os.Exit(2)
-	}
-	kind, err := dnsttl.ParseTransportKind(*trans)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dnsq:", err)
 		os.Exit(2)

@@ -28,11 +28,12 @@ import (
 func main() {
 	var (
 		jsonOut  = flag.Bool("json", false, "emit the analysis as JSON instead of text")
-		points   = flag.String("points", "all", "capture points to analyze: comma list of client,response,upstream, or all")
 		minGap   = flag.Duration("min-gap", 2*time.Second, "drop interarrival gaps below this (retransmission filter, paper uses 2s)")
 		noRotate = flag.Bool("no-rotated", false, "read only the named file, not its rotated set (file.N ...)")
 		promlint = flag.String("promlint", "", "lint the Prometheus text exposition in FILE and exit (promtool check metrics style)")
+		mask     qlog.PointMask
 	)
+	flag.TextVar(&mask, "points", qlog.MaskAll, "capture points to analyze: comma list of client,response,upstream,notify, or all")
 	flag.Parse()
 
 	if *promlint != "" {
@@ -43,11 +44,6 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	mask, err := qlog.ParsePointMask(*points)
-	if err != nil {
-		fatal(err)
-	}
-
 	paths := []string{flag.Arg(0)}
 	if !*noRotate {
 		if set, err := qlog.RotatedSet(flag.Arg(0)); err == nil {

@@ -24,6 +24,9 @@ import (
 
 	"dnsttl"
 	"dnsttl/internal/authoritative"
+	"dnsttl/internal/cache"
+	"dnsttl/internal/farm"
+	"dnsttl/internal/qlog"
 )
 
 // pushFlags accumulates repeatable -push zone=host:port subscriptions.
@@ -57,8 +60,6 @@ func main() {
 		validate      = flag.Bool("validate", false, "enable DNSSEC validation")
 		localRoot     = flag.Bool("localroot", false, "mirror the root zone locally via AXFR (RFC 7706)")
 		frontends     = flag.Int("frontends", 1, "run a resolver farm of this many recursive frontends")
-		topology      = flag.String("cache-topology", "shared", "farm cache topology: private, shared, or sharded")
-		placement     = flag.String("placement", "random", "farm query placement: random, roundrobin, or hash")
 		coalesce      = flag.Bool("coalesce", true, "coalesce identical in-flight queries across the farm")
 		metrics       = flag.String("metrics", "", "HTTP address for /metrics and /trace introspection (empty = off)")
 		retries       = flag.Int("retries", 0, "upstream attempts per iteration step (0 = legacy single-shot semantics)")
@@ -67,10 +68,8 @@ func main() {
 		srtt          = flag.Bool("srtt", false, "order candidate servers by smoothed RTT instead of shuffling")
 		cacheBytes    = flag.Int64("cache-bytes", 0, "cache memory bound in bytes, wire-format accounted (0 = unbounded)")
 		cacheEntries  = flag.Int("cache-entries", 0, "cache entry-count bound (0 = unbounded)")
-		eviction      = flag.String("eviction", "fifo", "cache eviction policy: fifo, lru, or slru (TinyLFU admission)")
 		prefetch      = flag.Float64("prefetch", 0, "refresh-ahead: re-resolve popular entries in the last FRACTION of their TTL (0 = off)")
 		prefetchBudg  = flag.Int("prefetch-budget", 0, "max refresh-ahead resolutions per minute (0 = unlimited)")
-		trans         = flag.String("transport", "udp", "upstream transport: udp, tcp, dot, or doh")
 		poolSize      = flag.Int("pool-size", 0, "pooled upstream connections per server (0 = default)")
 		insecure      = flag.Bool("insecure", false, "skip TLS verification for dot/doh upstreams (self-signed certs)")
 		listenTCP     = flag.String("listen-tcp", "", "TCP listen address for clients (empty = off)")
@@ -79,18 +78,28 @@ func main() {
 		tlsCert       = flag.String("tls-cert", "", "TLS certificate file for -listen-dot/-listen-doh (empty = ephemeral self-signed)")
 		tlsKey        = flag.String("tls-key", "", "TLS key file for -listen-dot/-listen-doh")
 		qlogPath      = flag.String("qlog", "", "structured query-log file; rotations shift to FILE.1.. (empty = off)")
-		qlogFormat    = flag.String("qlog-format", "jsonl", "query-log encoding: jsonl or binary")
 		qlogMaxBytes  = flag.Int64("qlog-max-bytes", 0, "rotate the query log past this size (0 = 64 MiB)")
 		qlogFiles     = flag.Int("qlog-files", 0, "rotated query-log files kept, active included (0 = 4)")
 		qlogSample    = flag.Int("qlog-sample", 0, "keep 1 query-log record in N (0 or 1 = all)")
 		qlogClientMod = flag.Int("qlog-client-mod", 0, "keep only clients hashing to 0 mod M, complete per-client streams (0 or 1 = all)")
-		qlogPoints    = flag.String("qlog-points", "all", "capture points to log: comma list of client,response,upstream,notify, or all")
 		metricsEvery  = flag.Duration("metrics-window-every", 10*time.Second, "snapshot period backing /metrics?window= rate queries")
 		pushPoll      = flag.Duration("push-poll", 0, "SOA polling fallback period for push subscriptions (0 = 5m)")
 		pushPrefetch  = flag.Bool("push-prefetch", false, "re-resolve names purged by push notifies immediately (purge+prefetch)")
 		pipeline      = flag.String("pipeline", "", "middleware graph spec file (see docs/middleware.md); SIGHUP re-reads and swaps it, keeping the old graph on error (empty = default pass-through pipeline)")
 		pushSubs      pushFlags
+		topology      dnsttl.FarmTopology
+		placement     dnsttl.FarmPlacement
+		eviction      dnsttl.EvictionPolicy
+		kind          dnsttl.TransportKind
+		qlogFormat    dnsttl.QueryLogFormat
+		qlogPoints    dnsttl.QueryLogPointMask
 	)
+	flag.TextVar(&topology, "cache-topology", farm.Shared, "farm cache topology: private, shared, or sharded")
+	flag.TextVar(&placement, "placement", dnsttl.FarmPlaceRandom, "farm query placement: random, roundrobin, or hash")
+	flag.TextVar(&eviction, "eviction", cache.EvictFIFO, "cache eviction policy: fifo, lru, or slru (TinyLFU admission)")
+	flag.TextVar(&kind, "transport", dnsttl.TransportUDP, "upstream transport: udp, tcp, dot, or doh")
+	flag.TextVar(&qlogFormat, "qlog-format", qlog.FormatJSONL, "query-log encoding: jsonl or binary")
+	flag.TextVar(&qlogPoints, "qlog-points", qlog.MaskAll, "capture points to log: comma list of client,response,upstream,notify, or all")
 	flag.Var(&pushSubs, "push", "zone=host:port push subscription (repeatable): subscribe to the zone's NOTIFY/IXFR change feed and purge on notify")
 	flag.Parse()
 	if *roots == "" {
@@ -130,11 +139,6 @@ func main() {
 		pol.PrefetchFraction = *prefetch
 		pol.PrefetchBudget = *prefetchBudg
 	}
-	evict, err := dnsttl.ParseEvictionPolicy(*eviction)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resolverd:", err)
-		os.Exit(2)
-	}
 
 	cfg := dnsttl.ClientConfig{
 		Policy:        pol,
@@ -143,7 +147,7 @@ func main() {
 		Coalesce:      *coalesce,
 		CacheCapacity: *cacheEntries,
 		CacheBytes:    *cacheBytes,
-		Eviction:      evict,
+		Eviction:      eviction,
 	}
 	if *metrics != "" {
 		cfg.Registry = dnsttl.NewRegistry(nil)
@@ -151,24 +155,15 @@ func main() {
 	}
 	var qlogger *dnsttl.QueryLog
 	if *qlogPath != "" {
-		format, err := dnsttl.ParseQueryLogFormat(*qlogFormat)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resolverd:", err)
-			os.Exit(2)
-		}
-		points, err := dnsttl.ParseQueryLogPoints(*qlogPoints)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resolverd:", err)
-			os.Exit(2)
-		}
+		var err error
 		qlogger, err = dnsttl.NewQueryLog(dnsttl.QueryLogConfig{
 			Path:         *qlogPath,
-			Format:       format,
+			Format:       qlogFormat,
 			MaxBytes:     *qlogMaxBytes,
 			MaxFiles:     *qlogFiles,
 			SampleN:      *qlogSample,
 			PerClientMod: *qlogClientMod,
-			Points:       points,
+			Points:       qlogPoints,
 			Registry:     cfg.Registry,
 		})
 		if err != nil {
@@ -176,12 +171,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer qlogger.Close()
-		fmt.Printf("query log: %s (%s)\n", *qlogPath, format)
-	}
-	kind, err := dnsttl.ParseTransportKind(*trans)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "resolverd:", err)
-		os.Exit(2)
+		fmt.Printf("query log: %s (%s)\n", *qlogPath, qlogFormat)
 	}
 	upstreamNet, err := dnsttl.NewTransportNet(kind, dnsttl.TransportOptions{
 		Port:     uint16(*rootPort),
@@ -196,18 +186,7 @@ func main() {
 	defer upstreamNet.Close()
 	cfg.Net = upstreamNet
 	if *frontends > 1 {
-		topo, err := dnsttl.ParseFarmTopology(*topology)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resolverd:", err)
-			os.Exit(2)
-		}
-		place, err := dnsttl.ParseFarmPlacement(*placement)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "resolverd:", err)
-			os.Exit(2)
-		}
-		cfg.Topology = topo
-		cfg.Placement = place
+		cfg.Topology, cfg.Placement = topology, placement
 	}
 	if *localRoot {
 		axfr, err := dnsttl.NewTransportNet(dnsttl.TransportTCP, dnsttl.TransportOptions{})
@@ -381,7 +360,7 @@ func main() {
 	}
 	if *frontends > 1 {
 		fmt.Printf("resolver farm on udp://%s (%d frontends, %s cache, %s placement, policy: %s, cap %ds, upstream %s)\n",
-			addr, *frontends, *topology, *placement, pol.Centricity, pol.TTLCap, kind)
+			addr, *frontends, topology, placement, pol.Centricity, pol.TTLCap, kind)
 	} else {
 		fmt.Printf("recursive resolver on udp://%s (policy: %s, cap %ds, upstream %s)\n",
 			addr, pol.Centricity, pol.TTLCap, kind)

@@ -1,8 +1,8 @@
 // Package cache implements a recursive resolver's record cache with the
 // mechanisms whose interactions the paper studies: TTL decay against a
 // clock, RFC 2181 §5.4.1 credibility ranking (so authoritative child data
-// outranks parent glue), RFC 2308 negative caching, TTL capping and
-// flooring as deployed resolvers do, serve-stale (RFC 8767), and glue
+// outranks parent glue), RFC 2308 negative caching, TTL capping as
+// deployed resolvers do, serve-stale (RFC 8767), and glue
 // tagging so resolver policy can couple an in-bailiwick A record's lifetime
 // to its covering NS RRset.
 //
@@ -153,9 +153,6 @@ type Config struct {
 	// MaxTTL caps stored TTLs (0 = no cap). BIND defaults to one week;
 	// Google Public DNS effectively caps at 21599 s (§3.3 of the paper).
 	MaxTTL uint32
-	// MinTTL floors stored TTLs (0 = no floor). Some resolvers impose
-	// tens of seconds to bound load.
-	MinTTL uint32
 	// ServeStale, when set, lets GetStale return expired entries for up to
 	// staleFor after expiry (RFC 8767), used when authoritatives are down.
 	ServeStale bool
@@ -191,7 +188,7 @@ const staleFor = 24 * time.Hour
 // farm frontends can share one logical cache without serializing on one
 // mutex.
 type Store interface {
-	// Put stores an entry under the store's TTL cap/floor and RFC 2181
+	// Put stores an entry under the store's TTL cap and RFC 2181
 	// credibility rules, reporting whether it was accepted.
 	Put(e Entry) bool
 	// Get returns the fresh entry for (name, t) and its remaining TTL.
@@ -350,7 +347,7 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-// Put stores e, applying TTL cap/floor, and returns whether the entry was
+// Put stores e, applying the TTL cap, and returns whether the entry was
 // stored. An unexpired existing entry with higher credibility wins over the
 // new data (RFC 2181 §5.4.1); equal or higher credibility replaces. Under a
 // Capacity or MaxBytes bound, an SLRU admission filter may also turn away a
@@ -362,9 +359,6 @@ func (c *Cache) Put(e Entry) bool {
 	}
 	if c.cfg.MaxTTL > 0 && e.TTL > c.cfg.MaxTTL {
 		e.TTL = c.cfg.MaxTTL
-	}
-	if e.TTL < c.cfg.MinTTL {
-		e.TTL = c.cfg.MinTTL
 	}
 	e.prev, e.next, e.seg = nil, nil, 0
 	e.bytes = entryBytes(&e)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,7 +90,7 @@ func TestCredibilityUpgrade(t *testing.T) {
 
 func TestTTLCapAndFloor(t *testing.T) {
 	clk := simnet.NewVirtualClock()
-	c := New(clk, Config{MaxTTL: 21599, MinTTL: 30})
+	c := New(clk, Config{MaxTTL: 21599})
 	c.Put(entry("big.org", dnswire.TypeNS, 345600, CredAnswerAuth))
 	_, rem, _ := c.Get(dnswire.NewName("big.org"), dnswire.TypeNS)
 	if rem != 21599 {
@@ -97,8 +98,8 @@ func TestTTLCapAndFloor(t *testing.T) {
 	}
 	c.Put(entry("small.org", dnswire.TypeA, 5, CredAnswerAuth))
 	_, rem, _ = c.Get(dnswire.NewName("small.org"), dnswire.TypeA)
-	if rem != 30 {
-		t.Errorf("floored rem = %d, want 30", rem)
+	if rem != 5 {
+		t.Errorf("short rem = %d, want 5: the cache stores a TTL as served, with no floor", rem)
 	}
 }
 
@@ -249,6 +250,29 @@ func TestCredibilityStrings(t *testing.T) {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", c, c.String(), want)
 		}
+	}
+}
+
+// TestEvictionPolicyText pins the -eviction spelling table: every policy
+// round-trips through MarshalText/UnmarshalText and String agrees, a retired
+// alias fails naming the accepted spellings, and an out-of-range policy
+// prints as itself rather than as FIFO.
+func TestEvictionPolicyText(t *testing.T) {
+	for _, p := range []EvictionPolicy{EvictFIFO, EvictLRU, EvictSLRU} {
+		b, err := p.MarshalText()
+		var got EvictionPolicy
+		if err != nil || got.UnmarshalText(b) != nil || got != p || string(b) != p.String() {
+			t.Errorf("%v: MarshalText = %q, %v; back %v", p, b, err, got)
+		}
+	}
+	for _, in := range []string{"tinylfu", "", "LRU", "arc"} {
+		var p EvictionPolicy
+		if err := p.UnmarshalText([]byte(in)); err == nil || !strings.Contains(err.Error(), `"fifo" "lru" "slru"`) {
+			t.Errorf("UnmarshalText(%q) = %v, want an error naming the spellings", in, err)
+		}
+	}
+	if got := EvictionPolicy(7).String(); got != "EvictionPolicy(7)" {
+		t.Errorf("EvictionPolicy(7).String() = %q", got)
 	}
 }
 

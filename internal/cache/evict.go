@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // EvictionPolicy selects how the cache orders entries for eviction under
 // pressure (entry-count or byte bound). The zero value is FIFO, the legacy
@@ -24,27 +27,27 @@ const (
 	EvictSLRU
 )
 
-// ParseEvictionPolicy maps the CLI spellings to a policy.
-func ParseEvictionPolicy(s string) (EvictionPolicy, error) {
-	switch s {
-	case "fifo", "":
-		return EvictFIFO, nil
-	case "lru":
-		return EvictLRU, nil
-	case "slru", "tinylfu":
-		return EvictSLRU, nil
-	}
-	return EvictFIFO, fmt.Errorf("cache: unknown eviction policy %q (want fifo, lru, or slru)", s)
-}
+// evictionNames is each EvictionPolicy's one spelling (the -eviction values,
+// the cache-pressure report's policy column). String, MarshalText and
+// UnmarshalText all read it.
+var evictionNames = [...]string{EvictFIFO: "fifo", EvictLRU: "lru", EvictSLRU: "slru"}
 
 func (p EvictionPolicy) String() string {
-	switch p {
-	case EvictLRU:
-		return "lru"
-	case EvictSLRU:
-		return "slru"
+	if int(p) < len(evictionNames) {
+		return evictionNames[p]
 	}
-	return "fifo"
+	return fmt.Sprintf("EvictionPolicy(%d)", uint8(p))
+}
+
+func (p EvictionPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *EvictionPolicy) UnmarshalText(b []byte) error {
+	i := slices.Index(evictionNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("cache: unknown eviction policy %q (want one of %q)", b, evictionNames)
+	}
+	*p = EvictionPolicy(i)
+	return nil
 }
 
 // Evictor is the pluggable eviction order behind a Cache. Implementations

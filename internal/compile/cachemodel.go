@@ -1,6 +1,10 @@
 package compile
 
-import "math"
+import (
+	"math"
+
+	"dnsttl/internal/cache"
+)
 
 // Line is one compiled (resolver, qname) renewal process — or a band of
 // Count identical processes, which is how Zipf tails stay bounded.
@@ -31,8 +35,8 @@ type CacheSpec struct {
 	// BaseBytes is the infrastructure-resident overhead (zone cuts, NS and
 	// glue records) charged against MaxBytes before workload lines.
 	BaseBytes float64
-	// Policy is the eviction policy: "", "fifo", "lru", "slru".
-	Policy string
+	// Policy is the eviction policy; the zero value is FIFO.
+	Policy cache.EvictionPolicy
 	// PrefetchFrac enables refresh-ahead at this fraction of the TTL.
 	PrefetchFrac float64
 }
@@ -99,7 +103,7 @@ func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 	budget := spec.MaxBytes - spec.BaseBytes
 	unbounded := spec.MaxBytes <= 0
 
-	if spec.Policy == "slru" && !unbounded {
+	if spec.Policy == cache.EvictSLRU && !unbounded {
 		return solveKnapsack(rates, lines, spec, budget)
 	}
 
@@ -145,7 +149,7 @@ func solveCacheInto(rates []LineRates, lines []Line, spec CacheSpec) Solution {
 // policy.
 func lineRates(l Line, c float64, spec CacheSpec) LineRates {
 	switch spec.Policy {
-	case "fifo":
+	case cache.EvictFIFO:
 		// Residency is an age bound: the line behaves as a pure-TTL line
 		// with lifetime min(TTL, C).
 		ttl := math.Min(l.TTL, c)
@@ -161,7 +165,7 @@ func lineRates(l Line, c float64, spec CacheSpec) LineRates {
 			r.Evict = r.Upstream
 		}
 		return r
-	default: // "", "lru"
+	default: // EvictLRU, and EvictSLRU under no bound
 		var r LineRates
 		if spec.PrefetchFrac > 0 {
 			p := PrefetchSteady(l.Lambda, l.TTL, spec.PrefetchFrac)
@@ -188,7 +192,7 @@ func lineRates(l Line, c float64, spec CacheSpec) LineRates {
 // admitted fractionally, everything after never caches. Every entry of
 // rates is overwritten.
 func solveKnapsack(rates []LineRates, lines []Line, spec CacheSpec, budget float64) Solution {
-	unpressured := CacheSpec{Policy: "lru", PrefetchFrac: spec.PrefetchFrac}
+	unpressured := CacheSpec{Policy: cache.EvictLRU, PrefetchFrac: spec.PrefetchFrac}
 	spent := 0.0
 	cut := math.Inf(1)
 	for i, l := range lines {

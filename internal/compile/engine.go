@@ -3,6 +3,8 @@ package compile
 import (
 	"fmt"
 	"math"
+
+	"dnsttl/internal/cache"
 )
 
 // GroupResult is one cohort's accumulated outcome.
@@ -60,7 +62,7 @@ func (r *Result) Amplification() float64 {
 // so 38–83 % of the solutions are used exactly once. The memo therefore
 // counts uses instead of keeping everything: see steadyMemo.
 type memoKey struct {
-	policy      string
+	policy      cache.EvictionPolicy
 	prefetch    float64
 	lifetime    float64
 	maxBytes    float64

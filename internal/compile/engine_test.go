@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dnsttl/internal/cache"
 	"dnsttl/internal/population"
 )
 
@@ -37,8 +38,7 @@ func TestCompileRejectsBadSpecs(t *testing.T) {
 		func(s *Spec) { s.Events = []Event{{AtHours: 99, Kind: "purge"}} },
 		func(s *Spec) { s.Events = []Event{{AtHours: 1, Kind: "meteor"}} },
 		func(s *Spec) { s.Events = []Event{{AtHours: 1, Kind: "outage", DurHours: -2}} },
-		func(s *Spec) { s.Policy = "SLRU" },
-		func(s *Spec) { s.Policy = "tinylfu" },
+		func(s *Spec) { s.Policy = cache.EvictionPolicy(9) },
 		func(s *Spec) { s.PrefetchFrac = 1.7 },
 		func(s *Spec) { s.PrefetchFrac = -0.1 },
 		func(s *Spec) { s.PrefetchFrac = math.NaN() },
@@ -200,7 +200,7 @@ func TestRunPlanetScaleBudget(t *testing.T) {
 	s := flatSpec(1e7)
 	s.Diurnal = nil
 	s.MaxBytes = 4 << 20
-	s.Policy = "lru"
+	s.Policy = cache.EvictLRU
 	start := time.Now()
 	res, err := CompileAndRun(s)
 	elapsed := time.Since(start)
@@ -357,12 +357,12 @@ func TestRunUseCountedMemo(t *testing.T) {
 	for h := range diurnal {
 		diurnal[h] = 0.5 + 0.07*float64(h) // all distinct
 	}
-	cache := CacheSpec{MaxBytes: 40_000, BaseBytes: 4_000, Policy: "slru", PrefetchFrac: 0.1}
+	cs := CacheSpec{MaxBytes: 40_000, BaseBytes: 4_000, Policy: cache.EvictSLRU, PrefetchFrac: 0.1}
 	group := func(name string, phase int, lifetime float64) Group {
 		return Group{Profile: name, Region: "r", Users: 30_000, Resolvers: 3,
-			BaseLambda: 12, Lifetime: lifetime, PhaseHours: phase, Cache: cache}
+			BaseLambda: 12, Lifetime: lifetime, PhaseHours: phase, Cache: cs}
 	}
-	program := func(policy string, segs []Segment) *Program {
+	program := func(policy cache.EvictionPolicy, segs []Segment) *Program {
 		p := &Program{
 			Spec:     Spec{Users: 90_000, RecordBytes: 150},
 			Groups:   []Group{group("a", 0, 300), group("b", 1, 300), group("c", 0, 60)},
@@ -391,16 +391,16 @@ func TestRunUseCountedMemo(t *testing.T) {
 
 	for _, tc := range []struct {
 		name       string
-		policy     string
+		policy     cache.EvictionPolicy
 		segs       []Segment
 		wantSolves int // distinct keys among the uses outside outages
 	}{
 		// a: hours 0–5, b: hours 1–6 → 7 keys, 5 of them shared; c: 6.
-		{"plain/slru", "slru", hourly(6), 13},
-		{"plain/lru", "lru", hourly(6), 13},
+		{"plain/slru", cache.EvictSLRU, hourly(6), 13},
+		{"plain/lru", cache.EvictLRU, hourly(6), 13},
 		// a: 0,1,4,5; b: 1,2,5,6 → 6 keys, 2 of them shared; c: 4.
-		{"chaos/slru", "slru", chaos, 10},
-		{"chaos/fifo", "fifo", chaos, 10},
+		{"chaos/slru", cache.EvictSLRU, chaos, 10},
+		{"chaos/fifo", cache.EvictFIFO, chaos, 10},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			p := program(tc.policy, tc.segs)

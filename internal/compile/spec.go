@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"dnsttl/internal/cache"
 	"dnsttl/internal/population"
 )
 
@@ -63,8 +64,9 @@ type Spec struct {
 	// MaxBytes bounds each resolver cell's cache; 0 means unbounded.
 	// BaseBytes is the per-cell infrastructure overhead charged first.
 	MaxBytes, BaseBytes float64
-	// Policy is the cells' eviction policy: "", "fifo", "lru", "slru".
-	Policy string
+	// Policy is the cells' eviction policy; the zero value is FIFO, as in
+	// internal/cache.
+	Policy cache.EvictionPolicy
 	// PrefetchFrac enables refresh-ahead at this TTL fraction.
 	PrefetchFrac float64
 	// Hours is the horizon; 0 means 24 (one day).
@@ -159,10 +161,8 @@ func Compile(spec Spec) (*Program, error) {
 	if !(spec.ZipfS >= 0) {
 		return nil, fmt.Errorf("compile: ZipfS must be ≥0, got %v", spec.ZipfS)
 	}
-	switch spec.Policy {
-	case "", "fifo", "lru", "slru":
-	default:
-		return nil, fmt.Errorf("compile: unknown eviction policy %q", spec.Policy)
+	if spec.Policy > cache.EvictSLRU {
+		return nil, fmt.Errorf("compile: unknown eviction policy %v", spec.Policy)
 	}
 	if !(spec.PrefetchFrac >= 0 && spec.PrefetchFrac <= 1) {
 		return nil, fmt.Errorf("compile: PrefetchFrac must be in [0, 1], got %v", spec.PrefetchFrac)

@@ -74,9 +74,9 @@ func abuseRRLConfig() authoritative.RRLConfig {
 // integers so the JSON encoding is byte-stable; rates use milli-units
 // (hits per 1000 queries).
 type AbuseCell struct {
-	Protection string `json:"protection"`
-	Frontends  int    `json:"frontends"`
-	Topology   string `json:"topology"`
+	Protection string        `json:"protection"`
+	Frontends  int           `json:"frontends"`
+	Topology   farm.Topology `json:"topology"`
 
 	// The honest stream's outcome: collateral damage shows up here.
 	HonestQueries  int `json:"honest_queries"`
@@ -127,13 +127,15 @@ type abuseConfig struct {
 	topo       farm.Topology
 }
 
+// abuseShapes are the farm shapes every protection mode runs at.
+var abuseShapes = []struct {
+	nf   int
+	topo farm.Topology
+}{{1, farm.Private}, {4, farm.Private}, {4, farm.Shared}}
+
 func abuseGrid() []abuseConfig {
-	shapes := []struct {
-		nf   int
-		topo farm.Topology
-	}{{1, farm.Private}, {4, farm.Private}, {4, farm.Shared}}
 	var grid []abuseConfig
-	for _, sh := range shapes {
+	for _, sh := range abuseShapes {
 		for _, p := range []string{"open", "rrl", "edge", "full"} {
 			grid = append(grid, abuseConfig{protection: p, nf: sh.nf, topo: sh.topo})
 		}
@@ -146,7 +148,7 @@ func abuseGrid() []abuseConfig {
 // with every honest arrival (~24 q/s attack against 8 q/s honest).
 func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 	const attackPerHonest = 3
-	c := AbuseCell{Protection: cfg.protection, Frontends: cfg.nf, Topology: cfg.topo.String()}
+	c := AbuseCell{Protection: cfg.protection, Frontends: cfg.nf, Topology: cfg.topo}
 
 	// Same world as the fragmentation tier: 150 names at TTL 300 keeps the
 	// honest stream mostly cache-served, so collateral shows up as lost
@@ -274,7 +276,7 @@ func WaterTorture(queries, workers int, seed int64) *Report {
 	rep := WaterTortureRun(queries, workers, seed)
 
 	byKey := map[string]AbuseCell{}
-	key := func(p string, nf int, topo string) string {
+	key := func(p string, nf int, topo farm.Topology) string {
 		return fmt.Sprintf("%s_f%d_%s", p, nf, topo)
 	}
 	for _, c := range rep.Cells {
@@ -308,10 +310,7 @@ func WaterTorture(queries, workers int, seed int64) *Report {
 	}
 	// Headline factors per farm shape: how much of the amplification each
 	// defense removes, and what it costs the honest stream.
-	for _, sh := range []struct {
-		nf   int
-		topo string
-	}{{1, "private"}, {4, "private"}, {4, "shared"}} {
+	for _, sh := range abuseShapes {
 		open := byKey[key("open", sh.nf, sh.topo)]
 		for _, p := range []string{"rrl", "edge", "full"} {
 			prot := byKey[key(p, sh.nf, sh.topo)]

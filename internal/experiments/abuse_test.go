@@ -19,7 +19,7 @@ func TestAbuseOutcomes(t *testing.T) {
 	rep := WaterTortureRun(abuseQueries, 0, abuseSeed)
 	cells := map[string]AbuseCell{}
 	for _, c := range rep.Cells {
-		cells[c.Protection+"/"+c.Topology+"/f"+string(rune('0'+c.Frontends))] = c
+		cells[c.Protection+"/"+c.Topology.String()+"/f"+string(rune('0'+c.Frontends))] = c
 	}
 	shapes := []string{"private/f1", "private/f4", "shared/f4"}
 	get := func(p, shape string) AbuseCell {

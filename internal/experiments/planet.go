@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"dnsttl/internal/atlas"
+	"dnsttl/internal/cache"
 	"dnsttl/internal/compile"
 	"dnsttl/internal/stats"
 )
@@ -61,7 +62,7 @@ func planetSpec(users float64, ttl uint32) compile.Spec {
 		TTL:               ttl,
 		MaxBytes:          1 << 20,
 		BaseBytes:         64 << 10,
-		Policy:            "slru",
+		Policy:            cache.EvictSLRU,
 		PrefetchFrac:      0.1,
 		Hours:             24,
 	}

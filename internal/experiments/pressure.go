@@ -25,19 +25,19 @@ import (
 // PressureCell is one grid point's outcome. Counters are integers (hit rate
 // is reported per-mille) so the JSON encoding is byte-stable.
 type PressureCell struct {
-	Policy           string `json:"policy"`
-	MaxKB            int    `json:"max_kb"`
-	TTL              int    `json:"ttl_s"`
-	Prefetch         bool   `json:"prefetch"`
-	Answered         int    `json:"answered"`
-	Hits             int    `json:"hits"`
-	HitPerMille      int    `json:"hit_per_mille"`
-	Evictions        int    `json:"evictions"`
-	AdmissionRejects int    `json:"admission_rejects"`
-	Prefetches       int    `json:"prefetches"`
-	AuthQueries      int    `json:"auth_queries"`
-	FinalEntries     int    `json:"final_entries"`
-	FinalBytes       int    `json:"final_bytes"`
+	Policy           cache.EvictionPolicy `json:"policy"`
+	MaxKB            int                  `json:"max_kb"`
+	TTL              int                  `json:"ttl_s"`
+	Prefetch         bool                 `json:"prefetch"`
+	Answered         int                  `json:"answered"`
+	Hits             int                  `json:"hits"`
+	HitPerMille      int                  `json:"hit_per_mille"`
+	Evictions        int                  `json:"evictions"`
+	AdmissionRejects int                  `json:"admission_rejects"`
+	Prefetches       int                  `json:"prefetches"`
+	AuthQueries      int                  `json:"auth_queries"`
+	FinalEntries     int                  `json:"final_entries"`
+	FinalBytes       int                  `json:"final_bytes"`
 }
 
 // PressureReport is the sweep's full outcome, in grid order: sizes outer,
@@ -53,7 +53,7 @@ type PressureReport struct {
 func (r *PressureReport) JSON() []byte { return goldenJSON(r) }
 
 // Cell finds a grid point by coordinates (nil if absent).
-func (r *PressureReport) Cell(policy string, maxKB, ttl int, prefetch bool) *PressureCell {
+func (r *PressureReport) Cell(policy cache.EvictionPolicy, maxKB, ttl int, prefetch bool) *PressureCell {
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		if c.Policy == policy && c.MaxKB == maxKB && c.TTL == ttl && c.Prefetch == prefetch {
@@ -139,7 +139,7 @@ func pressureCell(spec pressureSpec, queries int, seed int64) PressureCell {
 
 	st := res.Cache.Stats()
 	cell := PressureCell{
-		Policy:           spec.policy.String(),
+		Policy:           spec.policy,
 		MaxKB:            int(spec.maxBytes >> 10),
 		TTL:              int(spec.ttl),
 		Prefetch:         spec.prefetch,
@@ -193,7 +193,7 @@ func CachePressure(queries, workers int, seed int64) *Report {
 			pf = "yes"
 			key = fmt.Sprintf("hit_%s_pf_%dkb_ttl%d", c.Policy, c.MaxKB, c.TTL)
 		}
-		tbl.AddRow(c.Policy, fmt.Sprintf("%d", c.MaxKB), fmt.Sprintf("%d", c.TTL), pf,
+		tbl.AddRow(c.Policy.String(), fmt.Sprintf("%d", c.MaxKB), fmt.Sprintf("%d", c.TTL), pf,
 			fmt.Sprintf("%.3f", float64(c.HitPerMille)/1000),
 			stats.FormatCount(c.Evictions), stats.FormatCount(c.AdmissionRejects),
 			stats.FormatCount(c.Prefetches), stats.FormatCount(c.AuthQueries),
@@ -208,8 +208,8 @@ func CachePressure(queries, workers int, seed int64) *Report {
 	for _, size := range pressureSizes {
 		for _, ttl := range pressureTTLs {
 			kb, t := int(size>>10), int(ttl)
-			fifo := rep.Cell("fifo", kb, t, false)
-			lru := rep.Cell("lru", kb, t, false)
+			fifo := rep.Cell(cache.EvictFIFO, kb, t, false)
+			lru := rep.Cell(cache.EvictLRU, kb, t, false)
 			if fifo != nil && lru != nil {
 				if gain := float64(lru.HitPerMille-fifo.HitPerMille) / 1000; gain < minLRUGain {
 					minLRUGain = gain
@@ -217,8 +217,8 @@ func CachePressure(queries, workers int, seed int64) *Report {
 			}
 		}
 		kb := int(size >> 10)
-		plain := rep.Cell("lru", kb, int(pressurePrefetchTTL), false)
-		pf := rep.Cell("lru", kb, int(pressurePrefetchTTL), true)
+		plain := rep.Cell(cache.EvictLRU, kb, int(pressurePrefetchTTL), false)
+		pf := rep.Cell(cache.EvictLRU, kb, int(pressurePrefetchTTL), true)
 		if plain != nil && pf != nil {
 			m[fmt.Sprintf("prefetch_lift_%dkb_ttl%d", kb, pressurePrefetchTTL)] =
 				float64(pf.HitPerMille-plain.HitPerMille) / 1000

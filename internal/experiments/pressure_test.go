@@ -1,6 +1,10 @@
 package experiments
 
-import "testing"
+import (
+	"testing"
+
+	"dnsttl/internal/cache"
+)
 
 const (
 	pressureTestQueries = 4000
@@ -23,9 +27,9 @@ func TestPressureOutcomes(t *testing.T) {
 	for _, size := range pressureSizes {
 		kb := int(size >> 10)
 		for _, ttl := range pressureTTLs {
-			fifo := rep.Cell("fifo", kb, int(ttl), false)
-			lru := rep.Cell("lru", kb, int(ttl), false)
-			slru := rep.Cell("slru", kb, int(ttl), false)
+			fifo := rep.Cell(cache.EvictFIFO, kb, int(ttl), false)
+			lru := rep.Cell(cache.EvictLRU, kb, int(ttl), false)
+			slru := rep.Cell(cache.EvictSLRU, kb, int(ttl), false)
 			if fifo == nil || lru == nil || slru == nil {
 				t.Fatalf("missing cells at %dKB ttl=%d", kb, ttl)
 			}
@@ -42,9 +46,9 @@ func TestPressureOutcomes(t *testing.T) {
 		// long-TTL cells it must beat both FIFO and plain LRU. (Under heavy
 		// expiry churn its admission filter costs misses instead — a real
 		// TinyLFU property the golden records rather than hides.)
-		slru := rep.Cell("slru", kb, 300, false)
-		fifo := rep.Cell("fifo", kb, 300, false)
-		lru := rep.Cell("lru", kb, 300, false)
+		slru := rep.Cell(cache.EvictSLRU, kb, 300, false)
+		fifo := rep.Cell(cache.EvictFIFO, kb, 300, false)
+		lru := rep.Cell(cache.EvictLRU, kb, 300, false)
 		if slru.HitPerMille < fifo.HitPerMille || slru.HitPerMille < lru.HitPerMille {
 			t.Errorf("%dKB ttl=300: SLRU %d‰ should lead FIFO %d‰ and LRU %d‰",
 				kb, slru.HitPerMille, fifo.HitPerMille, lru.HitPerMille)
@@ -52,8 +56,8 @@ func TestPressureOutcomes(t *testing.T) {
 
 		// Refresh-ahead at the short-TTL cell: more hits, more upstream
 		// queries — the explicit trade.
-		plain := rep.Cell("lru", kb, int(pressurePrefetchTTL), false)
-		pf := rep.Cell("lru", kb, int(pressurePrefetchTTL), true)
+		plain := rep.Cell(cache.EvictLRU, kb, int(pressurePrefetchTTL), false)
+		pf := rep.Cell(cache.EvictLRU, kb, int(pressurePrefetchTTL), true)
 		if plain == nil || pf == nil {
 			t.Fatalf("missing prefetch cells at %dKB", kb)
 		}
@@ -80,7 +84,7 @@ func TestPressureOutcomes(t *testing.T) {
 			t.Errorf("%s %dKB ttl=%d: resident bytes %d exceed bound %d",
 				c.Policy, c.MaxKB, c.TTL, c.FinalBytes, c.MaxKB<<10)
 		}
-		if c.Evictions == 0 && c.Policy != "slru" {
+		if c.Evictions == 0 && c.Policy != cache.EvictSLRU {
 			t.Errorf("%s %dKB ttl=%d: no evictions — grid not under pressure",
 				c.Policy, c.MaxKB, c.TTL)
 		}

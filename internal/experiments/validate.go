@@ -7,6 +7,7 @@ import (
 	"dnsttl/internal/cache"
 	"dnsttl/internal/compile"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/farm"
 	"dnsttl/internal/population"
 	"dnsttl/internal/resolver"
 )
@@ -36,7 +37,7 @@ type ModelRow struct {
 	// policy, where the steady state is an approximation (Che product for
 	// lru, perfect-LFU knapsack for slru); fifo's closed form is exact.
 	cold, pressured bool
-	policy          string
+	policy          cache.EvictionPolicy
 }
 
 // Delta is the signed model error in hit-rate points.
@@ -48,7 +49,7 @@ func (r ModelRow) Delta() float64 { return r.Compiled - r.Simulated }
 // "Tolerance methodology" lists the ranges).
 func (r ModelRow) ceiling() float64 {
 	switch {
-	case r.pressured && r.policy == "slru":
+	case r.pressured && r.policy == cache.EvictSLRU:
 		return 0.065
 	case r.pressured:
 		return 0.060
@@ -99,7 +100,7 @@ func compiledRow(key string, simulated float64, spec compile.Spec) ModelRow {
 	return ModelRow{
 		Key: key, Simulated: simulated, Compiled: res.HitRate(),
 		cold:      4*float64(spec.TTL) >= res.VirtualSeconds,
-		pressured: spec.Policy != "fifo" && res.Evictions > 0,
+		pressured: spec.Policy != cache.EvictFIFO && res.Evictions > 0,
 		policy:    spec.Policy,
 	}
 }
@@ -135,9 +136,9 @@ func ValidateFragmentationModel(hours, workers int, seed int64) *ModelValidation
 	v := &ModelValidation{Name: "fragmentation"}
 	for _, ttl := range []uint32{60, 3600} {
 		for _, nf := range []int{1, 4, 16} {
-			for _, topo := range []string{"private", "shared", "sharded"} {
+			for _, topo := range []farm.Topology{farm.Private, farm.Shared, farm.Sharded} {
 				cells := 1
-				if topo == "private" {
+				if topo == farm.Private {
 					cells = nf
 				}
 				key := fmt.Sprintf("hit_%s_f%d_ttl%d", topo, nf, ttl)

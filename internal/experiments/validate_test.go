@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dnsttl/internal/cache"
 )
 
 // validationSeeds are the seeds the regime ceilings were measured over.
@@ -82,7 +84,7 @@ func TestModelValidationPressure(t *testing.T) {
 // from the cell's parameters, and each regime the ceilings name occurs on
 // the grids above.
 func TestModelValidationRegimes(t *testing.T) {
-	row := func(policy string, maxKB float64, ttl uint32) ModelRow {
+	row := func(policy cache.EvictionPolicy, maxKB float64, ttl uint32) ModelRow {
 		spec := cellSpec(pressureQPS, pressureNames, ttl, 1, 1)
 		spec.Policy, spec.MaxBytes, spec.BaseBytes = policy, maxKB*1024, 1024
 		return compiledRow("", 0, spec)
@@ -92,12 +94,12 @@ func TestModelValidationRegimes(t *testing.T) {
 		row  ModelRow
 		want float64
 	}{
-		{"steady unbounded", row("lru", 0, 60), 0.005},
-		{"cold unbounded", row("lru", 0, 900), 0.010},
-		{"fifo under a binding bound", row("fifo", 32, 300), 0.005},
-		{"lru, bound not binding", row("lru", 4096, 60), 0.005},
-		{"lru under a binding bound", row("lru", 32, 300), 0.060},
-		{"slru under a binding bound", row("slru", 32, 300), 0.065},
+		{"steady unbounded", row(cache.EvictLRU, 0, 60), 0.005},
+		{"cold unbounded", row(cache.EvictLRU, 0, 900), 0.010},
+		{"fifo under a binding bound", row(cache.EvictFIFO, 32, 300), 0.005},
+		{"lru, bound not binding", row(cache.EvictLRU, 4096, 60), 0.005},
+		{"lru under a binding bound", row(cache.EvictLRU, 32, 300), 0.060},
+		{"slru under a binding bound", row(cache.EvictSLRU, 32, 300), 0.065},
 	} {
 		if got := c.row.ceiling(); got != c.want {
 			t.Errorf("%s: ceiling %.3f, want %.3f (%+v)", c.name, got, c.want, c.row)

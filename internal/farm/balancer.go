@@ -3,6 +3,7 @@ package farm
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -30,27 +31,26 @@ const (
 	PlaceHashQName
 )
 
-// ParsePlacement maps the CLI spellings to a Placement.
-func ParsePlacement(s string) (Placement, error) {
-	switch s {
-	case "random":
-		return PlaceRandom, nil
-	case "roundrobin", "round-robin":
-		return PlaceRoundRobin, nil
-	case "hash", "qname-hash":
-		return PlaceHashQName, nil
-	}
-	return PlaceRandom, fmt.Errorf("farm: unknown placement %q (want random, roundrobin, or hash)", s)
-}
+// placementNames is each Placement's one spelling (the -placement values).
+// String, MarshalText and UnmarshalText all read it.
+var placementNames = [...]string{PlaceRandom: "random", PlaceRoundRobin: "roundrobin", PlaceHashQName: "hash"}
 
 func (p Placement) String() string {
-	switch p {
-	case PlaceRoundRobin:
-		return "roundrobin"
-	case PlaceHashQName:
-		return "hash"
+	if int(p) < len(placementNames) {
+		return placementNames[p]
 	}
-	return "random"
+	return fmt.Sprintf("Placement(%d)", uint8(p))
+}
+
+func (p Placement) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Placement) UnmarshalText(b []byte) error {
+	i := slices.Index(placementNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("farm: unknown placement %q (want one of %q)", b, placementNames)
+	}
+	*p = Placement(i)
+	return nil
 }
 
 // balancer maps a query name to a frontend index.

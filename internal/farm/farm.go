@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sync/atomic"
 
 	"dnsttl/internal/cache"
@@ -53,27 +54,26 @@ const (
 	Sharded
 )
 
-// ParseTopology maps the CLI spellings to a Topology.
-func ParseTopology(s string) (Topology, error) {
-	switch s {
-	case "private":
-		return Private, nil
-	case "shared":
-		return Shared, nil
-	case "sharded":
-		return Sharded, nil
-	}
-	return Private, fmt.Errorf("farm: unknown cache topology %q (want private, shared, or sharded)", s)
-}
+// topologyNames is each Topology's one spelling (the -cache-topology
+// values). String, MarshalText and UnmarshalText all read it.
+var topologyNames = [...]string{Private: "private", Shared: "shared", Sharded: "sharded"}
 
 func (t Topology) String() string {
-	switch t {
-	case Shared:
-		return "shared"
-	case Sharded:
-		return "sharded"
+	if int(t) < len(topologyNames) {
+		return topologyNames[t]
 	}
-	return "private"
+	return fmt.Sprintf("Topology(%d)", uint8(t))
+}
+
+func (t Topology) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
+func (t *Topology) UnmarshalText(b []byte) error {
+	i := slices.Index(topologyNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("farm: unknown cache topology %q (want one of %q)", b, topologyNames)
+	}
+	*t = Topology(i)
+	return nil
 }
 
 // Config sizes and shapes a Farm.

@@ -2,6 +2,7 @@ package farm
 
 import (
 	"net/netip"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -265,6 +266,40 @@ func TestPlacementDeterminism(t *testing.T) {
 	// A name always maps to the same frontend.
 	if r8.pick(qname) != r8.pick(qname) {
 		t.Error("ring pick is not stable")
+	}
+}
+
+// TestTopologyPlacementText pins the -cache-topology and -placement
+// spelling tables: every value round-trips through MarshalText/UnmarshalText
+// and String agrees, a retired alias fails naming the accepted spellings,
+// and an out-of-range value prints as itself rather than as a valid one.
+func TestTopologyPlacementText(t *testing.T) {
+	for _, v := range []Topology{Private, Shared, Sharded} {
+		b, err := v.MarshalText()
+		var got Topology
+		if err != nil || got.UnmarshalText(b) != nil || got != v || string(b) != v.String() {
+			t.Errorf("%v: MarshalText = %q, %v; back %v", v, b, err, got)
+		}
+	}
+	for _, v := range []Placement{PlaceRandom, PlaceRoundRobin, PlaceHashQName} {
+		b, err := v.MarshalText()
+		var got Placement
+		if err != nil || got.UnmarshalText(b) != nil || got != v || string(b) != v.String() {
+			t.Errorf("%v: MarshalText = %q, %v; back %v", v, b, err, got)
+		}
+	}
+	for _, in := range []string{"round-robin", "qname-hash", "", "bogus"} {
+		var p Placement
+		if err := p.UnmarshalText([]byte(in)); err == nil || !strings.Contains(err.Error(), `"random" "roundrobin" "hash"`) {
+			t.Errorf("Placement.UnmarshalText(%q) = %v, want an error naming the spellings", in, err)
+		}
+		var topo Topology
+		if err := topo.UnmarshalText([]byte(in)); err == nil || !strings.Contains(err.Error(), `"private" "shared" "sharded"`) {
+			t.Errorf("Topology.UnmarshalText(%q) = %v, want an error naming the spellings", in, err)
+		}
+	}
+	if got := Topology(7).String() + " " + Placement(7).String(); got != "Topology(7) Placement(7)" {
+		t.Errorf("out-of-range values print as %q", got)
 	}
 }
 

@@ -63,18 +63,20 @@ func (e *jsonlEncoder) encode(w io.Writer, rec *Record) error {
 	return err
 }
 
-// jsonlRecord is the decode shape of one JSONL line.
+// jsonlRecord is the decode shape of one JSONL line. Point and Outcome
+// decode through their UnmarshalText; Point is a pointer so that a line
+// without one is an error, while an absent outcome is OutcomeNone.
 type jsonlRecord struct {
-	T         int64  `json:"t"`
-	Point     string `json:"point"`
-	Transport string `json:"transport"`
-	Client    string `json:"client"`
-	Name      string `json:"name"`
-	Type      uint16 `json:"type"`
-	RCode     uint16 `json:"rcode"`
-	TTL       uint32 `json:"ttl"`
-	Outcome   string `json:"outcome"`
-	LatUS     int64  `json:"lat_us"`
+	T         int64   `json:"t"`
+	Point     *Point  `json:"point"`
+	Transport string  `json:"transport"`
+	Client    string  `json:"client"`
+	Name      string  `json:"name"`
+	Type      uint16  `json:"type"`
+	RCode     uint16  `json:"rcode"`
+	TTL       uint32  `json:"ttl"`
+	Outcome   Outcome `json:"outcome"`
+	LatUS     int64   `json:"lat_us"`
 }
 
 func decodeJSONLLine(line []byte, rec *Record) error {
@@ -82,13 +84,8 @@ func decodeJSONLLine(line []byte, rec *Record) error {
 	if err := json.Unmarshal(line, &jr); err != nil {
 		return err
 	}
-	p, err := ParsePoint(jr.Point)
-	if err != nil {
-		return err
-	}
-	o, err := ParseOutcome(jr.Outcome)
-	if err != nil {
-		return err
+	if jr.Point == nil {
+		return fmt.Errorf("qlog: record has no point")
 	}
 	addr, err := netip.ParseAddr(jr.Client)
 	if err != nil {
@@ -100,8 +97,8 @@ func decodeJSONLLine(line []byte, rec *Record) error {
 		Client:    addr,
 		Name:      dnswire.Name(jr.Name),
 		Type:      dnswire.Type(jr.Type),
-		Point:     p,
-		Outcome:   o,
+		Point:     *jr.Point,
+		Outcome:   jr.Outcome,
 		RCode:     dnswire.RCode(jr.RCode),
 		TTL:       jr.TTL,
 		Transport: jr.Transport,
@@ -175,6 +172,9 @@ func decodeBinaryPayload(b []byte, rec *Record) error {
 		return fmt.Errorf("qlog: truncated record")
 	}
 	point, outcome := Point(b[0]), Outcome(b[1])
+	if int(point) >= len(pointNames) || int(outcome) >= len(outcomeNames) {
+		return fmt.Errorf("qlog: bad point %d or outcome %d", b[0], b[1])
+	}
 	b = b[2:]
 	rcode, err := u()
 	if err != nil {

@@ -22,6 +22,8 @@ package qlog
 import (
 	"fmt"
 	"net/netip"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,34 +49,26 @@ const (
 	PointNotify
 )
 
-// String renders the point's JSONL spelling.
+// pointNames is each Point's one spelling — JSONL field, -points value and
+// dnstop label. String, MarshalText and UnmarshalText all read it.
+var pointNames = [...]string{PointClientIn: "client", PointResponseOut: "response", PointUpstream: "upstream", PointNotify: "notify"}
+
 func (p Point) String() string {
-	switch p {
-	case PointClientIn:
-		return "client"
-	case PointResponseOut:
-		return "response"
-	case PointUpstream:
-		return "upstream"
-	case PointNotify:
-		return "notify"
+	if int(p) < len(pointNames) {
+		return pointNames[p]
 	}
-	return "unknown"
+	return fmt.Sprintf("Point(%d)", uint8(p))
 }
 
-// ParsePoint maps the JSONL spellings back to a Point.
-func ParsePoint(s string) (Point, error) {
-	switch s {
-	case "client":
-		return PointClientIn, nil
-	case "response":
-		return PointResponseOut, nil
-	case "upstream":
-		return PointUpstream, nil
-	case "notify":
-		return PointNotify, nil
+func (p Point) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+func (p *Point) UnmarshalText(b []byte) error {
+	i := slices.Index(pointNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("qlog: unknown capture point %q (want one of %q)", b, pointNames)
 	}
-	return 0, fmt.Errorf("qlog: unknown capture point %q", s)
+	*p = Point(i)
+	return nil
 }
 
 // Outcome classifies how a response was produced (or how an upstream
@@ -107,52 +101,27 @@ const (
 	OutcomeLimited
 )
 
-// String renders the outcome's JSONL spelling.
+// outcomeNames is each Outcome's one spelling, read as pointNames is.
+// OutcomeNone's is empty: JSONL omits the field for it.
+var outcomeNames = [...]string{OutcomeNone: "", OutcomeMiss: "miss", OutcomeHit: "hit", OutcomeStale: "stale",
+	OutcomeCoalesced: "coalesced", OutcomeTimeout: "timeout", OutcomeError: "error", OutcomeBlocked: "blocked", OutcomeLimited: "limited"}
+
 func (o Outcome) String() string {
-	switch o {
-	case OutcomeMiss:
-		return "miss"
-	case OutcomeHit:
-		return "hit"
-	case OutcomeStale:
-		return "stale"
-	case OutcomeCoalesced:
-		return "coalesced"
-	case OutcomeTimeout:
-		return "timeout"
-	case OutcomeError:
-		return "error"
-	case OutcomeBlocked:
-		return "blocked"
-	case OutcomeLimited:
-		return "limited"
+	if int(o) < len(outcomeNames) {
+		return outcomeNames[o]
 	}
-	return ""
+	return fmt.Sprintf("Outcome(%d)", uint8(o))
 }
 
-// ParseOutcome maps the JSONL spellings back to an Outcome.
-func ParseOutcome(s string) (Outcome, error) {
-	switch s {
-	case "":
-		return OutcomeNone, nil
-	case "miss":
-		return OutcomeMiss, nil
-	case "hit":
-		return OutcomeHit, nil
-	case "stale":
-		return OutcomeStale, nil
-	case "coalesced":
-		return OutcomeCoalesced, nil
-	case "timeout":
-		return OutcomeTimeout, nil
-	case "error":
-		return OutcomeError, nil
-	case "blocked":
-		return OutcomeBlocked, nil
-	case "limited":
-		return OutcomeLimited, nil
+func (o Outcome) MarshalText() ([]byte, error) { return []byte(o.String()), nil }
+
+func (o *Outcome) UnmarshalText(b []byte) error {
+	i := slices.Index(outcomeNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("qlog: unknown outcome %q (want one of %q)", b, outcomeNames)
 	}
-	return 0, fmt.Errorf("qlog: unknown outcome %q", s)
+	*o = Outcome(i)
+	return nil
 }
 
 // Record is one captured event. It is a value type holding no heap
@@ -217,22 +186,26 @@ const (
 	FormatBinary
 )
 
-// ParseFormat maps "jsonl" or "binary" to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "jsonl", "json":
-		return FormatJSONL, nil
-	case "binary", "bin":
-		return FormatBinary, nil
-	}
-	return 0, fmt.Errorf("qlog: unknown format %q (want jsonl or binary)", s)
-}
+// formatNames is each Format's one spelling (the -qlog-format values), read
+// as pointNames is.
+var formatNames = [...]string{FormatJSONL: "jsonl", FormatBinary: "binary"}
 
 func (f Format) String() string {
-	if f == FormatBinary {
-		return "binary"
+	if int(f) < len(formatNames) {
+		return formatNames[f]
 	}
-	return "jsonl"
+	return fmt.Sprintf("Format(%d)", uint8(f))
+}
+
+func (f Format) MarshalText() ([]byte, error) { return []byte(f.String()), nil }
+
+func (f *Format) UnmarshalText(b []byte) error {
+	i := slices.Index(formatNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("qlog: unknown format %q (want one of %q)", b, formatNames)
+	}
+	*f = Format(i)
+	return nil
 }
 
 // Config parameterizes a Logger.
@@ -279,26 +252,42 @@ const (
 	MaskAll                   = MaskClientIn | MaskResponseOut | MaskUpstream | MaskNotify
 )
 
-// ParsePointMask parses a comma-separated point list ("client,response,
-// upstream,notify" or "all").
-func ParsePointMask(s string) (PointMask, error) {
-	if s == "" || s == "all" {
-		return MaskAll, nil
+// String spells the mask as the -points flags take it, and MarshalText and
+// UnmarshalText read the same grammar: "all", or pointNames joined by
+// commas.
+func (m PointMask) String() string {
+	if m == 0 || m&^MaskAll != 0 {
+		return fmt.Sprintf("PointMask(%d)", uint8(m))
 	}
-	var m PointMask
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && s[i] != ',' {
-			continue
-		}
-		p, err := ParsePoint(s[start:i])
-		if err != nil {
-			return 0, err
-		}
-		m |= 1 << p
-		start = i + 1
+	if m == MaskAll {
+		return "all"
 	}
-	return m, nil
+	var names []string
+	for p, n := range pointNames {
+		if m&(1<<p) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, ",")
+}
+
+func (m PointMask) MarshalText() ([]byte, error) { return []byte(m.String()), nil }
+
+func (m *PointMask) UnmarshalText(b []byte) error {
+	if string(b) == "all" {
+		*m = MaskAll
+		return nil
+	}
+	var out PointMask
+	for _, s := range strings.Split(string(b), ",") {
+		var p Point
+		if err := p.UnmarshalText([]byte(s)); err != nil {
+			return fmt.Errorf("%w, or all", err)
+		}
+		out |= 1 << p
+	}
+	*m = out
+	return nil
 }
 
 // slot is one ring cell: seq is the Vyukov MPMC sequence marker.

@@ -1,10 +1,14 @@
 package qlog
 
 import (
+	"bytes"
+	"encoding"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,30 +337,151 @@ func TestTornTail(t *testing.T) {
 	}
 }
 
-// TestParsePointMask pins the flag grammar.
-func TestParsePointMask(t *testing.T) {
+// roundTrip checks UnmarshalText(MarshalText(v)) == v and String() ==
+// MarshalText(v) for every v.
+func roundTrip[T interface {
+	comparable
+	fmt.Stringer
+	encoding.TextMarshaler
+}, P interface {
+	*T
+	encoding.TextUnmarshaler
+}](t *testing.T, vals ...T) {
+	t.Helper()
+	for _, v := range vals {
+		b, err := v.MarshalText()
+		var back T
+		if err != nil || P(&back).UnmarshalText(b) != nil || back != v || string(b) != v.String() {
+			t.Errorf("%T %v: MarshalText = %q, %v; back %v", v, v, b, err, back)
+		}
+	}
+}
+
+// TestTextSpellings pins the one spelling table of each qlog enum — the
+// JSONL fields and the -qlog-format, -qlog-points and -points flags: every
+// value round-trips, the mask grammar reads comma lists and "all", retired
+// aliases fail naming the accepted spellings, out-of-range values print as
+// themselves, and Point and Outcome keep the byte values DQL1 stores.
+func TestTextSpellings(t *testing.T) {
+	roundTrip(t, PointClientIn, PointResponseOut, PointUpstream, PointNotify)
+	roundTrip(t, OutcomeNone, OutcomeMiss, OutcomeHit, OutcomeStale, OutcomeCoalesced,
+		OutcomeTimeout, OutcomeError, OutcomeBlocked, OutcomeLimited)
+	roundTrip(t, FormatJSONL, FormatBinary)
+	for m := PointMask(1); m <= MaskAll; m++ {
+		roundTrip(t, m)
+	}
+
 	for _, tc := range []struct {
 		in   string
 		want PointMask
-		err  bool
 	}{
-		{"", MaskAll, false},
-		{"all", MaskAll, false},
-		{"response", MaskResponseOut, false},
-		{"client,upstream", MaskClientIn | MaskUpstream, false},
-		{"client,response,upstream", MaskClientIn | MaskResponseOut | MaskUpstream, false},
-		{"client,response,upstream,notify", MaskAll, false},
-		{"notify", MaskNotify, false},
-		{"bogus", 0, true},
+		{"all", MaskAll},
+		{"response", MaskResponseOut},
+		{"client,upstream", MaskClientIn | MaskUpstream},
+		{"client,response,upstream", MaskClientIn | MaskResponseOut | MaskUpstream},
+		{"client,response,upstream,notify", MaskAll},
+		{"notify", MaskNotify},
 	} {
-		got, err := ParsePointMask(tc.in)
-		if (err != nil) != tc.err {
-			t.Fatalf("ParsePointMask(%q) err=%v", tc.in, err)
-		}
-		if err == nil && got != tc.want {
-			t.Fatalf("ParsePointMask(%q)=%v want %v", tc.in, got, tc.want)
+		var got PointMask
+		if err := got.UnmarshalText([]byte(tc.in)); err != nil || got != tc.want {
+			t.Errorf("PointMask.UnmarshalText(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
+
+	for _, tc := range []struct {
+		v    encoding.TextUnmarshaler
+		in   string
+		want string
+	}{
+		{new(PointMask), "", `"client" "response" "upstream" "notify"`},
+		{new(PointMask), "bogus", `"client" "response" "upstream" "notify"`},
+		{new(PointMask), "client,", `"client" "response" "upstream" "notify"`},
+		{new(Point), "unknown", `"client" "response" "upstream" "notify"`},
+		{new(Outcome), "none", `"" "miss" "hit"`},
+		{new(Format), "json", `"jsonl" "binary"`},
+		{new(Format), "bin", `"jsonl" "binary"`},
+	} {
+		if err := tc.v.UnmarshalText([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%T.UnmarshalText(%q) = %v, want an error naming %s", tc.v, tc.in, err, tc.want)
+		}
+	}
+
+	got := fmt.Sprint(Point(9), Outcome(200), Format(2), PointMask(0), PointMask(1<<6))
+	if want := "Point(9) Outcome(200) Format(2) PointMask(0) PointMask(64)"; got != want {
+		t.Errorf("out-of-range values print as %q, want %q", got, want)
+	}
+
+	points := []Point{PointClientIn, PointResponseOut, PointUpstream, PointNotify}
+	outcomes := []Outcome{OutcomeNone, OutcomeMiss, OutcomeHit, OutcomeStale, OutcomeCoalesced,
+		OutcomeTimeout, OutcomeError, OutcomeBlocked, OutcomeLimited}
+	for i, p := range points {
+		if int(p) != i {
+			t.Errorf("%v = %d, want %d: DQL1 stores Point raw", p, p, i)
+		}
+	}
+	for i, o := range outcomes {
+		if int(o) != i {
+			t.Errorf("%v = %d, want %d: DQL1 stores Outcome raw", o, o, i)
+		}
+	}
+}
+
+// TestDecodeRejectsUnknownSpellings: a JSONL line whose point is missing or
+// unknown, and a DQL1 payload whose point or outcome byte is outside its
+// table, are decode errors rather than records.
+func TestDecodeRejectsUnknownSpellings(t *testing.T) {
+	var rec Record
+	for _, line := range []string{
+		`{"t":1,"transport":"udp","client":"10.0.0.1","name":"a.","type":1,"rcode":0,"ttl":0,"lat_us":0}`,
+		`{"t":1,"point":"bogus","transport":"udp","client":"10.0.0.1","name":"a.","type":1,"rcode":0,"ttl":0,"lat_us":0}`,
+		`{"t":1,"point":"client","transport":"udp","client":"10.0.0.1","name":"a.","type":1,"rcode":0,"ttl":0,"outcome":"none","lat_us":0}`,
+	} {
+		if err := decodeJSONLLine([]byte(line), &rec); err == nil {
+			t.Errorf("decoded %s", line)
+		}
+	}
+	good := testRecord(1)
+	for _, mut := range []func(*Record){
+		func(r *Record) { r.Point = Point(len(pointNames)) },
+		func(r *Record) { r.Outcome = Outcome(len(outcomeNames)) },
+	} {
+		r := good
+		mut(&r)
+		if err := decodeBinaryPayload(binaryPayload(t, &r), &rec); err == nil {
+			t.Errorf("decoded a payload with point %d, outcome %d", r.Point, r.Outcome)
+		}
+	}
+	if err := decodeBinaryPayload(binaryPayload(t, &good), &rec); err != nil || rec != good {
+		t.Errorf("good payload: %v, %+v", err, rec)
+	}
+}
+
+// binaryPayload is rec's DQL1 payload, its frame's length prefix stripped.
+func binaryPayload(t testing.TB, rec *Record) []byte {
+	t.Helper()
+	var e binaryEncoder
+	var buf bytes.Buffer
+	if err := e.encode(&buf, rec); err != nil {
+		t.Fatal(err)
+	}
+	n, k := binary.Uvarint(buf.Bytes())
+	return buf.Bytes()[k : k+int(n)]
+}
+
+// FuzzDecodeBinaryRecord: decodeBinaryPayload never panics on arbitrary
+// bytes, and a payload it accepts re-encodes to one that decodes to the
+// same Record.
+func FuzzDecodeBinaryRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var rec Record
+		if decodeBinaryPayload(payload, &rec) != nil {
+			return
+		}
+		var back Record
+		if err := decodeBinaryPayload(binaryPayload(t, &rec), &back); err != nil || back != rec {
+			t.Fatalf("re-encoded %+v decodes to %+v, %v", rec, back, err)
+		}
+	})
 }
 
 // TestNilSafety pins the disabled configuration: nil loggers and taps

@@ -121,11 +121,11 @@ func TestResolverTraceTree(t *testing.T) {
 
 // TestCacheNegativeTTLDecision pins the RFC 2308 TTL choice cacheNegative
 // reports to the trace: SOA-derived when the response carries one, the
-// policy fallback otherwise, both clamped by the policy cap/floor.
+// policy fallback otherwise, both clamped by the policy cap.
 func TestCacheNegativeTTLDecision(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
-	pol.TTLFloor = 30
+	pol.TTLCap = 100
 	r := tn.resolver(pol, 1)
 	now := tn.clock.Now()
 
@@ -145,13 +145,13 @@ func TestCacheNegativeTTLDecision(t *testing.T) {
 		t.Fatalf("fallback negative: ttl=%d fromSOA=%v, want %d false", ttl, fromSOA, negTTLFallback)
 	}
 
-	// The floor lifts an aggressive SOA minimum like any other TTL.
-	tiny := &dnswire.Message{}
-	tiny.AddAuthority(dnswire.NewSOA("cachetest.net", 3600, "ns1.cachetest.net",
-		"admin.cachetest.net", 1, 7200, 3600, 1209600, 5))
-	ttl, _ = r.cacheNegative(tiny, dnswire.NewName("gone3.cachetest.net"), dnswire.TypeA, 1, now)
-	if ttl != 30 {
-		t.Fatalf("floored negative ttl = %d, want 30", ttl)
+	// The cap trims a long SOA minimum like any other TTL.
+	long := &dnswire.Message{}
+	long.AddAuthority(dnswire.NewSOA("cachetest.net", 3600, "ns1.cachetest.net",
+		"admin.cachetest.net", 1, 7200, 3600, 1209600, 900))
+	ttl, _ = r.cacheNegative(long, dnswire.NewName("gone3.cachetest.net"), dnswire.TypeA, 1, now)
+	if ttl != 100 {
+		t.Fatalf("capped negative ttl = %d, want 100", ttl)
 	}
 }
 

@@ -55,8 +55,6 @@ type Policy struct {
 	// of answers at exactly 21599 s: the remaining TTL stays above the
 	// cap for days.
 	CapAtServe bool
-	// TTLFloor raises tiny TTLs; 0 means none.
-	TTLFloor uint32
 	// RevalidateGlue makes the resolver fetch an authoritative copy of a
 	// nameserver address it only knows from glue (BIND-style credibility
 	// upgrading). These explicit NS-host address queries are what the .nl
@@ -101,7 +99,7 @@ type Policy struct {
 // negTTLFallback is the negative-cache TTL, in seconds, used when a
 // negative response carries no SOA to derive one from (RFC 2308 §5 leaves
 // this implementation-defined). Like every other TTL it is subject to
-// TTLCap and TTLFloor.
+// TTLCap.
 const negTTLFallback uint32 = 60
 
 // legacyAttempts is how many distinct servers are tried per step before
@@ -116,7 +114,7 @@ func (p Policy) prefetchTriggered(rem, ttl uint32) bool {
 
 // CacheConfig derives the cache configuration this policy implies: the TTL
 // cap lands in storage (BIND-style) or stays out of it (CapAtServe), the
-// floor and serve-stale flags carry over. Callers add capacity/byte bounds
+// serve-stale flag carries over. Callers add capacity/byte bounds
 // and an eviction policy on top. resolver.New, farm.New, and the library
 // Client all derive their caches through here so the TTL semantics cannot
 // drift apart.
@@ -127,20 +125,15 @@ func (p Policy) CacheConfig() cache.Config {
 	}
 	return cache.Config{
 		MaxTTL:     storageCap,
-		MinTTL:     p.TTLFloor,
 		ServeStale: p.ServeStale,
 	}
 }
 
-// ClampTTL applies the policy's cap and floor to a TTL — the value this
-// resolver reports to clients. The workload compiler uses it to predict
-// served TTLs without instantiating a resolver.
+// ClampTTL applies the policy's cap to a TTL — the value this resolver
+// reports to clients.
 func (p Policy) ClampTTL(ttl uint32) uint32 {
 	if p.TTLCap > 0 && ttl > p.TTLCap {
-		ttl = p.TTLCap
-	}
-	if ttl < p.TTLFloor {
-		ttl = p.TTLFloor
+		return p.TTLCap
 	}
 	return ttl
 }
@@ -150,13 +143,9 @@ func (p Policy) ClampTTL(ttl uint32) uint32 {
 // renewal model λT/(1+λT). A BIND-style cap (CapAtServe false) truncates
 // the stored TTL, so the cap bounds the lifetime; a Google-style serve
 // clamp (CapAtServe true) stores the full TTL and only clamps reported
-// values, so the lifetime is the uncapped TTL. The floor applies either
-// way, matching Policy.CacheConfig's MinTTL.
+// values, so the lifetime is the uncapped TTL.
 func (p Policy) CacheLifetime(ttl uint32) uint32 {
 	if p.CapAtServe {
-		if ttl < p.TTLFloor {
-			return p.TTLFloor
-		}
 		return ttl
 	}
 	return p.ClampTTL(ttl)

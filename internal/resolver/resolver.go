@@ -153,7 +153,7 @@ type Resolver struct {
 }
 
 // New builds a resolver. A nil cache gets a private one configured from the
-// policy's TTL cap/floor and serve-stale flag; a nil clock means wall time.
+// policy's TTL cap and serve-stale flag; a nil clock means wall time.
 func New(addr netip.Addr, pol Policy, net simnet.Exchanger, clock simnet.Clock, roots []netip.Addr, seed int64) *Resolver {
 	if clock == nil {
 		clock = simnet.WallClock{}
@@ -294,18 +294,10 @@ func cacheOutcome(e *cache.Entry) string {
 	return "hit"
 }
 
-// applyCached copies a cache entry into the client answer with decayed TTLs.
-// Only the cap applies on the way out: the floor lengthened the stored
-// lifetime at Put (cache.Config.MinTTL), so rem already carries it, and
-// flooring the display too would report a TTL the entry no longer has.
+// applyCached copies a cache entry into the client answer with decayed TTLs,
+// capped on the way out (a CapAtServe cap never reached storage).
 func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qtype dnswire.Type, res *Result, depth int) {
-	out := rem
-	if limit := r.Policy.TTLCap; limit > 0 && out > limit {
-		out = limit
-		if sp := res.Span; sp != nil {
-			sp.Annotate("ttl_clamp", clampLabel(rem, out))
-		}
-	}
+	out := r.clampTTL(rem, res.Span)
 	switch e.Negative {
 	case cache.NegNXDomain:
 		res.Msg.Header.RCode = dnswire.RCodeNXDomain
@@ -397,7 +389,7 @@ func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, d
 
 // absorb caches a response's contents and decides what happens next.
 // done=true means the client answer (or error) is complete. The TTL
-// decision taken at this step (cap/floor clamp, negative fallback) is
+// decision taken at this step (cap clamp, negative fallback) is
 // annotated on sp, the current step's span.
 func (r *Resolver) absorb(resp *dnswire.Message, server netip.Addr, zoneName, name dnswire.Name, qtype dnswire.Type, res *Result, depth int, sp *obs.Span) (bool, error) {
 	now := r.Clock.Now()
@@ -422,15 +414,12 @@ func (r *Resolver) absorb(resp *dnswire.Message, server netip.Addr, zoneName, na
 		r.cacheAnswerSections(resp, now)
 		res.FinalServer = server
 		// Copy matching answers (and any CNAME chain present). Client
-		// answers carry the TTLs the cache will honor — capped and
-		// floored — exactly as deployed resolvers report them.
+		// answers carry the TTLs the cache will honor — capped — exactly as
+		// deployed resolvers report them.
 		var lastCNAME dnswire.Name
 		answered := false
 		for _, rr := range resp.Answer {
-			if sp != nil && r.clampTTL(rr.TTL) != rr.TTL {
-				sp.Annotate("ttl_clamp", clampLabel(rr.TTL, r.clampTTL(rr.TTL)))
-			}
-			rr.TTL = r.clampTTL(rr.TTL)
+			rr.TTL = r.clampTTL(rr.TTL, sp)
 			if rr.Name == name && rr.Type == qtype {
 				res.Msg.AddAnswer(rr)
 				answered = true
@@ -504,11 +493,6 @@ func negSource(fromSOA bool) string {
 		return "soa-minimum"
 	}
 	return "policy-fallback"
-}
-
-// clampLabel renders a TTL cap/floor decision for the lifecycle trace.
-func clampLabel(in, out uint32) string {
-	return fmt.Sprintf("%d->%d", in, out)
 }
 
 // StaleGate vetoes RFC 8767 serve-stale answers. AllowStale is asked with
@@ -815,8 +799,15 @@ func (r *Resolver) serverOrder(servers []netip.Addr) []netip.Addr {
 	return out
 }
 
-// clampTTL applies the policy's cap and floor to a TTL reported to clients.
-func (r *Resolver) clampTTL(ttl uint32) uint32 { return r.Policy.ClampTTL(ttl) }
+// clampTTL applies the policy's cap to a TTL reported to clients, noting a
+// change on sp (when tracing) as the step's ttl_clamp decision.
+func (r *Resolver) clampTTL(ttl uint32, sp *obs.Span) uint32 {
+	out := r.Policy.ClampTTL(ttl)
+	if sp != nil && out != ttl {
+		sp.Annotate("ttl_clamp", fmt.Sprintf("%d->%d", ttl, out))
+	}
+	return out
+}
 
 func (r *Resolver) id() uint16 {
 	r.mu.Lock()

@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"net/netip"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -33,22 +34,28 @@ const (
 	FaultFlap
 )
 
+// faultKindNames is each FaultKind's one spelling in the schedule grammar;
+// String, MarshalText and UnmarshalText all read it. The zero kind has
+// none, so no spec can name it.
+var faultKindNames = [...]string{FaultOutage: "outage", FaultLoss: "loss", FaultLatency: "latency",
+	FaultServFail: "servfail", FaultTruncate: "truncate", FaultFlap: "flap"}
+
 func (k FaultKind) String() string {
-	switch k {
-	case FaultOutage:
-		return "outage"
-	case FaultLoss:
-		return "loss"
-	case FaultLatency:
-		return "latency"
-	case FaultServFail:
-		return "servfail"
-	case FaultTruncate:
-		return "truncate"
-	case FaultFlap:
-		return "flap"
+	if k != 0 && int(k) < len(faultKindNames) {
+		return faultKindNames[k]
 	}
-	return "none"
+	return fmt.Sprintf("FaultKind(%d)", uint8(k))
+}
+
+func (k FaultKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *FaultKind) UnmarshalText(b []byte) error {
+	i := slices.Index(faultKindNames[:], string(b))
+	if i <= 0 {
+		return fmt.Errorf("unknown kind %q (want one of %q)", b, faultKindNames[1:])
+	}
+	*k = FaultKind(i)
+	return nil
 }
 
 // Fault is one scripted fault window.
@@ -227,21 +234,8 @@ func parseFault(entry string) (Fault, error) {
 		return Fault{}, fmt.Errorf("want kind:server:start+dur[:params]")
 	}
 	var f Fault
-	switch parts[0] {
-	case "outage":
-		f.Kind = FaultOutage
-	case "loss":
-		f.Kind = FaultLoss
-	case "latency":
-		f.Kind = FaultLatency
-	case "servfail":
-		f.Kind = FaultServFail
-	case "truncate":
-		f.Kind = FaultTruncate
-	case "flap":
-		f.Kind = FaultFlap
-	default:
-		return Fault{}, fmt.Errorf("unknown kind %q", parts[0])
+	if err := f.Kind.UnmarshalText([]byte(parts[0])); err != nil {
+		return Fault{}, err
 	}
 	if parts[1] != "*" {
 		a, err := netip.ParseAddr(parts[1])

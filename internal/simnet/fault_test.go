@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 )
@@ -119,6 +120,26 @@ func TestParseFaultSchedule(t *testing.T) {
 		if _, err := ParseFaultSchedule(bad); err == nil {
 			t.Errorf("ParseFaultSchedule(%q) accepted", bad)
 		}
+	}
+
+	// The kind table: every kind round-trips through MarshalText and
+	// UnmarshalText and String agrees; the zero kind has no spelling, so
+	// neither its printed form nor an empty kind parses.
+	for k := FaultOutage; k <= FaultFlap; k++ {
+		b, err := k.MarshalText()
+		var got FaultKind
+		if err != nil || got.UnmarshalText(b) != nil || got != k || string(b) != k.String() {
+			t.Errorf("%v: MarshalText = %q, %v; back %v", k, b, err, got)
+		}
+	}
+	for _, in := range []string{"", "none", "FaultKind(0)", "Outage"} {
+		var k FaultKind
+		if err := k.UnmarshalText([]byte(in)); err == nil || !strings.Contains(err.Error(), `"outage" "loss"`) {
+			t.Errorf("UnmarshalText(%q) = %v, want an error naming the spellings", in, err)
+		}
+	}
+	if got := FaultKind(0).String(); got != "FaultKind(0)" {
+		t.Errorf("FaultKind(0).String() = %q", got)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 	"crypto/tls"
 	"fmt"
 	"net/netip"
-	"strings"
+	"slices"
 	"time"
 )
 
@@ -42,19 +42,26 @@ const (
 	DoH
 )
 
-// String names the kind the way the -transport flags spell it.
+// kindNames is each Kind's one spelling (the -transport values). String,
+// MarshalText and UnmarshalText all read it.
+var kindNames = [...]string{UDP: "udp", TCP: "tcp", DoT: "dot", DoH: "doh"}
+
 func (k Kind) String() string {
-	switch k {
-	case UDP:
-		return "udp"
-	case TCP:
-		return "tcp"
-	case DoT:
-		return "dot"
-	case DoH:
-		return "doh"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
+}
+
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+func (k *Kind) UnmarshalText(b []byte) error {
+	i := slices.Index(kindNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("transport: unknown kind %q (want one of %q)", b, kindNames)
+	}
+	*k = Kind(i)
+	return nil
 }
 
 // DefaultPort is the IANA port for the kind: 53 for UDP/TCP, 853 for DoT,
@@ -68,21 +75,6 @@ func (k Kind) DefaultPort() uint16 {
 	default:
 		return 53
 	}
-}
-
-// ParseKind maps "udp", "tcp", "dot", or "doh" to a Kind.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(s) {
-	case "udp":
-		return UDP, nil
-	case "tcp":
-		return TCP, nil
-	case "dot", "tls":
-		return DoT, nil
-	case "doh", "https":
-		return DoH, nil
-	}
-	return 0, fmt.Errorf("transport: unknown kind %q (want udp, tcp, dot, or doh)", s)
 }
 
 // Transport moves one wire-format query to server and returns the

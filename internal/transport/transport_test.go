@@ -5,6 +5,7 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net/netip"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,16 +214,26 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	}
 }
 
-// TestParseKind covers the flag-value round trip.
-func TestParseKind(t *testing.T) {
+// TestKindText covers the -transport spelling table: every kind round-trips
+// through MarshalText/UnmarshalText and String agrees, an unknown or retired
+// spelling fails naming the accepted ones, and an out-of-range kind prints
+// as itself.
+func TestKindText(t *testing.T) {
 	for _, k := range []Kind{UDP, TCP, DoT, DoH} {
-		got, err := ParseKind(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseKind(%q) = %v, %v", k.String(), got, err)
+		b, err := k.MarshalText()
+		var got Kind
+		if err != nil || got.UnmarshalText(b) != nil || got != k || string(b) != k.String() {
+			t.Errorf("%v: MarshalText = %q, %v; back %v", k, b, err, got)
 		}
 	}
-	if _, err := ParseKind("carrier-pigeon"); err == nil {
-		t.Errorf("ParseKind should reject unknown kinds")
+	for _, in := range []string{"carrier-pigeon", "tls", "https", "UDP", ""} {
+		var k Kind
+		if err := k.UnmarshalText([]byte(in)); err == nil || !strings.Contains(err.Error(), `"udp" "tcp" "dot" "doh"`) {
+			t.Errorf("UnmarshalText(%q) = %v, want an error naming the spellings", in, err)
+		}
+	}
+	if got := Kind(7).String(); got != "Kind(7)" {
+		t.Errorf("Kind(7).String() = %q", got)
 	}
 	ports := map[Kind]uint16{UDP: 53, TCP: 53, DoT: 853, DoH: 443}
 	for k, want := range ports {

@@ -26,7 +26,6 @@ var surfaceAllowed = map[string]string{
 	"internal/authoritative.UDPServer.MaxInflight":    "safety bound: daemons run the default; tests shrink it to reach saturation with two queries",
 	"internal/qlog.Config.RingSize":                   "safety bound: daemons run the default; tests shrink it to fill the ring and count drops",
 	"internal/qlog.Config.Clock":                      "time source: daemons log wall time; replaying a capture byte for byte needs a virtual clock",
-	"internal/resolver.Policy.TTLFloor":               "the one floor that changes the stored lifetime; ROADMAP's TTL-honesty item wires it or retires it",
 	"TransportOptions.TLS":                            "deployment credential: trust roots for a DoT/DoH upstream (resolverd has no such flag yet)",
 	"TransportOptions.ServerName":                     "deployment credential: certificate host name of a DoT/DoH upstream",
 	"internal/experiments.ValidateHitRateModel":       "reference check by design: the compiled engine against the simulator (TestModelValidation*)",

@@ -19,9 +19,6 @@ const (
 	TransportDoH = transport.DoH
 )
 
-// ParseTransportKind maps "udp", "tcp", "dot", or "doh" to a kind.
-func ParseTransportKind(s string) (TransportKind, error) { return transport.ParseKind(s) }
-
 // Transport moves one wire query to an upstream and returns the response —
 // the resolver-side real-socket plane (see internal/transport).
 type Transport = transport.Transport
