@@ -24,20 +24,11 @@ const (
 	NotInZone
 )
 
+var kindNames = [...]string{"answer", "nodata", "nxdomain", "delegation", "cname", "notinzone"}
+
 func (k AnswerKind) String() string {
-	switch k {
-	case Answer:
-		return "answer"
-	case NoData:
-		return "nodata"
-	case NXDomain:
-		return "nxdomain"
-	case Delegation:
-		return "delegation"
-	case CNAMEAnswer:
-		return "cname"
-	case NotInZone:
-		return "notinzone"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
@@ -79,13 +70,13 @@ func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 		}
 	}
 
-	if byType := z.sets[name]; byType != nil {
-		if set := byType[t]; set != nil {
+	if sets, owned := z.sets[name]; owned {
+		if set := setOfType(sets, t); set != nil {
 			return LookupResult{Kind: Answer, Answer: set}
 		}
 		// CNAME matches any type except its own (and except at names that
 		// actually hold the queried type, handled above).
-		if cname := byType[dnswire.TypeCNAME]; cname != nil && t != dnswire.TypeCNAME {
+		if cname := setOfType(sets, dnswire.TypeCNAME); cname != nil && t != dnswire.TypeCNAME {
 			return LookupResult{Kind: CNAMEAnswer, Answer: cname}
 		}
 		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
@@ -97,7 +88,8 @@ func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 	}
 
 	if z.ancestors[name] > 0 {
-		// Empty non-terminal: NODATA, not NXDOMAIN.
+		// Not an owner, but owners sit below it: an empty non-terminal,
+		// NODATA rather than NXDOMAIN.
 		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
 	}
 	return LookupResult{Kind: NXDomain, Authority: z.soaLocked()}

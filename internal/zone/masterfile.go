@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"net/netip"
 	"strconv"
 	"strings"
 
@@ -56,23 +57,17 @@ func Parse(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	}
 	for sc.Scan() {
 		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, ';'); i >= 0 && !inQuotes(line, i) {
-			line = line[:i]
-		}
 		// Fold multi-line records.
-		opens := strings.Count(line, "(")
-		closes := strings.Count(line, ")")
-		if openParens > 0 || opens > closes {
+		line, depth := unquoted(sc.Text())
+		if openParens > 0 || depth > 0 {
 			pending.WriteString(" " + line)
-			openParens += opens - closes
+			openParens += depth
 			if openParens > 0 {
 				continue
 			}
 			line = pending.String()
 			pending.Reset()
 		}
-		line = strings.NewReplacer("(", " ", ")", " ").Replace(line)
 		if err := process(line); err != nil {
 			return nil, fmt.Errorf("line %d: %w", lineNo, err)
 		}
@@ -86,15 +81,31 @@ func Parse(r io.Reader, origin dnswire.Name) (*Zone, error) {
 	return z, nil
 }
 
-func inQuotes(line string, pos int) bool {
-	quotes := 0
-	for i := 0; i < pos; i++ {
-		if line[i] == '"' {
-			quotes++
+// unquoted reads the syntax of one line that lives outside quoted text: it
+// cuts the line at a ";" comment and blanks the parentheses, which only fold
+// a record over lines, returning the depth they add (opens minus closes).
+func unquoted(line string) (string, int) {
+	out := []byte(line)
+	depth, quoted := 0, false
+	for i, c := range out {
+		switch {
+		case c == '"':
+			quoted = !quoted
+		case quoted:
+		case c == ';':
+			return string(out[:i]), depth
+		case c == '(':
+			out[i], depth = ' ', depth+1
+		case c == ')':
+			out[i], depth = ' ', depth-1
 		}
 	}
-	return quotes%2 == 1
+	return string(out), depth
 }
+
+// rdataFields is the exact RDATA field count of the types that have one.
+var rdataFields = map[dnswire.Type]int{dnswire.TypeA: 1, dnswire.TypeAAAA: 1, dnswire.TypeNS: 1,
+	dnswire.TypeCNAME: 1, dnswire.TypePTR: 1, dnswire.TypeMX: 2, dnswire.TypeSOA: 7}
 
 // parseRecord parses: name [ttl] [class] type rdata...
 func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswire.RR, error) {
@@ -102,6 +113,9 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 		return dnswire.RR{}, fmt.Errorf("record needs at least name, type and rdata: %v", fields)
 	}
 	name := absName(fields[0], origin)
+	if err := name.Valid(); err != nil {
+		return dnswire.RR{}, err
+	}
 	rest := fields[1:]
 
 	ttl := defaultTTL
@@ -128,36 +142,29 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 	}
 	rdata := rest[1:]
 	rr := dnswire.RR{Name: name, Type: t, Class: dnswire.ClassIN, TTL: ttl}
+	if want, ok := rdataFields[t]; ok && len(rdata) != want {
+		return rr, fmt.Errorf("%s needs %d RDATA field(s), got %d", t, want, len(rdata))
+	}
 	switch t {
-	case dnswire.TypeA:
-		if len(rdata) != 1 {
-			return rr, fmt.Errorf("A needs 1 field")
+	case dnswire.TypeA, dnswire.TypeAAAA:
+		addr, err := netip.ParseAddr(rdata[0])
+		switch {
+		case err != nil:
+			return rr, err
+		case t == dnswire.TypeA && addr.Is4():
+			rr.Data = dnswire.A{Addr: addr}
+		case t == dnswire.TypeAAAA && addr.Is6() && !addr.Is4In6():
+			rr.Data = dnswire.AAAA{Addr: addr}
+		default:
+			return rr, fmt.Errorf("%s record with address %s", t, addr)
 		}
-		return dnswire.NewA(string(name), ttl, rdata[0]), nil
-	case dnswire.TypeAAAA:
-		if len(rdata) != 1 {
-			return rr, fmt.Errorf("AAAA needs 1 field")
-		}
-		return dnswire.NewAAAA(string(name), ttl, rdata[0]), nil
 	case dnswire.TypeNS:
-		if len(rdata) != 1 {
-			return rr, fmt.Errorf("NS needs 1 field")
-		}
 		rr.Data = dnswire.NS{Host: absName(rdata[0], origin)}
 	case dnswire.TypeCNAME:
-		if len(rdata) != 1 {
-			return rr, fmt.Errorf("CNAME needs 1 field")
-		}
 		rr.Data = dnswire.CNAME{Target: absName(rdata[0], origin)}
 	case dnswire.TypePTR:
-		if len(rdata) != 1 {
-			return rr, fmt.Errorf("PTR needs 1 field")
-		}
 		rr.Data = dnswire.PTR{Target: absName(rdata[0], origin)}
 	case dnswire.TypeMX:
-		if len(rdata) != 2 {
-			return rr, fmt.Errorf("MX needs 2 fields")
-		}
 		pref, err := strconv.ParseUint(rdata[0], 10, 16)
 		if err != nil {
 			return rr, fmt.Errorf("MX preference: %w", err)
@@ -170,9 +177,6 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 		}
 		rr.Data = txt
 	case dnswire.TypeSOA:
-		if len(rdata) != 7 {
-			return rr, fmt.Errorf("SOA needs 7 fields, got %d", len(rdata))
-		}
 		var nums [5]uint32
 		for i := 0; i < 5; i++ {
 			v, err := parseTTL(rdata[2+i])

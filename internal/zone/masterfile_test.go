@@ -1,6 +1,7 @@
 package zone
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,6 +120,10 @@ func TestParseErrors(t *testing.T) {
 		"www IN MX ten mx.example.org", // bad preference
 		"www IN SOA a b 1 2 3",         // short SOA
 		"www IN A 1.2.3.4 (",           // unbalanced paren
+		"x 300 IN A 1.2.3",             // short address: an error, not a panic
+		"x IN A 2001:db8::1",           // IPv6 in an A record
+		"x IN AAAA 192.0.2.1",          // IPv4 in an AAAA record
+		"x..y IN A 192.0.2.1",          // empty label
 	}
 	for _, b := range bad {
 		if _, err := Parse(strings.NewReader(b), dnswire.NewName("example.org")); err == nil {
@@ -141,4 +146,42 @@ func TestAbsName(t *testing.T) {
 	if absName("tld", dnswire.Root) != dnswire.NewName("tld") {
 		t.Errorf("root-origin relative name broken")
 	}
+}
+
+// TestParseQuotedSyntax pins that parentheses and ";" inside quoted text are
+// data, not folding or comments.
+func TestParseQuotedSyntax(t *testing.T) {
+	z, err := Parse(strings.NewReader("x TXT \"a(b\" \"c;d\" ; comment\ny TXT ( \"e)f\"\n  \"g\" )\n"), dnswire.NewName("example.org"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string][]string{"x.example.org": {"a(b", "c;d"}, "y.example.org": {"e)f", "g"}} {
+		set := z.Get(dnswire.NewName(name), dnswire.TypeTXT)
+		if set == nil || !reflect.DeepEqual(set.RRs[0].Data.(dnswire.TXT).Strings, want) {
+			t.Errorf("%s TXT = %+v, want %q", name, set, want)
+		}
+	}
+}
+
+// FuzzParse holds the contract authserver leans on when it reloads a zone
+// file at SIGHUP: Parse never panics on any text, and a zone it accepts is
+// consistent — every stored set looks up as something other than NXDOMAIN
+// or NotInZone, and the ancestor index equals a recount. The checked-in
+// corpus holds the quickstart zone, a delegation with glue, a wildcard and
+// two lines that once failed (a short A address, a parenthesis in quotes).
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, text string) {
+		z, err := Parse(strings.NewReader(text), dnswire.NewName("example.org"))
+		if err != nil {
+			return
+		}
+		for _, set := range z.AllSets() {
+			if k := z.Lookup(set.Name, set.Type).Kind; k == NXDomain || k == NotInZone {
+				t.Fatalf("stored set %s %s looks up as %s", set.Name, set.Type, k)
+			}
+		}
+		if want := recountAncestors(z); !reflect.DeepEqual(z.ancestors, want) {
+			t.Fatalf("ancestors = %v, recount %v", z.ancestors, want)
+		}
+	})
 }

@@ -6,6 +6,7 @@ package zone
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -60,11 +61,15 @@ type Zone struct {
 	watcher func(Change)
 	// Origin is the zone apex.
 	Origin dnswire.Name
-	// sets maps owner name → type → RRset.
-	sets map[dnswire.Name]map[dnswire.Type]*RRSet
-	// ancestors counts, for every name on the path from an owner up to the
-	// origin, how many owner names sit at or below it — it makes empty
+	// sets maps an owner name to its RRsets, one per type. Owners hold one
+	// to four types, so a scan of a slice finds one, at a fraction of a
+	// map's bytes per owner. putSetLocked is the one writer of a slice,
+	// and no slice leaves z.mu.
+	sets map[dnswire.Name][]*RRSet
+	// ancestors counts, for every name strictly above an owner up to the
+	// origin, how many owner names sit below it — it makes empty
 	// non-terminal detection O(label count) instead of a full-zone scan.
+	// An owner's own name is in sets, so it has no entry here for that.
 	ancestors map[dnswire.Name]int
 }
 
@@ -72,7 +77,7 @@ type Zone struct {
 func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		Origin:    origin,
-		sets:      make(map[dnswire.Name]map[dnswire.Type]*RRSet),
+		sets:      make(map[dnswire.Name][]*RRSet),
 		ancestors: make(map[dnswire.Name]int),
 	}
 }
@@ -87,10 +92,25 @@ func (z *Zone) SetWatcher(fn func(Change)) {
 	z.watcher = fn
 }
 
-// notify fires the watcher for a committed change. Callers hold watchMu and
-// have already released mu.
-func (z *Zone) notify(ch Change) {
+// commit runs change, which edits the RRset for (name, t) under z.mu and
+// reports whether the zone changed, and hands a changed set to the watcher.
+// The before and after copies a Change carries are taken only when a
+// watcher is attached: loading a zone builds no event it would throw away.
+// The watcher runs with watchMu held and mu released.
+func (z *Zone) commit(name dnswire.Name, t dnswire.Type, change func() bool) {
+	z.watchMu.Lock()
+	defer z.watchMu.Unlock()
+	z.mu.Lock()
+	var ch Change
 	if z.watcher != nil {
+		ch = Change{Name: name, Type: t, Old: z.snapshotLocked(name, t)}
+	}
+	changed := change()
+	if changed && z.watcher != nil {
+		ch.New = z.snapshotLocked(name, t)
+	}
+	z.mu.Unlock()
+	if changed && z.watcher != nil {
 		z.watcher(ch)
 	}
 }
@@ -114,33 +134,26 @@ func (z *Zone) SetSerial(serial uint32) bool {
 		soa.Serial = serial
 		next.RRs[i].Data = soa
 	}
-	z.sets[z.Origin][dnswire.TypeSOA] = next
+	z.putSetLocked(z.Origin, dnswire.TypeSOA, next)
 	return true
 }
 
 // Serial returns the zone's SOA serial, or 0 if the zone has no SOA.
 func (z *Zone) Serial() uint32 {
-	rr, ok := z.SOA()
-	if !ok {
-		return 0
-	}
-	soa, ok := rr.Data.(dnswire.SOA)
-	if !ok {
-		return 0
-	}
+	rr, _ := z.SOA()
+	soa, _ := rr.Data.(dnswire.SOA)
 	return soa.Serial
 }
 
 // indexOwnerLocked updates the ancestor index when owner gains (delta=1) or
-// loses (delta=-1) its last RRset.
+// loses (delta=-1) its first or last RRset: every name strictly above owner,
+// up to the origin, counts it.
 func (z *Zone) indexOwnerLocked(owner dnswire.Name, delta int) {
-	for n := owner; ; n = n.Parent() {
+	for n := owner; n != z.Origin && !n.IsRoot(); {
+		n = n.Parent()
 		z.ancestors[n] += delta
 		if z.ancestors[n] == 0 {
 			delete(z.ancestors, n)
-		}
-		if n == z.Origin || n.IsRoot() {
-			return
 		}
 	}
 }
@@ -153,37 +166,16 @@ func (z *Zone) Add(rr dnswire.RR) error {
 	if !rr.Name.IsSubdomainOf(z.Origin) {
 		return fmt.Errorf("zone %s: record %s out of zone", z.Origin, rr.Name)
 	}
-	z.watchMu.Lock()
-	defer z.watchMu.Unlock()
-	z.mu.Lock()
-	old := z.snapshotLocked(rr.Name, rr.Type)
-	added := z.addLocked(rr)
-	var next []dnswire.RR
-	if added {
-		next = z.snapshotLocked(rr.Name, rr.Type)
-	}
-	z.mu.Unlock()
-	if added {
-		z.notify(Change{Name: rr.Name, Type: rr.Type, Old: old, New: next})
-	}
+	z.commit(rr.Name, rr.Type, func() bool { return z.addLocked(rr) })
 	return nil
 }
 
 // addLocked inserts rr under z.mu, reporting whether the zone changed
 // (false when rr duplicates existing RDATA).
 func (z *Zone) addLocked(rr dnswire.RR) bool {
-	if rr.TTL > dnswire.MaxTTL {
-		rr.TTL = 0 // RFC 2181 §8
-	}
-	byType := z.sets[rr.Name]
-	if byType == nil {
-		byType = make(map[dnswire.Type]*RRSet)
-		z.sets[rr.Name] = byType
-		z.indexOwnerLocked(rr.Name, 1)
-	}
-	set := byType[rr.Type]
+	set := z.lookupSetLocked(rr.Name, rr.Type)
 	if set == nil {
-		byType[rr.Type] = &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, RRs: []dnswire.RR{rr}}
+		z.putSetLocked(rr.Name, rr.Type, &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, RRs: []dnswire.RR{rr}})
 		return true
 	}
 	for _, have := range set.RRs {
@@ -196,7 +188,7 @@ func (z *Zone) addLocked(rr dnswire.RR) bool {
 	next := *set
 	next.RRs = append(make([]dnswire.RR, 0, len(set.RRs)+1), set.RRs...)
 	next.RRs = append(next.RRs, rr)
-	byType[rr.Type] = &next
+	z.putSetLocked(rr.Name, rr.Type, &next)
 	return true
 }
 
@@ -221,33 +213,12 @@ func (z *Zone) MustAdd(rrs ...dnswire.RR) {
 // Remove deletes the RRset for (name, t). It reports whether anything was
 // removed.
 func (z *Zone) Remove(name dnswire.Name, t dnswire.Type) bool {
-	z.watchMu.Lock()
-	defer z.watchMu.Unlock()
-	z.mu.Lock()
-	old := z.snapshotLocked(name, t)
-	removed := z.removeLocked(name, t)
-	z.mu.Unlock()
-	if removed {
-		z.notify(Change{Name: name, Type: t, Old: old})
-	}
+	removed := false
+	z.commit(name, t, func() bool {
+		removed = z.putSetLocked(name, t, nil) != nil
+		return removed
+	})
 	return removed
-}
-
-// removeLocked deletes the RRset for (name, t) under z.mu.
-func (z *Zone) removeLocked(name dnswire.Name, t dnswire.Type) bool {
-	byType := z.sets[name]
-	if byType == nil {
-		return false
-	}
-	if _, ok := byType[t]; !ok {
-		return false
-	}
-	delete(byType, t)
-	if len(byType) == 0 {
-		delete(z.sets, name)
-		z.indexOwnerLocked(name, -1)
-	}
-	return true
 }
 
 // Replace atomically swaps the RRset for (name, t) with the given records,
@@ -262,19 +233,13 @@ func (z *Zone) Replace(name dnswire.Name, t dnswire.Type, rrs ...dnswire.RR) err
 			return fmt.Errorf("zone %s: record %s out of zone", z.Origin, rr.Name)
 		}
 	}
-	z.watchMu.Lock()
-	defer z.watchMu.Unlock()
-	z.mu.Lock()
-	old := z.snapshotLocked(name, t)
-	z.removeLocked(name, t)
-	for _, rr := range rrs {
-		z.addLocked(rr)
-	}
-	next := z.snapshotLocked(name, t)
-	z.mu.Unlock()
-	if len(old) > 0 || len(next) > 0 {
-		z.notify(Change{Name: name, Type: t, Old: old, New: next})
-	}
+	z.commit(name, t, func() bool {
+		removed := z.putSetLocked(name, t, nil) != nil
+		for _, rr := range rrs {
+			z.addLocked(rr)
+		}
+		return removed || len(rrs) > 0
+	})
 	return nil
 }
 
@@ -282,37 +247,74 @@ func (z *Zone) Replace(name dnswire.Name, t dnswire.Type, rrs ...dnswire.RR) err
 // set exists. This is the zone-operator action studied in §5.3 (".uy raised
 // its NS TTL from 300 s to 86400 s").
 func (z *Zone) SetTTL(name dnswire.Name, t dnswire.Type, ttl uint32) bool {
-	z.watchMu.Lock()
-	defer z.watchMu.Unlock()
-	z.mu.Lock()
-	set := z.lookupSetLocked(name, t)
-	if set == nil {
-		z.mu.Unlock()
-		return false
-	}
-	if set.TTL == ttl {
-		z.mu.Unlock()
-		return true
-	}
-	old := z.snapshotLocked(name, t)
-	retimed := set.Clone()
-	retimed.TTL = ttl
-	for i := range retimed.RRs {
-		retimed.RRs[i].TTL = ttl
-	}
-	z.sets[name][t] = retimed
-	next := z.snapshotLocked(name, t)
-	z.mu.Unlock()
-	z.notify(Change{Name: name, Type: t, Old: old, New: next})
-	return true
+	found := false
+	z.commit(name, t, func() bool {
+		set := z.lookupSetLocked(name, t)
+		found = set != nil
+		if set == nil || set.TTL == ttl {
+			return false
+		}
+		retimed := set.Clone()
+		retimed.TTL = ttl
+		for i := range retimed.RRs {
+			retimed.RRs[i].TTL = ttl
+		}
+		z.putSetLocked(name, t, retimed)
+		return retimed.TTL != set.TTL // an oversize ttl was stored as 0, maybe as before
+	})
+	return found
 }
 
+// lookupSetLocked returns the stored RRset for (name, t), or nil.
 func (z *Zone) lookupSetLocked(name dnswire.Name, t dnswire.Type) *RRSet {
-	byType := z.sets[name]
-	if byType == nil {
-		return nil
+	return setOfType(z.sets[name], t)
+}
+
+// setOfType scans one owner's sets for type t.
+func setOfType(sets []*RRSet, t dnswire.Type) *RRSet {
+	for _, set := range sets {
+		if set.Type == t {
+			return set
+		}
 	}
-	return byType[t]
+	return nil
+}
+
+// putSetLocked installs set as the RRset for (name, t), in the place of the
+// stored one or after the owner's other sets, and returns the set it
+// displaced; a nil set deletes. It is the one writer of z.sets, so the rules
+// of what is stored live here: a TTL above 2^31-1 is stored as 0 (RFC 2181
+// §8; set is the caller's own, not yet shared), and the ancestor index moves
+// when name gains its first set or loses its last.
+func (z *Zone) putSetLocked(name dnswire.Name, t dnswire.Type, set *RRSet) *RRSet {
+	if set != nil && set.TTL > dnswire.MaxTTL {
+		set.TTL = 0
+		for i := range set.RRs {
+			set.RRs[i].TTL = 0
+		}
+	}
+	sets := z.sets[name]
+	for i, have := range sets {
+		switch {
+		case have.Type != t:
+			continue
+		case set != nil:
+			sets[i] = set
+		case len(sets) == 1:
+			delete(z.sets, name)
+			z.indexOwnerLocked(name, -1)
+		default:
+			z.sets[name] = slices.Delete(sets, i, i+1)
+		}
+		return have
+	}
+	if set != nil {
+		if len(sets) == 0 {
+			z.indexOwnerLocked(name, 1)
+		}
+		z.sets[name] = append(sets, set)
+	}
+	return nil
 }
 
 // Get returns a copy of the RRset for (name, t), or nil.
@@ -354,15 +356,12 @@ func (z *Zone) AllSets() []*RRSet {
 	defer z.mu.RUnlock()
 	var out []*RRSet
 	for _, n := range names {
-		byType := z.sets[n]
-		types := make([]dnswire.Type, 0, len(byType))
-		for t := range byType {
-			types = append(types, t)
+		first := len(out)
+		for _, set := range z.sets[n] {
+			out = append(out, set.Clone())
 		}
-		sort.Slice(types, func(i, j int) bool { return types[i] < types[j] })
-		for _, t := range types {
-			out = append(out, byType[t].Clone())
-		}
+		owned := out[first:]
+		sort.Slice(owned, func(i, j int) bool { return owned[i].Type < owned[j].Type })
 	}
 	return out
 }
@@ -403,8 +402,8 @@ func (z *Zone) RecordCount() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for _, byType := range z.sets {
-		for _, set := range byType {
+	for _, sets := range z.sets {
+		for _, set := range sets {
 			n += len(set.RRs)
 		}
 	}

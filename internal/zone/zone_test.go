@@ -75,6 +75,28 @@ func TestAddZeroesOversizeTTL(t *testing.T) {
 	}
 }
 
+// TestSetTTLZeroesOversizeTTL: SetTTL applies the RFC 2181 §8 rule Add and
+// Replace apply, to the set and each member, and asking again for an
+// oversize TTL once it reads 0 is no change.
+func TestSetTTLZeroesOversizeTTL(t *testing.T) {
+	z := New(dnswire.NewName("example.org"))
+	name := dnswire.NewName("x.example.org")
+	z.MustAdd(dnswire.NewA("x.example.org", 300, "192.0.2.1"))
+	var events []Change
+	z.SetWatcher(func(ch Change) { events = append(events, ch) })
+	for i := 0; i < 2; i++ {
+		if !z.SetTTL(name, dnswire.TypeA, 1<<31+5) {
+			t.Fatal("SetTTL missed the set")
+		}
+	}
+	if set := z.Get(name, dnswire.TypeA); set.TTL != 0 || set.RRs[0].TTL != 0 {
+		t.Errorf("TTL > 2^31-1 must be stored as 0, got set %d, record %d", set.TTL, set.RRs[0].TTL)
+	}
+	if len(events) != 1 {
+		t.Errorf("%d watcher events, want 1 (300 -> 0, then nothing)", len(events))
+	}
+}
+
 func TestLookupAnswer(t *testing.T) {
 	z := newTestZone(t)
 	res := z.Lookup(dnswire.NewName("www.example.org"), dnswire.TypeA)
@@ -262,11 +284,13 @@ func TestClassifyBailiwick(t *testing.T) {
 }
 
 // nameExists reports whether any RRset is owned by name, or whether name is
-// an empty non-terminal: the ancestor index Lookup's NXDOMAIN decision reads.
+// an empty non-terminal: the owner map and then the ancestor index, the two
+// reads Lookup's NXDOMAIN decision makes.
 func (z *Zone) nameExists(name dnswire.Name) bool {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	return z.ancestors[name] > 0
+	_, owner := z.sets[name]
+	return owner || z.ancestors[name] > 0
 }
 
 // TestQuickLookupTotal: Lookup must classify every possible name somewhere
