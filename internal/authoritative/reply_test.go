@@ -51,6 +51,35 @@ func TestAuthoritativeAnswerAllocs(t *testing.T) {
 	}
 }
 
+// TestAuthoritativeNXDomainAllocs pins the wire path's budget for an
+// NXDOMAIN three labels below the apex, the water-torture query: the
+// wildcard probe at each ancestor allocates nothing, so all that is left is
+// the string a never-seen query name costs the decoder.
+func TestAuthoritativeNXDomainAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops Puts at random under -race, so pooled paths allocate")
+	}
+	const runs = 200
+	s := testServer(t)
+	queries := make([][]byte, runs+1)
+	for i := range queries {
+		queries[i] = mustQueryWire(t, uint16(i), dnswire.NewName(fmt.Sprintf("nx%d.a.b.example.org", i)), dnswire.TypeA)
+	}
+	dst := make([]byte, 0, 512)
+	s.AppendServeDNS(dst, mustQueryWire(t, 1, dnswire.NewName("nope.example.org"), dnswire.TypeA), clientAddr) // fill the pools
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		out := s.AppendServeDNS(dst, queries[next], clientAddr)
+		if len(out) < 4 || dnswire.RCode(out[3]&0xF) != dnswire.RCodeNXDomain {
+			t.Fatal("no NXDOMAIN")
+		}
+		next++
+	})
+	if allocs > 1 {
+		t.Errorf("NXDOMAIN costs %.1f allocs/op, want at most 1", allocs)
+	}
+}
+
 // TestPooledReplyDoesNotLeak interleaves replies of different shapes — an
 // answer, an NXDOMAIN, a referral with glue — through the pooled reply
 // message, on several goroutines: every reply must carry exactly its own

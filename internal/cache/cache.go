@@ -79,25 +79,28 @@ const (
 	NegNoData
 )
 
-// Entry is one cached RRset (or negative answer).
+// Entry is one cached RRset (or negative answer). Its fields are ordered so
+// it fills a 160 B size class exactly.
 type Entry struct {
-	Key      Key
-	RRs      []dnswire.RR
-	TTL      uint32
-	Stored   time.Time
-	Cred     Credibility
-	Negative NegativeKind
+	Key    Key
+	RRs    []dnswire.RR
+	Stored time.Time
 	// GlueOf, when set, names the delegation NS owner this entry arrived
 	// as glue for; resolver policy may couple its lifetime to that NS set.
-	GlueOf dnswire.Name
+	GlueOf   dnswire.Name
+	TTL      uint32
+	Cred     Credibility
+	Negative NegativeKind
 
 	// Eviction-plane bookkeeping, owned by the cache that stores the entry
 	// and guarded by its lock. prev/next link the entry into its evictor's
-	// order list (intrusive: a stored RRset is one Entry allocation plus its
-	// records), seg is its SLRU segment tag, bytes its charged size.
-	prev, next *Entry
+	// order list (intrusive: a stored RRset is one Entry allocation, plus
+	// its records if several), seg is its SLRU segment tag, bytes its
+	// charged size, and one holds a one-record set's record, RRs = one[:].
 	seg        uint8
 	bytes      int32
+	prev, next *Entry
+	one        [1]dnswire.RR
 }
 
 // expiresAt is when the entry stops being fresh.
@@ -188,8 +191,8 @@ const staleFor = 24 * time.Hour
 // farm frontends can share one logical cache without serializing on one
 // mutex.
 type Store interface {
-	// Put stores an entry under the store's TTL cap and RFC 2181
-	// credibility rules, reporting whether it was accepted.
+	// Put stores an entry (a one-record RRs copied in) under the store's
+	// TTL cap and RFC 2181 credibility rules, reporting whether it was kept.
 	Put(e Entry) bool
 	// Get returns the fresh entry for (name, t) and its remaining TTL.
 	Get(name dnswire.Name, t dnswire.Type) (*Entry, uint32, bool)
@@ -361,6 +364,10 @@ func (c *Cache) Put(e Entry) bool {
 		e.TTL = c.cfg.MaxTTL
 	}
 	e.prev, e.next, e.seg = nil, nil, 0
+	if len(e.RRs) == 1 {
+		e.one[0] = e.RRs[0]
+		e.RRs = e.one[:]
+	}
 	e.bytes = entryBytes(&e)
 	c.mu.Lock()
 	defer c.mu.Unlock()

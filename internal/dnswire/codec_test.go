@@ -74,9 +74,9 @@ func TestRoundTripAllRRTypes(t *testing.T) {
 
 func TestRoundTripUnknownType(t *testing.T) {
 	m := &Message{Header: Header{ID: 1, QR: true}}
-	m.AddAnswer(RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, TTL: 5, Raw: []byte{1, 2, 3}})
+	m.AddAnswer(RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, TTL: 5, Data: Unknown{T: 999, Raw: []byte{1, 2, 3}}})
 	got := roundTrip(t, m)
-	if got.Answer[0].Type != Type(999) || !bytes.Equal(got.Answer[0].Raw, []byte{1, 2, 3}) {
+	if u, ok := got.Answer[0].Data.(Unknown); got.Answer[0].Type != Type(999) || !ok || u.T != 999 || !bytes.Equal(u.Raw, []byte{1, 2, 3}) {
 		t.Errorf("unknown type did not round trip: %+v", got.Answer[0])
 	}
 }

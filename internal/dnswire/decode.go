@@ -443,36 +443,19 @@ func (d *Decoder) readRData(rr *RR, end int) error {
 			}
 		}
 		rr.Data = s
-	case TypeDNSKEY:
-		var k DNSKEY
-		var err error
-		if k.Flags, err = d.readU16(); err != nil {
-			return err
+	case TypeDNSKEY, TypeDS:
+		// Both are 2+1+1 fixed octets and an opaque tail (RFC 4034 §2.1, §5.1).
+		rdata := d.wire[d.off:end]
+		if len(rdata) < 4 {
+			return fmt.Errorf("dnswire: %s RDATA must be at least 4 bytes, got %d", rr.Type, len(rdata))
 		}
-		if k.Protocol, err = d.readU8(); err != nil {
-			return err
-		}
-		if k.Algorithm, err = d.readU8(); err != nil {
-			return err
-		}
-		k.PublicKey = append([]byte(nil), d.wire[d.off:end]...)
+		u16, tail := binary.BigEndian.Uint16(rdata), append([]byte(nil), rdata[4:]...)
 		d.off = end
-		rr.Data = k
-	case TypeDS:
-		var ds DS
-		var err error
-		if ds.KeyTag, err = d.readU16(); err != nil {
-			return err
+		if rr.Type == TypeDNSKEY {
+			rr.Data = DNSKEY{Flags: u16, Protocol: rdata[2], Algorithm: rdata[3], PublicKey: tail}
+		} else {
+			rr.Data = DS{KeyTag: u16, Algorithm: rdata[2], DigestType: rdata[3], Digest: tail}
 		}
-		if ds.Algorithm, err = d.readU8(); err != nil {
-			return err
-		}
-		if ds.DigestType, err = d.readU8(); err != nil {
-			return err
-		}
-		ds.Digest = append([]byte(nil), d.wire[d.off:end]...)
-		d.off = end
-		rr.Data = ds
 	case TypeRRSIG:
 		var s RRSIG
 		tc, err := d.readU16()
@@ -504,7 +487,7 @@ func (d *Decoder) readRData(rr *RR, end int) error {
 		d.off = end
 		rr.Data = s
 	default:
-		rr.Raw = append([]byte(nil), d.wire[d.off:end]...)
+		rr.Data = Unknown{T: rr.Type, Raw: append([]byte(nil), d.wire[d.off:end]...)}
 		d.off = end
 	}
 	return nil

@@ -341,8 +341,9 @@ func (e *encoder) writeOPT(rr RR) error {
 func (e *encoder) writeRData(rr RR) error {
 	switch d := rr.Data.(type) {
 	case nil:
-		e.buf = append(e.buf, rr.Raw...)
 		return nil
+	case Unknown:
+		e.buf = append(e.buf, d.Raw...)
 	case A:
 		if !d.Addr.Is4() {
 			return fmt.Errorf("dnswire: A record %s carries non-IPv4 address %s", rr.Name, d.Addr)

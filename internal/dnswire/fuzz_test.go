@@ -29,6 +29,14 @@ func FuzzDecode(f *testing.F) {
 	soa.AddAnswer(NewSOA("x.org", 60, "ns.x.org", "h.x.org", 1, 2, 3, 4, 5))
 	soa.AddAdditional(RR{Name: Root, Type: TypeOPT, Data: OPT{UDPSize: 4096, DO: true}})
 	seed(soa)
+	unknown := NewQuery(4, NewName("x.org"), Type(999)).Reply()
+	unknown.AddAnswer(RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, TTL: 5, Data: Unknown{T: 999, Raw: []byte{1, 2, 3}}})
+	seed(unknown)
+	set := NewQuery(5, NewName("www.x.org"), TypeA).Reply()
+	for _, addr := range []string{"192.0.2.1", "192.0.2.2", "192.0.2.3"} {
+		set.AddAnswer(NewA("www.x.org", 300, addr))
+	}
+	seed(set)
 	f.Add([]byte{0xC0, 0x0C})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 

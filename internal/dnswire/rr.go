@@ -1,22 +1,22 @@
 package dnswire
 
 import (
+	"bytes"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
 )
 
-// RR is a single resource record. RData is nil for records whose type this
-// module does not model; such records round-trip through the codec as opaque
-// bytes held in Raw.
+// RR is a single resource record. A record whose type this module does not
+// model carries its RDATA as Unknown and round-trips through the codec as
+// opaque bytes.
 type RR struct {
 	Name  Name
 	Type  Type
 	Class Class
 	TTL   uint32
 	Data  RData
-	// Raw holds the undecoded RDATA of unknown types.
-	Raw []byte
 }
 
 // RData is the typed representation of an RR's RDATA.
@@ -29,24 +29,43 @@ type RData interface {
 
 // Equal reports whether two records carry the same name, type, class and
 // RDATA. TTL is deliberately excluded: RFC 2181 §5 defines RRset membership
-// ignoring TTL, which is exactly the distinction this module studies.
+// ignoring TTL, which is exactly the distinction this module studies. RDATA
+// compares by value, allocating nothing.
 func (r RR) Equal(o RR) bool {
-	if r.Name != o.Name || r.Type != o.Type || r.Class != o.Class {
-		return false
-	}
-	return r.dataString() == o.dataString()
+	return r.Name == o.Name && r.Type == o.Type && r.Class == o.Class && rdataEqual(r.Data, o.Data)
 }
 
-func (r RR) dataString() string {
-	if r.Data != nil {
-		return r.Data.String()
+func rdataEqual(a, b RData) bool {
+	switch x := a.(type) {
+	case TXT:
+		y, ok := b.(TXT)
+		return ok && slices.Equal(x.Strings, y.Strings)
+	case DNSKEY:
+		y, ok := b.(DNSKEY)
+		return ok && x.Flags == y.Flags && x.Protocol == y.Protocol && x.Algorithm == y.Algorithm && bytes.Equal(x.PublicKey, y.PublicKey)
+	case DS:
+		y, ok := b.(DS)
+		return ok && x.KeyTag == y.KeyTag && x.Algorithm == y.Algorithm && x.DigestType == y.DigestType && bytes.Equal(x.Digest, y.Digest)
+	case RRSIG:
+		y, ok := b.(RRSIG)
+		return ok && x.TypeCovered == y.TypeCovered && x.Algorithm == y.Algorithm && x.Labels == y.Labels &&
+			x.OriginalTTL == y.OriginalTTL && x.Expiration == y.Expiration && x.Inception == y.Inception &&
+			x.KeyTag == y.KeyTag && x.SignerName == y.SignerName && bytes.Equal(x.Signature, y.Signature)
+	case Unknown:
+		y, ok := b.(Unknown)
+		return ok && x.T == y.T && bytes.Equal(x.Raw, y.Raw)
 	}
-	return fmt.Sprintf("%x", r.Raw)
+	// Every other RData (and nil) is a comparable value.
+	return a == b
 }
 
 // String renders the record in zone-file presentation form.
 func (r RR) String() string {
-	return fmt.Sprintf("%s\t%d\t%s\t%s\t%s", r.Name, r.TTL, r.Class, r.Type, r.dataString())
+	var data string
+	if r.Data != nil {
+		data = r.Data.String()
+	}
+	return fmt.Sprintf("%s\t%d\t%s\t%s\t%s", r.Name, r.TTL, r.Class, r.Type, data)
 }
 
 // A is an IPv4 address record (RFC 1035 §3.4.1).
@@ -183,6 +202,16 @@ func (OPT) rType() Type { return TypeOPT }
 func (o OPT) String() string {
 	return fmt.Sprintf("udp=%d ercode=%d version=%d do=%v", o.UDPSize, o.ExtendedRCode, o.Version, o.DO)
 }
+
+// Unknown is the undecoded RDATA of a type this module does not model
+// (RFC 3597): T is the record's type, Raw its RDATA bytes.
+type Unknown struct {
+	T   Type
+	Raw []byte
+}
+
+func (u Unknown) rType() Type    { return u.T }
+func (u Unknown) String() string { return fmt.Sprintf("%x", u.Raw) }
 
 // NewA builds an A record. It panics if addr is not IPv4; use it for
 // literals and tests.

@@ -29,8 +29,8 @@ func (r RR) WireSize() int {
 
 func (r RR) rdataWireSize() int {
 	switch d := r.Data.(type) {
-	case nil:
-		return len(r.Raw)
+	case Unknown:
+		return len(d.Raw)
 	case A:
 		return 4
 	case AAAA:
@@ -57,10 +57,8 @@ func (r RR) rdataWireSize() int {
 		return 4 + len(d.Digest)
 	case RRSIG:
 		return 18 + d.SignerName.WireSize() + len(d.Signature)
-	case OPT:
-		// The OPT pseudo-record is never cached, but account its frame
-		// (root owner + fixed header, no options) for completeness.
-		return 0
 	}
-	return len(r.Raw)
+	// No RDATA: the OPT pseudo-record is never cached, but its frame (root
+	// owner + fixed header, no options) is accounted for completeness.
+	return 0
 }

@@ -29,7 +29,7 @@ func TestRRWireSizeMatchesEncoder(t *testing.T) {
 		NewA("a.xa", 300, "192.0.2.1"),
 		NewAAAA("b.xb", 300, "2001:db8::1"),
 		NewTXT("c.xc", 60, "hello", "world"),
-		{Name: NewName("d.xd"), Type: Type(0xFF00), Class: ClassIN, TTL: 5, Raw: []byte{1, 2, 3}},
+		{Name: NewName("d.xd"), Type: Type(0xFF00), Class: ClassIN, TTL: 5, Data: Unknown{T: 0xFF00, Raw: []byte{1, 2, 3}}},
 	}
 	for _, rr := range rrs {
 		m := &Message{Header: Header{QR: true}}

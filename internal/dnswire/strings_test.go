@@ -76,15 +76,81 @@ func TestSectionAccessor(t *testing.T) {
 }
 
 func TestEqualUnknownTypes(t *testing.T) {
-	a := RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, Raw: []byte{1, 2}}
-	b := RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, Raw: []byte{1, 2}}
-	c := RR{Name: NewName("x.org"), Type: Type(999), Class: ClassIN, Raw: []byte{3}}
+	unknown := func(owner string, raw ...byte) RR {
+		return RR{Name: NewName(owner), Type: Type(999), Class: ClassIN, Data: Unknown{T: 999, Raw: raw}}
+	}
+	a, b, c := unknown("x.org", 1, 2), unknown("x.org", 1, 2), unknown("x.org", 3)
 	if !a.Equal(b) || a.Equal(c) {
 		t.Errorf("raw-RDATA equality broken")
 	}
-	d := RR{Name: NewName("y.org"), Type: Type(999), Class: ClassIN, Raw: []byte{1, 2}}
-	if a.Equal(d) {
+	if a.Equal(unknown("y.org", 1, 2)) {
 		t.Errorf("different owners must not be equal")
+	}
+}
+
+// TestEqualByValue gives Equal an equal and an unequal pair for every RData
+// type. Its verdict must be the one comparing presentation forms gives (what
+// Equal did before it compared by value), at no allocation.
+func TestEqualByValue(t *testing.T) {
+	rr := func(typ Type, d RData) RR {
+		return RR{Name: NewName("a.org"), Type: typ, Class: ClassIN, TTL: 60, Data: d}
+	}
+	a := func(s string) RR { return NewA("a.org", 60, s) }
+	txt := func(s ...string) RR { return NewTXT("a.org", 60, s...) }
+	key := func(k ...byte) RR {
+		return rr(TypeDNSKEY, DNSKEY{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: k})
+	}
+	ds := func(tag uint16, d ...byte) RR {
+		return rr(TypeDS, DS{KeyTag: tag, Algorithm: 8, DigestType: 2, Digest: d})
+	}
+	sig := func(ttl uint32, s ...byte) RR {
+		return rr(TypeRRSIG, RRSIG{TypeCovered: TypeA, Algorithm: 8, Labels: 2, OriginalTTL: ttl, SignerName: NewName("a.org"), Signature: s})
+	}
+	unknown := func(raw ...byte) RR { return rr(Type(999), Unknown{T: 999, Raw: raw}) }
+	pairs := [][2]RR{
+		{a("192.0.2.1"), a("192.0.2.1")}, {a("192.0.2.1"), a("192.0.2.2")},
+		{NewAAAA("a.org", 1, "2001:db8::1"), NewAAAA("a.org", 2, "2001:db8::1")},
+		{NewAAAA("a.org", 1, "2001:db8::1"), NewAAAA("a.org", 1, "2001:db8::2")},
+		{NewNS("a.org", 1, "ns1.a.org"), NewNS("a.org", 1, "ns1.a.org")},
+		{NewNS("a.org", 1, "ns1.a.org"), NewNS("a.org", 1, "ns2.a.org")},
+		{NewCNAME("a.org", 1, "b.org"), NewCNAME("a.org", 1, "b.org")},
+		{NewCNAME("a.org", 1, "b.org"), NewCNAME("a.org", 1, "c.org")},
+		{rr(TypePTR, PTR{Target: NewName("b.org")}), rr(TypePTR, PTR{Target: NewName("b.org")})},
+		{rr(TypePTR, PTR{Target: NewName("b.org")}), rr(TypePTR, PTR{Target: NewName("c.org")})},
+		{NewMX("a.org", 1, 10, "mx.a.org"), NewMX("a.org", 1, 10, "mx.a.org")},
+		{NewMX("a.org", 1, 10, "mx.a.org"), NewMX("a.org", 1, 20, "mx.a.org")},
+		{txt("x", "y"), txt("x", "y")}, {txt("x", "y"), txt("x", "z")},
+		{txt("xy"), txt("x", "y")}, // split and joined are different RDATA
+		{txt(), txt()}, {txt(), txt("")},
+		{NewSOA("a.org", 1, "ns.a.org", "h.a.org", 1, 2, 3, 4, 5), NewSOA("a.org", 9, "ns.a.org", "h.a.org", 1, 2, 3, 4, 5)},
+		{NewSOA("a.org", 1, "ns.a.org", "h.a.org", 1, 2, 3, 4, 5), NewSOA("a.org", 1, "ns.a.org", "h.a.org", 2, 2, 3, 4, 5)},
+		{key(1, 2), key(1, 2)}, {key(1, 2), key(1, 3)}, {key(), key()},
+		{ds(1, 7), ds(1, 7)}, {ds(1, 7), ds(2, 7)}, {ds(1, 7), ds(1, 8)},
+		{sig(60, 9), sig(60, 9)}, {sig(60, 9), sig(61, 9)}, {sig(60, 9), sig(60, 8)},
+		{rr(TypeOPT, OPT{UDPSize: 4096}), rr(TypeOPT, OPT{UDPSize: 4096})},
+		{rr(TypeOPT, OPT{UDPSize: 4096}), rr(TypeOPT, OPT{UDPSize: 1232})},
+		{unknown(1, 2), unknown(1, 2)}, {unknown(1, 2), unknown(1, 2, 3)}, {unknown(), unknown()},
+		{rr(TypeA, nil), rr(TypeA, nil)},
+		{a("192.0.2.1"), NewA("b.org", 60, "192.0.2.1")},
+	}
+	presentation := func(r RR) string {
+		if r.Data == nil {
+			return ""
+		}
+		return r.Data.String()
+	}
+	for _, p := range pairs {
+		x, y := p[0], p[1]
+		want := x.Name == y.Name && x.Type == y.Type && x.Class == y.Class && presentation(x) == presentation(y)
+		if got := x.Equal(y); got != want {
+			t.Errorf("%v Equal %v = %v, the presentation forms say %v", x, y, got, want)
+		}
+		if got := y.Equal(x); got != want {
+			t.Errorf("%v Equal %v = %v, not symmetric", y, x, got)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { x.Equal(y) }); allocs != 0 {
+			t.Errorf("%v Equal %v costs %.1f allocs, want 0", x, y, allocs)
+		}
 	}
 }
 

@@ -269,18 +269,22 @@ func (errLocalRoot) Error() string { return "resolver: local root mirror cannot 
 
 // eachRRSet calls fn once for every RRset of type t in rrs — the records of
 // that type sharing an owner — in wire order of each owner's first record.
-// Every set is an exact-size slice of its own, so fn may keep it while rrs
-// (a section of a pooled reply) goes back to its pool.
+// rrs is a section of a pooled reply: a one-record set is a view of it,
+// which cache.Store.Put copies, and a larger set an exact-size slice of its
+// own, which Put may keep.
 func eachRRSet(rrs []dnswire.RR, t dnswire.Type, fn func(set []dnswire.RR)) {
 	for i := range rrs {
 		owner := rrs[i].Name
 		if rrs[i].Type != t || countRRs(rrs[:i], owner, t) > 0 {
 			continue // another type, or emitted at its owner's first record
 		}
-		set := make([]dnswire.RR, 0, 1+countRRs(rrs[i+1:], owner, t))
-		for _, rr := range rrs[i:] {
-			if rr.Type == t && rr.Name == owner {
-				set = append(set, rr)
+		set := rrs[i : i+1 : i+1]
+		if more := countRRs(rrs[i+1:], owner, t); more > 0 {
+			set = make([]dnswire.RR, 0, 1+more)
+			for _, rr := range rrs[i:] {
+				if rr.Type == t && rr.Name == owner {
+					set = append(set, rr)
+				}
 			}
 		}
 		fn(set)

@@ -64,6 +64,82 @@ func TestLookupResultImmutable(t *testing.T) {
 	}
 }
 
+// TestOwnerChainCopyOnWrite replaces, then removes, each set of an owner
+// holding SOA, NS (two records), A and TXT, so every place in the owner's
+// chain is edited. Every set a Lookup handed out before an edit must keep its
+// records and its link (its whole chain, compared deeply), and every Lookup
+// after it must answer as the model does.
+func TestOwnerChainCopyOnWrite(t *testing.T) {
+	origin := dnswire.NewName("example.org")
+	types := []dnswire.Type{dnswire.TypeSOA, dnswire.TypeNS, dnswire.TypeA, dnswire.TypeTXT}
+	owner := []dnswire.RR{
+		dnswire.NewSOA("example.org", 3600, "ns1.example.org", "admin.example.org", 1, 7200, 3600, 1209600, 300),
+		dnswire.NewNS("example.org", 3600, "ns1.example.org"),
+		dnswire.NewNS("example.org", 3600, "ns2.example.org"),
+		dnswire.NewA("example.org", 300, "192.0.2.1"),
+		dnswire.NewTXT("example.org", 300, "v=1"),
+	}
+	replacement := map[dnswire.Type]dnswire.RR{
+		dnswire.TypeSOA: dnswire.NewSOA("example.org", 60, "ns1.example.org", "admin.example.org", 2, 7200, 3600, 1209600, 300),
+		dnswire.TypeNS:  dnswire.NewNS("example.org", 60, "ns3.example.org"),
+		dnswire.TypeA:   dnswire.NewA("example.org", 60, "192.0.2.2"),
+		dnswire.TypeTXT: dnswire.NewTXT("example.org", 60, "v=2"),
+	}
+	var deepCopy func(s *RRSet) *RRSet
+	deepCopy = func(s *RRSet) *RRSet {
+		if s == nil {
+			return nil
+		}
+		c := *s
+		c.RRs = append([]dnswire.RR(nil), s.RRs...)
+		c.next = deepCopy(s.next)
+		return &c
+	}
+	for _, victim := range types {
+		z, m := New(origin), newModel(origin)
+		for _, rr := range owner {
+			z.MustAdd(rr)
+			m.add(rr)
+		}
+		edits := []struct {
+			name string
+			edit func()
+		}{
+			{"Replace", func() {
+				if err := z.Replace(origin, victim, replacement[victim]); err != nil {
+					t.Fatal(err)
+				}
+				m.replace(origin, victim, []dnswire.RR{replacement[victim]})
+			}},
+			{"Remove", func() {
+				if ok, want := z.Remove(origin, victim), m.remove(origin, victim); ok != want {
+					t.Fatalf("Remove(%s) = %v, model %v", victim, ok, want)
+				}
+			}},
+		}
+		for _, e := range edits {
+			var held, before []*RRSet
+			var links []*RRSet
+			for _, typ := range types {
+				if set := z.Lookup(origin, typ).Answer; set != nil {
+					held, before, links = append(held, set), append(before, deepCopy(set)), append(links, set.next)
+				}
+			}
+			e.edit()
+			for i, set := range held {
+				if set.next != links[i] || !reflect.DeepEqual(set, before[i]) {
+					t.Errorf("%s(%s) changed a held %s set:\n got %+v\nwant %+v", e.name, victim, set.Type, set, before[i])
+				}
+			}
+			for _, typ := range types {
+				if res, want := z.Lookup(origin, typ), m.lookup(origin, typ); !sameResult(res, want) {
+					t.Errorf("after %s(%s): Lookup(%s) = %+v, the model %+v", e.name, victim, typ, res, want)
+				}
+			}
+		}
+	}
+}
+
 // TestLookupConcurrentWithMutators races readers that walk every record of
 // what Lookup returns against all five mutators; under -race any in-place
 // edit of a stored set is a reported data race.

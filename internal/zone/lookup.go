@@ -70,13 +70,13 @@ func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 		}
 	}
 
-	if sets, owned := z.sets[name]; owned {
-		if set := setOfType(sets, t); set != nil {
+	if head := z.sets[name]; head != nil {
+		if set := setOfType(head, t); set != nil {
 			return LookupResult{Kind: Answer, Answer: set}
 		}
 		// CNAME matches any type except its own (and except at names that
 		// actually hold the queried type, handled above).
-		if cname := setOfType(sets, dnswire.TypeCNAME); cname != nil && t != dnswire.TypeCNAME {
+		if cname := setOfType(head, dnswire.TypeCNAME); cname != nil && t != dnswire.TypeCNAME {
 			return LookupResult{Kind: CNAMEAnswer, Answer: cname}
 		}
 		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
@@ -96,11 +96,19 @@ func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 }
 
 func (z *Zone) wildcardLookupLocked(name dnswire.Name, t dnswire.Type) (LookupResult, bool) {
+	// The probe key n.Child("*") is built in a buffer: indexing the map by
+	// converted bytes allocates nothing, as Child would per NXDOMAIN label.
+	var buf [256]byte
+	key := append(buf[:0], "*."...)
 	for n := name.Parent(); ; n = n.Parent() {
 		if !n.IsSubdomainOf(z.Origin) && n != z.Origin {
 			break
 		}
-		if set := z.lookupSetLocked(n.Child("*"), t); set != nil {
+		key = key[:2]
+		if !n.IsRoot() {
+			key = append(key, n...)
+		}
+		if set := setOfType(z.sets[dnswire.Name(key)], t); set != nil {
 			// Synthesize the answer at the query name, in a copy.
 			syn := set.Clone()
 			syn.Name = name

@@ -178,6 +178,19 @@ func (m *model) lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 	return LookupResult{Kind: NXDomain, Authority: soa}
 }
 
+// sameResult compares two lookup results, their sets by Name, Type, TTL and
+// RRs: how a zone links and stores its sets is not part of the answer.
+func sameResult(a, b LookupResult) bool {
+	sameSet := func(x, y *RRSet) bool {
+		if x == nil || y == nil {
+			return x == y
+		}
+		return x.Name == y.Name && x.Type == y.Type && x.TTL == y.TTL && reflect.DeepEqual(x.RRs, y.RRs)
+	}
+	return a.Kind == b.Kind && sameSet(a.Answer, b.Answer) && sameSet(a.Authority, b.Authority) &&
+		reflect.DeepEqual(a.Glue, b.Glue)
+}
+
 // recountAncestors rebuilds the ancestor index from scratch: for every name
 // strictly above some owner, at or below the origin, the number of owners
 // strictly below it, counted by brute force.
@@ -300,7 +313,7 @@ func TestZoneMatchesModel(t *testing.T) {
 			got, m.events = nil, nil
 			for _, name := range queried {
 				for _, typ := range types {
-					if res, want := z.Lookup(name, typ), m.lookup(name, typ); !reflect.DeepEqual(res, want) {
+					if res, want := z.Lookup(name, typ), m.lookup(name, typ); !sameResult(res, want) {
 						t.Fatalf("seed %d step %d: after %s Lookup(%s, %s) =\n%+v\nthe model\n%+v", seed, step, op, name, typ, res, want)
 					}
 				}

@@ -6,7 +6,6 @@ package zone
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -28,13 +27,23 @@ type RRSet struct {
 	Type dnswire.Type
 	TTL  uint32
 	RRs  []dnswire.RR
+	// next links a stored set to its owner's next set (see Zone.sets); a
+	// one-record set holds its record in one, RRs = one[:].
+	next *RRSet
+	one  [1]dnswire.RR
 }
 
-// Clone returns a deep-enough copy whose RR slice can be mutated freely.
+// Clone returns a deep-enough copy whose RR slice can be mutated freely,
+// linked to no other set.
 func (s *RRSet) Clone() *RRSet {
-	c := *s
-	c.RRs = append([]dnswire.RR(nil), s.RRs...)
-	return &c
+	c := &RRSet{Name: s.Name, Type: s.Type, TTL: s.TTL}
+	if len(s.RRs) == 1 {
+		c.one[0] = s.RRs[0]
+		c.RRs = c.one[:]
+	} else {
+		c.RRs = append([]dnswire.RR(nil), s.RRs...)
+	}
+	return c
 }
 
 // Change describes one committed zone mutation: the RRset for (Name, Type)
@@ -61,11 +70,11 @@ type Zone struct {
 	watcher func(Change)
 	// Origin is the zone apex.
 	Origin dnswire.Name
-	// sets maps an owner name to its RRsets, one per type. Owners hold one
-	// to four types, so a scan of a slice finds one, at a fraction of a
-	// map's bytes per owner. putSetLocked is the one writer of a slice,
-	// and no slice leaves z.mu.
-	sets map[dnswire.Name][]*RRSet
+	// sets maps an owner name to the first of its RRsets, one per type,
+	// chained by RRSet.next: owners hold one to four types, and a one-A
+	// owner is its map slot and one RRSet. putSetLocked is the one writer,
+	// and a stored set's link is as immutable as its records.
+	sets map[dnswire.Name]*RRSet
 	// ancestors counts, for every name strictly above an owner up to the
 	// origin, how many owner names sit below it — it makes empty
 	// non-terminal detection O(label count) instead of a full-zone scan.
@@ -77,7 +86,7 @@ type Zone struct {
 func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		Origin:    origin,
-		sets:      make(map[dnswire.Name][]*RRSet),
+		sets:      make(map[dnswire.Name]*RRSet),
 		ancestors: make(map[dnswire.Name]int),
 	}
 }
@@ -175,7 +184,9 @@ func (z *Zone) Add(rr dnswire.RR) error {
 func (z *Zone) addLocked(rr dnswire.RR) bool {
 	set := z.lookupSetLocked(rr.Name, rr.Type)
 	if set == nil {
-		z.putSetLocked(rr.Name, rr.Type, &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, RRs: []dnswire.RR{rr}})
+		set = &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, one: [1]dnswire.RR{rr}}
+		set.RRs = set.one[:]
+		z.putSetLocked(rr.Name, rr.Type, set)
 		return true
 	}
 	for _, have := range set.RRs {
@@ -185,10 +196,8 @@ func (z *Zone) addLocked(rr dnswire.RR) bool {
 	}
 	// The stored set may be in a reader's hands: the record joins a copy.
 	rr.TTL = set.TTL
-	next := *set
-	next.RRs = append(make([]dnswire.RR, 0, len(set.RRs)+1), set.RRs...)
-	next.RRs = append(next.RRs, rr)
-	z.putSetLocked(rr.Name, rr.Type, &next)
+	rrs := append(make([]dnswire.RR, 0, len(set.RRs)+1), set.RRs...)
+	z.putSetLocked(rr.Name, rr.Type, &RRSet{Name: set.Name, Type: set.Type, TTL: set.TTL, RRs: append(rrs, rr)})
 	return true
 }
 
@@ -270,9 +279,9 @@ func (z *Zone) lookupSetLocked(name dnswire.Name, t dnswire.Type) *RRSet {
 	return setOfType(z.sets[name], t)
 }
 
-// setOfType scans one owner's sets for type t.
-func setOfType(sets []*RRSet, t dnswire.Type) *RRSet {
-	for _, set := range sets {
+// setOfType walks one owner's chain of sets for type t.
+func setOfType(head *RRSet, t dnswire.Type) *RRSet {
+	for set := head; set != nil; set = set.next {
 		if set.Type == t {
 			return set
 		}
@@ -281,11 +290,12 @@ func setOfType(sets []*RRSet, t dnswire.Type) *RRSet {
 }
 
 // putSetLocked installs set as the RRset for (name, t), in the place of the
-// stored one or after the owner's other sets, and returns the set it
+// stored one or at the head of the owner's chain, and returns the set it
 // displaced; a nil set deletes. It is the one writer of z.sets, so the rules
 // of what is stored live here: a TTL above 2^31-1 is stored as 0 (RFC 2181
-// §8; set is the caller's own, not yet shared), and the ancestor index moves
-// when name gains its first set or loses its last.
+// §8; set is the caller's own, not yet shared), the sets ahead of a replaced
+// or deleted one are relinked as copies, and the ancestor index moves when
+// name gains its first set or loses its last.
 func (z *Zone) putSetLocked(name dnswire.Name, t dnswire.Type, set *RRSet) *RRSet {
 	if set != nil && set.TTL > dnswire.MaxTTL {
 		set.TTL = 0
@@ -293,28 +303,40 @@ func (z *Zone) putSetLocked(name dnswire.Name, t dnswire.Type, set *RRSet) *RRSe
 			set.RRs[i].TTL = 0
 		}
 	}
-	sets := z.sets[name]
-	for i, have := range sets {
-		switch {
-		case have.Type != t:
-			continue
-		case set != nil:
-			sets[i] = set
-		case len(sets) == 1:
-			delete(z.sets, name)
-			z.indexOwnerLocked(name, -1)
-		default:
-			z.sets[name] = slices.Delete(sets, i, i+1)
+	head := z.sets[name]
+	have := setOfType(head, t)
+	if have == nil {
+		if set != nil {
+			if head == nil {
+				z.indexOwnerLocked(name, 1)
+			}
+			set.next = head
+			z.sets[name] = set
 		}
-		return have
+		return nil
 	}
+	rest := have.next
 	if set != nil {
-		if len(sets) == 0 {
-			z.indexOwnerLocked(name, 1)
-		}
-		z.sets[name] = append(sets, set)
+		set.next, rest = rest, set
 	}
-	return nil
+	if head = relinkAhead(head, have, rest); head == nil {
+		delete(z.sets, name)
+		z.indexOwnerLocked(name, -1)
+	} else {
+		z.sets[name] = head
+	}
+	return have
+}
+
+// relinkAhead returns copies of the chain's sets from set up to stop, in
+// order, followed by rest.
+func relinkAhead(set, stop, rest *RRSet) *RRSet {
+	if set == stop {
+		return rest
+	}
+	c := set.Clone()
+	c.next = relinkAhead(set.next, stop, rest)
+	return c
 }
 
 // Get returns a copy of the RRset for (name, t), or nil.
@@ -357,7 +379,7 @@ func (z *Zone) AllSets() []*RRSet {
 	var out []*RRSet
 	for _, n := range names {
 		first := len(out)
-		for _, set := range z.sets[n] {
+		for set := z.sets[n]; set != nil; set = set.next {
 			out = append(out, set.Clone())
 		}
 		owned := out[first:]
@@ -402,8 +424,8 @@ func (z *Zone) RecordCount() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	n := 0
-	for _, sets := range z.sets {
-		for _, set := range sets {
+	for _, head := range z.sets {
+		for set := head; set != nil; set = set.next {
 			n += len(set.RRs)
 		}
 	}
