@@ -130,7 +130,7 @@ type QueryLog = qlog.Logger
 type QueryLogConfig = qlog.Config
 
 // QueryLogTap is a transport-labeled capture handle produced by
-// (*QueryLog).Tap; ClientConfig and Server.AttachQueryLog accept one.
+// (*QueryLog).Tap; ClientConfig accepts one.
 type QueryLogTap = qlog.Tap
 
 // QueryLogRecord is one captured query-log event.
@@ -304,6 +304,7 @@ type CacheStats = cache.Stats
 type Server struct {
 	s   *authoritative.Server
 	reg *Registry // from Instrument, for the UDP listener's gauges
+	ql  *QueryLog // from AttachQueryLog, tapped per listener
 	ls  authoritative.Listeners
 }
 
@@ -323,7 +324,7 @@ func ParseZone(text string, origin Name) (*Zone, error) {
 // ListenUDP binds addr ("127.0.0.1:0" style) and serves until Close. It
 // returns the bound address.
 func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
-	return s.ls.UDP(addr, s.s, s.reg)
+	return s.ls.UDP(addr, s.handler("udp", false), s.reg)
 }
 
 // ListenTCP binds addr for the TCP transport and serves until Close,
@@ -331,19 +332,25 @@ func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
 // on the same port, so the fallback is served only from the UDP listener's
 // port.
 func (s *Server) ListenTCP(addr string) (netip.AddrPort, error) {
-	return s.ls.TCP(addr, s.s.Stream(), nil)
+	return s.ls.TCP(addr, s.handler("tcp", true), nil)
 }
 
 // ListenDoT binds addr for DNS-over-TLS service (RFC 7858) with the given
 // TLS config, serving until Close.
 func (s *Server) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	return s.ls.TCP(addr, s.s.Stream(), cfg)
+	return s.ls.TCP(addr, s.handler("dot", true), cfg)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS service (RFC 8484) with the
 // given TLS config, serving until Close.
 func (s *Server) ListenDoH(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	return s.ls.DoH(addr, s.s.Stream(), cfg)
+	return s.ls.DoH(addr, s.handler("doh", true), cfg)
+}
+
+// handler is the handler of one listener: the query log's tap carries the
+// transport label, stream the response size limit and the RRL exemption.
+func (s *Server) handler(transport string, stream bool) simnet.Handler {
+	return s.s.Handler(s.ql.Tap(transport), stream)
 }
 
 // SelfSignedTLS mints an ephemeral server certificate for the given hosts
@@ -378,9 +385,10 @@ func (s *Server) Instrument(reg *Registry) {
 }
 
 // AttachQueryLog captures one structured response-out record per handled
-// query through tap — the paper's §3.4 authoritative-side capture. A nil
-// tap detaches.
-func (s *Server) AttachQueryLog(tap *QueryLogTap) { s.s.QLog = tap }
+// query into ql, labelled with the transport of the listener the query came
+// in on — the paper's §3.4 authoritative-side capture. It applies to the
+// listeners bound after it.
+func (s *Server) AttachQueryLog(ql *QueryLog) { s.ql = ql }
 
 // Close drains every listener: each stops accepting, queries already in
 // service are answered, idle connections are closed at once. It returns nil

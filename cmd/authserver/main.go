@@ -208,7 +208,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer qlogger.Close()
-		srv.AttachQueryLog(qlogger.Tap("udp"))
+		srv.AttachQueryLog(qlogger)
 		fmt.Printf("query log: %s (%s)\n", *qlogPath, qlogFormat)
 	}
 	addr, err := srv.ListenUDP(*listen)

@@ -7,7 +7,7 @@
 //
 //	dnsload -server 127.0.0.1 -port 5300 -workload www.example.test:A -count 100000
 //	dnsload -transport tcp -workers 32 -duration 5s -workload 'q{i}.example.test:A*10000'
-//	dnsload -transport doh -insecure -qps 1000 -workload @queries.txt -json -
+//	dnsload -transport doh -insecure -qps 1000 -workload @queries.txt -json - -quiet
 //
 // The process exits non-zero when the run saw any protocol error
 // (timeouts, network errors, undecodable responses) and -fail-on-error is
@@ -40,16 +40,12 @@ func main() {
 		timeout     = flag.Duration("timeout", 3*time.Second, "per-query timeout")
 		insecure    = flag.Bool("insecure", false, "skip TLS verification for dot/doh (self-signed test certs)")
 		jsonOut     = flag.String("json", "", "write the result as JSON to this file ('-' = stdout)")
-		out         = flag.String("out", "text", "stdout summary format: text or json (json implies -quiet)")
 		failOnError = flag.Bool("fail-on-error", false, "exit 1 if the run saw any protocol error")
 		quiet       = flag.Bool("quiet", false, "suppress the human-readable summary")
 		kind        transport.Kind
 	)
 	flag.TextVar(&kind, "transport", transport.UDP, "transport: udp, tcp, dot, or doh")
 	flag.Parse()
-	if *out != "text" && *out != "json" {
-		fatal(fmt.Errorf("-out must be text or json, not %q", *out))
-	}
 
 	addr, err := netip.ParseAddr(*server)
 	if err != nil {
@@ -95,28 +91,23 @@ func main() {
 		fatal(err)
 	}
 
-	if *out == "text" && !*quiet {
+	if !*quiet {
 		fmt.Print(res)
 		snap := reg.Snapshot()
 		fmt.Printf("  pool: %d dials, %d reuses, %d tls handshakes, %d tcp fallbacks\n",
 			snap.Counters[transport.MetricDials], snap.Counters[transport.MetricReuses],
 			snap.Counters[transport.MetricHandshakes], snap.Counters[transport.MetricTCPFallbacks])
 	}
-	if *out == "json" || *jsonOut != "" {
+	if *jsonOut != "" {
 		enc, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
 		enc = append(enc, '\n')
-		// -out json puts the summary on stdout; -json FILE additionally (or
-		// alternatively) writes it to a file, '-' meaning stdout once.
-		if *out == "json" || *jsonOut == "-" {
+		if *jsonOut == "-" {
 			os.Stdout.Write(enc)
-		}
-		if *jsonOut != "" && *jsonOut != "-" {
-			if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
-				fatal(err)
-			}
+		} else if err := os.WriteFile(*jsonOut, enc, 0o644); err != nil {
+			fatal(err)
 		}
 	}
 	if *failOnError && res.Errors > 0 {

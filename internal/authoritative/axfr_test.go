@@ -9,7 +9,7 @@ import (
 
 func TestAXFRRoundTrip(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Handler: s.Stream()}
+	ts := &TCPServer{Handler: s.Handler(nil, true)}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestAXFRRoundTrip(t *testing.T) {
 
 func TestAXFRRefusedForUnknownZone(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Handler: s.Stream()}
+	ts := &TCPServer{Handler: s.Handler(nil, true)}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +54,7 @@ func TestAXFRFramingValidation(t *testing.T) {
 	s := testServer(t)
 	s.Zone(dnswire.NewName("example.org")).Remove(dnswire.NewName("example.org"), dnswire.TypeSOA)
 	q := dnswire.NewIterativeQuery(1, dnswire.NewName("example.org"), TypeAXFR)
-	resp := s.handleInto(new(dnswire.Message), q, clientAddr)
+	resp := handler{s: s}.handleInto(new(dnswire.Message), q, clientAddr)
 	if resp.Header.RCode != dnswire.RCodeServFail {
 		t.Errorf("SOA-less AXFR should SERVFAIL, got %s", resp.Header.RCode)
 	}

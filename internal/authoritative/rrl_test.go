@@ -138,7 +138,7 @@ func TestRRLExemptsTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if s.Stream().ServeDNS(wire, from) == nil {
+		if s.Handler(nil, true).ServeDNS(wire, from) == nil {
 			t.Fatal("TCP response must never be rate limited")
 		}
 	}

@@ -27,10 +27,6 @@ type Server struct {
 	// queries — QueryCount reads it — and Instrument moves it, with the
 	// answer-kind and RRL breakdown, into a registry.
 	Obs *Metrics
-	// QLog, when non-nil, emits one structured response-out record per
-	// handled query — the authoritative-side capture the paper's §3.4
-	// passive methodology collects. Nil costs one pointer check per query.
-	QLog *qlog.Tap
 	// Push, when non-nil, gets first claim on every decoded query — the
 	// push plane (internal/push) uses it to intercept subscription requests
 	// and IXFR pulls without this package importing it. Handlers must not
@@ -102,28 +98,34 @@ func (s *Server) ServeDNS(wire []byte, from netip.Addr) []byte {
 // AppendServeDNS implements simnet.AppendHandler: ServeDNS with the
 // response appended to dst, allocation-free when dst has the room.
 func (s *Server) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
-	return s.serveWire(dst, wire, from, false)
+	return handler{s: s}.AppendServeDNS(dst, wire, from)
 }
 
-// Stream returns the server's handler for the stream transports (TCP, DoT,
-// DoH): same handling, but the 64 KiB frame limit applies instead of
-// datagram truncation, and RRL does not.
-func (s *Server) Stream() simnet.Handler { return streamHandler{s} }
-
-type streamHandler struct{ s *Server }
-
-func (h streamHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
-	return h.s.serveWire(nil, wire, from, true)
+// Handler returns the server as one listener serves it. tap, when non-nil,
+// records one response-out record per handled query under that listener's
+// transport label — the authoritative-side capture the paper's §3.4 passive
+// methodology collects. stream selects the stream transports (TCP, DoT,
+// DoH): the 64 KiB frame limit applies instead of datagram truncation, and
+// RRL does not.
+func (s *Server) Handler(tap *qlog.Tap, stream bool) simnet.Handler {
+	return handler{s: s, tap: tap, stream: stream}
 }
 
-func (h streamHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
-	return h.s.serveWire(dst, wire, from, true)
+// handler binds the server to one listener's query-log tap and transport.
+type handler struct {
+	s      *Server
+	tap    *qlog.Tap
+	stream bool
 }
 
-// serveWire handles one query, appending the response to dst; dst comes back
-// unextended when the query is dropped. stream selects the stream-transport
-// size limit and exempts the query from RRL.
-func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byte {
+func (h handler) ServeDNS(wire []byte, from netip.Addr) []byte {
+	return h.AppendServeDNS(nil, wire, from)
+}
+
+// AppendServeDNS handles one query, appending the response to dst; dst comes
+// back unextended when the query is dropped.
+func (h handler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
+	s := h.s
 	// Query and reply live only for the duration of this call: the reply
 	// copies the question and the zone's records by value, and the encoder
 	// copies the reply into dst, so the decoder and both messages go back to
@@ -139,8 +141,8 @@ func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byt
 	if err := d.Decode(wire, q); err != nil {
 		return dnswire.AppendFormErr(dst, wire)
 	}
-	resp := s.handleInto(reply, q, from)
-	if !stream {
+	resp := h.handleInto(reply, q, from)
+	if !h.stream {
 		// RRL guards only the connectionless transport: a TCP client has
 		// already proved its source address, so limiting it would add
 		// collateral damage without reducing amplification.
@@ -157,7 +159,7 @@ func (s *Server) serveWire(dst, wire []byte, from netip.Addr, stream bool) []byt
 			}
 		}
 	}
-	out, err := dnswire.AppendEncodeWithLimit(dst, resp, dnswire.ResponseLimit(q, stream))
+	out, err := dnswire.AppendEncodeWithLimit(dst, resp, dnswire.ResponseLimit(q, h.stream))
 	if err != nil {
 		return dst
 	}
@@ -174,11 +176,14 @@ type PushHook interface {
 
 // handleInto answers q into resp, a reset Message, and returns the answer:
 // resp itself, or a message of their own when the push hook or AXFR builds
-// one. The wire path passes a pooled resp. Every reply leaves through the
-// one logQuery, so a refusal is counted like an answer.
-func (s *Server) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
-	resp = s.reply(resp, q, from)
-	s.logQuery(from, q.Q(), resp)
+// one. The wire path passes a pooled resp. Every reply is counted and logged
+// here, so a refusal is booked like an answer.
+func (h handler) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
+	resp = h.s.reply(resp, q, from)
+	h.s.Obs.observe(resp)
+	if h.tap != nil {
+		h.tap.ResponseOut(from, q.Q().Name, q.Q().Type, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, 0)
+	}
 	return resp
 }
 
@@ -243,12 +248,5 @@ func (s *Server) answerFromZone(z *zone.Zone, name dnswire.Name, t dnswire.Type,
 		resp.AddAdditional(res.Glue...)
 	case zone.NotInZone:
 		resp.Header.RCode = dnswire.RCodeRefused
-	}
-}
-
-func (s *Server) logQuery(from netip.Addr, q dnswire.Question, resp *dnswire.Message) {
-	s.Obs.observe(resp)
-	if t := s.QLog; t != nil {
-		t.ResponseOut(from, q.Name, q.Type, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, 0)
 	}
 }

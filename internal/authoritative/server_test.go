@@ -161,7 +161,7 @@ func TestNotImpForNonQuery(t *testing.T) {
 	s := testServer(t)
 	q := dnswire.NewIterativeQuery(1, dnswire.NewName("www.example.org"), dnswire.TypeA)
 	q.Header.Opcode = dnswire.OpcodeUpdate
-	resp := s.handleInto(new(dnswire.Message), q, clientAddr)
+	resp := handler{s: s}.handleInto(new(dnswire.Message), q, clientAddr)
 	if resp.Header.RCode != dnswire.RCodeNotImp {
 		t.Errorf("rcode = %s", resp.Header.RCode)
 	}
@@ -215,7 +215,7 @@ func TestQueryLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.QLog = ql.Tap("udp")
+	h := handler{s: s, tap: ql.Tap("udp")}
 
 	update := dnswire.NewIterativeQuery(1, dnswire.NewName("www.example.org"), dnswire.TypeA)
 	update.Header.Opcode = dnswire.OpcodeUpdate
@@ -237,7 +237,7 @@ func TestQueryLog(t *testing.T) {
 		{"push-claimed", ask("claimed.example.org", dnswire.TypeA), dnswire.RCodeNoError},
 	}
 	for i, c := range cases {
-		resp := s.handleInto(new(dnswire.Message), c.q, clientAddr)
+		resp := h.handleInto(new(dnswire.Message), c.q, clientAddr)
 		if resp.Header.RCode != c.rcode {
 			t.Errorf("%s: rcode = %s, want %s", c.path, resp.Header.RCode, c.rcode)
 		}
@@ -248,8 +248,8 @@ func TestQueryLog(t *testing.T) {
 
 	reg := obs.NewRegistry(nil)
 	s.Instrument(reg)
-	s.handleInto(new(dnswire.Message), cases[0].q, clientAddr)
-	s.handleInto(new(dnswire.Message), cases[6].q, clientAddr)
+	h.handleInto(new(dnswire.Message), cases[0].q, clientAddr)
+	h.handleInto(new(dnswire.Message), cases[6].q, clientAddr)
 	if got, want := reg.Counter(MetricQueries).Value(), uint64(len(cases)+2); got != want || s.QueryCount() != want {
 		t.Errorf("after a mid-traffic Instrument: auth.queries = %d, QueryCount = %d, want both %d", got, s.QueryCount(), want)
 	}

@@ -11,7 +11,7 @@ import (
 
 func TestTCPServerIntegration(t *testing.T) {
 	s := testServer(t)
-	ts := &TCPServer{Handler: s.Stream()}
+	ts := &TCPServer{Handler: s.Handler(nil, true)}
 	addr, err := ts.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

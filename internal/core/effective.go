@@ -12,6 +12,7 @@ import (
 	"sort"
 	"time"
 
+	"dnsttl/internal/compile"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/zone"
 )
@@ -201,11 +202,7 @@ func EffectiveServiceTTL(cfg ZoneConfig, pop PopulationModel) Distribution {
 // related work): for Poisson arrivals at rate lambda (queries/second) and a
 // TTL of T seconds, the cache answers lambda·T of every lambda·T+1 queries.
 func HitRate(ttl uint32, lambda float64) float64 {
-	if lambda <= 0 || ttl == 0 {
-		return 0
-	}
-	x := lambda * float64(ttl)
-	return x / (x + 1)
+	return compile.SteadyHit(lambda, float64(ttl))
 }
 
 // Estimates summarizes the client experience and authoritative load a

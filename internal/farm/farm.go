@@ -184,10 +184,7 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 	// All frontends share one resolver metric set: the fleet is one service,
 	// and the paper's quantities (latency, answer TTL, upstream volume) are
 	// service-level.
-	var met *resolver.Metrics
-	if cfg.Registry != nil {
-		met = resolver.NewMetrics(cfg.Registry)
-	}
+	met := resolver.NewMetrics(cfg.Registry)
 	for i := 0; i < n; i++ {
 		r := resolver.New(addr, cfg.Policy, net, clock, roots, cfg.Seed+int64(i)*7919)
 		r.LocalRootZone = cfg.LocalRoot

@@ -109,7 +109,9 @@ var rejectedSpecs = []struct{ name, spec, wantErr string }{
 	{"nan burst", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nburst=\"NaN\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "need qps > 0"},
 	{"missing next", "[stage.a]\ntype = \"ttlmod\"", "needs next"},
 	{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
-	{"negative ttlmod min", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nmin=-1\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "min = -1 is outside [0, 2147483647]"},
+	// ttlmod only lowers a TTL: a floor would show a TTL the cache does not
+	// store, so its retired key is a typo like any other.
+	{"retired ttlmod min", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nmin=30\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "unknown key(s) min"},
 	{"ttlmod max past 31 bits", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nmax=4294967296\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "max = 4294967296 is outside [0, 2147483647]"},
 	{"negative static ttl", "entry=\"a\"\n[stage.a]\ntype=\"static\"\nnames=\"x.example\"\nanswer=\"10.0.0.1\"\nttl=-1\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "ttl = -1 is outside [0, 2147483647]"},
 }
@@ -307,7 +309,6 @@ func TestTTLModStage(t *testing.T) {
 entry = "clamp"
 [stage.clamp]
 type = "ttlmod"
-min  = 30
 max  = 3600
 next = "r"
 [stage.r]

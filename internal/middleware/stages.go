@@ -36,36 +36,25 @@ func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
 	return Response{Result: res, Verdict: VerdictResolved}, nil
 }
 
-// ttlmodStage clamps answer-section TTLs into [min, max] on the way back
-// to the client — the operator-facing knob for the paper's central
-// variable, applied after caching so the cache still honors origin TTLs.
+// ttlmodStage caps answer-section TTLs at max on the way back to the client
+// — the operator-facing knob for the paper's central variable, applied after
+// caching so the cache still honors origin TTLs. It only lowers a TTL: a
+// raised one would outlive what the cache stores.
 type ttlmodStage struct {
 	base
-	min, max  uint32
+	max       uint32
 	rewritten *obs.Counter
 }
 
 func init() {
 	register("ttlmod", chained, func(b base, o *options) (Stage, error) {
-		st := &ttlmodStage{
-			base:      b,
-			min:       o.ttl("min", 0),
-			max:       o.ttl("max", 0),
-			rewritten: o.counter("rewritten"),
-		}
-		if st.max != 0 && st.min > st.max {
-			return nil, fmt.Errorf("middleware: stage %q: min %d > max %d", b.name, st.min, st.max)
-		}
-		return st, nil
+		return &ttlmodStage{base: b, max: o.ttl("max", 0), rewritten: o.counter("rewritten")}, nil
 	})
 }
 
 func (s *ttlmodStage) clamp(ttl uint32) uint32 {
-	if ttl < s.min {
-		ttl = s.min
-	}
 	if s.max != 0 && ttl > s.max {
-		ttl = s.max
+		return s.max
 	}
 	return ttl
 }

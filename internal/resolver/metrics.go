@@ -1,17 +1,13 @@
 package resolver
 
 import (
-	"time"
-
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 )
 
 // Metrics is the resolver's bundle of telemetry handles, pre-resolved from
 // a registry so the hot path pays one atomic op per event and zero registry
-// lookups. A nil *Metrics disables recording at the cost of one pointer
-// check per resolution; the individual handles are themselves nil-safe, so
-// a partially populated Metrics is also valid.
+// lookups. The handles are nil-safe, so NewMetrics(nil) records nothing.
 type Metrics struct {
 	// Resolutions counts client resolutions answered (farm followers that
 	// joined an in-flight query are counted by the leader only).
@@ -116,7 +112,7 @@ func (m *Metrics) observeResolution(res *Result) {
 	}
 	m.Upstream.Add(uint64(res.Queries))
 	m.Timeouts.Add(uint64(res.Timeouts))
-	m.Latency.Observe(float64(res.Latency) / float64(time.Millisecond))
+	m.Latency.ObserveDuration(res.Latency)
 	if res.Msg != nil && len(res.Msg.Answer) > 0 {
 		m.AnswerTTL.Observe(float64(res.AnswerTTL))
 	}

@@ -36,9 +36,7 @@ func (r *Resolver) maybePrefetch(name dnswire.Name, qtype dnswire.Type, res *Res
 	if _, busy := r.prefetchInflight[k]; busy {
 		r.prefetchMu.Unlock()
 		res.Span.Annotate("prefetch", "coalesced")
-		if m := r.Obs; m != nil {
-			m.PrefetchCoalesced.Inc()
-		}
+		r.Obs.PrefetchCoalesced.Inc()
 		return
 	}
 	if b := r.Policy.PrefetchBudget; b > 0 {
@@ -49,9 +47,7 @@ func (r *Resolver) maybePrefetch(name dnswire.Name, qtype dnswire.Type, res *Res
 		if r.prefetchSpent >= b {
 			r.prefetchMu.Unlock()
 			res.Span.Annotate("prefetch", "budget-denied")
-			if m := r.Obs; m != nil {
-				m.PrefetchDenied.Inc()
-			}
+			r.Obs.PrefetchDenied.Inc()
 			return
 		}
 		r.prefetchSpent++
@@ -63,9 +59,7 @@ func (r *Resolver) maybePrefetch(name dnswire.Name, qtype dnswire.Type, res *Res
 	r.prefetchMu.Unlock()
 
 	res.Span.Annotate("prefetch", "triggered")
-	if m := r.Obs; m != nil {
-		m.Prefetches.Inc()
-	}
+	r.Obs.Prefetches.Inc()
 	if r.Cache != nil {
 		r.Cache.NotePrefetch()
 	}

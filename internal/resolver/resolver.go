@@ -107,9 +107,9 @@ type Resolver struct {
 	// LocalRootZone is the RFC 7706 mirror used when Policy.LocalRoot is
 	// set.
 	LocalRootZone *zone.Zone
-	// Obs, when non-nil, records per-resolution counters and latency/TTL
-	// histograms (see NewMetrics). Nil disables recording at the cost of
-	// one pointer check per resolution.
+	// Obs records per-resolution counters and latency/TTL histograms. New
+	// attaches NewMetrics(nil), whose nil handles record nothing; pass
+	// NewMetrics(reg) to export them. Never nil.
 	Obs *Metrics
 	// Tracer, when non-nil, records every resolution as a span tree —
 	// cache lookup, per-zone iteration steps, upstream exchanges, and the
@@ -165,6 +165,7 @@ func New(addr netip.Addr, pol Policy, net simnet.Exchanger, clock simnet.Clock, 
 		Net:       net,
 		Clock:     clock,
 		Cache:     c,
+		Obs:       NewMetrics(nil),
 		RootHints: roots,
 		rng:       rand.New(simnet.NewSource(seed)),
 		sticky:    make(map[dnswire.Name]netip.Addr),
@@ -236,9 +237,7 @@ func (r *Resolver) finish(res *Result, err error) *Result {
 		}
 		r.Tracer.Keep(sp)
 	}
-	if m := r.Obs; m != nil {
-		m.observeResolution(res)
-	}
+	r.Obs.observeResolution(res)
 	return res
 }
 
@@ -583,17 +582,13 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 			if b := rp.backoffFor(i); b > 0 {
 				d := b + r.drawJitter(rp, b)
 				res.Latency += d
-				if m := r.Obs; m != nil {
-					m.Backoff.Observe(float64(d) / float64(time.Millisecond))
-				}
+				r.Obs.Backoff.ObserveDuration(d)
 				if sp != nil {
 					sp.AnnotateUint("backoff_us", uint64(d/time.Microsecond))
 				}
 			}
 			res.Retries++
-			if m := r.Obs; m != nil {
-				m.Retries.Inc()
-			}
+			r.Obs.Retries.Inc()
 		}
 		if i == 0 && rp.Hedge > 0 && len(order) > 1 {
 			resp, server, cost, err := r.hedgedAttempt(order, name, qtype, wire, rp, res, sp)
@@ -639,9 +634,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 	wire[0], wire[1] = byte(qID>>8), byte(qID)
 	res.Queries++
 	respWire, rtt, err := r.exchangeWire(server, wire, offset)
-	if m := r.Obs; m != nil {
-		m.UpstreamRTT.Observe(float64(rtt) / float64(time.Millisecond))
-	}
+	r.Obs.UpstreamRTT.ObserveDuration(rtt)
 	if esp != nil {
 		esp.AnnotateUint("rtt_us", uint64(rtt/time.Microsecond))
 	}
@@ -654,9 +647,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		return nil, rtt, err
 	}
 	if srtt := r.srttObserve(server, rtt); srtt > 0 {
-		if m := r.Obs; m != nil {
-			m.SRTT.Observe(float64(srtt) / float64(time.Millisecond))
-		}
+		r.Obs.SRTT.ObserveDuration(srtt)
 		if esp != nil {
 			esp.AnnotateUint("srtt_us", uint64(srtt/time.Microsecond))
 		}
@@ -710,9 +701,7 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 	}
 	// The hedge timer fired while the primary was still outstanding.
 	res.Hedges++
-	if m := r.Obs; m != nil {
-		m.Hedges.Inc()
-	}
+	r.Obs.Hedges.Inc()
 	if sp != nil {
 		sp.Annotate("hedge", backup.String())
 	}
@@ -728,9 +717,7 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 		if errP == nil {
 			dnswire.ReleaseMessage(respP)
 		}
-		if m := r.Obs; m != nil {
-			m.HedgeWins.Inc()
-		}
+		r.Obs.HedgeWins.Inc()
 		if sp != nil {
 			sp.Annotate("hedge_win", backup.String())
 		}

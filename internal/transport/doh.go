@@ -40,7 +40,7 @@ func newDoHTransport(cfg Config) *dohTransport {
 	}
 	return &dohTransport{
 		cfg:    cfg,
-		m:      cfg.Metrics.orNil(),
+		m:      cfg.Metrics,
 		client: &http.Client{Transport: tr, Timeout: cfg.Timeout},
 	}
 }

@@ -5,8 +5,9 @@ import (
 )
 
 // Metrics is the transport plane's bundle of pre-resolved telemetry
-// handles. Every field is nil-safe (the obs contract), so a zero or nil
-// *Metrics disables recording without branches at the call sites.
+// handles. Every field is nil-safe (the obs contract), so NewMetrics(nil) —
+// what New fills in for a nil Config.Metrics — records nothing without
+// branches at the call sites.
 type Metrics struct {
 	// Exchanges counts Exchange calls; Errors the ones that failed.
 	Exchanges *obs.Counter
@@ -59,13 +60,4 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		IDMismatches: reg.Counter(MetricIDMismatches),
 		RTT:          reg.Histogram(MetricRTT),
 	}
-}
-
-// orNil lets transports embed a possibly-nil Metrics without nil checks:
-// field access on the zero Metrics yields nil handles, which are no-ops.
-func (m *Metrics) orNil() *Metrics {
-	if m == nil {
-		return &Metrics{}
-	}
-	return m
 }

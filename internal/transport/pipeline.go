@@ -55,11 +55,11 @@ var frameBufPool = sync.Pool{New: func() any {
 }}
 
 // newPipeConn wraps an established connection and starts its reader.
-func newPipeConn(c net.Conn, cfg Config, m *Metrics) *pipeConn {
+func newPipeConn(c net.Conn, cfg Config) *pipeConn {
 	p := &pipeConn{
 		c:       c,
 		cfg:     cfg,
-		m:       m.orNil(),
+		m:       cfg.Metrics,
 		pending: make(map[uint16]chan pipeResult),
 		lastUse: time.Now(),
 	}

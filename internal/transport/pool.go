@@ -22,10 +22,10 @@ type pool struct {
 	closed  bool
 }
 
-func newPool(cfg Config, m *Metrics, dial func(netip.AddrPort) (net.Conn, error)) *pool {
+func newPool(cfg Config, dial func(netip.AddrPort) (net.Conn, error)) *pool {
 	return &pool{
 		cfg:     cfg,
-		m:       m.orNil(),
+		m:       cfg.Metrics,
 		dial:    dial,
 		conns:   make(map[netip.AddrPort][]*pipeConn),
 		dialing: make(map[netip.AddrPort]int),
@@ -78,7 +78,7 @@ func (p *pool) get(server netip.AddrPort) (pc *pipeConn, fresh bool, err error) 
 		_ = c.Close()
 		return nil, false, errConnClosed
 	}
-	pc = newPipeConn(c, p.cfg, p.m)
+	pc = newPipeConn(c, p.cfg)
 	p.conns[server] = append(p.conns[server], pc)
 	p.mu.Unlock()
 	return pc, true, nil
@@ -131,7 +131,7 @@ func (p *pool) getFresh(server netip.AddrPort) (*pipeConn, bool, error) {
 		_ = c.Close()
 		return nil, false, errConnClosed
 	}
-	pc := newPipeConn(c, p.cfg, p.m)
+	pc := newPipeConn(c, p.cfg)
 	p.conns[server] = append(p.conns[server], pc)
 	p.mu.Unlock()
 	return pc, true, nil

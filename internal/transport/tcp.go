@@ -19,8 +19,8 @@ type streamTransport struct {
 // newTCPTransport builds the plain-TCP transport (RFC 7766 persistent
 // connections, pipelined).
 func newTCPTransport(cfg Config) *streamTransport {
-	t := &streamTransport{cfg: cfg, m: cfg.Metrics.orNil()}
-	t.pool = newPool(cfg, t.m, func(server netip.AddrPort) (net.Conn, error) {
+	t := &streamTransport{cfg: cfg, m: cfg.Metrics}
+	t.pool = newPool(cfg, func(server netip.AddrPort) (net.Conn, error) {
 		return net.DialTimeout("tcp", server.String(), cfg.Timeout)
 	})
 	return t
@@ -29,8 +29,8 @@ func newTCPTransport(cfg Config) *streamTransport {
 // newDoTTransport builds the DNS-over-TLS transport (RFC 7858): the same
 // pipelined pool, dialed through a TLS handshake.
 func newDoTTransport(cfg Config) *streamTransport {
-	t := &streamTransport{cfg: cfg, m: cfg.Metrics.orNil()}
-	t.pool = newPool(cfg, t.m, func(server netip.AddrPort) (net.Conn, error) {
+	t := &streamTransport{cfg: cfg, m: cfg.Metrics}
+	t.pool = newPool(cfg, func(server netip.AddrPort) (net.Conn, error) {
 		raw, err := net.DialTimeout("tcp", server.String(), cfg.Timeout)
 		if err != nil {
 			return nil, err

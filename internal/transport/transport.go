@@ -116,7 +116,7 @@ type Config struct {
 	// Insecure skips TLS certificate verification (self-signed test
 	// servers).
 	Insecure bool
-	// Metrics, when non-nil, records pool and exchange telemetry.
+	// Metrics records pool and exchange telemetry; nil records nothing.
 	Metrics *Metrics
 }
 
@@ -127,6 +127,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = DefaultTimeout
+	}
+	if c.Metrics == nil {
+		c.Metrics = NewMetrics(nil)
 	}
 	return c
 }

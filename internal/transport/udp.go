@@ -35,7 +35,7 @@ type udpTransport struct {
 func newUDPTransport(cfg Config) *udpTransport {
 	return &udpTransport{
 		cfg:  cfg,
-		m:    cfg.Metrics.orNil(),
+		m:    cfg.Metrics,
 		tcp:  newTCPTransport(cfg),
 		idle: make(map[netip.AddrPort][]*udpConn),
 	}

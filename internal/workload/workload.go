@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"dnsttl/internal/compile"
 	"dnsttl/internal/dnswire"
 )
 
@@ -71,9 +72,7 @@ func (g *Generator) ExpectedHitRate(ttl uint32) float64 {
 	h := 0.0
 	for i := range g.Names {
 		p := g.Popularity(i)
-		li := p * g.Rate
-		x := li * float64(ttl)
-		h += p * (x / (x + 1))
+		h += p * compile.SteadyHit(p*g.Rate, float64(ttl))
 	}
 	return h
 }

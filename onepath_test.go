@@ -7,7 +7,6 @@ import (
 	"os"
 	"reflect"
 	"regexp"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -200,25 +199,14 @@ func TestClientResultsCarryAnswersOnly(t *testing.T) {
 // TestNoPipelineOutlivesTheResolver: the resolver's record cache is the only
 // place an answer is kept, so whatever policy a pipeline adds, a change at
 // the authoritative shows once the stored lifetime is over — and never later.
-// Over the same walk as above, plus one configuration of this test's with a
-// ttlmod floor above every TTL in the zone:
+// Over the same walk as above:
 //
 //	(i)   a name that did not exist is created: NXDOMAIN for the zone's
 //	      negative TTL (300 s, the SOA minimum), then the new record;
 //	(ii)  www's RDATA is replaced: the old address for what is left of its
 //	      300 s, then the new one;
-//	(iii) the TTL shown never exceeds what is left of the stored lifetime,
-//	      except up to a ttlmod min the configuration itself declares.
+//	(iii) the TTL shown never exceeds what is left of the stored lifetime.
 func TestNoPipelineOutlivesTheResolver(t *testing.T) {
-	const floored = `
-entry = "floor"
-[stage.floor]
-type = "ttlmod"
-min  = 400
-next = "resolve"
-[stage.resolve]
-type = "resolver"
-`
 	const created, replaced, was, fresh = "192.0.2.81", "192.0.2.99", "192.0.2.80", "new.example.org"
 	steps := []struct {
 		edit    bool // the zone changes first: fresh is created, www renumbered
@@ -236,13 +224,7 @@ type = "resolver"
 		{false, 0, "www.example.org", dnswire.RCodeNoError, replaced, 300},
 		{false, 100 * time.Second, "www.example.org", dnswire.RCodeNoError, replaced, 200},
 	}
-	minKey := regexp.MustCompile(`(?m)^min\s*=\s*(\d+)`)
-	for i, spec := range append(workedPipelines(t), floored) {
-		var floor uint32
-		if m := minKey.FindStringSubmatch(spec); m != nil {
-			n, _ := strconv.Atoi(m[1])
-			floor = uint32(n)
-		}
+	for i, spec := range workedPipelines(t) {
 		net, clock, addr, org := onePathWorldOrg(t)
 		c, err := NewClient(ClientConfig{Roots: []netip.Addr{addr}, Net: net, Clock: clock, Pipeline: spec})
 		if err != nil {
@@ -268,9 +250,9 @@ type = "resolver"
 				t.Errorf("configuration %d (stages %v), step %d: %s is %v %q, want %v %q: the stored answer while it lives, the authoritative's once it is over",
 					i, c.PipelineStages(), j, s.name, res.Msg.Header.RCode, got, s.rcode, s.addr)
 			}
-			if ttl > max(s.left, floor) {
-				t.Errorf("configuration %d (stages %v), step %d: %s shown with TTL %d, %d s of its stored lifetime left (ttlmod min %d)",
-					i, c.PipelineStages(), j, s.name, ttl, s.left, floor)
+			if ttl > s.left {
+				t.Errorf("configuration %d (stages %v), step %d: %s shown with TTL %d, %d s of its stored lifetime left",
+					i, c.PipelineStages(), j, s.name, ttl, s.left)
 			}
 		}
 	}

@@ -32,7 +32,7 @@ func TestQueryLogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth.AttachQueryLog(qlogger.Tap("auth-udp"))
+	auth.AttachQueryLog(qlogger)
 	authAddr, err := auth.ListenUDP("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -82,19 +82,20 @@ func TestQueryLogEndToEnd(t *testing.T) {
 
 	// Every capture point must be present: client-in and response-out from
 	// the daemon, upstream from the resolver, response-out from the
-	// authoritative tap.
+	// authoritative's UDP listener (the one record without a cache outcome).
 	w := entrada.NewWarehouse()
 	points := map[qlog.Point]int{}
-	transports := map[string]int{}
-	var hits, answered int
+	var hits, answered, authoritative int
 	for i := range recs {
 		r := &recs[i]
 		points[r.Point]++
-		transports[r.Transport]++
 		if r.Point != qlog.PointResponseOut || r.Transport != "udp" {
 			continue
 		}
 		switch r.Outcome {
+		case qlog.OutcomeNone:
+			authoritative++
+			continue
 		case qlog.OutcomeHit:
 			hits++
 			answered++
@@ -112,7 +113,7 @@ func TestQueryLogEndToEnd(t *testing.T) {
 	if points[qlog.PointUpstream] == 0 {
 		t.Error("no upstream records captured")
 	}
-	if transports["auth-udp"] == 0 {
+	if authoritative == 0 {
 		t.Error("no authoritative-side records captured")
 	}
 
@@ -144,5 +145,57 @@ func TestQueryLogEndToEnd(t *testing.T) {
 	}
 	if got := snap.Counters[qlog.MetricWriteErrors]; got != 0 {
 		t.Errorf("%s = %d, want 0", qlog.MetricWriteErrors, got)
+	}
+}
+
+// TestServerQueryLogLabelsEachListener: the authoritative logs each query
+// under the transport of the listener it arrived on, as the recursive daemon
+// does — one UDP and one TCP query are one "udp" and one "tcp" record.
+func TestServerQueryLogLabelsEachListener(t *testing.T) {
+	auth := NewServer(NewName("ns1.example.org"), nil)
+	z, err := ParseZone(orgZoneText, NewName("example.org"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth.AddZone(z)
+	logPath := filepath.Join(t.TempDir(), "auth.qlog")
+	qlogger, err := NewQueryLog(QueryLogConfig{Path: logPath})
+	if err != nil {
+		t.Fatal(err)
+	}
+	auth.AttachQueryLog(qlogger)
+	udpAddr, err := auth.ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpAddr, err := auth.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire, err := Encode(dnswire.NewQuery(1, NewName("www.example.org"), TypeA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, addr := range map[TransportKind]netip.AddrPort{TransportUDP: udpAddr, TransportTCP: tcpAddr} {
+		if _, _, err := stubTransport(t, kind).Exchange(addr, wire); err != nil {
+			t.Fatalf("%v query: %v", kind, err)
+		}
+	}
+	if err := auth.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := qlogger.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, bad, err := ReadQueryLog(logPath)
+	if err != nil || bad != 0 {
+		t.Fatalf("read: %d undecodable, err %v", bad, err)
+	}
+	labels := map[string]int{}
+	for _, r := range recs {
+		labels[r.Transport]++
+	}
+	if len(recs) != 2 || labels["udp"] != 1 || labels["tcp"] != 1 {
+		t.Errorf("records by transport = %v, want one udp and one tcp", labels)
 	}
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # docs_check.sh — keep the docs honest.
 #
-# Five invariants, checked mechanically so flag, metric, experiment or API
-# changes cannot silently outrun the documentation:
+# Seven invariants, checked mechanically so flag, metric, experiment or API
+# changes cannot silently outrun the documentation, and the documentation
+# cannot silently outgrow its readers:
 #
 #  1. Every flag defined in cmd/*/main.go appears (as -flagname) somewhere
 #     in docs/.
@@ -17,11 +18,20 @@
 #     prints today, wall-clock figures aside.
 #  5. Every dnsttl.<Exported> identifier named in README.md, docs/*.md or
 #     EXPERIMENTS.md is declared in the root package.
+#  6. Every relative Markdown link in the prose (README.md, DESIGN.md,
+#     EXPERIMENTS.md, CONTRIBUTING.md, docs/*.md) resolves: the file exists,
+#     and a #anchor is the GitHub slug of one of its headings.
+#  7. The prose stays under a line ceiling, the way scripts/line_budget.sh
+#     holds the Go: a change that needs more lines raises doc_ceiling below
+#     in its own diff; one that removes lines lowers it.
 #
 # Exits non-zero listing every undocumented or undeclared name and the
 # sample's diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+doc_ceiling=2755
+prose=(README.md DESIGN.md EXPERIMENTS.md CONTRIBUTING.md docs/*.md)
 
 docs=$(cat docs/*.md)
 fail=0
@@ -123,8 +133,48 @@ for i in $idents; do
     fi
 done
 
+# --- 6. Relative links ----------------------------------------------------
+# Fenced code is skipped on both sides: a "# comment" in a code block is not
+# a heading, and a "](x)" there is not a link.
+unfenced() { awk '/^```/ { fenced = !fenced; next } !fenced' "$1"; }
+# slugs prints the GitHub anchor of each heading in a Markdown file:
+# lowercased, punctuation dropped, spaces turned into hyphens.
+slugs() {
+    unfenced "$1" | sed -nE 's/^#{1,6} +//p' | tr 'A-Z' 'a-z' |
+        LC_ALL=C sed -E 's/[^a-z0-9 _-]//g; s/ /-/g'
+}
+links=0
+for f in "${prose[@]}"; do
+    while IFS= read -r target; do
+        links=$((links + 1))
+        path=${target%%#*}
+        anchor=${target#"$path"}
+        anchor=${anchor#\#}
+        if [ -z "$path" ]; then
+            path=$f
+        else
+            path=$(dirname "$f")/$path
+        fi
+        if [ ! -e "$path" ]; then
+            echo "docs_check: $f links to $target, which does not exist" >&2
+            fail=1
+        elif [ -n "$anchor" ] && ! slugs "$path" | grep -qxF -- "$anchor"; then
+            echo "docs_check: $f links to $target, but no heading there has that anchor" >&2
+            fail=1
+        fi
+    done < <(unfenced "$f" | grep -oE '\]\([^)[:space:]]+\)' | sed -E 's/^\]\(//; s/\)$//' |
+        grep -vE '^[a-z]+:' || true)
+done
+
+# --- 7. Doc-line ceiling ---------------------------------------------------
+doc_lines=$(cat "${prose[@]}" | wc -l)
+if [ "$doc_lines" -gt "$doc_ceiling" ]; then
+    echo "docs_check: ${doc_lines} prose lines, over the ceiling of $doc_ceiling by $((doc_lines - doc_ceiling)); say it once or raise doc_ceiling in scripts/docs_check.sh" >&2
+    fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
     echo "docs_check: FAILED — update docs/operations.md / docs/architecture.md / docs/middleware.md" >&2
     exit 1
 fi
-echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented; sample output current; $(wc -w <<<"$idents") dnsttl.* names declared)"
+echo "docs_check: OK ($(wc -w <<<"$flags") flags, $(wc -w <<<"$metrics") metrics, $(wc -w <<<"$kinds") stage kinds all documented; sample output current; $(wc -w <<<"$idents") dnsttl.* names declared; $links relative links resolve; $doc_lines prose lines (ceiling $doc_ceiling))"

@@ -48,10 +48,10 @@ sleep 0.5
 "$workdir/dnsload" -server 127.0.0.1 -port 5376 -workers 1 -count 1 \
     -workload www.example.test:A -fail-on-error > /dev/null
 
-# Burst through the daemon; -out json exercises the machine-readable
-# summary CI parses.
+# Burst through the daemon; -json exercises the machine-readable summary CI
+# parses.
 "$workdir/dnsload" -server 127.0.0.1 -port 5376 -workers 8 -count 3000 \
-    -workload www.example.test:A -fail-on-error -out json > "$workdir/load.json"
+    -workload www.example.test:A -fail-on-error -json "$workdir/load.json" -quiet
 grep -q '"errors": 0' "$workdir/load.json" ||
     { echo "qlog smoke: dnsload saw protocol errors:"; cat "$workdir/load.json"; exit 1; } >&2
 

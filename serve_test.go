@@ -26,7 +26,7 @@ type upstreamNet struct {
 
 func (n upstreamNet) Exchange(src, _ netip.Addr, query []byte) ([]byte, time.Duration, error) {
 	time.Sleep(n.delay)
-	return n.srv.Stream().ServeDNS(query, src), n.delay, nil
+	return n.srv.Handler(nil, true).ServeDNS(query, src), n.delay, nil
 }
 
 // serveFixture is an authoritative server for the root and example.org,
