@@ -72,7 +72,7 @@ type ClientConfig struct {
 	// the zero value is the legacy FIFO.
 	Eviction EvictionPolicy
 	// Registry, when non-nil, collects the client's telemetry — resolution
-	// counters, latency/TTL histograms, cache gauges, and the per-frontend
+	// counters, latency/TTL histograms, cache metrics, and the per-frontend
 	// fleet counters (farm.fe<i>.*) — for /metrics-style introspection.
 	Registry *Registry
 	// Tracer, when non-nil, records each resolution's lifecycle as a span
@@ -303,7 +303,7 @@ type CacheStats = cache.Stats
 // real UDP, TCP, DoT, and DoH, or pluggable into a simulation.
 type Server struct {
 	s   *authoritative.Server
-	reg *Registry // from Instrument, for the UDP listener's gauges
+	reg *Registry // from Instrument, for the UDP listener's metrics
 	ql  *QueryLog // from AttachQueryLog, tapped per listener
 	ls  authoritative.Listeners
 }
@@ -376,9 +376,10 @@ func ParseRRLConfig(s string) (RRLConfig, error) { return authoritative.ParseRRL
 // honest clients can fall back to TCP (TCP is never limited).
 func (s *Server) EnableRRL(cfg RRLConfig) { s.s.EnableRRL(cfg) }
 
-// Instrument mirrors the server's query counters into reg (auth.queries,
-// auth.referrals, auth.nxdomain, auth.refused); nil detaches. A ListenUDP
-// that follows also reports its serving loops there (listener.udp.*).
+// Instrument publishes the server's counters in reg (auth.queries,
+// auth.referrals, auth.nxdomain, auth.refused, auth.rrl_*); it is safe while
+// the server serves. A ListenUDP that follows also reports its serving loops
+// there (listener.udp.*).
 func (s *Server) Instrument(reg *Registry) {
 	s.reg = reg
 	s.s.Instrument(reg)

@@ -168,9 +168,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "authserver: push:", err)
 			os.Exit(1)
 		}
-		if reg != nil {
-			pa.Instrument(reg)
-		}
+		pa.Instrument(reg)
 		fmt.Printf("push plane: %d zone feed(s) published\n", len(zs))
 	}
 	// SIGHUP re-reads every zone file and applies the diff to the live

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/race"
 )
 
@@ -142,5 +143,37 @@ func TestQueryCountConcurrent(t *testing.T) {
 	wg.Wait()
 	if got := s.QueryCount(); got != goroutines*perGoroutine {
 		t.Errorf("QueryCount = %d, want %d", got, goroutines*perGoroutine)
+	}
+}
+
+// TestInstrumentWhileServing publishes the server's counters while four
+// goroutines query it: the counts stay where they are, so auth.queries is
+// QueryCount, and under -race the publication does not race the handlers.
+func TestInstrumentWhileServing(t *testing.T) {
+	const goroutines, perGoroutine = 4, 500
+	s := testServer(t)
+	wire := mustQueryWire(t, 7, dnswire.NewName("www.example.org"), dnswire.TypeA)
+	halfway := make(chan struct{}, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				if i == perGoroutine/2 {
+					halfway <- struct{}{}
+				}
+				s.ServeDNS(wire, clientAddr)
+			}
+		}()
+	}
+	for g := 0; g < goroutines; g++ {
+		<-halfway
+	}
+	reg := obs.NewRegistry(nil)
+	s.Instrument(reg)
+	wg.Wait()
+	if got, want := reg.Snapshot().Counters[MetricQueries], s.QueryCount(); got != want || want != goroutines*perGoroutine {
+		t.Errorf("auth.queries = %d, QueryCount = %d, want both %d", got, want, goroutines*perGoroutine)
 	}
 }

@@ -61,7 +61,7 @@ func TestRRLWaterTortureSharesErrorBand(t *testing.T) {
 	if sent != 3 {
 		t.Fatalf("flood responses sent = %d, want burst of 3", sent)
 	}
-	if got := reg.Counter(MetricRRLDropped).Value(); got != 17 {
+	if got := reg.Snapshot().Counters[MetricRRLDropped]; got != 17 {
 		t.Fatalf("auth.rrl_dropped = %d, want 17", got)
 	}
 

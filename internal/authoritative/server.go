@@ -23,10 +23,6 @@ type Server struct {
 	Name dnswire.Name
 	// Clock refills the response rate limiter's buckets.
 	Clock simnet.Clock
-	// Obs holds the server's counters. Queries is the one count of handled
-	// queries — QueryCount reads it — and Instrument moves it, with the
-	// answer-kind and RRL breakdown, into a registry.
-	Obs *Metrics
 	// Push, when non-nil, gets first claim on every decoded query — the
 	// push plane (internal/push) uses it to intercept subscription requests
 	// and IXFR pulls without this package importing it. Handlers must not
@@ -37,6 +33,9 @@ type Server struct {
 	zones map[dnswire.Name]*zone.Zone
 	// rrl, when non-nil, rate-limits UDP responses (see rrl.go).
 	rrl *rrlState
+
+	// m holds the server's counters; Instrument publishes them.
+	m metrics
 }
 
 // NewServer creates a server with no zones. If clock is nil the wall clock
@@ -48,7 +47,6 @@ func NewServer(name dnswire.Name, clock simnet.Clock) *Server {
 	return &Server{
 		Name:  name,
 		Clock: clock,
-		Obs:   newMetrics(nil),
 		zones: make(map[dnswire.Name]*zone.Zone),
 	}
 }
@@ -69,7 +67,7 @@ func (s *Server) Zone(origin dnswire.Name) *zone.Zone {
 
 // QueryCount returns the number of queries handled: every reply the server
 // produced, whatever its kind.
-func (s *Server) QueryCount() uint64 { return s.Obs.Queries.Value() }
+func (s *Server) QueryCount() uint64 { return s.m.queries.Value() }
 
 // bestZone returns the most specific zone enclosing name, found by walking
 // the name's ancestors so servers hosting many zones stay O(label count)
@@ -149,13 +147,13 @@ func (h handler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
 		if r := s.limiter(); r != nil {
 			switch r.check(s.band(q.Q(), resp), from) {
 			case rrlDrop:
-				s.Obs.RRLDropped.Inc()
+				s.m.rrlDropped.Inc()
 				return dst
 			case rrlSlip:
-				s.Obs.RRLSlipped.Inc()
+				s.m.rrlSlipped.Inc()
 				resp = slipReply(resp)
 			default:
-				s.Obs.RRLPassed.Inc()
+				s.m.rrlPassed.Inc()
 			}
 		}
 	}
@@ -180,7 +178,7 @@ type PushHook interface {
 // here, so a refusal is booked like an answer.
 func (h handler) handleInto(resp, q *dnswire.Message, from netip.Addr) *dnswire.Message {
 	resp = h.s.reply(resp, q, from)
-	h.s.Obs.observe(resp)
+	h.s.m.observe(resp)
 	if h.tap != nil {
 		h.tap.ResponseOut(from, q.Q().Name, q.Q().Type, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, 0)
 	}

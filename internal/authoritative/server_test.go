@@ -250,11 +250,11 @@ func TestQueryLog(t *testing.T) {
 	s.Instrument(reg)
 	h.handleInto(new(dnswire.Message), cases[0].q, clientAddr)
 	h.handleInto(new(dnswire.Message), cases[6].q, clientAddr)
-	if got, want := reg.Counter(MetricQueries).Value(), uint64(len(cases)+2); got != want || s.QueryCount() != want {
+	if got, want := reg.Snapshot().Counters[MetricQueries], uint64(len(cases)+2); got != want || s.QueryCount() != want {
 		t.Errorf("after a mid-traffic Instrument: auth.queries = %d, QueryCount = %d, want both %d", got, s.QueryCount(), want)
 	}
-	if got := reg.Counter(MetricRefused).Value(); got != 1 {
-		t.Errorf("auth.refused = %d after one refused transfer, want 1", got)
+	if got := reg.Snapshot().Counters[MetricRefused]; got != 3 {
+		t.Errorf("auth.refused = %d after three refusals, two of them before Instrument, want 3", got)
 	}
 
 	if err := ql.Close(); err != nil {

@@ -22,8 +22,8 @@ const DefaultMaxInflight = 512
 // interval instead of a spinning core.
 const readErrorBackoff = 5 * time.Millisecond
 
-// Metric names under which a UDPServer with a Registry reports its
-// serving-loop counters.
+// Metric names under which a UDPServer with a Registry publishes its
+// serving loops: one level and two counts.
 const (
 	// MetricUDPLoops is the number of serving loops started: the peak
 	// number of queries that were in service at once, plus one.
@@ -61,8 +61,8 @@ type UDPServer struct {
 	// MaxInflight bounds concurrently-served queries, i.e. the number of
 	// loops (default DefaultMaxInflight).
 	MaxInflight int
-	// Registry, when non-nil at Listen, exposes the serving-loop counters
-	// as the listener.udp.* gauges.
+	// Registry, when non-nil at Listen, publishes the serving loops as the
+	// listener.udp.* metrics.
 	Registry *obs.Registry
 
 	mu     sync.Mutex
@@ -73,8 +73,8 @@ type UDPServer struct {
 	// idle counts loops waiting for a datagram; loops counts loops started.
 	idle       atomic.Int32
 	loops      atomic.Int32
-	saturated  atomic.Uint64
-	readErrors atomic.Uint64
+	saturated  obs.Counter
+	readErrors obs.Counter
 }
 
 // Listen binds addr ("127.0.0.1:0" style) and starts serving until Close.
@@ -93,8 +93,8 @@ func (u *UDPServer) Listen(addr string) (netip.AddrPort, error) {
 	u.mu.Unlock()
 	if reg := u.Registry; reg != nil {
 		reg.GaugeFunc(MetricUDPLoops, func() float64 { return float64(u.loops.Load()) })
-		reg.GaugeFunc(MetricUDPSaturated, func() float64 { return float64(u.saturated.Load()) })
-		reg.GaugeFunc(MetricUDPReadErrors, func() float64 { return float64(u.readErrors.Load()) })
+		reg.CounterFunc(MetricUDPSaturated, u.saturated.Value)
+		reg.CounterFunc(MetricUDPReadErrors, u.readErrors.Value)
 	}
 	maxLoops := int32(u.MaxInflight)
 	if maxLoops <= 0 {
@@ -139,14 +139,14 @@ func (u *UDPServer) serve(conn *net.UDPConn, h simnet.AppendHandler, maxLoops in
 			if closed || errors.Is(err, net.ErrClosed) {
 				return
 			}
-			u.readErrors.Add(1)
+			u.readErrors.Inc()
 			time.Sleep(readErrorBackoff)
 			continue
 		}
 		// Nobody left to read the next datagram while this one is served?
 		// Start another loop, unless the cap is reached.
 		if u.idle.Add(-1) == 0 && !u.startLoop(conn, h, maxLoops) {
-			u.saturated.Add(1)
+			u.saturated.Inc()
 		}
 		// A dual-stack socket reports IPv4 clients as IPv4-mapped IPv6;
 		// handlers (rate-limit prefixes, RRL bands) key on the plain form.

@@ -93,7 +93,7 @@ func TestUDPLoopGrowth(t *testing.T) {
 	if id := <-g.entered; id != 2 {
 		t.Fatalf("second query in service = %d", id)
 	}
-	if loops, sat := u.loops.Load(), u.saturated.Load(); loops != 2 || sat != 1 {
+	if loops, sat := u.loops.Load(), u.saturated.Value(); loops != 2 || sat != 1 {
 		t.Errorf("with both loops busy: %d loops, saturated %d, want 2 loops, saturated once", loops, sat)
 	}
 
@@ -171,7 +171,7 @@ func TestUDPLoopsServeConcurrently(t *testing.T) {
 		}(c)
 	}
 	wg.Wait()
-	loops, sat, errs := u.loops.Load(), u.saturated.Load(), u.readErrors.Load()
+	loops, sat, errs := u.loops.Load(), u.saturated.Value(), u.readErrors.Value()
 	if loops < 1 || loops > 2*clients+1 || sat != 0 || errs != 0 {
 		t.Errorf("after %d closed-loop clients: %d loops, saturated %d, %d read errors", clients, loops, sat, errs)
 	}
@@ -225,7 +225,7 @@ func TestUDPReadErrorBackoff(t *testing.T) {
 		t.Fatal(err)
 	}
 	failing := time.Since(start)
-	errs := u.readErrors.Load()
+	errs := u.readErrors.Value()
 	if limit := uint64(failing/readErrorBackoff) + 2; errs == 0 || errs > limit {
 		t.Errorf("%d read errors in %v, want between 1 and %d", errs, failing, limit)
 	}

@@ -15,7 +15,6 @@ package cache
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dnsttl/internal/dnswire"
@@ -233,8 +232,8 @@ type Cache struct {
 	// Counters are atomic so Stats can be read mid-operation (from a
 	// /metrics scrape or a concurrent experiment) without taking the cache
 	// lock and without racing the Get/Put paths that bump them.
-	hits, misses, evictions, staleHits atomic.Uint64
-	prefetches, admissionRejects       atomic.Uint64
+	hits, misses, evictions, staleHits obs.Counter
+	prefetches, admissionRejects       obs.Counter
 }
 
 // New creates a cache on the given clock (nil means wall clock).
@@ -314,33 +313,41 @@ func (c *Cache) Stats() Stats {
 	bytes := c.bytes
 	c.mu.Unlock()
 	return Stats{
-		Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(),
-		StaleHits: c.staleHits.Load(), Entries: entries, Bytes: bytes,
-		Prefetches: c.prefetches.Load(), AdmissionRejects: c.admissionRejects.Load(),
+		Hits: c.hits.Value(), Misses: c.misses.Value(), Evictions: c.evictions.Value(),
+		StaleHits: c.staleHits.Value(), Entries: entries, Bytes: bytes,
+		Prefetches: c.prefetches.Value(), AdmissionRejects: c.admissionRejects.Value(),
 	}
 }
 
 // NotePrefetch counts one refresh-ahead prefetch against this cache.
-func (c *Cache) NotePrefetch() { c.prefetches.Add(1) }
+func (c *Cache) NotePrefetch() { c.prefetches.Inc() }
 
-// Instrument bridges a cache's counters into the telemetry registry as
-// snapshot-time gauges named <prefix>.hits, .misses, .evictions,
-// .stale_hits, .entries, .bytes, .prefetches, and .admission_rejects. The
-// stats function is called at scrape time, so one registration follows the
-// cache's live state; any Store (single cache, sharded pool, or a farm
-// fleet aggregate) can be bridged. A nil registry is a no-op.
-func Instrument(reg *obs.Registry, prefix string, stats func() Stats) {
-	if reg == nil {
-		return
-	}
-	reg.GaugeFunc(prefix+".hits", func() float64 { return float64(stats().Hits) })
-	reg.GaugeFunc(prefix+".misses", func() float64 { return float64(stats().Misses) })
-	reg.GaugeFunc(prefix+".evictions", func() float64 { return float64(stats().Evictions) })
-	reg.GaugeFunc(prefix+".stale_hits", func() float64 { return float64(stats().StaleHits) })
-	reg.GaugeFunc(prefix+".entries", func() float64 { return float64(stats().Entries) })
-	reg.GaugeFunc(prefix+".bytes", func() float64 { return float64(stats().Bytes) })
-	reg.GaugeFunc(prefix+".prefetches", func() float64 { return float64(stats().Prefetches) })
-	reg.GaugeFunc(prefix+".admission_rejects", func() float64 { return float64(stats().AdmissionRejects) })
+// Metric names under which Instrument publishes a store's Stats: six counts
+// and two levels.
+const (
+	MetricHits             = "cache.hits"
+	MetricMisses           = "cache.misses"
+	MetricEvictions        = "cache.evictions"
+	MetricStaleHits        = "cache.stale_hits"
+	MetricPrefetches       = "cache.prefetches"
+	MetricAdmissionRejects = "cache.admission_rejects"
+	MetricEntries          = "cache.entries"
+	MetricBytes            = "cache.bytes"
+)
+
+// Instrument publishes stats in reg: the counts as counters, Entries and
+// Bytes as gauges. stats is called at scrape time, so one registration
+// follows the live state of any Store — a single cache, a sharded pool, or
+// a farm's fleet aggregate. A nil registry is a no-op.
+func Instrument(reg *obs.Registry, stats func() Stats) {
+	reg.CounterFunc(MetricHits, func() uint64 { return stats().Hits })
+	reg.CounterFunc(MetricMisses, func() uint64 { return stats().Misses })
+	reg.CounterFunc(MetricEvictions, func() uint64 { return stats().Evictions })
+	reg.CounterFunc(MetricStaleHits, func() uint64 { return stats().StaleHits })
+	reg.CounterFunc(MetricPrefetches, func() uint64 { return stats().Prefetches })
+	reg.CounterFunc(MetricAdmissionRejects, func() uint64 { return stats().AdmissionRejects })
+	reg.GaugeFunc(MetricEntries, func() float64 { return float64(stats().Entries) })
+	reg.GaugeFunc(MetricBytes, func() float64 { return float64(stats().Bytes) })
 }
 
 // Len returns the number of entries, expired ones included.
@@ -412,13 +419,13 @@ func (c *Cache) evictToFitLocked(cand *Entry, admit bool, now time.Time) bool {
 			if _, fresh := victim.Remaining(now); fresh {
 				admissionChecked = true
 				if !c.evictor.Admit(cand.Key, victim) {
-					c.admissionRejects.Add(1)
+					c.admissionRejects.Inc()
 					return false
 				}
 			}
 		}
 		c.removeLocked(victim)
-		c.evictions.Add(1)
+		c.evictions.Inc()
 	}
 	return true
 }
@@ -435,16 +442,16 @@ func (c *Cache) getLocked(k Key, now time.Time) (*Entry, uint32, bool) {
 	c.evictor.Record(k)
 	e, ok := c.entries[k]
 	if !ok {
-		c.misses.Add(1)
+		c.misses.Inc()
 		return nil, 0, false
 	}
 	rem, fresh := e.Remaining(now)
 	if !fresh {
-		c.misses.Add(1)
+		c.misses.Inc()
 		return nil, 0, false
 	}
 	c.evictor.Touch(e)
-	c.hits.Add(1)
+	c.hits.Inc()
 	return e, rem, true
 }
 
@@ -469,7 +476,7 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) (*Entry, uint32, boo
 	if now.Sub(e.expiresAt()) > staleFor {
 		return nil, 0, false
 	}
-	c.staleHits.Add(1)
+	c.staleHits.Inc()
 	return e, 30, true
 }
 

@@ -65,14 +65,15 @@ func TestStatsConcurrentWithGetPut(t *testing.T) {
 	}
 }
 
-// TestInstrument checks the registry bridge: gauges registered by
-// Instrument follow the cache's live counters at snapshot time.
+// TestInstrument checks the registry bridge: the counts Instrument
+// publishes as counters and the levels as gauges follow the cache's live
+// state at snapshot time.
 func TestInstrument(t *testing.T) {
 	clock := simnet.NewVirtualClock()
 	c := New(clock, Config{})
 	reg := obs.NewRegistry(clock)
-	Instrument(reg, "cache", c.Stats)
-	Instrument(nil, "cache", c.Stats) // nil registry: no-op, no panic
+	Instrument(reg, c.Stats)
+	Instrument(nil, c.Stats) // nil registry: no-op, no panic
 
 	name := dnswire.NewName("www.example.org")
 	c.Put(Entry{
@@ -84,18 +85,19 @@ func TestInstrument(t *testing.T) {
 	c.Get(name, dnswire.TypeMX)
 
 	s := reg.Snapshot()
-	want := map[string]float64{
-		"cache.hits": 1, "cache.misses": 1, "cache.entries": 1,
-		"cache.evictions": 0, "cache.stale_hits": 0,
-	}
-	for k, v := range want {
-		if got := s.Gauges[k]; got != v {
-			t.Fatalf("%s = %v, want %v", k, got, v)
+	for k, v := range map[string]uint64{
+		MetricHits: 1, MetricMisses: 1, MetricEvictions: 0, MetricStaleHits: 0,
+	} {
+		if got, ok := s.Counters[k]; !ok || got != v {
+			t.Fatalf("%s = %v (published %v), want %v", k, got, ok, v)
 		}
+	}
+	if got := s.Gauges[MetricEntries]; got != 1 {
+		t.Fatalf("%s = %v, want 1", MetricEntries, got)
 	}
 	// A later scrape sees later state: no re-registration needed.
 	c.Get(name, dnswire.TypeA)
-	if got := reg.Snapshot().Gauges["cache.hits"]; got != 2 {
-		t.Fatalf("cache.hits after second hit = %v, want 2", got)
+	if got := reg.Snapshot().Counters[MetricHits]; got != 2 {
+		t.Fatalf("%s after second hit = %v, want 2", MetricHits, got)
 	}
 }

@@ -2,9 +2,9 @@ package cache
 
 import (
 	"hash/fnv"
-	"sync/atomic"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
 )
 
@@ -22,7 +22,7 @@ type Sharded struct {
 	// prefetches counts refresh-ahead prefetches noted against the pool as
 	// a whole; a prefetch protects a key, not a shard, so the pool keeps
 	// one counter instead of attributing to shards.
-	prefetches atomic.Uint64
+	prefetches obs.Counter
 }
 
 // NewSharded builds a pool of n shards on the given clock, each configured
@@ -111,12 +111,12 @@ func (s *Sharded) Stats() Stats {
 	for _, sh := range s.shards {
 		out.Add(sh.Stats())
 	}
-	out.Prefetches += s.prefetches.Load()
+	out.Prefetches += s.prefetches.Value()
 	return out
 }
 
 // NotePrefetch counts one refresh-ahead prefetch against the pool.
-func (s *Sharded) NotePrefetch() { s.prefetches.Add(1) }
+func (s *Sharded) NotePrefetch() { s.prefetches.Inc() }
 
 // Keys lists cached keys shard by shard.
 func (s *Sharded) Keys() []Key {

@@ -246,10 +246,11 @@ func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 	if c.AttackQueries > 0 {
 		c.BypassMilli = c.AuthAttackRx * 1000 / c.AttackQueries
 	}
-	c.RRLPassed = int(reg.Counter(authoritative.MetricRRLPassed).Value())
-	c.RRLDropped = int(reg.Counter(authoritative.MetricRRLDropped).Value())
-	c.RRLSlipped = int(reg.Counter(authoritative.MetricRRLSlipped).Value())
-	c.EdgeLimited = int(reg.Counter("mw.guard.limited").Value())
+	counts := reg.Snapshot().Counters
+	c.RRLPassed = int(counts[authoritative.MetricRRLPassed])
+	c.RRLDropped = int(counts[authoritative.MetricRRLDropped])
+	c.RRLSlipped = int(counts[authoritative.MetricRRLSlipped])
+	c.EdgeLimited = int(counts["mw.guard.limited"])
 	return c
 }
 

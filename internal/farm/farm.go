@@ -105,9 +105,10 @@ type Config struct {
 	LocalRoot *zone.Zone
 	// Seed drives frontend RNGs and the random placement policy.
 	Seed int64
-	// Registry, when non-nil, backs the fleet telemetry (farm.fe<i>.*
-	// counters, resolver.* metrics shared by all frontends, cache.* gauges)
-	// so /metrics and the experiments read the same numbers Stats reports.
+	// Registry, when non-nil, publishes the fleet telemetry (the farm.fe<i>.*
+	// counters and their resolver.* sums, the resolver metrics shared by all
+	// frontends, the cache.* metrics) so /metrics and the experiments read
+	// the same numbers Stats reports.
 	Registry *obs.Registry
 	// Tracer, when non-nil, records every frontend resolution as a span
 	// tree retrievable via /trace.
@@ -210,7 +211,7 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 		pipelines[i] = middleware.Default(f.env(i))
 	}
 	f.pipelines.Store(&pipelines)
-	cache.Instrument(cfg.Registry, "cache", f.CacheStats)
+	cache.Instrument(cfg.Registry, f.CacheStats)
 	return f
 }
 

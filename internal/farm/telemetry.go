@@ -87,44 +87,64 @@ func (s Stats) rateFooter(b *strings.Builder) string {
 	return b.String()
 }
 
-// feCounters is the lock-free mutable form of FrontendStats, built on the
-// telemetry plane's counters so a registry-backed farm exposes them at
-// /metrics for free.
-type feCounters struct {
-	client, hits, stale, coalesced, upstream, timeouts *obs.Counter
+// The per-frontend counts, in FrontendStats order. Each is incremented at
+// one site, per frontend, whether or not a registry publishes it.
+const (
+	feClient = iota
+	feHits
+	feStale
+	feCoalesced
+	feUpstream
+	feTimeouts
+	feCounts
+)
+
+// feMetrics names each count: a registry publishes it per frontend as
+// farm.fe<i>.<suffix> and, where the resolver plane names one, its sum over
+// the frontends under that resolver.* name.
+var feMetrics = [feCounts]struct{ suffix, sum string }{
+	feClient:    {"client", resolver.MetricResolutions},
+	feHits:      {"hits", resolver.MetricCacheHits},
+	feStale:     {"stale", resolver.MetricStaleServed},
+	feCoalesced: {"coalesced", ""},
+	feUpstream:  {"upstream", resolver.MetricUpstream},
+	feTimeouts:  {"timeouts", resolver.MetricTimeouts},
 }
+
+// feCounters is one frontend's lock-free mutable FrontendStats.
+type feCounters [feCounts]obs.Counter
 
 func (c *feCounters) snapshot() FrontendStats {
 	return FrontendStats{
-		Client:    c.client.Value(),
-		Hits:      c.hits.Value(),
-		Stale:     c.stale.Value(),
-		Coalesced: c.coalesced.Value(),
-		Upstream:  c.upstream.Value(),
-		Timeouts:  c.timeouts.Value(),
+		Client:    c[feClient].Value(),
+		Hits:      c[feHits].Value(),
+		Stale:     c[feStale].Value(),
+		Coalesced: c[feCoalesced].Value(),
+		Upstream:  c[feUpstream].Value(),
+		Timeouts:  c[feTimeouts].Value(),
 	}
 }
 
-// telemetry holds the farm's per-frontend counters. With a registry the
-// counters live there under farm.fe<i>.<name>; without one they are
-// standalone atomics, so Stats works either way.
+// telemetry holds the farm's per-frontend counters.
 type telemetry struct {
 	fe []feCounters
 }
 
+// newTelemetry builds the counters of n frontends and publishes them in reg.
 func newTelemetry(n int, reg *obs.Registry) *telemetry {
 	t := &telemetry{fe: make([]feCounters, n)}
-	counter := func(i int, name string) *obs.Counter {
-		return reg.OwnedCounter(fmt.Sprintf("farm.fe%d.%s", i, name))
-	}
-	for i := range t.fe {
-		t.fe[i] = feCounters{
-			client:    counter(i, "client"),
-			hits:      counter(i, "hits"),
-			stale:     counter(i, "stale"),
-			coalesced: counter(i, "coalesced"),
-			upstream:  counter(i, "upstream"),
-			timeouts:  counter(i, "timeouts"),
+	for k, m := range feMetrics {
+		for i := range t.fe {
+			reg.CounterFunc(fmt.Sprintf("farm.fe%d.%s", i, m.suffix), t.fe[i][k].Value)
+		}
+		if m.sum != "" {
+			reg.CounterFunc(m.sum, func() uint64 {
+				var sum uint64
+				for i := range t.fe {
+					sum += t.fe[i][k].Value()
+				}
+				return sum
+			})
 		}
 	}
 	return t
@@ -133,21 +153,21 @@ func newTelemetry(n int, reg *obs.Registry) *telemetry {
 // served books one completed resolution's trace to frontend idx.
 func (t *telemetry) served(idx int, tr *resolver.Trace) {
 	c := &t.fe[idx]
-	c.client.Inc()
+	c[feClient].Inc()
 	if tr.CacheHit {
-		c.hits.Inc()
+		c[feHits].Inc()
 	}
 	if tr.Stale {
-		c.stale.Inc()
+		c[feStale].Inc()
 	}
-	c.upstream.Add(uint64(tr.Queries))
-	c.timeouts.Add(uint64(tr.Timeouts))
+	c[feUpstream].Add(uint64(tr.Queries))
+	c[feTimeouts].Add(uint64(tr.Timeouts))
 }
 
 // coalesced books one join (called at join time, while the leader is still
 // in flight).
 func (t *telemetry) coalesced(idx int) {
-	t.fe[idx].coalesced.Inc()
+	t.fe[idx][feCoalesced].Inc()
 }
 
 // Stats snapshots the fleet telemetry.

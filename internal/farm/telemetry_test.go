@@ -3,7 +3,10 @@ package farm
 import (
 	"strings"
 	"testing"
+	"time"
 
+	"dnsttl/internal/authoritative"
+	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/resolver"
@@ -36,9 +39,9 @@ func TestStatsRates(t *testing.T) {
 	}
 }
 
-// TestFarmRegistryTelemetry checks the registry rebasing: the farm.fe<i>.*
-// counters in the registry are the same numbers Stats reports, and the
-// frontends share one resolver metric set.
+// TestFarmRegistryTelemetry checks the registry view: the farm.fe<i>.*
+// counters are the numbers Stats reports, and each of the five resolver.*
+// per-resolution counts is their sum over the frontends.
 func TestFarmRegistryTelemetry(t *testing.T) {
 	w := newWorld(t, []string{"a.example.org", "b.example.org"}, 300)
 	reg := obs.NewRegistry(w.clock)
@@ -63,20 +66,98 @@ func TestFarmRegistryTelemetry(t *testing.T) {
 	if got, want := snap.Counters["farm.fe1.hits"], st.PerFrontend[1].Hits; got != want {
 		t.Fatalf("farm.fe1.hits = %d, want %d", got, want)
 	}
-	if got := snap.Counters[resolver.MetricResolutions]; got != st.Total.Client {
-		t.Fatalf("%s = %d, want fleet total %d", resolver.MetricResolutions, got, st.Total.Client)
+	for name, want := range map[string]uint64{
+		resolver.MetricResolutions: st.Total.Client,
+		resolver.MetricCacheHits:   st.Total.Hits,
+		resolver.MetricStaleServed: st.Total.Stale,
+		resolver.MetricUpstream:    st.Total.Upstream,
+		resolver.MetricTimeouts:    st.Total.Timeouts,
+	} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (published %v), want the fleet total %d", name, got, ok, want)
+		}
 	}
-	if got := snap.Counters[resolver.MetricCacheHits]; got != st.Total.Hits {
-		t.Fatalf("%s = %d, want fleet hits %d", resolver.MetricCacheHits, got, st.Total.Hits)
+	if st.Total.Client != 4 || st.Total.Hits != 2 || st.Total.Upstream == 0 {
+		t.Fatalf("fleet totals %+v, want 4 resolutions, 2 hits, some upstream", st.Total)
 	}
-	// The cache gauges bridge the shared store's live stats.
-	cs := f.CacheStats()
-	if got := snap.Gauges["cache.hits"]; got != float64(cs.Hits) {
-		t.Fatalf("cache.hits gauge = %v, want %d", got, cs.Hits)
+}
+
+// TestCountsAreCounters holds the counting rule on a farm and a UDP
+// listener sharing one registry: the six cache counts and the listener's
+// two are counters in the snapshot, the windowed history and the
+// exposition, the cache's levels stay gauges, and a name has one owner.
+func TestCountsAreCounters(t *testing.T) {
+	w := newWorld(t, []string{"a.example.org"}, 300)
+	reg := obs.NewRegistry(w.clock)
+	f := w.farm(Config{Registry: reg})
+	u := &authoritative.UDPServer{Handler: w.orgSrv, Registry: reg}
+	if _, err := u.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
 	}
-	if got := snap.Gauges["cache.entries"]; got != float64(cs.Entries) {
-		t.Fatalf("cache.entries gauge = %v, want %d", got, cs.Entries)
+	defer u.Close()
+
+	counts := []string{
+		cache.MetricHits, cache.MetricMisses, cache.MetricEvictions, cache.MetricStaleHits,
+		cache.MetricPrefetches, cache.MetricAdmissionRejects,
+		authoritative.MetricUDPSaturated, authoritative.MetricUDPReadErrors,
 	}
+	snap := reg.Snapshot()
+	for _, name := range counts {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("%s is not a counter", name)
+		}
+		if _, ok := snap.Gauges[name]; ok {
+			t.Errorf("%s is a gauge", name)
+		}
+	}
+	for _, name := range []string{cache.MetricEntries, cache.MetricBytes, authoritative.MetricUDPLoops} {
+		if _, ok := snap.Gauges[name]; !ok {
+			t.Errorf("level %s is not a gauge", name)
+		}
+	}
+
+	// A window spanning k cache hits reports k and k per second.
+	name := dnswire.NewName("a.example.org")
+	if _, err := f.Resolve(name, dnswire.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	hist := obs.NewHistory(reg, 0)
+	hist.Sample()
+	before := f.CacheStats().Hits
+	for i := 0; i < 7; i++ {
+		if _, err := f.Resolve(name, dnswire.TypeA); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k := f.CacheStats().Hits - before
+	w.clock.Advance(10 * time.Second)
+	d, ok := hist.Window(time.Minute)
+	if !ok {
+		t.Fatal("no window")
+	}
+	if cd := d.Counters[cache.MetricHits]; k < 7 || cd.Delta != k || cd.Rate != float64(k)/10 {
+		t.Errorf("%s over the window = %+v, want delta %d at %v/s", cache.MetricHits, cd, k, float64(k)/10)
+	}
+
+	var b strings.Builder
+	if err := reg.WritePrometheusText(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE cache_hits counter\n", "# TYPE listener_udp_read_errors counter\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+	}
+	if problems := obs.LintExposition(strings.NewReader(b.String())); len(problems) != 0 {
+		t.Errorf("exposition lint: %v", problems)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("Counter on a name a CounterFunc publishes did not panic")
+		}
+	}()
+	reg.Counter(cache.MetricHits)
 }
 
 // TestFarmWithoutRegistry keeps the registry optional: a farm built with a

@@ -13,7 +13,7 @@ import (
 	"dnsttl/internal/transport"
 )
 
-// Metric names under which Run registers the engine's telemetry.
+// Metric names under which Run publishes the engine's telemetry.
 const (
 	MetricSent        = "loadgen.sent"
 	MetricNoError     = "loadgen.noerror"
@@ -47,7 +47,7 @@ type Config struct {
 	Duration time.Duration
 	// QPS caps the aggregate send rate; 0 means as fast as the workers go.
 	QPS int
-	// Registry, when non-nil, receives the loadgen.* counters and the
+	// Registry, when non-nil, publishes the loadgen.* counters and the
 	// latency histogram (shared with whatever else reports there).
 	Registry *obs.Registry
 }
@@ -99,25 +99,21 @@ func (r *Result) String() string {
 }
 
 // taxonomy is the run's counter set: the Result reads the very counters a
-// registry exports for live /metrics scraping (standalone ones without a
-// registry), so a registry serves one run.
+// registry publishes for live /metrics scraping, so a registry serves one
+// run.
 type taxonomy struct {
-	sent, noerror, nxdomain, servfail, refused, other *obs.Counter
-	truncated, timeouts, neterrs, badmsg              *obs.Counter
+	sent, noerror, nxdomain, servfail, refused, other obs.Counter
+	truncated, timeouts, neterrs, badmsg              obs.Counter
 }
 
-func newTaxonomy(reg *obs.Registry) *taxonomy {
-	return &taxonomy{
-		sent:      reg.OwnedCounter(MetricSent),
-		noerror:   reg.OwnedCounter(MetricNoError),
-		nxdomain:  reg.OwnedCounter(MetricNXDomain),
-		servfail:  reg.OwnedCounter(MetricServFail),
-		refused:   reg.OwnedCounter(MetricRefused),
-		other:     reg.OwnedCounter(MetricOtherRCode),
-		truncated: reg.OwnedCounter(MetricTruncated),
-		timeouts:  reg.OwnedCounter(MetricTimeouts),
-		neterrs:   reg.OwnedCounter(MetricNetErrors),
-		badmsg:    reg.OwnedCounter(MetricBadMessages),
+func (t *taxonomy) publish(reg *obs.Registry) {
+	for name, c := range map[string]*obs.Counter{
+		MetricSent: &t.sent, MetricNoError: &t.noerror, MetricNXDomain: &t.nxdomain,
+		MetricServFail: &t.servfail, MetricRefused: &t.refused, MetricOtherRCode: &t.other,
+		MetricTruncated: &t.truncated, MetricTimeouts: &t.timeouts,
+		MetricNetErrors: &t.neterrs, MetricBadMessages: &t.badmsg,
+	} {
+		reg.CounterFunc(name, c.Value)
 	}
 }
 
@@ -136,7 +132,8 @@ func Run(cfg Config) (*Result, error) {
 	if workers <= 0 {
 		workers = 8
 	}
-	tax := newTaxonomy(cfg.Registry)
+	tax := &taxonomy{}
+	tax.publish(cfg.Registry)
 	hist := cfg.Registry.Histogram(MetricLatency)
 	if hist == nil {
 		hist = obs.NewHistogram()

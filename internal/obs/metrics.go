@@ -18,6 +18,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"math/bits"
@@ -28,8 +29,11 @@ import (
 	"dnsttl/internal/simnet"
 )
 
-// Counter is a monotonically increasing atomic counter. The nil *Counter is
-// a valid no-op, so call sites never branch on whether metrics are enabled.
+// Counter is a monotonically increasing atomic counter. Its zero value
+// counts: a subsystem whose own statistics read a count holds the Counter in
+// its struct and publishes it with Registry.CounterFunc. The nil *Counter —
+// Registry.Counter without a registry — is a valid no-op, so call sites
+// never branch on whether metrics are enabled.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -293,14 +297,19 @@ func quantileFromBuckets(counts []uint64, total uint64, q float64, minV, maxV fl
 // Registry is a concurrent name → metric table. Get-or-create accessors
 // hand out stable handles; hot paths hold the handle and never touch the
 // registry again. The nil *Registry is valid: its accessors return nil
-// handles, which are themselves no-ops.
+// handles, which are themselves no-ops, and its publishers do nothing.
+//
+// A name has one owner: registering it under a second kind (Counter and
+// CounterFunc, say) panics, so a reader never gets a fresh zero for a count
+// someone else keeps.
 type Registry struct {
 	clock simnet.Clock
 
-	mu         sync.RWMutex
-	counters   map[string]*Counter
-	gaugeFuncs map[string]func() float64
-	hists      map[string]*Histogram
+	mu           sync.RWMutex
+	counters     map[string]*Counter
+	counterFuncs map[string]func() uint64
+	gaugeFuncs   map[string]func() float64
+	hists        map[string]*Histogram
 }
 
 // NewRegistry builds a registry on the given clock (nil means wall clock).
@@ -311,14 +320,35 @@ func NewRegistry(clock simnet.Clock) *Registry {
 		clock = simnet.WallClock{}
 	}
 	return &Registry{
-		clock:      clock,
-		counters:   make(map[string]*Counter),
-		gaugeFuncs: make(map[string]func() float64),
-		hists:      make(map[string]*Histogram),
+		clock:        clock,
+		counters:     make(map[string]*Counter),
+		counterFuncs: make(map[string]func() uint64),
+		gaugeFuncs:   make(map[string]func() float64),
+		hists:        make(map[string]*Histogram),
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// claimLocked panics when name is already registered as a kind other than
+// kind. Caller holds r.mu for writing.
+func (r *Registry) claimLocked(name, kind string) {
+	held := ""
+	switch {
+	case r.counters[name] != nil:
+		held = "counter"
+	case r.counterFuncs[name] != nil:
+		held = "counter func"
+	case r.gaugeFuncs[name] != nil:
+		held = "gauge func"
+	case r.hists[name] != nil:
+		held = "histogram"
+	}
+	if held != "" && held != kind {
+		panic(fmt.Sprintf("obs: %s registered as a %s and as a %s", name, held, kind))
+	}
+}
+
+// Counter returns the named counter, creating it on first use: a count that
+// exists only to be exported, held by the registry (nil without one).
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
@@ -332,32 +362,38 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c = r.counters[name]; c == nil {
+		r.claimLocked(name, "counter")
 		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
 }
 
-// OwnedCounter is Counter for an owner whose own statistics read the
-// counters it exports, so that an event is counted once: without a registry
-// it returns a standalone counter instead of a no-op handle.
-func (r *Registry) OwnedCounter(name string) *Counter {
+// CounterFunc publishes under name a count its owner keeps — typically one
+// obs.Counter in the owner's struct, or a sum over several — read at
+// snapshot time. It is a counter in every view: Snapshot.Counters, the
+// windowed deltas and rates of History, and the exposition's TYPE line.
+// Re-registering replaces.
+func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	if r == nil {
-		return &Counter{}
+		return
 	}
-	return r.Counter(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.claimLocked(name, "counter func")
+	r.counterFuncs[name] = fn
 }
 
-// GaugeFunc registers fn to be evaluated at snapshot time under name — the
-// only kind of gauge: every subsystem that reports one already keeps the
-// value (the cache's Stats, the listeners' loop counters). Re-registering
-// replaces.
+// GaugeFunc publishes under name a level read at snapshot time (entries
+// resident, loops running, subscribers registered) — never a count, which
+// is a CounterFunc. Re-registering replaces.
 func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.claimLocked(name, "gauge func")
 	r.gaugeFuncs[name] = fn
 }
 
@@ -375,6 +411,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
+		r.claimLocked(name, "histogram")
 		h = NewHistogram()
 		r.hists[name] = h
 	}
@@ -398,10 +435,13 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{At: r.clock.Now()}
-	if len(r.counters) > 0 {
-		s.Counters = make(map[string]uint64, len(r.counters))
+	if size := len(r.counters) + len(r.counterFuncs); size > 0 {
+		s.Counters = make(map[string]uint64, size)
 		for n, c := range r.counters {
 			s.Counters[n] = c.Value()
+		}
+		for n, fn := range r.counterFuncs {
+			s.Counters[n] = fn()
 		}
 	}
 	if len(r.gaugeFuncs) > 0 {

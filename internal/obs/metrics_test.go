@@ -29,6 +29,34 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 }
 
+// TestNameHasOneOwner: a count published by its owner is a counter in the
+// snapshot, and registering a name under a second kind panics either way
+// round, so a reader never gets a fresh zero instead of the owner's count.
+func TestNameHasOneOwner(t *testing.T) {
+	reg := NewRegistry(nil)
+	var owned Counter
+	owned.Add(3)
+	reg.CounterFunc("x.owned", owned.Value)
+	reg.Counter("x.held").Inc()
+	if c := reg.Snapshot().Counters; c["x.owned"] != 3 || c["x.held"] != 1 {
+		t.Fatalf("counters = %v, want x.owned 3 and x.held 1", c)
+	}
+	for name, register := range map[string]func(){
+		"Counter on a CounterFunc name":   func() { reg.Counter("x.owned") },
+		"CounterFunc on a Counter name":   func() { reg.CounterFunc("x.held", owned.Value) },
+		"GaugeFunc on a CounterFunc name": func() { reg.GaugeFunc("x.owned", func() float64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			register()
+		}()
+	}
+}
+
 func TestNilHandlesAreSafe(t *testing.T) {
 	var c *Counter
 	var h *Histogram
@@ -44,6 +72,7 @@ func TestNilHandlesAreSafe(t *testing.T) {
 		t.Fatal("nil registry must hand out nil handles")
 	}
 	reg.GaugeFunc("x", func() float64 { return 1 })
+	reg.CounterFunc("y", func() uint64 { return 1 })
 	if s := reg.Snapshot(); s.Counters != nil || s.Gauges != nil {
 		t.Fatal("nil registry snapshot must be empty")
 	}
@@ -175,7 +204,7 @@ func TestSnapshotDeterministicUnderVirtualClock(t *testing.T) {
 	reg := NewRegistry(clock)
 	reg.Counter("resolver.resolutions").Add(7)
 	reg.GaugeFunc("cache.entries", func() float64 { return 3 })
-	reg.GaugeFunc("cache.hits", func() float64 { return 12 })
+	reg.CounterFunc("cache.hits", func() uint64 { return 12 })
 	h := reg.Histogram("resolver.latency_ms")
 	for i := 0; i < 50; i++ {
 		h.Observe(float64(i))

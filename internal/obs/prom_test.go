@@ -23,6 +23,7 @@ func TestPromName(t *testing.T) {
 func TestWritePrometheus(t *testing.T) {
 	reg := NewRegistry(simnet.NewVirtualClock())
 	reg.Counter("resolver.resolutions").Add(7)
+	reg.CounterFunc("cache.hits", func() uint64 { return 12 })
 	reg.GaugeFunc("cache.bytes", func() float64 { return 1234.5 })
 	reg.GaugeFunc("cache.entries", func() float64 { return 3 })
 	h := reg.Histogram("resolver.latency_ms")
@@ -38,6 +39,7 @@ func TestWritePrometheus(t *testing.T) {
 
 	for _, want := range []string{
 		"# TYPE resolver_resolutions counter\nresolver_resolutions 7\n",
+		"# TYPE cache_hits counter\ncache_hits 12\n",
 		"# TYPE cache_bytes gauge\ncache_bytes 1234.5\n",
 		"cache_entries 3\n",
 		"# TYPE resolver_latency_ms histogram\n",

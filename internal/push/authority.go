@@ -37,21 +37,20 @@ type Authority struct {
 	// sends a UDP datagram. A nil Send disables fan-out (feeds still
 	// version their zones).
 	Send func(dst netip.AddrPort, wire []byte) error
-	// Obs holds the authority's counters; Instrument moves them into a
-	// registry.
-	Obs *AuthorityMetrics
 
 	mu    sync.Mutex
 	feeds map[dnswire.Name]*Feed
 	subs  map[dnswire.Name]map[netip.AddrPort]struct{}
 
 	msgID atomic.Uint32
+
+	// The authority's counts: Stats reads them, Instrument publishes them.
+	changes, notifies, ixfrServed, axfrServed obs.Counter
 }
 
 // NewAuthority creates an authority with no feeds.
 func NewAuthority() *Authority {
 	return &Authority{
-		Obs:   NewAuthorityMetrics(nil),
 		feeds: make(map[dnswire.Name]*Feed),
 		subs:  make(map[dnswire.Name]map[netip.AddrPort]struct{}),
 	}
@@ -66,17 +65,14 @@ func (a *Authority) AddFeed(f *Feed) {
 	f.setOnChange(a.broadcast)
 }
 
-// Instrument moves the authority's counters into reg under the push.feed_*
-// names, carrying over what they have counted, and adds a live
-// subscriber-count gauge. Call it before the authority serves: events
-// counted while it runs may be lost.
+// Instrument publishes the authority's counters in reg under the
+// push.feed_* names, with a live subscriber-count gauge. It is safe while
+// the authority serves; a nil registry is a no-op.
 func (a *Authority) Instrument(reg *obs.Registry) {
-	old := a.Obs
-	a.Obs = NewAuthorityMetrics(reg)
-	a.Obs.Changes.Add(old.Changes.Value())
-	a.Obs.Notifies.Add(old.Notifies.Value())
-	a.Obs.IXFRServed.Add(old.IXFRServed.Value())
-	a.Obs.AXFRServed.Add(old.AXFRServed.Value())
+	reg.CounterFunc(MetricFeedChanges, a.changes.Value)
+	reg.CounterFunc(MetricFeedNotifies, a.notifies.Value)
+	reg.CounterFunc(MetricFeedIXFRServed, a.ixfrServed.Value)
+	reg.CounterFunc(MetricFeedAXFRServed, a.axfrServed.Value)
 	reg.GaugeFunc(MetricFeedSubscribers, func() float64 {
 		return float64(a.Stats().Subscribers)
 	})
@@ -100,10 +96,10 @@ func (a *Authority) Stats() AuthorityStats {
 	}
 	a.mu.Unlock()
 	return AuthorityStats{
-		Changes:     a.Obs.Changes.Value(),
-		Notifies:    a.Obs.Notifies.Value(),
-		IXFRServed:  a.Obs.IXFRServed.Value(),
-		AXFRServed:  a.Obs.AXFRServed.Value(),
+		Changes:     a.changes.Value(),
+		Notifies:    a.notifies.Value(),
+		IXFRServed:  a.ixfrServed.Value(),
+		AXFRServed:  a.axfrServed.Value(),
 		Subscribers: n,
 	}
 }
@@ -111,7 +107,7 @@ func (a *Authority) Stats() AuthorityStats {
 // broadcast is a feed's onChange hook: one NOTIFY per subscriber, in
 // deterministic (sorted) order.
 func (a *Authority) broadcast(origin dnswire.Name, serial uint32) {
-	a.Obs.Changes.Inc()
+	a.changes.Inc()
 	send := a.Send
 	if send == nil {
 		return
@@ -150,7 +146,7 @@ func (a *Authority) broadcast(origin dnswire.Name, serial uint32) {
 		return
 	}
 	for _, dst := range dsts {
-		a.Obs.Notifies.Inc()
+		a.notifies.Inc()
 		_ = send(dst, wire) // fire-and-forget: polling is the safety net
 	}
 }
@@ -237,11 +233,11 @@ func (a *Authority) handleIXFR(q *dnswire.Message) *dnswire.Message {
 			}
 			resp.AddAnswer(soa)
 		}
-		a.Obs.IXFRServed.Inc()
+		a.ixfrServed.Inc()
 		return resp
 	}
 	// Full-zone fallback, AXFR-framed; the SOA read above says there is one.
 	resp.Answer, _ = f.Zone().Transfer()
-	a.Obs.AXFRServed.Inc()
+	a.axfrServed.Inc()
 	return resp
 }

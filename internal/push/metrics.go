@@ -45,58 +45,26 @@ const (
 	MetricFeedAXFRServed = "push.feed_axfr_served"
 )
 
-// Metrics is the subscriber's counter bundle: the counters Stats reads are
-// the ones /metrics exports.
-type Metrics struct {
-	Notifies         *obs.Counter
-	NotifyDups       *obs.Counter
-	IXFR             *obs.Counter
-	AXFRFallback     *obs.Counter
-	Purged           *obs.Counter
-	Refetches        *obs.Counter
-	Subscribes       *obs.Counter
-	SubscribeRetries *obs.Counter
-	Polls            *obs.Counter
-	PollRecoveries   *obs.Counter
-	StaleDenied      *obs.Counter
+// metrics is the subscriber's counter set: Stats reads the counters a
+// configured registry publishes.
+type metrics struct {
+	notifies, notifyDups, ixfr, axfrFallback, purged, refetches obs.Counter
+	subscribes, subscribeRetries, polls, pollRecoveries         obs.Counter
+	staleDenied                                                 obs.Counter
 }
 
-// NewMetrics resolves the subscriber bundle against reg; a nil reg yields
-// standalone counters. The names carry no subscriber label, so a registry
-// serves one subscriber — the only configuration that exists: one per
-// daemon.
-func NewMetrics(reg *obs.Registry) *Metrics {
-	return &Metrics{
-		Notifies:         reg.OwnedCounter(MetricNotifies),
-		NotifyDups:       reg.OwnedCounter(MetricNotifyDups),
-		IXFR:             reg.OwnedCounter(MetricIXFR),
-		AXFRFallback:     reg.OwnedCounter(MetricAXFRFallback),
-		Purged:           reg.OwnedCounter(MetricPurged),
-		Refetches:        reg.OwnedCounter(MetricRefetches),
-		Subscribes:       reg.OwnedCounter(MetricSubscribes),
-		SubscribeRetries: reg.OwnedCounter(MetricSubscribeRetries),
-		Polls:            reg.OwnedCounter(MetricPolls),
-		PollRecoveries:   reg.OwnedCounter(MetricPollRecoveries),
-		StaleDenied:      reg.OwnedCounter(MetricStaleDenied),
-	}
-}
-
-// AuthorityMetrics is the authority's counter bundle, likewise read by
-// its Stats.
-type AuthorityMetrics struct {
-	Changes    *obs.Counter
-	Notifies   *obs.Counter
-	IXFRServed *obs.Counter
-	AXFRServed *obs.Counter
-}
-
-// NewAuthorityMetrics resolves the authority bundle against reg; a nil reg
-// yields standalone counters.
-func NewAuthorityMetrics(reg *obs.Registry) *AuthorityMetrics {
-	return &AuthorityMetrics{
-		Changes:    reg.OwnedCounter(MetricFeedChanges),
-		Notifies:   reg.OwnedCounter(MetricFeedNotifies),
-		IXFRServed: reg.OwnedCounter(MetricFeedIXFRServed),
-		AXFRServed: reg.OwnedCounter(MetricFeedAXFRServed),
+// publish exports the subscriber counters in reg. The names carry no
+// subscriber label, so a registry serves one subscriber — the only
+// configuration that exists: one per daemon.
+func (m *metrics) publish(reg *obs.Registry) {
+	for name, c := range map[string]*obs.Counter{
+		MetricNotifies: &m.notifies, MetricNotifyDups: &m.notifyDups,
+		MetricIXFR: &m.ixfr, MetricAXFRFallback: &m.axfrFallback,
+		MetricPurged: &m.purged, MetricRefetches: &m.refetches,
+		MetricSubscribes: &m.subscribes, MetricSubscribeRetries: &m.subscribeRetries,
+		MetricPolls: &m.polls, MetricPollRecoveries: &m.pollRecoveries,
+		MetricStaleDenied: &m.staleDenied,
+	} {
+		reg.CounterFunc(name, c.Value)
 	}
 }

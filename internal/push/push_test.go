@@ -323,8 +323,8 @@ func TestPushPurgeOnNotify(t *testing.T) {
 		t.Fatalf("authority stats = %+v", as)
 	}
 
-	// Instrument moves the counters into a registry with what they have
-	// counted; from then on Stats reads what the registry exports.
+	// Instrument publishes the counters with what they have counted; Stats
+	// and the registry read the same counts from then on.
 	reg := obs.NewRegistry(w.clock)
 	w.auth.Instrument(reg)
 	if got := w.auth.Stats(); got != as {
@@ -333,7 +333,7 @@ func TestPushPurgeOnNotify(t *testing.T) {
 	if err := w.zone.Replace(www, dnswire.TypeA, dnswire.NewA("www.example.org", 300, "192.0.2.82")); err != nil {
 		t.Fatal(err)
 	}
-	if got, exported := w.auth.Stats().Notifies, reg.Counter(MetricFeedNotifies).Value(); got != 2 || exported != 2 {
+	if got, exported := w.auth.Stats().Notifies, reg.Snapshot().Counters[MetricFeedNotifies]; got != 2 || exported != 2 {
 		t.Fatalf("after a second change: Stats().Notifies = %d, %s = %d, want 2 and 2", got, MetricFeedNotifies, exported)
 	}
 }
@@ -634,5 +634,52 @@ func TestPushRaceHammer(t *testing.T) {
 	w.sub.Tick(w.clock.Now())
 	if !w.sub.healthy(w.zone.Origin) {
 		t.Fatal("subscription unhealthy after hammer")
+	}
+}
+
+// TestInstrumentWhileServing publishes the authority's counters while four
+// goroutines commit zone changes it fans out: every change, notify and
+// transfer is counted once, so the registry and Stats agree, and under
+// -race the publication does not race the fan-out.
+func TestInstrumentWhileServing(t *testing.T) {
+	const goroutines, perGoroutine = 4, 40
+	w := newWorld(t, 0, nil)
+	w.sub.Subscribe(w.zone.Origin, authAddr)
+	halfway := make(chan struct{}, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				if i == perGoroutine/2 {
+					halfway <- struct{}{}
+				}
+				host := fmt.Sprintf("host%d.example.org", g)
+				_ = w.zone.Replace(dnswire.NewName(host), dnswire.TypeA,
+					dnswire.NewA(host, 300, fmt.Sprintf("10.0.%d.%d", g, i+1)))
+			}
+		}(g)
+	}
+	for g := 0; g < goroutines; g++ {
+		<-halfway
+	}
+	reg := obs.NewRegistry(w.clock)
+	w.auth.Instrument(reg)
+	wg.Wait()
+
+	st, counts := w.auth.Stats(), reg.Snapshot().Counters
+	if st.Changes != goroutines*perGoroutine || st.Notifies == 0 {
+		t.Fatalf("authority stats = %+v, want %d changes and some notifies", st, goroutines*perGoroutine)
+	}
+	for name, want := range map[string]uint64{
+		MetricFeedChanges:    st.Changes,
+		MetricFeedNotifies:   st.Notifies,
+		MetricFeedIXFRServed: st.IXFRServed,
+		MetricFeedAXFRServed: st.AXFRServed,
+	} {
+		if got := counts[name]; got != want {
+			t.Errorf("%s = %d, Stats says %d", name, got, want)
+		}
 	}
 }

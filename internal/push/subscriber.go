@@ -10,6 +10,7 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/qlog"
 	"dnsttl/internal/simnet"
 )
@@ -38,9 +39,8 @@ type Config struct {
 	// mode): re-resolve immediately so the next client query is fresh and
 	// never charged the upstream round trip.
 	Refetch func(name dnswire.Name, qtype dnswire.Type)
-	// Metrics holds the subscriber's counters; nil means standalone ones
-	// (NewMetrics(nil)), pass NewMetrics(reg) to export them.
-	Metrics *Metrics
+	// Registry, when non-nil, publishes the subscriber's push.* counters.
+	Registry *obs.Registry
 	// QLog, when non-nil, emits one notify-in record per NOTIFY received.
 	QLog *qlog.Tap
 	// PollEvery is the SOA polling fallback period; 0 means
@@ -77,6 +77,7 @@ type Subscriber struct {
 	purged map[cache.Key]time.Time
 
 	msgID atomic.Uint32
+	m     metrics
 }
 
 // NewSubscriber builds a subscriber; call Subscribe per zone, then drive it
@@ -88,15 +89,14 @@ func NewSubscriber(cfg Config) *Subscriber {
 	if cfg.PollEvery <= 0 {
 		cfg.PollEvery = DefaultPollEvery
 	}
-	if cfg.Metrics == nil {
-		cfg.Metrics = NewMetrics(nil)
-	}
-	return &Subscriber{
+	s := &Subscriber{
 		cfg:    cfg,
 		clock:  cfg.Clock,
 		zones:  make(map[dnswire.Name]*zoneSub),
 		purged: make(map[cache.Key]time.Time),
 	}
+	s.m.publish(cfg.Registry)
+	return s
 }
 
 // Stats is a snapshot of the subscriber's counters.
@@ -116,19 +116,19 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Subscriber) Stats() Stats {
-	m := s.cfg.Metrics
+	m := &s.m
 	return Stats{
-		Notifies:         m.Notifies.Value(),
-		NotifyDups:       m.NotifyDups.Value(),
-		IXFR:             m.IXFR.Value(),
-		AXFRFallback:     m.AXFRFallback.Value(),
-		Purged:           m.Purged.Value(),
-		Refetches:        m.Refetches.Value(),
-		Subscribes:       m.Subscribes.Value(),
-		SubscribeRetries: m.SubscribeRetries.Value(),
-		Polls:            m.Polls.Value(),
-		PollRecoveries:   m.PollRecoveries.Value(),
-		StaleDenied:      m.StaleDenied.Value(),
+		Notifies:         m.notifies.Value(),
+		NotifyDups:       m.notifyDups.Value(),
+		IXFR:             m.ixfr.Value(),
+		AXFRFallback:     m.axfrFallback.Value(),
+		Purged:           m.purged.Value(),
+		Refetches:        m.refetches.Value(),
+		Subscribes:       m.subscribes.Value(),
+		SubscribeRetries: m.subscribeRetries.Value(),
+		Polls:            m.polls.Value(),
+		PollRecoveries:   m.pollRecoveries.Value(),
+		StaleDenied:      m.staleDenied.Value(),
 	}
 }
 
@@ -206,7 +206,7 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 	serial, err := s.exchangeForSOA(zs.server, req)
 	now := s.clock.Now()
 	if err != nil {
-		s.cfg.Metrics.SubscribeRetries.Inc()
+		s.m.subscribeRetries.Inc()
 		return
 	}
 	s.mu.Lock()
@@ -220,7 +220,7 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 		zs.serial = serial
 	}
 	s.mu.Unlock()
-	s.cfg.Metrics.Subscribes.Inc()
+	s.m.subscribes.Inc()
 	if !firstContact && serial > prev {
 		s.pull(zs)
 	}
@@ -236,7 +236,7 @@ func (s *Subscriber) poll(zs *zoneSub) {
 		return
 	}
 	s.mu.Unlock()
-	s.cfg.Metrics.Polls.Inc()
+	s.m.polls.Inc()
 	req := dnswire.NewIterativeQuery(uint16(s.msgID.Add(1)), zs.origin, dnswire.TypeSOA)
 	serial, err := s.exchangeForSOA(zs.server, req)
 	now := s.clock.Now()
@@ -251,7 +251,7 @@ func (s *Subscriber) poll(zs *zoneSub) {
 	behind := serial > zs.serial
 	s.mu.Unlock()
 	if behind {
-		s.cfg.Metrics.PollRecoveries.Inc()
+		s.m.pollRecoveries.Inc()
 		s.pull(zs)
 	}
 }
@@ -321,7 +321,7 @@ func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 			serial = soa.Serial
 		}
 	}
-	s.cfg.Metrics.Notifies.Inc()
+	s.m.notifies.Inc()
 	if t := s.cfg.QLog; t != nil {
 		t.NotifyIn(from, origin, serial)
 	}
@@ -334,7 +334,7 @@ func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 	zs.lastSeen = s.clock.Now()
 	if serial != 0 && serial <= zs.serial {
 		s.mu.Unlock()
-		s.cfg.Metrics.NotifyDups.Inc()
+		s.m.notifyDups.Inc()
 		return
 	}
 	if zs.pulling {
@@ -389,10 +389,10 @@ func (s *Subscriber) pull(zs *zoneSub) {
 	case upToDate || cur <= fromSerial:
 		// Nothing to apply.
 	case full != nil:
-		s.cfg.Metrics.AXFRFallback.Inc()
+		s.m.axfrFallback.Inc()
 		s.applyFull(zs.origin, now)
 	default:
-		s.cfg.Metrics.IXFR.Inc()
+		s.m.ixfr.Inc()
 		s.applyChanges(zs.origin, changes, now)
 	}
 	s.mu.Lock()
@@ -459,12 +459,12 @@ func (s *Subscriber) purgeKeys(keys []cache.Key, now time.Time) {
 		for _, store := range s.cfg.Stores {
 			if store.Remove(k.Name, k.Type) {
 				removed = true
-				s.cfg.Metrics.Purged.Inc()
+				s.m.purged.Inc()
 			}
 			if k.Type == dnswire.TypeNS {
 				n := store.PurgeGlueOf(k.Name)
 				if n > 0 {
-					s.cfg.Metrics.Purged.Add(uint64(n))
+					s.m.purged.Add(uint64(n))
 				}
 			}
 		}
@@ -480,7 +480,7 @@ func (s *Subscriber) purgeKeys(keys []cache.Key, now time.Time) {
 	s.mu.Unlock()
 	if fn := s.cfg.Refetch; fn != nil {
 		for _, k := range refetch {
-			s.cfg.Metrics.Refetches.Inc()
+			s.m.refetches.Inc()
 			fn(k.Name, k.Type)
 		}
 	}
@@ -523,11 +523,11 @@ func (s *Subscriber) AllowStale(name dnswire.Name, qtype dnswire.Type, storedAt 
 		return true
 	}
 	if !s.healthyLocked(zs, now) {
-		s.cfg.Metrics.StaleDenied.Inc()
+		s.m.staleDenied.Inc()
 		return false
 	}
 	if t, ok := s.purged[cache.Key{Name: name, Type: qtype}]; ok && !storedAt.After(t) {
-		s.cfg.Metrics.StaleDenied.Inc()
+		s.m.staleDenied.Inc()
 		return false
 	}
 	return true

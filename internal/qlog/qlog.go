@@ -232,7 +232,7 @@ type Config struct {
 	PerClientMod int
 	// Points is the capture-point mask; 0 means all points.
 	Points PointMask
-	// Registry, when non-nil, receives the qlog.* counters.
+	// Registry, when non-nil, publishes the qlog.* counters.
 	Registry *obs.Registry
 	// Clock stamps records; nil means wall clock.
 	Clock simnet.Clock
@@ -310,12 +310,9 @@ type Logger struct {
 
 	sampleSeq atomic.Uint64 // 1-in-N position counter
 
-	// Accounting: the registry's counters when one is configured, the
-	// logger's own otherwise — Stats reads them, so each event counts once.
-	records     *obs.Counter
-	dropped     *obs.Counter
-	sampledOut  *obs.Counter
-	writeErrors *obs.Counter
+	// Accounting: Stats reads these, and a configured registry publishes
+	// them, so each event counts once.
+	records, dropped, sampledOut, writeErrors obs.Counter
 
 	notify chan struct{} // kicked (non-blocking) on enqueue to wake the consumer
 	stop   chan struct{}
@@ -351,7 +348,7 @@ func New(cfg Config) (*Logger, error) {
 	if clock == nil {
 		clock = simnet.WallClock{}
 	}
-	w, err := newRotatingWriter(cfg.Path, cfg.MaxBytes, cfg.MaxFiles, cfg.Registry)
+	w, err := newRotatingWriter(cfg.Path, cfg.MaxBytes, cfg.MaxFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -364,11 +361,6 @@ func New(cfg Config) (*Logger, error) {
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 		w:      w,
-
-		records:     cfg.Registry.OwnedCounter(MetricRecords),
-		dropped:     cfg.Registry.OwnedCounter(MetricDropped),
-		sampledOut:  cfg.Registry.OwnedCounter(MetricSampledOut),
-		writeErrors: cfg.Registry.OwnedCounter(MetricWriteErrors),
 	}
 	for i := range l.ring {
 		l.ring[i].seq.Store(uint64(i))
@@ -382,6 +374,13 @@ func New(cfg Config) (*Logger, error) {
 	} else {
 		l.enc = &jsonlEncoder{}
 	}
+	reg := cfg.Registry
+	reg.CounterFunc(MetricRecords, l.records.Value)
+	reg.CounterFunc(MetricDropped, l.dropped.Value)
+	reg.CounterFunc(MetricSampledOut, l.sampledOut.Value)
+	reg.CounterFunc(MetricWriteErrors, l.writeErrors.Value)
+	reg.CounterFunc(MetricBytes, w.bytes.Value)
+	reg.CounterFunc(MetricRotations, w.rotations.Value)
 	go l.consume()
 	return l, nil
 }

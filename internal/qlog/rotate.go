@@ -23,23 +23,21 @@ type rotatingWriter struct {
 	size   int64
 	header []byte // re-written at the top of every rotated-in file
 
-	bytes     *obs.Counter // MetricBytes; Logger.Stats reads both
-	rotations *obs.Counter // MetricRotations
+	bytes     obs.Counter // MetricBytes; Logger.Stats reads both
+	rotations obs.Counter // MetricRotations
 }
 
-func newRotatingWriter(path string, maxBytes int64, maxFiles int, reg *obs.Registry) (*rotatingWriter, error) {
+func newRotatingWriter(path string, maxBytes int64, maxFiles int) (*rotatingWriter, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	return &rotatingWriter{
-		path:      path,
-		maxBytes:  maxBytes,
-		maxFiles:  maxFiles,
-		f:         f,
-		bw:        bufio.NewWriterSize(f, 1<<16),
-		bytes:     reg.OwnedCounter(MetricBytes),
-		rotations: reg.OwnedCounter(MetricRotations),
+		path:     path,
+		maxBytes: maxBytes,
+		maxFiles: maxFiles,
+		f:        f,
+		bw:       bufio.NewWriterSize(f, 1<<16),
 	}, nil
 }
 

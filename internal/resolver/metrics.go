@@ -7,21 +7,12 @@ import (
 
 // Metrics is the resolver's bundle of telemetry handles, pre-resolved from
 // a registry so the hot path pays one atomic op per event and zero registry
-// lookups. The handles are nil-safe, so NewMetrics(nil) records nothing.
+// lookups. The handles are nil-safe, so NewMetrics(nil) records nothing: a
+// bare resolver (a private vantage point) pays no atomics. The
+// per-resolution counts are the farm's, which books them per frontend.
 type Metrics struct {
-	// Resolutions counts client resolutions answered (farm followers that
-	// joined an in-flight query are counted by the leader only).
-	Resolutions *obs.Counter
-	// CacheHits counts resolutions answered without any upstream query.
-	CacheHits *obs.Counter
-	// StaleServed counts answers served past their TTL (RFC 8767).
-	StaleServed *obs.Counter
 	// ServFail counts resolutions that ended in SERVFAIL.
 	ServFail *obs.Counter
-	// Upstream counts upstream exchanges attempted; Timeouts the subset
-	// that timed out.
-	Upstream *obs.Counter
-	Timeouts *obs.Counter
 	// Retries counts attempts past the first within iteration steps (the
 	// retry plane's added work); Hedges counts hedged second queries
 	// launched and HedgeWins the subset where the hedge finished first.
@@ -50,14 +41,19 @@ type Metrics struct {
 	Backoff *obs.Histogram
 }
 
-// Metric names under which NewMetrics registers the resolver's telemetry.
+// Metric names of the resolver's telemetry. NewMetrics registers all but
+// the first five, which a farm publishes as sums over its frontends:
+// resolutions answered (a coalesced follower is counted by its leader
+// only), those answered without an upstream query, those served past their
+// TTL (RFC 8767), upstream exchanges attempted and those that timed out.
 const (
 	MetricResolutions = "resolver.resolutions"
 	MetricCacheHits   = "resolver.cache_hits"
 	MetricStaleServed = "resolver.stale_served"
-	MetricServFail    = "resolver.servfail"
 	MetricUpstream    = "resolver.upstream_queries"
 	MetricTimeouts    = "resolver.upstream_timeouts"
+
+	MetricServFail    = "resolver.servfail"
 	MetricLatency     = "resolver.latency_ms"
 	MetricUpstreamRTT = "resolver.upstream_rtt_ms"
 	MetricAnswerTTL   = "resolver.answer_ttl_s"
@@ -77,12 +73,7 @@ const (
 // attach it unconditionally.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
-		Resolutions: reg.Counter(MetricResolutions),
-		CacheHits:   reg.Counter(MetricCacheHits),
-		StaleServed: reg.Counter(MetricStaleServed),
 		ServFail:    reg.Counter(MetricServFail),
-		Upstream:    reg.Counter(MetricUpstream),
-		Timeouts:    reg.Counter(MetricTimeouts),
 		Latency:     reg.Histogram(MetricLatency),
 		UpstreamRTT: reg.Histogram(MetricUpstreamRTT),
 		AnswerTTL:   reg.Histogram(MetricAnswerTTL),
@@ -100,18 +91,9 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // observeResolution books one completed client resolution.
 func (m *Metrics) observeResolution(res *Result) {
-	m.Resolutions.Inc()
-	if res.CacheHit {
-		m.CacheHits.Inc()
-	}
-	if res.Stale {
-		m.StaleServed.Inc()
-	}
 	if res.Msg != nil && res.Msg.Header.RCode == dnswire.RCodeServFail {
 		m.ServFail.Inc()
 	}
-	m.Upstream.Add(uint64(res.Queries))
-	m.Timeouts.Add(uint64(res.Timeouts))
 	m.Latency.ObserveDuration(res.Latency)
 	if res.Msg != nil && len(res.Msg.Answer) > 0 {
 		m.AnswerTTL.Observe(float64(res.AnswerTTL))

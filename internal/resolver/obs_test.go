@@ -15,8 +15,8 @@ import (
 
 // TestResolverMetrics checks the registry view of a cold-then-warm
 // resolution pair: one iteration's worth of upstream queries, then a pure
-// cache hit, with the latency and answer-TTL histograms fed from the same
-// resolutions the counters book.
+// cache hit, in the latency, upstream-RTT and answer-TTL histograms. The
+// per-resolution counts are a farm's, so a bare resolver publishes none.
 func TestResolverMetrics(t *testing.T) {
 	tn := newTestNet(t)
 	reg := obs.NewRegistry(tn.clock)
@@ -30,14 +30,10 @@ func TestResolverMetrics(t *testing.T) {
 	}
 
 	s := reg.Snapshot()
-	if got := s.Counters[MetricResolutions]; got != 2 {
-		t.Fatalf("%s = %d, want 2", MetricResolutions, got)
-	}
-	if got := s.Counters[MetricCacheHits]; got != 1 {
-		t.Fatalf("%s = %d, want 1", MetricCacheHits, got)
-	}
-	if got := s.Counters[MetricUpstream]; got != uint64(cold.Queries) || got == 0 {
-		t.Fatalf("%s = %d, want %d (cold resolution's queries)", MetricUpstream, got, cold.Queries)
+	for _, name := range []string{MetricResolutions, MetricCacheHits, MetricUpstream} {
+		if _, ok := s.Counters[name]; ok {
+			t.Fatalf("a bare resolver published %s", name)
+		}
 	}
 	lat := s.Histograms[MetricLatency]
 	if lat.Count != 2 {
@@ -48,7 +44,7 @@ func TestResolverMetrics(t *testing.T) {
 		t.Fatalf("latency max = %v ms, want %v ms", lat.Max, wantMax)
 	}
 	rtt := s.Histograms[MetricUpstreamRTT]
-	if rtt.Count != uint64(cold.Queries) {
+	if rtt.Count != uint64(cold.Queries) || rtt.Count == 0 {
 		t.Fatalf("upstream RTT count = %d, want %d", rtt.Count, cold.Queries)
 	}
 	ttl := s.Histograms[MetricAnswerTTL]

@@ -107,9 +107,9 @@ type Resolver struct {
 	// LocalRootZone is the RFC 7706 mirror used when Policy.LocalRoot is
 	// set.
 	LocalRootZone *zone.Zone
-	// Obs records per-resolution counters and latency/TTL histograms. New
-	// attaches NewMetrics(nil), whose nil handles record nothing; pass
-	// NewMetrics(reg) to export them. Never nil.
+	// Obs records the SERVFAIL, retry, hedge and prefetch counters and the
+	// latency/TTL histograms. New attaches NewMetrics(nil), whose nil
+	// handles record nothing; pass NewMetrics(reg) to export them. Never nil.
 	Obs *Metrics
 	// Tracer, when non-nil, records every resolution as a span tree —
 	// cache lookup, per-zone iteration steps, upstream exchanges, and the

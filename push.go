@@ -98,7 +98,7 @@ func (rs *RecursiveServer) EnablePush(cfg PushConfig) *PushSubscriber {
 		Stores:    rs.Client.f.Stores(),
 		PollEvery: cfg.PollEvery,
 		QLog:      cfg.QueryLog,
-		Metrics:   push.NewMetrics(cfg.Registry),
+		Registry:  cfg.Registry,
 	}
 	if cfg.Prefetch {
 		pcfg.Refetch = func(name Name, qtype Type) {

@@ -13,28 +13,7 @@
 #      serving (safe rollback).
 #
 # Exits non-zero on any failure.
-set -euo pipefail
-
-workdir=$(mktemp -d)
-# wait after kill: the listeners must actually release their ports before
-# another run (or CI job) reuses them.
-trap 'kill $(jobs -p) 2>/dev/null; wait 2>/dev/null; rm -rf "$workdir"' EXIT
-
-cat > "$workdir/root.zone" <<'EOF'
-$ORIGIN .
-@                   86400 IN SOA a.root-servers.net. ops.example. 1 1800 900 604800 86400
-@                   518400 IN NS a.root-servers.net.
-a.root-servers.net. 518400 IN A 127.0.0.1
-example.test.       172800 IN NS ns1.example.test.
-ns1.example.test.   172800 IN A 127.0.0.1
-EOF
-cat > "$workdir/example.test.zone" <<'EOF'
-$ORIGIN example.test.
-@    3600 IN SOA ns1 admin 1 7200 3600 1209600 60
-@    3600 IN NS ns1
-ns1  3600 IN A 127.0.0.1
-www  300  IN A 192.0.2.80
-EOF
+. "$(dirname "$0")/smoke_lib.sh" authserver resolverd dnsload dnsq
 
 # Blocklist + per-client token bucket in front of the resolver. The
 # limiter's qps/burst are sized so the dnsload flood is mostly shed at the
@@ -59,31 +38,13 @@ next = "resolve"
 type = "resolver"
 EOF
 
-go build -o "$workdir" ./cmd/authserver ./cmd/resolverd ./cmd/dnsload ./cmd/dnsq
+start_auth 5375 -rrl "rps=5,burst=10,slip=2" -metrics 127.0.0.1:8061
+start resolverd.out resolverd -listen 127.0.0.1:5376 -root 127.0.0.1 -rootport 5375 \
+    -pipeline "$workdir/pipeline.conf" -metrics 127.0.0.1:8062
+resolverd_pid=$pid
 
-"$workdir/authserver" -listen 127.0.0.1:5375 -name a.root-servers.net \
-    -zone .="$workdir/root.zone" -zone example.test="$workdir/example.test.zone" \
-    -rrl "rps=5,burst=10,slip=2" -metrics 127.0.0.1:8061 &
-sleep 0.5
-"$workdir/resolverd" -listen 127.0.0.1:5376 -root 127.0.0.1 -rootport 5375 \
-    -pipeline "$workdir/pipeline.conf" -metrics 127.0.0.1:8062 \
-    > "$workdir/resolverd.log" 2>&1 &
-resolverd_pid=$!
-
-# Wait for the resolver's UDP listener (bound after the metrics endpoint)
-# by polling an actual query; the blocked name answers locally, so this
-# needs no upstream and readiness implies the pipeline is live.
-ready=0
-for i in $(seq 1 40); do
-    if "$workdir/dnsq" -server 127.0.0.1 -port 5376 -timeout 500ms ads.example.test A 2>/dev/null |
-        grep 'status: NXDOMAIN' >/dev/null; then
-        ready=1
-        break
-    fi
-    sleep 0.25
-done
-# 1. Blocklist: answered locally as NXDOMAIN.
-[ "$ready" = 1 ] ||
+# 1. Blocklist: answered locally as NXDOMAIN, with no upstream.
+"$workdir/dnsq" -server 127.0.0.1 -port 5376 ads.example.test A | grep 'status: NXDOMAIN' >/dev/null ||
     { echo "abuse smoke: blocklist did not answer NXDOMAIN" >&2; exit 1; }
 
 # Honest baseline before the flood.
@@ -125,10 +86,7 @@ sleep 2
 # still answer locally.
 echo 'entry = "nope"' > "$workdir/pipeline.conf"
 kill -HUP "$resolverd_pid"
-sleep 0.5
-grep 'pipeline reload rejected' "$workdir/resolverd.log" >/dev/null ||
-    { echo "abuse smoke: broken SIGHUP spec was not rejected:" >&2
-      cat "$workdir/resolverd.log" >&2; exit 1; }
+await resolverd.out 'pipeline reload rejected'
 "$workdir/dnsq" -server 127.0.0.1 -port 5376 ads.example.test A |
     grep 'status: NXDOMAIN' >/dev/null ||
     { echo "abuse smoke: old pipeline not kept after rejected SIGHUP reload" >&2; exit 1; }

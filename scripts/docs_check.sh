@@ -7,9 +7,8 @@
 #
 #  1. Every flag defined in cmd/*/main.go appears (as -flagname) somewhere
 #     in docs/.
-#  2. Every metric name the code can register — the resolver/authoritative
-#     Metric* constants, the cache.Instrument gauge suffixes, and the
-#     farm.fe<i>.* counters — appears in docs/.
+#  2. Every metric name the code can register — the Metric* constants and
+#     the farm.fe<i>.* counters — appears in docs/.
 #  3. Every middleware stage kind registered in internal/middleware (the
 #     register("kind", ...) table) has an entry in docs/middleware.md, every
 #     catalog row and ### `kind` heading there names a registered kind, and
@@ -52,11 +51,8 @@ done
 # (a) Named constants: Metric<X> = "some.name" in internal/.
 metrics=$(grep -rhoE 'Metric[A-Za-z0-9]+ += +"[a-z_.]+"' internal/ --include='*.go' |
     grep -oE '"[a-z_.]+"' | tr -d '"' | sort -u)
-# (b) cache.Instrument gauges: prefix+".suffix" — documented under "cache.".
-metrics+=" $(grep -hoE 'prefix\+"\.[a-z_]+"' internal/cache/cache.go |
-    sed 's/prefix+"\./cache./; s/"//g' | sort -u)"
-# (c) farm per-frontend counters: farm.fe<i>.<name>.
-metrics+=" $(grep -hoE 'counter\(i, "[a-z_]+"\)' internal/farm/telemetry.go |
+# (b) farm per-frontend counters: farm.fe<i>.<suffix>, from the suffix table.
+metrics+=" $(grep -hoE '^[[:space:]]+fe[A-Za-z]+: +\{"[a-z_]+"' internal/farm/telemetry.go |
     grep -oE '"[a-z_]+"' | tr -d '"' | sed 's/^/farm.fe<i>./' | sort -u)"
 
 for m in $metrics; do

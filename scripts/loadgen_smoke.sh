@@ -8,36 +8,12 @@
 # the root from the authserver by AXFR (-localroot), and SIGTERM ends a
 # resolverd holding an idle client connection at once, summary printed.
 # Exits non-zero on any failure.
-set -euo pipefail
+. "$(dirname "$0")/smoke_lib.sh" authserver resolverd dnsload
 
-workdir=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$workdir"' EXIT
-
-cat > "$workdir/root.zone" <<'EOF'
-$ORIGIN .
-@                   86400 IN SOA a.root-servers.net. ops.example. 1 1800 900 604800 86400
-@                   518400 IN NS a.root-servers.net.
-a.root-servers.net. 518400 IN A 127.0.0.1
-example.test.       172800 IN NS ns1.example.test.
-ns1.example.test.   172800 IN A 127.0.0.1
-EOF
-cat > "$workdir/example.test.zone" <<'EOF'
-$ORIGIN example.test.
-@    3600 IN SOA ns1 admin 1 7200 3600 1209600 60
-@    3600 IN NS ns1
-ns1  3600 IN A 127.0.0.1
-www  300  IN A 192.0.2.80
-EOF
-
-go build -o "$workdir" ./cmd/authserver ./cmd/resolverd ./cmd/dnsload
-
-"$workdir/authserver" -listen 127.0.0.1:5365 -name a.root-servers.net \
-    -zone .="$workdir/root.zone" -zone example.test="$workdir/example.test.zone" &
-sleep 0.5
-"$workdir/resolverd" -listen 127.0.0.1:5366 -listen-tcp 127.0.0.1:5366 \
-    -root 127.0.0.1 -rootport 5365 > "$workdir/resolverd.out" &
-resolverd_pid=$!
-sleep 0.5
+start_auth 5365
+start resolverd.out resolverd -listen 127.0.0.1:5366 -listen-tcp 127.0.0.1:5366 \
+    -root 127.0.0.1 -rootport 5365
+resolverd_pid=$pid
 
 check_burst() {
     local transport=$1 port=$2
@@ -60,9 +36,7 @@ check_burst tcp 5365
 
 # RFC 7706 against our own daemon: the root zone arrives by AXFR over the
 # authserver's TCP port before the mirror resolver binds anything.
-"$workdir/resolverd" -listen 127.0.0.1:5367 -localroot \
-    -root 127.0.0.1 -rootport 5365 > "$workdir/mirror.out" &
-sleep 0.5
+start mirror.out resolverd -listen 127.0.0.1:5367 -localroot -root 127.0.0.1 -rootport 5365
 grep -q '^mirrored root zone: [1-9]' "$workdir/mirror.out" ||
     { echo "loadgen smoke: resolverd -localroot did not mirror the root:"; cat "$workdir/mirror.out"; exit 1; } >&2
 echo "loadgen smoke (localroot): OK"

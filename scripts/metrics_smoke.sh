@@ -3,35 +3,11 @@
 # resolverd with -metrics, resolve one name through the daemon, scrape
 # /metrics, and assert the scrape is non-empty JSON that counted the
 # resolution. Exits non-zero on any failure.
-set -euo pipefail
+. "$(dirname "$0")/smoke_lib.sh" authserver resolverd dnsq
 
-workdir=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null; rm -rf "$workdir"' EXIT
-
-cat > "$workdir/root.zone" <<'EOF'
-$ORIGIN .
-@                   86400 IN SOA a.root-servers.net. ops.example. 1 1800 900 604800 86400
-@                   518400 IN NS a.root-servers.net.
-a.root-servers.net. 518400 IN A 127.0.0.1
-example.test.       172800 IN NS ns1.example.test.
-ns1.example.test.   172800 IN A 127.0.0.1
-EOF
-cat > "$workdir/example.test.zone" <<'EOF'
-$ORIGIN example.test.
-@    3600 IN SOA ns1 admin 1 7200 3600 1209600 60
-@    3600 IN NS ns1
-ns1  3600 IN A 127.0.0.1
-www  300  IN A 192.0.2.80
-EOF
-
-go build -o "$workdir" ./cmd/authserver ./cmd/resolverd ./cmd/dnsq
-
-"$workdir/authserver" -listen 127.0.0.1:5355 -name a.root-servers.net \
-    -zone .="$workdir/root.zone" -zone example.test="$workdir/example.test.zone" &
-sleep 0.5
-"$workdir/resolverd" -listen 127.0.0.1:5356 -root 127.0.0.1 -rootport 5355 \
-    -metrics 127.0.0.1:8053 &
-sleep 0.5
+start_auth 5355
+start resolverd.out resolverd -listen 127.0.0.1:5356 -root 127.0.0.1 -rootport 5355 \
+    -metrics 127.0.0.1:8053
 
 # grep without -q: reading to EOF avoids a SIGPIPE race with -o pipefail
 # when grep would exit at the first match while dnsq is still writing.

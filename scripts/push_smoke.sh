@@ -6,42 +6,14 @@
 # record's 300 s TTL — NOTIFY out, IXFR pull back, targeted purge, fresh
 # answer. The push.* metrics and the query log's notify records must both
 # witness the exchange. Exits non-zero on any failure.
-set -euo pipefail
+. "$(dirname "$0")/smoke_lib.sh" authserver resolverd dnsq dnstop
 
-workdir=$(mktemp -d)
-trap 'jobs -p | xargs -r kill 2>/dev/null; rm -rf "$workdir"' EXIT
-
-cat > "$workdir/root.zone" <<'EOF'
-$ORIGIN .
-@                   86400 IN SOA a.root-servers.net. ops.example. 1 1800 900 604800 86400
-@                   518400 IN NS a.root-servers.net.
-a.root-servers.net. 518400 IN A 127.0.0.1
-example.test.       172800 IN NS ns1.example.test.
-ns1.example.test.   172800 IN A 127.0.0.1
-EOF
-write_example_zone() { # $1 = serial, $2 = www address
-    cat > "$workdir/example.test.zone" <<EOF
-\$ORIGIN example.test.
-@    3600 IN SOA ns1 admin $1 7200 3600 1209600 60
-@    3600 IN NS ns1
-ns1  3600 IN A 127.0.0.1
-www  300  IN A $2
-EOF
-}
-write_example_zone 1 192.0.2.80
-
-go build -o "$workdir" ./cmd/authserver ./cmd/resolverd ./cmd/dnsq ./cmd/dnstop
-
-"$workdir/authserver" -listen 127.0.0.1:5385 -name a.root-servers.net \
-    -zone .="$workdir/root.zone" -zone example.test="$workdir/example.test.zone" \
-    -push &
-auth_pid=$!
-sleep 0.5
-"$workdir/resolverd" -listen 127.0.0.1:5386 -root 127.0.0.1 -rootport 5385 \
+start_auth 5385 -push
+auth_pid=$pid
+start resolverd.out resolverd -listen 127.0.0.1:5386 -root 127.0.0.1 -rootport 5385 \
     -push example.test=127.0.0.1:5385 -metrics 127.0.0.1:8055 \
-    -qlog "$workdir/resolverd.qlog" &
-resolver_pid=$!
-sleep 0.5
+    -qlog "$workdir/resolverd.qlog"
+resolver_pid=$pid
 
 # Warm the cache with the original address.
 "$workdir/dnsq" -server 127.0.0.1 -port 5386 www.example.test A > "$workdir/before.txt"

@@ -6,38 +6,13 @@
 # asserting nonzero record groups, zero decode errors, and a hit rate that
 # agrees with the resolver's own cache counters to within one point.
 # Exits non-zero on any failure.
-set -euo pipefail
+. "$(dirname "$0")/smoke_lib.sh" authserver resolverd dnsload dnstop
 
-workdir=$(mktemp -d)
-trap 'kill $(jobs -p) 2>/dev/null || true; rm -rf "$workdir"' EXIT
-
-cat > "$workdir/root.zone" <<'EOF'
-$ORIGIN .
-@                   86400 IN SOA a.root-servers.net. ops.example. 1 1800 900 604800 86400
-@                   518400 IN NS a.root-servers.net.
-a.root-servers.net. 518400 IN A 127.0.0.1
-example.test.       172800 IN NS ns1.example.test.
-ns1.example.test.   172800 IN A 127.0.0.1
-EOF
-cat > "$workdir/example.test.zone" <<'EOF'
-$ORIGIN example.test.
-@    3600 IN SOA ns1 admin 1 7200 3600 1209600 60
-@    3600 IN NS ns1
-ns1  3600 IN A 127.0.0.1
-www  300  IN A 192.0.2.80
-EOF
-
-go build -o "$workdir" ./cmd/authserver ./cmd/resolverd ./cmd/dnsload ./cmd/dnstop
-
-"$workdir/authserver" -listen 127.0.0.1:5375 -name a.root-servers.net \
-    -zone .="$workdir/root.zone" -zone example.test="$workdir/example.test.zone" \
-    -qlog "$workdir/auth.qlog" &
-auth_pid=$!
-sleep 0.5
-"$workdir/resolverd" -listen 127.0.0.1:5376 -root 127.0.0.1 -rootport 5375 \
-    -metrics 127.0.0.1:8054 -qlog "$workdir/resolverd.qlog" &
-resolver_pid=$!
-sleep 0.5
+start_auth 5375 -qlog "$workdir/auth.qlog"
+auth_pid=$pid
+start resolverd.out resolverd -listen 127.0.0.1:5376 -root 127.0.0.1 -rootport 5375 \
+    -metrics 127.0.0.1:8054 -qlog "$workdir/resolverd.qlog"
+resolver_pid=$pid
 
 # One warming query first: without it the eight workers' first queries all
 # miss together (one leader, seven coalesced followers the log counts as
