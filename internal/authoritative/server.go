@@ -6,6 +6,7 @@
 package authoritative
 
 import (
+	"bytes"
 	"sync"
 
 	"dnsttl/internal/dnswire"
@@ -85,6 +86,27 @@ func (s *Server) bestZone(name dnswire.Name) *zone.Zone {
 	}
 }
 
+// LendName implements dnswire.NameSource: a query name that owns records in
+// the zone enclosing it is the zone's own string, so decoding the query
+// allocates no copy of it. The enclosing zone is found as bestZone finds it,
+// and then probed once.
+func (s *Server) LendName(spelling []byte) (dnswire.Name, bool) {
+	s.mu.RLock()
+	var z *zone.Zone
+	for i := 0; z == nil && i < len(spelling); {
+		z = s.zones[dnswire.Name(spelling[i:])]
+		i += bytes.IndexByte(spelling[i:], '.') + 1
+	}
+	if z == nil {
+		z = s.zones[dnswire.Root]
+	}
+	s.mu.RUnlock()
+	if z == nil {
+		return "", false
+	}
+	return z.Owner(spelling)
+}
+
 // ServeDNS implements simnet.Handler for the UDP transport: decode, handle,
 // encode, truncating to the client's advertised EDNS size — or the classic
 // 512 bytes when the query carried no OPT record (dnswire.ResponseLimit).
@@ -127,8 +149,9 @@ func (h handler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {
 	// Query and reply live only for the duration of this call: the reply
 	// copies the question and the zone's records by value, and the encoder
 	// copies the reply into dst, so the decoder and both messages go back to
-	// their pools on return.
+	// their pools on return. The query name is borrowed from the zones.
 	d := dnswire.AcquireDecoder()
+	d.Names = s
 	q := dnswire.AcquireMessage()
 	reply := dnswire.AcquireMessage()
 	defer func() {

@@ -1,6 +1,11 @@
 package dnswire
 
-import "testing"
+import (
+	"bytes"
+	"fmt"
+	"testing"
+	"unsafe"
+)
 
 // These tests pin the codec's allocation budgets so hot-path regressions
 // fail loudly instead of silently eroding throughput. Thresholds carry a
@@ -61,5 +66,59 @@ func TestDecoderReuseAllocFree(t *testing.T) {
 	})
 	if allocs >= 0.5 {
 		t.Errorf("warm Decoder.Decode: %.2f allocs/op, want 0", allocs)
+	}
+}
+
+// lentNames is a NameSource over a set of held names.
+type lentNames map[string]Name
+
+func (s lentNames) LendName(spelling []byte) (Name, bool) {
+	n, ok := s[string(spelling)]
+	return n, ok
+}
+
+// TestDecoderLentNamesAllocFree: a never-seen name its source holds costs the
+// decode nothing — the lent string itself comes back — while one spelled in
+// upper case, which NewName would rewrite, is spelled anew.
+func TestDecoderLentNamesAllocFree(t *testing.T) {
+	const runs = 200
+	held := lentNames{}
+	wires := make([][]byte, runs+2) // one to size the message, AllocsPerRun's warm-up, then runs
+	for i := range wires {
+		name := NewName(fmt.Sprintf("h%04d.example.org", i))
+		held[string(name)] = name
+		wire, err := Encode(NewQuery(uint16(i), name, TypeA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wires[i] = wire
+	}
+	d := NewDecoder()
+	d.Names = held
+	var m Message
+	if err := d.Decode(wires[0], &m); err != nil { // sizes the question slice
+		t.Fatal(err)
+	}
+	if n := m.Q().Name; unsafe.StringData(string(n)) != unsafe.StringData(string(held[string(n)])) {
+		t.Errorf("decoded %q is a copy, not the lent string", n)
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := d.Decode(wires[next], &m); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("decoding a lent name: %.2f allocs/op, want 0", allocs)
+	}
+
+	upper := bytes.Clone(wires[0])
+	copy(upper[12:], "\x05H0000")
+	if err := d.Decode(upper, &m); err != nil || m.Q().Name != NewName("h0000.example.org") {
+		t.Fatalf("upper-case spelling decoded to %q, %v", m.Q().Name, err)
+	}
+	if unsafe.StringData(string(m.Q().Name)) == unsafe.StringData(string(held["h0000.example.org."])) {
+		t.Errorf("an upper-case spelling took the lent name")
 	}
 }

@@ -409,3 +409,60 @@ func TestRREqualIgnoresTTL(t *testing.T) {
 		t.Errorf("different RDATA must not be Equal")
 	}
 }
+
+// TestDecodedNeverAliasesWire: a decoded message copies every byte it keeps
+// — names, TXT strings, the DNSKEY/DS tails, RRSIG signatures, Unknown
+// RDATA — so its wire may be reused the moment Decode returns, as a
+// resolver reuses its reply buffer. One message carries every RData type;
+// its wire is overwritten after the decode, and the message must still equal
+// one decoded from a copy taken before.
+func TestDecodedNeverAliasesWire(t *testing.T) {
+	resp := NewQuery(7, NewName("example.org"), TypeANY).Reply()
+	resp.AddAnswer(
+		NewA("example.org", 3600, "192.0.2.1"),
+		NewAAAA("example.org", 7200, "2001:db8::1"),
+		NewNS("example.org", 172800, "ns1.example.org"),
+		NewCNAME("www.example.org", 300, "example.org"),
+		NewMX("example.org", 900, 10, "mail.example.org"),
+		NewTXT("example.org", 60, "v=spf1 -all", "second string"),
+		NewSOA("example.org", 86400, "ns1.example.org", "hostmaster.example.org", 1, 2, 3, 4, 5),
+		RR{Name: NewName("example.org"), Type: TypeDNSKEY, Class: ClassIN, TTL: 3600,
+			Data: DNSKEY{Flags: 257, Protocol: 3, Algorithm: 8, PublicKey: []byte{1, 2, 3, 4}}},
+		RR{Name: NewName("example.org"), Type: TypeDS, Class: ClassIN, TTL: 3600,
+			Data: DS{KeyTag: 12345, Algorithm: 8, DigestType: 2, Digest: []byte{0xde, 0xad}}},
+		RR{Name: NewName("example.org"), Type: TypeRRSIG, Class: ClassIN, TTL: 3600,
+			Data: RRSIG{TypeCovered: TypeA, Algorithm: 8, Labels: 2, OriginalTTL: 3600,
+				KeyTag: 12345, SignerName: NewName("example.org"), Signature: []byte{9, 9, 9}}},
+		RR{Name: NewName("1.2.0.192.in-addr.arpa"), Type: TypePTR, Class: ClassIN, TTL: 60,
+			Data: PTR{Target: NewName("example.org")}},
+		RR{Name: NewName("example.org"), Type: Type(999), Class: ClassIN, TTL: 5, Data: Unknown{T: 999, Raw: []byte{7, 8}}},
+	)
+	resp.AddAdditional(RR{Name: Root, Type: TypeOPT, Data: OPT{UDPSize: 1232, DO: true}})
+	wire, err := Encode(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Decode(bytes.Clone(wire))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := new(Message)
+	if err := NewDecoder().Decode(wire, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range wire {
+		wire[i] = 0xA5
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("overwriting the wire changed the decoded message:\n%s\nwant\n%s", got, want)
+	}
+	seen := map[reflect.Type]bool{}
+	for _, rr := range append(got.Answer, got.Additional...) {
+		seen[reflect.TypeOf(rr.Data)] = true
+	}
+	for _, rd := range []RData{A{}, AAAA{}, NS{}, CNAME{}, PTR{}, MX{}, TXT{}, SOA{}, DNSKEY{}, DS{}, RRSIG{}, OPT{}, Unknown{}} {
+		if !seen[reflect.TypeOf(rd)] {
+			t.Errorf("the message carries no %T", rd)
+		}
+	}
+}

@@ -29,11 +29,24 @@ type boxKey struct {
 	addr netip.Addr
 }
 
+// NameSource lends a Decoder names its caller already holds — a server's
+// zone owners, a resolver's own question — so that a decode does not spell
+// a second copy of a string someone keeps anyway.
+type NameSource interface {
+	// LendName returns a held Name whose bytes are exactly spelling, a
+	// lower-case wire spelling with its trailing dot, or false.
+	LendName(spelling []byte) (Name, bool)
+}
+
 // Decoder parses wire-format messages into caller-owned Messages, reusing
 // the target's RR slices and interning names and hot RData values so that a
 // steady-state decode allocates nothing. A Decoder is not safe for
 // concurrent use; use AcquireDecoder/ReleaseDecoder for a pooled one.
 type Decoder struct {
+	// Names, when set, is asked for a name the intern table has not seen
+	// before its spelling is allocated. ReleaseDecoder clears it.
+	Names NameSource
+
 	wire    []byte
 	off     int
 	scratch []byte // name assembly buffer
@@ -64,7 +77,7 @@ func AcquireDecoder() *Decoder { return decoderPool.Get().(*Decoder) }
 
 // ReleaseDecoder returns d to the pool. The caller must not use d after.
 func ReleaseDecoder(d *Decoder) {
-	d.wire = nil
+	d.wire, d.Names = nil, nil
 	decoderPool.Put(d)
 }
 
@@ -201,18 +214,38 @@ func (d *Decoder) readHeader(h *Header) (qd, an, ns, ar int, err error) {
 }
 
 // internName canonicalizes the name assembled in d.scratch, reusing a
-// previously decoded Name when the same spelling has been seen. The map
-// lookup with a string([]byte) key compiles to a no-allocation access; a
-// first sighting pays for one string, which an already-canonical spelling
-// shares between the key and the Name.
+// previously decoded Name when the same spelling has been seen, or one the
+// name source lends. The map lookup with a string([]byte) key compiles to a
+// no-allocation access; a first sighting pays for one string, which an
+// already-canonical spelling shares between the key and the Name.
+//
+// A lent name is taken only for a canonical spelling it matches byte for
+// byte, which is then exactly what NewName would build; it is not interned,
+// so the table pins nothing the source holds.
 func (d *Decoder) internName() Name {
 	if n, ok := d.names[string(d.scratch)]; ok {
 		return n
+	}
+	if d.Names != nil && isCanonical(d.scratch) {
+		if n, ok := d.Names.LendName(d.scratch); ok && string(n) == string(d.scratch) {
+			return n
+		}
 	}
 	spelling := string(d.scratch)
 	n := NewName(spelling)
 	d.names[spelling] = n
 	return n
+}
+
+// isCanonical reports whether NewName leaves spelling as it is: ASCII with
+// no upper-case letter (the trailing dot is the decoder's).
+func isCanonical(spelling []byte) bool {
+	for _, b := range spelling {
+		if b >= 0x80 || 'A' <= b && b <= 'Z' {
+			return false
+		}
+	}
+	return true
 }
 
 // readName reads a possibly-compressed name starting at the current offset.

@@ -2,13 +2,58 @@ package dnswire
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
 
+// carelessSource lends the names it holds, and for any other spelling a
+// name that is wrong: the spelling itself when NewName would lower-case it,
+// a different name otherwise. The decoder must take a lent name only where
+// it is exactly what NewName would build.
+type carelessSource map[string]Name
+
+func (s carelessSource) LendName(spelling []byte) (Name, bool) {
+	if n, ok := s[string(spelling)]; ok {
+		return n, true
+	}
+	if !bytes.Equal(bytes.ToLower(spelling), spelling) {
+		return Name(spelling), true
+	}
+	return "lent-a-wrong-name.", true
+}
+
+// messageNames lists every name m carries: questions, owners, and the names
+// inside RDATA.
+func messageNames(m *Message) []Name {
+	var out []Name
+	for _, q := range m.Question {
+		out = append(out, q.Name)
+	}
+	for _, rr := range append(append(append([]RR(nil), m.Answer...), m.Authority...), m.Additional...) {
+		out = append(out, rr.Name)
+		switch d := rr.Data.(type) {
+		case NS:
+			out = append(out, d.Host)
+		case CNAME:
+			out = append(out, d.Target)
+		case PTR:
+			out = append(out, d.Target)
+		case MX:
+			out = append(out, d.Host)
+		case SOA:
+			out = append(out, d.MName, d.RName)
+		case RRSIG:
+			out = append(out, d.SignerName)
+		}
+	}
+	return out
+}
+
 // FuzzDecode drives the wire decoder with arbitrary bytes; it must never
-// panic, and anything it accepts must re-encode and re-decode to the same
-// message (decode∘encode idempotence on the accepted set).
+// panic, a decoder given a name source must decode what one without does,
+// and anything it accepts must re-encode and re-decode to the same message
+// (decode∘encode idempotence on the accepted set).
 func FuzzDecode(f *testing.F) {
 	// Seed corpus: valid messages of increasing complexity.
 	seed := func(m *Message) {
@@ -37,6 +82,7 @@ func FuzzDecode(f *testing.F) {
 		set.AddAnswer(NewA("www.x.org", 300, addr))
 	}
 	seed(set)
+	f.Add([]byte("\x00\x06\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x03WWW\x07Example\x03ORG\x00\x00\x01\x00\x01"))
 	f.Add([]byte{0xC0, 0x0C})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
@@ -104,6 +150,18 @@ func FuzzDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		src := carelessSource{} // holds every other name, so it lies about the rest
+		for i, n := range messageNames(m) {
+			if i%2 == 0 {
+				src[string(n)] = n
+			}
+		}
+		lending := NewDecoder()
+		lending.Names = src
+		var lent Message
+		if err := lending.Decode(data, &lent); err != nil || !reflect.DeepEqual(&lent, m) {
+			t.Fatalf("a decoder with a name source decodes differently (%v):\n%s\nwant\n%s", err, &lent, m)
 		}
 		wire2, err := Encode(m)
 		if err != nil {

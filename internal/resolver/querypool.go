@@ -6,16 +6,23 @@ import (
 	"dnsttl/internal/dnswire"
 )
 
-// queryScratch bundles the reusable query Message and wire buffer the
-// query-build hot path (Resolver.exchangeAny) encodes into. Reuse after
-// Exchange returns is safe because the simulated network delivers
-// synchronously: no handler retains the query bytes past the call.
-// Upstream replies are pooled separately (see Resolver.attempt); the client
-// answer a Resolve builds is not — it escapes into Results and the cache.
+// queryScratch bundles the reusable state of one iteration step's upstream
+// exchanges (Resolver.exchangeAny): the query Message and its wire, and the
+// buffer every attempt's reply lands in. The wire is safe to reuse once
+// Exchange returns because no Exchanger retains a query past the call. The
+// reply is safe to reuse once attempt has decoded it, because a decoded
+// Message copies every byte it keeps and aliases nothing of its wire. The
+// client answer a Resolve builds is not pooled — it escapes into Results and
+// the cache.
 type queryScratch struct {
-	msg  dnswire.Message
-	wire []byte
+	msg   dnswire.Message
+	wire  []byte
+	reply []byte
 }
+
+// maxPooledReply bounds the reply buffer a pooled scratch keeps: the rare
+// large (TCP-fallback, AXFR-sized) reply is not pinned in the pool.
+const maxPooledReply = 4096
 
 var queryScratchPool = sync.Pool{New: func() any { return new(queryScratch) }}
 
@@ -23,15 +30,29 @@ func acquireQueryScratch() *queryScratch { return queryScratchPool.Get().(*query
 
 func releaseQueryScratch(qs *queryScratch) {
 	qs.msg.Reset()
+	if cap(qs.reply) > maxPooledReply {
+		qs.reply = nil
+	}
 	queryScratchPool.Put(qs)
 }
 
-// encodeQuery builds a one-question query (plus optional extra additional
+// encode builds a one-question query (plus optional extra additional
 // records already placed in qs.msg.Additional by the caller) into qs.wire.
-func (qs *queryScratch) encode() ([]byte, error) {
+func (qs *queryScratch) encode() error {
 	wire, err := dnswire.AppendEncode(qs.wire[:0], &qs.msg)
 	if wire != nil {
-		qs.wire = wire[:0]
+		qs.wire = wire
 	}
-	return wire, err
+	return err
+}
+
+// question is the one question the scratch's query asks.
+func (qs *queryScratch) question() dnswire.Question { return qs.msg.Question[0] }
+
+// LendName implements dnswire.NameSource for a reply's decode: a matching
+// reply spells the name asked in its question and its answers, and the
+// resolver holds that string already.
+func (qs *queryScratch) LendName(spelling []byte) (dnswire.Name, bool) {
+	name := qs.question().Name
+	return name, string(name) == string(spelling)
 }

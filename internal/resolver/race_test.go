@@ -11,6 +11,8 @@ import (
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/simnet"
+	"dnsttl/internal/transport"
+	"dnsttl/internal/zone"
 )
 
 // TestConcurrentResolutionsUnderChaos hammers one shared resolver — retry
@@ -132,4 +134,63 @@ func TestSRTTTableRace(t *testing.T) {
 			t.Errorf("server %v lost its estimate under concurrency: %v %v", a, est, ok)
 		}
 	}
+}
+
+// TestConcurrentLeafMissesOverUDP resolves distinct never-seen names from
+// many goroutines through one Resolver over the real UDP transport, against
+// an authoritative on loopback: every answer must carry its own name's
+// address. Each exchange's reply lands in a pooled buffer that the next
+// resolution reuses, and both decoders borrow their names instead of
+// copying them, so under -race this covers the reply's whole journey.
+func TestConcurrentLeafMissesOverUDP(t *testing.T) {
+	const goroutines, perG = 8, 40
+	root := zone.New(dnswire.Root)
+	root.MustAdd(
+		dnswire.NewSOA(".", 86400, "a.root-servers.net", "x", 1, 1, 1, 1, 60),
+		dnswire.NewNS(".", 86400, "a.root-servers.net"),
+		dnswire.NewA("a.root-servers.net", 86400, "127.0.0.1"),
+	)
+	addrOf := func(g, i int) netip.Addr { return netip.AddrFrom4([4]byte{10, byte(g), byte(i), 1}) }
+	nameOf := func(g, i int) dnswire.Name { return dnswire.NewName(fmt.Sprintf("h%d-%d.example", g, i)) }
+	for g := 0; g < goroutines; g++ {
+		for i := 0; i < perG; i++ {
+			root.MustAdd(dnswire.RR{Name: nameOf(g, i), Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
+				Data: dnswire.A{Addr: addrOf(g, i)}})
+		}
+	}
+	srv := authoritative.NewServer(dnswire.NewName("a.root-servers.net"), nil)
+	srv.AddZone(root)
+	us := &authoritative.UDPServer{Handler: srv}
+	addr, err := us.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer us.Close()
+	tr, err := transport.New(transport.Config{Kind: transport.UDP, Timeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream := transport.NewNet(tr, addr.Port())
+	defer upstream.Close()
+	r := New(netip.MustParseAddr("127.0.0.1"), DefaultPolicy(), upstream, nil, []netip.Addr{addr.Addr()}, 1)
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				res, err := r.Resolve(nameOf(g, i), dnswire.TypeA)
+				if err != nil || len(res.Msg.Answer) != 1 {
+					t.Errorf("%s: %v, %v", nameOf(g, i), res, err)
+					return
+				}
+				if rr := res.Msg.Answer[0]; rr.Name != nameOf(g, i) || rr.Data != (dnswire.A{Addr: addrOf(g, i)}) {
+					t.Errorf("%s answered with %s", nameOf(g, i), rr)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -571,8 +571,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 	qs.msg.Question = append(qs.msg.Question,
 		dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassIN})
 	qs.msg.AddAdditional(ednsOPT)
-	wire, err := qs.encode()
-	if err != nil {
+	if err := qs.encode(); err != nil {
 		return nil, netip.Addr{}, err
 	}
 
@@ -591,7 +590,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 			r.Obs.Retries.Inc()
 		}
 		if i == 0 && rp.Hedge > 0 && len(order) > 1 {
-			resp, server, cost, err := r.hedgedAttempt(order, name, qtype, wire, rp, res, sp)
+			resp, server, cost, err := r.hedgedAttempt(order, qs, rp, res, sp)
 			res.Latency += cost
 			if err == nil {
 				return resp, server, nil
@@ -600,7 +599,7 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 			continue
 		}
 		server := order[i%len(order)]
-		resp, cost, err := r.attempt(server, name, qtype, wire, retrying, res, sp, res.Latency)
+		resp, cost, err := r.attempt(server, qs, retrying, res, sp, res.Latency)
 		res.Latency += cost
 		if err == nil {
 			return resp, server, nil
@@ -613,27 +612,34 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 	return nil, netip.Addr{}, lastErr
 }
 
-// attempt performs one upstream exchange against server, stamping a fresh
-// transaction ID into the pre-encoded wire query. It books Queries/Timeouts
-// and SRTT state but deliberately does NOT charge res.Latency: sequential
-// retries charge their full cost, while a hedged pair charges only the
-// earlier completion — the caller knows which. offset positions the fault
-// schedule at the virtual latency this resolution has already accumulated,
-// so a retry after backoff sees later fault-window state.
+// attempt performs one upstream exchange of qs's query against server,
+// stamping a fresh transaction ID into the pre-encoded wire. It books
+// Queries/Timeouts and SRTT state but deliberately does NOT charge
+// res.Latency: sequential retries charge their full cost, while a hedged
+// pair charges only the earlier completion — the caller knows which. offset
+// positions the fault schedule at the virtual latency this resolution has
+// already accumulated, so a retry after backoff sees later fault-window
+// state.
 //
-// The reply is decoded into a pooled Message whose lifetime the caller owns:
-// iterate releases it after absorb, which copies out every record it caches
-// or answers with, so nothing may keep the message or its section slices
-// past that point. A reply attempt rejects is released here.
-func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
+// The reply lands in qs.reply, which the next attempt reuses: it is decoded
+// (borrowing the asked name, see queryScratch.LendName) into a pooled
+// Message whose lifetime the caller owns. iterate releases it after absorb,
+// which copies out every record it caches or answers with, so nothing may
+// keep the message or its section slices past that point. A reply attempt
+// rejects is released here; one is rejected unless its ID and its question
+// match the query's (RFC 5452 §9.1), so a late or forged reply for another
+// name is never absorbed.
+func (r *Resolver) attempt(server netip.Addr, qs *queryScratch, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
+	q := qs.question()
 	esp := sp.Child("exchange")
 	if esp != nil {
 		esp.Annotate("server", server.String())
 	}
 	qID := r.id()
-	wire[0], wire[1] = byte(qID>>8), byte(qID)
+	qs.wire[0], qs.wire[1] = byte(qID>>8), byte(qID)
 	res.Queries++
-	respWire, rtt, err := r.exchangeWire(server, wire, offset)
+	reply, rtt, err := simnet.AppendExchange(r.Net, qs.reply[:0], r.Addr, server, qs.wire, offset)
+	qs.reply = reply
 	r.Obs.UpstreamRTT.ObserveDuration(rtt)
 	if esp != nil {
 		esp.AnnotateUint("rtt_us", uint64(rtt/time.Microsecond))
@@ -643,7 +649,7 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		r.srttPenalize(server, rtt)
 		esp.Annotate("error", "timeout")
 		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, 0, 0, qlog.OutcomeTimeout, rtt)
+		r.QLog.Upstream(server, q.Name, q.Type, 0, 0, qlog.OutcomeTimeout, rtt)
 		return nil, rtt, err
 	}
 	if srtt := r.srttObserve(server, rtt); srtt > 0 {
@@ -654,7 +660,8 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 	}
 	resp := dnswire.AcquireMessage()
 	d := dnswire.AcquireDecoder()
-	derr := d.Decode(respWire, resp)
+	d.Names = qs
+	derr := d.Decode(qs.reply, resp)
 	dnswire.ReleaseDecoder(d)
 	var (
 		reject error
@@ -666,6 +673,8 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 		reject, label = derr, "decode"
 	case resp.Header.ID != qID:
 		reject, label = errIDMismatch, "id-mismatch"
+	case len(resp.Question) != 1 || resp.Question[0] != q:
+		reject, label = errQuestionMismatch, "question-mismatch"
 	// An active retry plane treats degraded replies as retryable: an empty
 	// truncated shell (anycast shedding load) and failure rcodes both mean
 	// "ask someone else", where the legacy path would hand them to absorb
@@ -678,12 +687,12 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 	if reject != nil {
 		esp.Annotate("error", label)
 		esp.Finish()
-		r.QLog.Upstream(server, name, qtype, rcode, 0, qlog.OutcomeError, rtt)
+		r.QLog.Upstream(server, q.Name, q.Type, rcode, 0, qlog.OutcomeError, rtt)
 		dnswire.ReleaseMessage(resp)
 		return nil, rtt, reject
 	}
 	esp.Finish()
-	r.QLog.Upstream(server, name, qtype, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, rtt)
+	r.QLog.Upstream(server, q.Name, q.Type, resp.Header.RCode, resp.AnswerTTL(), qlog.OutcomeNone, rtt)
 	return resp, rtt, nil
 }
 
@@ -692,10 +701,10 @@ func (r *Resolver) attempt(server netip.Addr, name dnswire.Name, qtype dnswire.T
 // the synchronous simulation both costs are known immediately, so the race
 // resolves arithmetically — the client pays the earlier completion, and both
 // queries hit the authoritatives (the real price of hedging).
-func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dnswire.Type, wire []byte, rp RetryPolicy, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, time.Duration, error) {
+func (r *Resolver) hedgedAttempt(order []netip.Addr, qs *queryScratch, rp RetryPolicy, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, time.Duration, error) {
 	base := res.Latency
 	primary, backup := order[0], order[1]
-	respP, costP, errP := r.attempt(primary, name, qtype, wire, true, res, sp, base)
+	respP, costP, errP := r.attempt(primary, qs, true, res, sp, base)
 	if errP == nil && costP <= rp.Hedge {
 		return respP, primary, costP, nil
 	}
@@ -705,7 +714,7 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 	if sp != nil {
 		sp.Annotate("hedge", backup.String())
 	}
-	respH, costH, errH := r.attempt(backup, name, qtype, wire, true, res, sp, base+rp.Hedge)
+	respH, costH, errH := r.attempt(backup, qs, true, res, sp, base+rp.Hedge)
 	completionH := rp.Hedge + costH
 	switch {
 	case errP == nil && (errH != nil || costP <= completionH):
@@ -729,17 +738,6 @@ func (r *Resolver) hedgedAttempt(order []netip.Addr, name dnswire.Name, qtype dn
 		cost = completionH
 	}
 	return nil, netip.Addr{}, cost, errP
-}
-
-// exchangeWire sends one wire query, positioning the fault schedule at the
-// given virtual-time offset when the network supports it (the in-memory
-// simnet does; the real-socket transport.Net ignores offsets by not
-// implementing the interface).
-func (r *Resolver) exchangeWire(server netip.Addr, wire []byte, offset time.Duration) ([]byte, time.Duration, error) {
-	if oe, ok := r.Net.(simnet.OffsetExchanger); ok {
-		return oe.ExchangeAt(r.Addr, server, wire, offset)
-	}
-	return r.Net.Exchange(r.Addr, server, wire)
 }
 
 // drawJitter draws the backoff jitter addition from the resolver's seeded

@@ -191,6 +191,54 @@ func TestIDMismatch(t *testing.T) {
 	}
 }
 
+// TestQuestionMismatch: a reply under the right ID whose question is not the
+// query's — another name, another type — is rejected (RFC 5452 §9.1), so
+// nothing is cached for either name; the same reply spelled in another case
+// is the query's and is accepted.
+func TestQuestionMismatch(t *testing.T) {
+	x, other := dnswire.NewName("x.org"), dnswire.NewName("other.org")
+	cases := []struct {
+		name  string
+		reply dnswire.Question // the question the reply carries, answered with an A
+		ok    bool
+	}{
+		{"another name", dnswire.Question{Name: other, Type: dnswire.TypeA, Class: dnswire.ClassIN}, false},
+		{"another type", dnswire.Question{Name: x, Type: dnswire.TypeAAAA, Class: dnswire.ClassIN}, false},
+		{"another case", dnswire.Question{Name: "X.ORG.", Type: dnswire.TypeA, Class: dnswire.ClassIN}, true},
+	}
+	for _, c := range cases {
+		clock := simnet.NewVirtualClock()
+		net := simnet.NewNetwork(1)
+		rootAddr := netip.MustParseAddr("192.0.2.1")
+		net.Attach(rootAddr, simnet.HandlerFunc(func(wire []byte, _ netip.Addr) []byte {
+			q, err := dnswire.Decode(wire)
+			if err != nil {
+				return nil
+			}
+			q.Question[0] = c.reply
+			resp := q.Reply()
+			resp.Header.AA = true
+			resp.AddAnswer(dnswire.RR{Name: c.reply.Name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 60,
+				Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.80")}})
+			out, _ := dnswire.Encode(resp)
+			return out
+		}))
+		r := New(netip.MustParseAddr("10.0.0.1"), DefaultPolicy(), net, clock, []netip.Addr{rootAddr}, 1)
+		res, _ := r.Resolve(x, dnswire.TypeA)
+		if got := res.Msg.Header.RCode == dnswire.RCodeNoError && len(res.Msg.Answer) == 1; got != c.ok {
+			t.Errorf("%s: answered = %v, want %v: %s", c.name, got, c.ok, res.Msg)
+		}
+		_, _, cachedX := r.Cache.Get(x, dnswire.TypeA)
+		_, _, cachedOther := r.Cache.Get(other, dnswire.TypeA)
+		if cachedX != c.ok || cachedOther {
+			t.Errorf("%s: cached x.org = %v, other.org = %v; want %v, false", c.name, cachedX, cachedOther, c.ok)
+		}
+		if res.Timeouts != 0 {
+			t.Errorf("%s: %d timeouts: a rejected reply is not a timeout", c.name, res.Timeouts)
+		}
+	}
+}
+
 func TestNoRootHints(t *testing.T) {
 	clock := simnet.NewVirtualClock()
 	net := simnet.NewNetwork(1)

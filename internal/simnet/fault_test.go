@@ -203,11 +203,11 @@ func TestNetworkFaultInjection(t *testing.T) {
 		t.Errorf("after windows: rtt=%v err=%v, want 10ms", rtt, err)
 	}
 
-	// ExchangeAt positions the fault lookup: offset back... the schedule is
+	// AppendExchange's offset positions the fault lookup: the schedule is
 	// relative to the clock, so a large offset from the last window's start
 	// lands past everything too.
-	if _, _, err := n.ExchangeAt(faultCli, faultSrv, query, time.Hour); err != nil {
-		t.Errorf("ExchangeAt past windows: %v", err)
+	if _, _, err := n.AppendExchange(nil, faultCli, faultSrv, query, time.Hour); err != nil {
+		t.Errorf("AppendExchange past windows: %v", err)
 	}
 }
 
@@ -225,10 +225,10 @@ func TestNetworkFaultOffset(t *testing.T) {
 	}))
 	n.Faults = NewFaultSchedule(window(FaultOutage, faultSrv, 0, time.Minute))
 	query := make([]byte, 12)
-	if _, _, err := n.ExchangeAt(faultCli, faultSrv, query, 0); err != ErrTimeout {
+	if _, _, err := n.AppendExchange(nil, faultCli, faultSrv, query, 0); err != ErrTimeout {
 		t.Errorf("offset 0 inside outage: err=%v, want timeout", err)
 	}
-	if _, _, err := n.ExchangeAt(faultCli, faultSrv, query, 2*time.Minute); err != nil {
+	if _, _, err := n.AppendExchange(nil, faultCli, faultSrv, query, 2*time.Minute); err != nil {
 		t.Errorf("offset past outage: %v", err)
 	}
 }

@@ -57,6 +57,32 @@ type Exchanger interface {
 	Exchange(src, dst netip.Addr, query []byte) (resp []byte, rtt time.Duration, err error)
 }
 
+// AppendExchanger is the client-side twin of AppendHandler, the form a
+// resolver with a reusable reply buffer calls: the response is appended to
+// buf and the extended slice returned (buf unextended on error), so the
+// reply lands in the caller's buffer and is the caller's to reuse. offset
+// positions the exchange past the clock's current instant for the fault
+// schedule: a resolver passes the latency its resolution has already
+// accumulated (RTTs, backoffs), so a retry after backoff can genuinely ride
+// out a flap window. Exchange is the nil-buffer form at offset 0.
+type AppendExchanger interface {
+	AppendExchange(buf []byte, src, dst netip.Addr, query []byte, offset time.Duration) (resp []byte, rtt time.Duration, err error)
+}
+
+// AppendExchange exchanges over x in the append form: x's own when it
+// implements AppendExchanger, and otherwise Exchange's response copied onto
+// buf, the offset unused.
+func AppendExchange(x Exchanger, buf []byte, src, dst netip.Addr, query []byte, offset time.Duration) ([]byte, time.Duration, error) {
+	if ax, ok := x.(AppendExchanger); ok {
+		return ax.AppendExchange(buf, src, dst, query, offset)
+	}
+	resp, rtt, err := x.Exchange(src, dst, query)
+	if err != nil {
+		return buf, rtt, err
+	}
+	return append(buf, resp...), rtt, nil
+}
+
 // Exchange errors.
 var (
 	ErrTimeout     = errors.New("simnet: query timed out")
@@ -68,7 +94,7 @@ const DefaultTimeout = 5 * time.Second
 
 // node is one attached server.
 type node struct {
-	handler Handler
+	handler AppendHandler
 	// down marks the server unresponsive (used for §4.4-style experiments
 	// where child authoritatives are taken offline).
 	down atomic.Bool
@@ -127,8 +153,7 @@ type Network struct {
 	Faults *FaultSchedule
 	// Tap, when non-nil, observes every exchange — the simulation's
 	// packet capture, standing in for the paper's pcap analyses (§4.4).
-	// It runs outside the network lock; keep it cheap. The Query and
-	// Response slices are only valid during the call.
+	// It runs outside the network lock; keep it cheap.
 	Tap func(TapEvent)
 
 	// counters
@@ -136,7 +161,8 @@ type Network struct {
 	losses  atomic.Uint64
 }
 
-// TapEvent describes one observed exchange.
+// TapEvent describes one observed exchange. Query and Response are views of
+// the client's buffers, valid only during the Tap call: copy what you keep.
 type TapEvent struct {
 	Src, Dst netip.Addr
 	Query    []byte
@@ -200,7 +226,7 @@ func (n *Network) flowFor(src, dst netip.Addr) *flow {
 func (n *Network) Attach(addr netip.Addr, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.nodes[addr] = &node{handler: h}
+	n.nodes[addr] = &node{handler: AsAppendHandler(h)}
 }
 
 // Detach removes the server at addr.
@@ -227,28 +253,23 @@ func (n *Network) SetDown(addr netip.Addr, down bool) error {
 // The returned RTT is sampled from the link's latency model; lost or
 // unanswered queries return ErrTimeout and cost the full timeout.
 func (n *Network) Exchange(src, dst netip.Addr, query []byte) ([]byte, time.Duration, error) {
-	return n.ExchangeAt(src, dst, query, 0)
+	return n.AppendExchange(nil, src, dst, query, 0)
 }
 
-// OffsetExchanger is an Exchanger that can position an exchange at a
-// virtual-time offset past the clock's current instant. Resolvers pass the
-// latency a resolution has already accumulated (RTTs, backoffs), so within
-// one resolution later attempts see later fault-schedule state — a retry
-// after backoff can genuinely ride out a flap window.
-type OffsetExchanger interface {
-	Exchanger
-	ExchangeAt(src, dst netip.Addr, query []byte, offset time.Duration) (resp []byte, rtt time.Duration, err error)
-}
-
-// ExchangeAt is Exchange with the fault schedule evaluated at
-// Clock.Now()+offset. With no schedule installed the offset is irrelevant
-// and ExchangeAt is identical to Exchange.
-func (n *Network) ExchangeAt(src, dst netip.Addr, query []byte, offset time.Duration) ([]byte, time.Duration, error) {
-	resp, rtt, err := n.exchange(src, dst, query, offset)
+// AppendExchange implements AppendExchanger: the server's reply is appended
+// to buf by its AppendHandler (a plain Handler's is copied there), with the
+// fault schedule evaluated at Clock.Now()+offset. With no schedule installed
+// the offset is irrelevant.
+func (n *Network) AppendExchange(buf []byte, src, dst netip.Addr, query []byte, offset time.Duration) ([]byte, time.Duration, error) {
+	out, rtt, err := n.exchange(buf, src, dst, query, offset)
 	if tap := n.Tap; tap != nil {
+		var resp []byte
+		if err == nil {
+			resp = out[len(buf):]
+		}
 		tap(TapEvent{Src: src, Dst: dst, Query: query, Response: resp, RTT: rtt, Err: err})
 	}
-	return resp, rtt, err
+	return out, rtt, err
 }
 
 // faultTime is the instant the fault schedule sees for an exchange.
@@ -259,7 +280,7 @@ func (n *Network) faultTime(offset time.Duration) time.Time {
 	return Epoch.Add(offset)
 }
 
-func (n *Network) exchange(src, dst netip.Addr, query []byte, offset time.Duration) ([]byte, time.Duration, error) {
+func (n *Network) exchange(buf []byte, src, dst netip.Addr, query []byte, offset time.Duration) ([]byte, time.Duration, error) {
 	n.mu.RLock()
 	nd := n.nodes[dst]
 	n.mu.RUnlock()
@@ -306,38 +327,36 @@ func (n *Network) exchange(src, dst netip.Addr, query []byte, offset time.Durati
 	}
 
 	if nd == nil {
-		return nil, DefaultTimeout, ErrUnreachable
+		return buf, DefaultTimeout, ErrUnreachable
 	}
 	if lost || !deliverable {
-		return nil, DefaultTimeout, ErrTimeout
+		return buf, DefaultTimeout, ErrTimeout
 	}
-	var resp []byte
+	var out []byte
 	switch {
 	case eff.ServFail:
-		resp = synthReply(query, true, false)
+		out = appendSynthReply(buf, query, true, false)
 	case eff.Truncate:
-		resp = synthReply(query, false, true)
+		out = appendSynthReply(buf, query, false, true)
 	default:
-		resp = nd.handler.ServeDNS(query, src)
+		out = nd.handler.AppendServeDNS(buf, query, src)
 	}
-	if resp == nil {
-		return nil, DefaultTimeout, ErrTimeout
+	if len(out) == len(buf) || rtt > DefaultTimeout {
+		return buf, DefaultTimeout, ErrTimeout
 	}
-	if rtt > DefaultTimeout {
-		return nil, DefaultTimeout, ErrTimeout
-	}
-	return resp, rtt, nil
+	return out, rtt, nil
 }
 
-// synthReply fabricates a fault reply from the query's own wire bytes: the
-// header and question come back verbatim with QR set, plus SERVFAIL or an
-// empty TC=1 body. Working at the byte level keeps fault injection
-// independent of the codec and allocation-cheap.
-func synthReply(query []byte, servfail, truncate bool) []byte {
+// appendSynthReply appends a fault reply fabricated from the query's own
+// wire bytes: the header and question come back verbatim with QR set, plus
+// SERVFAIL or an empty TC=1 body. Working at the byte level keeps fault
+// injection independent of the codec and allocation-cheap.
+func appendSynthReply(buf, query []byte, servfail, truncate bool) []byte {
 	if len(query) < 12 {
-		return nil
+		return buf
 	}
-	resp := append([]byte(nil), query...)
+	out := append(buf, query...)
+	resp := out[len(buf):]
 	resp[2] |= 0x80 // QR
 	if truncate {
 		resp[2] |= 0x02 // TC
@@ -348,7 +367,7 @@ func synthReply(query []byte, servfail, truncate bool) []byte {
 	if servfail {
 		resp[3] = (resp[3] &^ 0x0F) | 0x02 // RCODE = SERVFAIL
 	}
-	return resp
+	return out
 }
 
 // Stats returns the number of exchanges attempted and the number lost.

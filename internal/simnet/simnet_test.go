@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -239,10 +240,23 @@ func TestNetworkTap(t *testing.T) {
 	a := netip.MustParseAddr("192.0.2.1")
 	n.Attach(a, echoHandler('x'))
 	var events []TapEvent
-	n.Tap = func(ev TapEvent) { events = append(events, ev) }
+	n.Tap = func(ev TapEvent) {
+		// The slices are views of the client's buffers: keep copies.
+		ev.Query, ev.Response = bytes.Clone(ev.Query), bytes.Clone(ev.Response)
+		events = append(events, ev)
+	}
 
-	n.Exchange(netip.MustParseAddr("10.0.0.1"), a, []byte{1, 2})
-	n.Exchange(netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("192.0.2.99"), []byte{3})
+	// The reply is appended after what buf holds; the tap sees only it, and a
+	// failed exchange hands buf back unextended.
+	buf := append(make([]byte, 0, 64), "held"...)
+	out, _, err := n.AppendExchange(buf, netip.MustParseAddr("10.0.0.1"), a, []byte{1, 2}, 0)
+	if err != nil || string(out) != "heldx\x01\x02" || &out[0] != &buf[0] {
+		t.Errorf("AppendExchange = %q, %v; want the reply after buf's bytes, in buf", out, err)
+	}
+	out, _, err = n.AppendExchange(buf, netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("192.0.2.99"), []byte{3}, 0)
+	if err != ErrUnreachable || string(out) != "held" {
+		t.Errorf("failed AppendExchange = %q, %v; want buf unextended", out, err)
+	}
 
 	if len(events) != 2 {
 		t.Fatalf("tap saw %d events", len(events))

@@ -34,5 +34,21 @@ func (n *Net) Exchange(src, dst netip.Addr, query []byte) ([]byte, time.Duration
 	return n.T.Exchange(netip.AddrPortFrom(dst, n.Port), query)
 }
 
+// AppendExchange implements simnet.AppendExchanger. Real sockets have no
+// fault schedule, so the offset is unused. The UDP transport appends the
+// reply straight from its socket's read buffer; the stream transports hand
+// over a frame their reader already allocated, which is copied onto buf.
+func (n *Net) AppendExchange(buf []byte, src, dst netip.Addr, query []byte, _ time.Duration) ([]byte, time.Duration, error) {
+	server := netip.AddrPortFrom(dst, n.Port)
+	if u, ok := n.T.(*udpTransport); ok {
+		return u.AppendExchange(buf, server, query)
+	}
+	resp, rtt, err := n.T.Exchange(server, query)
+	if err != nil {
+		return buf, rtt, err
+	}
+	return append(buf, resp...), rtt, nil
+}
+
 // Close releases the underlying transport's pooled connections.
 func (n *Net) Close() error { return n.T.Close() }

@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
+	"math"
 	"net/netip"
 	"strings"
 	"testing"
@@ -147,7 +148,9 @@ func TestExchangeAllKinds(t *testing.T) {
 // answers over TCP on the same port; the UDP transport must retry over TCP
 // and return the untruncated response. While nothing listens on the TCP
 // port the dial is refused: a TCP exchange fails, and the UDP transport
-// serves the truncated answer it has.
+// serves the truncated answer it has. Either way the fallback is one
+// exchange in the metrics: counted once, its RTT histogram entry the RTT the
+// caller was charged (both legs), and no error when an answer came back.
 func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	truncating := simnet.HandlerFunc(func(wire []byte, _ netip.Addr) []byte {
 		resp := make([]byte, len(wire))
@@ -178,10 +181,12 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	if _, _, err := tcp.Exchange(addr, encodedQuery(t, 0x0776)); err == nil {
 		t.Errorf("TCP exchange with nothing listening should fail")
 	}
-	resp, _, err := tr.Exchange(addr, encodedQuery(t, 0x0778))
+	var charged float64 // the RTTs the caller was charged, in ms
+	resp, rtt, err := tr.Exchange(addr, encodedQuery(t, 0x0778))
 	if err != nil {
 		t.Fatal(err)
 	}
+	charged += float64(rtt) / float64(time.Millisecond)
 	if msg, err := dnswire.Decode(resp); err != nil || !msg.Header.TC {
 		t.Errorf("a refused fallback should return the truncated UDP answer (err=%v)", err)
 	}
@@ -195,10 +200,11 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	}
 	defer ts.Close()
 
-	resp, _, err = tr.Exchange(addr, encodedQuery(t, 0x0777))
+	resp, rtt, err = tr.Exchange(addr, encodedQuery(t, 0x0777))
 	if err != nil {
 		t.Fatal(err)
 	}
+	charged += float64(rtt) / float64(time.Millisecond)
 	msg, err := dnswire.Decode(resp)
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +217,12 @@ func TestUDPTruncationFallsBackToTCP(t *testing.T) {
 	}
 	if got := m.TCPFallbacks.Value(); got != 2 {
 		t.Errorf("TCPFallbacks = %d, want 2", got)
+	}
+	if ex, errs := m.Exchanges.Value(), m.Errors.Value(); ex != 2 || errs != 0 {
+		t.Errorf("Exchanges = %d, Errors = %d; want 2 and 0 (a fallback is part of its exchange)", ex, errs)
+	}
+	if h := m.RTT.Snapshot(); h.Count != 2 || math.Abs(h.Sum-charged) > 1e-9 {
+		t.Errorf("RTT histogram holds %d observations summing to %v ms, want 2 summing to the %v ms charged", h.Count, h.Sum, charged)
 	}
 }
 
@@ -275,5 +287,48 @@ func TestDoTVerificationFailsWithoutTrust(t *testing.T) {
 	defer insecure.Close()
 	if _, _, err := insecure.Exchange(addr, encodedQuery(t, 2)); err != nil {
 		t.Errorf("DoT with Insecure should succeed: %v", err)
+	}
+}
+
+// echoAppend is echoHandler in the append form, so a listener's serving loop
+// answers without allocating.
+type echoAppend struct{}
+
+func (echoAppend) ServeDNS(wire []byte, from netip.Addr) []byte { return echoHandler(wire, from) }
+
+func (echoAppend) AppendServeDNS(dst, wire []byte, _ netip.Addr) []byte {
+	dst = append(dst, wire...)
+	dst[len(dst)-len(wire)+2] |= 0x80
+	return dst
+}
+
+// TestUDPAppendExchangeAllocFree pins a live UDP exchange through Net at zero
+// allocations when the caller reuses its reply buffer: the reply is appended
+// straight from the pooled socket's read buffer. AllocsPerRun counts every
+// goroutine, so the listener's serving loop is included.
+func TestUDPAppendExchangeAllocFree(t *testing.T) {
+	us := &authoritative.UDPServer{Handler: echoAppend{}}
+	addr, err := us.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer us.Close()
+	tr, err := New(Config{Kind: UDP, Timeout: 3 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := NewNet(tr, addr.Port())
+	defer n.Close()
+	query := encodedQuery(t, 0x0A11)
+	buf := make([]byte, 0, 512)
+	exchange := func() {
+		out, _, err := n.AppendExchange(buf[:0], netip.Addr{}, addr.Addr(), query, 0)
+		if err != nil || len(out) != len(query) || &out[0] != &buf[:1][0] {
+			t.Fatalf("exchange: %d bytes, err %v; want the echo in the caller's buffer", len(out), err)
+		}
+	}
+	exchange() // dials the pooled socket and starts the spare serving loop
+	if allocs := testing.AllocsPerRun(500, exchange); allocs != 0 {
+		t.Errorf("UDP append exchange with a reused buffer: %v allocs, want 0", allocs)
 	}
 }

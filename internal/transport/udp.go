@@ -84,44 +84,53 @@ func (u *udpTransport) put(server netip.AddrPort, uc *udpConn) {
 	_ = uc.c.Close()
 }
 
-// Exchange implements Transport: write the query on a pooled connected
-// socket, read until a response with the query's message ID arrives (late
-// answers to earlier timed-out queries are dropped), and retry truncated
-// answers over TCP.
+// Exchange implements Transport: AppendExchange into a new buffer.
 func (u *udpTransport) Exchange(server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
-	u.m.Exchanges.Inc()
-	resp, rtt, err := u.exchangeUDP(server, query)
-	if err != nil {
-		u.m.Errors.Inc()
-		return nil, rtt, err
-	}
-	if resp[2]&0x02 != 0 { // TC bit: retry over TCP
-		u.m.TCPFallbacks.Inc()
-		tcpResp, tcpRTT, tcpErr := u.tcp.Exchange(server, query)
-		if tcpErr == nil {
-			return tcpResp, rtt + tcpRTT, nil
-		}
-		// The truncated UDP answer is still an answer; serve it rather
-		// than failing the exchange, as the classic resolver path does.
-	}
-	u.m.RTT.ObserveDuration(rtt)
-	return resp, rtt, nil
+	return u.AppendExchange(nil, server, query)
 }
 
-func (u *udpTransport) exchangeUDP(server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
+// AppendExchange writes the query on a pooled connected socket, reads until
+// a response with the query's message ID arrives (late answers to earlier
+// timed-out queries are dropped), appends it to buf straight from the
+// socket's read buffer, and retries a truncated answer over TCP. buf comes
+// back unextended on error.
+//
+// A fallback is part of this one exchange: it is counted once, its RTT is
+// both legs, and a failed TCP leg is no error, since the truncated answer is
+// still an answer, served as the classic resolver path does.
+func (u *udpTransport) AppendExchange(buf []byte, server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
+	u.m.Exchanges.Inc()
+	out, rtt, err := u.appendUDP(buf, server, query)
+	if err != nil {
+		u.m.Errors.Inc()
+		return buf, rtt, err
+	}
+	if out[len(buf)+2]&0x02 != 0 { // TC bit: retry over TCP
+		u.m.TCPFallbacks.Inc()
+		tcpResp, tcpRTT, tcpErr := u.tcp.pool.exchange(server, query)
+		rtt += tcpRTT
+		if tcpErr == nil {
+			out = append(buf, tcpResp...)
+		}
+	}
+	u.m.RTT.ObserveDuration(rtt)
+	return out, rtt, nil
+}
+
+func (u *udpTransport) appendUDP(buf []byte, server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
 	if len(query) < 12 {
-		return nil, 0, errors.New("transport: query shorter than a DNS header")
+		return buf, 0, errors.New("transport: query shorter than a DNS header")
 	}
 	uc, err := u.get(server)
 	if err != nil {
-		return nil, 0, err
+		return buf, 0, err
 	}
 	start := time.Now()
 	deadline := start.Add(u.cfg.Timeout)
 	_ = uc.c.SetDeadline(deadline)
 	if _, err := uc.c.Write(query); err != nil {
 		_ = uc.c.Close()
-		return nil, time.Since(start), err
+		return buf, time.Since(start), err
 	}
 	for {
 		n, err := uc.c.Read(uc.buf)
@@ -130,7 +139,7 @@ func (u *udpTransport) exchangeUDP(server netip.AddrPort, query []byte) ([]byte,
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				err = ErrTimeout
 			}
-			return nil, time.Since(start), err
+			return buf, time.Since(start), err
 		}
 		if n < 12 || uc.buf[0] != query[0] || uc.buf[1] != query[1] {
 			// A stray datagram: wrong ID (a late answer from a previous
@@ -140,10 +149,9 @@ func (u *udpTransport) exchangeUDP(server netip.AddrPort, query []byte) ([]byte,
 			continue
 		}
 		rtt := time.Since(start)
-		resp := make([]byte, n)
-		copy(resp, uc.buf[:n])
+		out := append(buf, uc.buf[:n]...)
 		u.put(server, uc)
-		return resp, rtt, nil
+		return out, rtt, nil
 	}
 }
 

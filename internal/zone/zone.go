@@ -350,6 +350,18 @@ func (z *Zone) Get(name dnswire.Name, t dnswire.Type) *RRSet {
 	return set.Clone()
 }
 
+// Owner returns the zone's own string for the owner name whose bytes are
+// spelling, or false when no name in the zone owns records. One index probe;
+// a decoder borrows the name instead of allocating a copy of it.
+func (z *Zone) Owner(spelling []byte) (dnswire.Name, bool) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	if head := z.sets[dnswire.Name(spelling)]; head != nil {
+		return head.Name, true
+	}
+	return "", false
+}
+
 // SOA returns the zone's SOA record, or false if the zone has none.
 func (z *Zone) SOA() (dnswire.RR, bool) {
 	set := z.Get(z.Origin, dnswire.TypeSOA)
