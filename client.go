@@ -104,22 +104,12 @@ func NewRegistry(clock Clock) *Registry { return obs.NewRegistry(clock) }
 // NewTracer builds a lifecycle tracer; a nil clock means wall time.
 func NewTracer(clock Clock) *Tracer { return obs.NewTracer(clock) }
 
-// MetricsHistory is a ring of timestamped registry snapshots backing
-// /metrics?window= rate queries (see internal/obs.History).
-type MetricsHistory = obs.History
-
-// NewMetricsHistory builds a snapshot ring over reg holding up to capacity
-// samples (0 means 360).
-func NewMetricsHistory(reg *Registry, capacity int) *MetricsHistory {
-	return obs.NewHistory(reg, capacity)
-}
-
 // ServeMetrics starts an HTTP introspection listener on addr (":0" picks a
-// port) exposing /metrics from reg, /trace from tr and windowed
-// /metrics?window= queries from hist (any may be nil). It returns the bound
-// address and a close function.
-func ServeMetrics(addr string, reg *Registry, tr *Tracer, hist *MetricsHistory) (string, func() error, error) {
-	return obs.Serve(addr, reg, tr, hist)
+// port) exposing /metrics from reg, /trace from tr (either may be nil) and
+// windowed /metrics?window= rates over the registry snapshots it takes
+// every 10 s. It returns the bound address and a close function.
+func ServeMetrics(addr string, reg *Registry, tr *Tracer) (string, func() error, error) {
+	return obs.Serve(addr, reg, tr)
 }
 
 // QueryLog is the structured query-log pipeline: an async lock-free ring

@@ -222,7 +222,7 @@ func main() {
 	}
 	fmt.Printf("serving on udp://%s and tcp://%s\n", addr, addr)
 	if *metrics != "" {
-		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, reg, nil, nil)
+		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, reg, nil)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "authserver: metrics:", err)
 			os.Exit(1)

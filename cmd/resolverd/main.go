@@ -82,7 +82,6 @@ func main() {
 		qlogFiles     = flag.Int("qlog-files", 0, "rotated query-log files kept, active included (0 = 4)")
 		qlogSample    = flag.Int("qlog-sample", 0, "keep 1 query-log record in N (0 or 1 = all)")
 		qlogClientMod = flag.Int("qlog-client-mod", 0, "keep only clients hashing to 0 mod M, complete per-client streams (0 or 1 = all)")
-		metricsEvery  = flag.Duration("metrics-window-every", 10*time.Second, "snapshot period backing /metrics?window= rate queries")
 		pushPoll      = flag.Duration("push-poll", 0, "SOA polling fallback period for push subscriptions (0 = 5m)")
 		pushPrefetch  = flag.Bool("push-prefetch", false, "re-resolve names purged by push notifies immediately (purge+prefetch)")
 		pipeline      = flag.String("pipeline", "", "middleware graph spec file (see docs/middleware.md); SIGHUP re-reads and swaps it, keeping the old graph on error (empty = default pass-through pipeline)")
@@ -347,10 +346,7 @@ func main() {
 			len(wanted), sub.PollEvery(), *pushPrefetch)
 	}
 	if *metrics != "" {
-		hist := dnsttl.NewMetricsHistory(cfg.Registry, 0)
-		hist.Start(*metricsEvery)
-		defer hist.Stop()
-		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, cfg.Registry, cfg.Tracer, hist)
+		bound, closeMetrics, err := dnsttl.ServeMetrics(*metrics, cfg.Registry, cfg.Tracer)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "resolverd: metrics:", err)
 			os.Exit(1)

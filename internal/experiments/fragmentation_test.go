@@ -5,58 +5,6 @@ import (
 	"testing"
 )
 
-// TestFarmFragmentationFindings asserts the paper-shaped findings of the
-// farm sweep, not exact counts: private caches multiply authoritative load
-// with the frontend count (≈ linearly for the hottest name), shared and
-// sharded topologies keep it flat, and the fleet hit rate collapses only
-// under fragmentation.
-func TestFarmFragmentationFindings(t *testing.T) {
-	r := FarmFragmentation(3000, 0, 42)
-
-	// Private caches: authoritative volume rises monotonically in the
-	// frontend count at the short TTL, and clearly overall (≥ 2.5×
-	// between 1 and 16 frontends).
-	if !(r.Metric("auth_private_f1_ttl60") < r.Metric("auth_private_f4_ttl60") &&
-		r.Metric("auth_private_f4_ttl60") < r.Metric("auth_private_f16_ttl60")) {
-		t.Errorf("private auth volume not monotone in farm size: f1=%v f4=%v f16=%v",
-			r.Metric("auth_private_f1_ttl60"), r.Metric("auth_private_f4_ttl60"),
-			r.Metric("auth_private_f16_ttl60"))
-	}
-	if g := r.Metric("growth_private_ttl60"); g < 2.5 {
-		t.Errorf("private growth at ttl60 = %.2f, want ≥ 2.5", g)
-	}
-	// For the most popular name the multiplier approaches the frontend
-	// count: ~linear growth (ideal 16 for 16 frontends).
-	if hg := r.Metric("hot_growth_private_ttl60"); hg < 8 {
-		t.Errorf("hot-name private growth = %.2f, want ≥ 8 (~linear in 16 frontends)", hg)
-	}
-
-	// Shared and sharded caches: flat in farm size.
-	for _, k := range []string{"growth_shared_ttl60", "growth_sharded_ttl60",
-		"growth_shared_ttl3600", "growth_sharded_ttl3600"} {
-		if g := r.Metric(k); g > 1.1 || g < 0.9 {
-			t.Errorf("%s = %.3f, want ~1.0 (flat)", k, g)
-		}
-	}
-
-	// Fragmentation is what costs hit rate: the shared fleet at 16
-	// frontends matches the single resolver, the private fleet loses ≥ 20
-	// points against it at the short TTL.
-	single := r.Metric("hit_shared_f1_ttl60")
-	if d := r.Metric("hit_shared_f16_ttl60") - single; d < -0.02 || d > 0.02 {
-		t.Errorf("shared f16 hit rate drifted %.3f from single-resolver", d)
-	}
-	if d := single - r.Metric("hit_private_f16_ttl60"); d < 0.2 {
-		t.Errorf("private f16 hit rate only %.3f below single-resolver, want ≥ 0.2", d)
-	}
-
-	// Short TTLs are what make fragmentation expensive in absolute load.
-	if r.Metric("auth_private_f16_ttl60") <= r.Metric("auth_private_f16_ttl3600") {
-		t.Errorf("short-TTL private farm should cost more authoritative queries than long-TTL: %v vs %v",
-			r.Metric("auth_private_f16_ttl60"), r.Metric("auth_private_f16_ttl3600"))
-	}
-}
-
 // TestFarmFragmentationDeterministic: same seed, identical report.
 func TestFarmFragmentationDeterministic(t *testing.T) {
 	a := FarmFragmentation(1500, 1, 7)

@@ -66,8 +66,8 @@ func TestPlanetScaleTier(t *testing.T) {
 	for _, tier := range []string{"1m", "10m", "100m"} {
 		var prevAmp float64
 		for i, ttl := range []uint32{30, 300, 3600} {
-			hit := r.Metrics["hit_"+tier+"_ttl"+itoa(int(ttl))]
-			amp := r.Metrics["amp_"+tier+"_ttl"+itoa(int(ttl))]
+			hit := r.Metrics["hit_"+tier+"_ttl"+strconv.Itoa(int(ttl))]
+			amp := r.Metrics["amp_"+tier+"_ttl"+strconv.Itoa(int(ttl))]
 			if hit <= 0 || hit >= 1 {
 				t.Errorf("%s ttl%d: hit rate %v outside (0,1)", tier, ttl, hit)
 			}

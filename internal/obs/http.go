@@ -114,11 +114,17 @@ func wantsPrometheus(req *http.Request) bool {
 
 // Serve binds addr and serves the introspection handler until the returned
 // close function is called. It returns the bound address, so addr may use
-// port 0 in tests.
-func Serve(addr string, reg *Registry, tr *Tracer, hist *History) (bound string, closeFn func() error, err error) {
+// port 0 in tests. With a registry it keeps that registry's History,
+// sampled every 10 s from now until close, behind /metrics?window=.
+func Serve(addr string, reg *Registry, tr *Tracer) (bound string, closeFn func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
+	}
+	var hist *History
+	if reg != nil {
+		hist = NewHistory(reg, 0)
+		hist.Start(0)
 	}
 	srv := &http.Server{Handler: NewHandler(reg, tr, hist)}
 	go func() {
@@ -126,5 +132,11 @@ func Serve(addr string, reg *Registry, tr *Tracer, hist *History) (bound string,
 			_ = serveErr
 		}
 	}()
-	return ln.Addr().String(), srv.Close, nil
+	return ln.Addr().String(), func() error {
+		if hist != nil {
+			hist.Stop()
+			<-hist.done // the sampling loop has exited
+		}
+		return srv.Close()
+	}, nil
 }

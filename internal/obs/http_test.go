@@ -280,21 +280,25 @@ func TestConcurrentScrapeWhileObserve(t *testing.T) {
 	wg.Wait()
 }
 
+// TestServe: the listener serves the registry and, from its own history,
+// windowed rates right after startup.
 func TestServe(t *testing.T) {
 	reg := NewRegistry(nil)
 	reg.Counter("x").Inc()
-	addr, closeFn, err := Serve("127.0.0.1:0", reg, nil, nil)
+	addr, closeFn, err := Serve("127.0.0.1:0", reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer closeFn()
-	resp, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "\"x\": 1") {
-		t.Fatalf("served metrics missing counter: %s", body)
+	for path, want := range map[string]string{"/metrics": "\"x\": 1", "/metrics?window=60s": "\"seconds\""} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d, want 200 with %s: %s", path, resp.StatusCode, want, body)
+		}
 	}
 }

@@ -315,16 +315,22 @@ func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qt
 	}
 }
 
-// answerFromCache checks whether cached data may answer the client
-// directly. Child-centric resolvers only answer from answer-grade data;
+// answerCred is the least credibility cached data needs to answer the
+// client. Child-centric resolvers only answer from answer-grade data;
 // parent-centric resolvers also answer from referral NS sets and glue —
 // unless they validate, since parent-side data carries no signatures
 // (the §6.3 structural argument for child-centricity).
-func (r *Resolver) answerFromCache(name dnswire.Name, qtype dnswire.Type) (*cache.Entry, uint32, bool) {
-	minCred := cache.CredAnswerNonAuth
+func (r *Resolver) answerCred() cache.Credibility {
 	if r.Policy.Centricity == ParentCentric && !r.Policy.Validate {
-		minCred = cache.CredAdditional
+		return cache.CredAdditional
 	}
+	return cache.CredAnswerNonAuth
+}
+
+// answerFromCache checks whether cached data may answer the client
+// directly (see answerCred).
+func (r *Resolver) answerFromCache(name dnswire.Name, qtype dnswire.Type) (*cache.Entry, uint32, bool) {
+	minCred := r.answerCred()
 	if e, rem, ok := r.Cache.Get(name, qtype); ok && e.Cred >= minCred {
 		return e, rem, true
 	}
@@ -518,15 +524,18 @@ func (r *Resolver) SetStaleGate(g StaleGate) {
 }
 
 // fail is the terminal error path: serve stale if allowed, else SERVFAIL.
+// GetStale also hands back fresh entries of any credibility, so the stale
+// answer must clear the same credibility floor and cap a cache hit does.
 func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err error) error {
 	if r.Policy.ServeStale {
-		if e, rem, ok := r.Cache.GetStale(name, qtype); ok && e.Negative == cache.NotNegative {
+		if e, rem, ok := r.Cache.GetStale(name, qtype); ok && e.Negative == cache.NotNegative && e.Cred >= r.answerCred() {
 			if g := r.staleGate.Load(); g != nil && !(*g).AllowStale(name, qtype, e.Stored) {
 				res.Span.Annotate("serve_stale_denied", string(name))
 				return err
 			}
 			res.Stale = true
 			res.Span.Annotate("serve_stale", string(name))
+			rem = r.clampTTL(rem, res.Span)
 			for _, rr := range e.RRs {
 				rr.TTL = rem
 				res.Msg.AddAnswer(rr)

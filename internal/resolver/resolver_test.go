@@ -419,6 +419,39 @@ func TestServeStale(t *testing.T) {
 	}
 }
 
+// TestServeStaleKeepsCredibilityAndCap: the serve-stale path sees fresh
+// entries too, among them the parent's glue for ns1.cachetest.net (172800
+// s). A child-centric resolver must not answer from that glue once the
+// child is down — and nothing it shows may exceed its serve-time cap.
+func TestServeStaleKeepsCredibilityAndCap(t *testing.T) {
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.ServeStale, pol.TTLCap, pol.CapAtServe = true, 21599, true
+	r := tn.resolver(pol, 1)
+	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
+	if err := tn.net.SetDown(tn.ctAddr, true); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := r.Resolve(dnswire.NewName("ns1.cachetest.net"), dnswire.TypeA)
+	if res.Msg.Header.RCode != dnswire.RCodeServFail || res.Stale {
+		t.Errorf("rcode %s, stale %v, TTL %d: want SERVFAIL, not the parent's glue", res.Msg.Header.RCode, res.Stale, res.AnswerTTL)
+	}
+
+	// A stale answer the resolver may give shows at most the cap.
+	tn.clock.Advance(10 * time.Minute)
+	for _, a := range []netip.Addr{tn.rootAddr, tn.netAddr} {
+		if err := tn.net.SetDown(a, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pol.TTLCap = 10
+	r.Policy = pol
+	res = mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
+	if !res.Stale || res.AnswerTTL != 10 {
+		t.Errorf("stale %v, TTL %d: want a stale answer capped at 10", res.Stale, res.AnswerTTL)
+	}
+}
+
 func TestLocalRoot(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()

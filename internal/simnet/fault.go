@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"slices"
 	"strconv"
@@ -202,7 +203,8 @@ func flapPhase(seed int64, dst netip.Addr, period time.Duration) time.Duration {
 //
 // where kind is outage|loss|latency|servfail|truncate|flap, server is an IP
 // address or "*" for all servers, start and duration are Go durations
-// ("30m+1h"; a duration of 0 means unbounded), and params depend on kind:
+// ("30m+1h"; neither negative, a duration of 0 means unbounded), and
+// params, finite numbers, depend on kind:
 //
 //	loss:*:30m+1h:0.5        → 50 % loss
 //	latency:*:0s+2h:10       → RTTs ×10
@@ -256,6 +258,9 @@ func parseFault(entry string) (Fault, error) {
 	if err != nil {
 		return Fault{}, err
 	}
+	if start < 0 || d < 0 || start+d < start {
+		return Fault{}, fmt.Errorf("window %q: want a non-negative start and duration", parts[2])
+	}
 	f.Start = start
 	if d > 0 {
 		f.End = start + d
@@ -267,14 +272,14 @@ func parseFault(entry string) (Fault, error) {
 	switch f.Kind {
 	case FaultLoss:
 		p, err := strconv.ParseFloat(param, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) {
 			return Fault{}, fmt.Errorf("loss probability %q: want a float in [0,1]", param)
 		}
 		f.LossP = p
 	case FaultLatency:
 		x, err := strconv.ParseFloat(param, 64)
-		if err != nil || x <= 0 {
-			return Fault{}, fmt.Errorf("latency factor %q: want a positive float", param)
+		if err != nil || !(x > 0 && x <= math.MaxFloat64) {
+			return Fault{}, fmt.Errorf("latency factor %q: want a positive finite float", param)
 		}
 		f.Factor = x
 	case FaultFlap:
@@ -287,7 +292,7 @@ func parseFault(entry string) (Fault, error) {
 			return Fault{}, fmt.Errorf("flap period %q: want a positive duration", period)
 		}
 		f.Duty, err = strconv.ParseFloat(duty, 64)
-		if err != nil || f.Duty < 0 || f.Duty > 1 {
+		if err != nil || !(f.Duty >= 0 && f.Duty <= 1) {
 			return Fault{}, fmt.Errorf("flap duty %q: want a float in [0,1]", duty)
 		}
 	default:

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"math"
 	"net/netip"
 	"strings"
 	"testing"
@@ -116,6 +117,8 @@ func TestParseFaultSchedule(t *testing.T) {
 		"", "outage", "santa:*:0s+1h", "loss:*:0s+1h:1.5", "loss:*:0s+1h",
 		"latency:*:0s+1h:-2", "flap:*:0s+1h:60s", "flap:*:0s+1h:60s,2",
 		"outage:*:0s+1h:param", "outage:nonsense:0s+1h", "outage:*:bogus",
+		"latency:*:0s+1h:Inf", "latency:*:0s+1h:NaN", "loss:*:0s+1h:NaN", "flap:*:0s+1h:60s,NaN",
+		"outage:*:0s+-1h", "outage:*:-1h+2h", "outage:*:2562047h+2562047h",
 	} {
 		if _, err := ParseFaultSchedule(bad); err == nil {
 			t.Errorf("ParseFaultSchedule(%q) accepted", bad)
@@ -141,6 +144,40 @@ func TestParseFaultSchedule(t *testing.T) {
 	if got := FaultKind(0).String(); got != "FaultKind(0)" {
 		t.Errorf("FaultKind(0).String() = %q", got)
 	}
+}
+
+// FuzzParseFaultSchedule: parsing operator input never panics; every fault
+// it accepts has finite, in-range parameters and a non-negative window; and
+// no exchange under an accepted schedule reports a negative RTT.
+func FuzzParseFaultSchedule(f *testing.F) {
+	for _, spec := range []string{
+		"outage:*:30m+1h; loss:192.0.2.1:0s+2h:0.3", "latency:*:0s+0s:10", "flap:192.0.2.1:1h+1h:60s,0.25",
+		"servfail:*:10m+5m; truncate:192.0.2.1:0s+1h", "latency:*:0s+1h:1e300; latency:*:0s+1h:1e300",
+		"latency:*:0s+1h:Inf", "loss:*:0s+1h:NaN", "flap:*:0s+1h:60s,NaN", "outage:*:0s+-1h",
+	} {
+		f.Add(spec)
+	}
+	query := make([]byte, 12)
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := ParseFaultSchedule(spec)
+		if err != nil {
+			return
+		}
+		n := NewNetwork(1)
+		n.Attach(faultSrv, HandlerFunc(func(wire []byte, from netip.Addr) []byte { return wire }))
+		n.Faults = s
+		for _, ft := range s.faults {
+			if ft.Start < 0 || ft.End != 0 && ft.End <= ft.Start || ft.Period < 0 ||
+				!(ft.LossP >= 0 && ft.LossP <= 1) || !(ft.Duty >= 0 && ft.Duty <= 1) || !(ft.Factor >= 0 && ft.Factor <= math.MaxFloat64) {
+				t.Fatalf("%q: accepted %+v", spec, ft)
+			}
+			for _, at := range []time.Duration{ft.Start, ft.End - 1} {
+				if _, rtt, _ := n.AppendExchange(nil, faultCli, faultSrv, query, at); rtt < 0 {
+					t.Fatalf("%q: an exchange at %v reported RTT %v", spec, at, rtt)
+				}
+			}
+		}
+	})
 }
 
 // TestNetworkFaultInjection drives real exchanges through a scripted

@@ -322,8 +322,10 @@ func (n *Network) exchange(buf []byte, src, dst netip.Addr, query []byte, offset
 		}
 		f.mu.Unlock()
 	}
-	if eff.Factor > 0 {
-		rtt = time.Duration(float64(rtt) * eff.Factor)
+	if eff.Factor > 0 && rtt > 0 {
+		// Past the timeout the exchange is lost anyway; capping there keeps
+		// a product of large factors from overflowing the Duration.
+		rtt = time.Duration(min(float64(rtt)*eff.Factor, float64(DefaultTimeout+1)))
 	}
 
 	if nd == nil {

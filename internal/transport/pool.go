@@ -32,33 +32,37 @@ func newPool(cfg Config, dial func(netip.AddrPort) (net.Conn, error)) *pool {
 	}
 }
 
-// get returns a connection to server, dialing if the pool has no usable
-// one. fresh reports whether the connection was dialed for this call.
-func (p *pool) get(server netip.AddrPort) (pc *pipeConn, fresh bool, err error) {
+// get returns a connection to server. With reuse it hands out a pooled one
+// when the pool has a usable one; otherwise — and always without reuse, the
+// reused-connection retry path — it dials and registers a new one. fresh
+// reports a dial.
+func (p *pool) get(server netip.AddrPort, reuse bool) (pc *pipeConn, fresh bool, err error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return nil, false, errConnClosed
 	}
-	// Prune dead and idle-expired connections, keep the rest.
-	list := p.conns[server][:0]
-	var best *pipeConn
-	for _, c := range p.conns[server] {
-		if !c.alive() {
-			c.close()
-			continue
+	if reuse {
+		// Prune dead and idle-expired connections, keep the rest.
+		list := p.conns[server][:0]
+		var best *pipeConn
+		for _, c := range p.conns[server] {
+			if !c.alive() {
+				c.close()
+				continue
+			}
+			list = append(list, c)
+			if best == nil || c.load() < best.load() {
+				best = c
+			}
 		}
-		list = append(list, c)
-		if best == nil || c.load() < best.load() {
-			best = c
+		p.conns[server] = list
+		atCap := len(list)+p.dialing[server] >= p.cfg.PoolSize
+		if best != nil && (best.load() == 0 || atCap) {
+			p.mu.Unlock()
+			p.m.Reuses.Inc()
+			return best, false, nil
 		}
-	}
-	p.conns[server] = list
-	atCap := len(list)+p.dialing[server] >= p.cfg.PoolSize
-	if best != nil && (best.load() == 0 || atCap) {
-		p.mu.Unlock()
-		p.m.Reuses.Inc()
-		return best, false, nil
 	}
 	p.dialing[server]++
 	p.mu.Unlock()
@@ -90,7 +94,7 @@ func (p *pool) get(server netip.AddrPort) (pc *pipeConn, fresh bool, err error) 
 // a freshly dialed connection — timeouts are not retried, that is the
 // retry plane's job.
 func (p *pool) exchange(server netip.AddrPort, query []byte) ([]byte, time.Duration, error) {
-	pc, fresh, err := p.get(server)
+	pc, fresh, err := p.get(server, true)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -98,43 +102,12 @@ func (p *pool) exchange(server netip.AddrPort, query []byte) ([]byte, time.Durat
 	if err == nil || fresh || err == ErrTimeout {
 		return resp, rtt, err
 	}
-	pc, _, derr := p.getFresh(server)
+	pc, _, derr := p.get(server, false)
 	if derr != nil {
 		return nil, rtt, err
 	}
 	resp, rtt2, err := pc.exchange(query)
 	return resp, rtt + rtt2, err
-}
-
-// getFresh always dials (the reused-connection retry path).
-func (p *pool) getFresh(server netip.AddrPort) (*pipeConn, bool, error) {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil, false, errConnClosed
-	}
-	p.dialing[server]++
-	p.mu.Unlock()
-
-	c, err := p.dial(server)
-
-	p.mu.Lock()
-	p.dialing[server]--
-	if err != nil {
-		p.mu.Unlock()
-		p.m.DialErrors.Inc()
-		return nil, false, err
-	}
-	p.m.Dials.Inc()
-	if p.closed {
-		p.mu.Unlock()
-		_ = c.Close()
-		return nil, false, errConnClosed
-	}
-	pc := newPipeConn(c, p.cfg)
-	p.conns[server] = append(p.conns[server], pc)
-	p.mu.Unlock()
-	return pc, true, nil
 }
 
 // close tears down every pooled connection.
