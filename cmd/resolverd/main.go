@@ -69,7 +69,7 @@ func main() {
 		cacheBytes    = flag.Int64("cache-bytes", 0, "cache memory bound in bytes, wire-format accounted (0 = unbounded)")
 		cacheEntries  = flag.Int("cache-entries", 0, "cache entry-count bound (0 = unbounded)")
 		prefetch      = flag.Float64("prefetch", 0, "refresh-ahead: re-resolve popular entries in the last FRACTION of their TTL (0 = off)")
-		prefetchBudg  = flag.Int("prefetch-budget", 0, "max refresh-ahead resolutions per minute (0 = unlimited)")
+		prefetchBudg  = flag.Int("prefetch-budget", 0, "refresh-ahead resolutions per minute on average, in bursts of up to as many (0 = unlimited)")
 		poolSize      = flag.Int("pool-size", 0, "pooled upstream connections per server (0 = default)")
 		insecure      = flag.Bool("insecure", false, "skip TLS verification for dot/doh upstreams (self-signed certs)")
 		listenTCP     = flag.String("listen-tcp", "", "TCP listen address for clients (empty = off)")

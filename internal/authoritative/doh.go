@@ -22,7 +22,7 @@ const DoHPath = "/dns-query"
 // wire-format answers go back as application/dns-message.
 type DoHServer struct {
 	// Handler serves the queries; as on TCP, a Server's flavour without
-	// datagram truncation is Server.Stream.
+	// datagram truncation is Server.Handler(tap, stream) with stream set.
 	Handler simnet.Handler
 	// TLS must be set for RFC 8484 semantics; nil serves plain HTTP,
 	// which is only useful behind a terminating proxy or in tests.

@@ -33,7 +33,7 @@ type TCPServer struct {
 	// Handler serves the queries, under the contract a UDPServer's does:
 	// the wire it is handed is the connection's read buffer, valid only
 	// until it returns. Whether replies are cut to a datagram size is the
-	// handler's business; a Server's stream flavour is Server.Stream.
+	// handler's business: see the stream flag of Server.Handler(tap, stream).
 	Handler simnet.Handler
 	// TLS, when non-nil, wraps every accepted connection (DNS over TLS,
 	// RFC 7858).

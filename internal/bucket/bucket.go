@@ -1,6 +1,6 @@
-// Package bucket is the one token-bucket table behind both rate limiters:
-// the middleware per-client query limiter and the authoritative server's
-// response rate limiting.
+// Package bucket is the one token-bucket table behind every rate limiter:
+// the middleware per-client query limiter, the authoritative server's
+// response rate limiting, and the resolver's refresh-ahead budget.
 package bucket
 
 import (

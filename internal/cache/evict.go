@@ -217,7 +217,7 @@ func (s *slruEvictor) Touch(e *Entry) {
 	}
 }
 
-func (s *slruEvictor) Record(k Key) { s.sketch.record(keyHash64(k)) }
+func (s *slruEvictor) Record(k Key) { s.sketch.record(KeyHash(k.Name, k.Type)) }
 
 func (s *slruEvictor) Remove(e *Entry) {
 	if e.seg == segProtected {
@@ -239,7 +239,8 @@ func (s *slruEvictor) Victim() *Entry {
 // more popular than the victim to displace it. Ties reject, which keeps a
 // stream of one-hit wonders from cycling the probation segment.
 func (s *slruEvictor) Admit(cand Key, victim *Entry) bool {
-	return s.sketch.estimate(keyHash64(cand)) > s.sketch.estimate(keyHash64(victim.Key))
+	return s.sketch.estimate(KeyHash(cand.Name, cand.Type)) >
+		s.sketch.estimate(KeyHash(victim.Key.Name, victim.Key.Type))
 }
 
 func (s *slruEvictor) Walk(fn func(e *Entry)) {
@@ -250,18 +251,4 @@ func (s *slruEvictor) Walk(fn func(e *Entry)) {
 func (s *slruEvictor) Reset() {
 	s.probation, s.protected = entryList{}, entryList{}
 	s.sketch.reset()
-}
-
-// keyHash64 is an allocation-free FNV-1a over the key's name and type, used
-// by the frequency sketch. (cache.KeyHash exists but converts the name to a
-// byte slice, which allocates; this sits on the Get hot path of an SLRU
-// cache.)
-func keyHash64(k Key) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(k.Name); i++ {
-		h = (h ^ uint64(k.Name[i])) * 1099511628211
-	}
-	h = (h ^ uint64(k.Type>>8)) * 1099511628211
-	h = (h ^ uint64(k.Type&0xff)) * 1099511628211
-	return h
 }

@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"hash/fnv"
-
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
@@ -39,14 +37,18 @@ func NewSharded(clock simnet.Clock, cfg Config, n int) *Sharded {
 	return s
 }
 
-// KeyHash is the shard-placement hash: FNV-1a over the owner name plus the
-// type. Exported so farms can hash query names with the identical function
-// when placing queries on frontends.
+// KeyHash is the cache's one key hash: FNV-1a over the owner name plus the
+// type, allocation-free. It places keys on shards and counts them in the
+// SLRU frequency sketch; farms hash query names with it to place queries on
+// frontends.
 func KeyHash(name dnswire.Name, t dnswire.Type) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	_, _ = h.Write([]byte{byte(t >> 8), byte(t)})
-	return h.Sum64()
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	h = (h ^ uint64(t>>8)) * 1099511628211
+	h = (h ^ uint64(t&0xff)) * 1099511628211
+	return h
 }
 
 // NumShards returns the pool size.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -113,5 +114,28 @@ func TestKeyHashStable(t *testing.T) {
 	if KeyHash(dnswire.NewName("www.example.org"), dnswire.TypeA) ==
 		KeyHash(dnswire.NewName("www.example.org"), dnswire.TypeAAAA) {
 		t.Error("KeyHash ignores the type")
+	}
+}
+
+// TestKeyHashIsFNV1a pins KeyHash to hash/fnv's FNV-1a over the name and
+// the big-endian type, so shard placement and the farm's hash ring never
+// move.
+func TestKeyHashIsFNV1a(t *testing.T) {
+	for _, k := range []Key{
+		{Name: dnswire.Root, Type: dnswire.TypeNS},
+		{Name: dnswire.NewName("www.example.org"), Type: dnswire.TypeA},
+		{Name: dnswire.NewName("frontend-3/vnode-17"), Type: 0},
+		{Name: dnswire.NewName("x.y"), Type: dnswire.Type(0xabcd)},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(k.Name))
+		h.Write([]byte{byte(k.Type >> 8), byte(k.Type)})
+		if got, want := KeyHash(k.Name, k.Type), h.Sum64(); got != want {
+			t.Errorf("KeyHash(%s, %d) = %#x, hash/fnv says %#x", k.Name, k.Type, got, want)
+		}
+	}
+	k := dnswire.NewName("www.example.org")
+	if allocs := testing.AllocsPerRun(100, func() { KeyHash(k, dnswire.TypeA) }); allocs != 0 {
+		t.Errorf("KeyHash: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -1,7 +1,7 @@
 // Package flight coalesces identical in-flight calls: the one in-flight
-// group, behind the farm's cross-frontend Coalesce, in the mold of
-// golang.org/x/sync/singleflight but stdlib-only, typed, and with a join
-// hook.
+// group, behind the farm's cross-frontend Coalesce and the resolver's
+// refresh-ahead, in the mold of golang.org/x/sync/singleflight but
+// stdlib-only, typed, and with a join hook.
 package flight
 
 import "sync"
@@ -35,21 +35,45 @@ func (g *Group[K, V]) Do(k K, onJoin func(), fn func() (V, error)) (v V, err err
 		c.wg.Wait()
 		return c.val, c.err, true
 	}
+	c := g.startLocked(k)
+	g.mu.Unlock()
+	g.run(k, c, fn)
+	return c.val, c.err, false
+}
+
+// TryDo runs fn as k's leader, unless a call for k is already in flight:
+// then it returns false at once instead of waiting. It is for optional
+// work, like refresh-ahead, that a duplicate trigger should skip.
+func (g *Group[K, V]) TryDo(k K, fn func() (V, error)) bool {
+	g.mu.Lock()
+	if _, ok := g.calls[k]; ok {
+		g.mu.Unlock()
+		return false
+	}
+	c := g.startLocked(k)
+	g.mu.Unlock()
+	g.run(k, c, fn)
+	return true
+}
+
+// startLocked registers a new call for k; g.mu must be held.
+func (g *Group[K, V]) startLocked(k K) *call[V] {
 	if g.calls == nil {
 		g.calls = make(map[K]*call[V])
 	}
 	c := &call[V]{}
 	c.wg.Add(1)
 	g.calls[k] = c
-	g.mu.Unlock()
+	return c
+}
 
+// run runs fn as c's leader, then frees k and releases c's followers.
+func (g *Group[K, V]) run(k K, c *call[V], fn func() (V, error)) {
 	c.val, c.err = fn()
-
 	g.mu.Lock()
 	delete(g.calls, k)
 	g.mu.Unlock()
 	c.wg.Done()
-	return c.val, c.err, false
 }
 
 // InFlight reports how many callers are waiting on k (the leader

@@ -95,7 +95,7 @@ func TestLeaderAndFollowers(t *testing.T) {
 func TestGroupHammer(t *testing.T) {
 	const workers, rounds, keys = 16, 400, 4
 	var g Group[int, int]
-	var led, joined atomic.Int64
+	var led, joined, skipped atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -103,11 +103,18 @@ func TestGroupHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := (w + i) % keys
-				v, err, j := g.Do(k, func() { joined.Add(1) }, func() (int, error) {
+				fn := func() (int, error) {
 					led.Add(1)
 					time.Sleep(10 * time.Microsecond)
 					return k * 100, nil
-				})
+				}
+				if w%4 == 0 { // some callers only try, mixing TryDo into the same keys
+					if !g.TryDo(k, fn) {
+						skipped.Add(1)
+					}
+					continue
+				}
+				v, err, j := g.Do(k, func() { joined.Add(1) }, fn)
 				if v != k*100 || err != nil {
 					t.Errorf("key %d: got (%d, %v), joined=%v", k, v, err, j)
 					return
@@ -116,12 +123,45 @@ func TestGroupHammer(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if led.Load()+joined.Load() != workers*rounds {
-		t.Errorf("%d led + %d joined != %d calls", led.Load(), joined.Load(), workers*rounds)
+	if led.Load()+joined.Load()+skipped.Load() != workers*rounds {
+		t.Errorf("%d led + %d joined + %d skipped != %d calls", led.Load(), joined.Load(), skipped.Load(), workers*rounds)
 	}
 	for k := 0; k < keys; k++ {
 		if g.InFlight(k) != 0 {
 			t.Errorf("key %d still has %d waiters", k, g.InFlight(k))
 		}
+	}
+}
+
+// TestTryDo: while k is in flight TryDo returns false without waiting and
+// without running fn, nor counting as a waiter; once the leader's fn
+// returns, k is free and the next TryDo leads.
+func TestTryDo(t *testing.T) {
+	var g Group[string, int]
+	entered, release, done := make(chan struct{}), make(chan struct{}), make(chan bool)
+	go func() {
+		done <- g.TryDo("k", func() (int, error) {
+			close(entered)
+			<-release
+			return 1, nil
+		})
+	}()
+	<-entered
+	ran := false
+	if g.TryDo("k", func() (int, error) { ran = true; return 2, nil }) || ran {
+		t.Fatalf("TryDo on an in-flight key led (ran fn: %v)", ran)
+	}
+	if g.InFlight("k") != 0 {
+		t.Errorf("a refused TryDo counts as %d waiters", g.InFlight("k"))
+	}
+	if !g.TryDo("other", func() (int, error) { return 3, nil }) {
+		t.Errorf("TryDo on an idle key did not lead")
+	}
+	close(release)
+	if !<-done {
+		t.Fatalf("first TryDo did not lead")
+	}
+	if !g.TryDo("k", func() (int, error) { ran = true; return 4, nil }) || !ran {
+		t.Errorf("key still held after its leader returned")
 	}
 }

@@ -22,7 +22,7 @@ type Metrics struct {
 	// Prefetches counts refresh-ahead re-resolutions issued;
 	// PrefetchCoalesced counts triggers absorbed by an identical prefetch
 	// already in flight; PrefetchDenied counts triggers dropped by the
-	// Policy.PrefetchBudget window.
+	// Policy.PrefetchBudget bucket.
 	Prefetches        *obs.Counter
 	PrefetchCoalesced *obs.Counter
 	PrefetchDenied    *obs.Counter

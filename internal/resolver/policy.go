@@ -84,10 +84,10 @@ type Policy struct {
 	// fixed window in seconds would refresh short records on nearly every
 	// hit.
 	PrefetchFraction float64
-	// PrefetchBudget bounds refresh-ahead load: at most this many
-	// prefetches are issued per 60 s window of the resolver's clock
-	// (coalesced and denied triggers are observable via Metrics). Zero
-	// means unlimited.
+	// PrefetchBudget bounds refresh-ahead load with a token bucket on the
+	// resolver's clock, built by New: bursts of up to this many prefetches,
+	// this many per minute on average (coalesced and denied triggers are
+	// observable via Metrics). Zero means unlimited.
 	PrefetchBudget int
 	// Retry configures the retry/backoff/hedging plane: per-step attempt
 	// budgets, exponential backoff with deterministic jitter, hedged second

@@ -37,9 +37,9 @@ func TestPrefetchFraction(t *testing.T) {
 	}
 }
 
-// TestPrefetchBudget pins the per-window cap: with PrefetchBudget 1, the
-// second distinct trigger inside the window is denied (and counted), and a
-// new window refills the budget.
+// TestPrefetchBudget pins the per-minute cap: with PrefetchBudget 1, the
+// second distinct trigger in the same instant is denied (and counted), and
+// a minute later the bucket has refilled one token.
 func TestPrefetchBudget(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
@@ -64,9 +64,9 @@ func TestPrefetchBudget(t *testing.T) {
 		t.Errorf("budget denials = %d, want 1", got)
 	}
 
-	// The next window refills: the refreshed www entry (now 60 s old, again
-	// inside its last 90 %) prefetches once more.
-	tn.clock.Advance(prefetchBudgetWindow)
+	// A minute refills one token: the refreshed www entry (now 60 s old,
+	// again inside its last 90 %) prefetches once more.
+	tn.clock.Advance(time.Minute)
 	mustResolve(t, r, "www.cachetest.net", dnswire.TypeA)
 	if got := reg.Snapshot().Counters[MetricPrefetches]; got != 2 {
 		t.Errorf("prefetches after window reset = %d, want 2", got)

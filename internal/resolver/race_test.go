@@ -10,6 +10,7 @@ import (
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/transport"
 	"dnsttl/internal/zone"
@@ -92,6 +93,45 @@ func TestConcurrentResolutionsUnderChaos(t *testing.T) {
 	// The retry plane should rescue a healthy majority despite the chaos.
 	if got := answered.Load(); got < goroutines*perG/2 {
 		t.Errorf("answered %d of %d resolutions; expected the retry plane to carry most", got, goroutines*perG)
+	}
+}
+
+// TestConcurrentPrefetch: hits on one near-expiry name from many goroutines
+// share the refresh-ahead flight group and budget bucket. Each client is
+// charged nothing, and with the clock stopped no more refreshes run than
+// the budget's burst.
+func TestConcurrentPrefetch(t *testing.T) {
+	const goroutines, perG, budget = 8, 50, 3
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.PrefetchFraction, pol.PrefetchBudget = 0.99, budget
+	r := tn.resolver(pol, 1)
+	reg := obs.NewRegistry(tn.clock)
+	r.Obs = NewMetrics(reg)
+	names := []string{"www.cachetest.net", "alias.cachetest.net", "ns1.cachetest.net"}
+	for _, n := range names {
+		mustResolve(t, r, n, dnswire.TypeA)
+	}
+	tn.clock.Advance(10 * time.Second) // every entry inside its last 99 %
+
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				n := names[(g+i)%len(names)]
+				res, err := r.Resolve(dnswire.NewName(n), dnswire.TypeA)
+				if err != nil || !res.CacheHit || res.Queries != 0 {
+					t.Errorf("%s: hit=%v queries=%d err=%v; a refresh was charged to a client", n, res.CacheHit, res.Queries, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got := reg.Snapshot().Counters[MetricPrefetches]; got == 0 || got > budget {
+		t.Errorf("%d refreshes ran, want 1..%d (the budget's burst, clock stopped)", got, budget)
 	}
 }
 

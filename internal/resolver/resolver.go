@@ -8,8 +8,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnsttl/internal/bucket"
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/qlog"
 	"dnsttl/internal/simnet"
@@ -138,13 +140,10 @@ type Resolver struct {
 	sticky map[dnswire.Name]netip.Addr
 	nextID uint16
 
-	// Refresh-ahead state (prefetch.go): singleflight dedup of in-flight
-	// prefetches and the budget window. Its own lock, since the prefetch
-	// iteration itself takes r.mu for transaction IDs.
-	prefetchMu       sync.Mutex
-	prefetchInflight map[cache.Key]struct{}
-	prefetchWindow   time.Time
-	prefetchSpent    int
+	// Refresh-ahead state (prefetch.go): the refreshes in flight, and the
+	// Policy.PrefetchBudget bucket New builds (nil means unlimited).
+	prefetching    flight.Group[cache.Key, *Result]
+	prefetchBudget *bucket.Table[struct{}]
 
 	// srtt is the per-server smoothed-RTT table behind
 	// Policy.Retry.OrderBySRTT. It has its own lock; nil (for resolvers
@@ -159,7 +158,7 @@ func New(addr netip.Addr, pol Policy, net simnet.Exchanger, clock simnet.Clock, 
 		clock = simnet.WallClock{}
 	}
 	c := cache.New(clock, pol.CacheConfig())
-	return &Resolver{
+	r := &Resolver{
 		Addr:      addr,
 		Policy:    pol,
 		Net:       net,
@@ -171,6 +170,11 @@ func New(addr netip.Addr, pol Policy, net simnet.Exchanger, clock simnet.Clock, 
 		sticky:    make(map[dnswire.Name]netip.Addr),
 		srtt:      newSRTTTable(),
 	}
+	if n := float64(pol.PrefetchBudget); n > 0 {
+		// Bursts of up to n refreshes, n per minute on average.
+		r.prefetchBudget = bucket.NewTable[struct{}](n/time.Minute.Seconds(), n, clock)
+	}
+	return r
 }
 
 // maxDepth bounds subquery recursion (resolving NS-host addresses) and
@@ -249,6 +253,20 @@ func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Resul
 	}
 	e, rem, _ := r.answerFromCache(name, qtype)
 	return r.resolveFrom(e, rem, name, qtype, res, depth)
+}
+
+// subResolve resolves (name, qtype) — an NS host's address, a signer's
+// DNSKEY — into a scratch Result on res's behalf, and charges res every
+// additive count of its Trace. The answer stays in the returned Result.
+func (r *Resolver) subResolve(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) (*Result, error) {
+	sub := &Result{Msg: &dnswire.Message{}}
+	err := r.resolveInto(name, qtype, sub, depth)
+	res.Latency += sub.Latency
+	res.Queries += sub.Queries
+	res.Timeouts += sub.Timeouts
+	res.Retries += sub.Retries
+	res.Hedges += sub.Hedges
+	return sub, err
 }
 
 // resolveFrom continues a resolution from its cache probe: the cached
@@ -360,7 +378,7 @@ func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, d
 			if ssp != nil {
 				ssp.Annotate("source", "local-root-mirror")
 			}
-			done, err := r.localRootStep(name, qtype, res)
+			done, err := r.localRootStep(name, qtype, res, ssp)
 			ssp.Finish()
 			if done {
 				return err
@@ -535,11 +553,7 @@ func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err 
 			}
 			res.Stale = true
 			res.Span.Annotate("serve_stale", string(name))
-			rem = r.clampTTL(rem, res.Span)
-			for _, rr := range e.RRs {
-				rr.TTL = rem
-				res.Msg.AddAnswer(rr)
-			}
+			r.applyCached(e, rem, name, qtype, res, maxDepth)
 			return nil
 		}
 	}

@@ -476,6 +476,29 @@ func TestLocalRoot(t *testing.T) {
 	}
 }
 
+// TestLocalRootAnswerCapped: an answer taken from the RFC 7706 mirror is
+// stored data like any other, so it shows at most the cap — the TTL a
+// resolver that asks a root server shows.
+func TestLocalRootAnswerCapped(t *testing.T) {
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.TTLCap = 21599
+	upstream := mustResolve(t, tn.resolver(pol, 1), ".", dnswire.TypeNS)
+	pol.LocalRoot = true
+	r := tn.resolver(pol, 2)
+	r.LocalRootZone = tn.root
+	asked := tn.rootSrv.QueryCount()
+	mirror := mustResolve(t, r, ".", dnswire.TypeNS)
+	if len(mirror.Msg.Answer) == 0 || tn.rootSrv.QueryCount() != asked {
+		t.Fatalf("mirror answered %d records after %d root queries; want an answer from the mirror alone",
+			len(mirror.Msg.Answer), tn.rootSrv.QueryCount()-asked)
+	}
+	if mirror.AnswerTTL > pol.TTLCap || mirror.AnswerTTL != upstream.AnswerTTL {
+		t.Errorf(". NS from the mirror shows %d s, from upstream %d s; want both at most the cap %d",
+			mirror.AnswerTTL, upstream.AnswerTTL, pol.TTLCap)
+	}
+}
+
 func TestTTLCap(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()

@@ -8,7 +8,9 @@ import (
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
+	"dnsttl/internal/zone"
 )
 
 // TestBackoffMonotoneCapped: for a spread of policies, the backoff sequence
@@ -246,6 +248,63 @@ func TestHedgeWinsOverSlowPrimary(t *testing.T) {
 	// primary.
 	if want := 30 * time.Millisecond; res.Latency != want {
 		t.Errorf("latency %v, want %v (hedge completion)", res.Latency, want)
+	}
+}
+
+// TestSubResolutionChargesRetriesAndHedges: the retries and hedges spent
+// resolving an out-of-bailiwick nameserver's address land in the client's
+// Trace, matching what the resolver's metrics count.
+func TestSubResolutionChargesRetriesAndHedges(t *testing.T) {
+	tn := newTestNet(t)
+	// oob.net is served by ns9.cachetest.net, for which net. has no glue:
+	// every cachetest.net exchange happens inside the sub-resolution.
+	ct2, oobAddr := netip.MustParseAddr("192.0.2.2"), netip.MustParseAddr("192.0.2.99")
+	tn.netZone.MustAdd(
+		dnswire.NewNS("cachetest.net", 172800, "ns2.cachetest.net"),
+		dnswire.NewA("ns2.cachetest.net", 172800, ct2.String()),
+		dnswire.NewNS("oob.net", 172800, "ns9.cachetest.net"),
+	)
+	tn.ct.MustAdd(dnswire.NewA("ns9.cachetest.net", 3600, oobAddr.String()))
+	ns2 := authoritative.NewServer(dnswire.NewName("ns2.cachetest.net"), tn.clock)
+	ns2.AddZone(tn.ct)
+	tn.net.Attach(ct2, ns2)
+	oob := zone.New(dnswire.NewName("oob.net"))
+	oob.MustAdd(
+		dnswire.NewSOA("oob.net", 3600, "ns9.cachetest.net", "admin.oob.net", 1, 7200, 3600, 1209600, 60),
+		dnswire.NewNS("oob.net", 3600, "ns9.cachetest.net"),
+		dnswire.NewA("www.oob.net", 300, "192.0.2.100"),
+	)
+	oobSrv := authoritative.NewServer(dnswire.NewName("ns9.cachetest.net"), tn.clock)
+	oobSrv.AddZone(oob)
+	tn.net.Attach(oobAddr, oobSrv)
+	// Both cachetest servers are slower than the hedge delay and lossy.
+	tn.net.LatencyFor = func(src, dst netip.Addr) simnet.LatencyModel {
+		if dst == tn.ctAddr || dst == ct2 {
+			return simnet.Constant(100 * time.Millisecond)
+		}
+		return simnet.Constant(10 * time.Millisecond)
+	}
+	tn.net.Clock = tn.clock
+	tn.net.Faults = simnet.NewFaultSchedule(
+		simnet.LossBurst(tn.ctAddr, 0, 0, 0.8), simnet.LossBurst(ct2, 0, 0, 0.8))
+
+	pol := DefaultPolicy()
+	pol.Retry = RetryPolicy{Attempts: 8, Hedge: 20 * time.Millisecond}
+	r := tn.resolver(pol, 4)
+	reg := obs.NewRegistry(tn.clock)
+	r.Obs = NewMetrics(reg)
+	res := mustResolve(t, r, "www.oob.net", dnswire.TypeA)
+	if got := answerAddr(t, res); got != "192.0.2.100" {
+		t.Fatalf("answer = %s", got)
+	}
+	s := reg.Snapshot()
+	retries, hedges := s.Counters[MetricRetries], s.Counters[MetricHedges]
+	if retries == 0 || hedges == 0 {
+		t.Fatalf("setup: the sub-resolution spent %d retries and %d hedges, want both > 0", retries, hedges)
+	}
+	if uint64(res.Retries) != retries || uint64(res.Hedges) != hedges {
+		t.Errorf("trace retries=%d hedges=%d, metrics %d/%d: a sub-resolution's work vanished from the trace",
+			res.Retries, res.Hedges, retries, hedges)
 	}
 }
 

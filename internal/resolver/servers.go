@@ -6,6 +6,7 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
 	"dnsttl/internal/zone"
 )
 
@@ -51,11 +52,7 @@ func (r *Resolver) nsAddresses(z dnswire.Name, nsSet *cache.Entry, res *Result, 
 			// with an explicit query to the child (§3.4's traffic).
 			if e, _, ok := r.Cache.Get(ns.Host, dnswire.TypeA); ok &&
 				e.Negative == cache.NotNegative && e.Cred == cache.CredAdditional {
-				scratch := &Result{Msg: &dnswire.Message{}}
-				_ = r.resolveInto(ns.Host, dnswire.TypeA, scratch, depth+1)
-				res.Latency += scratch.Latency
-				res.Queries += scratch.Queries
-				res.Timeouts += scratch.Timeouts
+				_, _ = r.subResolve(ns.Host, dnswire.TypeA, res, depth+1)
 			}
 		}
 		if a := r.cachedAddress(ns.Host); a.IsValid() {
@@ -71,12 +68,7 @@ func (r *Resolver) nsAddresses(z dnswire.Name, nsSet *cache.Entry, res *Result, 
 		return addrs
 	}
 	for _, host := range unresolved {
-		scratch := &Result{Msg: &dnswire.Message{}}
-		err := r.resolveInto(host, dnswire.TypeA, scratch, depth+1)
-		res.Latency += scratch.Latency
-		res.Queries += scratch.Queries
-		res.Timeouts += scratch.Timeouts
-		if err != nil {
+		if _, err := r.subResolve(host, dnswire.TypeA, res, depth+1); err != nil {
 			continue
 		}
 		if a := r.cachedAddress(host); a.IsValid() {
@@ -232,7 +224,7 @@ func (r *Resolver) cacheNegative(resp *dnswire.Message, name dnswire.Name, qtype
 
 // localRootStep consults the RFC 7706 root mirror instead of querying a
 // root server. It returns done=true when the client answer is complete.
-func (r *Resolver) localRootStep(name dnswire.Name, qtype dnswire.Type, res *Result) (bool, error) {
+func (r *Resolver) localRootStep(name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (bool, error) {
 	lr := r.LocalRootZone.Lookup(name, qtype)
 	now := r.Clock.Now()
 	switch lr.Kind {
@@ -249,7 +241,11 @@ func (r *Resolver) localRootStep(name dnswire.Name, qtype dnswire.Type, res *Res
 		}
 		return false, nil
 	case zone.Answer:
-		res.Msg.AddAnswer(lr.Answer.RRs...)
+		// Mirror records are stored data: shown capped, like any answer.
+		for _, rr := range lr.Answer.RRs {
+			rr.TTL = r.clampTTL(rr.TTL, sp)
+			res.Msg.AddAnswer(rr)
+		}
 		return true, nil
 	case zone.NXDomain:
 		res.Msg.Header.RCode = dnswire.RCodeNXDomain

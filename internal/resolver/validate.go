@@ -60,16 +60,12 @@ func (r *Resolver) fetchDNSKEY(signer dnswire.Name, res *Result, depth int) (dns
 	if e, _, ok := r.Cache.Get(signer, dnswire.TypeDNSKEY); ok && e.Negative == cache.NotNegative && len(e.RRs) > 0 {
 		return e.RRs[0], nil
 	}
-	scratch := &Result{Msg: &dnswire.Message{}}
-	err := r.resolveInto(signer, dnswire.TypeDNSKEY, scratch, depth+1)
-	res.Latency += scratch.Latency
-	res.Queries += scratch.Queries
-	res.Timeouts += scratch.Timeouts
+	sub, err := r.subResolve(signer, dnswire.TypeDNSKEY, res, depth+1)
 	if err != nil {
 		return dnswire.RR{}, err
 	}
-	if len(scratch.Msg.Answer) == 0 {
+	if len(sub.Msg.Answer) == 0 {
 		return dnswire.RR{}, fmt.Errorf("resolver: zone %s has no DNSKEY", signer)
 	}
-	return scratch.Msg.Answer[0], nil
+	return sub.Msg.Answer[0], nil
 }

@@ -185,15 +185,7 @@ func flapPhase(seed int64, dst netip.Addr, period time.Duration) time.Duration {
 	if seed == 0 {
 		return 0
 	}
-	h := uint64(14695981039346656037)
-	step := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
-	for i := 0; i < 8; i++ {
-		step(byte(uint64(seed) >> (8 * i)))
-	}
-	for _, b := range dst.As16() {
-		step(b)
-	}
-	return time.Duration(h % uint64(period))
+	return time.Duration(seedMix(seed, dst) % uint64(period))
 }
 
 // ParseFaultSchedule parses the compact schedule grammar used by the CLI

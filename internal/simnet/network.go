@@ -112,11 +112,11 @@ type flowKey struct {
 // doing or on the order flows were first used. That is what keeps parallel
 // experiment sweeps byte-identical to serial ones.
 //
-// The stream is rand.NewSource(flowSeed)'s, held here as a lazy source (see
-// source.go): a campaign opens tens of thousands of flows and draws a
-// handful of numbers from each, so a flow carries 16 bytes of generator
-// state and pays per draw, not the stdlib's 5 KB register and 11 µs of
-// seeding.
+// The stream is rand.NewSource(seedMix(seed, src, dst))'s, held here as a
+// lazy source (see source.go): a campaign opens tens of thousands of flows
+// and draws a handful of numbers from each, so a flow carries 16 bytes of
+// generator state and pays per draw, not the stdlib's 5 KB register and
+// 11 µs of seeding.
 type flow struct {
 	mu  sync.Mutex
 	src source
@@ -181,26 +181,22 @@ func NewNetwork(seed int64) *Network {
 	}
 }
 
-// flowSeed mixes the network seed with both endpoint addresses (FNV-1a over
-// their 16-byte forms) into the flow's RNG seed. Depending only on
-// (seed, src, dst) — never on discovery order — is load-bearing for
-// determinism under concurrency.
-func flowSeed(seed int64, k flowKey) int64 {
+// seedMix runs FNV-1a over seed's 8 bytes (least significant first) and
+// then each address's 16-byte form: the one mix behind flow RNG seeds and
+// flap phases. Depending only on (seed, addresses) — never on discovery
+// order — is load-bearing for determinism under concurrency.
+func seedMix(seed int64, addrs ...netip.Addr) uint64 {
 	h := uint64(14695981039346656037)
-	step := func(b byte) {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
+	step := func(b byte) { h = (h ^ uint64(b)) * 1099511628211 }
 	for i := 0; i < 8; i++ {
 		step(byte(uint64(seed) >> (8 * i)))
 	}
-	src, dst := k.src.As16(), k.dst.As16()
-	for _, b := range src {
-		step(b)
+	for _, a := range addrs {
+		for _, b := range a.As16() {
+			step(b)
+		}
 	}
-	for _, b := range dst {
-		step(b)
-	}
-	return int64(h)
+	return h
 }
 
 // flowFor returns the flow state for (src, dst), creating it on first use.
@@ -215,7 +211,7 @@ func (n *Network) flowFor(src, dst netip.Addr) *flow {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if f = n.flows[k]; f == nil {
-		f = newFlow(flowSeed(n.seed, k))
+		f = newFlow(int64(seedMix(n.seed, k.src, k.dst)))
 		n.flows[k] = f
 	}
 	return f
