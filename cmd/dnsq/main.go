@@ -22,6 +22,7 @@ import (
 
 	"dnsttl"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 )
 
 func main() {
@@ -72,13 +73,6 @@ func main() {
 		return
 	}
 
-	q := dnswire.NewQuery(uint16(time.Now().UnixNano()), name, qtype)
-	q.Header.RD = *rd
-	wire, err := dnsttl.Encode(q)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dnsq:", err)
-		os.Exit(1)
-	}
 	tnet, err := dnsttl.NewTransportNet(kind, dnsttl.TransportOptions{
 		Port: dstPort, Timeout: *timeout, Insecure: *insecure,
 	})
@@ -87,14 +81,11 @@ func main() {
 		os.Exit(1)
 	}
 	defer tnet.Close()
-	respWire, rtt, err := tnet.Exchange(netip.Addr{}, addr, wire)
+	q := dnswire.NewQuery(uint16(time.Now().UnixNano()), name, qtype)
+	q.Header.RD = *rd
+	resp, rtt, err := simnet.Ask(tnet, netip.Addr{}, addr, q)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dnsq:", err)
-		os.Exit(1)
-	}
-	resp, err := dnsttl.Decode(respWire)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dnsq: bad response:", err)
 		os.Exit(1)
 	}
 	fmt.Print(resp)

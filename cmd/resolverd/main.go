@@ -188,13 +188,12 @@ func main() {
 		cfg.Topology, cfg.Placement = topology, placement
 	}
 	if *localRoot {
-		axfr, err := dnsttl.NewTransportNet(dnsttl.TransportTCP, dnsttl.TransportOptions{})
+		axfr, err := dnsttl.NewTransportNet(dnsttl.TransportTCP, dnsttl.TransportOptions{Port: uint16(*rootPort)})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "resolverd:", err)
 			os.Exit(2)
 		}
-		z, err := authoritative.FetchZone(axfr.T.Exchange,
-			netip.AddrPortFrom(rootAddrs[0], uint16(*rootPort)), dnsttl.NewName("."))
+		z, err := authoritative.FetchZone(axfr, rootAddrs[0], dnsttl.NewName("."))
 		axfr.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "resolverd: local root AXFR:", err)

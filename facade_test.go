@@ -74,17 +74,9 @@ func TestFacadeStubThroughDaemon(t *testing.T) {
 	}
 	defer rd.Close()
 
-	wire, err := Encode(dnswire.NewQuery(7, NewName("www.example.org"), TypeA))
-	if err != nil {
-		t.Fatal(err)
-	}
 	stub := loopbackNet(t, rdAddr.Port())
 	for i, wantHits := range []uint64{0, 1} {
-		respWire, _, err := stub.Exchange(netip.Addr{}, rdAddr.Addr(), wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := Decode(respWire)
+		resp, _, err := simnet.Ask(stub, netip.Addr{}, rdAddr.Addr(), dnswire.NewQuery(7, NewName("www.example.org"), TypeA))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 	"dnsttl/internal/zone"
 )
 
@@ -34,20 +35,12 @@ func (s *Server) handleAXFR(q *dnswire.Message) *dnswire.Message {
 	return resp
 }
 
-// FetchZone performs an AXFR against addr and reconstructs the zone — how
-// an RFC 7706 mirror obtains the root zone. exchange carries the query: a
-// TCP transport's Exchange method, since a transfer does not fit a datagram.
-func FetchZone(exchange func(netip.AddrPort, []byte) ([]byte, time.Duration, error), addr netip.AddrPort, origin dnswire.Name) (*zone.Zone, error) {
+// FetchZone performs an AXFR against server over x and reconstructs the
+// zone — how an RFC 7706 mirror obtains the root zone. x is a TCP net, since
+// a transfer does not fit a datagram.
+func FetchZone(x simnet.Exchanger, server netip.Addr, origin dnswire.Name) (*zone.Zone, error) {
 	q := dnswire.NewIterativeQuery(uint16(time.Now().UnixNano()), origin, TypeAXFR)
-	wire, err := dnswire.Encode(q)
-	if err != nil {
-		return nil, err
-	}
-	respWire, _, err := exchange(addr, wire)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := dnswire.Decode(respWire)
+	resp, _, err := simnet.Ask(x, netip.Addr{}, server, q)
 	if err != nil {
 		return nil, err
 	}

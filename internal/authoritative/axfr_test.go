@@ -16,7 +16,7 @@ func TestAXFRRoundTrip(t *testing.T) {
 	}
 	defer ts.Close()
 
-	z, err := FetchZone(testClient(t, transport.TCP).Exchange, addr, dnswire.NewName("example.org"))
+	z, err := FetchZone(transport.NewNet(testClient(t, transport.TCP), addr.Port()), addr.Addr(), dnswire.NewName("example.org"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestAXFRRefusedForUnknownZone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	if _, err := FetchZone(testClient(t, transport.TCP).Exchange, addr, dnswire.NewName("other.org")); err == nil {
+	if _, err := FetchZone(transport.NewNet(testClient(t, transport.TCP), addr.Port()), addr.Addr(), dnswire.NewName("other.org")); err == nil {
 		t.Errorf("AXFR of unserved zone must fail")
 	}
 }

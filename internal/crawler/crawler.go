@@ -11,6 +11,7 @@ import (
 	"net/netip"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
 	"dnsttl/internal/zone"
 	"dnsttl/internal/zonegen"
@@ -103,16 +104,8 @@ func New(w *zonegen.World) *Crawler {
 
 func (c *Crawler) exchange(dst netip.Addr, name dnswire.Name, t dnswire.Type) (*dnswire.Message, error) {
 	c.queryID++
-	q := dnswire.NewIterativeQuery(c.queryID, name, t)
-	wire, err := dnswire.Encode(q)
-	if err != nil {
-		return nil, err
-	}
-	respWire, _, err := c.World.Net.Exchange(c.Addr, dst, wire)
-	if err != nil {
-		return nil, err
-	}
-	return dnswire.Decode(respWire)
+	resp, _, err := simnet.Ask(c.World.Net, c.Addr, dst, dnswire.NewIterativeQuery(c.queryID, name, t))
+	return resp, err
 }
 
 // childServers finds the domain's authoritative addresses the way a crawler

@@ -1,6 +1,7 @@
 package dnswire
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -76,6 +77,29 @@ func (m *Message) ReplyInto(resp *Message) {
 		RD:     m.Header.RD,
 	}
 	resp.Question = append(resp.Question[:0], m.Question...)
+}
+
+// Reply-matching errors: a reply that does not answer the query it came
+// back for. Allocation-free, so a retry loop stays clean.
+var (
+	// ErrIDMismatch marks a reply whose QR bit is clear or whose ID is not
+	// the query's.
+	ErrIDMismatch = errors.New("dnswire: response ID mismatch")
+	// ErrQuestionMismatch marks a reply whose question is not the query's.
+	ErrQuestionMismatch = errors.New("dnswire: response question mismatch")
+)
+
+// CheckReply reports whether resp answers the query with this id and
+// question: QR is set, the ID matches and q is resp's one question (RFC 5452
+// §9.1). Decoded names are lower-case, so a case-varied echo matches.
+func CheckReply(resp *Message, id uint16, q Question) error {
+	switch {
+	case !resp.Header.QR || resp.Header.ID != id:
+		return ErrIDMismatch
+	case len(resp.Question) != 1 || resp.Question[0] != q:
+		return ErrQuestionMismatch
+	}
+	return nil
 }
 
 // Reset clears m for reuse, keeping the section slices' capacity so a

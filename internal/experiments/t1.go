@@ -5,6 +5,7 @@ import (
 	"net/netip"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
 )
 
@@ -26,16 +27,7 @@ func Table1(tb *Testbed) *Report {
 
 	ask := func(server netip.Addr, serverName string, name dnswire.Name, t dnswire.Type, q string) {
 		id++
-		query := dnswire.NewIterativeQuery(id, name, t)
-		wire, err := dnswire.Encode(query)
-		if err != nil {
-			panic(err)
-		}
-		respWire, _, err := tb.Net.Exchange(netip.MustParseAddr("10.99.0.1"), server, wire)
-		if err != nil {
-			return
-		}
-		resp, err := dnswire.Decode(respWire)
+		resp, _, err := simnet.Ask(tb.Net, netip.MustParseAddr("10.99.0.1"), server, dnswire.NewIterativeQuery(id, name, t))
 		if err != nil {
 			return
 		}

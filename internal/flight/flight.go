@@ -1,7 +1,8 @@
 // Package flight coalesces identical in-flight calls: the one in-flight
-// group, behind the farm's cross-frontend Coalesce and the resolver's
-// refresh-ahead, in the mold of golang.org/x/sync/singleflight but
-// stdlib-only, typed, and with a join hook.
+// group, behind the farm's cross-frontend Coalesce, the resolver's
+// refresh-ahead and the push subscriber's one pull per zone, in the mold of
+// golang.org/x/sync/singleflight but stdlib-only, typed, and with a join
+// hook.
 package flight
 
 import "sync"

@@ -203,7 +203,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				hist.ObserveDuration(rtt)
 				if derr := dec.Decode(resp, &rmsg); derr != nil ||
-					rmsg.Header.ID != qmsg.Header.ID || !rmsg.Header.QR {
+					dnswire.CheckReply(&rmsg, qmsg.Header.ID, qmsg.Question[0]) != nil {
 					tax.badmsg.Inc()
 					continue
 				}

@@ -81,13 +81,17 @@ func TestParseWorkloadErrors(t *testing.T) {
 	}
 }
 
-// echoServer answers any query with QR + NOERROR over loopback UDP.
-func echoServer(t *testing.T) netip.AddrPort {
+// echoServer answers any query with QR + NOERROR over loopback UDP, after
+// edit (if any) has had the reply.
+func echoServer(t *testing.T, edit ...func(resp []byte)) netip.AddrPort {
 	t.Helper()
 	s := &authoritative.UDPServer{Handler: simnet.HandlerFunc(func(wire []byte, _ netip.Addr) []byte {
 		resp := make([]byte, len(wire))
 		copy(resp, wire)
 		resp[2] |= 0x80
+		for _, e := range edit {
+			e(resp)
+		}
 		return resp
 	})}
 	addr, err := s.Listen("127.0.0.1:0")
@@ -217,6 +221,25 @@ func TestRunConfigValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{Transport: tr, Workload: wl}); err == nil {
 		t.Errorf("missing Count and Duration should fail")
+	}
+}
+
+// TestRunRejectsForeignQuestion: a reply with the query's ID but another
+// question is a bad message, not an answer.
+func TestRunRejectsForeignQuestion(t *testing.T) {
+	addr := echoServer(t, func(resp []byte) { resp[13] = 'x' }) // first qname letter
+	tr, err := transport.New(transport.Config{Kind: transport.UDP, Timeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	wl, _ := ParseWorkload("www.example.org:A")
+	res, err := Run(Config{Target: addr, Transport: tr, Workload: wl, Workers: 2, Count: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BadMessages != 10 || res.NoError != 0 {
+		t.Errorf("bad messages %d, noerror %d; want 10 and 0", res.BadMessages, res.NoError)
 	}
 }
 

@@ -183,71 +183,57 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if h == nil {
 		return HistogramSnapshot{}
 	}
-	var s HistogramSnapshot
 	var counts [numBuckets]uint64
-	total := uint64(0)
 	for i := range h.buckets {
 		counts[i] = h.buckets[i].Load()
-		total += counts[i]
 	}
-	s.Count = total
-	if total == 0 {
-		return s
-	}
-	s.Sum = math.Float64frombits(h.sum.Load())
-	s.Min = math.Float64frombits(h.min.Load())
-	s.Max = math.Float64frombits(h.max.Load())
-	// A snapshot racing the very first observations can catch the extreme
-	// cells before they move off their ±Inf seeds (Observe publishes them
-	// last). Fall back to the populated buckets' bounds — ±Inf must never
-	// escape (it breaks encoding/json) and quantile clamping needs finite
-	// extremes.
-	if math.IsInf(s.Min, 0) || math.IsInf(s.Max, 0) {
-		lo := math.Inf(1)
-		hi := 0.0
-		for i, n := range counts {
-			if n == 0 {
-				continue
-			}
-			blo, bhi := bucketBounds(i)
-			if blo < lo {
-				lo = blo
-			}
-			if math.IsInf(bhi, 1) {
-				bhi = math.MaxFloat64
-			}
-			if bhi > hi {
-				hi = bhi
-			}
-		}
-		if math.IsInf(s.Min, 0) {
-			s.Min = lo
-		}
-		if math.IsInf(s.Max, 0) {
-			s.Max = hi
-		}
-	}
-	// Clamp Sum so the implied mean stays within [Min, Max] even when the
-	// sum cell lags the copied buckets.
-	if lo := float64(total) * s.Min; s.Sum < lo {
-		s.Sum = lo
-	}
-	if hi := float64(total) * s.Max; s.Sum > hi {
-		s.Sum = hi
-	}
+	return summarize(&counts, math.Float64frombits(h.sum.Load()),
+		math.Float64frombits(h.min.Load()), math.Float64frombits(h.max.Load()))
+}
+
+// summarize turns bucket counts into a snapshot whose Count is their total,
+// for a live histogram and for a window diff alike. An extreme still at its ±Inf
+// seed (a snapshot racing the first observations, which publish the extreme
+// cells last, or a diff, which cannot recover the window's extremes) falls
+// back to the populated buckets' bounds: ±Inf must never escape, it breaks
+// encoding/json, and quantile clamping needs finite extremes. Sum is
+// clamped into [Count·Min, Count·Max] so the implied mean stays in range
+// even when the sum cell lags the copied buckets.
+func summarize(counts *[numBuckets]uint64, sum, minV, maxV float64) HistogramSnapshot {
+	var s HistogramSnapshot
+	lo, hi := math.Inf(1), 0.0
 	for i, n := range counts {
 		if n == 0 {
 			continue
 		}
-		lo, hi := bucketBounds(i)
-		if math.IsInf(hi, 1) {
-			hi = math.MaxFloat64
+		s.Count += n
+		blo, bhi := bucketBounds(i)
+		if math.IsInf(bhi, 1) {
+			bhi = math.MaxFloat64
 		}
-		s.Buckets = append(s.Buckets, Bucket{Lo: lo, Hi: hi, Count: n})
+		lo, hi = min(lo, blo), max(hi, bhi)
+		s.Buckets = append(s.Buckets, Bucket{Lo: blo, Hi: bhi, Count: n})
 	}
-	s.P50 = quantileFromBuckets(counts[:], total, 0.50, s.Min, s.Max)
-	s.P90 = quantileFromBuckets(counts[:], total, 0.90, s.Min, s.Max)
-	s.P99 = quantileFromBuckets(counts[:], total, 0.99, s.Min, s.Max)
+	if s.Count == 0 {
+		return s
+	}
+	s.Sum, s.Min, s.Max = sum, minV, maxV
+	if math.IsInf(s.Min, 0) {
+		s.Min = lo
+	}
+	if math.IsInf(s.Max, 0) {
+		s.Max = hi
+	}
+	n := float64(s.Count)
+	if s.Sum < n*s.Min {
+		s.Sum = n * s.Min
+	}
+	if s.Sum > n*s.Max {
+		s.Sum = n * s.Max
+	}
+	s.P50 = quantileFromBuckets(counts[:], s.Count, 0.50, s.Min, s.Max)
+	s.P90 = quantileFromBuckets(counts[:], s.Count, 0.90, s.Min, s.Max)
+	s.P99 = quantileFromBuckets(counts[:], s.Count, 0.99, s.Min, s.Max)
 	return s
 }
 

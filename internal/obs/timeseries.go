@@ -196,45 +196,9 @@ func diffHistograms(from, to HistogramSnapshot) HistogramSnapshot {
 			counts[i] = 0
 		}
 	}
-	var out HistogramSnapshot
-	total := uint64(0)
-	lo := math.Inf(1)
-	hi := 0.0
-	for i, n := range counts {
-		if n == 0 {
-			continue
-		}
-		total += n
-		blo, bhi := bucketBounds(i)
-		if math.IsInf(bhi, 1) {
-			bhi = math.MaxFloat64
-		}
-		if blo < lo {
-			lo = blo
-		}
-		if bhi > hi {
-			hi = bhi
-		}
-		out.Buckets = append(out.Buckets, Bucket{Lo: blo, Hi: bhi, Count: n})
-	}
-	out.Count = total
-	if total == 0 {
-		return out
-	}
-	out.Min = lo
-	out.Max = hi
+	var sum float64
 	if s := to.Sum - from.Sum; s > 0 {
-		out.Sum = s
+		sum = s
 	}
-	// Clamp like Histogram.Snapshot so the implied mean stays in range.
-	if smin := float64(total) * out.Min; out.Sum < smin {
-		out.Sum = smin
-	}
-	if smax := float64(total) * out.Max; out.Sum > smax {
-		out.Sum = smax
-	}
-	out.P50 = quantileFromBuckets(counts[:], total, 0.50, out.Min, out.Max)
-	out.P90 = quantileFromBuckets(counts[:], total, 0.90, out.Min, out.Max)
-	out.P99 = quantileFromBuckets(counts[:], total, 0.99, out.Min, out.Max)
-	return out
+	return summarize(&counts, sum, math.Inf(1), math.Inf(-1))
 }

@@ -10,6 +10,7 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/flight"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/qlog"
 	"dnsttl/internal/simnet"
@@ -59,7 +60,6 @@ type zoneSub struct {
 	serial     uint32
 	subscribed bool
 	lastSeen   time.Time
-	pulling    bool
 }
 
 // Subscriber is the resolver half of the push plane: it subscribes to zone
@@ -75,6 +75,9 @@ type Subscriber struct {
 	mu     sync.Mutex
 	zones  map[dnswire.Name]*zoneSub
 	purged map[cache.Key]time.Time
+
+	// inFlight holds each zone's one poll or pull in progress.
+	inFlight flight.Group[dnswire.Name, struct{}]
 
 	msgID atomic.Uint32
 	m     metrics
@@ -182,7 +185,7 @@ func (s *Subscriber) Tick(now time.Time) {
 		if needSub {
 			s.trySubscribe(zs)
 		} else if needPoll {
-			s.poll(zs)
+			s.exclusive(zs, s.poll)
 		}
 	}
 }
@@ -203,9 +206,9 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 			TTL: uint32(s.cfg.Port), Data: dnswire.A{Addr: s.cfg.Addr},
 		})
 	}
-	serial, err := s.exchangeForSOA(zs.server, req)
+	serial, ok := soaSerial(s.ask(zs, req))
 	now := s.clock.Now()
-	if err != nil {
+	if !ok {
 		s.m.subscribeRetries.Inc()
 		return
 	}
@@ -222,25 +225,19 @@ func (s *Subscriber) trySubscribe(zs *zoneSub) {
 	s.mu.Unlock()
 	s.m.subscribes.Inc()
 	if !firstContact && serial > prev {
-		s.pull(zs)
+		s.exclusive(zs, s.pull)
 	}
 }
 
 // poll sends one SOA query; an advanced serial means notifies were lost and
 // is recovered with a pull, a failed poll drops the subscription back into
-// resubscribing.
+// resubscribing. It runs through exclusive.
 func (s *Subscriber) poll(zs *zoneSub) {
-	s.mu.Lock()
-	if zs.pulling {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
 	s.m.polls.Inc()
 	req := dnswire.NewIterativeQuery(uint16(s.msgID.Add(1)), zs.origin, dnswire.TypeSOA)
-	serial, err := s.exchangeForSOA(zs.server, req)
+	serial, ok := soaSerial(s.ask(zs, req))
 	now := s.clock.Now()
-	if err != nil {
+	if !ok {
 		s.mu.Lock()
 		zs.subscribed = false
 		s.mu.Unlock()
@@ -256,30 +253,34 @@ func (s *Subscriber) poll(zs *zoneSub) {
 	}
 }
 
-// exchangeForSOA sends req to server and returns the serial of the SOA in
-// the response's answer section.
-func (s *Subscriber) exchangeForSOA(server netip.Addr, req *dnswire.Message) (uint32, error) {
-	wire, err := dnswire.Encode(req)
-	if err != nil {
-		return 0, err
+// exclusive runs fn on zs unless a poll or pull of zs's zone is already in
+// flight: one pull per zone at a time, and the one in flight lands at the
+// latest serial it is told of (or the next poll catches up).
+func (s *Subscriber) exclusive(zs *zoneSub, fn func(*zoneSub)) {
+	s.inFlight.TryDo(zs.origin, func() (struct{}, error) {
+		fn(zs)
+		return struct{}{}, nil
+	})
+}
+
+// ask sends req to zs's server and returns the answer section of a NOERROR
+// reply that answers it, nil when there is none.
+func (s *Subscriber) ask(zs *zoneSub, req *dnswire.Message) []dnswire.RR {
+	resp, _, err := simnet.Ask(s.cfg.Net, s.cfg.Addr, zs.server, req)
+	if err != nil || resp.Header.RCode != dnswire.RCodeNoError {
+		return nil
 	}
-	respWire, _, err := s.cfg.Net.Exchange(s.cfg.Addr, server, wire)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := dnswire.Decode(respWire)
-	if err != nil {
-		return 0, err
-	}
-	if resp.Header.RCode != dnswire.RCodeNoError {
-		return 0, fmt.Errorf("push: %s answered %s", server, resp.Header.RCode)
-	}
-	for _, rr := range resp.Answer {
+	return resp.Answer
+}
+
+// soaSerial returns the serial of the first SOA in ans.
+func soaSerial(ans []dnswire.RR) (uint32, bool) {
+	for _, rr := range ans {
 		if soa, ok := rr.Data.(dnswire.SOA); ok {
-			return soa.Serial, nil
+			return soa.Serial, true
 		}
 	}
-	return 0, fmt.Errorf("push: response from %s carries no SOA", server)
+	return 0, false
 }
 
 // ServeDNS implements simnet.Handler: NOTIFYs arriving at the subscriber's
@@ -315,12 +316,7 @@ func (s *Subscriber) HandleNotifyWire(wire []byte, from netip.Addr) []byte {
 // per serial under duplicated or reordered notifies).
 func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 	origin := q.Q().Name
-	var serial uint32
-	for _, rr := range q.Answer {
-		if soa, ok := rr.Data.(dnswire.SOA); ok {
-			serial = soa.Serial
-		}
-	}
+	serial, _ := soaSerial(q.Answer)
 	s.m.notifies.Inc()
 	if t := s.cfg.QLog; t != nil {
 		t.NotifyIn(from, origin, serial)
@@ -337,50 +333,23 @@ func (s *Subscriber) handleNotify(q *dnswire.Message, from netip.Addr) {
 		s.m.notifyDups.Inc()
 		return
 	}
-	if zs.pulling {
-		// A pull is already in flight; it will land at the latest serial.
-		s.mu.Unlock()
-		return
-	}
 	s.mu.Unlock()
-	s.pull(zs)
+	s.exclusive(zs, s.pull)
 }
 
-// pull performs one IXFR exchange and applies the result to the stores.
-// At most one pull per zone is in flight at a time.
+// pull performs one IXFR exchange and applies the result to the stores. It
+// runs through exclusive.
 func (s *Subscriber) pull(zs *zoneSub) {
 	s.mu.Lock()
-	if zs.pulling {
-		s.mu.Unlock()
-		return
-	}
-	zs.pulling = true
 	fromSerial := zs.serial
 	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		zs.pulling = false
-		s.mu.Unlock()
-	}()
 
 	req := dnswire.NewIterativeQuery(uint16(s.msgID.Add(1)), zs.origin, TypeIXFR)
 	req.AddAuthority(dnswire.RR{
 		Name: zs.origin, Type: dnswire.TypeSOA, Class: dnswire.ClassIN,
 		Data: dnswire.SOA{MName: zs.origin, RName: zs.origin, Serial: fromSerial},
 	})
-	wire, err := dnswire.Encode(req)
-	if err != nil {
-		return
-	}
-	respWire, _, err := s.cfg.Net.Exchange(s.cfg.Addr, zs.server, wire)
-	if err != nil {
-		return
-	}
-	resp, err := dnswire.Decode(respWire)
-	if err != nil || resp.Header.RCode != dnswire.RCodeNoError {
-		return
-	}
-	cur, changes, full, upToDate, err := parseIXFR(resp.Answer)
+	cur, changes, full, upToDate, err := parseIXFR(s.ask(zs, req))
 	if err != nil {
 		return
 	}
@@ -586,10 +555,16 @@ func parseIXFR(ans []dnswire.RR) (cur uint32, changes []ChangeSet, full []dnswir
 			cs.Add = append(cs.Add, ans[i])
 			i++
 		}
+		if n := len(changes); n > 0 && changes[n-1].To != cs.From {
+			return 0, nil, nil, false, fmt.Errorf("push: delta %d->%d does not follow %d", cs.From, cs.To, changes[n-1].To)
+		}
 		changes = append(changes, cs)
 	}
 	if len(changes) == 0 {
 		return cur, nil, nil, true, nil
+	}
+	if last := changes[len(changes)-1].To; last != cur {
+		return 0, nil, nil, false, fmt.Errorf("push: deltas end at %d, not %d", last, cur)
 	}
 	return cur, changes, nil, false, nil
 }

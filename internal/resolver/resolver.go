@@ -649,8 +649,8 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 // Message whose lifetime the caller owns. iterate releases it after absorb,
 // which copies out every record it caches or answers with, so nothing may
 // keep the message or its section slices past that point. A reply attempt
-// rejects is released here; one is rejected unless its ID and its question
-// match the query's (RFC 5452 §9.1), so a late or forged reply for another
+// rejects is released here; one is rejected unless dnswire.CheckReply finds
+// it answers the query (RFC 5452 §9.1), so a late or forged reply for another
 // name is never absorbed.
 func (r *Resolver) attempt(server netip.Addr, qs *queryScratch, retrying bool, res *Result, sp *obs.Span, offset time.Duration) (*dnswire.Message, time.Duration, error) {
 	q := qs.question()
@@ -686,18 +686,21 @@ func (r *Resolver) attempt(server netip.Addr, qs *queryScratch, retrying bool, r
 	d.Names = qs
 	derr := d.Decode(qs.reply, resp)
 	dnswire.ReleaseDecoder(d)
+	if derr == nil {
+		derr = dnswire.CheckReply(resp, qID, q)
+	}
 	var (
 		reject error
 		label  string
 		rcode  dnswire.RCode // logged only for replies that parsed and matched
 	)
 	switch {
+	case derr == dnswire.ErrIDMismatch:
+		reject, label = derr, "id-mismatch"
+	case derr == dnswire.ErrQuestionMismatch:
+		reject, label = derr, "question-mismatch"
 	case derr != nil:
 		reject, label = derr, "decode"
-	case resp.Header.ID != qID:
-		reject, label = errIDMismatch, "id-mismatch"
-	case len(resp.Question) != 1 || resp.Question[0] != q:
-		reject, label = errQuestionMismatch, "question-mismatch"
 	// An active retry plane treats degraded replies as retryable: an empty
 	// truncated shell (anycast shedding load) and failure rcodes both mean
 	// "ask someone else", where the legacy path would hand them to absorb

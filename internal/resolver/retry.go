@@ -116,11 +116,6 @@ var (
 	// errUpstreamFailed marks a SERVFAIL/REFUSED reply treated as
 	// retryable under an active RetryPolicy.
 	errUpstreamFailed = errors.New("resolver: upstream returned failure rcode")
-	// errIDMismatch marks a reply whose transaction ID does not match the
-	// query's.
-	errIDMismatch = errors.New("resolver: response ID mismatch")
-	// errQuestionMismatch marks a reply whose question is not the query's.
-	errQuestionMismatch = errors.New("resolver: response question mismatch")
 )
 
 // srttAlpha is the EWMA weight for new RTT observations (RFC 6298's 1/8 is

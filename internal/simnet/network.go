@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"dnsttl/internal/dnswire"
 )
 
 // Handler is the server side of the message plane. It receives raw wire
@@ -81,6 +83,28 @@ func AppendExchange(x Exchanger, buf []byte, src, dst netip.Addr, query []byte, 
 		return buf, rtt, err
 	}
 	return append(buf, resp...), rtt, nil
+}
+
+// Ask is the one-shot client every caller without a pooled path uses: it
+// encodes q, exchanges it over x, decodes the reply and returns it only if
+// dnswire.CheckReply says it answers q. The RCODE is the caller's to judge.
+func Ask(x Exchanger, src, dst netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
+	wire, err := dnswire.Encode(q)
+	if err != nil {
+		return nil, 0, err
+	}
+	respWire, rtt, err := x.Exchange(src, dst, wire)
+	if err != nil {
+		return nil, rtt, err
+	}
+	resp, err := dnswire.Decode(respWire)
+	if err == nil {
+		err = dnswire.CheckReply(resp, q.Header.ID, q.Q())
+	}
+	if err != nil {
+		return nil, rtt, err
+	}
+	return resp, rtt, nil
 }
 
 // Exchange errors.

@@ -9,6 +9,7 @@ import (
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/push"
 	"dnsttl/internal/qlog"
+	"dnsttl/internal/simnet"
 )
 
 // queryA resolves name through the daemon at rd over real UDP and returns
@@ -16,15 +17,7 @@ import (
 func queryA(t *testing.T, rd netip.AddrPort, name string) string {
 	t.Helper()
 	q := dnswire.NewQuery(0x4242, NewName(name), TypeA)
-	wire, err := Encode(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	respWire, _, err := stubTransport(t, TransportUDP).Exchange(rd, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := dnswire.Decode(respWire)
+	resp, _, err := simnet.Ask(loopbackNet(t, rd.Port()), netip.Addr{}, rd.Addr(), q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 )
 
 // TestRecursiveDaemon chains the whole product over real sockets: an
@@ -44,20 +45,12 @@ func TestRecursiveDaemon(t *testing.T) {
 
 	// Stub query to the daemon.
 	q := dnswire.NewQuery(0xBEEF, NewName("www.example.org"), TypeA)
-	wire, err := Encode(q)
+	stub := loopbackNet(t, rdAddr.Port())
+	resp, _, err := simnet.Ask(stub, netip.Addr{}, rdAddr.Addr(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stub := stubTransport(t, TransportUDP)
-	respWire, _, err := stub.Exchange(rdAddr, wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := Decode(respWire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Header.ID != 0xBEEF || !resp.Header.QR || !resp.Header.RA {
+	if !resp.Header.RA {
 		t.Fatalf("daemon response header: %+v", resp.Header)
 	}
 	if len(resp.Answer) != 1 || resp.Answer[0].TTL != 300 {
@@ -65,8 +58,7 @@ func TestRecursiveDaemon(t *testing.T) {
 	}
 
 	// Second stub query: served from the daemon's cache.
-	respWire, _, err = stub.Exchange(rdAddr, wire)
-	if err != nil {
+	if _, _, err := simnet.Ask(stub, netip.Addr{}, rdAddr.Addr(), q); err != nil {
 		t.Fatal(err)
 	}
 	if st := client.CacheStats(); st.Hits == 0 {
@@ -103,7 +95,8 @@ func TestAXFRLocalRootIntegration(t *testing.T) {
 	}
 	defer auth.Close()
 
-	mirror, err := authoritative.FetchZone(stubTransport(t, TransportTCP).Exchange, tcpAddr, NewName("."))
+	tcp := &TransportNet{T: stubTransport(t, TransportTCP), Port: tcpAddr.Port()}
+	mirror, err := authoritative.FetchZone(tcp, tcpAddr.Addr(), NewName("."))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/simnet"
 )
 
 // TestTCPFallback drives the full truncation path over the OS network: a
@@ -29,18 +30,10 @@ func TestTCPFallback(t *testing.T) {
 
 	// A classic 512-byte client: no OPT record.
 	q := dnswire.NewIterativeQuery(5, NewName("big.example.org"), TypeTXT)
-	wire, err := Encode(q)
-	if err != nil {
-		t.Fatal(err)
-	}
 	udp := loopbackNet(t, addr.Port())
 
 	// No TCP listener yet, so the retry is refused: truncated, empty.
-	respWire, _, err := udp.Exchange(netip.Addr{}, addr.Addr(), wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := Decode(respWire)
+	resp, _, err := simnet.Ask(udp, netip.Addr{}, addr.Addr(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +45,7 @@ func TestTCPFallback(t *testing.T) {
 	if _, err := srv.ListenTCP(addr.String()); err != nil {
 		t.Fatalf("binding TCP on the UDP port: %v", err)
 	}
-	respWire, rtt, err := udp.Exchange(netip.Addr{}, addr.Addr(), wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err = Decode(respWire)
+	resp, rtt, err := simnet.Ask(udp, netip.Addr{}, addr.Addr(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
