@@ -52,10 +52,6 @@ type ClientConfig struct {
 	// -cache-topology spelling); with one frontend every topology is one
 	// cache.
 	Topology FarmTopology
-	// Placement picks the frontend for each query (FarmPlaceRandom,
-	// FarmPlaceRoundRobin, or by qname hash; its text form is the
-	// -placement spelling).
-	Placement FarmPlacement
 	// Coalesce makes identical queries that miss the cache together, on
 	// whichever frontends, wait for one upstream iteration and share its
 	// answer.
@@ -144,17 +140,9 @@ type QueryLogPointMask = qlog.PointMask
 // FarmTopology selects the farm cache design; see the Farm* constants.
 type FarmTopology = farm.Topology
 
-// FarmPlacement selects the farm's query placement policy.
-type FarmPlacement = farm.Placement
-
-// Farm cache topologies and placement policies, re-exported for
+// FarmSharded is the hash-partitioned farm cache topology, re-exported for
 // ClientConfig.
-const (
-	FarmSharded = farm.Sharded
-
-	FarmPlaceRandom     = farm.PlaceRandom
-	FarmPlaceRoundRobin = farm.PlaceRoundRobin
-)
+const FarmSharded = farm.Sharded
 
 // FarmStats is the fleet telemetry snapshot (per-frontend + aggregate).
 type FarmStats = farm.Stats
@@ -210,7 +198,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	f := farm.New(farm.Config{
 		Frontends:     cfg.Frontends,
 		Topology:      cfg.Topology,
-		Placement:     cfg.Placement,
 		Coalesce:      cfg.Coalesce,
 		Policy:        cfg.Policy,
 		CacheCapacity: cfg.CacheCapacity,

@@ -21,14 +21,6 @@ import (
 	"dnsttl/internal/zone"
 )
 
-type zoneFlags []string
-
-func (z *zoneFlags) String() string { return strings.Join(*z, ",") }
-func (z *zoneFlags) Set(v string) error {
-	*z = append(*z, v)
-	return nil
-}
-
 // setKey identifies one RRset.
 type setKey struct {
 	name dnsttl.Name
@@ -103,11 +95,14 @@ func main() {
 		qlogFiles    = flag.Int("qlog-files", 0, "rotated query-log files kept, active included (0 = 4)")
 		pushFeeds    = flag.Bool("push", false, "publish every zone as a change feed: accept subscriptions, NOTIFY subscribers on each change, serve IXFR pulls")
 		rrl          = flag.String("rrl", "", "response rate limiting for UDP: \"default\" or \"rps=5,burst=15,slip=2,prefix4=24,prefix6=56\" (empty = off)")
-		zones        zoneFlags
+		zones        []string
 		qlogFormat   dnsttl.QueryLogFormat
 	)
 	flag.TextVar(&qlogFormat, "qlog-format", qlog.FormatJSONL, "query-log encoding: jsonl or binary")
-	flag.Var(&zones, "zone", "origin=path to a master file (repeatable)")
+	flag.Func("zone", "origin=path to a master file (repeatable)", func(v string) error {
+		zones = append(zones, v)
+		return nil
+	})
 	flag.Parse()
 
 	if len(zones) == 0 {

@@ -63,16 +63,6 @@ func main() {
 	if dstPort == 0 {
 		dstPort = kind.DefaultPort()
 	}
-	if *trace {
-		rp := dnsttl.RetryPolicy{Attempts: *retries, Hedge: *hedge}
-		if *retries > 0 {
-			rp.Backoff = 250 * time.Millisecond
-			rp.Jitter = 0.5
-		}
-		runTrace(addr, dstPort, kind, *insecure, *timeout, name, qtype, rp)
-		return
-	}
-
 	tnet, err := dnsttl.NewTransportNet(kind, dnsttl.TransportOptions{
 		Port: dstPort, Timeout: *timeout, Insecure: *insecure,
 	})
@@ -81,6 +71,15 @@ func main() {
 		os.Exit(1)
 	}
 	defer tnet.Close()
+	if *trace {
+		rp := dnsttl.RetryPolicy{Attempts: *retries, Hedge: *hedge}
+		if *retries > 0 {
+			rp.Backoff = 250 * time.Millisecond
+			rp.Jitter = 0.5
+		}
+		runTrace(tnet, addr, dstPort, name, qtype, rp)
+		return
+	}
 	q := dnswire.NewQuery(uint16(time.Now().UnixNano()), name, qtype)
 	q.Header.RD = *rd
 	resp, rtt, err := simnet.Ask(tnet, netip.Addr{}, addr, q)
@@ -96,16 +95,8 @@ func main() {
 // style: the given server is the only root hint, and every lifecycle step
 // the library records — cache lookup, zone-by-zone iteration, individual
 // upstream exchanges with RTTs and TTL decisions — is printed as a span
-// tree.
-func runTrace(root netip.Addr, port uint16, kind dnsttl.TransportKind, insecure bool, timeout time.Duration, name dnsttl.Name, qtype dnsttl.Type, rp dnsttl.RetryPolicy) {
-	tnet, err := dnsttl.NewTransportNet(kind, dnsttl.TransportOptions{
-		Port: port, Timeout: timeout, Insecure: insecure,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dnsq:", err)
-		os.Exit(1)
-	}
-	defer tnet.Close()
+// tree. port is tnet's server port, printed with the root hint.
+func runTrace(tnet *dnsttl.TransportNet, root netip.Addr, port uint16, name dnsttl.Name, qtype dnsttl.Type, rp dnsttl.RetryPolicy) {
 	pol := dnsttl.DefaultPolicy()
 	pol.Retry = rp
 	client, err := dnsttl.NewClient(dnsttl.ClientConfig{

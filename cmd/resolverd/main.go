@@ -29,15 +29,6 @@ import (
 	"dnsttl/internal/qlog"
 )
 
-// pushFlags accumulates repeatable -push zone=host:port subscriptions.
-type pushFlags []string
-
-func (p *pushFlags) String() string { return strings.Join(*p, ",") }
-func (p *pushFlags) Set(v string) error {
-	*p = append(*p, v)
-	return nil
-}
-
 // pushNet routes the push subscriber's subscribe/poll/IXFR exchanges to
 // each authority's own port, all through one pooled UDP transport.
 type pushNet struct {
@@ -85,21 +76,22 @@ func main() {
 		pushPoll      = flag.Duration("push-poll", 0, "SOA polling fallback period for push subscriptions (0 = 5m)")
 		pushPrefetch  = flag.Bool("push-prefetch", false, "re-resolve names purged by push notifies immediately (purge+prefetch)")
 		pipeline      = flag.String("pipeline", "", "middleware graph spec file (see docs/middleware.md); SIGHUP re-reads and swaps it, keeping the old graph on error (empty = default pass-through pipeline)")
-		pushSubs      pushFlags
+		pushSubs      []string
 		topology      dnsttl.FarmTopology
-		placement     dnsttl.FarmPlacement
 		eviction      dnsttl.EvictionPolicy
 		kind          dnsttl.TransportKind
 		qlogFormat    dnsttl.QueryLogFormat
 		qlogPoints    dnsttl.QueryLogPointMask
 	)
 	flag.TextVar(&topology, "cache-topology", farm.Shared, "farm cache topology: private, shared, or sharded")
-	flag.TextVar(&placement, "placement", dnsttl.FarmPlaceRandom, "farm query placement: random, roundrobin, or hash")
 	flag.TextVar(&eviction, "eviction", cache.EvictFIFO, "cache eviction policy: fifo, lru, or slru (TinyLFU admission)")
 	flag.TextVar(&kind, "transport", dnsttl.TransportUDP, "upstream transport: udp, tcp, dot, or doh")
 	flag.TextVar(&qlogFormat, "qlog-format", qlog.FormatJSONL, "query-log encoding: jsonl or binary")
 	flag.TextVar(&qlogPoints, "qlog-points", qlog.MaskAll, "capture points to log: comma list of client,response,upstream,notify, or all")
-	flag.Var(&pushSubs, "push", "zone=host:port push subscription (repeatable): subscribe to the zone's NOTIFY/IXFR change feed and purge on notify")
+	flag.Func("push", "zone=host:port push subscription (repeatable): subscribe to the zone's NOTIFY/IXFR change feed and purge on notify", func(v string) error {
+		pushSubs = append(pushSubs, v)
+		return nil
+	})
 	flag.Parse()
 	if *roots == "" {
 		fmt.Fprintln(os.Stderr, "resolverd: -root is required")
@@ -185,7 +177,7 @@ func main() {
 	defer upstreamNet.Close()
 	cfg.Net = upstreamNet
 	if *frontends > 1 {
-		cfg.Topology, cfg.Placement = topology, placement
+		cfg.Topology = topology
 	}
 	if *localRoot {
 		axfr, err := dnsttl.NewTransportNet(dnsttl.TransportTCP, dnsttl.TransportOptions{Port: uint16(*rootPort)})
@@ -354,8 +346,8 @@ func main() {
 		fmt.Printf("introspection on http://%s/metrics and /trace\n", bound)
 	}
 	if *frontends > 1 {
-		fmt.Printf("resolver farm on udp://%s (%d frontends, %s cache, %s placement, policy: %s, cap %ds, upstream %s)\n",
-			addr, *frontends, topology, placement, pol.Centricity, pol.TTLCap, kind)
+		fmt.Printf("resolver farm on udp://%s (%d frontends, %s cache, policy: %s, cap %ds, upstream %s)\n",
+			addr, *frontends, topology, pol.Centricity, pol.TTLCap, kind)
 	} else {
 		fmt.Printf("recursive resolver on udp://%s (policy: %s, cap %ds, upstream %s)\n",
 			addr, pol.Centricity, pol.TTLCap, kind)

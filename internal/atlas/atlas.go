@@ -168,8 +168,8 @@ func NewFleet(cfg FleetConfig, b *population.Builder, topo *latency.Topology) *F
 	}
 	// newFarm builds a public service the way §4.4 found them deployed:
 	// frontends with independent caches behind one service address, a
-	// random one answering each query (farm.Private and farm.PlaceRandom,
-	// the zero values). farm.New sources frontend i from base+i, and
+	// random one answering each query (farm.Private, the zero value, behind
+	// the farm's random balancer). farm.New sources frontend i from base+i, and
 	// allocAddr hands out consecutive addresses, so every frontend is
 	// placed in the VPs' region.
 	newFarm := func(p population.Profile, region latency.Region) resolver.Lookuper {

@@ -62,32 +62,39 @@ func ParseRRLConfig(s string) (RRLConfig, error) {
 		if !ok {
 			return cfg, fmt.Errorf("rrl: want key=value, got %q", part)
 		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return cfg, fmt.Errorf("rrl: %s=%q is not a number", key, val)
-		}
+		var err error
 		switch key {
 		case "rps":
-			cfg.RPS = f
+			cfg.RPS, err = strconv.ParseFloat(val, 64)
 		case "burst":
-			cfg.Burst = f
+			cfg.Burst, err = strconv.ParseFloat(val, 64)
 		case "slip":
-			cfg.Slip = int(f)
+			cfg.Slip, err = strconv.Atoi(val)
 		case "prefix4":
-			cfg.Prefix4 = int(f)
+			cfg.Prefix4, err = strconv.Atoi(val)
 		case "prefix6":
-			cfg.Prefix6 = int(f)
+			cfg.Prefix6, err = strconv.Atoi(val)
 		default:
 			return cfg, fmt.Errorf("rrl: unknown key %q (want rps, burst, slip, prefix4, prefix6)", key)
 		}
+		if err != nil {
+			return cfg, fmt.Errorf("rrl: %s: %w", key, err)
+		}
 	}
-	if cfg.RPS <= 0 || cfg.Burst < 1 {
-		return cfg, fmt.Errorf("rrl: need rps > 0 and burst >= 1")
+	return cfg, cfg.check()
+}
+
+// check is the one validity rule ParseRRLConfig and EnableRRL share: the
+// bucket numbers pass bucket.Check, and slip is not negative (a negative
+// slip would drop every limited response, never slipping one to TCP).
+func (c RRLConfig) check() error {
+	if err := bucket.Check(c.RPS, c.Burst, c.Prefix4, c.Prefix6); err != nil {
+		return fmt.Errorf("rrl: %w", err)
 	}
-	if cfg.Prefix4 < 0 || cfg.Prefix4 > 32 || cfg.Prefix6 < 0 || cfg.Prefix6 > 128 {
-		return cfg, fmt.Errorf("rrl: prefix4/prefix6 out of range")
+	if c.Slip < 0 {
+		return fmt.Errorf("rrl: slip %d is negative", c.Slip)
 	}
-	return cfg, nil
+	return nil
 }
 
 // rrlVerdict is the limiter's decision for one UDP response.
@@ -110,11 +117,12 @@ type rrlState struct {
 	buckets *bucket.Table[rrlKey]
 }
 
-// EnableRRL turns on response rate limiting for UDP responses. Passing a
-// zero-value config panics; use DefaultRRLConfig as the baseline.
+// EnableRRL turns on response rate limiting for UDP responses. A config
+// ParseRRLConfig would reject — the zero value among them — panics; use
+// DefaultRRLConfig as the baseline.
 func (s *Server) EnableRRL(cfg RRLConfig) {
-	if cfg.RPS <= 0 || cfg.Burst < 1 {
-		panic("authoritative: EnableRRL with rps <= 0 or burst < 1")
+	if err := cfg.check(); err != nil {
+		panic("authoritative: EnableRRL: " + err.Error())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

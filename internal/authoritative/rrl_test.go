@@ -2,10 +2,12 @@ package authoritative
 
 import (
 	"fmt"
+	"math"
 	"net/netip"
 	"testing"
 	"time"
 
+	"dnsttl/internal/bucket"
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
@@ -40,6 +42,31 @@ func TestParseRRLConfig(t *testing.T) {
 			t.Fatalf("ParseRRLConfig(%q) should fail", bad)
 		}
 	}
+}
+
+// badRRLConfigs are flag values that parse as numbers but make no limiter:
+// a NaN rate or burst passes every response after the first refill, an
+// infinite burst never empties, a negative slip drops every limited
+// response, and slip and the prefixes are integers, not truncated floats.
+// FuzzParseRRLConfig seeds its corpus from them too.
+var badRRLConfigs = []string{
+	"rps=NaN", "burst=NaN", "burst=Inf", "slip=-3", "slip=1e300", "slip=2.7", "prefix4=24.9",
+}
+
+func TestParseRRLConfigRejectsNonsense(t *testing.T) {
+	for _, in := range badRRLConfigs {
+		if cfg, err := ParseRRLConfig(in); err == nil {
+			t.Errorf("ParseRRLConfig(%q) = %+v, want an error", in, cfg)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("EnableRRL with a NaN rate did not panic")
+		}
+	}()
+	cfg := DefaultRRLConfig()
+	cfg.RPS = math.NaN()
+	testServer(t).EnableRRL(cfg)
 }
 
 func TestRRLWaterTortureSharesErrorBand(t *testing.T) {
@@ -157,4 +184,22 @@ func TestRRLPositiveBandIsPerQName(t *testing.T) {
 	if rawQuery(t, s, "ns1.example.org", from) == nil {
 		t.Fatal("distinct positive qname should have its own bucket")
 	}
+}
+
+// FuzzParseRRLConfig: parsing the -rrl flag never panics, and a config it
+// accepts passes the shared bucket check, so EnableRRL takes it.
+func FuzzParseRRLConfig(f *testing.F) {
+	for _, s := range append([]string{"", "default", "rps=2,slip=3", "prefix6=129", "rps=1e-300,burst=1e300"}, badRRLConfigs...) {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		cfg, err := ParseRRLConfig(s)
+		if err != nil {
+			return
+		}
+		if err := bucket.Check(cfg.RPS, cfg.Burst, cfg.Prefix4, cfg.Prefix6); err != nil || cfg.Slip < 0 {
+			t.Fatalf("%q: accepted %+v (bucket check: %v)", s, cfg, err)
+		}
+		NewServer(dnswire.NewName("ns.example"), simnet.NewVirtualClock()).EnableRRL(cfg)
+	})
 }

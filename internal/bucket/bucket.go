@@ -4,6 +4,8 @@
 package bucket
 
 import (
+	"fmt"
+	"math"
 	"net/netip"
 	"sync"
 	"time"
@@ -68,6 +70,25 @@ func (t *Table[K]) Take(k K) (ok bool, denied int) {
 	bk.tokens--
 	bk.denied = 0
 	return true, 0
+}
+
+// Check validates the four numbers of a per-client token-bucket limiter:
+// a finite rate above 0, a finite burst of at least one token, and masking
+// prefixes no longer than an IPv4 and an IPv6 address. A NaN rate or burst
+// would pass every query after the first refill, so the comparisons are
+// written for NaN to fail them.
+func Check(rate, burst float64, prefix4, prefix6 int) error {
+	switch {
+	case !(rate > 0) || math.IsInf(rate, 1):
+		return fmt.Errorf("rate %v is not a finite number above 0", rate)
+	case !(burst >= 1) || math.IsInf(burst, 1):
+		return fmt.Errorf("burst %v is not a finite number of at least 1", burst)
+	case prefix4 < 0 || prefix4 > 32:
+		return fmt.Errorf("prefix4 %d is outside [0, 32]", prefix4)
+	case prefix6 < 0 || prefix6 > 128:
+		return fmt.Errorf("prefix6 %d is outside [0, 128]", prefix6)
+	}
+	return nil
 }
 
 // MaskClient aggregates a client address into its network prefix —

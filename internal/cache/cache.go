@@ -186,7 +186,7 @@ const staleFor = 24 * time.Hour
 
 // Store is the cache surface the resolver (and the farm topologies built
 // on top of it) depend on. *Cache is the single-lock implementation;
-// Sharded spreads the same contract over a consistent-hash pool so many
+// Sharded spreads the same contract over a hash-partitioned pool so many
 // farm frontends can share one logical cache without serializing on one
 // mutex.
 type Store interface {

@@ -6,14 +6,13 @@ import (
 	"dnsttl/internal/simnet"
 )
 
-// Sharded is a consistent-hash pool of independent Caches presenting one
+// Sharded is a hash-partitioned pool of independent Caches presenting one
 // logical Store. Each shard carries its own lock, so frontends of a
 // resolver farm sharing the pool contend only when they touch the same
 // shard — the "sharded cache" topology large public resolvers deploy
 // between a fully private and a fully shared design.
 //
-// A key always maps to the same shard (FNV-1a over the owner name and
-// type), so credibility ranking, negative caching, and TTL decay behave
+// A key always maps to the same shard (KeyHash modulo the pool size), so credibility ranking, negative caching, and TTL decay behave
 // exactly as they would in a single Cache.
 type Sharded struct {
 	shards []*Cache
@@ -39,8 +38,7 @@ func NewSharded(clock simnet.Clock, cfg Config, n int) *Sharded {
 
 // KeyHash is the cache's one key hash: FNV-1a over the owner name plus the
 // type, allocation-free. It places keys on shards and counts them in the
-// SLRU frequency sketch; farms hash query names with it to place queries on
-// frontends.
+// SLRU frequency sketch.
 func KeyHash(name dnswire.Name, t dnswire.Type) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(name); i++ {

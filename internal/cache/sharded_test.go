@@ -118,8 +118,7 @@ func TestKeyHashStable(t *testing.T) {
 }
 
 // TestKeyHashIsFNV1a pins KeyHash to hash/fnv's FNV-1a over the name and
-// the big-endian type, so shard placement and the farm's hash ring never
-// move.
+// the big-endian type, so shard placement and the SLRU sketch never move.
 func TestKeyHashIsFNV1a(t *testing.T) {
 	for _, k := range []Key{
 		{Name: dnswire.Root, Type: dnswire.TypeNS},

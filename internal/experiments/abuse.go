@@ -188,7 +188,6 @@ func abuseCell(cfg abuseConfig, queries int, seed int64) AbuseCell {
 	fm := farm.New(farm.Config{
 		Frontends: cfg.nf,
 		Topology:  cfg.topo,
-		Placement: farm.PlaceRandom,
 		Coalesce:  true,
 		Policy:    resolver.DefaultPolicy(),
 		Seed:      seed,

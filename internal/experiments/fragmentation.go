@@ -22,7 +22,7 @@ var farmPlan = zipfPlan{subnet: 40, recordNet: 18}
 // authoritative query volume grows with the farm size — each frontend must
 // fetch every record for itself, which is why short TTLs behind large
 // public resolvers translate into fleet-sized load multipliers — while the
-// shared and consistent-hash sharded topologies keep it flat, and the
+// shared and hash-partitioned sharded topologies keep it flat, and the
 // effective hit rate clients see stays near the single-resolver figure.
 // The TTL × farm-size × topology grid is fanned across workers; every cell
 // rebuilds its own world from the same seed, so cells are independent and
@@ -85,7 +85,6 @@ func FarmFragmentation(queries, workers int, seed int64) *Report {
 		fm := farm.New(farm.Config{
 			Frontends: cfg.nf,
 			Topology:  cfg.topo,
-			Placement: farm.PlaceRandom,
 			Coalesce:  true,
 			Policy:    resolver.DefaultPolicy(),
 			Seed:      seed,

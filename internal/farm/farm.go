@@ -1,22 +1,22 @@
 // Package farm models a public resolver service the way the paper's §4.4
 // infrastructure analysis found them deployed: not one recursive resolver
 // but a *farm* of N frontends behind one service address, each running the
-// full iterative resolver, with a load balancer deciding which frontend a
-// client query lands on and a cache topology deciding how much of the
-// fleet's cache those frontends share.
+// full iterative resolver, with a load balancer sending each client query to
+// a random frontend and a cache topology deciding how much of the fleet's
+// cache those frontends share.
 //
 // The topology is the whole story of the paper's fragmentation finding:
 // with private per-frontend caches a record must be fetched from the
 // authoritative servers once per frontend, so short TTLs multiply
-// authoritative load by the farm size; with a shared or consistent-hash
+// authoritative load by the farm size; with a shared or hash-partitioned
 // sharded cache the fleet behaves like one big resolver and authoritative
 // load is flat in the frontend count. In-flight query coalescing
 // (internal/flight) closes the remaining gap: concurrent identical misses
 // trigger one upstream iteration instead of N.
 //
 // A lone recursive resolver is the farm of one: the facade's Client always
-// resolves through a Farm, and with a single frontend placement is the
-// constant 0. The measurement fleet's shared public resolvers
+// resolves through a Farm, and with a single frontend the balancer always
+// picks frontend 0. The measurement fleet's shared public resolvers
 // (atlas.NewFleet) are Farms too — this is the repo's only farm model.
 package farm
 
@@ -48,7 +48,7 @@ const (
 	// Shared backs every frontend with one cache (one lock): the fleet
 	// acts as a single resolver, at the cost of hot-path contention.
 	Shared
-	// Sharded backs the fleet with a consistent-hash cache pool
+	// Sharded backs the fleet with a hash-partitioned cache pool
 	// (cache.Sharded) of one shard per frontend: shared capacity and hit
 	// rate, per-shard locking.
 	Sharded
@@ -82,8 +82,6 @@ type Config struct {
 	Frontends int
 	// Topology selects the cache design; see the constants.
 	Topology Topology
-	// Placement decides which frontend serves a query; see Placement.
-	Placement Placement
 	// Coalesce enables farm-wide in-flight coalescing: identical queries
 	// that miss the cache while one is already iterating wait for its
 	// answer instead of iterating themselves.
@@ -103,7 +101,7 @@ type Config struct {
 	// LocalRoot is the RFC 7706 root mirror handed to every frontend when
 	// the policy enables LocalRoot.
 	LocalRoot *zone.Zone
-	// Seed drives frontend RNGs and the random placement policy.
+	// Seed drives frontend RNGs and the balancer's random placement.
 	Seed int64
 	// Registry, when non-nil, publishes the fleet telemetry (the farm.fe<i>.*
 	// counters and their resolver.* sums, the resolver metrics shared by all
@@ -132,7 +130,7 @@ func (c Config) frontends() int {
 type Farm struct {
 	cfg       Config
 	frontends []*resolver.Resolver
-	balancer  balancer
+	balancer  *balancer
 	store     cache.Store // nil for Private topology
 	telemetry *telemetry
 	clock     simnet.Clock
@@ -164,7 +162,7 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 	f := &Farm{
 		cfg:       cfg,
 		frontends: make([]*resolver.Resolver, n),
-		balancer:  newBalancer(cfg.Placement, n, cfg.Seed),
+		balancer:  newBalancer(n, cfg.Seed),
 		telemetry: newTelemetry(n, cfg.Registry),
 		clock:     clock,
 	}
@@ -261,18 +259,18 @@ func (f *Farm) PipelineStages() []string {
 	return (*f.pipelines.Load())[0].Stages()
 }
 
-// ResolveQuery answers a client query through the frontend the placement
-// policy picks, running that frontend's middleware pipeline — the
+// ResolveQuery answers a client query through the frontend the balancer
+// picks, running that frontend's middleware pipeline — the
 // datapath behind every farm resolution.
 func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (middleware.Response, error) {
-	return (*f.pipelines.Load())[f.balancer.pick(q.Name)].Resolve(ctx, q)
+	return (*f.pipelines.Load())[f.balancer.pick()].Resolve(ctx, q)
 }
 
 // Frontends returns the farm size.
 func (f *Farm) Frontends() int { return len(f.frontends) }
 
-// Resolve answers (name, qtype) through the frontend the placement policy
-// picks, running its middleware pipeline (by default a bare wrapper over
+// Resolve answers (name, qtype) through the frontend the balancer picks,
+// running its middleware pipeline (by default a bare wrapper over
 // the coalescing resolve path) — resolver.Lookuper for in-process use,
 // with no client address for client-keyed stages.
 func (f *Farm) Resolve(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {

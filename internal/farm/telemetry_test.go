@@ -48,7 +48,6 @@ func TestFarmRegistryTelemetry(t *testing.T) {
 	f := w.farm(Config{
 		Frontends: 2,
 		Topology:  Shared,
-		Placement: PlaceRoundRobin,
 		Registry:  reg,
 	})
 

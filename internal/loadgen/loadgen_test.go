@@ -4,6 +4,8 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,7 +76,7 @@ func TestParseWorkloadFile(t *testing.T) {
 }
 
 func TestParseWorkloadErrors(t *testing.T) {
-	for _, spec := range []string{"", "   ", "name:BOGUSTYPE", ":A", "name*0", "name*x", "@/nonexistent/path"} {
+	for _, spec := range []string{"", "   ", "name:BOGUSTYPE", ":A", "name*0", "name*x", "@/nonexistent/path", "a..b", strings.Repeat("x", 64) + ".example"} {
 		if _, err := ParseWorkload(spec); err == nil {
 			t.Errorf("ParseWorkload(%q) should fail", spec)
 		}
@@ -265,4 +267,52 @@ func TestRunAgainstDeadServer(t *testing.T) {
 	if res.Errors != 4 {
 		t.Errorf("Errors = %d, want 4 (timeouts=%d net=%d)", res.Errors, res.Timeouts, res.NetErrors)
 	}
+}
+
+// FuzzParseWorkload: parsing a -workload spec never panics, and a workload
+// it accepts is non-empty with every query name valid on the wire. A spec
+// led by '@' has its remainder written to a file, so the file grammar is
+// fuzzed too. Expansion is linear in the "*count" total by design, so specs
+// asking for more than maxFuzzQueries queries are skipped.
+func FuzzParseWorkload(f *testing.F) {
+	const maxFuzzQueries = 100_000
+	for _, s := range []string{
+		"www.example.org:A,api.example.org:AAAA,plain.example.org", "q{i}.example.org:A*100", "hot.example.org*4",
+		"@# comment\nwww.example.org A\nmail.example.org MX\n", "@a..b", "a..b", "x{i}*3", ",", "name*0",
+		strings.Repeat("x", 64) + ".example", strings.Repeat("abcdefg.", 32) + "{i}*11",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		total := 0
+		for _, item := range strings.Split(spec, ",") {
+			if _, n, ok := strings.Cut(strings.TrimSpace(item), "*"); ok {
+				if c, err := strconv.Atoi(n); err == nil && c > 0 {
+					if c > maxFuzzQueries-total {
+						t.Skip("expansion past the fuzz bound")
+					}
+					total += c
+				}
+			}
+		}
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(spec), "@"); ok {
+			path := filepath.Join(t.TempDir(), "workload")
+			if err := os.WriteFile(path, []byte(rest), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			spec = "@" + path
+		}
+		w, err := ParseWorkload(spec)
+		if err != nil {
+			return
+		}
+		if w.Len() == 0 {
+			t.Fatalf("%q: accepted an empty workload", spec)
+		}
+		for i := 0; i < w.Len(); i++ {
+			if err := w.At(i).Name.Valid(); err != nil {
+				t.Fatalf("%q: query %d name %q: %v", spec, i, w.At(i).Name, err)
+			}
+		}
+	})
 }

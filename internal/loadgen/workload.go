@@ -92,14 +92,21 @@ func (w *Workload) addItem(item string) error {
 	if name == "" {
 		return fmt.Errorf("loadgen: workload item %q has no name", item)
 	}
-	if count == 1 && !strings.Contains(name, "{i}") {
-		w.queries = append(w.queries, Query{Name: dnswire.NewName(name), Type: qtype})
-		return nil
-	}
 	for i := 0; i < count; i++ {
-		n := strings.ReplaceAll(name, "{i}", strconv.Itoa(i))
-		w.queries = append(w.queries, Query{Name: dnswire.NewName(n), Type: qtype})
+		if err := w.add(strings.ReplaceAll(name, "{i}", strconv.Itoa(i)), qtype); err != nil {
+			return fmt.Errorf("loadgen: workload item %q: %w", item, err)
+		}
 	}
+	return nil
+}
+
+// add appends one query, refusing a name the wire cannot carry.
+func (w *Workload) add(name string, qtype dnswire.Type) error {
+	n := dnswire.NewName(name)
+	if err := n.Valid(); err != nil {
+		return fmt.Errorf("name %q: %w", name, err)
+	}
+	w.queries = append(w.queries, Query{Name: n, Type: qtype})
 	return nil
 }
 
@@ -130,7 +137,9 @@ func parseWorkloadFile(path string) (*Workload, error) {
 			}
 			qtype = t
 		}
-		w.queries = append(w.queries, Query{Name: dnswire.NewName(fields[0]), Type: qtype})
+		if err := w.add(fields[0], qtype); err != nil {
+			return nil, fmt.Errorf("loadgen: %s:%d: %w", path, line, err)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("loadgen: %s: %w", path, err)

@@ -106,7 +106,7 @@ var rejectedSpecs = []struct{ name, spec, wantErr string }{
 	{"dangling entry", "entry = \"ghost\"\n[stage.a]\ntype = \"resolver\"", "undefined stage"},
 	{"cycle", "entry=\"a\"\n[stage.a]\ntype=\"ttlmod\"\nnext=\"b\"\n[stage.b]\ntype=\"ttlmod\"\nnext=\"a\"", "cycle"},
 	{"bad number", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nqps=\"fast\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "not a number"},
-	{"nan burst", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nburst=\"NaN\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "need qps > 0"},
+	{"nan burst", "entry=\"a\"\n[stage.a]\ntype=\"ratelimit\"\nburst=\"NaN\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "burst NaN is not a finite number"},
 	{"missing next", "[stage.a]\ntype = \"ttlmod\"", "needs next"},
 	{"bad action", "entry=\"a\"\n[stage.a]\ntype=\"blocklist\"\nblock=\"x.example\"\naction=\"explode\"\nnext=\"r\"\n[stage.r]\ntype=\"resolver\"", "action must be"},
 	// ttlmod only lowers a TTL: a floor would show a TTL the cache does not

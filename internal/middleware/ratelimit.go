@@ -44,11 +44,8 @@ func init() {
 		default:
 			return nil, fmt.Errorf("middleware: stage %q: action must be refuse or drop, got %q", b.name, action)
 		}
-		if !(qps > 0 && burst >= 1) { // written so that NaN fails it too
-			return nil, fmt.Errorf("middleware: stage %q: need qps > 0 and burst >= 1", b.name)
-		}
-		if st.prefix4 < 0 || st.prefix4 > 32 || st.prefix6 < 0 || st.prefix6 > 128 {
-			return nil, fmt.Errorf("middleware: stage %q: prefix4/prefix6 out of range", b.name)
+		if err := bucket.Check(qps, burst, st.prefix4, st.prefix6); err != nil {
+			return nil, fmt.Errorf("middleware: stage %q: %w", b.name, err)
 		}
 		return st, nil
 	})

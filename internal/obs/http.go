@@ -127,11 +127,7 @@ func Serve(addr string, reg *Registry, tr *Tracer) (bound string, closeFn func()
 		hist.Start(0)
 	}
 	srv := &http.Server{Handler: NewHandler(reg, tr, hist)}
-	go func() {
-		if serveErr := srv.Serve(ln); serveErr != nil && !strings.Contains(serveErr.Error(), "closed") {
-			_ = serveErr
-		}
-	}()
+	go func() { _ = srv.Serve(ln) }()
 	return ln.Addr().String(), func() error {
 		if hist != nil {
 			hist.Stop()
