@@ -1,7 +1,6 @@
 package dnsttl
 
 import (
-	"context"
 	"crypto/tls"
 	"crypto/x509"
 	"fmt"
@@ -239,11 +238,7 @@ func (c *Client) Lookup(name Name, qtype Type) (*Result, error) {
 // the client address, so blocklists, per-client rate limits, and qlog
 // attribution apply as they would for a wire query.
 func (c *Client) LookupFrom(name Name, qtype Type, client netip.Addr) (*Result, error) {
-	resp, err := c.f.ResolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype, Client: client})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Result, nil
+	return c.f.ResolveFrom(name, qtype, client)
 }
 
 // SetPipeline compiles spec and swaps the client onto it atomically; an

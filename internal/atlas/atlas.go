@@ -53,10 +53,10 @@ type Response struct {
 	// TTL is the TTL in the first answer record, the quantity behind
 	// Figures 1 and 2.
 	TTL uint32
-	// Answer is the first answer record's RDATA in presentation form —
-	// the §4 experiments watch it to detect which server content a VP
-	// received.
-	Answer string
+	// Answer is the last answer record's RDATA — the end of a CNAME
+	// chain — which the §4 experiments compare to detect which server
+	// content a VP received; nil without an answer.
+	Answer dnswire.RData
 	// RCode, CacheHit, Stale and FinalServer describe how the answer was
 	// produced.
 	RCode       dnswire.RCode
@@ -267,18 +267,26 @@ func (s Schedule) queryName(probeID int) dnswire.Name {
 // Interval between rounds, and returns every response.
 func (f *Fleet) Run(clock *simnet.VirtualClock, s Schedule) []Response {
 	out := make([]Response, 0, len(f.VPs)*s.Rounds)
+	// Each VP asks the same name every round, so it is built once.
+	names := make([]dnswire.Name, len(f.VPs))
+	for i, vp := range f.VPs {
+		names[i] = s.queryName(vp.ProbeID)
+	}
+	var offsets []time.Duration
+	var order []int
+	if s.Jitter {
+		offsets, order = make([]time.Duration, len(f.VPs)), make([]int, len(f.VPs))
+	}
 	for round := 0; round < s.Rounds; round++ {
 		if s.OnRound != nil {
 			s.OnRound(round)
 		}
 		start := clock.Now()
 		if !s.Jitter {
-			for _, vp := range f.VPs {
-				out = append(out, f.probeOnce(clock, vp, round, s))
+			for i, vp := range f.VPs {
+				out = append(out, f.probeOnce(clock, vp, round, names[i], s.Type))
 			}
 		} else {
-			offsets := make([]time.Duration, len(f.VPs))
-			order := make([]int, len(f.VPs))
 			for i := range f.VPs {
 				offsets[i] = time.Duration(f.rng.Int63n(int64(s.Interval)))
 				order[i] = i
@@ -286,7 +294,7 @@ func (f *Fleet) Run(clock *simnet.VirtualClock, s Schedule) []Response {
 			sort.Slice(order, func(a, b int) bool { return offsets[order[a]] < offsets[order[b]] })
 			for _, i := range order {
 				clock.Set(start.Add(offsets[i]))
-				out = append(out, f.probeOnce(clock, f.VPs[i], round, s))
+				out = append(out, f.probeOnce(clock, f.VPs[i], round, names[i], s.Type))
 			}
 		}
 		clock.Set(start.Add(s.Interval))
@@ -294,9 +302,8 @@ func (f *Fleet) Run(clock *simnet.VirtualClock, s Schedule) []Response {
 	return out
 }
 
-func (f *Fleet) probeOnce(clock simnet.Clock, vp *VP, round int, s Schedule) Response {
-	name := s.queryName(vp.ProbeID)
-	res, err := vp.Resolver.Resolve(name, s.Type)
+func (f *Fleet) probeOnce(clock simnet.Clock, vp *VP, round int, name dnswire.Name, qtype dnswire.Type) Response {
+	res, err := vp.Resolver.Resolve(name, qtype)
 	r := Response{
 		VPID:    vp.ID,
 		ProbeID: vp.ProbeID,
@@ -314,11 +321,8 @@ func (f *Fleet) probeOnce(clock simnet.Clock, vp *VP, round int, s Schedule) Res
 		r.CacheHit = res.CacheHit
 		r.Stale = res.Stale
 		r.FinalServer = res.FinalServer
-		if len(res.Msg.Answer) > 0 {
-			last := res.Msg.Answer[len(res.Msg.Answer)-1]
-			if last.Data != nil {
-				r.Answer = last.Data.String()
-			}
+		if n := len(res.Msg.Answer); n > 0 {
+			r.Answer = res.Msg.Answer[n-1].Data
 		}
 		if err == nil && r.RCode != dnswire.RCodeNoError {
 			r.Err = fmt.Errorf("atlas: rcode %s", r.RCode)

@@ -9,6 +9,7 @@ import (
 	"dnsttl/internal/dnswire"
 	"dnsttl/internal/latency"
 	"dnsttl/internal/population"
+	"dnsttl/internal/race"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/stats"
@@ -287,7 +288,7 @@ func TestFarmSharedVPs(t *testing.T) {
 			}
 			cur = vp
 			topo.Default = (vp.Region + 1) % latency.Region(len(latency.AllRegions))
-			if r := f.probeOnce(clock, vp, round, uniq); !r.Valid() {
+			if r := f.probeOnce(clock, vp, round, uniq.queryName(vp.ProbeID), uniq.Type); !r.Valid() {
 				t.Fatalf("VP %d: %v", vp.ID, r.Err)
 			}
 		}
@@ -354,5 +355,33 @@ func TestSharedVPsReportResolverWork(t *testing.T) {
 	}
 	if stale == 0 {
 		t.Errorf("no stale answers from %d shared VPs during the outage", len(f.VPs))
+	}
+}
+
+// TestProbeRoundAllocs pins the per-probe cost of a warm fleet's round:
+// every probe is a cache hit, which keeps one allocation, the resolver's
+// Result. Nothing else a probe does allocates — the latency draws, the
+// pooled farm query, the answer kept as its RData — and the run's own
+// slices are shared by its VPs.
+func TestProbeRoundAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts of pooled paths are not stable under -race")
+	}
+	_, clock, topo, b, _ := miniWorld(t)
+	f := NewFleet(FleetConfig{Probes: 200, MultiVPFrac: 0.2, SharedFrac: 0.5, Seed: 3}, b, topo)
+	// Forty warm-up rounds reach every frontend of every shared farm; the
+	// record's 600 s TTL outlives warm-up and measurement.
+	warm := Schedule{Name: dnswire.NewName("www.example.org"), Type: dnswire.TypeA,
+		Interval: time.Second, Rounds: 40, Jitter: true}
+	for _, r := range f.Run(clock, warm) {
+		if !r.Valid() {
+			t.Fatalf("warm-up probe: %v", r.Err)
+		}
+	}
+	sched := warm
+	sched.Interval, sched.Rounds = 10*time.Second, 1
+	perProbe := testing.AllocsPerRun(5, func() { f.Run(clock, sched) }) / float64(len(f.VPs))
+	if perProbe > 1.05 {
+		t.Errorf("a warm probe costs %.2f allocs, budget 1.05", perProbe)
 	}
 }

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"dnsttl/internal/dnswire"
+	"dnsttl/internal/race"
 )
 
 const (
@@ -94,5 +98,42 @@ func TestAbuseOutcomes(t *testing.T) {
 				t.Errorf("%s %s: honest hit rate moved %d milli (open %d‰ vs %d‰), want <10", sh, p, d, open.HonestHitMilli, c.HonestHitMilli)
 			}
 		}
+	}
+}
+
+// TestAttackNameSpelling pins attackName to the qname it replaced,
+// fmt's "wt%06d.example.org" made a Name.
+func TestAttackNameSpelling(t *testing.T) {
+	for _, seq := range []int{0, 7, 42, 99999, 123456, 1234567} {
+		want := dnswire.NewName(fmt.Sprintf("%s%06d.example.org", abuseAttackPrefix, seq))
+		if got := dnswire.Name(attackName(nil, seq)); got != want {
+			t.Errorf("attackName(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}
+
+// TestTapDecodeAllocFree pins a tap's decode of a query and of its reply
+// at zero allocations once the pooled Decoder has seen the names.
+func TestTapDecodeAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts of pooled paths are not stable under -race")
+	}
+	name := dnswire.NewName("wt000001.example.org")
+	q := dnswire.NewIterativeQuery(7, name, dnswire.TypeA)
+	resp := q.Reply()
+	resp.AddAnswer(dnswire.NewA("wt000001.example.org", 300, "198.18.0.1"))
+	qWire, _ := dnswire.Encode(q)
+	rWire, _ := dnswire.Encode(resp)
+	var m dnswire.Message
+	allocs := testing.AllocsPerRun(100, func() {
+		if !tapDecode(&m, qWire) || m.Q().Name != name {
+			t.Fatal("query did not decode")
+		}
+		if !tapDecode(&m, rWire) || len(m.Answer) != 1 {
+			t.Fatal("reply did not decode")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm tap decode costs %.1f allocs, want 0", allocs)
 	}
 }

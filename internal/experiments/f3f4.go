@@ -100,12 +100,13 @@ func NlPassive(cfg NlPassiveConfig) *Report {
 		names[n] = true
 	}
 	wh := entrada.NewWarehouse()
+	var m dnswire.Message
 	net.Tap = func(ev simnet.TapEvent) {
 		if !observed[ev.Dst] || ev.Response == nil {
 			return
 		}
-		if q, err := dnswire.Decode(ev.Query); err == nil && names[q.Q().Name] {
-			wh.Ingest(entrada.Row{Time: clock.Now(), Resolver: ev.Src, Name: q.Q().Name, Type: q.Q().Type})
+		if tapDecode(&m, ev.Query) && names[m.Q().Name] {
+			wh.Ingest(entrada.Row{Time: clock.Now(), Resolver: ev.Src, Name: m.Q().Name, Type: m.Q().Type})
 		}
 	}
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"net/netip"
 	"time"
 
 	"dnsttl/internal/atlas"
@@ -13,9 +14,9 @@ import (
 
 // Answer contents before and after the renumbering (world.go's
 // ConfigureSub/RenumberSub).
-const (
-	oldAnswer = "2001:db8::1"
-	newAnswer = "2001:db8::2"
+var (
+	oldAnswer dnswire.RData = dnswire.AAAA{Addr: netip.MustParseAddr("2001:db8::1")}
+	newAnswer dnswire.RData = dnswire.AAAA{Addr: netip.MustParseAddr("2001:db8::2")}
 )
 
 // BailiwickResult is one renumbering campaign's digest.

@@ -70,11 +70,12 @@ func FarmFragmentation(queries, workers int, seed int64) *Report {
 		// argument predicts scales linearly with the frontend count.
 		var hot uint64
 		hotName := w.gen.Names[0]
+		var m dnswire.Message
 		w.net.Tap = func(ev simnet.TapEvent) {
 			if ev.Dst != w.orgAddr {
 				return
 			}
-			if q, err := dnswire.Decode(ev.Query); err == nil && len(q.Question) > 0 && q.Q().Name == hotName {
+			if tapDecode(&m, ev.Query) && len(m.Question) > 0 && m.Q().Name == hotName {
 				hot++
 			}
 		}

@@ -23,7 +23,7 @@ func PropagationSweep(probes, workers int, seed int64) *Report {
 		changeRound = 5
 	)
 	name := dnswire.NewName("www.cachetest.net")
-	oldAddr, newAddr := "192.88.99.80", "198.51.100.99"
+	oldAddr, newAddr := mustA99("192.88.99.80"), mustA99("198.51.100.99")
 
 	run := func(ttl uint32) (lagRounds int, tail float64) {
 		tb := NewTestbed(seed)
@@ -38,7 +38,7 @@ func PropagationSweep(probes, workers int, seed int64) *Report {
 				if r == changeRound {
 					if err := tb.Ct.Replace(name, dnswire.TypeA,
 						dnswire.RR{Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN,
-							TTL: ttl, Data: mustA99(newAddr)}); err != nil {
+							TTL: ttl, Data: newAddr}); err != nil {
 						panic(err)
 					}
 				}

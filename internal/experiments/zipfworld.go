@@ -88,3 +88,15 @@ func (w *zipfWorld) replay(r resolver.Lookuper, queries int) (hits, answered int
 	}
 	return hits, answered
 }
+
+// tapDecode decodes wire into m, a Message its network tap keeps across
+// calls, and reports whether dnswire.Decode would accept wire. The pooled
+// Decoder is warm — most likely the one the authoritative just decoded the
+// same query with — so a tap that reads every exchange of its cell
+// allocates nothing per message.
+func tapDecode(m *dnswire.Message, wire []byte) bool {
+	d := dnswire.AcquireDecoder()
+	err := d.Decode(wire, m)
+	dnswire.ReleaseDecoder(d)
+	return err == nil
+}

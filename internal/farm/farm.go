@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"net/netip"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"dnsttl/internal/cache"
@@ -274,7 +275,21 @@ func (f *Farm) Frontends() int { return len(f.frontends) }
 // the coalescing resolve path) — resolver.Lookuper for in-process use,
 // with no client address for client-keyed stages.
 func (f *Farm) Resolve(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
-	resp, err := f.ResolveQuery(context.Background(), &middleware.Query{Name: name, Type: qtype})
+	return f.ResolveFrom(name, qtype, netip.Addr{})
+}
+
+// queryPool lends ResolveFrom the Query it hands the pipeline, as the wire
+// path's serving scratch lends its own: no stage keeps a Query past its
+// Resolve (middleware.Stage).
+var queryPool = sync.Pool{New: func() any { return new(middleware.Query) }}
+
+// ResolveFrom is Resolve on behalf of client, whom client-keyed stages (the
+// rate limiter, qlog attribution) see.
+func (f *Farm) ResolveFrom(name dnswire.Name, qtype dnswire.Type, client netip.Addr) (*resolver.Result, error) {
+	q := queryPool.Get().(*middleware.Query)
+	*q = middleware.Query{Name: name, Type: qtype, Client: client}
+	resp, err := f.ResolveQuery(context.Background(), q)
+	queryPool.Put(q)
 	if err != nil {
 		return nil, err
 	}

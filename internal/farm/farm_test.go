@@ -10,6 +10,7 @@ import (
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/race"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/zone"
@@ -313,5 +314,26 @@ func BenchmarkFarmResolve(b *testing.B) {
 				}
 			})
 		})
+	}
+}
+
+// TestResolveHitAllocs pins an in-process cache hit at one allocation: the
+// Result the caller keeps. The Query handed down the pipeline is pooled.
+func TestResolveHitAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts of pooled paths are not stable under -race")
+	}
+	w := newWorld(t, []string{"www.example.org"}, 3600)
+	f := w.farm(Config{Frontends: 4, Topology: Shared, Coalesce: true})
+	if _, err := f.Resolve(qname, dnswire.TypeA); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if res, err := f.Resolve(qname, dnswire.TypeA); err != nil || !res.CacheHit {
+			t.Fatalf("warm resolve: %+v, %v", res, err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("cached Resolve costs %.1f allocs, want 1 (the Result)", allocs)
 	}
 }

@@ -65,15 +65,25 @@ func BaseRTT(a, b Region) time.Duration {
 	return time.Duration(baseRTTMs[a][b] * float64(time.Millisecond))
 }
 
-// PathModel produces jittered samples around the inter-region median. Sigma
-// defaults to 0.45 — wide enough to give Internet-like tails without
-// swamping the regional structure.
-func PathModel(a, b Region, sigma float64) simnet.LatencyModel {
-	if sigma <= 0 {
-		sigma = 0.45
+// pathSigma is every path's log-normal jitter: wide enough to give
+// Internet-like tails without swamping the regional structure.
+const pathSigma = 0.45
+
+// pathModels[a][b] is the model of every path from region a to region b,
+// built once so that an exchange boxes a pointer into it, not a new value.
+var pathModels = func() (m [6][6]simnet.LogNormal) {
+	for _, a := range AllRegions {
+		for _, b := range AllRegions {
+			med := BaseRTT(a, b)
+			m[a][b] = simnet.LogNormal{Median: med, Sigma: pathSigma, Floor: med / 4}
+		}
 	}
-	med := BaseRTT(a, b)
-	return simnet.LogNormal{Median: med, Sigma: sigma, Floor: med / 4}
+	return m
+}()
+
+// PathModel produces jittered samples around the inter-region median.
+func PathModel(a, b Region) simnet.LatencyModel {
+	return &pathModels[a][b]
 }
 
 // AnycastCatalog is a set of anycast site locations for one service
@@ -117,8 +127,8 @@ func (c *AnycastCatalog) NearestRegion(client Region) Region {
 
 // Model returns the latency model from a client region to the anycast
 // service: the path to the nearest site.
-func (c *AnycastCatalog) Model(client Region, sigma float64) simnet.LatencyModel {
-	return PathModel(client, c.NearestRegion(client), sigma)
+func (c *AnycastCatalog) Model(client Region) simnet.LatencyModel {
+	return PathModel(client, c.NearestRegion(client))
 }
 
 // Topology places addresses in regions and derives per-link latency models
@@ -128,8 +138,6 @@ type Topology struct {
 	mu      sync.RWMutex
 	regions map[netip.Addr]Region
 	anycast map[netip.Addr]*AnycastCatalog
-	// Sigma is the log-normal jitter parameter for all paths.
-	Sigma float64
 	// Default is the region assumed for unplaced addresses.
 	Default Region
 }
@@ -175,7 +183,7 @@ func (t *Topology) LatencyFor(src, dst netip.Addr) simnet.LatencyModel {
 	cat := t.anycast[dst]
 	t.mu.RUnlock()
 	if cat != nil {
-		return cat.Model(srcR, t.Sigma)
+		return cat.Model(srcR)
 	}
-	return PathModel(srcR, t.RegionOf(dst), t.Sigma)
+	return PathModel(srcR, t.RegionOf(dst))
 }

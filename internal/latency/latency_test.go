@@ -39,7 +39,7 @@ func TestBaseRTTSymmetricAndSane(t *testing.T) {
 
 func TestPathModelMedian(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	m := PathModel(EU, NA, 0)
+	m := PathModel(EU, NA)
 	below := 0
 	n := 5000
 	for i := 0; i < n; i++ {
@@ -78,8 +78,8 @@ func TestAnycastNearest(t *testing.T) {
 func TestAnycastBeatsUnicastTail(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	cat := Route53Like()
-	uniOC := PathModel(OC, EU, 0)
-	anyOC := cat.Model(OC, 0)
+	uniOC := PathModel(OC, EU)
+	anyOC := cat.Model(OC)
 	var sumUni, sumAny time.Duration
 	for i := 0; i < 2000; i++ {
 		sumUni += uniOC.Sample(r)
@@ -129,5 +129,23 @@ func TestTopologyIsSimnetCompatible(t *testing.T) {
 	_, rtt, err := net.Exchange(netip.MustParseAddr("10.0.0.1"), a, []byte{1})
 	if err != nil || rtt <= 0 {
 		t.Errorf("exchange through topology: rtt=%v err=%v", rtt, err)
+	}
+}
+
+// TestLatencyForAllocFree pins that a simulated exchange's latency draw —
+// the model lookup, unicast or anycast, and its sample — allocates nothing:
+// every model is a pointer into one table.
+func TestLatencyForAllocFree(t *testing.T) {
+	topo := NewTopology()
+	client, server, anyAddr := netip.MustParseAddr("10.1.0.1"), netip.MustParseAddr("192.0.2.1"), netip.MustParseAddr("192.0.2.2")
+	topo.Place(client, SA)
+	topo.PlaceAnycast(anyAddr, Route53Like())
+	r := rand.New(rand.NewSource(4))
+	allocs := testing.AllocsPerRun(100, func() {
+		topo.LatencyFor(client, server).Sample(r)
+		topo.LatencyFor(client, anyAddr).Sample(r)
+	})
+	if allocs != 0 {
+		t.Errorf("LatencyFor(…).Sample costs %.1f allocs, want 0", allocs)
 	}
 }

@@ -1,20 +1,26 @@
 package resolver
 
 import (
+	"net/netip"
 	"sync"
 
 	"dnsttl/internal/dnswire"
 )
 
-// queryScratch bundles the reusable state of one iteration step's upstream
-// exchanges (Resolver.exchangeAny): the query Message and its wire, and the
-// buffer every attempt's reply lands in. The wire is safe to reuse once
+// queryScratch bundles the reusable state of one iterate frame's steps: the
+// candidate servers (bestServers), the order they are tried in, the query
+// Message and its wire, and the buffer every attempt's reply lands in. The
+// addresses are safe to reuse at the next step because a step reads them
+// only until its exchange returns. The wire is safe to reuse once
 // Exchange returns because no Exchanger retains a query past the call. The
 // reply is safe to reuse once attempt has decoded it, because a decoded
 // Message copies every byte it keeps and aliases nothing of its wire. The
 // client answer a Resolve builds is not pooled — it escapes into Results and
 // the cache.
 type queryScratch struct {
+	addrs []netip.Addr
+	order []netip.Addr
+	hosts []dnswire.Name // NS hosts nsAddresses resolves on the side
 	msg   dnswire.Message
 	wire  []byte
 	reply []byte

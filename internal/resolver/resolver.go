@@ -361,10 +361,14 @@ func (r *Resolver) answerFromCache(name dnswire.Name, qtype dnswire.Type) (*cach
 	return nil, 0, false
 }
 
-// iterate walks the delegation tree toward (name, qtype).
+// iterate walks the delegation tree toward (name, qtype). Its frame owns
+// one query scratch for every step: a subResolve re-enters iterate and takes
+// its own.
 func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) error {
+	qs := acquireQueryScratch()
+	defer releaseQueryScratch(qs)
 	for step := 0; step < maxSteps; step++ {
-		zoneName, servers := r.bestServers(name, res, depth)
+		zoneName, servers := r.bestServers(name, res, depth, qs)
 
 		ssp := res.Span.Child("step")
 		if ssp != nil {
@@ -392,7 +396,7 @@ func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, d
 			ssp.Finish()
 			return r.fail(name, qtype, res, fmt.Errorf("resolver: no servers for %s", zoneName))
 		}
-		resp, server, err := r.exchangeAny(servers, name, qtype, res, ssp)
+		resp, server, err := r.exchangeAny(servers, name, qtype, res, ssp, qs)
 		if err != nil {
 			ssp.Annotate("outcome", "exchange-failed")
 			ssp.Finish()
@@ -574,10 +578,10 @@ var ednsOPT = dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
 // An active Retry policy adds cycling attempts, backoff with deterministic
 // jitter, and an optional hedged second query on the first attempt. The
 // reply is pooled; see attempt.
-func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (*dnswire.Message, netip.Addr, error) {
+func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span, qs *queryScratch) (*dnswire.Message, netip.Addr, error) {
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
-	order := r.serverOrder(servers)
+	order := r.serverOrder(servers, qs)
 	attempts := rp.Attempts
 	if attempts <= 0 {
 		// Legacy semantics: distinct servers only, never more than the
@@ -587,8 +591,6 @@ func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dn
 
 	// The query is encoded once; each attempt stamps a fresh transaction ID
 	// straight into the header bytes.
-	qs := acquireQueryScratch()
-	defer releaseQueryScratch(qs)
 	qs.msg.Reset()
 	qs.msg.Header = dnswire.Header{Opcode: dnswire.OpcodeQuery}
 	qs.msg.Question = append(qs.msg.Question,
@@ -791,21 +793,23 @@ func (r *Resolver) srttPenalize(server netip.Addr, cost time.Duration) {
 	r.srtt.penalize(server, cost)
 }
 
-func (r *Resolver) serverOrder(servers []netip.Addr) []netip.Addr {
+// serverOrder is the order exchangeAny tries servers in, a copy into qs's
+// order buffer: servers may be the shared root hints or qs's own addrs.
+func (r *Resolver) serverOrder(servers []netip.Addr, qs *queryScratch) []netip.Addr {
 	// Single-candidate lists (the common case deep in a delegation) need
 	// neither the shuffle nor the lock+copy it requires — this sits on the
 	// hot path of every exchange.
 	if len(servers) <= 1 {
 		return servers
 	}
+	out := append(qs.order[:0], servers...)
+	qs.order = out
 	if r.Policy.Retry.OrderBySRTT && r.srtt != nil {
-		out := append([]netip.Addr(nil), servers...)
 		r.srtt.sortBySRTT(out)
 		return out
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := append([]netip.Addr(nil), servers...)
 	r.rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }

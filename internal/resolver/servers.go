@@ -11,20 +11,22 @@ import (
 )
 
 // bestServers finds the deepest zone enclosing name whose nameserver
-// addresses the resolver can produce, and those addresses. It may issue
-// subqueries (charged to res) to resolve out-of-bailiwick nameserver names.
-func (r *Resolver) bestServers(name dnswire.Name, res *Result, depth int) (dnswire.Name, []netip.Addr) {
+// addresses the resolver can produce, and those addresses, which land in
+// qs.addrs. It may issue subqueries (charged to res) to resolve
+// out-of-bailiwick nameserver names.
+func (r *Resolver) bestServers(name dnswire.Name, res *Result, depth int, qs *queryScratch) (dnswire.Name, []netip.Addr) {
 	for z := name; ; z = z.Parent() {
 		if r.Policy.Sticky {
 			r.mu.Lock()
 			pinned, ok := r.sticky[z]
 			r.mu.Unlock()
 			if ok {
-				return z, []netip.Addr{pinned}
+				qs.addrs = append(qs.addrs[:0], pinned)
+				return z, qs.addrs
 			}
 		}
 		if e, _, ok := r.Cache.Get(z, dnswire.TypeNS); ok && e.Negative == cache.NotNegative {
-			if addrs := r.nsAddresses(z, e, res, depth); len(addrs) > 0 {
+			if addrs := r.nsAddresses(z, e, res, depth, qs); len(addrs) > 0 {
 				return z, addrs
 			}
 		}
@@ -38,10 +40,10 @@ func (r *Resolver) bestServers(name dnswire.Name, res *Result, depth int) (dnswi
 }
 
 // nsAddresses produces addresses for the NS hosts of zone z, using cached
-// addresses first and subqueries for out-of-bailiwick hosts without one.
-func (r *Resolver) nsAddresses(z dnswire.Name, nsSet *cache.Entry, res *Result, depth int) []netip.Addr {
-	var addrs []netip.Addr
-	var unresolved []dnswire.Name
+// addresses first and subqueries for out-of-bailiwick hosts without one. It
+// appends them to qs.addrs, reset first, and returns that slice.
+func (r *Resolver) nsAddresses(z dnswire.Name, nsSet *cache.Entry, res *Result, depth int, qs *queryScratch) []netip.Addr {
+	addrs, unresolved := qs.addrs[:0], qs.hosts[:0]
 	for _, rr := range nsSet.RRs {
 		ns, ok := rr.Data.(dnswire.NS)
 		if !ok {
@@ -64,17 +66,18 @@ func (r *Resolver) nsAddresses(z dnswire.Name, nsSet *cache.Entry, res *Result, 
 			unresolved = append(unresolved, ns.Host)
 		}
 	}
-	if len(addrs) > 0 || depth >= maxDepth {
-		return addrs
-	}
-	for _, host := range unresolved {
-		if _, err := r.subResolve(host, dnswire.TypeA, res, depth+1); err != nil {
-			continue
+	qs.hosts = unresolved
+	if len(addrs) == 0 && depth < maxDepth {
+		for _, host := range unresolved {
+			if _, err := r.subResolve(host, dnswire.TypeA, res, depth+1); err != nil {
+				continue
+			}
+			if a := r.cachedAddress(host); a.IsValid() {
+				addrs = append(addrs, a)
+			}
 		}
-		if a := r.cachedAddress(host); a.IsValid() {
-			addrs = append(addrs, a)
-		}
 	}
+	qs.addrs = addrs
 	return addrs
 }
 

@@ -40,7 +40,9 @@ func (r *Resolver) validateAnswer(server netip.Addr, name dnswire.Name, qtype dn
 // (name, qtype).
 func (r *Resolver) fetchRRSIG(server netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result) (dnswire.RR, bool, error) {
 	sp := res.Span.Child("fetch rrsig")
-	resp, _, err := r.exchangeAny([]netip.Addr{server}, name, dnswire.TypeRRSIG, res, sp)
+	qs := acquireQueryScratch()
+	defer releaseQueryScratch(qs)
+	resp, _, err := r.exchangeAny([]netip.Addr{server}, name, dnswire.TypeRRSIG, res, sp, qs)
 	sp.Finish()
 	if err != nil {
 		return dnswire.RR{}, false, err

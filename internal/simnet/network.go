@@ -85,15 +85,35 @@ func AppendExchange(x Exchanger, buf []byte, src, dst netip.Addr, query []byte, 
 	return append(buf, resp...), rtt, nil
 }
 
+// askWire is one Ask's pooled scratch: the query's wire and the buffer its
+// reply is appended to. Both are free again once the reply is decoded, as a
+// decoded Message aliases nothing of its wire.
+type askWire struct{ query, reply []byte }
+
+// maxPooledAsk bounds the buffers a pooled askWire keeps, so that a rare
+// large (zone transfer) reply is not pinned in the pool.
+const maxPooledAsk = 4096
+
+var askPool = sync.Pool{New: func() any { return new(askWire) }}
+
 // Ask is the one-shot client every caller without a pooled path uses: it
 // encodes q, exchanges it over x, decodes the reply and returns it only if
 // dnswire.CheckReply says it answers q. The RCODE is the caller's to judge.
+// The returned Message is the caller's.
 func Ask(x Exchanger, src, dst netip.Addr, q *dnswire.Message) (*dnswire.Message, time.Duration, error) {
-	wire, err := dnswire.Encode(q)
+	w := askPool.Get().(*askWire)
+	defer func() {
+		if cap(w.query) <= maxPooledAsk && cap(w.reply) <= maxPooledAsk {
+			askPool.Put(w)
+		}
+	}()
+	wire, err := dnswire.AppendEncode(w.query[:0], q)
 	if err != nil {
 		return nil, 0, err
 	}
-	respWire, rtt, err := x.Exchange(src, dst, wire)
+	w.query = wire
+	respWire, rtt, err := AppendExchange(x, w.reply[:0], src, dst, wire, 0)
+	w.reply = respWire
 	if err != nil {
 		return nil, rtt, err
 	}
@@ -140,17 +160,18 @@ type flowKey struct {
 // lazy source (see source.go): a campaign opens tens of thousands of flows
 // and draws a handful of numbers from each, so a flow carries 16 bytes of
 // generator state and pays per draw, not the stdlib's 5 KB register and
-// 11 µs of seeding.
+// 11 µs of seeding. The Rand is held by value, so a flow is one
+// allocation.
 type flow struct {
 	mu  sync.Mutex
 	src source
-	rng *rand.Rand // over &src
+	rng rand.Rand // over &src
 }
 
 func newFlow(seed int64) *flow {
 	f := new(flow)
 	f.src.Seed(seed)
-	f.rng = rand.New(&f.src)
+	f.rng = *rand.New(&f.src)
 	return f
 }
 
@@ -338,7 +359,7 @@ func (n *Network) exchange(buf []byte, src, dst netip.Addr, query []byte, offset
 					model = m
 				}
 			}
-			rtt = model.Sample(f.rng)
+			rtt = model.Sample(&f.rng)
 		}
 		f.mu.Unlock()
 	}

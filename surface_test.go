@@ -41,7 +41,7 @@ var surfaceAllowed = map[string]string{
 //	    the package that declares it;
 //	(b) an exported package-level function is called by a non-test file or
 //	    by another package's tests;
-//	(c) an export of this root package is named by cmd/, examples/, bench/,
+//	(c) an export of this root package is named by cmd/, bench/,
 //	    a root test or a doc snippet, or the signature of one that is.
 //
 // bench/ counts as a caller throughout.
@@ -70,7 +70,7 @@ func TestEveryKnobIsTurned(t *testing.T) {
 				continue
 			}
 			if p.path == surfaceModule && !w.rootKept[name] {
-				report(key(name), "root export named by no cmd/, examples/, bench/, root test, doc snippet or kept signature")
+				report(key(name), "root export named by no cmd/, bench/, root test, doc snippet or kept signature")
 			}
 			switch obj := obj.(type) {
 			case *types.Func:
@@ -105,8 +105,7 @@ func TestEveryKnobIsTurned(t *testing.T) {
 const surfaceModule = "dnsttl"
 
 // Who calls an object: non-test files of its own package, of another
-// package in either module, or specifically of a program (cmd/, examples/,
-// bench/).
+// package in either module, or specifically of a program (cmd/, bench/).
 const (
 	callOwn = 1 << iota
 	callOther
