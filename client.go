@@ -40,7 +40,8 @@ type ClientConfig struct {
 	Net Exchanger
 	// Clock drives TTL decay; nil means wall clock.
 	Clock Clock
-	// LocalRoot is the RFC 7706 mirror for policies that use one.
+	// LocalRoot is the RFC 7706 mirror; a policy with LocalRoot set
+	// requires it.
 	LocalRoot *Zone
 	// Frontends is the number of recursive frontends behind the client's
 	// one balancer (the paper's §4.4 public resolver shape). 0 or 1 is the
@@ -182,6 +183,9 @@ type Client struct {
 func NewClient(cfg ClientConfig) (*Client, error) {
 	if len(cfg.Roots) == 0 {
 		return nil, fmt.Errorf("dnsttl: NewClient requires at least one root address")
+	}
+	if cfg.Policy.LocalRoot && cfg.LocalRoot == nil {
+		return nil, fmt.Errorf("dnsttl: Policy.LocalRoot requires ClientConfig.LocalRoot")
 	}
 	var owned *TransportNet
 	if cfg.Net == nil {

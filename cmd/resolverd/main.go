@@ -71,7 +71,7 @@ func main() {
 		qlogPath      = flag.String("qlog", "", "structured query-log file; rotations shift to FILE.1.. (empty = off)")
 		qlogMaxBytes  = flag.Int64("qlog-max-bytes", 0, "rotate the query log past this size (0 = 64 MiB)")
 		qlogFiles     = flag.Int("qlog-files", 0, "rotated query-log files kept, active included (0 = 4)")
-		qlogSample    = flag.Int("qlog-sample", 0, "keep 1 query-log record in N (0 or 1 = all)")
+		qlogSample    = flag.Int("qlog-sample", 0, "keep 1 in N of each capture point's query-log records (0 or 1 = all)")
 		qlogClientMod = flag.Int("qlog-client-mod", 0, "keep only clients hashing to 0 mod M, complete per-client streams (0 or 1 = all)")
 		pushPoll      = flag.Duration("push-poll", 0, "SOA polling fallback period for push subscriptions (0 = 5m)")
 		pushPrefetch  = flag.Bool("push-prefetch", false, "re-resolve names purged by push notifies immediately (purge+prefetch)")

@@ -90,6 +90,22 @@ func TestNewClientValidation(t *testing.T) {
 	}
 }
 
+// TestNewClientLocalRootNeedsMirror: a policy that mirrors the root without
+// a mirror to read would silently iterate from the root hints instead.
+func TestNewClientLocalRootNeedsMirror(t *testing.T) {
+	pol := DefaultPolicy()
+	pol.LocalRoot = true
+	c, err := NewClient(ClientConfig{
+		Policy: pol,
+		Roots:  []netip.Addr{netip.MustParseAddr("192.0.2.1")},
+		Net:    simnet.NewNetwork(1),
+	})
+	if err == nil {
+		_ = c.Close()
+		t.Fatal("NewClient accepted Policy.LocalRoot without ClientConfig.LocalRoot")
+	}
+}
+
 func TestAdviseFacade(t *testing.T) {
 	cfg := ZoneConfig{
 		Domain:      NewName("example.org"),

@@ -180,7 +180,6 @@ func NewFleet(cfg FleetConfig, b *population.Builder, topo *latency.Topology) *F
 		return farm.New(farm.Config{
 			Frontends: farmFrontends,
 			Policy:    p.Policy,
-			LocalRoot: b.LocalRootZone,
 			Seed:      rng.Int63(),
 		}, base, b.Net, b.Clock, b.RootHints)
 	}

@@ -236,38 +236,15 @@ func (s *Server) reply(resp, q *dnswire.Message, from netip.Addr) *dnswire.Messa
 // maxCNAMEChain bounds in-zone alias chasing.
 const maxCNAMEChain = 8
 
+// answerFromZone fills resp from z's lookup and chases a CNAME into any
+// zone this server is also authoritative for.
 func (s *Server) answerFromZone(z *zone.Zone, name dnswire.Name, t dnswire.Type, resp *dnswire.Message, depth int) {
 	res := z.Lookup(name, t)
-	switch res.Kind {
-	case zone.Answer:
-		resp.Header.AA = true
-		resp.AddAnswer(res.Answer.RRs...)
-	case zone.CNAMEAnswer:
-		resp.Header.AA = true
-		resp.AddAnswer(res.Answer.RRs...)
-		if depth < maxCNAMEChain {
-			target := res.Answer.RRs[0].Data.(dnswire.CNAME).Target
-			// Follow the alias if we are authoritative for the target too.
-			if tz := s.bestZone(target); tz != nil {
-				s.answerFromZone(tz, target, t, resp, depth+1)
-			}
+	res.FillReply(resp)
+	if res.Kind == zone.CNAMEAnswer && depth < maxCNAMEChain {
+		target := res.Answer.RRs[0].Data.(dnswire.CNAME).Target
+		if tz := s.bestZone(target); tz != nil {
+			s.answerFromZone(tz, target, t, resp, depth+1)
 		}
-	case zone.NoData:
-		resp.Header.AA = true
-		if res.Authority != nil {
-			resp.AddAuthority(res.Authority.RRs...)
-		}
-	case zone.NXDomain:
-		resp.Header.AA = true
-		resp.Header.RCode = dnswire.RCodeNXDomain
-		if res.Authority != nil {
-			resp.AddAuthority(res.Authority.RRs...)
-		}
-	case zone.Delegation:
-		// Referral: AA clear, NS in authority, glue in additional.
-		resp.AddAuthority(res.Authority.RRs...)
-		resp.AddAdditional(res.Glue...)
-	case zone.NotInZone:
-		resp.Header.RCode = dnswire.RCodeRefused
 	}
 }

@@ -187,7 +187,9 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 	met := resolver.NewMetrics(cfg.Registry)
 	for i := 0; i < n; i++ {
 		r := resolver.New(addr, cfg.Policy, net, clock, roots, cfg.Seed+int64(i)*7919)
-		r.LocalRootZone = cfg.LocalRoot
+		if cfg.Policy.LocalRoot {
+			r.LocalRootZone = cfg.LocalRoot
+		}
 		r.Obs = met
 		r.Tracer = cfg.Tracer
 		r.QLog = cfg.QueryLog

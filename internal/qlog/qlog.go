@@ -223,8 +223,8 @@ type Config struct {
 	// two; 0 means 8192. A full ring drops records (counted), it never
 	// blocks the serving path.
 	RingSize int
-	// SampleN keeps one record in N (applied after PerClientMod);
-	// 0 or 1 keeps all.
+	// SampleN keeps one record in N of each capture point's records
+	// (applied after PerClientMod); 0 or 1 keeps all.
 	SampleN int
 	// PerClientMod keeps only clients whose address hash ≡ 0 (mod M),
 	// preserving complete per-client streams for interarrival analysis
@@ -308,7 +308,11 @@ type Logger struct {
 	enq  atomic.Uint64 // next sequence producers claim
 	deq  uint64        // next sequence the consumer reads (consumer-only)
 
-	sampleSeq atomic.Uint64 // 1-in-N position counter
+	// sampleSeq is each capture point's 1-in-N position counter: one
+	// shared counter would let one point's volume decide which of
+	// another point's records survive. Eight, because the uint8 Points
+	// mask admits no Point above 7.
+	sampleSeq [8]atomic.Uint64
 
 	// Accounting: Stats reads these, and a configured registry publishes
 	// them, so each event counts once.
@@ -434,7 +438,7 @@ func (l *Logger) Emit(rec *Record) {
 		l.sampledOut.Inc()
 		return
 	}
-	if n := l.cfg.SampleN; n > 1 && l.sampleSeq.Add(1)%uint64(n) != 0 {
+	if n := l.cfg.SampleN; n > 1 && l.sampleSeq[rec.Point].Add(1)%uint64(n) != 0 {
 		l.sampledOut.Inc()
 		return
 	}

@@ -138,19 +138,27 @@ func TestSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 1000
+	perPoint := map[Point]uint64{}
 	for i := 0; i < n; i++ {
 		rec := testRecord(i)
+		perPoint[rec.Point]++
 		l.Emit(&rec)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := l.Stats()
-	if st.Records != n/10 {
-		t.Fatalf("kept %d records, want %d", st.Records, n/10)
+	// 1 in 10 of each capture point's records: 334, 333 and 333 records
+	// keep 33 each.
+	var want uint64
+	for _, c := range perPoint {
+		want += c / 10
 	}
-	if st.SampledOut != n-n/10 {
-		t.Fatalf("sampled out %d, want %d", st.SampledOut, n-n/10)
+	st := l.Stats()
+	if st.Records != want {
+		t.Fatalf("kept %d records, want %d", st.Records, want)
+	}
+	if st.SampledOut != n-want {
+		t.Fatalf("sampled out %d, want %d", st.SampledOut, n-want)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters[MetricRecords] != st.Records || snap.Counters[MetricSampledOut] != st.SampledOut {
@@ -189,6 +197,41 @@ func TestSampling(t *testing.T) {
 	for a, n := range kept {
 		if got[a] != n {
 			t.Fatalf("client %s: kept %d records, want the complete stream of %d", a, got[a], n)
+		}
+	}
+}
+
+// TestSamplingPerPoint: 1-in-N sampling keeps the same share of every
+// capture point, however the points interleave. A hit-only stream
+// alternates client-in and response-out records; one counter shared by
+// both points would keep every response and no query.
+func TestSamplingPerPoint(t *testing.T) {
+	l, err := New(Config{Path: filepath.Join(t.TempDir(), "q.log"), SampleN: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 100
+	for i := 0; i < queries; i++ {
+		for _, p := range []Point{PointClientIn, PointResponseOut} {
+			rec := testRecord(i)
+			rec.Point = p
+			l.Emit(&rec)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := ReadAll(l.cfg.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := map[Point]int{}
+	for _, r := range recs {
+		kept[r.Point]++
+	}
+	for _, p := range []Point{PointClientIn, PointResponseOut} {
+		if kept[p] != queries/2 {
+			t.Errorf("%s: kept %d of %d records, want %d", p, kept[p], queries, queries/2)
 		}
 	}
 }

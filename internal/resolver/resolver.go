@@ -376,33 +376,34 @@ func (r *Resolver) iterate(name dnswire.Name, qtype dnswire.Type, res *Result, d
 			ssp.Annotate("zone", string(zoneName))
 		}
 
-		// RFC 7706: referrals for names at or below a TLD can be taken
-		// from the local root mirror without a query.
+		var resp *dnswire.Message
+		var server netip.Addr
 		if r.Policy.LocalRoot && r.LocalRootZone != nil && zoneName.IsRoot() {
+			// RFC 7706: the root step reads the local mirror instead of
+			// asking a root server. Mirror data is parent data, so the
+			// reply is not authoritative: nothing validates it, and it
+			// is stored and shown like any non-authoritative reply.
 			if ssp != nil {
 				ssp.Annotate("source", "local-root-mirror")
 			}
-			done, err := r.localRootStep(name, qtype, res, ssp)
-			ssp.Finish()
-			if done {
-				return err
+			resp = dnswire.AcquireMessage()
+			r.LocalRootZone.Lookup(name, qtype).FillReply(resp)
+			resp.Header.AA = false
+		} else {
+			if len(servers) == 0 {
+				ssp.Annotate("outcome", "no-servers")
+				ssp.Finish()
+				return r.fail(name, qtype, res, fmt.Errorf("resolver: no servers for %s", zoneName))
 			}
-			// localRootStep cached a referral; go around.
-			continue
+			var err error
+			resp, server, err = r.exchangeAny(servers, name, qtype, res, ssp, qs)
+			if err != nil {
+				ssp.Annotate("outcome", "exchange-failed")
+				ssp.Finish()
+				return r.fail(name, qtype, res, err)
+			}
+			r.pinSticky(zoneName, server)
 		}
-
-		if len(servers) == 0 {
-			ssp.Annotate("outcome", "no-servers")
-			ssp.Finish()
-			return r.fail(name, qtype, res, fmt.Errorf("resolver: no servers for %s", zoneName))
-		}
-		resp, server, err := r.exchangeAny(servers, name, qtype, res, ssp, qs)
-		if err != nil {
-			ssp.Annotate("outcome", "exchange-failed")
-			ssp.Finish()
-			return r.fail(name, qtype, res, err)
-		}
-		r.pinSticky(zoneName, server)
 
 		done, err := r.absorb(resp, server, zoneName, name, qtype, res, depth, ssp)
 		dnswire.ReleaseMessage(resp)

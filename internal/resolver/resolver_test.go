@@ -499,6 +499,119 @@ func TestLocalRootAnswerCapped(t *testing.T) {
 	}
 }
 
+// mirrorResolver is a resolver reading tn's root from its RFC 7706 mirror,
+// with the root server down so that any root query would show.
+func mirrorResolver(t *testing.T, tn *testNet, pol Policy) *Resolver {
+	t.Helper()
+	pol.LocalRoot = true
+	r := tn.resolver(pol, 1)
+	r.LocalRootZone = tn.root
+	if err := tn.net.SetDown(tn.rootAddr, true); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestLocalRootNXDomainCached: a mirror NXDOMAIN is negatively cached, so
+// asking again is a cache hit rather than another walk of the mirror.
+func TestLocalRootNXDomainCached(t *testing.T) {
+	tn := newTestNet(t)
+	r := mirrorResolver(t, tn, DefaultPolicy())
+	for i, wantHit := range []bool{false, true} {
+		res, _ := r.Resolve(dnswire.NewName("no-such-tld-zz"), dnswire.TypeA)
+		if res.Msg.Header.RCode != dnswire.RCodeNXDomain || res.CacheHit != wantHit {
+			t.Errorf("query %d: rcode %s, cache hit %v; want NXDOMAIN, hit %v",
+				i+1, res.Msg.Header.RCode, res.CacheHit, wantHit)
+		}
+	}
+}
+
+// TestLocalRootAnswerDecays: a mirror answer is stored, so the TTL it shows
+// decays with the clock like any cached answer's.
+func TestLocalRootAnswerDecays(t *testing.T) {
+	tn := newTestNet(t)
+	r := mirrorResolver(t, tn, DefaultPolicy())
+	first := mustResolve(t, r, ".", dnswire.TypeNS)
+	tn.clock.Advance(100 * time.Second)
+	again := mustResolve(t, r, ".", dnswire.TypeNS)
+	if first.AnswerTTL == 0 || again.AnswerTTL != first.AnswerTTL-100 {
+		t.Errorf(". NS from the mirror shows %d s, then %d s 100 s later; want %d",
+			first.AnswerTTL, again.AnswerTTL, first.AnswerTTL-100)
+	}
+}
+
+// TestLocalRootNotValidated: mirror data is parent data, so a validating
+// resolver fetches no keys for it, and with the root down it still answers
+// . NS with no upstream query.
+func TestLocalRootNotValidated(t *testing.T) {
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.Validate = true
+	res := mustResolve(t, mirrorResolver(t, tn, pol), ".", dnswire.TypeNS)
+	if len(res.Msg.Answer) == 0 || res.Queries != 0 {
+		t.Errorf(". NS from the mirror: %d records after %d upstream queries; want an answer and 0",
+			len(res.Msg.Answer), res.Queries)
+	}
+}
+
+// TestEveryShownTTLIsStored: every answer record a resolver shows is held in
+// its cache with at least the TTL shown left, and every negative answer has
+// a negative entry — whether the answer came off the wire, from the cache,
+// through a CNAME, under a serve-time cap or from the RFC 7706 mirror.
+func TestEveryShownTTLIsStored(t *testing.T) {
+	capAtServe := DefaultPolicy()
+	capAtServe.TTLCap = 100
+	capAtServe.CapAtServe = true
+	cases := []struct {
+		name   string
+		pol    Policy
+		mirror bool
+		qname  string
+		qtype  dnswire.Type
+		warm   bool // ask once and let 50 s pass first
+	}{
+		{"wire answer", DefaultPolicy(), false, "www.cachetest.net", dnswire.TypeA, false},
+		{"cache hit", DefaultPolicy(), false, "www.cachetest.net", dnswire.TypeA, true},
+		{"cname chain", DefaultPolicy(), false, "alias.cachetest.net", dnswire.TypeA, false},
+		{"cap at serve", capAtServe, false, "www.cachetest.net", dnswire.TypeA, false},
+		{"mirror answer", DefaultPolicy(), true, ".", dnswire.TypeNS, false},
+		{"mirror nxdomain", DefaultPolicy(), true, "no-such-tld-zz", dnswire.TypeA, false},
+		{"mirror nodata", DefaultPolicy(), true, ".", dnswire.TypeMX, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tn := newTestNet(t)
+			var r *Resolver
+			if c.mirror {
+				r = mirrorResolver(t, tn, c.pol)
+			} else {
+				r = tn.resolver(c.pol, 1)
+			}
+			name := dnswire.NewName(c.qname)
+			if c.warm {
+				mustResolve(t, r, c.qname, c.qtype)
+				tn.clock.Advance(50 * time.Second)
+			}
+			res, _ := r.Resolve(name, c.qtype)
+			if res.CacheHit != c.warm {
+				t.Fatalf("cache hit %v, want %v", res.CacheHit, c.warm)
+			}
+			if len(res.Msg.Answer) == 0 {
+				e, _, ok := r.Cache.Get(name, c.qtype)
+				if !ok || e.Negative == cache.NotNegative {
+					t.Errorf("%s answer (rcode %s) has no negative cache entry", c.qtype, res.Msg.Header.RCode)
+				}
+				return
+			}
+			for _, rr := range res.Msg.Answer {
+				if _, rem, ok := r.Cache.Get(rr.Name, rr.Type); !ok || rem < rr.TTL {
+					t.Errorf("%s %s shown with %d s; cache holds it: %v, %d s left", rr.Name, rr.Type, rr.TTL, ok, rem)
+				}
+			}
+		})
+	}
+}
+
 func TestTTLCap(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()

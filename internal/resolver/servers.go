@@ -6,8 +6,6 @@ import (
 
 	"dnsttl/internal/cache"
 	"dnsttl/internal/dnswire"
-	"dnsttl/internal/obs"
-	"dnsttl/internal/zone"
 )
 
 // bestServers finds the deepest zone enclosing name whose nameserver
@@ -224,47 +222,6 @@ func (r *Resolver) cacheNegative(resp *dnswire.Message, name dnswire.Name, qtype
 	})
 	return ttl, fromSOA
 }
-
-// localRootStep consults the RFC 7706 root mirror instead of querying a
-// root server. It returns done=true when the client answer is complete.
-func (r *Resolver) localRootStep(name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span) (bool, error) {
-	lr := r.LocalRootZone.Lookup(name, qtype)
-	now := r.Clock.Now()
-	switch lr.Kind {
-	case zone.Delegation:
-		fake := &dnswire.Message{Header: dnswire.Header{QR: true}}
-		fake.AddAuthority(lr.Authority.RRs...)
-		fake.AddAdditional(lr.Glue...)
-		r.cacheReferral(fake, now)
-		// Mirror data is parent data: a parent-centric resolver answers
-		// from it immediately; a child-centric one keeps iterating.
-		if e, rem, ok := r.answerFromCache(name, qtype); ok {
-			r.applyCached(e, rem, name, qtype, res, maxDepth)
-			return true, nil
-		}
-		return false, nil
-	case zone.Answer:
-		// Mirror records are stored data: shown capped, like any answer.
-		for _, rr := range lr.Answer.RRs {
-			rr.TTL = r.clampTTL(rr.TTL, sp)
-			res.Msg.AddAnswer(rr)
-		}
-		return true, nil
-	case zone.NXDomain:
-		res.Msg.Header.RCode = dnswire.RCodeNXDomain
-		return true, nil
-	case zone.NoData:
-		return true, nil
-	default:
-		return true, r.fail(name, qtype, res, errLameLocalRoot)
-	}
-}
-
-var errLameLocalRoot = errLocalRoot{}
-
-type errLocalRoot struct{}
-
-func (errLocalRoot) Error() string { return "resolver: local root mirror cannot serve query" }
 
 // eachRRSet calls fn once for every RRset of type t in rrs — the records of
 // that type sharing an owner — in wire order of each owner's first record.

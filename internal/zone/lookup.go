@@ -48,6 +48,32 @@ type LookupResult struct {
 	Glue []dnswire.RR
 }
 
+// FillReply writes the result into m, a reply whose header and question
+// are already set: AA for data and negative answers, NXDOMAIN or REFUSED
+// as the rcode, the SOA as a negative answer's authority, and a
+// delegation's NS set and glue as authority and additional. A CNAME is
+// added as the answer; chasing its target is the caller's.
+func (r LookupResult) FillReply(m *dnswire.Message) {
+	switch r.Kind {
+	case Answer, CNAMEAnswer:
+		m.Header.AA = true
+		m.AddAnswer(r.Answer.RRs...)
+	case NoData, NXDomain:
+		m.Header.AA = true
+		if r.Kind == NXDomain {
+			m.Header.RCode = dnswire.RCodeNXDomain
+		}
+		if r.Authority != nil {
+			m.AddAuthority(r.Authority.RRs...)
+		}
+	case Delegation:
+		m.AddAuthority(r.Authority.RRs...)
+		m.AddAdditional(r.Glue...)
+	case NotInZone:
+		m.Header.RCode = dnswire.RCodeRefused
+	}
+}
+
 // Lookup runs the authoritative-side resolution algorithm of RFC 1034
 // §4.3.2 against this zone: delegation beats data, CNAME beats other types,
 // and negative answers carry the SOA. The whole lookup runs under one read

@@ -142,6 +142,16 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 	}
 	rdata := rest[1:]
 	rr := dnswire.RR{Name: name, Type: t, Class: dnswire.ClassIN, TTL: ttl}
+	// rdataName is absName for a name in the RDATA, which must be as valid
+	// as an owner: the record is refused below on the first that is not.
+	var badName error
+	rdataName := func(s string) dnswire.Name {
+		n := absName(s, origin)
+		if err := n.Valid(); err != nil && badName == nil {
+			badName = err
+		}
+		return n
+	}
 	if want, ok := rdataFields[t]; ok && len(rdata) != want {
 		return rr, fmt.Errorf("%s needs %d RDATA field(s), got %d", t, want, len(rdata))
 	}
@@ -159,17 +169,17 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 			return rr, fmt.Errorf("%s record with address %s", t, addr)
 		}
 	case dnswire.TypeNS:
-		rr.Data = dnswire.NS{Host: absName(rdata[0], origin)}
+		rr.Data = dnswire.NS{Host: rdataName(rdata[0])}
 	case dnswire.TypeCNAME:
-		rr.Data = dnswire.CNAME{Target: absName(rdata[0], origin)}
+		rr.Data = dnswire.CNAME{Target: rdataName(rdata[0])}
 	case dnswire.TypePTR:
-		rr.Data = dnswire.PTR{Target: absName(rdata[0], origin)}
+		rr.Data = dnswire.PTR{Target: rdataName(rdata[0])}
 	case dnswire.TypeMX:
 		pref, err := strconv.ParseUint(rdata[0], 10, 16)
 		if err != nil {
 			return rr, fmt.Errorf("MX preference: %w", err)
 		}
-		rr.Data = dnswire.MX{Preference: uint16(pref), Host: absName(rdata[1], origin)}
+		rr.Data = dnswire.MX{Preference: uint16(pref), Host: rdataName(rdata[1])}
 	case dnswire.TypeTXT:
 		var txt dnswire.TXT
 		for _, f := range rdata {
@@ -186,7 +196,7 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 			nums[i] = v
 		}
 		rr.Data = dnswire.SOA{
-			MName: absName(rdata[0], origin), RName: absName(rdata[1], origin),
+			MName: rdataName(rdata[0]), RName: rdataName(rdata[1]),
 			Serial: nums[0], Refresh: nums[1], Retry: nums[2], Expire: nums[3], Minimum: nums[4],
 		}
 	case dnswire.TypeDNSKEY:
@@ -212,7 +222,7 @@ func parseRecord(fields []string, origin dnswire.Name, defaultTTL uint32) (dnswi
 	default:
 		return rr, fmt.Errorf("unsupported type %s in master file", t)
 	}
-	return rr, nil
+	return rr, badName
 }
 
 func absName(s string, origin dnswire.Name) dnswire.Name {

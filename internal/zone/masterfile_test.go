@@ -176,8 +176,26 @@ func FuzzParse(f *testing.F) {
 			return
 		}
 		for _, set := range z.AllSets() {
-			if k := z.Lookup(set.Name, set.Type).Kind; k == NXDomain || k == NotInZone {
+			res := z.Lookup(set.Name, set.Type)
+			if k := res.Kind; k == NXDomain || k == NotInZone {
 				t.Fatalf("stored set %s %s looks up as %s", set.Name, set.Type, k)
+			}
+			// The lookup's reply must survive the wire.
+			reply := dnswire.NewQuery(1, set.Name, set.Type).Reply()
+			res.FillReply(reply)
+			wire, err := dnswire.Encode(reply)
+			if err != nil {
+				t.Fatalf("%s %s: %s reply does not encode: %v", set.Name, set.Type, res.Kind, err)
+			}
+			back, err := dnswire.Decode(wire)
+			if err != nil {
+				t.Fatalf("%s %s: %s reply does not decode: %v", set.Name, set.Type, res.Kind, err)
+			}
+			if len(back.Answer) != len(reply.Answer) || len(back.Authority) != len(reply.Authority) ||
+				len(back.Additional) != len(reply.Additional) {
+				t.Fatalf("%s %s: %s reply sections %d/%d/%d decode as %d/%d/%d", set.Name, set.Type, res.Kind,
+					len(reply.Answer), len(reply.Authority), len(reply.Additional),
+					len(back.Answer), len(back.Authority), len(back.Additional))
 			}
 		}
 		if want := recountAncestors(z); !reflect.DeepEqual(z.ancestors, want) {
