@@ -5,7 +5,9 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net/netip"
+	"slices"
 	"strings"
+	"sync"
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
@@ -177,6 +179,10 @@ type Client struct {
 	// registry is ClientConfig.Registry, kept for the listeners a
 	// RecursiveServer puts in front of this client.
 	registry *Registry
+
+	// yields is every UDP listener's yield (see yieldOnWait).
+	yieldMu sync.Mutex
+	yields  []func()
 }
 
 // NewClient builds a Client.
@@ -229,6 +235,22 @@ func (c *Client) Close() error {
 		return nil
 	}
 	return c.owned.Close()
+}
+
+// yieldOnWait adds a UDP listener's yield to the hook each resolution of
+// the client calls where it may first wait. A resolution cannot tell which
+// listener it serves, so the hook yields them all; a listener whose reading
+// loop is not in service ignores it.
+func (c *Client) yieldOnWait(yield func()) {
+	c.yieldMu.Lock()
+	defer c.yieldMu.Unlock()
+	ys := append(slices.Clip(c.yields), yield)
+	c.yields = ys
+	c.f.SetYield(func() {
+		for _, y := range ys {
+			y()
+		}
+	})
 }
 
 // Lookup resolves (name, qtype), from cache when possible. In-process
@@ -308,13 +330,13 @@ func (s *Server) ListenUDP(addr string) (netip.AddrPort, error) {
 // on the same port, so the fallback is served only from the UDP listener's
 // port.
 func (s *Server) ListenTCP(addr string) (netip.AddrPort, error) {
-	return s.ls.TCP(addr, s.handler("tcp", true), nil)
+	return s.ls.TCP(addr, s.handler("tcp", true), nil, s.reg)
 }
 
 // ListenDoT binds addr for DNS-over-TLS service (RFC 7858) with the given
 // TLS config, serving until Close.
 func (s *Server) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	return s.ls.TCP(addr, s.handler("dot", true), cfg)
+	return s.ls.TCP(addr, s.handler("dot", true), cfg, s.reg)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS service (RFC 8484) with the

@@ -84,9 +84,10 @@ func (ls *Listeners) UDP(addr string, h simnet.Handler, reg *obs.Registry) (neti
 }
 
 // TCP binds addr and serves h over two-byte length framing until Close:
-// plain TCP when cfg is nil, DNS over TLS otherwise.
-func (ls *Listeners) TCP(addr string, h simnet.Handler, cfg *tls.Config) (netip.AddrPort, error) {
-	return ls.listen(&TCPServer{Handler: h, TLS: cfg}, addr)
+// plain TCP when cfg is nil, DNS over TLS otherwise. A non-nil reg exposes
+// the listener.tcp.* (listener.dot.*) counters.
+func (ls *Listeners) TCP(addr string, h simnet.Handler, cfg *tls.Config, reg *obs.Registry) (netip.AddrPort, error) {
+	return ls.listen(&TCPServer{Handler: h, TLS: cfg, Registry: reg}, addr)
 }
 
 // DoH binds addr and serves h as DNS over HTTPS until Close (plain HTTP

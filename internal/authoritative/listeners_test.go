@@ -264,7 +264,7 @@ func TestListenersCloseAll(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tc, err := ls.TCP("127.0.0.1:0", echoQR, nil)
+		tc, err := ls.TCP("127.0.0.1:0", echoQR, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -280,7 +280,7 @@ func TestListenersCloseAll(t *testing.T) {
 		}
 		bound = append(bound, tc, d)
 	}
-	if _, err := ls.TCP("256.0.0.1:0", echoQR, nil); err == nil {
+	if _, err := ls.TCP("256.0.0.1:0", echoQR, nil, nil); err == nil {
 		t.Errorf("listening on a bad address should fail")
 	}
 	if err := ls.Close(); err != nil {

@@ -142,6 +142,10 @@ func (h handler) ServeDNS(wire []byte, from netip.Addr) []byte {
 	return h.AppendServeDNS(nil, wire, from)
 }
 
+// BindYield implements simnet.Yielder: an authoritative answer never
+// waits, so a UDP listener serves every query on the loop that read it.
+func (handler) BindYield(func()) {}
+
 // AppendServeDNS handles one query, appending the response to dst; dst comes
 // back unextended when the query is dropped.
 func (h handler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {

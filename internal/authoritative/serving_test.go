@@ -103,7 +103,7 @@ func TestTCPServerMaxConns(t *testing.T) {
 	if _, err := (streamLadderClient{shed}).exchange(query); err == nil {
 		t.Fatalf("connection over the cap should be closed, not served")
 	}
-	if ts.rejected.Load() == 0 {
+	if ts.rejected.Value() == 0 {
 		t.Errorf("no connection counted as rejected")
 	}
 

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dnsttl/internal/obs"
 	"dnsttl/internal/simnet"
 )
 
@@ -24,6 +25,16 @@ const (
 	DefaultTCPIdleTimeout = 30 * time.Second
 	// DefaultMaxTCPConns bounds concurrently served connections.
 	DefaultMaxTCPConns = 512
+)
+
+// Metric names under which a TCPServer with a Registry publishes its
+// counts: connections shed at the MaxConns cap, and accept errors other than
+// the listener closing (EMFILE), after each of which the loop pauses.
+const (
+	MetricTCPRejected     = "listener.tcp.rejected"
+	MetricTCPAcceptErrors = "listener.tcp.accept_errors"
+	MetricDoTRejected     = "listener.dot.rejected"
+	MetricDoTAcceptErrors = "listener.dot.accept_errors"
 )
 
 // TCPServer serves DNS over TCP with RFC 1035 §4.2.2 two-byte length
@@ -46,10 +57,14 @@ type TCPServer struct {
 	// closed immediately. 0 means DefaultMaxTCPConns; negative means
 	// unlimited.
 	MaxConns int
+	// Registry, when non-nil at Listen, publishes the listener's counts as
+	// listener.tcp.* (listener.dot.* when TLS is set).
+	Registry *obs.Registry
 
-	// rejected counts connections refused by the MaxConns cap.
-	rejected atomic.Uint64
-	closed   atomic.Bool
+	// rejected counts connections shed at the MaxConns cap.
+	rejected     obs.Counter
+	acceptErrors obs.Counter
+	closed       atomic.Bool
 
 	mu sync.Mutex
 	ln net.Listener
@@ -73,8 +88,14 @@ func (t *TCPServer) Listen(addr string) (netip.AddrPort, error) {
 		return netip.AddrPort{}, err
 	}
 	bound := ln.Addr().(*net.TCPAddr).AddrPort()
+	rejected, acceptErrors := MetricTCPRejected, MetricTCPAcceptErrors
 	if t.TLS != nil {
 		ln = tls.NewListener(ln, t.TLS)
+		rejected, acceptErrors = MetricDoTRejected, MetricDoTAcceptErrors
+	}
+	if reg := t.Registry; reg != nil {
+		reg.CounterFunc(rejected, t.rejected.Value)
+		reg.CounterFunc(acceptErrors, t.acceptErrors.Value)
 	}
 	maxConns := t.MaxConns
 	if maxConns == 0 {
@@ -97,6 +118,9 @@ func (t *TCPServer) serve(ln net.Listener, h simnet.AppendHandler, maxConns int)
 			if t.closed.Load() || errors.Is(err, net.ErrClosed) {
 				return
 			}
+			// A persistent error (EMFILE) must not spin a core.
+			t.acceptErrors.Inc()
+			time.Sleep(readErrorBackoff)
 			continue
 		}
 		t.mu.Lock()
@@ -108,7 +132,7 @@ func (t *TCPServer) serve(ln net.Listener, h simnet.AppendHandler, maxConns int)
 		if full {
 			// At the connection cap: shed the newcomer instead of queueing
 			// it behind goroutines a slow client may be pinning.
-			t.rejected.Add(1)
+			t.rejected.Inc()
 			_ = conn.Close()
 			continue
 		}

@@ -2,10 +2,15 @@ package authoritative
 
 import (
 	"fmt"
+	"net"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/obs"
+	"dnsttl/internal/simnet"
 	"dnsttl/internal/transport"
 )
 
@@ -74,5 +79,51 @@ func TestUDPTruncationRespectsEDNS(t *testing.T) {
 	edns := ask(true)
 	if edns.Header.TC || len(edns.Answer) == 0 {
 		t.Errorf("EDNS query should fit: TC=%v answers=%d", edns.Header.TC, len(edns.Answer))
+	}
+}
+
+// failingListener fails every Accept with EMFILE, fails times in all, and
+// then reports itself closed.
+type failingListener struct {
+	net.Listener
+	fails int
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	if l.fails == 0 {
+		return nil, net.ErrClosed
+	}
+	l.fails--
+	return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+}
+
+// TestTCPAcceptErrorBackoff: an accept error other than the listener
+// closing (a process out of descriptors) is counted and backed off from,
+// not spun on.
+func TestTCPAcceptErrorBackoff(t *testing.T) {
+	const fails = 10
+	reg := obs.NewRegistry(nil)
+	ts := &TCPServer{Handler: echoQR, Registry: reg}
+	addr, err := ts.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	start := time.Now()
+	ts.wg.Add(1)
+	ts.serve(&failingListener{fails: fails}, simnet.AsAppendHandler(echoQR), 0)
+	if took := time.Since(start); took < fails*readErrorBackoff {
+		t.Errorf("%d failed accepts took %v, want at least %v", fails, took, fails*readErrorBackoff)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[MetricTCPAcceptErrors]; got != fails {
+		t.Errorf("%s = %d, want %d", MetricTCPAcceptErrors, got, fails)
+	}
+	if _, ok := snap.Counters[MetricTCPRejected]; !ok {
+		t.Errorf("%s not published", MetricTCPRejected)
+	}
+	// The listener Listen bound still serves.
+	if _, _, err := testClient(t, transport.TCP).Exchange(addr, headerQuery(1)); err != nil {
+		t.Errorf("exchange after the failing loop: %v", err)
 	}
 }

@@ -275,3 +275,208 @@ func TestUDPLoopAllocFree(t *testing.T) {
 		t.Errorf("UDP round trip through the serving loop: %v allocs, want 0", allocs)
 	}
 }
+
+// hammer runs clients closed-loop sockets against addr, 200 queries each,
+// and checks that every query gets its own reply.
+func hammer(t *testing.T, addr netip.AddrPort, clients int) {
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		conn := udpClient(t, addr)
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			buf := make([]byte, 512)
+			for i := 0; i < 200; i++ {
+				q := headerQuery(byte(i))
+				q[0] = byte(c)
+				if _, err := conn.Write(q); err != nil {
+					t.Error(err)
+					return
+				}
+				n, err := conn.Read(buf)
+				if err != nil || n != 12 || buf[0] != byte(c) || buf[1] != byte(i) {
+					t.Errorf("client %d round %d: reply %v, err %v", c, i, buf[:n], err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+}
+
+// inlineHandler answers like echoQR and declares that it never waits: it
+// ignores the yield a UDP listener binds.
+type inlineHandler struct{ cannedAppend }
+
+func (inlineHandler) BindYield(func()) {}
+
+// TestUDPNeverWaitingHandlerKeepsOneLoop: a handler that never yields is
+// served entirely on the loop that read each datagram, so however many
+// closed-loop clients hammer it, the listener runs one loop and hands its
+// socket to nobody.
+func TestUDPNeverWaitingHandlerKeepsOneLoop(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	u := &UDPServer{Handler: inlineHandler{}, Registry: reg}
+	addr, err := u.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	const clients = 8
+	hammer(t, addr, clients)
+	snap := reg.Snapshot()
+	if loops, sat := snap.Gauges[MetricUDPLoops], snap.Counters[MetricUDPSaturated]; loops != 1 || sat != 0 {
+		t.Errorf("after %d closed-loop clients: %s = %v, %s = %d; want 1 loop, never saturated",
+			clients, MetricUDPLoops, loops, MetricUDPSaturated, sat)
+	}
+}
+
+// yieldingHandler declares when it waits: a query whose ID has a gate
+// yields, reports that it entered service and blocks until the gate
+// closes; any other query is answered at once.
+type yieldingHandler struct {
+	yield   func()
+	gates   map[byte]chan struct{}
+	entered chan byte
+}
+
+func (y *yieldingHandler) BindYield(yield func()) { y.yield = yield }
+
+func (y *yieldingHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
+	if gate, ok := y.gates[wire[1]]; ok {
+		y.yield()
+		y.entered <- wire[1]
+		<-gate
+	}
+	return echoQR(wire, from)
+}
+
+// TestUDPYieldHandsOffSocket walks the hand-over: a query that yields goes
+// on waiting in its own loop while a new loop takes the socket and answers
+// the next query inline; a yield while the reading loop is not in service
+// starts nothing; once the waiting query is answered its loop parks, and the
+// next yield wakes it instead of starting a third.
+func TestUDPYieldHandsOffSocket(t *testing.T) {
+	y := &yieldingHandler{
+		gates:   map[byte]chan struct{}{1: make(chan struct{}), 4: make(chan struct{})},
+		entered: make(chan byte, 4),
+	}
+	u := &UDPServer{Handler: y}
+	addr, err := u.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := udpClient(t, addr)
+	send := func(id byte) {
+		t.Helper()
+		if _, err := conn.Write(headerQuery(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(id byte) {
+		t.Helper()
+		if got := readID(t, conn); got != id {
+			t.Fatalf("reply %d, want %d", got, id)
+		}
+	}
+	loops := func(want int32) {
+		t.Helper()
+		if got := u.loops.Load(); got != want {
+			t.Fatalf("%d loops, want %d", got, want)
+		}
+	}
+
+	send(1)
+	<-y.entered
+	send(2)
+	want(2)
+	loops(2)
+
+	// Wait for the reading loop to be back at its read: a yield then has
+	// nobody in service to release.
+	for u.owner.Load()&3 != ownReading {
+		time.Sleep(time.Millisecond)
+	}
+	y.yield()
+	send(3)
+	want(3)
+	loops(2)
+
+	close(y.gates[1])
+	want(1)
+	// Its reply written, the loop of query 1 parks.
+	for parked := 0; parked != 1; time.Sleep(time.Millisecond) {
+		u.mu.Lock()
+		parked = len(u.parked)
+		u.mu.Unlock()
+	}
+	send(4)
+	<-y.entered
+	send(5)
+	want(5)
+	loops(2)
+	if sat := u.saturated.Value(); sat != 0 {
+		t.Errorf("saturated %d below the cap", sat)
+	}
+	close(y.gates[4])
+	want(4)
+	if err := u.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+}
+
+// TestUDPYieldHammer drives the hand-over from every side at once under
+// load: closed-loop clients whose every other query yields and waits a
+// little, and a goroutine yielding at random moments the way a resolution
+// on another transport does. Every query gets its own reply, and the loops
+// stay within TestUDPLoopsServeConcurrently's ceiling: a stray yield only
+// releases a loop that has a query in service.
+func TestUDPYieldHammer(t *testing.T) {
+	var yield func()
+	u := &UDPServer{Handler: yielderFunc{
+		bind: func(y func()) { yield = y },
+		serve: func(wire []byte, from netip.Addr) []byte {
+			if wire[1]%2 == 1 {
+				yield()
+				time.Sleep(50 * time.Microsecond)
+			}
+			return echoQR(wire, from)
+		},
+	}}
+	addr, err := u.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients = 8
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				yield()
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+	}()
+	hammer(t, addr, clients)
+	close(stop)
+	<-stopped
+	if err := u.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if loops, sat := u.loops.Load(), u.saturated.Value(); loops > 2*clients+1 || sat != 0 {
+		t.Errorf("after %d closed-loop clients: %d loops, saturated %d", clients, loops, sat)
+	}
+}
+
+// yielderFunc is a simnet.Yielder made of two functions.
+type yielderFunc struct {
+	bind  func(yield func())
+	serve func(wire []byte, from netip.Addr) []byte
+}
+
+func (y yielderFunc) BindYield(yield func())                       { y.bind(yield) }
+func (y yielderFunc) ServeDNS(wire []byte, from netip.Addr) []byte { return y.serve(wire, from) }

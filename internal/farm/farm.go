@@ -322,6 +322,14 @@ func (f *Farm) SetStaleGate(g resolver.StaleGate) {
 	}
 }
 
+// SetYield installs y as every frontend's yield hook (resolver.SetYield).
+// Safe while queries are being served.
+func (f *Farm) SetYield(y func()) {
+	for _, fe := range f.frontends {
+		fe.SetYield(y)
+	}
+}
+
 // CacheStats aggregates the cache counters of the whole fleet.
 func (f *Farm) CacheStats() cache.Stats {
 	if f.store != nil {

@@ -30,6 +30,8 @@ type Trace struct {
 	// identical query already in flight (farm Coalesce) instead of by the
 	// cache or an upstream iteration of its own.
 	Coalesced bool
+	// yielded is set where the resolution first may wait (see SetYield).
+	yielded bool
 	// Latency is the summed upstream RTT the resolution cost the client.
 	Latency time.Duration
 	// Queries is the number of upstream exchanges attempted.
@@ -135,6 +137,9 @@ type Resolver struct {
 	// listeners are already resolving.
 	staleGate atomic.Pointer[StaleGate]
 
+	// yield is SetYield's hook; atomic like staleGate.
+	yield atomic.Pointer[func()]
+
 	mu     sync.Mutex
 	rng    *rand.Rand
 	sticky map[dnswire.Name]netip.Addr
@@ -207,8 +212,13 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 		res.Span = r.Tracer.Start("resolve " + string(name) + " " + qtype.String())
 	}
 	e, rem, _ := r.answerFromCache(name, qtype)
-	if e != nil || r.Coalesce == nil {
+	if e != nil {
 		return r.finish(res, r.resolveFrom(e, rem, name, qtype, res, 0)), nil
+	}
+	// A miss waits, on its upstream exchanges or on the flight it joins.
+	r.mayWait(res)
+	if r.Coalesce == nil {
+		return r.finish(res, r.resolveFrom(nil, 0, name, qtype, res, 0)), nil
 	}
 	// A caller that missed just before the previous leader left the group
 	// leads a second iteration; re-probing the cache here would count the
@@ -259,8 +269,9 @@ func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Resul
 // DNSKEY — into a scratch Result on res's behalf, and charges res every
 // additive count of its Trace. The answer stays in the returned Result.
 func (r *Resolver) subResolve(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) (*Result, error) {
-	sub := &Result{Msg: &dnswire.Message{}}
+	sub := &Result{Msg: &dnswire.Message{}, Trace: Trace{yielded: res.yielded}}
 	err := r.resolveInto(name, qtype, sub, depth)
+	res.yielded = sub.yielded
 	res.Latency += sub.Latency
 	res.Queries += sub.Queries
 	res.Timeouts += sub.Timeouts
@@ -533,6 +544,23 @@ type StaleGate interface {
 	AllowStale(name dnswire.Name, qtype dnswire.Type, storedAt time.Time) bool
 }
 
+// SetYield installs y, which each resolution calls once, at the first point
+// where it may wait: a cache miss, a refresh-ahead, or an upstream exchange
+// (a CNAME chased from a cached alias). There a UDP listener hands its
+// socket to another loop (simnet.Yielder). Safe while queries are served.
+func (r *Resolver) SetYield(y func()) { r.yield.Store(&y) }
+
+// mayWait calls the yield hook unless res already has.
+func (r *Resolver) mayWait(res *Result) {
+	if res.yielded {
+		return
+	}
+	res.yielded = true
+	if y := r.yield.Load(); y != nil {
+		(*y)()
+	}
+}
+
 // SetStaleGate installs g (nil removes it) as the veto consulted before
 // every stale answer (Policy.ServeStale). The push plane installs its
 // subscriber here so a name purged by NOTIFY — or covered by an unhealthy
@@ -580,6 +608,7 @@ var ednsOPT = dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
 // jitter, and an optional hedged second query on the first attempt. The
 // reply is pooled; see attempt.
 func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span, qs *queryScratch) (*dnswire.Message, netip.Addr, error) {
+	r.mayWait(res)
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
 	order := r.serverOrder(servers, qs)

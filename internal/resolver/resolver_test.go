@@ -782,3 +782,50 @@ func TestServeStaleGate(t *testing.T) {
 		t.Fatalf("ungated name not served stale: stale=%v err=%v", res.Stale, err)
 	}
 }
+
+// TestYieldOncePerResolution pins where the yield hook runs: once per
+// resolution that may wait, at the first such point, and never on a warm
+// hit.
+func TestYieldOncePerResolution(t *testing.T) {
+	tn := newTestNet(t)
+	pol := DefaultPolicy()
+	pol.PrefetchFraction = 0.2 // the last 60 s of www's 300
+	r := tn.resolver(pol, 1)
+	calls := 0
+	r.SetYield(func() { calls++ })
+	step := func(what, name string, want int) *Result {
+		t.Helper()
+		calls = 0
+		res := mustResolve(t, r, name, dnswire.TypeA)
+		if calls != want {
+			t.Errorf("%s: %d yields, want %d", what, calls, want)
+		}
+		return res
+	}
+
+	if res := step("cold resolution from the root", "www.cachetest.net", 1); res.Queries < 2 {
+		t.Fatalf("cold resolution took %d exchanges, want a walk from the root", res.Queries)
+	}
+	step("warm hit", "www.cachetest.net", 0)
+	if res := step("leaf miss", "alias.cachetest.net", 1); res.Queries != 1 {
+		t.Fatalf("leaf miss took %d exchanges, want 1", res.Queries)
+	}
+
+	// 250 s in, www is inside the prefetch window: the hit refreshes it.
+	tn.clock.Advance(250 * time.Second)
+	step("hit that triggers a refresh", "www.cachetest.net", 1)
+	step("hit on the refreshed entry", "www.cachetest.net", 0)
+
+	// 560 s in, alias's CNAME (600 s) is still cached, but www, refreshed
+	// at 250 s for 300 s, is not: the hit on the alias chases a miss.
+	tn.clock.Advance(310 * time.Second)
+	if res := step("cached alias, expired target", "alias.cachetest.net", 1); !res.CacheHit || res.Queries != 1 {
+		t.Fatalf("alias chase: hit=%v, %d exchanges; want a hit that asks once", res.CacheHit, res.Queries)
+	}
+
+	// A follower yields before it waits on the leader's flight.
+	r.Coalesce = func(cache.Key, func() (*Result, error)) (*Result, error, bool) {
+		return &Result{Msg: &dnswire.Message{}}, nil, true
+	}
+	step("coalesced follower", "nope.cachetest.net", 1)
+}

@@ -46,6 +46,17 @@ func AsAppendHandler(h Handler) AppendHandler {
 	return copyingHandler{h}
 }
 
+// Yielder is a Handler that says when a query is about to wait. A UDP
+// listener serves each datagram on the loop that read it, and that loop
+// holds the socket until something calls yield: only then does another loop
+// take over reading. Listen hands yield to BindYield once, before the first
+// query; the handler calls it before anything that may block (an upstream
+// exchange, a wait on another query's flight, an Ask). A handler that is
+// not a Yielder is served as if it called yield first thing.
+type Yielder interface {
+	BindYield(yield func())
+}
+
 type copyingHandler struct{ Handler }
 
 func (c copyingHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []byte {

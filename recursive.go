@@ -45,6 +45,17 @@ type transportHandler struct {
 	// stream is true for TCP, DoT and DoH, whose replies are bounded by the
 	// 64 KiB frame and never truncated to a datagram size.
 	stream bool
+	// yield is the UDP listener's, bound by BindYield; nil on the stream
+	// transports, which serve each connection on its own goroutine.
+	yield func()
+}
+
+// BindYield implements simnet.Yielder on the UDP listener's handler: the
+// client's resolutions yield where they first may wait, and a NOTIFY
+// yields before the zone pull it triggers.
+func (h *transportHandler) BindYield(yield func()) {
+	h.yield = yield
+	h.rs.Client.yieldOnWait(yield)
 }
 
 func (h transportHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
@@ -89,6 +100,9 @@ func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []by
 	}
 	if q.Header.Opcode == dnswire.OpcodeNotify && !q.Header.QR {
 		if sub := rs.push.Load(); sub != nil {
+			if h.yield != nil {
+				h.yield()
+			}
 			return append(dst, sub.HandleNotifyWire(wire, from)...)
 		}
 	}
@@ -163,17 +177,18 @@ func (rs *RecursiveServer) handler(transport string, stream bool) transportHandl
 
 // ListenUDP binds addr and serves client queries until Close.
 func (rs *RecursiveServer) ListenUDP(addr string) (netip.AddrPort, error) {
-	return rs.ls.UDP(addr, rs.handler("udp", false), rs.Client.registry)
+	h := rs.handler("udp", false)
+	return rs.ls.UDP(addr, &h, rs.Client.registry)
 }
 
 // ListenTCP binds addr for persistent-TCP clients (RFC 7766) until Close.
 func (rs *RecursiveServer) ListenTCP(addr string) (netip.AddrPort, error) {
-	return rs.ls.TCP(addr, rs.handler("tcp", true), nil)
+	return rs.ls.TCP(addr, rs.handler("tcp", true), nil, rs.Client.registry)
 }
 
 // ListenDoT binds addr for DNS-over-TLS clients (RFC 7858) until Close.
 func (rs *RecursiveServer) ListenDoT(addr string, cfg *tls.Config) (netip.AddrPort, error) {
-	return rs.ls.TCP(addr, rs.handler("dot", true), cfg)
+	return rs.ls.TCP(addr, rs.handler("dot", true), cfg, rs.Client.registry)
 }
 
 // ListenDoH binds addr for DNS-over-HTTPS clients (RFC 8484) until Close.
