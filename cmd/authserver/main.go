@@ -52,14 +52,14 @@ func applyZoneDiff(live, fresh *dnsttl.Zone) int {
 	want := map[setKey]*zone.RRSet{}
 	var order []setKey
 	for _, s := range fresh.AllSets() {
-		k := setKey{s.Name, s.Type}
+		k := setKey{s.Name(), s.Type()}
 		want[k] = s
 		order = append(order, k)
 	}
 	have := map[setKey]*zone.RRSet{}
 	var gone []setKey
 	for _, s := range live.AllSets() {
-		k := setKey{s.Name, s.Type}
+		k := setKey{s.Name(), s.Type()}
 		have[k] = s
 		if want[k] == nil {
 			gone = append(gone, k)

@@ -26,9 +26,9 @@ func TestAXFRRoundTrip(t *testing.T) {
 	}
 	// Every original RRset survives with TTLs intact.
 	for _, set := range orig.AllSets() {
-		got := z.Get(set.Name, set.Type)
-		if got == nil || got.TTL != set.TTL || len(got.RRs) != len(set.RRs) {
-			t.Errorf("set %s/%s lost or changed in transfer", set.Name, set.Type)
+		got := z.Get(set.Name(), set.Type())
+		if got == nil || got.TTL() != set.TTL() || len(got.RRs) != len(set.RRs) {
+			t.Errorf("set %s/%s lost or changed in transfer", set.Name(), set.Type())
 		}
 	}
 	if _, ok := z.SOA(); !ok {

@@ -79,11 +79,13 @@ const (
 )
 
 // Entry is one cached RRset (or negative answer). Its fields are ordered so
-// it fills a 160 B size class exactly.
+// it fills a 144 B size class exactly.
 type Entry struct {
-	Key    Key
-	RRs    []dnswire.RR
-	Stored time.Time
+	Key Key
+	RRs []dnswire.RR
+	// Stored is when the entry was stored, in Unix nanoseconds on the
+	// store's clock (time.Time.UnixNano); 0 means Put stamps it.
+	Stored int64
 	// GlueOf, when set, names the delegation NS owner this entry arrived
 	// as glue for; resolver policy may couple its lifetime to that NS set.
 	GlueOf   dnswire.Name
@@ -102,14 +104,14 @@ type Entry struct {
 	one        [1]dnswire.RR
 }
 
-// expiresAt is when the entry stops being fresh.
-func (e *Entry) expiresAt() time.Time {
-	return e.Stored.Add(time.Duration(e.TTL) * time.Second)
+// expiresAt is when the entry stops being fresh, in Unix nanoseconds.
+func (e *Entry) expiresAt() int64 {
+	return e.Stored + int64(e.TTL)*int64(time.Second)
 }
 
 // Remaining returns the decayed TTL at time now, and false if expired.
 func (e *Entry) Remaining(now time.Time) (uint32, bool) {
-	elapsed := now.Sub(e.Stored)
+	elapsed := time.Duration(now.UnixNano() - e.Stored)
 	if elapsed < 0 {
 		elapsed = 0
 	}
@@ -364,8 +366,8 @@ func (c *Cache) Len() int {
 // new key it judges less popular than the eviction victim.
 func (c *Cache) Put(e Entry) bool {
 	now := c.clock.Now()
-	if e.Stored.IsZero() {
-		e.Stored = now
+	if e.Stored == 0 {
+		e.Stored = now.UnixNano()
 	}
 	if c.cfg.MaxTTL > 0 && e.TTL > c.cfg.MaxTTL {
 		e.TTL = c.cfg.MaxTTL
@@ -473,7 +475,7 @@ func (c *Cache) GetStale(name dnswire.Name, t dnswire.Type) (*Entry, uint32, boo
 	if !ok {
 		return nil, 0, false
 	}
-	if now.Sub(e.expiresAt()) > staleFor {
+	if time.Duration(now.UnixNano()-e.expiresAt()) > staleFor {
 		return nil, 0, false
 	}
 	c.staleHits.Inc()

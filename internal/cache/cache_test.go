@@ -222,7 +222,7 @@ func TestRemoveAndFlushAndKeys(t *testing.T) {
 
 func TestRemainingBoundary(t *testing.T) {
 	clk := simnet.NewVirtualClock()
-	e := Entry{TTL: 10, Stored: clk.Now()}
+	e := Entry{TTL: 10, Stored: clk.Now().UnixNano()}
 	if rem, ok := e.Remaining(clk.Now()); !ok || rem != 10 {
 		t.Errorf("t=0: %d %v", rem, ok)
 	}
@@ -281,7 +281,7 @@ func TestEvictionPolicyText(t *testing.T) {
 func TestQuickDecayMonotonic(t *testing.T) {
 	f := func(ttl uint16, steps []uint8) bool {
 		clk := simnet.NewVirtualClock()
-		e := Entry{TTL: uint32(ttl), Stored: clk.Now()}
+		e := Entry{TTL: uint32(ttl), Stored: clk.Now().UnixNano()}
 		prev := uint32(ttl)
 		elapsed := uint64(0)
 		for _, s := range steps {

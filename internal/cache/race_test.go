@@ -79,7 +79,7 @@ func TestInstrument(t *testing.T) {
 	c.Put(Entry{
 		Key: Key{Name: name, Type: dnswire.TypeA},
 		RRs: []dnswire.RR{dnswire.NewA("www.example.org", 300, "192.0.2.1")},
-		TTL: 300, Stored: clock.Now(),
+		TTL: 300, Stored: clock.Now().UnixNano(),
 	})
 	c.Get(name, dnswire.TypeA)
 	c.Get(name, dnswire.TypeMX)

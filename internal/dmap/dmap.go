@@ -138,7 +138,7 @@ func Run(w *zonegen.World, seed int64) *Survey {
 		}
 		for _, t := range table7Types {
 			if set := d.Zone.Get(d.Name, t); set != nil {
-				ttls[class][t] = append(ttls[class][t], float64(set.TTL)/3600)
+				ttls[class][t] = append(ttls[class][t], float64(set.TTL())/3600)
 			}
 		}
 	}

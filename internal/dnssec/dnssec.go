@@ -182,7 +182,7 @@ func SignZone(z *zone.Zone, k *Key, now time.Time) (int, error) {
 	}
 	n := 0
 	for _, set := range z.AllSets() {
-		if set.Type == dnswire.TypeRRSIG {
+		if set.Type() == dnswire.TypeRRSIG {
 			continue
 		}
 		sig, err := Sign(k, set.RRs, now, 0)

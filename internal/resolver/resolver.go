@@ -580,7 +580,7 @@ func (r *Resolver) SetStaleGate(g StaleGate) {
 func (r *Resolver) fail(name dnswire.Name, qtype dnswire.Type, res *Result, err error) error {
 	if r.Policy.ServeStale {
 		if e, rem, ok := r.Cache.GetStale(name, qtype); ok && e.Negative == cache.NotNegative && e.Cred >= r.answerCred() {
-			if g := r.staleGate.Load(); g != nil && !(*g).AllowStale(name, qtype, e.Stored) {
+			if g := r.staleGate.Load(); g != nil && !(*g).AllowStale(name, qtype, time.Unix(0, e.Stored)) {
 				res.Span.Annotate("serve_stale_denied", string(name))
 				return err
 			}

@@ -124,7 +124,7 @@ func (r *Resolver) cacheReferral(resp *dnswire.Message, now time.Time) dnswire.N
 			Key:    cache.Key{Name: set[0].Name, Type: dnswire.TypeNS},
 			RRs:    set,
 			TTL:    set[0].TTL,
-			Stored: now,
+			Stored: now.UnixNano(),
 			Cred:   cache.CredAuthorityReferral,
 		})
 	})
@@ -149,7 +149,7 @@ func (r *Resolver) cacheReferral(resp *dnswire.Message, now time.Time) dnswire.N
 				Key:    cache.Key{Name: owner, Type: t},
 				RRs:    set,
 				TTL:    set[0].TTL,
-				Stored: now,
+				Stored: now.UnixNano(),
 				Cred:   cache.CredAdditional,
 				GlueOf: child,
 			})
@@ -180,7 +180,7 @@ func (r *Resolver) cacheAnswerSections(resp *dnswire.Message, now time.Time) {
 					Key:    cache.Key{Name: set[0].Name, Type: t},
 					RRs:    set,
 					TTL:    set[0].TTL,
-					Stored: now,
+					Stored: now.UnixNano(),
 					Cred:   sec.cred,
 				})
 			})
@@ -216,7 +216,7 @@ func (r *Resolver) cacheNegative(resp *dnswire.Message, name dnswire.Name, qtype
 	r.Cache.Put(cache.Entry{
 		Key:      cache.Key{Name: name, Type: qtype},
 		TTL:      ttl,
-		Stored:   now,
+		Stored:   now.UnixNano(),
 		Cred:     cache.CredAnswerAuth,
 		Negative: kind,
 	})

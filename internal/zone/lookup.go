@@ -97,12 +97,12 @@ func (z *Zone) Lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 	}
 
 	if head := z.sets[name]; head != nil {
-		if set := setOfType(head, t); set != nil {
+		if set := z.setOfTypeLocked(head, t); set != nil {
 			return LookupResult{Kind: Answer, Answer: set}
 		}
 		// CNAME matches any type except its own (and except at names that
 		// actually hold the queried type, handled above).
-		if cname := setOfType(head, dnswire.TypeCNAME); cname != nil && t != dnswire.TypeCNAME {
+		if cname := z.setOfTypeLocked(head, dnswire.TypeCNAME); cname != nil && t != dnswire.TypeCNAME {
 			return LookupResult{Kind: CNAMEAnswer, Answer: cname}
 		}
 		return LookupResult{Kind: NoData, Authority: z.soaLocked()}
@@ -134,10 +134,9 @@ func (z *Zone) wildcardLookupLocked(name dnswire.Name, t dnswire.Type) (LookupRe
 		if !n.IsRoot() {
 			key = append(key, n...)
 		}
-		if set := setOfType(z.sets[dnswire.Name(key)], t); set != nil {
+		if set := z.setOfTypeLocked(z.sets[dnswire.Name(key)], t); set != nil {
 			// Synthesize the answer at the query name, in a copy.
 			syn := set.Clone()
-			syn.Name = name
 			for i := range syn.RRs {
 				syn.RRs[i].Name = name
 			}

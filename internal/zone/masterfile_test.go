@@ -45,18 +45,18 @@ func TestParseMasterFile(t *testing.T) {
 		t.Errorf("SOA = %+v", sd)
 	}
 	ns := z.Get(dnswire.NewName("example.org"), dnswire.TypeNS)
-	if len(ns.RRs) != 2 || ns.TTL != 172800 {
+	if len(ns.RRs) != 2 || ns.TTL() != 172800 {
 		t.Errorf("NS set = %+v", ns)
 	}
 	if host := ns.RRs[1].Data.(dnswire.NS).Host; host != dnswire.NewName("ns2.dns-host.com") {
 		t.Errorf("absolute NS name mishandled: %v", host)
 	}
 	www := z.Get(dnswire.NewName("www.example.org"), dnswire.TypeA)
-	if www == nil || www.TTL != 300 {
+	if www == nil || www.TTL() != 300 {
 		t.Errorf("www A = %+v (comment stripping or TTL parse broken)", www)
 	}
 	cn := z.Get(dnswire.NewName("mail.example.org"), dnswire.TypeCNAME)
-	if cn == nil || cn.TTL != 3600 {
+	if cn == nil || cn.TTL() != 3600 {
 		t.Errorf("default $TTL not applied: %+v", cn)
 	}
 	txt := z.Get(dnswire.NewName("txt.example.org"), dnswire.TypeTXT)
@@ -72,7 +72,7 @@ func TestParseMasterFile(t *testing.T) {
 		t.Errorf("DNSKEY = %+v", key)
 	}
 	multi := z.Get(dnswire.NewName("multi.example.org"), dnswire.TypeSOA)
-	if multi == nil || multi.TTL != 3600 {
+	if multi == nil || multi.TTL() != 3600 {
 		t.Errorf("parenthesized record = %+v", multi)
 	}
 	if multi.RRs[0].Data.(dnswire.SOA).Expire != 1209600 {
@@ -165,35 +165,41 @@ func TestParseQuotedSyntax(t *testing.T) {
 
 // FuzzParse holds the contract authserver leans on when it reloads a zone
 // file at SIGHUP: Parse never panics on any text, and a zone it accepts is
-// consistent — every stored set looks up as something other than NXDOMAIN
-// or NotInZone, and the ancestor index equals a recount. The checked-in
-// corpus holds the quickstart zone, a delegation with glue, a wildcard and
-// two lines that once failed (a short A address, a parenthesis in quotes).
+// consistent — every stored set holds a record and its records carry the
+// set's owner, type and TTL (a set keeps those only in its records), every
+// stored set looks up as something other than NXDOMAIN or NotInZone,
+// and the ancestor index equals a recount. The checked-in corpus holds the
+// quickstart zone, a delegation with glue, a wildcard and two lines that
+// once failed (a short A address, a parenthesis in quotes).
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, text string) {
 		z, err := Parse(strings.NewReader(text), dnswire.NewName("example.org"))
 		if err != nil {
 			return
 		}
+		if err := storedSetsErr(z); err != nil {
+			t.Fatal(err)
+		}
 		for _, set := range z.AllSets() {
-			res := z.Lookup(set.Name, set.Type)
+			owner := set.Name()
+			res := z.Lookup(owner, set.Type())
 			if k := res.Kind; k == NXDomain || k == NotInZone {
-				t.Fatalf("stored set %s %s looks up as %s", set.Name, set.Type, k)
+				t.Fatalf("stored set %s %s looks up as %s", owner, set.Type(), k)
 			}
 			// The lookup's reply must survive the wire.
-			reply := dnswire.NewQuery(1, set.Name, set.Type).Reply()
+			reply := dnswire.NewQuery(1, owner, set.Type()).Reply()
 			res.FillReply(reply)
 			wire, err := dnswire.Encode(reply)
 			if err != nil {
-				t.Fatalf("%s %s: %s reply does not encode: %v", set.Name, set.Type, res.Kind, err)
+				t.Fatalf("%s %s: %s reply does not encode: %v", owner, set.Type(), res.Kind, err)
 			}
 			back, err := dnswire.Decode(wire)
 			if err != nil {
-				t.Fatalf("%s %s: %s reply does not decode: %v", set.Name, set.Type, res.Kind, err)
+				t.Fatalf("%s %s: %s reply does not decode: %v", owner, set.Type(), res.Kind, err)
 			}
 			if len(back.Answer) != len(reply.Answer) || len(back.Authority) != len(reply.Authority) ||
 				len(back.Additional) != len(reply.Additional) {
-				t.Fatalf("%s %s: %s reply sections %d/%d/%d decode as %d/%d/%d", set.Name, set.Type, res.Kind,
+				t.Fatalf("%s %s: %s reply sections %d/%d/%d decode as %d/%d/%d", owner, set.Type(), res.Kind,
 					len(reply.Answer), len(reply.Authority), len(reply.Additional),
 					len(back.Answer), len(back.Authority), len(back.Additional))
 			}

@@ -128,7 +128,7 @@ func (m *model) rrset(name dnswire.Name, t dnswire.Type) *RRSet {
 	if len(rrs) == 0 {
 		return nil
 	}
-	return &RRSet{Name: name, Type: t, TTL: m.ttls[name][t], RRs: rrs}
+	return &RRSet{RRs: rrs}
 }
 
 // lookup answers by brute force: the delegation walk, the owner's sets, the
@@ -163,7 +163,6 @@ func (m *model) lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 		n = n.Parent()
 		if set := m.rrset(n.Child("*"), t); set != nil {
 			syn := set.Clone()
-			syn.Name = name
 			for i := range syn.RRs {
 				syn.RRs[i].Name = name
 			}
@@ -178,17 +177,73 @@ func (m *model) lookup(name dnswire.Name, t dnswire.Type) LookupResult {
 	return LookupResult{Kind: NXDomain, Authority: soa}
 }
 
-// sameResult compares two lookup results, their sets by Name, Type, TTL and
-// RRs: how a zone links and stores its sets is not part of the answer.
+// setSerial applies SetSerial: it rewrites the serial of every apex SOA record
+// and emits nothing, as the zone's watcher is not told.
+func (m *model) setSerial(serial uint32) bool {
+	rrs := m.get(m.origin, dnswire.TypeSOA)
+	if len(rrs) == 0 {
+		return false
+	}
+	for i := range rrs {
+		soa := rrs[i].Data.(dnswire.SOA)
+		soa.Serial = serial
+		rrs[i].Data = soa
+	}
+	m.set(m.origin, dnswire.TypeSOA, m.ttls[m.origin][dnswire.TypeSOA], rrs)
+	return true
+}
+
+// sameResult compares two lookup results, their sets by Type, TTL and RRs:
+// how a zone links and stores its sets is not part of the answer.
 func sameResult(a, b LookupResult) bool {
 	sameSet := func(x, y *RRSet) bool {
 		if x == nil || y == nil {
 			return x == y
 		}
-		return x.Name == y.Name && x.Type == y.Type && x.TTL == y.TTL && reflect.DeepEqual(x.RRs, y.RRs)
+		return x.Type() == y.Type() && x.TTL() == y.TTL() && reflect.DeepEqual(x.RRs, y.RRs)
 	}
 	return a.Kind == b.Kind && sameSet(a.Answer, b.Answer) && sameSet(a.Authority, b.Authority) &&
 		reflect.DeepEqual(a.Glue, b.Glue)
+}
+
+// setErr checks the invariant a set's layout relies on, a set keeping its
+// owner, type and TTL only in its records: it holds a record, and every
+// record carries owner and the set's type and TTL.
+func setErr(owner dnswire.Name, set *RRSet) error {
+	if len(set.RRs) == 0 {
+		return fmt.Errorf("%s: a set without records", owner)
+	}
+	for _, rr := range set.RRs {
+		if rr.Name != owner || rr.Type != set.Type() || rr.TTL != set.TTL() {
+			return fmt.Errorf("%s %s, TTL %d: holds the record %s", owner, set.Type(), set.TTL(), rr)
+		}
+	}
+	return nil
+}
+
+// storedSetsErr checks setErr for every set stored in z, one set per type
+// at an owner, and that z links no set it does not store.
+func storedSetsErr(z *Zone) error {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	links := 0
+	for owner, first := range z.sets {
+		types := map[dnswire.Type]bool{}
+		for set := first; set != nil; set = z.next[set] {
+			if err := setErr(owner, set); err != nil {
+				return err
+			}
+			if types[set.Type()] {
+				return fmt.Errorf("%s holds two %s sets", owner, set.Type())
+			}
+			types[set.Type()] = true
+		}
+		links += len(types) - 1
+	}
+	if links != len(z.next) {
+		return fmt.Errorf("the zone holds %d links, its sets use %d", len(z.next), links)
+	}
+	return nil
 }
 
 // recountAncestors rebuilds the ancestor index from scratch: for every name
@@ -212,12 +267,14 @@ func recountAncestors(z *Zone) map[dnswire.Name]int {
 	return want
 }
 
-// TestZoneMatchesModel runs seeded random sequences of Add, Remove, Replace
-// and SetTTL, with a watcher attached and detached along the way, against a
-// zone that starts with a delegation and its glue, a wildcard, an empty
-// non-terminal and a CNAME. After every step each universe name and a set
-// of names no step writes look up as the model says, the ancestor index
-// equals a recount, and the watcher has seen the model's Change stream.
+// TestZoneMatchesModel runs seeded random sequences of Add, Remove, Replace,
+// SetTTL and SetSerial, with a watcher attached and detached along the way,
+// against a zone that starts with a delegation and its glue, a wildcard, an
+// empty non-terminal and a CNAME. After every step each universe name and a
+// set of names no step writes look up as the model says (an answer, wildcard
+// synthesis included, carrying the query name in every record), every stored
+// set passes setErr, the ancestor index equals a recount, and the watcher has
+// seen the model's Change stream.
 func TestZoneMatchesModel(t *testing.T) {
 	origin := dnswire.NewName("example.org")
 	n := dnswire.NewName
@@ -272,7 +329,7 @@ func TestZoneMatchesModel(t *testing.T) {
 		for step := 0; step < 150; step++ {
 			name, typ := universe[r.Intn(len(universe))], types[r.Intn(len(types))]
 			var op string
-			switch k := r.Intn(10); {
+			switch k := r.Intn(11); {
 			case k < 4:
 				rr := record(r, name, typ)
 				op = fmt.Sprintf("Add(%s)", rr)
@@ -299,6 +356,12 @@ func TestZoneMatchesModel(t *testing.T) {
 				if ok, want := z.SetTTL(name, typ, ttl), m.setTTL(name, typ, ttl); ok != want {
 					t.Fatalf("seed %d step %d: %s = %v, model %v", seed, step, op, ok, want)
 				}
+			case k < 10:
+				serial := uint32(r.Intn(1000))
+				op = fmt.Sprintf("SetSerial(%d)", serial)
+				if ok, want := z.SetSerial(serial), m.setSerial(serial); ok != want {
+					t.Fatalf("seed %d step %d: %s = %v, model %v", seed, step, op, ok, want)
+				}
 			default:
 				watched = !watched
 				op = fmt.Sprintf("watched=%v", watched)
@@ -313,10 +376,19 @@ func TestZoneMatchesModel(t *testing.T) {
 			got, m.events = nil, nil
 			for _, name := range queried {
 				for _, typ := range types {
-					if res, want := z.Lookup(name, typ), m.lookup(name, typ); !sameResult(res, want) {
+					res, want := z.Lookup(name, typ), m.lookup(name, typ)
+					if !sameResult(res, want) {
 						t.Fatalf("seed %d step %d: after %s Lookup(%s, %s) =\n%+v\nthe model\n%+v", seed, step, op, name, typ, res, want)
 					}
+					if res.Kind == Answer || res.Kind == CNAMEAnswer {
+						if err := setErr(name, res.Answer); err != nil {
+							t.Fatalf("seed %d step %d: after %s Lookup(%s, %s): %v", seed, step, op, name, typ, err)
+						}
+					}
 				}
+			}
+			if err := storedSetsErr(z); err != nil {
+				t.Fatalf("seed %d step %d: after %s: %v", seed, step, op, err)
 			}
 			if want := recountAncestors(z); !reflect.DeepEqual(z.ancestors, want) {
 				t.Fatalf("seed %d step %d: after %s ancestors = %v, recount %v", seed, step, op, z.ancestors, want)

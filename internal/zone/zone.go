@@ -16,6 +16,10 @@ import (
 // RFC 2181 §5.2 requires all members to share one TTL; Add enforces this by
 // clamping new members to the set's existing TTL.
 //
+// A set is its records and nothing they already say: its owner, type and
+// TTL are its first record's (a set always holds a record), and a
+// one-record set holds that record inline, so it is one 64 B allocation.
+//
 // A set stored in a Zone is immutable: every mutator (Add, Replace, SetTTL,
 // SetSerial, Remove) installs a new set in its place and never edits the old
 // one. That is what lets Lookup hand out the stored set itself, uncloned, to
@@ -23,20 +27,23 @@ import (
 // change. The other half of the rule is the reader's: a set that came from
 // Lookup is read-only — Clone it (or take it from Get) before editing.
 type RRSet struct {
-	Name dnswire.Name
-	Type dnswire.Type
-	TTL  uint32
-	RRs  []dnswire.RR
-	// next links a stored set to its owner's next set (see Zone.sets); a
-	// one-record set holds its record in one, RRs = one[:].
-	next *RRSet
-	one  [1]dnswire.RR
+	RRs []dnswire.RR
+	// one holds a one-record set's record, RRs = one[:].
+	one [1]dnswire.RR
 }
 
-// Clone returns a deep-enough copy whose RR slice can be mutated freely,
-// linked to no other set.
+// Name returns the set's owner name.
+func (s *RRSet) Name() dnswire.Name { return s.RRs[0].Name }
+
+// Type returns the set's record type.
+func (s *RRSet) Type() dnswire.Type { return s.RRs[0].Type }
+
+// TTL returns the set's TTL, which every record carries.
+func (s *RRSet) TTL() uint32 { return s.RRs[0].TTL }
+
+// Clone returns a deep-enough copy whose RR slice can be mutated freely.
 func (s *RRSet) Clone() *RRSet {
-	c := &RRSet{Name: s.Name, Type: s.Type, TTL: s.TTL}
+	c := &RRSet{}
 	if len(s.RRs) == 1 {
 		c.one[0] = s.RRs[0]
 		c.RRs = c.one[:]
@@ -70,11 +77,13 @@ type Zone struct {
 	watcher func(Change)
 	// Origin is the zone apex.
 	Origin dnswire.Name
-	// sets maps an owner name to the first of its RRsets, one per type,
-	// chained by RRSet.next: owners hold one to four types, and a one-A
-	// owner is its map slot and one RRSet. putSetLocked is the one writer,
-	// and a stored set's link is as immutable as its records.
+	// sets maps an owner name to the first of its RRsets, one per type, and
+	// next chains each set of an owner of several types to the owner's next
+	// set: a one-A owner is its map slot and one RRSet, and only the few
+	// owners of more types pay for links. putSetLocked is the one writer of
+	// both, and readers follow a link only under mu.
 	sets map[dnswire.Name]*RRSet
+	next map[*RRSet]*RRSet
 	// ancestors counts, for every name strictly above an owner up to the
 	// origin, how many owner names sit below it — it makes empty
 	// non-terminal detection O(label count) instead of a full-zone scan.
@@ -87,6 +96,7 @@ func New(origin dnswire.Name) *Zone {
 	return &Zone{
 		Origin:    origin,
 		sets:      make(map[dnswire.Name]*RRSet),
+		next:      make(map[*RRSet]*RRSet),
 		ancestors: make(map[dnswire.Name]int),
 	}
 }
@@ -131,7 +141,7 @@ func (z *Zone) SetSerial(serial uint32) bool {
 	z.mu.Lock()
 	defer z.mu.Unlock()
 	set := z.lookupSetLocked(z.Origin, dnswire.TypeSOA)
-	if set == nil || len(set.RRs) == 0 {
+	if set == nil {
 		return false
 	}
 	next := set.Clone()
@@ -184,7 +194,7 @@ func (z *Zone) Add(rr dnswire.RR) error {
 func (z *Zone) addLocked(rr dnswire.RR) bool {
 	set := z.lookupSetLocked(rr.Name, rr.Type)
 	if set == nil {
-		set = &RRSet{Name: rr.Name, Type: rr.Type, TTL: rr.TTL, one: [1]dnswire.RR{rr}}
+		set = &RRSet{one: [1]dnswire.RR{rr}}
 		set.RRs = set.one[:]
 		z.putSetLocked(rr.Name, rr.Type, set)
 		return true
@@ -195,9 +205,9 @@ func (z *Zone) addLocked(rr dnswire.RR) bool {
 		}
 	}
 	// The stored set may be in a reader's hands: the record joins a copy.
-	rr.TTL = set.TTL
+	rr.TTL = set.TTL()
 	rrs := append(make([]dnswire.RR, 0, len(set.RRs)+1), set.RRs...)
-	z.putSetLocked(rr.Name, rr.Type, &RRSet{Name: set.Name, Type: set.Type, TTL: set.TTL, RRs: append(rrs, rr)})
+	z.putSetLocked(rr.Name, rr.Type, &RRSet{RRs: append(rrs, rr)})
 	return true
 }
 
@@ -260,29 +270,28 @@ func (z *Zone) SetTTL(name dnswire.Name, t dnswire.Type, ttl uint32) bool {
 	z.commit(name, t, func() bool {
 		set := z.lookupSetLocked(name, t)
 		found = set != nil
-		if set == nil || set.TTL == ttl {
+		if set == nil || set.TTL() == ttl {
 			return false
 		}
 		retimed := set.Clone()
-		retimed.TTL = ttl
 		for i := range retimed.RRs {
 			retimed.RRs[i].TTL = ttl
 		}
 		z.putSetLocked(name, t, retimed)
-		return retimed.TTL != set.TTL // an oversize ttl was stored as 0, maybe as before
+		return retimed.TTL() != set.TTL() // an oversize ttl was stored as 0, maybe as before
 	})
 	return found
 }
 
 // lookupSetLocked returns the stored RRset for (name, t), or nil.
 func (z *Zone) lookupSetLocked(name dnswire.Name, t dnswire.Type) *RRSet {
-	return setOfType(z.sets[name], t)
+	return z.setOfTypeLocked(z.sets[name], t)
 }
 
-// setOfType walks one owner's chain of sets for type t.
-func setOfType(head *RRSet, t dnswire.Type) *RRSet {
-	for set := head; set != nil; set = set.next {
-		if set.Type == t {
+// setOfTypeLocked walks one owner's chain of sets for type t.
+func (z *Zone) setOfTypeLocked(head *RRSet, t dnswire.Type) *RRSet {
+	for set := head; set != nil; set = z.next[set] {
+		if set.Type() == t {
 			return set
 		}
 	}
@@ -291,52 +300,58 @@ func setOfType(head *RRSet, t dnswire.Type) *RRSet {
 
 // putSetLocked installs set as the RRset for (name, t), in the place of the
 // stored one or at the head of the owner's chain, and returns the set it
-// displaced; a nil set deletes. It is the one writer of z.sets, so the rules
-// of what is stored live here: a TTL above 2^31-1 is stored as 0 (RFC 2181
-// §8; set is the caller's own, not yet shared), the sets ahead of a replaced
-// or deleted one are relinked as copies, and the ancestor index moves when
-// name gains its first set or loses its last.
+// displaced; a nil set deletes. It is the one writer of z.sets and z.next,
+// so the rules of what is stored live here: a TTL above 2^31-1 is stored as
+// 0 (RFC 2181 §8; set is the caller's own, not yet shared), a displaced set
+// keeps no link, and the ancestor index moves when name gains its first set
+// or loses its last.
 func (z *Zone) putSetLocked(name dnswire.Name, t dnswire.Type, set *RRSet) *RRSet {
-	if set != nil && set.TTL > dnswire.MaxTTL {
-		set.TTL = 0
+	if set != nil && set.TTL() > dnswire.MaxTTL {
 		for i := range set.RRs {
 			set.RRs[i].TTL = 0
 		}
 	}
 	head := z.sets[name]
-	have := setOfType(head, t)
+	var prev, have *RRSet
+	for have = head; have != nil && have.Type() != t; have = z.next[have] {
+		prev = have
+	}
 	if have == nil {
 		if set != nil {
 			if head == nil {
 				z.indexOwnerLocked(name, 1)
 			}
-			set.next = head
+			z.linkLocked(set, head)
 			z.sets[name] = set
 		}
 		return nil
 	}
-	rest := have.next
+	rest := z.next[have]
+	delete(z.next, have)
 	if set != nil {
-		set.next, rest = rest, set
+		z.linkLocked(set, rest)
+		rest = set
 	}
-	if head = relinkAhead(head, have, rest); head == nil {
+	switch {
+	case prev != nil:
+		z.linkLocked(prev, rest)
+	case rest != nil:
+		z.sets[name] = rest
+	default:
 		delete(z.sets, name)
 		z.indexOwnerLocked(name, -1)
-	} else {
-		z.sets[name] = head
 	}
 	return have
 }
 
-// relinkAhead returns copies of the chain's sets from set up to stop, in
-// order, followed by rest.
-func relinkAhead(set, stop, rest *RRSet) *RRSet {
-	if set == stop {
-		return rest
+// linkLocked chains next after set in its owner's chain, or ends the chain
+// at set when next is nil.
+func (z *Zone) linkLocked(set, next *RRSet) {
+	if next == nil {
+		delete(z.next, set)
+	} else {
+		z.next[set] = next
 	}
-	c := set.Clone()
-	c.next = relinkAhead(set.next, stop, rest)
-	return c
 }
 
 // Get returns a copy of the RRset for (name, t), or nil.
@@ -357,7 +372,7 @@ func (z *Zone) Owner(spelling []byte) (dnswire.Name, bool) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	if head := z.sets[dnswire.Name(spelling)]; head != nil {
-		return head.Name, true
+		return head.Name(), true
 	}
 	return "", false
 }
@@ -365,7 +380,7 @@ func (z *Zone) Owner(spelling []byte) (dnswire.Name, bool) {
 // SOA returns the zone's SOA record, or false if the zone has none.
 func (z *Zone) SOA() (dnswire.RR, bool) {
 	set := z.Get(z.Origin, dnswire.TypeSOA)
-	if set == nil || len(set.RRs) == 0 {
+	if set == nil {
 		return dnswire.RR{}, false
 	}
 	return set.RRs[0], true
@@ -391,11 +406,11 @@ func (z *Zone) AllSets() []*RRSet {
 	var out []*RRSet
 	for _, n := range names {
 		first := len(out)
-		for set := z.sets[n]; set != nil; set = set.next {
+		for set := z.sets[n]; set != nil; set = z.next[set] {
 			out = append(out, set.Clone())
 		}
 		owned := out[first:]
-		sort.Slice(owned, func(i, j int) bool { return owned[i].Type < owned[j].Type })
+		sort.Slice(owned, func(i, j int) bool { return owned[i].Type() < owned[j].Type() })
 	}
 	return out
 }
@@ -437,7 +452,7 @@ func (z *Zone) RecordCount() int {
 	defer z.mu.RUnlock()
 	n := 0
 	for _, head := range z.sets {
-		for set := head; set != nil; set = set.next {
+		for set := head; set != nil; set = z.next[set] {
 			n += len(set.RRs)
 		}
 	}

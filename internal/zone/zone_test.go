@@ -45,8 +45,8 @@ func TestAddClampsTTLToRRSet(t *testing.T) {
 	z.MustAdd(dnswire.NewA("x.example.org", 100, "192.0.2.1"))
 	z.MustAdd(dnswire.NewA("x.example.org", 999, "192.0.2.2"))
 	set := z.Get(dnswire.NewName("x.example.org"), dnswire.TypeA)
-	if set.TTL != 100 {
-		t.Errorf("set TTL = %d, want 100", set.TTL)
+	if set.TTL() != 100 {
+		t.Errorf("set TTL = %d, want 100", set.TTL())
 	}
 	for _, rr := range set.RRs {
 		if rr.TTL != 100 {
@@ -70,8 +70,8 @@ func TestAddZeroesOversizeTTL(t *testing.T) {
 	rr := dnswire.NewA("x.example.org", 0, "192.0.2.1")
 	rr.TTL = 1 << 31 // exceeds RFC 2181 §8 limit
 	z.MustAdd(rr)
-	if set := z.Get(dnswire.NewName("x.example.org"), dnswire.TypeA); set.TTL != 0 {
-		t.Errorf("TTL > 2^31-1 must be treated as 0, got %d", set.TTL)
+	if set := z.Get(dnswire.NewName("x.example.org"), dnswire.TypeA); set.TTL() != 0 {
+		t.Errorf("TTL > 2^31-1 must be treated as 0, got %d", set.TTL())
 	}
 }
 
@@ -89,8 +89,8 @@ func TestSetTTLZeroesOversizeTTL(t *testing.T) {
 			t.Fatal("SetTTL missed the set")
 		}
 	}
-	if set := z.Get(name, dnswire.TypeA); set.TTL != 0 || set.RRs[0].TTL != 0 {
-		t.Errorf("TTL > 2^31-1 must be stored as 0, got set %d, record %d", set.TTL, set.RRs[0].TTL)
+	if set := z.Get(name, dnswire.TypeA); set.TTL() != 0 || set.RRs[0].TTL != 0 {
+		t.Errorf("TTL > 2^31-1 must be stored as 0, got set %d, record %d", set.TTL(), set.RRs[0].TTL)
 	}
 	if len(events) != 1 {
 		t.Errorf("%d watcher events, want 1 (300 -> 0, then nothing)", len(events))
@@ -103,7 +103,7 @@ func TestLookupAnswer(t *testing.T) {
 	if res.Kind != Answer {
 		t.Fatalf("kind = %s, want answer", res.Kind)
 	}
-	if len(res.Answer.RRs) != 1 || res.Answer.TTL != 300 {
+	if len(res.Answer.RRs) != 1 || res.Answer.TTL() != 300 {
 		t.Errorf("answer = %+v", res.Answer)
 	}
 }
@@ -114,7 +114,7 @@ func TestLookupNoData(t *testing.T) {
 	if res.Kind != NoData {
 		t.Fatalf("kind = %s, want nodata", res.Kind)
 	}
-	if res.Authority == nil || res.Authority.Type != dnswire.TypeSOA {
+	if res.Authority == nil || res.Authority.Type() != dnswire.TypeSOA {
 		t.Errorf("negative answer must carry SOA, got %+v", res.Authority)
 	}
 }
@@ -125,7 +125,7 @@ func TestLookupNXDomain(t *testing.T) {
 	if res.Kind != NXDomain {
 		t.Fatalf("kind = %s, want nxdomain", res.Kind)
 	}
-	if res.Authority == nil || res.Authority.Type != dnswire.TypeSOA {
+	if res.Authority == nil || res.Authority.Type() != dnswire.TypeSOA {
 		t.Errorf("NXDOMAIN must carry SOA")
 	}
 }
@@ -160,7 +160,7 @@ func TestLookupDelegationWithGlue(t *testing.T) {
 	if res.Kind != Delegation {
 		t.Fatalf("kind = %s, want delegation", res.Kind)
 	}
-	if res.Authority.Name != dnswire.NewName("sub.example.org") || res.Authority.Type != dnswire.TypeNS {
+	if res.Authority.RRs[0].Name != dnswire.NewName("sub.example.org") || res.Authority.Type() != dnswire.TypeNS {
 		t.Errorf("authority = %+v", res.Authority)
 	}
 	if len(res.Glue) != 1 || res.Glue[0].Name != dnswire.NewName("ns1.sub.example.org") {
@@ -179,8 +179,8 @@ func TestLookupWildcard(t *testing.T) {
 	if res.Kind != Answer {
 		t.Fatalf("kind = %s, want answer via wildcard", res.Kind)
 	}
-	if res.Answer.Name != dnswire.NewName("anything.wild.example.org") {
-		t.Errorf("wildcard answer must be synthesized at the query name, got %s", res.Answer.Name)
+	if res.Answer.RRs[0].Name != dnswire.NewName("anything.wild.example.org") {
+		t.Errorf("wildcard answer must be synthesized at the query name, got %s", res.Answer.RRs[0].Name)
 	}
 	if res.Answer.RRs[0].Data.(dnswire.A).Addr.String() != "192.0.2.99" {
 		t.Errorf("wildcard RDATA wrong")
@@ -217,7 +217,7 @@ func TestSetTTL(t *testing.T) {
 		t.Fatal("SetTTL on existing set returned false")
 	}
 	set := z.Get(dnswire.NewName("example.org"), dnswire.TypeNS)
-	if set.TTL != 86400 || set.RRs[0].TTL != 86400 {
+	if set.TTL() != 86400 || set.RRs[0].TTL != 86400 {
 		t.Errorf("SetTTL did not propagate: %+v", set)
 	}
 	if z.SetTTL(dnswire.NewName("missing.example.org"), dnswire.TypeA, 1) {

@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-ceiling=25913
+ceiling=25929
 
 lines=$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l)
 echo "line_budget: $lines non-test Go lines in the root module (ceiling $ceiling)"
