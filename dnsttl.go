@@ -22,6 +22,7 @@ package dnsttl
 import (
 	"dnsttl/internal/core"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/population"
 	"dnsttl/internal/resolver"
 	"dnsttl/internal/simnet"
 	"dnsttl/internal/zone"
@@ -124,8 +125,9 @@ func ParseFaultSchedule(spec string) (*FaultSchedule, error) {
 type (
 	// ZoneConfig is a domain's TTL configuration.
 	ZoneConfig = core.ZoneConfig
-	// PopulationModel is the resolver-behavior mix.
-	PopulationModel = core.PopulationModel
+	// PopulationModel is the resolver-behavior mix: weighted profiles,
+	// each a resolver.Policy, the same type the simulation runs.
+	PopulationModel = population.Mix
 	// Scenario captures the operational factors of §6.1.
 	Scenario = core.Scenario
 	// Recommendation is one advisor finding.
@@ -138,9 +140,11 @@ type (
 	Estimates = core.Estimates
 )
 
-// MeasuredPopulation returns the resolver mix the paper measured: 90 %
-// child-centric, 10 % parent-centric, 15 % capping at 21599 s.
-func MeasuredPopulation() PopulationModel { return core.MeasuredPopulation() }
+// MeasuredPopulation returns the resolver mix calibrated to the paper's
+// measurements, the one every simulated fleet runs: 92.5 % child-centric
+// (15 % behind a Google-style serve-time cap at 21599 s) and 7.5 %
+// parent-centric (OpenDNS-like and RFC 7706 local-root).
+func MeasuredPopulation() PopulationModel { return population.DefaultMix() }
 
 // EffectiveNSTTL computes which NS TTLs the population will honor.
 func EffectiveNSTTL(cfg ZoneConfig, pop PopulationModel) Distribution {

@@ -20,9 +20,8 @@ func ExampleEffectiveNSTTL() {
 	d := dnsttl.EffectiveNSTTL(cfg, dnsttl.MeasuredPopulation())
 	fmt.Print(d)
 	// Output:
-	//     90.0%  TTL 300     child-centric (child NS TTL)
-	//      1.5%  TTL 21599   parent-centric (parent NS TTL), capped
-	//      8.5%  TTL 172800  parent-centric (parent NS TTL)
+	//     92.5%  TTL 300     child-centric (child NS TTL)
+	//      7.5%  TTL 172800  parent-centric (parent NS TTL)
 }
 
 // The §4 finding as a one-liner: in-bailiwick server addresses live only
@@ -33,7 +32,7 @@ func ExampleEffectiveAddrTTL() {
 		ChildAddrTTL: 7200,
 		Bailiwick:    dnsttl.BailiwickInOnly,
 	}
-	d := dnsttl.EffectiveAddrTTL(cfg, dnsttl.PopulationModel{ChildCentric: 1})
+	d := dnsttl.EffectiveAddrTTL(cfg, dnsttl.MeasuredPopulation())
 	fmt.Printf("effective address TTL: %d s (configured %d s)\n", d.Min(), cfg.ChildAddrTTL)
 	// Output:
 	// effective address TTL: 3600 s (configured 7200 s)
@@ -170,10 +169,9 @@ func ExampleRunExperiment_centricity() {
 	fmt.Printf("parent-side answers:   %.1f%%\n", 100*report.Metric("frac_parent_ttl"))
 	fmt.Printf("full 172800 s answers: %.1f%%\n", 100*report.Metric("frac_full_parent"))
 	// Output:
-	//     90.0%  TTL 300     child-centric (child NS TTL)
-	//      1.5%  TTL 21599   parent-centric (parent NS TTL), capped
-	//      8.5%  TTL 172800  parent-centric (parent NS TTL)
-	// [WARNING] parent-child-mismatch: parent NS TTL (172800) and child NS TTL (300) diverge: ~10% of resolvers are parent-centric and will use the parent's value; align them or accept a mixed effective TTL
+	//     92.5%  TTL 300     child-centric (child NS TTL)
+	//      7.5%  TTL 172800  parent-centric (parent NS TTL)
+	// [WARNING] parent-child-mismatch: parent NS TTL (172800) and child NS TTL (300) diverge: ~7.5% of resolvers are parent-centric and will use the parent's value; align them or accept a mixed effective TTL
 	// [WARNING] short-ns-ttl: NS TTL 300 s prevents caching without an operational need; §5.3 measured median latency dropping from 28.7 ms to 8 ms when .uy raised 300 s to 86400 s — use 3600-86400 s
 	// child-centric answers: 89.6%
 	// parent-side answers:   10.4%
@@ -204,7 +202,8 @@ func ExampleRunExperiment_bailiwick() {
 	fmt.Printf("out-of-bailiwick switched after 120 min: %.0f%%\n", 100*report.Metric("out_frac_new_after_both_expiry"))
 	// Output:
 	// in-only nameservers:
-	//    100.0%  TTL 3600    in-bailiwick: address tied to NS expiry (min of the two)
+	//     99.8%  TTL 3600    in-bailiwick: address tied to NS expiry (min of the two)
+	//      0.2%  TTL 7200    in-bailiwick, glue not refreshed on referral: address cached for its full TTL
 	//   [ADVICE] in-bailiwick-addr-exceeds-ns: server address TTL (7200) exceeds the NS TTL (3600) but in-bailiwick addresses are re-fetched when the NS expires; the extra lifetime is never used — set them equal
 	// out-only nameservers:
 	//    100.0%  TTL 7200    out-of-bailiwick: address cached independently for its full TTL
@@ -292,7 +291,7 @@ func ExampleEstimate() {
 	// TTL   900 s: hit rate  94.7%, mean latency  5.9ms,  3.8 auth q/hour
 	// TTL  3600 s: hit rate  98.6%, mean latency  4.5ms,  1.0 auth q/hour
 	// TTL 14400 s: hit rate  99.7%, mean latency  4.1ms,  0.2 auth q/hour
-	// TTL 86400 s: hit rate  99.9%, mean latency    4ms,  0.1 auth q/hour
+	// TTL 86400 s: hit rate  99.9%, mean latency    4ms,  0.0 auth q/hour
 	// CDN-style steering:
 	//   [ADVICE] agility-service-ttl: DNS-based load balancing or DDoS redirection needs short *service* TTLs: 300-900 s (current 3600 s)
 	// DDoS scrubbing on a metered service:

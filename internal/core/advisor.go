@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"dnsttl/internal/population"
 	"dnsttl/internal/zone"
 )
 
@@ -65,8 +66,10 @@ const (
 	recommendedHigh  = 86400
 )
 
-// Advise runs the §6 rule set over a configuration and scenario.
+// Advise runs the §6 rule set over a configuration and scenario, for the
+// resolver population the simulation runs (population.DefaultMix).
 func Advise(cfg ZoneConfig, sc Scenario) []Recommendation {
+	mix := population.DefaultMix()
 	var out []Recommendation
 	add := func(sev Severity, rule, format string, args ...any) {
 		out = append(out, Recommendation{Severity: sev, Rule: rule, Text: fmt.Sprintf(format, args...)})
@@ -75,12 +78,10 @@ func Advise(cfg ZoneConfig, sc Scenario) []Recommendation {
 	needsAgility := sc.DNSLoadBalancing || sc.DDoSScrubbing
 
 	// TTL=0 undermines caching entirely (§5.1.2).
-	for name, ttl := range map[string]uint32{
-		"NS": cfg.ChildNSTTL, "service": cfg.ServiceTTL, "server address": cfg.ChildAddrTTL,
-	} {
+	for i, ttl := range []uint32{cfg.ChildNSTTL, cfg.ServiceTTL, cfg.ChildAddrTTL} {
 		if ttl == 0 {
 			add(Warning, "zero-ttl",
-				"%s TTL is 0: every query reaches the authoritative, raising latency and erasing DDoS resilience; use at least %d s", name, minAgileTTL)
+				"%s TTL is 0: every query reaches the authoritative, raising latency and erasing DDoS resilience; use at least %d s", []string{"NS", "service", "server address"}[i], minAgileTTL)
 		}
 	}
 
@@ -93,8 +94,8 @@ func Advise(cfg ZoneConfig, sc Scenario) []Recommendation {
 			sev = Warning
 		}
 		add(sev, "parent-child-mismatch",
-			"parent NS TTL (%d) and child NS TTL (%d) diverge: ~10%% of resolvers are parent-centric and will use the parent's value; align them or accept a mixed effective TTL",
-			cfg.ParentNSTTL, cfg.ChildNSTTL)
+			"parent NS TTL (%d) and child NS TTL (%d) diverge: ~%.1f%% of resolvers are parent-centric and will use the parent's value; align them or accept a mixed effective TTL",
+			cfg.ParentNSTTL, cfg.ChildNSTTL, 100*parentShare(mix))
 	}
 
 	// In-bailiwick A > NS is ineffective (§4.2, §6.3: "TTLs of A/AAAA
@@ -146,7 +147,7 @@ func Advise(cfg ZoneConfig, sc Scenario) []Recommendation {
 	}
 
 	if sc.MeteredDNS {
-		est := Estimate(EffectiveServiceTTL(cfg, MeasuredPopulation()), DefaultWorkload())
+		est := Estimate(EffectiveServiceTTL(cfg, mix), DefaultWorkload())
 		add(Info, "metered-cost",
 			"metered DNS: this configuration yields ~%.0f authoritative queries/hour per busy resolver (hit rate %.0f%%); longer TTLs cut the bill",
 			est.AuthQueriesPerHour, est.HitRate*100)
@@ -156,4 +157,17 @@ func Advise(cfg ZoneConfig, sc Scenario) []Recommendation {
 		add(Info, "ok", "configuration follows the paper's recommendations")
 	}
 	return out
+}
+
+// parentShare is the share of mix that honors parent-side TTLs; 0 for a mix
+// that population.Mix.Validate rejects.
+func parentShare(mix population.Mix) float64 {
+	shares, _ := mix.Shares()
+	total := 0.0
+	for i, s := range shares {
+		if parentCentric(mix[i].Policy) {
+			total += s
+		}
+	}
+	return total
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/population"
+	"dnsttl/internal/resolver"
 	"dnsttl/internal/zone"
 )
 
@@ -22,46 +25,112 @@ func uyBefore() ZoneConfig {
 }
 
 func TestEffectiveNSTTL(t *testing.T) {
-	d := EffectiveNSTTL(uyBefore(), MeasuredPopulation())
-	var child, parent float64
-	for _, s := range d {
-		switch s.TTL {
-		case 300:
-			child += s.Share
-		case 172800, 21599:
-			parent += s.Share
+	d := EffectiveNSTTL(uyBefore(), population.DefaultMix())
+	want := Distribution{
+		{TTL: 300, Share: 0.925, Why: "child-centric (child NS TTL)"},
+		{TTL: 172800, Share: 0.075, Why: "parent-centric (parent NS TTL)"},
+	}
+	if len(d) != len(want) {
+		t.Fatalf("EffectiveNSTTL = %v, want %v", d, want)
+	}
+	for i := range want {
+		if d[i].TTL != want[i].TTL || math.Abs(d[i].Share-want[i].Share) > 1e-9 || d[i].Why != want[i].Why {
+			t.Errorf("share %d = %+v, want %+v", i, d[i], want[i])
 		}
-	}
-	if math.Abs(child-0.9) > 1e-9 {
-		t.Errorf("child share = %v, want 0.9", child)
-	}
-	if math.Abs(parent-0.1) > 1e-9 {
-		t.Errorf("parent share = %v, want 0.1", parent)
-	}
-	// Shares always sum to 1.
-	sum := 0.0
-	for _, s := range d {
-		sum += s.Share
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Errorf("shares sum to %v", sum)
 	}
 }
 
+// TestEffectiveNSTTLCapSplitsShares: a google.co-style child NS TTL splits
+// the child-centric share by how each profile caps. The Unbound-like fifth
+// stores at most a day; the Google-like 15 % clamps only what it reports, so
+// its cache keeps the full TTL.
 func TestEffectiveNSTTLCapSplitsShares(t *testing.T) {
 	cfg := uyBefore()
-	cfg.ChildNSTTL = 345600 // google.co-style
+	cfg.ChildNSTTL = 345600
 	cfg.ParentNSTTL = 900
-	d := EffectiveNSTTL(cfg, MeasuredPopulation())
-	capped := 0.0
-	for _, s := range d {
-		if s.TTL == 21599 {
-			capped += s.Share
+	got := map[uint32]float64{}
+	for _, s := range EffectiveNSTTL(cfg, population.DefaultMix()) {
+		got[s.TTL] += s.Share
+	}
+	want := map[uint32]float64{900: 0.075, 86400: 0.2, 345600: 0.725}
+	if len(got) != len(want) {
+		t.Fatalf("NS lifetimes = %v, want %v", got, want)
+	}
+	for ttl, share := range want {
+		if math.Abs(got[ttl]-share) > 1e-9 {
+			t.Errorf("share at %d s = %v, want %v", ttl, got[ttl], share)
 		}
 	}
-	// 15 % of the child-centric 90 %.
-	if math.Abs(capped-0.9*0.15) > 1e-9 {
-		t.Errorf("capped share = %v, want 0.135", capped)
+}
+
+// TestEffectiveTTLPerProfile runs each DefaultMix profile as a population of
+// its own: every Effective*TTL must be the lifetime that profile's Policy
+// gives. The zone is google.co-like (a long child NS TTL over a short parent
+// one) with in-bailiwick servers whose address outlives the NS set, so caps,
+// centricity and the NS/A coupling all show.
+func TestEffectiveTTLPerProfile(t *testing.T) {
+	cfg := ZoneConfig{
+		ParentNSTTL: 900, ChildNSTTL: 345600,
+		ParentGlueTTL: 600, ChildAddrTTL: 518400,
+		Bailiwick: zone.BailiwickInOnly, ServiceTTL: 259200,
+	}
+	want := map[string]struct{ ns, addr, service uint32 }{
+		"bind-like":    {345600, 345600, 259200}, // one-week storage cap: nothing over it
+		"unbound-like": {86400, 86400, 86400},    // one-day storage cap
+		"google-like":  {345600, 345600, 259200}, // serve-time cap: the cache keeps the full TTL
+		"opendns-like": {900, 600, 259200},       // parent NS; glue re-learned with it
+		"localroot":    {900, 600, 259200},       // parent-centric through the mirror
+		"sticky":       {345600, 345600, 259200}, // stickiness is server choice, not lifetime
+		"decoupled":    {345600, 518400, 259200}, // keeps its fresh in-bailiwick address
+	}
+	mix := population.DefaultMix()
+	if len(mix) != len(want) {
+		t.Fatalf("DefaultMix has %d profiles, the table %d", len(mix), len(want))
+	}
+	for _, p := range mix {
+		w, ok := want[p.Name]
+		if !ok {
+			t.Errorf("profile %q is not in the table", p.Name)
+			continue
+		}
+		one := population.Mix{p}
+		for _, c := range []struct {
+			kind string
+			d    Distribution
+			want uint32
+		}{
+			{"NS", EffectiveNSTTL(cfg, one), w.ns},
+			{"address", EffectiveAddrTTL(cfg, one), w.addr},
+			{"service", EffectiveServiceTTL(cfg, one), w.service},
+		} {
+			if len(c.d) != 1 || c.d[0].TTL != c.want || c.d[0].Share != 1 {
+				t.Errorf("%s %s lifetime = %v, want 100%% at %d s", p.Name, c.kind, c.d, c.want)
+			}
+		}
+	}
+}
+
+// TestEffectiveTTLInvalidMix pins what a mix population.Mix.Validate
+// rejects yields: an empty distribution, never a guessed default.
+func TestEffectiveTTLInvalidMix(t *testing.T) {
+	profile := population.DefaultMix()[0]
+	zero := profile
+	zero.Weight = 0
+	for name, mix := range map[string]population.Mix{
+		"nil":         nil,
+		"zero weight": {profile, zero},
+		"NaN weight":  {{Name: "nan", Weight: math.NaN(), Policy: profile.Policy}},
+	} {
+		cfg := uyBefore()
+		for kind, d := range map[string]Distribution{
+			"NS":      EffectiveNSTTL(cfg, mix),
+			"address": EffectiveAddrTTL(cfg, mix),
+			"service": EffectiveServiceTTL(cfg, mix),
+		} {
+			if len(d) != 0 {
+				t.Errorf("%s mix: %s distribution = %v, want empty", name, kind, d)
+			}
+		}
 	}
 }
 
@@ -71,22 +140,29 @@ func TestEffectiveAddrTTLBailiwick(t *testing.T) {
 		ParentGlueTTL: 172800, ChildAddrTTL: 7200,
 		Bailiwick: zone.BailiwickInOnly,
 	}
-	pop := PopulationModel{ChildCentric: 1}
-	d := EffectiveAddrTTL(cfg, pop)
+	child := population.AllChildCentric()
+	d := EffectiveAddrTTL(cfg, child)
 	// §4.2: in-bailiwick → min(NS, addr) = 3600.
 	if len(d) != 1 || d[0].TTL != 3600 {
 		t.Fatalf("in-bailiwick effective addr TTL = %v, want 3600", d)
 	}
 	cfg.Bailiwick = zone.BailiwickOutOnly
-	d = EffectiveAddrTTL(cfg, pop)
+	d = EffectiveAddrTTL(cfg, child)
 	// §4.3: out-of-bailiwick → full 7200.
 	if len(d) != 1 || d[0].TTL != 7200 {
 		t.Fatalf("out-of-bailiwick effective addr TTL = %v, want 7200", d)
 	}
 	// Parent-centric share rides the glue.
-	d = EffectiveAddrTTL(cfg, PopulationModel{ParentCentric: 1})
-	if d[0].TTL != 172800 {
+	parent := population.AllChildCentric()
+	parent[0].Policy.Centricity = resolver.ParentCentric
+	d = EffectiveAddrTTL(cfg, parent)
+	if len(d) != 1 || d[0].TTL != 172800 {
 		t.Errorf("parent-centric addr TTL = %v, want 172800", d)
+	}
+	// A validating resolver never honors unsigned parent data.
+	parent[0].Policy.Validate = true
+	if d := EffectiveNSTTL(cfg, parent); len(d) != 1 || d[0].TTL != 3600 {
+		t.Errorf("validating parent-centric NS TTL = %v, want the child's 3600", d)
 	}
 }
 
@@ -181,6 +257,32 @@ func TestAdviseZeroTTL(t *testing.T) {
 	}
 }
 
+// TestAdviseOrderIsFixed: findings come out in one order, so repeated calls
+// on a configuration with several zero TTLs print the same report.
+func TestAdviseOrderIsFixed(t *testing.T) {
+	render := func() string {
+		var b strings.Builder
+		for _, r := range Advise(ZoneConfig{}, Scenario{}) {
+			b.WriteString(r.String() + "\n")
+		}
+		return b.String()
+	}
+	want := render()
+	rest := want
+	for _, name := range []string{"NS TTL is 0", "service TTL is 0", "server address TTL is 0"} {
+		i := strings.Index(rest, name)
+		if i < 0 {
+			t.Fatalf("no %q warning in this order:\n%s", name, want)
+		}
+		rest = rest[i:]
+	}
+	for i := 0; i < 50; i++ {
+		if got := render(); got != want {
+			t.Fatalf("call %d ordered its findings differently:\n%s\nwant\n%s", i, got, want)
+		}
+	}
+}
+
 func TestAdviseInBailiwickAddr(t *testing.T) {
 	cfg := ZoneConfig{
 		ParentNSTTL: 3600, ChildNSTTL: 3600,
@@ -251,17 +353,19 @@ func TestAdviseCleanConfig(t *testing.T) {
 }
 
 // TestQuickSharesSumToOne: every effective-TTL distribution is a probability
-// distribution for arbitrary configurations and populations.
+// distribution for arbitrary configurations and valid mixes.
 func TestQuickSharesSumToOne(t *testing.T) {
-	f := func(pNS, cNS, glue, addr uint16, bw uint8, child, parent, capShare float64) bool {
-		if math.IsNaN(child) || math.IsNaN(parent) || math.IsInf(child, 0) || math.IsInf(parent, 0) {
-			return true
-		}
-		// Bound to realistic shares; Normalize handles the rest.
-		child = math.Mod(math.Abs(child), 1)
-		parent = math.Mod(math.Abs(parent), 1)
-		if child+parent == 0 {
-			return true
+	f := func(pNS, cNS, glue, addr uint16, bw uint8, seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		mix := make(population.Mix, 1+r.Intn(8))
+		for i := range mix {
+			p := resolver.DefaultPolicy()
+			p.Centricity = resolver.Centricity(r.Intn(2))
+			p.RefreshGlueOnReferral = r.Intn(2) == 0
+			p.TTLCap = []uint32{0, 300, 21599, 86400}[r.Intn(4)]
+			p.CapAtServe = r.Intn(2) == 0
+			p.Validate = r.Intn(4) == 0
+			mix[i] = population.Profile{Weight: 1e-3 + r.Float64(), Policy: p}
 		}
 		cfg := ZoneConfig{
 			ParentNSTTL: uint32(pNS), ChildNSTTL: uint32(cNS),
@@ -269,20 +373,16 @@ func TestQuickSharesSumToOne(t *testing.T) {
 			Bailiwick:  zone.BailiwickClass(bw % 3),
 			ServiceTTL: uint32(cNS),
 		}
-		pop := PopulationModel{
-			ChildCentric: child, ParentCentric: parent,
-			CapSeconds: 21599, CapShare: math.Mod(math.Abs(capShare), 1),
-		}
 		for _, d := range []Distribution{
-			EffectiveNSTTL(cfg, pop),
-			EffectiveAddrTTL(cfg, pop),
-			EffectiveServiceTTL(cfg, pop),
+			EffectiveNSTTL(cfg, mix),
+			EffectiveAddrTTL(cfg, mix),
+			EffectiveServiceTTL(cfg, mix),
 		} {
 			sum := 0.0
 			for _, s := range d {
 				sum += s.Share
 			}
-			if math.Abs(sum-1) > 1e-6 {
+			if math.Abs(sum-1) > 1e-9 {
 				return false
 			}
 		}

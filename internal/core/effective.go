@@ -1,19 +1,28 @@
 // Package core distills the paper's findings into an operator-facing
 // library: given a zone's TTL configuration (which lives in multiple places
 // — parent and child, NS and address records, in or out of bailiwick) and a
-// model of the deployed resolver population, it computes the *effective*
-// TTLs resolvers will actually honor (§3, §4), estimates cache hit rates,
-// latency and query volume (§6.2), and issues the §6.3 recommendations.
+// resolver population (a population.Mix, the one the simulation runs), it
+// computes the *effective* TTLs resolvers will actually honor (§3, §4),
+// estimates cache hit rates, latency and query volume (§6.2), and issues the
+// §6.3 recommendations.
+//
+// Each profile's resolver.Policy decides its lifetimes, by the rule the
+// planet compiler also applies. Sticky server selection (§4.4) is not a
+// lifetime: a sticky resolver's cache expires like any other and it only
+// keeps asking the server it learned first, so no Effective*TTL models it.
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"dnsttl/internal/compile"
 	"dnsttl/internal/dnswire"
+	"dnsttl/internal/population"
+	"dnsttl/internal/resolver"
 	"dnsttl/internal/zone"
 )
 
@@ -37,36 +46,6 @@ type ZoneConfig struct {
 	// ServiceTTL is the TTL of the service records clients look up
 	// (e.g. the website's A/AAAA).
 	ServiceTTL uint32
-}
-
-// PopulationModel is the resolver-behavior mix. Fractions should sum to ~1;
-// Normalize fixes them up. The defaults follow the paper's measurements.
-type PopulationModel struct {
-	// ChildCentric resolvers honor the child's TTLs (§3: ~90 %).
-	ChildCentric float64
-	// ParentCentric resolvers honor the parent's (§3: ~10 %).
-	ParentCentric float64
-	// CapSeconds > 0 caps every effective TTL (e.g. 21599); CapShare is
-	// the fraction of resolvers applying it.
-	CapSeconds uint32
-	CapShare   float64
-}
-
-// MeasuredPopulation returns the §3 mix: 90 % child-centric, 10 %
-// parent-centric, 15 % capping at 21599 s.
-func MeasuredPopulation() PopulationModel {
-	return PopulationModel{ChildCentric: 0.9, ParentCentric: 0.1, CapSeconds: 21599, CapShare: 0.15}
-}
-
-// Normalize scales ChildCentric/ParentCentric to sum to 1.
-func (p PopulationModel) Normalize() PopulationModel {
-	s := p.ChildCentric + p.ParentCentric
-	if s <= 0 {
-		return PopulationModel{ChildCentric: 1}
-	}
-	p.ChildCentric /= s
-	p.ParentCentric /= s
-	return p
 }
 
 // TTLShare is one outcome of the effective-TTL computation: a fraction of
@@ -104,98 +83,98 @@ func (d Distribution) Min() uint32 {
 	return min
 }
 
-// normalize merges equal TTLs and sorts ascending.
+// normalize merges equal TTLs, keeping the first one's Why, drops empty
+// shares and sorts ascending, in place.
 func (d Distribution) normalize() Distribution {
-	byTTL := map[uint32]*TTLShare{}
+	slices.SortStableFunc(d, func(a, b TTLShare) int { return cmp.Compare(a.TTL, b.TTL) })
+	out := d[:0]
 	for _, s := range d {
-		if s.Share <= 0 {
-			continue
-		}
-		if e, ok := byTTL[s.TTL]; ok {
-			e.Share += s.Share
-			continue
-		}
-		cp := s
-		byTTL[s.TTL] = &cp
-	}
-	out := make(Distribution, 0, len(byTTL))
-	for _, e := range byTTL {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TTL < out[j].TTL })
-	return out
-}
-
-// applyCap splits each share into capped and uncapped parts.
-func applyCap(d Distribution, cap uint32, share float64) Distribution {
-	if cap == 0 || share <= 0 {
-		return d.normalize()
-	}
-	var out Distribution
-	for _, s := range d {
-		if s.TTL > cap {
-			out = append(out,
-				TTLShare{TTL: cap, Share: s.Share * share, Why: s.Why + ", capped"},
-				TTLShare{TTL: s.TTL, Share: s.Share * (1 - share), Why: s.Why})
-		} else {
+		switch {
+		case s.Share <= 0:
+		case len(out) > 0 && out[len(out)-1].TTL == s.TTL:
+			out[len(out)-1].Share += s.Share
+		default:
 			out = append(out, s)
 		}
 	}
-	return out.normalize()
+	return out
+}
+
+// parentCentric reports whether a resolver running p honors the parent's
+// copy of data duplicated at a delegation. A validating resolver never
+// answers from unsigned parent-side data, so it is child-centric whatever
+// its Centricity (the resolver's answerCred applies the same rule).
+func parentCentric(p resolver.Policy) bool {
+	return p.Centricity == resolver.ParentCentric && !p.Validate
+}
+
+// lifetimes is the one rule behind the Effective*TTL functions. It sums mix
+// one profile at a time: ttl picks the TTL the profile's Policy honors and
+// says why, and Policy.CacheLifetime applies the profile's cap the way its
+// cache stores it, so a serve-time cap does not shorten the lifetime. A mix
+// that population.Mix.Validate rejects yields an empty Distribution.
+func lifetimes(mix population.Mix, ttl func(resolver.Policy) (uint32, string)) Distribution {
+	shares, err := mix.Shares()
+	if err != nil {
+		return nil
+	}
+	var d Distribution
+	for i, p := range mix {
+		t, why := ttl(p.Policy)
+		if life := p.Policy.CacheLifetime(t); life < t {
+			t, why = life, why+", capped"
+		}
+		d = append(d, TTLShare{TTL: t, Share: shares[i], Why: why})
+	}
+	return d.normalize()
 }
 
 // EffectiveNSTTL computes the distribution of NS-set cache lifetimes across
-// the population: child-centric resolvers use the child value, the
-// parent-centric minority the parent's (§3).
-func EffectiveNSTTL(cfg ZoneConfig, pop PopulationModel) Distribution {
-	pop = pop.Normalize()
-	d := Distribution{
-		{TTL: cfg.ChildNSTTL, Share: pop.ChildCentric, Why: "child-centric (child NS TTL)"},
-		{TTL: cfg.ParentNSTTL, Share: pop.ParentCentric, Why: "parent-centric (parent NS TTL)"},
-	}
-	return applyCap(d, pop.CapSeconds, pop.CapShare)
+// mix: child-centric resolvers use the child value, the parent-centric
+// minority the parent's (§3).
+func EffectiveNSTTL(cfg ZoneConfig, mix population.Mix) Distribution {
+	return lifetimes(mix, func(p resolver.Policy) (uint32, string) {
+		if parentCentric(p) {
+			return cfg.ParentNSTTL, "parent-centric (parent NS TTL)"
+		}
+		return cfg.ChildNSTTL, "child-centric (child NS TTL)"
+	})
 }
 
 // EffectiveAddrTTL computes the nameserver-address cache lifetime. This is
-// §4's result: for in-bailiwick servers the address is re-learned whenever
-// the NS set expires, so its effective lifetime is min(NS TTL, address
-// TTL); out-of-bailiwick addresses live their full TTL independently.
-func EffectiveAddrTTL(cfg ZoneConfig, pop PopulationModel) Distribution {
-	pop = pop.Normalize()
-	var d Distribution
-	switch cfg.Bailiwick {
-	case zone.BailiwickInOnly, zone.BailiwickMixed:
-		eff := cfg.ChildAddrTTL
-		if cfg.ChildNSTTL < eff {
-			eff = cfg.ChildNSTTL
+// §4's result: for in-bailiwick servers a resolver that refreshes glue on
+// referral re-learns the address whenever its NS set expires, so the
+// address lives min(NS TTL, address TTL) on the side it honors; one that
+// keeps a fresh cached address, and every out-of-bailiwick address, lives
+// the full address TTL. Without parent glue a parent-centric resolver
+// learns the address from its own zone, as a child-centric one does.
+func EffectiveAddrTTL(cfg ZoneConfig, mix population.Mix) Distribution {
+	inBailiwick := cfg.Bailiwick == zone.BailiwickInOnly || cfg.Bailiwick == zone.BailiwickMixed
+	return lifetimes(mix, func(p resolver.Policy) (uint32, string) {
+		parent := parentCentric(p) && cfg.ParentGlueTTL > 0
+		switch {
+		case !inBailiwick && parent:
+			return cfg.ParentGlueTTL, "parent-centric: parent copy of the address"
+		case !inBailiwick:
+			return cfg.ChildAddrTTL, "out-of-bailiwick: address cached independently for its full TTL"
+		case parent && p.RefreshGlueOnReferral:
+			return min(cfg.ParentNSTTL, cfg.ParentGlueTTL), "parent-centric: glue tied to the parent NS expiry (min of the two)"
+		case parent:
+			return cfg.ParentGlueTTL, "parent-centric: glue TTL"
+		case p.RefreshGlueOnReferral:
+			return min(cfg.ChildNSTTL, cfg.ChildAddrTTL), "in-bailiwick: address tied to NS expiry (min of the two)"
 		}
-		d = append(d, TTLShare{TTL: eff, Share: pop.ChildCentric,
-			Why: "in-bailiwick: address tied to NS expiry (min of the two)"})
-		parentEff := cfg.ParentGlueTTL
-		if parentEff == 0 {
-			parentEff = cfg.ParentNSTTL
-		}
-		d = append(d, TTLShare{TTL: parentEff, Share: pop.ParentCentric,
-			Why: "parent-centric: glue TTL"})
-	default:
-		d = append(d, TTLShare{TTL: cfg.ChildAddrTTL, Share: pop.ChildCentric,
-			Why: "out-of-bailiwick: address cached independently for its full TTL"})
-		parentEff := cfg.ParentGlueTTL
-		if parentEff == 0 {
-			parentEff = cfg.ChildAddrTTL
-		}
-		d = append(d, TTLShare{TTL: parentEff, Share: pop.ParentCentric,
-			Why: "parent-centric: parent copy of the address"})
-	}
-	return applyCap(d, pop.CapSeconds, pop.CapShare)
+		return cfg.ChildAddrTTL, "in-bailiwick, glue not refreshed on referral: address cached for its full TTL"
+	})
 }
 
 // EffectiveServiceTTL is the distribution for the service records
 // themselves: service records exist only in the child, so only caps differ
 // across the population.
-func EffectiveServiceTTL(cfg ZoneConfig, pop PopulationModel) Distribution {
-	d := Distribution{{TTL: cfg.ServiceTTL, Share: 1, Why: "service record (child only)"}}
-	return applyCap(d, pop.CapSeconds, pop.CapShare)
+func EffectiveServiceTTL(cfg ZoneConfig, mix population.Mix) Distribution {
+	return lifetimes(mix, func(resolver.Policy) (uint32, string) {
+		return cfg.ServiceTTL, "service record (child only)"
+	})
 }
 
 // HitRate is the classic TTL-cache model (Jung et al. [26], the paper's

@@ -10,7 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"dnsttl/internal/core"
+	"dnsttl/internal/population"
 	"dnsttl/internal/race"
+	"dnsttl/internal/zone"
 )
 
 // A claim is one verdict row of EXPERIMENTS.md: its label, the paper's
@@ -31,18 +34,26 @@ type claimRow struct {
 var claimRows = []claimRow{
 	{"table1", func(s int64) map[string]float64 { return Table1(NewTestbed(s)).Metrics }, []claim{{"NS TTL at the root (parent) / at the child; a.nic.cl A at the child", "172800 / 3600 / 43200", "the parent's by construction", "parent_ns_ttl == 172800 && child_ns_ttl == 3600 && child_a_ttl == 43200"}}},
 	{"table2", func(s int64) map[string]float64 { return Table2(60, 1, s).Metrics }, []claim{{"valid-response ratio: .uy-NS / a.nic.uy-A / google.co-NS / .uy-NS-new", "", "", "valid_ratio_.uy-NS >= 0.95 && valid_ratio_a.nic.uy-A >= 0.95 && valid_ratio_google.co-NS >= 0.95 && valid_ratio_.uy-NS-new >= 0.95"}}},
-	{"figure1a", func(s int64) map[string]float64 { return Figure1UyNS(250, s).Metrics }, []claim{
+	{"figure1a", func(s int64) map[string]float64 {
+		uy := core.ZoneConfig{ParentNSTTL: 172800, ChildNSTTL: 300}
+		return withPrediction(Figure1UyNS(250, s).Metrics, "frac_child_centric", core.EffectiveNSTTL(uy, population.DefaultMix()), func(ttl uint32) bool { return ttl <= uy.ChildNSTTL })
+	}, []claim{
 		{".uy-NS answers at/below child TTL", "~90 %", "", "frac_child_centric >= 0.8 && frac_child_centric <= 0.97"},
 		{".uy-NS parent-side answers", "~10 %", "", "frac_parent_ttl >= 0.03 && frac_parent_ttl <= 0.2"},
 		{".uy-NS answers at the full 172800 s", "2.9 %", "full-TTL sightings are first-contact misses; our shared parent-centric caches stay warm longer than OpenDNS's fragmented fleet", "frac_full_parent > 0 && frac_full_parent <= 0.1"},
 		{".uy-NS answers above the parent TTL", "~1 VP", "", "frac_over_parent <= 0.001"},
 		{"valid .uy-NS responses", "", "", "valid_responses >= 1000"},
+		{"advisor: .uy-NS child-centric share, measured / core.EffectiveNSTTL over DefaultMix", "", "within 0.05", "frac_child_centric >= core_frac_child_centric - 0.05 && frac_child_centric <= core_frac_child_centric + 0.05"},
 	}},
 	{"figure1b", func(s int64) map[string]float64 { return Figure1UyA(200, s).Metrics }, []claim{{"a.nic.uy-A answers at/below child TTL", "~88 %", "", "frac_child_centric >= 0.8"}}},
-	{"figure2", func(s int64) map[string]float64 { return Figure2GoogleCo(250, s).Metrics }, []claim{
-		{"answers above 900 s (child data)", "~70 %", "direction: our population model is ~90 % child-centric; the paper's 70 % includes probes behind mixed forwarder chains we do not model", "frac_over_parent >= 0.6 && frac_over_parent <= 0.98"},
+	{"figure2", func(s int64) map[string]float64 {
+		googleCo := core.ZoneConfig{ParentNSTTL: 900, ChildNSTTL: 345600}
+		return withPrediction(Figure2GoogleCo(250, s).Metrics, "frac_over_parent", core.EffectiveNSTTL(googleCo, population.DefaultMix()), func(ttl uint32) bool { return ttl > googleCo.ParentNSTTL })
+	}, []claim{
+		{"answers above 900 s (child data)", "~70 %", "direction: our population (population.DefaultMix) is 92.5 % child-centric; the paper's 70 % includes probes behind mixed forwarder chains we do not model", "frac_over_parent >= 0.6 && frac_over_parent <= 0.98"},
 		{"answers exactly 21599 s (Google cap)", "~15 %", "", "frac_capped_21599 >= 0.05 && frac_capped_21599 <= 0.3"},
 		{"answers exactly 900 s (fresh parent)", "~9 %", "presence; magnitude depends on parent-centric refresh cadence", "frac_exact_parent > 0 && frac_exact_parent <= 0.25"},
+		{"advisor: google.co-NS answers above 900 s, measured / core.EffectiveNSTTL over DefaultMix", "", "within 0.05", "frac_over_parent >= core_frac_over_parent - 0.05 && frac_over_parent <= core_frac_over_parent + 0.05"},
 	}},
 	{"figures3-4", func(s int64) map[string]float64 {
 		return NlPassive(NlPassiveConfig{Resolvers: 200, Days: 2, Seed: s}).Metrics
@@ -52,7 +63,12 @@ var claimRows = []claimRow{
 		{"single-query groups whose resolver is multi elsewhere", "~14 %", "", "frac_single_but_multi > 0"},
 		{"minimum interarrivals within ±5 min of hour multiples", "visible bumps", "", "bump_mass_hour_multiples >= 0.2"},
 	}},
-	{"figures6-8", func(s int64) map[string]float64 { return BailiwickPair(150, 1, s).Metrics }, []claim{
+	{"figures6-8", func(s int64) map[string]float64 {
+		// world.go's ConfigureSub: NS 3600 s on both sides, the server's
+		// address 7200 s in the glue and in the child.
+		sub := core.ZoneConfig{ParentNSTTL: 3600, ChildNSTTL: 3600, ParentGlueTTL: 7200, ChildAddrTTL: 7200, Bailiwick: zone.BailiwickInOnly}
+		return withPrediction(BailiwickPair(150, 1, s).Metrics, "in_frac_new_after_ns_expiry", core.EffectiveAddrTTL(sub, population.DefaultMix()), func(ttl uint32) bool { return ttl <= sub.ChildNSTTL })
+	}, []claim{
 		{"in-bailiwick: new content before NS expiry (t<60 min)", "~0 (growing tail)", "the tail is cold frontends of shared public resolvers meeting the new glue first", "in_frac_new_before_ns_expiry <= 0.15"},
 		{"in-bailiwick: switched during 60-120 min (A still valid!)", "~90 %", "the NS/A coupling", "in_frac_new_after_ns_expiry >= 0.7"},
 		{"out-of-bailiwick: switched during 60-120 min", "~0", "the A survives the NS", "out_frac_new_after_ns_expiry <= 0.35"},
@@ -61,6 +77,7 @@ var claimRows = []claimRow{
 		{"VPs on the old server at the end (sticky), out / in", "17.8 % / 2.25 %", "ordering: out-stickiness is mostly parent-centricity", "out_sticky_vps > in_sticky_vps"},
 		{"out-of-bailiwick sticky VPs, count / share (Table 4)", "1642 / ≈10-18 %", "", "out_sticky_vps > 0 && out_sticky_frac <= 0.3"},
 		{"matched sticky VPs fetching mostly new content in-bailiwick (Figure 8)", "most", "", "f8_matched_frac_switchers >= 0.3"},
+		{"advisor: in-bailiwick switched during 60-120 min, measured / core.EffectiveAddrTTL over DefaultMix", "", "within 0.05; the closed form runs high because stickiness (2.25 % of DefaultMix) is server choice, not a lifetime", "in_frac_new_after_ns_expiry >= core_in_frac_new_after_ns_expiry - 0.05 && in_frac_new_after_ns_expiry <= core_in_frac_new_after_ns_expiry + 0.05"},
 	}},
 	{"offline", func(s int64) map[string]float64 { return OfflineChild(200, s).Metrics }, []claim{
 		{"valid answers for NS of the dead zone: OpenDNS- / BIND- / Unbound-style", "yes, from parent data / no / no", "", "valid_frac_opendns-like >= 0.9 && valid_frac_bind-like <= 0.1 && valid_frac_unbound-like <= 0.1"},
@@ -157,6 +174,21 @@ var claimRows = []claimRow{
 		{"hit rate, 16 private frontends / one resolver, TTL 60 s", "", "fragmentation costs ≥ 0.2", "hit_private_f16_ttl60 <= hit_shared_f1_ttl60 - 0.2"},
 		{"auth queries, 16 private frontends, TTL 60 / 3600 s", "", "short TTLs make fragmentation expensive", "auth_private_f16_ttl60 > auth_private_f16_ttl3600"},
 	}},
+}
+
+// withPrediction returns a copy of a run's metrics plus "core_"+metric: the
+// share of d whose lifetime keep accepts, core's closed-form prediction of
+// metric. The prediction lives only here, never in a Report.
+func withPrediction(m map[string]float64, metric string, d core.Distribution, keep func(ttl uint32) bool) map[string]float64 {
+	share := 0.0
+	for _, s := range d {
+		if keep(s.TTL) {
+			share += s.Share
+		}
+	}
+	m = maps.Clone(m)
+	m["core_"+metric] = share
+	return m
 }
 
 const (
