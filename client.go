@@ -5,9 +5,7 @@ import (
 	"crypto/x509"
 	"fmt"
 	"net/netip"
-	"slices"
 	"strings"
-	"sync"
 
 	"dnsttl/internal/authoritative"
 	"dnsttl/internal/cache"
@@ -179,10 +177,6 @@ type Client struct {
 	// registry is ClientConfig.Registry, kept for the listeners a
 	// RecursiveServer puts in front of this client.
 	registry *Registry
-
-	// yields is every UDP listener's yield (see yieldOnWait).
-	yieldMu sync.Mutex
-	yields  []func()
 }
 
 // NewClient builds a Client.
@@ -235,22 +229,6 @@ func (c *Client) Close() error {
 		return nil
 	}
 	return c.owned.Close()
-}
-
-// yieldOnWait adds a UDP listener's yield to the hook each resolution of
-// the client calls where it may first wait. A resolution cannot tell which
-// listener it serves, so the hook yields them all; a listener whose reading
-// loop is not in service ignores it.
-func (c *Client) yieldOnWait(yield func()) {
-	c.yieldMu.Lock()
-	defer c.yieldMu.Unlock()
-	ys := append(slices.Clip(c.yields), yield)
-	c.yields = ys
-	c.f.SetYield(func() {
-		for _, y := range ys {
-			y()
-		}
-	})
 }
 
 // Lookup resolves (name, qtype), from cache when possible. In-process

@@ -165,7 +165,7 @@ func parentShare(mix population.Mix) float64 {
 	shares, _ := mix.Shares()
 	total := 0.0
 	for i, s := range shares {
-		if parentCentric(mix[i].Policy) {
+		if mix[i].Policy.HonorsParent() {
 			total += s
 		}
 	}

@@ -100,14 +100,6 @@ func (d Distribution) normalize() Distribution {
 	return out
 }
 
-// parentCentric reports whether a resolver running p honors the parent's
-// copy of data duplicated at a delegation. A validating resolver never
-// answers from unsigned parent-side data, so it is child-centric whatever
-// its Centricity (the resolver's answerCred applies the same rule).
-func parentCentric(p resolver.Policy) bool {
-	return p.Centricity == resolver.ParentCentric && !p.Validate
-}
-
 // lifetimes is the one rule behind the Effective*TTL functions. It sums mix
 // one profile at a time: ttl picks the TTL the profile's Policy honors and
 // says why, and Policy.CacheLifetime applies the profile's cap the way its
@@ -134,7 +126,7 @@ func lifetimes(mix population.Mix, ttl func(resolver.Policy) (uint32, string)) D
 // minority the parent's (§3).
 func EffectiveNSTTL(cfg ZoneConfig, mix population.Mix) Distribution {
 	return lifetimes(mix, func(p resolver.Policy) (uint32, string) {
-		if parentCentric(p) {
+		if p.HonorsParent() {
 			return cfg.ParentNSTTL, "parent-centric (parent NS TTL)"
 		}
 		return cfg.ChildNSTTL, "child-centric (child NS TTL)"
@@ -151,7 +143,7 @@ func EffectiveNSTTL(cfg ZoneConfig, mix population.Mix) Distribution {
 func EffectiveAddrTTL(cfg ZoneConfig, mix population.Mix) Distribution {
 	inBailiwick := cfg.Bailiwick == zone.BailiwickInOnly || cfg.Bailiwick == zone.BailiwickMixed
 	return lifetimes(mix, func(p resolver.Policy) (uint32, string) {
-		parent := parentCentric(p) && cfg.ParentGlueTTL > 0
+		parent := p.HonorsParent() && cfg.ParentGlueTTL > 0
 		switch {
 		case !inBailiwick && parent:
 			return cfg.ParentGlueTTL, "parent-centric: parent copy of the address"

@@ -220,9 +220,9 @@ func New(cfg Config, addr netip.Addr, net simnet.Exchanger, clock simnet.Clock, 
 // terminal stage resolves through resolveLeg (the balancer already ran).
 func (f *Farm) env(idx int) middleware.Env {
 	return middleware.Env{
-		Lookup:   f.resolveLeg(idx),
-		Clock:    f.clock,
-		Registry: f.cfg.Registry,
+		LookupContext: f.resolveLeg(idx),
+		Clock:         f.clock,
+		Registry:      f.cfg.Registry,
 	}
 }
 
@@ -231,8 +231,8 @@ func (f *Farm) env(idx int) middleware.Env {
 // is on), then fleet accounting; a follower was booked when it joined.
 func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
 	fe := f.frontends[idx]
-	return func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
-		res, err := fe.Resolve(name, qtype)
+	return func(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+		res, err := fe.ResolveContext(ctx, name, qtype)
 		if res != nil && !res.Coalesced {
 			f.telemetry.served(idx, &res.Trace)
 		}
@@ -319,14 +319,6 @@ func (f *Farm) Stores() []cache.Store {
 func (f *Farm) SetStaleGate(g resolver.StaleGate) {
 	for _, fe := range f.frontends {
 		fe.SetStaleGate(g)
-	}
-}
-
-// SetYield installs y as every frontend's yield hook (resolver.SetYield).
-// Safe while queries are being served.
-func (f *Farm) SetYield(y func()) {
-	for _, fe := range f.frontends {
-		fe.SetYield(y)
 	}
 }
 

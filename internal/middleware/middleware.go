@@ -97,17 +97,32 @@ type Stage interface {
 }
 
 // LookupFunc is the terminal resolution the pipeline wraps — a farm
-// frontend's resolve leg, or a bare resolver's Resolve in tests.
-type LookupFunc func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
+// frontend's resolve leg, or a bare resolver's ResolveContext. ctx is the
+// query's, as the pipeline got it.
+type LookupFunc func(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
 
 // Env is everything the graph builder hands to stage constructors.
 type Env struct {
-	// Lookup is the terminal datapath the "resolver" stage calls.
-	Lookup LookupFunc
+	// LookupContext is the terminal datapath the "resolver" stage calls.
+	LookupContext LookupFunc
+	// Lookup is the context-free form (a bare resolver's Resolve), used
+	// only when LookupContext is nil.
+	Lookup func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
 	// Clock drives rate-limiter refill; nil means wall time.
 	Clock simnet.Clock
 	// Registry, when non-nil, backs each stage's mw.<name>.* counters.
 	Registry *obs.Registry
+}
+
+// lookup is the terminal datapath: LookupContext, or else Lookup wrapped
+// once, at build time, to drop the query's context.
+func (e Env) lookup() LookupFunc {
+	if e.LookupContext != nil || e.Lookup == nil {
+		return e.LookupContext
+	}
+	return func(_ context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+		return e.Lookup(name, qtype)
+	}
 }
 
 func (e Env) clock() simnet.Clock {
@@ -141,7 +156,7 @@ func (p *Pipeline) Stages() []string {
 // Default builds the zero-config pipeline: one terminal resolver stage.
 // It adds two pointer hops and no behavior to the wrapped datapath.
 func Default(env Env) *Pipeline {
-	t := &resolverStage{base: base{name: "resolver"}, lookup: env.Lookup}
+	t := &resolverStage{base: base{name: "resolver"}, lookup: env.lookup()}
 	return &Pipeline{entry: t, stages: []Stage{t}}
 }
 

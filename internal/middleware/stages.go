@@ -20,16 +20,16 @@ type resolverStage struct {
 
 func init() {
 	register("resolver", terminal, func(b base, o *options) (Stage, error) {
-		return &resolverStage{base: b, lookup: o.b.env.Lookup, queries: o.counter("queries")}, nil
+		return &resolverStage{base: b, lookup: o.b.env.lookup(), queries: o.counter("queries")}, nil
 	})
 }
 
-func (s *resolverStage) Resolve(_ context.Context, q *Query) (Response, error) {
+func (s *resolverStage) Resolve(ctx context.Context, q *Query) (Response, error) {
 	s.queries.Inc()
 	if s.lookup == nil {
 		return Response{}, fmt.Errorf("middleware: stage %q has no lookup datapath", s.name)
 	}
-	res, err := s.lookup(q.Name, q.Type)
+	res, err := s.lookup(ctx, q.Name, q.Type)
 	if err != nil {
 		return Response{}, err
 	}

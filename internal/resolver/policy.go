@@ -151,6 +151,15 @@ func (p Policy) CacheLifetime(ttl uint32) uint32 {
 	return p.ClampTTL(ttl)
 }
 
+// HonorsParent reports whether a resolver running p honors the parent's
+// copy of data duplicated at a delegation, answering from referral NS sets
+// and glue. A validating resolver never answers from unsigned parent-side
+// data (the §6.3 structural argument for child-centricity), so it is
+// child-centric whatever its Centricity.
+func (p Policy) HonorsParent() bool {
+	return p.Centricity == ParentCentric && !p.Validate
+}
+
 // DefaultPolicy is a mainstream child-centric resolver: BIND-like one-week
 // cap, coupled glue refresh, no stickiness.
 func DefaultPolicy() Policy {

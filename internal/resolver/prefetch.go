@@ -35,11 +35,11 @@ func (r *Resolver) maybePrefetch(name dnswire.Name, qtype dnswire.Type, res *Res
 		res.Span.Annotate("prefetch", "triggered")
 		r.Obs.Prefetches.Inc()
 		r.Cache.NotePrefetch()
-		r.mayWait(res)
+		res.mayWait()
 		// The refresh iterates into a scratch result: upstream query counts
 		// still accrue at the authoritatives (the real price of prefetch),
 		// but nothing is charged to the client resolution that triggered it.
-		scratch := &Result{Msg: &dnswire.Message{}, Trace: Trace{yielded: true}}
+		scratch := &Result{Msg: &dnswire.Message{}}
 		return scratch, r.iterate(name, qtype, scratch, 0)
 	})
 	if !led {

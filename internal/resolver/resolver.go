@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -30,8 +31,10 @@ type Trace struct {
 	// identical query already in flight (farm Coalesce) instead of by the
 	// cache or an upstream iteration of its own.
 	Coalesced bool
-	// yielded is set where the resolution first may wait (see SetYield).
-	yielded bool
+	// yield is the resolution's UDP yield (WithYield), called where it
+	// first may wait and cleared then: only the query that waits yields,
+	// and only its own listener.
+	yield func()
 	// Latency is the summed upstream RTT the resolution cost the client.
 	Latency time.Duration
 	// Queries is the number of upstream exchanges attempted.
@@ -137,9 +140,6 @@ type Resolver struct {
 	// listeners are already resolving.
 	staleGate atomic.Pointer[StaleGate]
 
-	// yield is SetYield's hook; atomic like staleGate.
-	yield atomic.Pointer[func()]
-
 	mu     sync.Mutex
 	rng    *rand.Rand
 	sticky map[dnswire.Name]netip.Addr
@@ -189,9 +189,15 @@ const maxDepth = 8
 // maxSteps bounds referral chasing per resolution.
 const maxSteps = 30
 
-// Resolve answers (name, qtype) for a client, from cache when possible and
-// by iterating from the roots otherwise.
+// Resolve is ResolveContext with the background context.
 func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	return r.ResolveContext(context.Background(), name, qtype)
+}
+
+// ResolveContext answers (name, qtype) for a client, from cache when
+// possible and by iterating from the roots otherwise. ctx carries the
+// query's listener state: its UDP yield (WithYield).
+func (r *Resolver) ResolveContext(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*Result, error) {
 	// One allocation holds the Result, its Message, the question and room
 	// for the usual one- or two-record answer; a longer answer section
 	// grows onto the heap like any append. The block is not pooled: caches,
@@ -207,6 +213,7 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 	b.msg.Question = b.question[:]
 	b.msg.Answer = b.answer[:0]
 	b.res.Msg = &b.msg
+	b.res.yield, _ = ctx.Value(yieldKey{}).(func())
 	res := &b.res
 	if r.Tracer != nil {
 		res.Span = r.Tracer.Start("resolve " + string(name) + " " + qtype.String())
@@ -216,7 +223,7 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 		return r.finish(res, r.resolveFrom(e, rem, name, qtype, res, 0)), nil
 	}
 	// A miss waits, on its upstream exchanges or on the flight it joins.
-	r.mayWait(res)
+	res.mayWait()
 	if r.Coalesce == nil {
 		return r.finish(res, r.resolveFrom(nil, 0, name, qtype, res, 0)), nil
 	}
@@ -235,6 +242,7 @@ func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, erro
 // finish completes a top-level resolution: SERVFAIL on error, the answer
 // TTL, the root span's summary, and the resolver metrics.
 func (r *Resolver) finish(res *Result, err error) *Result {
+	res.yield = nil // a hit never called it; no Result carries it out
 	if err != nil {
 		res.Msg.Header.RCode = dnswire.RCodeServFail
 	}
@@ -269,9 +277,9 @@ func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Resul
 // DNSKEY — into a scratch Result on res's behalf, and charges res every
 // additive count of its Trace. The answer stays in the returned Result.
 func (r *Resolver) subResolve(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) (*Result, error) {
-	sub := &Result{Msg: &dnswire.Message{}, Trace: Trace{yielded: res.yielded}}
+	sub := &Result{Msg: &dnswire.Message{}, Trace: Trace{yield: res.yield}}
 	err := r.resolveInto(name, qtype, sub, depth)
-	res.yielded = sub.yielded
+	res.yield = sub.yield
 	res.Latency += sub.Latency
 	res.Queries += sub.Queries
 	res.Timeouts += sub.Timeouts
@@ -345,12 +353,10 @@ func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qt
 }
 
 // answerCred is the least credibility cached data needs to answer the
-// client. Child-centric resolvers only answer from answer-grade data;
-// parent-centric resolvers also answer from referral NS sets and glue —
-// unless they validate, since parent-side data carries no signatures
-// (the §6.3 structural argument for child-centricity).
+// client: answer-grade data, or also referral NS sets and glue for a
+// resolver that honors the parent (Policy.HonorsParent).
 func (r *Resolver) answerCred() cache.Credibility {
-	if r.Policy.Centricity == ParentCentric && !r.Policy.Validate {
+	if r.Policy.HonorsParent() {
 		return cache.CredAdditional
 	}
 	return cache.CredAnswerNonAuth
@@ -544,20 +550,23 @@ type StaleGate interface {
 	AllowStale(name dnswire.Name, qtype dnswire.Type, storedAt time.Time) bool
 }
 
-// SetYield installs y, which each resolution calls once, at the first point
-// where it may wait: a cache miss, a refresh-ahead, or an upstream exchange
-// (a CNAME chased from a cached alias). There a UDP listener hands its
-// socket to another loop (simnet.Yielder). Safe while queries are served.
-func (r *Resolver) SetYield(y func()) { r.yield.Store(&y) }
+// yieldKey is the context key WithYield stores a yield under.
+type yieldKey struct{}
 
-// mayWait calls the yield hook unless res already has.
-func (r *Resolver) mayWait(res *Result) {
-	if res.yielded {
-		return
-	}
-	res.yielded = true
-	if y := r.yield.Load(); y != nil {
-		(*y)()
+// WithYield returns ctx carrying y, which a resolution under it calls once,
+// at the first point where it may wait: a cache miss, a refresh-ahead, or
+// an upstream exchange (a CNAME chased from a cached alias). There a UDP
+// listener hands its socket to another loop (simnet.Yielder). A listener
+// builds its context once; resolving under it allocates nothing.
+func WithYield(ctx context.Context, y func()) context.Context {
+	return context.WithValue(ctx, yieldKey{}, y)
+}
+
+// mayWait calls the resolution's yield, if it has one not yet called.
+func (t *Trace) mayWait() {
+	if y := t.yield; y != nil {
+		t.yield = nil
+		y()
 	}
 }
 
@@ -608,7 +617,7 @@ var ednsOPT = dnswire.RR{Name: dnswire.Root, Type: dnswire.TypeOPT,
 // jitter, and an optional hedged second query on the first attempt. The
 // reply is pooled; see attempt.
 func (r *Resolver) exchangeAny(servers []netip.Addr, name dnswire.Name, qtype dnswire.Type, res *Result, sp *obs.Span, qs *queryScratch) (*dnswire.Message, netip.Addr, error) {
-	r.mayWait(res)
+	res.mayWait()
 	rp := r.Policy.Retry
 	retrying := rp.enabled()
 	order := r.serverOrder(servers, qs)

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"context"
 	"net/netip"
 	"testing"
 	"time"
@@ -783,20 +784,28 @@ func TestServeStaleGate(t *testing.T) {
 	}
 }
 
-// TestYieldOncePerResolution pins where the yield hook runs: once per
-// resolution that may wait, at the first such point, and never on a warm
-// hit.
+// TestYieldOncePerResolution pins where the yield its context carries
+// (WithYield) runs: once per resolution that may wait, at the first such
+// point, never on a warm hit, and never for another resolution.
 func TestYieldOncePerResolution(t *testing.T) {
 	tn := newTestNet(t)
 	pol := DefaultPolicy()
 	pol.PrefetchFraction = 0.2 // the last 60 s of www's 300
 	r := tn.resolver(pol, 1)
 	calls := 0
-	r.SetYield(func() { calls++ })
+	ctx := WithYield(context.Background(), func() { calls++ })
+	resolve := func(ctx context.Context, name string) *Result {
+		t.Helper()
+		res, err := r.ResolveContext(ctx, dnswire.NewName(name), dnswire.TypeA)
+		if err != nil {
+			t.Fatalf("ResolveContext(%s): %v", name, err)
+		}
+		return res
+	}
 	step := func(what, name string, want int) *Result {
 		t.Helper()
 		calls = 0
-		res := mustResolve(t, r, name, dnswire.TypeA)
+		res := resolve(ctx, name)
 		if calls != want {
 			t.Errorf("%s: %d yields, want %d", what, calls, want)
 		}
@@ -821,6 +830,25 @@ func TestYieldOncePerResolution(t *testing.T) {
 	tn.clock.Advance(310 * time.Second)
 	if res := step("cached alias, expired target", "alias.cachetest.net", 1); !res.CacheHit || res.Queries != 1 {
 		t.Fatalf("alias chase: hit=%v, %d exchanges; want a hit that asks once", res.CacheHit, res.Queries)
+	}
+
+	// A miss whose context carries no yield calls nothing.
+	calls = 0
+	if res := resolve(context.Background(), "none.cachetest.net"); res.Queries == 0 || calls != 0 {
+		t.Errorf("miss without a yield: %d exchanges, %d yields; want a miss and 0", res.Queries, calls)
+	}
+
+	// Two misses, each with its own yield, each call only their own.
+	var a, b int
+	ctxA := WithYield(context.Background(), func() { a++ })
+	ctxB := WithYield(context.Background(), func() { b++ })
+	resolve(ctxA, "a.cachetest.net")
+	if a != 1 || b != 0 {
+		t.Errorf("after the miss under A: A %d, B %d yields; want 1, 0", a, b)
+	}
+	resolve(ctxB, "b.cachetest.net")
+	if a != 1 || b != 1 {
+		t.Errorf("after the miss under B: A %d, B %d yields; want 1, 1", a, b)
 	}
 
 	// A follower yields before it waits on the leader's flight.

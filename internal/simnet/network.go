@@ -51,8 +51,9 @@ func AsAppendHandler(h Handler) AppendHandler {
 // holds the socket until something calls yield: only then does another loop
 // take over reading. Listen hands yield to BindYield once, before the first
 // query; the handler calls it before anything that may block (an upstream
-// exchange, a wait on another query's flight, an Ask). A handler that is
-// not a Yielder is served as if it called yield first thing.
+// exchange, a wait on another query's flight, an Ask). Only the query that
+// waits calls it, and only its own listener's yield. A handler that is not
+// a Yielder is served as if it called yield first thing.
 type Yielder interface {
 	BindYield(yield func())
 }

@@ -81,7 +81,8 @@ func TestLoneClientMatchesBareResolver(t *testing.T) {
 		trace resolver.Trace
 		err   string
 	}
-	replay := func(t *testing.T, build func(*simnet.Network, *VirtualClock, netip.Addr) middleware.LookupFunc) []outcome {
+	type lookupFunc = func(Name, Type) (*Result, error)
+	replay := func(t *testing.T, build func(*simnet.Network, *VirtualClock, netip.Addr) lookupFunc) []outcome {
 		net, clock, addr := onePathWorld(t)
 		lookup := build(net, clock, addr)
 		var out []outcome
@@ -104,7 +105,7 @@ func TestLoneClientMatchesBareResolver(t *testing.T) {
 		return out
 	}
 
-	want := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) middleware.LookupFunc {
+	want := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) lookupFunc {
 		r := resolver.New(addr, pol, net, clock, []netip.Addr{addr}, 1)
 		p := middleware.Default(middleware.Env{Lookup: r.Resolve, Clock: clock})
 		return func(name Name, qtype Type) (*Result, error) {
@@ -117,7 +118,7 @@ func TestLoneClientMatchesBareResolver(t *testing.T) {
 		t.Fatalf("schedule lost its shape: %+v", want)
 	}
 	for _, frontends := range []int{0, 1} {
-		got := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) middleware.LookupFunc {
+		got := replay(t, func(net *simnet.Network, clock *VirtualClock, addr netip.Addr) lookupFunc {
 			c, err := NewClient(ClientConfig{Policy: pol, Roots: []netip.Addr{addr}, Net: net, Clock: clock, Frontends: frontends})
 			if err != nil {
 				t.Fatal(err)

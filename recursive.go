@@ -13,6 +13,7 @@ import (
 	"dnsttl/internal/middleware"
 	"dnsttl/internal/push"
 	"dnsttl/internal/qlog"
+	"dnsttl/internal/resolver"
 )
 
 // RecursiveServer fronts a Client with real-socket listeners — UDP, TCP,
@@ -37,25 +38,27 @@ type RecursiveServer struct {
 	ls authoritative.Listeners
 }
 
-// transportHandler binds one listener's queries to its qlog tap and to the
-// response size limit of its transport.
+// transportHandler binds one listener's queries to its qlog tap, its
+// transport's response size limit and its context.
 type transportHandler struct {
 	rs  *RecursiveServer
 	tap *qlog.Tap
 	// stream is true for TCP, DoT and DoH, whose replies are bounded by the
 	// 64 KiB frame and never truncated to a datagram size.
 	stream bool
-	// yield is the UDP listener's, bound by BindYield; nil on the stream
-	// transports, which serve each connection on its own goroutine.
+	// ctx is what its queries resolve under: on the UDP listener it carries
+	// yield, both bound by BindYield. The stream transports serve each
+	// connection on its own goroutine and never yield.
+	ctx   context.Context
 	yield func()
 }
 
-// BindYield implements simnet.Yielder on the UDP listener's handler: the
-// client's resolutions yield where they first may wait, and a NOTIFY
-// yields before the zone pull it triggers.
+// BindYield implements simnet.Yielder on the UDP listener's handler: a
+// resolution this listener serves yields where it first may wait, and a
+// NOTIFY yields before the zone pull it triggers.
 func (h *transportHandler) BindYield(yield func()) {
 	h.yield = yield
-	h.rs.Client.yieldOnWait(yield)
+	h.ctx = resolver.WithYield(context.Background(), yield)
 }
 
 func (h transportHandler) ServeDNS(wire []byte, from netip.Addr) []byte {
@@ -113,7 +116,7 @@ func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []by
 		start = time.Now()
 	}
 	sc.mq = middleware.Query{Name: name, Type: qtype, Client: from}
-	pres, err := rs.Client.f.ResolveQuery(context.Background(), &sc.mq)
+	pres, err := rs.Client.f.ResolveQuery(h.ctx, &sc.mq)
 	if err != nil || pres.Result == nil {
 		if tap != nil {
 			tap.ResponseOut(from, name, qtype, RCodeServFail, 0, qlog.OutcomeError, time.Since(start))
@@ -172,7 +175,7 @@ func pipelineOutcome(resp middleware.Response) qlog.Outcome {
 // handler is the handler of one listener: its qlog tap carries the
 // transport label, stream its response size limit.
 func (rs *RecursiveServer) handler(transport string, stream bool) transportHandler {
-	return transportHandler{rs: rs, tap: rs.QueryLog.Tap(transport), stream: stream}
+	return transportHandler{rs: rs, tap: rs.QueryLog.Tap(transport), stream: stream, ctx: context.Background()}
 }
 
 // ListenUDP binds addr and serves client queries until Close.

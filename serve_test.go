@@ -270,7 +270,7 @@ func TestAppendServeDNSHitAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := transportHandler{rs: &RecursiveServer{Client: client}}
+	h := (&RecursiveServer{Client: client}).handler("direct", false)
 	query := mustEncode(t, dnswire.NewQuery(7, NewName("www.example.org"), TypeA))
 	buf := make([]byte, 0, 512)
 	serve := func() {

@@ -155,3 +155,43 @@ func TestUDPCachedAnswerWhileNotifyPullWaits(t *testing.T) {
 	<-primary.waiting
 	askWithin(t, addr, dnswire.NewQuery(2, NewName("h0.example.org"), TypeA), 100*time.Millisecond)
 }
+
+// TestYieldReachesOnlyItsListener: a UDP listener's yield rides in the
+// context of the queries it serves, so only its own misses call it — not a
+// miss served by another listener, nor an in-process lookup.
+func TestYieldReachesOnlyItsListener(t *testing.T) {
+	client, err := NewClient(ClientConfig{
+		Roots: []netip.Addr{netip.MustParseAddr("127.0.0.1")},
+		Net:   upstreamNet{srv: serveFixture(t, 3)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := &RecursiveServer{Client: client}
+	udp := rs.handler("udp", false)
+	calls := 0
+	udp.BindYield(func() { calls++ })
+	from := netip.MustParseAddr("192.0.2.99")
+	ask := func(h transportHandler, name string) {
+		t.Helper()
+		q := mustEncode(t, dnswire.NewQuery(1, NewName(name), TypeA))
+		if len(h.AppendServeDNS(nil, q, from)) == 0 {
+			t.Fatalf("%s: no reply", name)
+		}
+	}
+	check := func(what string, want int) {
+		t.Helper()
+		if calls != want {
+			t.Errorf("after %s: the UDP listener's yield ran %d times, want %d", what, calls, want)
+		}
+	}
+
+	ask(rs.handler("tcp", true), "h0.example.org")
+	check("a miss through the TCP handler", 0)
+	if _, err := client.Lookup(NewName("h1.example.org"), TypeA); err != nil {
+		t.Fatal(err)
+	}
+	check("an in-process Client.Lookup miss", 0)
+	ask(udp, "h2.example.org")
+	check("the UDP handler's own miss", 1)
+}
