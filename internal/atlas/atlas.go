@@ -8,6 +8,7 @@
 package atlas
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -130,6 +131,10 @@ type Fleet struct {
 	Topo  *latency.Topology
 	rng   *rand.Rand
 	clock simnet.Clock
+	// scratch is the storage every probe's resolution is written into
+	// (resolver.Lookuper): a Response keeps values read out of it, and the
+	// shared rng already makes Run single-goroutine.
+	scratch resolver.Result
 }
 
 // farmFrontends sizes every shared public-resolver instance.
@@ -302,7 +307,7 @@ func (f *Fleet) Run(clock *simnet.VirtualClock, s Schedule) []Response {
 }
 
 func (f *Fleet) probeOnce(clock simnet.Clock, vp *VP, round int, name dnswire.Name, qtype dnswire.Type) Response {
-	res, err := vp.Resolver.Resolve(name, qtype)
+	res, err := vp.Resolver.ResolveInto(context.Background(), &f.scratch, name, qtype)
 	r := Response{
 		VPID:    vp.ID,
 		ProbeID: vp.ProbeID,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"time"
@@ -190,10 +191,11 @@ func ChaosReplay(sc ChaosScenario, probes int, seed int64) ChaosResult {
 
 	name := dnswire.NewName("www.cachetest.net")
 	out := ChaosResult{Scenario: sc.Name, Spec: sc.Spec}
+	ctx, scratch := context.Background(), new(resolver.Result)
 	for round := 0; round < chaosRounds; round++ {
 		cr := ChaosRound{Round: round}
 		for _, p := range probesList {
-			res, err := p.Resolve(name, dnswire.TypeA)
+			res, err := p.ResolveInto(ctx, scratch, name, dnswire.TypeA)
 			if err == nil && res.Msg.Header.RCode == dnswire.RCodeNoError &&
 				len(res.Msg.Answer) > 0 {
 				cr.Answered++

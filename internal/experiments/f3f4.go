@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net/netip"
@@ -141,8 +142,10 @@ func NlPassive(cfg NlPassiveConfig) *Report {
 		clients[i] = c
 	}
 
-	// Event loop over the window.
+	// Event loop over the window. Only the authoritative's log is read, so
+	// every resolution is written into one lent Result.
 	end := clock.Now().Add(time.Duration(cfg.Days) * 24 * time.Hour)
+	ctx, scratch := context.Background(), new(resolver.Result)
 	for {
 		// Find the earliest pending client.
 		var nextC *client
@@ -159,7 +162,7 @@ func NlPassive(cfg NlPassiveConfig) *Report {
 		}
 		clock.Set(nextC.next)
 		name := dnswire.NewName(fmt.Sprintf("d%04d.nl", rng.Intn(400)))
-		_, _ = nextC.res.Resolve(name, dnswire.TypeA)
+		_, _ = nextC.res.ResolveInto(ctx, scratch, name, dnswire.TypeA)
 		if nextC.left > 0 {
 			nextC.left--
 		}

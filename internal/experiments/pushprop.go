@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"time"
@@ -273,6 +274,7 @@ func PushReplay(sc PushScenario, clients int, seed int64) PushResult {
 		prevAuth  push.AuthorityStats
 	)
 	out := PushResult{Scenario: sc}
+	ctx, scratch := context.Background(), new(resolver.Result)
 	for round := 0; round < pushRounds; round++ {
 		now := tb.Clock.Now()
 		if sub != nil {
@@ -289,7 +291,7 @@ func PushReplay(sc PushScenario, clients int, seed int64) PushResult {
 		}
 		pr := PushRound{Round: round}
 		for c := 0; c < clients; c++ {
-			res, err := svc.Resolve(www, dnswire.TypeA)
+			res, err := svc.ResolveInto(ctx, scratch, www, dnswire.TypeA)
 			if err != nil || res == nil {
 				continue
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"net/netip"
 
 	"dnsttl/internal/authoritative"
@@ -71,13 +72,14 @@ func newZipfWorld(plan zipfPlan, names int, ttl uint32, qps float64, netSeed, ge
 }
 
 // replay draws queries arrivals from the workload, advancing the clock to
-// each and resolving it through r. It reports how many were answered
-// NOERROR and how many of those from cache.
+// each and resolving it through r into one lent Result. It reports how many
+// were answered NOERROR and how many of those from cache.
 func (w *zipfWorld) replay(r resolver.Lookuper, queries int) (hits, answered int) {
+	ctx, scratch := context.Background(), new(resolver.Result)
 	for q := 0; q < queries; q++ {
 		gap, name := w.gen.Next()
 		w.clock.Advance(gap)
-		out, err := r.Resolve(name, dnswire.TypeA)
+		out, err := r.ResolveInto(ctx, scratch, name, dnswire.TypeA)
 		if err != nil || out.Msg.Header.RCode != dnswire.RCodeNoError {
 			continue
 		}

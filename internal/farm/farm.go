@@ -231,8 +231,8 @@ func (f *Farm) env(idx int) middleware.Env {
 // is on), then fleet accounting; a follower was booked when it joined.
 func (f *Farm) resolveLeg(idx int) middleware.LookupFunc {
 	fe := f.frontends[idx]
-	return func(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
-		res, err := fe.ResolveContext(ctx, name, qtype)
+	return func(ctx context.Context, dst *resolver.Result, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+		res, err := fe.ResolveInto(ctx, dst, name, qtype)
 		if res != nil && !res.Coalesced {
 			f.telemetry.served(idx, &res.Trace)
 		}
@@ -272,25 +272,38 @@ func (f *Farm) ResolveQuery(ctx context.Context, q *middleware.Query) (middlewar
 // Frontends returns the farm size.
 func (f *Farm) Frontends() int { return len(f.frontends) }
 
-// Resolve answers (name, qtype) through the frontend the balancer picks,
-// running its middleware pipeline (by default a bare wrapper over
-// the coalescing resolve path) — resolver.Lookuper for in-process use,
-// with no client address for client-keyed stages.
+// Resolve is ResolveInto with the background context and no lent
+// storage: the Result is the caller's to keep.
 func (f *Farm) Resolve(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
-	return f.ResolveFrom(name, qtype, netip.Addr{})
+	return f.ResolveInto(context.Background(), nil, name, qtype)
 }
 
-// queryPool lends ResolveFrom the Query it hands the pipeline, as the wire
-// path's serving scratch lends its own: no stage keeps a Query past its
-// Resolve (middleware.Stage).
-var queryPool = sync.Pool{New: func() any { return new(middleware.Query) }}
+// ResolveInto answers (name, qtype) through the frontend the balancer
+// picks, running its middleware pipeline (by default a bare wrapper over
+// the coalescing resolve path) with dst as the query's lent storage (see
+// resolver.Resolver.ResolveInto) — resolver.Lookuper for in-process use,
+// with no client address for client-keyed stages.
+func (f *Farm) ResolveInto(ctx context.Context, dst *resolver.Result, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+	return f.resolve(ctx, middleware.Query{Name: name, Type: qtype, Into: dst})
+}
 
 // ResolveFrom is Resolve on behalf of client, whom client-keyed stages (the
 // rate limiter, qlog attribution) see.
 func (f *Farm) ResolveFrom(name dnswire.Name, qtype dnswire.Type, client netip.Addr) (*resolver.Result, error) {
+	return f.resolve(context.Background(), middleware.Query{Name: name, Type: qtype, Client: client})
+}
+
+// queryPool lends resolve the Query it hands the pipeline, as the wire
+// path's serving scratch lends its own: no stage keeps a Query past its
+// Resolve (middleware.Stage).
+var queryPool = sync.Pool{New: func() any { return new(middleware.Query) }}
+
+// resolve runs query through ResolveQuery in a pooled Query.
+func (f *Farm) resolve(ctx context.Context, query middleware.Query) (*resolver.Result, error) {
 	q := queryPool.Get().(*middleware.Query)
-	*q = middleware.Query{Name: name, Type: qtype, Client: client}
-	resp, err := f.ResolveQuery(context.Background(), q)
+	*q = query
+	resp, err := f.ResolveQuery(ctx, q)
+	*q = middleware.Query{} // the pool keeps no caller's storage
 	queryPool.Put(q)
 	if err != nil {
 		return nil, err

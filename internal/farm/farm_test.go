@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"net/netip"
 	"strings"
 	"sync"
@@ -317,8 +318,9 @@ func BenchmarkFarmResolve(b *testing.B) {
 	}
 }
 
-// TestResolveHitAllocs pins an in-process cache hit at one allocation: the
-// Result the caller keeps. The Query handed down the pipeline is pooled.
+// TestResolveHitAllocs pins an in-process cache hit at no allocation into
+// lent storage and one, the Result the caller keeps, without it. The Query
+// handed down the pipeline is pooled.
 func TestResolveHitAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts of pooled paths are not stable under -race")
@@ -328,12 +330,133 @@ func TestResolveHitAllocs(t *testing.T) {
 	if _, err := f.Resolve(qname, dnswire.TypeA); err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if res, err := f.Resolve(qname, dnswire.TypeA); err != nil || !res.CacheHit {
-			t.Fatalf("warm resolve: %+v, %v", res, err)
+	ctx, dst := context.Background(), new(resolver.Result)
+	for _, tc := range []struct {
+		name   string
+		dst    *resolver.Result
+		budget float64
+	}{{"lent", dst, 0}, {"nil", nil, 1}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if res, err := f.ResolveInto(ctx, tc.dst, qname, dnswire.TypeA); err != nil || !res.CacheHit {
+				t.Fatalf("warm resolve: %+v, %v", res, err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("cached ResolveInto with %s storage costs %.1f allocs, budget %v", tc.name, allocs, tc.budget)
+		}
+	}
+}
+
+// TestLentResultNeverShared pins the lent-storage rule through the farm's
+// pipeline and flight group: a coalesced miss's Result is shared with its
+// followers, so it is never the storage its caller lent (ResolveInto), and
+// nothing the shared cache keeps aliases that storage.
+func TestLentResultNeverShared(t *testing.T) {
+	other := dnswire.NewName("other.example.org")
+	ctx := context.Background()
+	// answers reports whether res is the one-record A answer for qname.
+	answers := func(res *resolver.Result) bool {
+		m := res.Msg
+		return m.Header.RCode == dnswire.RCodeNoError && len(m.Question) == 1 && m.Q().Name == qname &&
+			len(m.Answer) == 1 && m.Answer[0].Name == qname &&
+			m.Answer[0].Data.(dnswire.A).Addr == netip.MustParseAddr("198.18.0.1")
+	}
+
+	t.Run("coalesced miss", func(t *testing.T) {
+		const clients = 4
+		w := newWorld(t, []string{"www.example.org", "other.example.org"}, 3600)
+		release := make(chan struct{})
+		inner := w.orgSrv
+		w.net.Attach(w.orgAddr, simnet.HandlerFunc(func(wire []byte, from netip.Addr) []byte {
+			if q, err := dnswire.Decode(wire); err == nil && len(q.Question) > 0 && q.Q().Name == qname {
+				<-release
+			}
+			return inner.ServeDNS(wire, from)
+		}))
+		f := w.farm(Config{Frontends: 4, Topology: Shared, Coalesce: true, Seed: 7})
+		if _, err := f.Resolve(other, dnswire.TypeA); err != nil { // the name reused storage takes
+			t.Fatal(err)
+		}
+		dsts, results := make([]*resolver.Result, clients), make([]*resolver.Result, clients)
+		var wg sync.WaitGroup
+		for i := range dsts {
+			dsts[i] = new(resolver.Result)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				res, err := f.ResolveInto(ctx, dsts[i], qname, dnswire.TypeA)
+				if err != nil {
+					t.Errorf("client %d: %v", i, err)
+				}
+				results[i] = res
+			}(i)
+		}
+		key := cache.Key{Name: qname, Type: dnswire.TypeA}
+		for deadline := time.Now().Add(10 * time.Second); f.flight.InFlight(key) < clients-1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d/%d followers joined the flight", f.flight.InFlight(key), clients-1)
+			}
+		}
+		close(release)
+		wg.Wait()
+
+		leader := -1
+		for i, res := range results {
+			if res == nil {
+				t.Fatalf("client %d got no result", i)
+			}
+			if res == dsts[i] {
+				t.Errorf("client %d: a coalesced miss was written into its lent storage", i)
+			}
+			if !res.Coalesced {
+				leader = i
+			}
+		}
+		if leader < 0 {
+			t.Fatal("no client led the flight")
+		}
+		if res, err := f.ResolveInto(ctx, dsts[leader], other, dnswire.TypeA); err != nil || res != dsts[leader] {
+			t.Fatalf("hit into reused storage: %p (lent %p), %v", res, dsts[leader], err)
+		}
+		for i, res := range results {
+			if !answers(res) {
+				t.Errorf("client %d (leader %v) reads %v after the leader's storage was reused", i, i == leader, res.Msg)
+			}
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("cached Resolve costs %.1f allocs, want 1 (the Result)", allocs)
-	}
+
+	t.Run("hit then garbage", func(t *testing.T) {
+		w := newWorld(t, []string{"www.example.org"}, 3600)
+		f := w.farm(Config{Frontends: 4, Topology: Shared, Coalesce: true})
+		if _, err := f.Resolve(qname, dnswire.TypeA); err != nil {
+			t.Fatal(err)
+		}
+		dst := new(resolver.Result)
+		res, err := f.ResolveInto(ctx, dst, qname, dnswire.TypeA)
+		if err != nil || res != dst || !res.CacheHit || !answers(res) {
+			t.Fatalf("hit into lent storage: %p (lent %p) %+v, %v", res, dst, res, err)
+		}
+		// Scribble over the answer in place, then refill the storage.
+		junk := dnswire.RR{Name: dnswire.NewName("junk.invalid"), Type: dnswire.TypeA, Class: dnswire.ClassIN,
+			TTL: 1, Data: dnswire.A{Addr: netip.MustParseAddr("203.0.113.9")}}
+		res.Msg.Answer[0] = junk
+		res.Msg.Question[0].Name = junk.Name
+		resolver.NewResult(dst, junk.Name, dnswire.TypeMX)
+		for range 3 {
+			dst.Msg.AddAnswer(junk)
+		}
+		dst.Msg.Header.RCode = dnswire.RCodeServFail
+		dst.Trace = resolver.Trace{Queries: 99, Stale: true, AnswerTTL: 7}
+
+		for _, lend := range []*resolver.Result{dst, nil} {
+			res, err := f.ResolveInto(ctx, lend, qname, dnswire.TypeA)
+			if err != nil || !res.CacheHit || res.Queries != 0 || res.Stale || !answers(res) {
+				t.Errorf("hit after the lent storage was scribbled on (lent %v): %v %+v, %v", lend != nil, res.Msg, res.Trace, err)
+			}
+		}
+		e, _, ok := f.store.Get(qname, dnswire.TypeA)
+		if !ok || len(e.RRs) != 1 || e.RRs[0].Data.(dnswire.A).Addr != netip.MustParseAddr("198.18.0.1") {
+			t.Errorf("cache entry after the lent storage was scribbled on: %+v, %v", e, ok)
+		}
+	})
 }

@@ -35,10 +35,16 @@ import (
 // requesting address as seen by the listener; stages that key on it (the
 // per-client rate limiter) skip queries whose Client is the zero Addr —
 // in-process library lookups with no network client.
+//
+// Into, when non-nil, is storage the caller lends for the answer: the
+// terminal stage resolves into it (resolver.ResolveInto) and a stage that
+// answers the query itself builds its Result there. The caller reuses it
+// once it has read the Response.
 type Query struct {
 	Name   dnswire.Name
 	Type   dnswire.Type
 	Client netip.Addr
+	Into   *resolver.Result
 }
 
 // Verdict classifies how the pipeline terminated a query, for qlog
@@ -91,22 +97,23 @@ type Stage interface {
 	// annotations use it).
 	Name() string
 	// Resolve answers the query or passes it down the chain. An error
-	// comes with the zero Response (nil Result). q belongs to the caller,
-	// who reuses it once Resolve returns: stages must not retain it.
+	// comes with the zero Response (nil Result). q and its Into belong to
+	// the caller, who reuses them once it has read the Response: stages
+	// must not retain either.
 	Resolve(ctx context.Context, q *Query) (Response, error)
 }
 
 // LookupFunc is the terminal resolution the pipeline wraps — a farm
-// frontend's resolve leg, or a bare resolver's ResolveContext. ctx is the
-// query's, as the pipeline got it.
-type LookupFunc func(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
+// frontend's resolve leg, or a bare resolver's ResolveInto. ctx is the
+// query's, as the pipeline got it, and dst its Into.
+type LookupFunc func(ctx context.Context, dst *resolver.Result, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
 
 // Env is everything the graph builder hands to stage constructors.
 type Env struct {
 	// LookupContext is the terminal datapath the "resolver" stage calls.
 	LookupContext LookupFunc
-	// Lookup is the context-free form (a bare resolver's Resolve), used
-	// only when LookupContext is nil.
+	// Lookup is the context-free form with no lent storage (a bare
+	// resolver's Resolve), used only when LookupContext is nil.
 	Lookup func(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error)
 	// Clock drives rate-limiter refill; nil means wall time.
 	Clock simnet.Clock
@@ -115,12 +122,12 @@ type Env struct {
 }
 
 // lookup is the terminal datapath: LookupContext, or else Lookup wrapped
-// once, at build time, to drop the query's context.
+// once, at build time, to drop the query's context and storage.
 func (e Env) lookup() LookupFunc {
 	if e.LookupContext != nil || e.Lookup == nil {
 		return e.LookupContext
 	}
-	return func(_ context.Context, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+	return func(_ context.Context, _ *resolver.Result, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
 		return e.Lookup(name, qtype)
 	}
 }
@@ -160,12 +167,12 @@ func Default(env Env) *Pipeline {
 	return &Pipeline{entry: t, stages: []Stage{t}}
 }
 
-// refused builds the REFUSED message every policy-refusal path returns.
+// refused builds the REFUSED message every policy-refusal path returns,
+// into q.Into when the caller lent it.
 func refused(q *Query) *resolver.Result {
-	return &resolver.Result{Msg: &dnswire.Message{
-		Header:   dnswire.Header{QR: true, RA: true, RCode: dnswire.RCodeRefused},
-		Question: []dnswire.Question{{Name: q.Name, Type: q.Type, Class: dnswire.ClassIN}},
-	}}
+	res := resolver.NewResult(q.Into, q.Name, q.Type)
+	res.Msg.Header.RCode = dnswire.RCodeRefused
+	return res
 }
 
 // copyMsg copies a message with a fresh answer section — the one section a

@@ -22,20 +22,23 @@ type fakeLookup struct {
 }
 
 func (f *fakeLookup) lookup(name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
+	return f.lookupInto(context.Background(), nil, name, qtype)
+}
+
+// lookupInto is lookup in the lent form (LookupFunc): it answers into dst.
+func (f *fakeLookup) lookupInto(_ context.Context, dst *resolver.Result, name dnswire.Name, qtype dnswire.Type) (*resolver.Result, error) {
 	f.calls.Add(1)
 	ttl := f.ttl
 	if ttl == 0 {
 		ttl = 300
 	}
-	msg := &dnswire.Message{
-		Header:   dnswire.Header{QR: true, RA: true},
-		Question: []dnswire.Question{{Name: name, Type: qtype, Class: dnswire.ClassIN}},
-	}
-	msg.AddAnswer(dnswire.RR{
+	res := resolver.NewResult(dst, name, qtype)
+	res.Msg.AddAnswer(dnswire.RR{
 		Name: name, Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: ttl,
 		Data: dnswire.A{Addr: netip.MustParseAddr("192.0.2.1")},
 	})
-	return &resolver.Result{Msg: msg, Trace: resolver.Trace{Queries: 1, AnswerTTL: msg.Answer[0].TTL}}, nil
+	res.Queries, res.AnswerTTL = 1, ttl
+	return res, nil
 }
 
 // mustBuild is Build for the canned specs below.

@@ -29,7 +29,7 @@ func (s *resolverStage) Resolve(ctx context.Context, q *Query) (Response, error)
 	if s.lookup == nil {
 		return Response{}, fmt.Errorf("middleware: stage %q has no lookup datapath", s.name)
 	}
-	res, err := s.lookup(ctx, q.Name, q.Type)
+	res, err := s.lookup(ctx, q.Into, q.Name, q.Type)
 	if err != nil {
 		return Response{}, err
 	}

@@ -1,6 +1,7 @@
 package resolver
 
 import (
+	"context"
 	"fmt"
 	"net/netip"
 	"testing"
@@ -118,17 +119,18 @@ func TestRetryPlaneAllocNeutral(t *testing.T) {
 // TestResolveLeafMissAllocs pins the allocation budget of a leaf miss: a
 // never-seen name under a zone whose servers are cached, resolved over simnet
 // from the authoritative and back — one upstream exchange. What is left is
-// what the resolution keeps: the Resolve block, the boxed A RData (a
-// never-seen address interns on first sight), the cache Entry, which holds
-// the answer's one record. The server list built from the cached delegation
-// lands in the iteration's pooled scratch, the reply is encoded into the
-// resolver's pooled buffer, and neither decoder spells the name again: the
-// authoritative borrows it from its zone, the resolver from its question.
+// what the resolution keeps: the Result (none when the caller lends it), the
+// boxed A RData (a never-seen address interns on first sight), the cache
+// Entry, which holds the answer's one record. The server list built from the
+// cached delegation lands in the iteration's pooled scratch, the reply is
+// encoded into the resolver's pooled buffer, and neither decoder spells the
+// name again: the authoritative borrows it from its zone, the resolver from
+// its question.
 func TestResolveLeafMissAllocs(t *testing.T) {
 	skipAllocPinUnderRace(t)
 	const runs = 200
 	tn := newTestNet(t)
-	names := make([]dnswire.Name, runs+2)
+	names := make([]dnswire.Name, 2*runs+1)
 	for i := range names {
 		names[i] = dnswire.NewName(fmt.Sprintf("h%04d.cachetest.net", i))
 		tn.ct.MustAdd(dnswire.RR{Name: names[i], Type: dnswire.TypeA, Class: dnswire.ClassIN, TTL: 300,
@@ -138,15 +140,22 @@ func TestResolveLeafMissAllocs(t *testing.T) {
 	if _, err := r.Resolve(names[0], dnswire.TypeA); err != nil { // caches the delegation chain
 		t.Fatal(err)
 	}
-	next := 1
-	allocs := testing.AllocsPerRun(runs, func() {
-		res, err := r.Resolve(names[next], dnswire.TypeA)
-		if err != nil || res.Queries != 1 || len(res.Msg.Answer) != 1 {
-			t.Fatalf("leaf miss for %s: %+v, %v", names[next], res, err)
+	ctx, next := context.Background(), 1
+	for _, tc := range []struct {
+		name   string
+		dst    *Result
+		budget float64
+	}{{"nil", nil, 3}, {"lent", new(Result), 2}} {
+		// AllocsPerRun's warm-up call takes one name more than its runs.
+		allocs := testing.AllocsPerRun(runs-1, func() {
+			res, err := r.ResolveInto(ctx, tc.dst, names[next], dnswire.TypeA)
+			if err != nil || res.Queries != 1 || len(res.Msg.Answer) != 1 {
+				t.Fatalf("leaf miss for %s: %+v, %v", names[next], res, err)
+			}
+			next++
+		})
+		if allocs > tc.budget {
+			t.Errorf("leaf miss into %s storage costs %.1f allocs/op, budget %v", tc.name, allocs, tc.budget)
 		}
-		next++
-	})
-	if allocs > 3 {
-		t.Errorf("leaf miss costs %.1f allocs/op, budget 3", allocs)
 	}
 }

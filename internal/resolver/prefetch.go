@@ -39,7 +39,7 @@ func (r *Resolver) maybePrefetch(name dnswire.Name, qtype dnswire.Type, res *Res
 		// The refresh iterates into a scratch result: upstream query counts
 		// still accrue at the authoritatives (the real price of prefetch),
 		// but nothing is charged to the client resolution that triggered it.
-		scratch := &Result{Msg: &dnswire.Message{}}
+		scratch := NewResult(nil, name, qtype)
 		return scratch, r.iterate(name, qtype, scratch, 0)
 	})
 	if !led {

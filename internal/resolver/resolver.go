@@ -60,10 +60,35 @@ type Trace struct {
 	Span *obs.Span
 }
 
-// Result is a completed resolution.
+// Result is a completed resolution. Msg points at the Result's own inline
+// message, question and room for the usual one- or two-record answer (a
+// longer answer grows onto the heap like any append), so a Result and its
+// answer are one block: lent by the caller (ResolveInto) or allocated.
 type Result struct {
 	Msg *dnswire.Message
 	Trace
+
+	msg      dnswire.Message
+	question [1]dnswire.Question
+	answer   [2]dnswire.RR
+}
+
+// NewResult readies dst, or a fresh Result when dst is nil, to answer
+// (name, qtype) and returns it: everything dst held is discarded, and Msg
+// is its inline message, a QR+RA reply carrying the one question and an
+// empty answer section.
+func NewResult(dst *Result, name dnswire.Name, qtype dnswire.Type) *Result {
+	if dst == nil {
+		dst = new(Result)
+	} else {
+		*dst = Result{}
+	}
+	dst.question[0] = dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassIN}
+	dst.msg.Header = dnswire.Header{QR: true, RA: true}
+	dst.msg.Question = dst.question[:]
+	dst.msg.Answer = dst.answer[:0]
+	dst.Msg = &dst.msg
+	return dst
 }
 
 // Follower is the Result a caller that joined r's in-flight resolution
@@ -88,9 +113,10 @@ func (r *Result) Follower() *Result {
 // Lookuper is anything that can answer a client resolution — a full
 // iterative Resolver or a farm of them. Vantage points hold a Lookuper,
 // matching the paper's observation (§4.4) that clients sit behind
-// "multiple levels of resolvers".
+// "multiple levels of resolvers". ResolveInto follows the lent-storage
+// rule of Resolver.ResolveInto.
 type Lookuper interface {
-	Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, error)
+	ResolveInto(ctx context.Context, dst *Result, name dnswire.Name, qtype dnswire.Type) (*Result, error)
 }
 
 var _ Lookuper = (*Resolver)(nil)
@@ -189,32 +215,24 @@ const maxDepth = 8
 // maxSteps bounds referral chasing per resolution.
 const maxSteps = 30
 
-// Resolve is ResolveContext with the background context.
+// Resolve is ResolveInto with the background context and no lent
+// storage: the Result is the caller's to keep.
 func (r *Resolver) Resolve(name dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	return r.ResolveContext(context.Background(), name, qtype)
+	return r.ResolveInto(context.Background(), nil, name, qtype)
 }
 
-// ResolveContext answers (name, qtype) for a client, from cache when
-// possible and by iterating from the roots otherwise. ctx carries the
-// query's listener state: its UDP yield (WithYield).
-func (r *Resolver) ResolveContext(ctx context.Context, name dnswire.Name, qtype dnswire.Type) (*Result, error) {
-	// One allocation holds the Result, its Message, the question and room
-	// for the usual one- or two-record answer; a longer answer section
-	// grows onto the heap like any append. The block is not pooled: caches,
-	// coalescers and callers retain and share Results.
-	b := &struct {
-		res      Result
-		msg      dnswire.Message
-		question [1]dnswire.Question
-		answer   [2]dnswire.RR
-	}{}
-	b.question[0] = dnswire.Question{Name: name, Type: qtype, Class: dnswire.ClassIN}
-	b.msg.Header = dnswire.Header{QR: true, RA: true}
-	b.msg.Question = b.question[:]
-	b.msg.Answer = b.answer[:0]
-	b.res.Msg = &b.msg
-	b.res.yield, _ = ctx.Value(yieldKey{}).(func())
-	res := &b.res
+// ResolveInto answers (name, qtype) for a client, from cache when possible
+// and by iterating from the roots otherwise. ctx carries the query's
+// listener state: its UDP yield (WithYield).
+//
+// The answer is written into dst, storage the caller lends (nil: a fresh
+// Result), except when the resolution leads a flight (Coalesce): a led
+// Result is shared with its followers, so it is allocated, and a follower
+// gets its own copy. The caller reads the Result that comes back and may
+// reuse dst once it has finished reading; nothing here keeps dst.
+func (r *Resolver) ResolveInto(ctx context.Context, dst *Result, name dnswire.Name, qtype dnswire.Type) (*Result, error) {
+	res := NewResult(dst, name, qtype)
+	res.yield, _ = ctx.Value(yieldKey{}).(func())
 	if r.Tracer != nil {
 		res.Span = r.Tracer.Start("resolve " + string(name) + " " + qtype.String())
 	}
@@ -231,7 +249,13 @@ func (r *Resolver) ResolveContext(ctx context.Context, name dnswire.Name, qtype 
 	// leads a second iteration; re-probing the cache here would count the
 	// miss twice for every leader to close that window.
 	lead, _, joined := r.Coalesce(cache.Key{Name: name, Type: qtype}, func() (*Result, error) {
-		return r.finish(res, r.resolveFrom(nil, 0, name, qtype, res, 0)), nil
+		led := res
+		if led == dst {
+			// Followers read the leader's Result after dst is reused.
+			led = NewResult(nil, name, qtype)
+			led.Trace = res.Trace
+		}
+		return r.finish(led, r.resolveFrom(nil, 0, name, qtype, led, 0)), nil
 	})
 	if joined {
 		return lead.Follower(), nil
@@ -263,9 +287,9 @@ func (r *Resolver) finish(res *Result, err error) *Result {
 	return res
 }
 
-// resolveInto resolves (name, qtype), appending answers to res.Msg and
+// resolveAppend resolves (name, qtype), appending answers to res.Msg and
 // accounting into res.Trace. CNAME chains recurse with increased depth.
-func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) error {
+func (r *Resolver) resolveAppend(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) error {
 	if depth > maxDepth {
 		return fmt.Errorf("resolver: depth limit at %s", name)
 	}
@@ -277,8 +301,9 @@ func (r *Resolver) resolveInto(name dnswire.Name, qtype dnswire.Type, res *Resul
 // DNSKEY — into a scratch Result on res's behalf, and charges res every
 // additive count of its Trace. The answer stays in the returned Result.
 func (r *Resolver) subResolve(name dnswire.Name, qtype dnswire.Type, res *Result, depth int) (*Result, error) {
-	sub := &Result{Msg: &dnswire.Message{}, Trace: Trace{yield: res.yield}}
-	err := r.resolveInto(name, qtype, sub, depth)
+	sub := NewResult(nil, name, qtype)
+	sub.yield = res.yield
+	err := r.resolveAppend(name, qtype, sub, depth)
 	res.yield = sub.yield
 	res.Latency += sub.Latency
 	res.Queries += sub.Queries
@@ -348,7 +373,7 @@ func (r *Resolver) applyCached(e *cache.Entry, rem uint32, name dnswire.Name, qt
 	// Chase a cached CNAME.
 	if e.Key.Type == dnswire.TypeCNAME && qtype != dnswire.TypeCNAME && len(e.RRs) > 0 {
 		target := e.RRs[0].Data.(dnswire.CNAME).Target
-		_ = r.resolveInto(target, qtype, res, depth+1)
+		_ = r.resolveAppend(target, qtype, res, depth+1)
 	}
 }
 
@@ -480,7 +505,7 @@ func (r *Resolver) absorb(resp *dnswire.Message, server netip.Addr, zoneName, na
 			if sp != nil {
 				sp.Annotate("cname", string(lastCNAME))
 			}
-			return true, r.resolveInto(lastCNAME, qtype, res, depth+1)
+			return true, r.resolveAppend(lastCNAME, qtype, res, depth+1)
 		}
 		if !answered {
 			return true, r.fail(name, qtype, res, fmt.Errorf("resolver: answer section did not match question"))

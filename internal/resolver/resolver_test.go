@@ -796,9 +796,9 @@ func TestYieldOncePerResolution(t *testing.T) {
 	ctx := WithYield(context.Background(), func() { calls++ })
 	resolve := func(ctx context.Context, name string) *Result {
 		t.Helper()
-		res, err := r.ResolveContext(ctx, dnswire.NewName(name), dnswire.TypeA)
+		res, err := r.ResolveInto(ctx, nil, dnswire.NewName(name), dnswire.TypeA)
 		if err != nil {
-			t.Fatalf("ResolveContext(%s): %v", name, err)
+			t.Fatalf("ResolveInto(%s): %v", name, err)
 		}
 		return res
 	}

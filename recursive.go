@@ -74,12 +74,15 @@ func (rs *RecursiveServer) ServeDNS(wire []byte, from netip.Addr) []byte {
 }
 
 // serveScratch is the per-query state of the serve path that must live on
-// the heap (the pipeline takes the query by pointer) but dies with the
-// call, so it is pooled: no stage retains a *middleware.Query, and nothing
-// of the decoded query outlives the call except its immutable Name.
+// the heap (the pipeline takes the query and its storage by pointer) but
+// dies with the call, so it is pooled: no stage retains a *middleware.Query
+// or its Into, and nothing of the decoded query outlives the call except
+// its immutable Name. res is the storage the query lends the pipeline: the
+// answer is encoded before the scratch goes back to the pool.
 type serveScratch struct {
 	query dnswire.Message
 	mq    middleware.Query
+	res   resolver.Result
 }
 
 var serveScratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
@@ -115,7 +118,7 @@ func (h transportHandler) AppendServeDNS(dst, wire []byte, from netip.Addr) []by
 	if tap != nil {
 		start = time.Now()
 	}
-	sc.mq = middleware.Query{Name: name, Type: qtype, Client: from}
+	sc.mq = middleware.Query{Name: name, Type: qtype, Client: from, Into: &sc.res}
 	pres, err := rs.Client.f.ResolveQuery(h.ctx, &sc.mq)
 	if err != nil || pres.Result == nil {
 		if tap != nil {
